@@ -50,6 +50,7 @@ class AffineWeyl:
         self.W = W
         self.rs = W.rs
         self._sigma_cache: dict[tuple[int, ...], dict[int, Coroot]] = {}
+        self._component_cache: dict[tuple[int, ...], tuple] = {}
 
     # -- group structure ---------------------------------------------------
 
@@ -167,13 +168,13 @@ class AffineWeyl:
         out = []
         for comp in J.components:
             pairs = [rs.pairing(mu, rs.simple_roots()[j - 1]) for j in comp]
-            inv = _sub_inverse_cartan(rs, comp)
+            inv, specials = self._component_data(comp)
             proj = [
                 sum(Fraction(pairs[a]) * inv[a][b] for a in range(len(comp)))
                 for b in range(len(comp))
             ]
             candidates: list[int | None] = [None]
-            candidates.extend(_component_special_nodes(rs, comp))
+            candidates.extend(specials)
             chosen = None
             for cand in candidates:
                 if cand is None:
@@ -189,6 +190,17 @@ class AffineWeyl:
                 raise GraphInvariantError("no integral lift of the coweight class")
             out.append((comp, chosen[0], chosen[1]))
         return out
+
+    def _component_data(self, comp: tuple[int, ...]):
+        """(inverse Cartan matrix, special nodes) of one component of J."""
+        got = self._component_cache.get(comp)
+        if got is None:
+            got = (
+                _sub_inverse_cartan(self.rs, comp),
+                _component_special_nodes(self.rs, comp),
+            )
+            self._component_cache[comp] = got
+        return got
 
     def phi_correction(self, mu: Coroot, J: ParabolicIndex) -> Coroot:
         """The Q_J^vee correction phi_J(mu) in the canonical decomposition."""
@@ -320,15 +332,21 @@ class AffineWeyl:
         return graph.diameter() + 2
 
     def lift_edge(
-        self, graph: QbgGraph, edge: QbgEdge, z: WeylElement, mu: Coroot
+        self,
+        graph: QbgGraph,
+        edge: QbgEdge,
+        z: WeylElement,
+        mu: Coroot,
+        depth: int | None = None,
     ) -> tuple[AffineElement, AffineElement, AffineRoot]:
         """Lift a graph edge to a length-one downward cover x > x r_gamma.
 
-        Requires mu J-adjusted and superantidominant (to the diameter-based
-        depth) with Weyl factor exactly z.
+        Requires mu J-adjusted and superantidominant to ``depth`` (default:
+        the diameter-based lift depth) with Weyl factor exactly z.
         """
         J = graph.J
-        depth = self.lift_depth(graph)
+        if depth is None:
+            depth = self.lift_depth(graph)
         if not self.is_adjusted(mu, J):
             raise ValueError("mu is not J-adjusted")
         if not self.is_superantidominant(mu, J, depth):
@@ -435,11 +453,17 @@ class AffineWeyl:
         """Lift a directed path to a saturated downward chain.
 
         Returns the chain elements paired with the connecting root used to
-        step down into each (None for the starting element).
+        step down into each (None for the starting element).  Only the
+        starting mu must be superantidominant to the lift depth; a step may
+        make the next mu shallower, and each step checks that its result is
+        a length-one cover that stays in the lift target.
         """
         J = graph.J
         if not self.is_adjusted(mu, J):
             raise ValueError("starting mu must be J-adjusted")
+        depth = self.lift_depth(graph)
+        if not self.is_superantidominant(mu, J, depth):
+            raise ValueError(f"starting mu is not superantidominant to depth {depth}")
         edges = path.edges if hasattr(path, "edges") else tuple(path)
         start = path.start if hasattr(path, "start") else edges[0].source
         z0 = self.z_mu(mu, J)
@@ -449,7 +473,7 @@ class AffineWeyl:
             w, z = self.W.parabolic_decompose(self.W.element(x.w), J)
             if w.index != edge.source:
                 raise ValueError("path does not start where the chain is")
-            x, y, gamma = self.lift_edge(graph, edge, z, x.mu)
+            x, y, gamma = self.lift_edge(graph, edge, z, x.mu, depth=1)
             chain.append((y, gamma))
             x = y
         return chain

@@ -78,6 +78,13 @@ def cmd_qbg(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    try:
+        return _lift(args)
+    except ValueError as exc:  # a lift precondition the input does not meet
+        raise UsageError(str(exc)) from exc
+
+
+def _lift(args) -> int:
     rs, W, J = _context(args)
     if len(J.nodes) == rs.rank:
         raise UsageError("the parabolic set must be proper for lifting")

@@ -4,6 +4,33 @@ Elements w(lambda) + n*delta are stored as (coset id, n).  The order is the
 transitive closure of mu < r_beta(mu) whenever the positive affine root beta
 pairs positively with mu; ascending chains never increase n, so reachability
 inside an n-window is exact for pairs inside it.
+
+Layout.  Everything that depends on the coset alone is computed once per
+coset id and kept:
+
+- ``_pairings``: the orbit's ``WeightPairings`` table from
+  ``W.weight_pairings``.  It keeps w(lambda) over the fundamental weights,
+  so every pairing <beta^vee, w(lambda)> is one dot product; ``tilted``
+  pairs through the same kind of table;
+- ``_steps_cache[w]``: the raising-step data (root, pairing p > 0, target
+  coset, first k) of every root pairing positively, alpha before -alpha in
+  the order of the positive roots.  The steps out of (w, n) are the elements
+  (target, n - k*p) for k = first k, first k + 1, ..., so ``raising_steps``
+  only expands n.
+
+An n-window numbers its slice elements densely: the element (w, n) gets id
+``c * levels + (n - n_lo) // d``, where c is the position of w in
+``graph.vertices`` and ``n_lo`` the lowest delta part of the window; that
+is the order of ``slice_elements``.  The window's closure is a list of
+Python-int bitsets over these ids: bit j of ``reach[i]`` is set when element
+j lies strictly above element i.  It is built in one loop, with no recursion,
+over the elements in increasing (n, <2rho^vee, cl(mu)>): a raising step
+lowers n, or keeps n and lowers that height, so every element's steps land
+on elements already done (a post-order of the step graph).  A raising step
+nu of mu is a cover exactly when nu's bit is absent from the OR of
+``reach[rho]`` over the rho above mu; that OR equals the OR over the raising
+steps of mu alone.  ``dist`` finds longest chains over id-indexed cover
+lists, testing "reaches nu" with one bit operation.
 """
 
 from __future__ import annotations
@@ -13,8 +40,11 @@ from math import gcd
 
 from .affine import AffineRoot
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgGraph, build_qbg
-from .root_system import Coroot, Root, is_positive_vec, neg_vec
+from .root_system import Coroot, Root, add_vec, is_positive_vec, neg_vec
 from .weyl import WeylElement, WeylGroup
+
+#: a raising step of one coset: (root, pairing p > 0, target coset id, first k)
+Step = tuple[Root, int, int, int]
 
 
 class InconclusiveWindow(RuntimeError):
@@ -60,26 +90,58 @@ class LevelZeroPoset:
         self.J = rs.parabolic(i + 1 for i, c in enumerate(lam) if c == 0)
         self.d = gcd(*(abs(c) for c in lam))
         self.graph: QbgGraph = build_qbg(W, self.J)
-        self._closure_cache: dict[int, dict[LevelZeroWeight, set[LevelZeroWeight]]] = {}
+        two_rho_vee = (0,) * rs.rank
+        for a in rs.positive_roots:
+            two_rho_vee = add_vec(two_rho_vee, rs.coroot(a))
+        self._two_rho_vee = two_rho_vee
+        self._pairings = W.weight_pairings(self.lam)
+        self._steps_cache: dict[int, tuple[Step, ...]] = {}
+        self._margin = len(rs.positive_roots) * max(
+            abs(self.pair(rs.coroot(a), 0)) for a in rs.positive_roots
+        )
+        self._closure_cache: dict[int, list[int]] = {}
         self._hasse_cache: dict[int, dict[LevelZeroWeight, list[PosetCover]]] = {}
+        self._cover_ids_cache: dict[int, list[tuple[int, ...]]] = {}
 
     # -- pairings ------------------------------------------------------------
 
     def pair(self, coroot: Coroot, w: int) -> int:
-        """<coroot, w(lambda)>, computed through w^{-1}."""
-        moved = self.W.element(w).inverse().act_coroot(coroot)
-        return sum(c * v for c, v in zip(moved, self.lam))
+        """<coroot, w(lambda)>."""
+        return self._pairings.pair(coroot, w)
 
     def cl(self, mu: LevelZeroWeight) -> WeylElement:
         return self.W.element(mu.w)
 
     def weight_coordinates(self, mu: LevelZeroWeight) -> tuple[int, ...]:
         """Coefficients of cl(mu) over the fundamental weights."""
-        return tuple(
-            self.pair(self.rs.simple_coroot(i), mu.w) for i in range(1, self.rs.rank + 1)
-        )
+        return self._pairings.weight(mu.w)
 
     # -- generating steps -----------------------------------------------------
+
+    def _steps(self, w: int) -> tuple[Step, ...]:
+        """(root, pairing, target coset, first k) per root pairing positively.
+
+        Also checks the order the closure relies on: a step at k = 0 keeps n,
+        so it must lower the height <2rho^vee, cl(mu)>.
+        """
+        got = self._steps_cache.get(w)
+        if got is not None:
+            return got
+        W, rs = self.W, self.rs
+        x = W.element(w)
+        height = self.pair(self._two_rho_vee, w)
+        steps = []
+        for alpha in rs.positive_roots:
+            p = self.pair(rs.coroot(alpha), w)
+            if p == 0:
+                continue
+            root, k = (alpha, 0) if p > 0 else (neg_vec(alpha), 1)
+            target = W.min_coset_rep(W.reflection(alpha) * x, self.J).index
+            if k == 0 and self.pair(self._two_rho_vee, target) >= height:
+                raise GraphInvariantError(f"raising step from coset {w} keeps its height")
+            steps.append((root, abs(p), target, k))
+        got = self._steps_cache[w] = tuple(steps)
+        return got
 
     def raising_steps(self, mu: LevelZeroWeight, n_min: int):
         """All r_beta(mu) > mu with the new delta part at least n_min.
@@ -87,69 +149,79 @@ class LevelZeroPoset:
         beta runs over the positive affine roots with positive pairing
         against mu; ascending steps have n' <= n so the bound is exhaustive.
         """
-        rs = self.rs
         out = []
-        for alpha in rs.positive_roots:
-            for root in (alpha, neg_vec(alpha)):
-                p = self.pair(rs.coroot(root), mu.w)
-                if p <= 0:
-                    continue
-                target_w = self.W.min_coset_rep(
-                    self.W.reflection(root) * self.cl(mu), self.J
-                ).index
-                k = 0 if is_positive_vec(root) else 1
-                while mu.n - k * p >= n_min:
-                    out.append(
-                        (LevelZeroWeight(target_w, mu.n - k * p), AffineRoot(root, k))
-                    )
-                    k += 1
+        n = mu.n
+        for root, p, target, k in self._steps(mu.w):
+            while n - k * p >= n_min:
+                out.append((LevelZeroWeight(target, n - k * p), AffineRoot(root, k)))
+                k += 1
         return out
 
     # -- reachability inside a window ------------------------------------------
 
     def margin(self) -> int:
         """Window margin reserved for intermediate chain elements."""
-        maxpair = max(
-            abs(self.pair(self.rs.coroot(a), 0)) for a in self.rs.positive_roots
-        )
-        return len(self.rs.positive_roots) * maxpair
+        return self._margin
+
+    def _layout(self, window: int) -> tuple[int, int]:
+        """(levels, n_lo): delta layers per coset and the lowest delta part."""
+        n_lo = -(window // self.d) * self.d
+        return len(range(n_lo, window + 1, self.d)), n_lo
+
+    def _id(self, mu: LevelZeroWeight, window: int) -> int | None:
+        """Dense id of mu in the window's slice, or None when mu is outside."""
+        c = self.graph.vertex_pos.get(mu.w)
+        levels, n_lo = self._layout(window)
+        lev, off = divmod(mu.n - n_lo, self.d)
+        if c is None or off or not 0 <= lev < levels:
+            return None
+        return c * levels + lev
 
     def slice_elements(self, window: int) -> tuple[LevelZeroWeight, ...]:
         """All orbit elements with |n| <= window, in display order."""
-        d = self.d
+        _, n_lo = self._layout(window)
         return tuple(
             LevelZeroWeight(w, n)
             for w in self.graph.vertices
-            for n in range(-(window // d) * d, window + 1, d)
+            for n in range(n_lo, window + 1, self.d)
         )
 
-    def _closure(self, window: int) -> dict[LevelZeroWeight, set[LevelZeroWeight]]:
+    def _step_ids(self, w: int, lev: int, levels: int):
+        """(target id, root, k) for every raising step out of (w, level lev)."""
+        pos, d = self.graph.vertex_pos, self.d
+        for root, p, target, k in self._steps(w):
+            base, q = pos[target] * levels, p // d
+            j = lev - k * q
+            while j >= 0:
+                yield base + j, root, k
+                k += 1
+                j -= q
+
+    def _closure(self, window: int) -> list[int]:
+        """Strict up-sets of the window's slice, as bitsets over dense ids."""
         cached = self._closure_cache.get(window)
         if cached is not None:
             return cached
-        elems = self.slice_elements(window)
-        succ = {
-            mu: {nu for nu, _ in self.raising_steps(mu, -window)} for mu in elems
-        }
-        reach: dict[LevelZeroWeight, set[LevelZeroWeight]] = {}
-
-        def visit(mu: LevelZeroWeight) -> set[LevelZeroWeight]:
-            done = reach.get(mu)
-            if done is not None:
-                return done
-            acc = set(succ[mu])
-            reach[mu] = acc  # steps strictly decrease (n, length-order); no cycles
-            for nu in succ[mu]:
-                acc |= visit(nu)
-            return acc
-
-        for mu in elems:
-            visit(mu)
+        levels, _ = self._layout(window)
+        verts = self.graph.vertices
+        by_height = sorted(
+            range(len(verts)), key=lambda c: self.pair(self._two_rho_vee, verts[c])
+        )
+        reach = [0] * (len(verts) * levels)
+        up = [0] * len(reach)  # reach plus the element's own bit
+        for lev in range(levels):
+            for c in by_height:
+                acc = 0
+                for j, _root, _k in self._step_ids(verts[c], lev, levels):
+                    acc |= up[j]
+                i = c * levels + lev
+                reach[i] = acc
+                up[i] = acc | 1 << i
         self._closure_cache[window] = reach
         return reach
 
     def certified(self, mu: LevelZeroWeight, window: int) -> bool:
-        return abs(mu.n) <= window - self.margin()
+        return abs(mu.n) <= window - self._margin
 
     def leq(self, mu: LevelZeroWeight, nu: LevelZeroWeight, window: int) -> bool:
         """Brute-force order test; raises if the window cannot certify it."""
@@ -157,9 +229,13 @@ class LevelZeroPoset:
             return True
         if not (self.certified(mu, window) and self.certified(nu, window)):
             raise InconclusiveWindow(
-                f"window {window} too small (margin {self.margin()})"
+                f"window {window} too small (margin {self._margin})"
             )
-        return nu in self._closure(window)[mu]
+        i = self._id(mu, window)
+        if i is None:
+            raise KeyError(mu)
+        j = self._id(nu, window)
+        return j is not None and self._closure(window)[i] >> j & 1 == 1
 
     def hasse_covers(self, window: int) -> dict[LevelZeroWeight, list[PosetCover]]:
         """Covers of the brute-force order, for certified lower elements.
@@ -172,34 +248,46 @@ class LevelZeroPoset:
         if cached is not None:
             return cached
         reach = self._closure(window)
+        elems = self.slice_elements(window)
+        levels, _ = self._layout(window)
+        cover_ids: list[tuple[int, ...]] = [()] * len(elems)
         out: dict[LevelZeroWeight, list[PosetCover]] = {}
-        for mu in self.slice_elements(window):
-            if not self.certified(mu, window):
-                continue
-            ups = reach[mu]
-            covers = []
-            for nu in ups:
-                if any(nu in reach[rho] for rho in ups if rho != nu):
+        for c, w in enumerate(self.graph.vertices):
+            for lev in range(levels):
+                mu = elems[c * levels + lev]
+                if not self.certified(mu, window):
                     continue
-                labels = [
-                    beta for tgt, beta in self.raising_steps(mu, -window) if tgt == nu
-                ]
-                good = [
-                    b
-                    for b in labels
-                    if (b.k == 0 and is_positive_vec(b.alpha))
-                    or (b.k == 1 and not is_positive_vec(b.alpha))
-                ]
-                if not good:
-                    raise GraphInvariantError(
-                        f"cover {mu} < {nu} has no admissible label"
-                    )
-                for b in good:
-                    kind = BRUHAT if b.k == 0 else QUANTUM
-                    covers.append(PosetCover(mu, nu, b, kind))
-            out[mu] = sorted(
-                covers, key=lambda c: (c.upper.w, c.upper.n, c.label.k, c.label.alpha)
-            )
+                steps = list(self._step_ids(w, lev, levels))
+                above = deeper = 0
+                for j, _root, _k in steps:
+                    above |= 1 << j
+                    deeper |= reach[j]
+                tops = above & ~deeper
+                labels: dict[int, list[AffineRoot]] = {}
+                for j, root, k in steps:
+                    if tops >> j & 1:
+                        labels.setdefault(j, []).append(AffineRoot(root, k))
+                covers = []
+                for j, found in labels.items():
+                    good = [
+                        b
+                        for b in found
+                        if (b.k == 0 and is_positive_vec(b.alpha))
+                        or (b.k == 1 and not is_positive_vec(b.alpha))
+                    ]
+                    if not good:
+                        raise GraphInvariantError(
+                            f"cover {mu} < {elems[j]} has no admissible label"
+                        )
+                    for b in good:
+                        kind = BRUHAT if b.k == 0 else QUANTUM
+                        covers.append(PosetCover(mu, elems[j], b, kind))
+                cover_ids[c * levels + lev] = tuple(labels)
+                out[mu] = sorted(
+                    covers,
+                    key=lambda x: (x.upper.w, x.upper.n, x.label.k, x.label.alpha),
+                )
+        self._cover_ids_cache[window] = cover_ids
         self._hasse_cache[window] = out
         return out
 
@@ -245,7 +333,7 @@ class LevelZeroPoset:
         """<alpha_i^vee, mu> for an affine simple root index in 0..rank."""
         if i == 0:
             return -self.pair(self.rs.coroot(self.rs.theta), mu.w)
-        return self.pair(self.rs.simple_coroot(i), mu.w)
+        return self._pairings.weight(mu.w)[i - 1]
 
     def affine_simple_root(self, i: int) -> AffineRoot:
         if i == 0:
@@ -256,22 +344,35 @@ class LevelZeroPoset:
     # -- distance ----------------------------------------------------------------
 
     def dist(self, mu: LevelZeroWeight, nu: LevelZeroWeight, window: int) -> int:
-        """Maximum chain length from mu to nu, over the certified window."""
+        """Maximum chain length from mu to nu, over the certified window.
+
+        A longest-chain pass over the covers, iterative and memoised by id,
+        restricted to covers that still reach nu.
+        """
         if not self.leq(mu, nu, window):
             raise ValueError("dist requires mu <= nu")
+        start = self._id(mu, window)
+        if start is None:
+            raise KeyError(mu)
+        self.hasse_covers(window)  # also builds the id-indexed cover lists
+        covers = self._cover_ids_cache[window]
         reach = self._closure(window)
-        interval = {nu} | {rho for rho in reach[mu] if nu in reach[rho] or rho == nu}
-        interval.add(mu)
-        covers = self.hasse_covers(window)
-        memo: dict[LevelZeroWeight, int] = {nu: 0}
-
-        def longest(rho: LevelZeroWeight) -> int:
-            got = memo.get(rho)
-            if got is not None:
-                return got
-            uppers = {c.upper for c in covers[rho] if c.upper in interval}
-            best = max(longest(up) + 1 for up in uppers)
-            memo[rho] = best
-            return best
-
-        return longest(mu)
+        top = self._id(nu, window)
+        best = {top: 0}
+        uppers: dict[int, list[int]] = {}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            if i in best:
+                continue
+            ups = uppers.get(i)
+            if ups is None:
+                ups = [u for u in covers[i] if u == top or reach[u] >> top & 1]
+                uppers[i] = ups
+                todo = [u for u in ups if u not in best]
+                if todo:  # come back to i once everything above it is done
+                    stack.append(i)
+                    stack.extend(todo)
+                    continue
+            best[i] = 1 + max([best[u] for u in ups])
+        return best[start]

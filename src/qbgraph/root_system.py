@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 Root = tuple[int, ...]
 Coroot = tuple[int, ...]
@@ -158,6 +157,7 @@ class RootSystem:
             sum(col) for col in zip(*self.positive_roots)
         )
         self._parabolic_cache: dict[tuple[int, ...], ParabolicIndex] = {}
+        self._inverse_cartan: tuple[tuple[Fraction, ...], ...] | None = None
         self._refl_len = {a: self._reflection_length(a) for a in self.positive_roots}
 
     # -- construction helpers -------------------------------------------
@@ -320,10 +320,11 @@ class RootSystem:
         """The 1-based nodes whose coefficient in the highest root is 1."""
         return tuple(i + 1 for i, c in enumerate(self.theta) if c == 1)
 
-    @lru_cache(maxsize=None)
     def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
         """Inverse Cartan matrix over the rationals (rows index coweights)."""
-        return _invert(self.cartan)
+        if self._inverse_cartan is None:
+            self._inverse_cartan = _invert(self.cartan)
+        return self._inverse_cartan
 
     def fundamental_coweight(self, i: int) -> tuple[Fraction, ...]:
         """omega_i^vee in (rational) simple-coroot coordinates, 1-based i."""

@@ -222,12 +222,12 @@ def _canonical_lambda(graph: QbgGraph) -> tuple[int, ...]:
 
 
 def _pairing_sign_data(graph: QbgGraph, j: int):
-    lam = _canonical_lambda(graph)
+    """x -> <tilde alpha_j^vee, x(lambda)> for the canonical lambda of J."""
+    pairings = graph.W.weight_pairings(_canonical_lambda(graph))
     cor = tilde_coroot(graph.rs, j)
 
     def pair(x: WeylElement) -> int:
-        moved = x.inverse().act_coroot(cor)
-        return sum(c * v for c, v in zip(moved, lam))
+        return pairings.pair(cor, x.index)
 
     return pair
 

@@ -85,6 +85,12 @@ class SuiteResult:
             self.cases.append(CaseResult(name, False, f"{type(exc).__name__}: {exc}"))
 
 
+def _require(ok: bool, detail: object = "") -> None:
+    """Fail the running case; unlike assert, this check survives python -O."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 _context_cache: dict[tuple[str, int], tuple] = {}
 
 
@@ -344,21 +350,21 @@ def suite_reference_graphs(_types=None) -> SuiteResult:
     def a2_full():
         rs, W, _ = context("A", 2)
         g = build_qbg(W, rs.parabolic(()))
-        assert len(g.edges) == 15 and len(g.quantum_edges()) == 7
+        _require(len(g.edges) == 15 and len(g.quantum_edges()) == 7)
         w0 = W.longest_element()
         theta_edge = g.edge(w0.index, rs.theta)
-        assert theta_edge is not None and theta_edge.kind == QUANTUM
-        assert theta_edge.target == W.identity.index
-        assert all(
+        _require(theta_edge is not None and theta_edge.kind == QUANTUM)
+        _require(theta_edge.target == W.identity.index)
+        _require(all(
             e.source == w0.index for e in g.edges if e.label == rs.theta and e.kind == QUANTUM
-        )
+        ))
         return "15 edges, 7 quantum, theta edge from the top"
 
     def a3_parabolic():
         rs, W, _ = context("A", 3)
         g = build_qbg(W, rs.parabolic((1, 3)))
         by_line = {W.describe(W.element(v)): v for v in g.vertices}
-        assert sorted(by_line) == ["1234", "1324", "1423", "2314", "2413", "3412"]
+        _require(sorted(by_line) == ["1234", "1324", "1423", "2314", "2413", "3412"])
         expect = {
             ("1234", "1324", (0, 1, 0), BRUHAT),
             ("1324", "1423", (0, 1, 1), BRUHAT),
@@ -378,20 +384,20 @@ def suite_reference_graphs(_types=None) -> SuiteResult:
             )
             for e in g.edges
         }
-        assert have == expect, have ^ expect
+        _require(have == expect, have ^ expect)
         return "8 edges, 2 quantum, matching the reference edge list"
 
     def a2_cycle():
         rs, W, _ = context("A", 2)
         g = build_qbg(W, rs.parabolic((1,)))
-        assert len(g.vertices) == 3 and len(g.edges) == 3
-        assert len(g.quantum_edges()) == 1
+        _require(len(g.vertices) == 3 and len(g.edges) == 3)
+        _require(len(g.quantum_edges()) == 1)
         for v in g.vertices:
-            assert len(g.out[v]) == 1
-        assert g.distance(g.vertices[0], g.vertices[0]) == 0
+            _require(len(g.out[v]) == 1)
+        _require(g.distance(g.vertices[0], g.vertices[0]) == 0)
         r2 = W.simple_reflection(2)
         r1r2 = W.from_word((1, 2))
-        assert g.distance(r1r2.index, r2.index) == 2
+        _require(g.distance(r1r2.index, r2.index) == 2)
         return "3-cycle with one quantum edge"
 
     res.run("A2 full graph", a2_full)
@@ -598,16 +604,16 @@ def suite_example_chain(_types=None) -> SuiteResult:
         e1 = g.edge(W.identity.index, (0, 1))
         e2 = g.edge(e1.target, (1, 1))
         e3 = g.edge(e2.target, (0, 1))
-        assert (e1.kind, e2.kind, e3.kind) == (BRUHAT, BRUHAT, QUANTUM)
+        _require((e1.kind, e2.kind, e3.kind) == (BRUHAT, BRUHAT, QUANTUM))
         chain = aw.lift_path(g, QbgPath(W.identity.index, (e1, e2, e3)), mu)
         labels = [affine_root_text(gam) for _, gam in chain[1:]]
-        assert labels == ["6d-a2", "6d-a1-a2", "5d-a2"], labels
+        _require(labels == ["6d-a2", "6d-a1-a2", "5d-a2"], labels)
         words = [W.element(x.w).word for x, _ in chain]
-        assert words == [(), (2,), (1, 2), (1,)], words
+        _require(words == [(), (2,), (1, 2), (1,)], words)
         mus = [x.mu for x, _ in chain]
-        assert mus == [(-2, -4)] * 3 + [(-2, -3)], mus
+        _require(mus == [(-2, -4)] * 3 + [(-2, -3)], mus)
         lens = [aw.length(x) for x, _ in chain]
-        assert lens == [12, 11, 10, 9], lens
+        _require(lens == [12, 11, 10, 9], lens)
         return "chain of three covers with the expected labels"
 
     res.run("A2 J={1} ladder", one)
@@ -801,14 +807,14 @@ def suite_reference_slice(_types=None) -> SuiteResult:
         rs, W, _ = context("A", 2)
         P = LevelZeroPoset(W, (2, 1))
         elems = P.slice_elements(1)
-        assert len(elems) == 18, len(elems)
+        _require(len(elems) == 18, len(elems))
         inslice = [
             c
             for mu in P.slice_elements(0)
             for c in P.covers(mu)
             if c.upper.n == 0
         ]
-        assert len(inslice) == 8 and all(c.kind == BRUHAT for c in inslice)
+        _require(len(inslice) == 8 and all(c.kind == BRUHAT for c in inslice))
         g = build_qbg(W, rs.parabolic(()))
         proj = {
             (c.lower.w, c.upper.w, c.kind)
@@ -816,7 +822,7 @@ def suite_reference_slice(_types=None) -> SuiteResult:
             for c in P.covers(mu)
         }
         edges = {(e.source, e.target, e.kind) for e in g.edges}
-        assert proj == edges
+        _require(proj == edges)
         return "18 vertices; projection recovers the full graph"
 
     res.run("A2 lambda=(2,1)", one)

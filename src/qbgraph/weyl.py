@@ -93,6 +93,34 @@ def _compose(a, b):
     return tuple(_apply(a, row) for row in b)
 
 
+class WeightPairings:
+    """The pairings <beta^vee, w(lam)> of one weight's orbit.
+
+    ``lam`` is given over the fundamental weights.  Each w(lam) is computed
+    once per element id, over the fundamental weights: entry i is
+    <alpha_i^vee, w(lam)> = <w^{-1}(alpha_i^vee), lam>.  A pairing with any
+    coroot is then one dot product with it.
+    """
+
+    def __init__(self, W: WeylGroup, lam: tuple[int, ...]):
+        self.W = W
+        self.lam = tuple(lam)
+        self._weights: dict[int, tuple[int, ...]] = {}
+
+    def weight(self, w: int) -> tuple[int, ...]:
+        """w(lam) over the fundamental weights."""
+        got = self._weights.get(w)
+        if got is None:
+            comat = self.W._comat[self.W._inverse[w]]
+            got = tuple(sum(c * v for c, v in zip(row, self.lam)) for row in comat)
+            self._weights[w] = got
+        return got
+
+    def pair(self, coroot: Coroot, w: int) -> int:
+        """<coroot, w(lam)>."""
+        return sum(c * v for c, v in zip(coroot, self.weight(w)))
+
+
 class WeylGroup:
     """Fully enumerated Weyl group over a root system.
 
@@ -111,6 +139,7 @@ class WeylGroup:
         self.rank = rs.rank
         self._build()
         self._reflection_ids: dict[Root, int] = {}
+        self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._longest_cache: dict[tuple[int, ...], int] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -223,6 +252,15 @@ class WeylGroup:
             cached = self._index[mat]
             self._reflection_ids[a] = cached
         return self.element(cached)
+
+    def weight_pairings(self, lam: tuple[int, ...]) -> WeightPairings:
+        """The shared pairing table of the orbit of lam (fundamental-weight
+        coordinates)."""
+        key = tuple(lam)
+        got = self._pairings_cache.get(key)
+        if got is None:
+            got = self._pairings_cache[key] = WeightPairings(self, key)
+        return got
 
     def elements(self):
         return (self.element(i) for i in range(len(self._mat)))

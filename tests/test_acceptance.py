@@ -4,6 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 report; every stated runtime bound is asserted with a monotonic clock.
 """
 
+import inspect
+import sys
 import time
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from qbgraph.qbg import build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import quantum_length
-from qbgraph.verify import run_suite
+from qbgraph.verify import SUITES, run_suite
 from qbgraph.weyl import WeylGroup
 
 
@@ -145,3 +147,19 @@ def test_criterion_12_determinism():
               "--format", "json"]
     assert capture(export) == capture(export)
     _report(12, "byte-identical output across repeated runs and worker counts")
+
+
+# suites that back no numbered criterion, with their case counts
+UNNUMBERED = {"weyl-basics": 5, "affine-core": 4, "orderings": 5}
+
+
+@pytest.mark.parametrize("name", sorted(UNNUMBERED))
+def test_unnumbered_suite(name):
+    res = _run(name)
+    assert len(res.cases) == UNNUMBERED[name]
+
+
+def test_every_suite_runs_here():
+    source = inspect.getsource(sys.modules[__name__])
+    missing = [name for name in SUITES if f'"{name}"' not in source]
+    assert not missing, f"suites with no Tier-1 test: {missing}"

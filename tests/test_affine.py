@@ -210,6 +210,38 @@ def test_lift_validation_errors(a2):
         aw.lift_edge(g, e, W.simple_reflection(1), mu)  # z mismatch
 
 
+def test_lift_every_shortest_path_a3():
+    """All 144 shortest paths of A3 J={1} lift from the CLI's mu, and each
+    step drops the inversion-count length by exactly one."""
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    aw = AffineWeyl(W)
+    J = rs.parabolic((1,))
+    g = build_qbg(W, J)
+    mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
+    pairs = 0
+    for u in g.vertices:
+        for v in g.vertices:
+            path = g.shortest_path(u, v)
+            chain = aw.lift_path(g, path, mu)
+            assert len(chain) == len(path) + 1
+            lengths = [aw.length_by_inversions(x) for x, _ in chain]
+            assert all(a - b == 1 for a, b in zip(lengths, lengths[1:])), lengths
+            pairs += 1
+    assert pairs == 144
+
+
+def test_lift_path_checks_the_starting_mu(a2):
+    rs, W, aw = a2
+    J = rs.parabolic((1,))
+    g = build_qbg(W, J)
+    e = g.edge(W.identity.index, (0, 1))
+    with pytest.raises(ValueError):
+        aw.lift_path(g, QbgPath(W.identity.index, (e,)), (-1, 0))  # not adjusted
+    with pytest.raises(ValueError):
+        aw.lift_path(g, QbgPath(W.identity.index, (e,)), (0, -1))  # not deep enough
+
+
 def test_project_cover_validation(a2):
     rs, W, aw = a2
     J = rs.parabolic((1,))

@@ -56,6 +56,24 @@ def test_lift_walk_reproduces_ladder(capsys):
     assert "213 t(-2,-3)" in out
 
 
+def test_lift_walk_beyond_the_first_step(capsys):
+    # the second step's mu is shallower than the lift depth; the walk still lifts
+    code, out = run(
+        capsys, "lift", "--type", "A", "--rank", "3", "--parabolic", "1",
+        "--start", "3", "--walk", "0,0,1;0,1,0",
+    )
+    assert code == 0
+    assert out.count(" > ") == 2
+
+
+def test_lift_bad_start_exits_two(capsys):
+    code = main(["lift", "--type", "A", "--rank", "3", "--parabolic", "1",
+                 "--start", "9", "--walk", "0,0,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lift_table(capsys):
     code, out = run(
         capsys, "lift", "--type", "A", "--rank", "2", "--parabolic", "1",
