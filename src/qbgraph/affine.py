@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, edge_between
 from .root_system import (
@@ -16,6 +17,7 @@ from .root_system import (
     is_positive_vec,
     neg_vec,
     scale_vec,
+    scaled_inverse,
     sub_vec,
 )
 from .weyl import WeylElement, WeylGroup
@@ -163,43 +165,56 @@ class AffineWeyl:
     def _component_decomposition(self, mu: Coroot, J: ParabolicIndex):
         """Per component: the special node j_m (or None) and the integral
         correction, so that the component part of mu plus the correction is
-        the negative of the chosen fundamental coweight."""
-        rs = self.rs
+        the negative of the chosen fundamental coweight.
+
+        Integer arithmetic: with D the component's inverse Cartan
+        denominator, D times the projection is an integer vector, and a
+        candidate lift is integral exactly when D divides every entry.
+        """
+        if len(mu) != self.rs.rank:
+            raise ValueError("rank mismatch")
         out = []
         for comp in J.components:
-            pairs = [rs.pairing(mu, rs.simple_roots()[j - 1]) for j in comp]
-            inv, specials = self._component_data(comp)
-            proj = [
-                sum(Fraction(pairs[a]) * inv[a][b] for a in range(len(comp)))
-                for b in range(len(comp))
-            ]
-            candidates: list[int | None] = [None]
-            candidates.extend(specials)
+            den, cols, candidates = self._component_data(comp)
+            proj = [sum(map(mul, mu, col)) for col in cols]
             chosen = None
-            for cand in candidates:
-                if cand is None:
-                    lift = proj
-                else:
-                    row = inv[comp.index(cand)]
-                    lift = [p + r for p, r in zip(proj, row)]
-                if all(x.denominator == 1 for x in lift):
+            for cand, shift in candidates:
+                lift = [p + r for p, r in zip(proj, shift)]
+                if all(x % den == 0 for x in lift):
                     if chosen is not None:
                         raise GraphInvariantError("ambiguous coweight class")
-                    chosen = (cand, tuple(-int(x) for x in lift))
+                    chosen = (cand, tuple(-(x // den) for x in lift))
             if chosen is None:
                 raise GraphInvariantError("no integral lift of the coweight class")
             out.append((comp, chosen[0], chosen[1]))
         return out
 
     def _component_data(self, comp: tuple[int, ...]):
-        """(inverse Cartan matrix, special nodes) of one component of J."""
+        """(D, columns, candidates) of one component of J.
+
+        D * C_comp^-1 is the component's scaled inverse Cartan matrix.
+        Column b maps mu to D times coordinate b of its projection:
+        sum_a <mu, alpha_{comp[a]}> (D C_comp^-1)[a][b].  The candidates
+        pair None and every special node j with the shift added to that
+        scaled projection: zero, or row j of D C_comp^-1.
+        """
         got = self._component_cache.get(comp)
         if got is None:
-            got = (
-                _sub_inverse_cartan(self.rs, comp),
-                _component_special_nodes(self.rs, comp),
+            cartan = self.rs.cartan
+            den, scaled = scaled_inverse(
+                tuple(tuple(cartan[i - 1][j - 1] for j in comp) for i in comp)
             )
-            self._component_cache[comp] = got
+            cols = tuple(
+                tuple(
+                    sum(cartan[i][j - 1] * scaled[a][b] for a, j in enumerate(comp))
+                    for i in range(self.rs.rank)
+                )
+                for b in range(len(comp))
+            )
+            candidates = ((None, (0,) * len(comp)),) + tuple(
+                (j, scaled[comp.index(j)]) for j in _component_special_nodes(self.rs, comp)
+            )
+            got = self._component_cache[comp] = (den, cols, candidates)
         return got
 
     def phi_correction(self, mu: Coroot, J: ParabolicIndex) -> Coroot:
@@ -229,8 +244,9 @@ class AffineWeyl:
     def sigma_J(self, J: ParabolicIndex) -> dict[int, Coroot]:
         """The group of Weyl factors z_mu, as a map element id -> witness mu.
 
-        Seeded from simple coroots and a small coweight box, then closed
-        under the group law (mu -> z_mu is a homomorphism).
+        Seeded from simple coroots and the integral coweights whose pairings
+        with the simple roots lie in [-2, 2], then closed under the group
+        law (mu -> z_mu is a homomorphism).
         """
         cached = self._sigma_cache.get(J.nodes)
         if cached is not None:
@@ -246,14 +262,8 @@ class AffineWeyl:
         note((0,) * rs.rank)
         for i in range(1, rs.rank + 1):
             note(rs.simple_coroot(i))
-        inv = rs.inverse_cartan()
-        for pairs in product(range(-2, 3), repeat=rs.rank):
-            coords = [
-                sum(Fraction(pairs[a]) * inv[a][b] for a in range(rs.rank))
-                for b in range(rs.rank)
-            ]
-            if all(c.denominator == 1 for c in coords):
-                note(tuple(int(c) for c in coords))
+        for mu in coweight_box(rs):
+            note(mu)
         # close under the group law
         changed = True
         while changed:
@@ -328,7 +338,11 @@ class AffineWeyl:
     # -- lifting edges and projecting covers ------------------------------------
 
     def lift_depth(self, graph: QbgGraph) -> int:
-        """Operational bound for 'very antidominant': graph diameter plus 2."""
+        """Operational bound for 'very antidominant': graph diameter plus 2.
+
+        The diameter is exact, from bit-parallel reachability; no all-pairs
+        distance table is built.
+        """
         return graph.diameter() + 2
 
     def lift_edge(
@@ -479,6 +493,21 @@ class AffineWeyl:
         return chain
 
 
+def coweight_box(rs):
+    """The integral coweights whose pairings with the simple roots all lie
+    in [-2, 2], in lexicographic order of those pairings.
+
+    A pairing vector p has coweight coordinates p C^-1; with D the
+    denominator of C^-1 they are integral iff D divides every entry of
+    p (D C^-1), so the scan stays in integer arithmetic.
+    """
+    den, scaled = rs.scaled_inverse_cartan()
+    cols = tuple(zip(*scaled))
+    for pairs in product(range(-2, 3), repeat=rs.rank):
+        if all(sum(map(mul, pairs, col)) % den == 0 for col in cols):
+            yield tuple(sum(map(mul, pairs, col)) // den for col in cols)
+
+
 def cover_label(gamma: AffineRoot) -> AffineRoot:
     """Positive representative of a cover's connecting root."""
     return gamma if gamma.is_positive() else -gamma
@@ -490,15 +519,6 @@ def _reflection_root(W: WeylGroup, w: WeylElement) -> Root:
         if W.reflection(beta).index == w.index:
             return beta
     raise ValueError("finite part is not a reflection")
-
-
-def _sub_inverse_cartan(rs, comp: tuple[int, ...]):
-    from .root_system import _invert
-
-    sub = tuple(
-        tuple(rs.cartan[i - 1][j - 1] for j in comp) for i in comp
-    )
-    return _invert(sub)
 
 
 def _component_positive_roots(rs, comp: tuple[int, ...]) -> tuple[Root, ...]:

@@ -13,7 +13,7 @@ from . import render
 from .affine import AffineWeyl
 from .level_zero import LevelZeroPoset
 from .qbg import QbgPath, build_qbg
-from .root_system import ConfigurationError, build_root_system
+from .root_system import ConfigurationError, build_root_system, cartan_matrix
 from .tilted import TiltedOrder, quantum_length
 from .verify import SUITES, run_suites
 from .weyl import WeylGroup
@@ -45,6 +45,14 @@ def _parse_word(text: str) -> tuple[int, ...]:
     return _parse_ints(text)
 
 
+def _element(W: WeylGroup, text: str):
+    """The Weyl group element of a comma separated word."""
+    try:
+        return W.from_word(_parse_word(text))
+    except ValueError as exc:  # a generator index outside 1..rank
+        raise UsageError(f"bad word {text!r}: {exc}") from exc
+
+
 def _context(args):
     try:
         rs = build_root_system(args.cartan_type, args.rank)
@@ -59,8 +67,11 @@ def _context(args):
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -200,8 +211,8 @@ def cmd_tilted(args) -> int:
     rs, W, J = _context(args)
     graph = build_qbg(W, rs.parabolic(()))
     order = TiltedOrder(graph)
-    u = W.from_word(_parse_word(args.u))
-    z = W.from_word(_parse_word(args.z))
+    u = _element(W, args.u)
+    z = _element(W, args.z)
     x = order.coset_min(u.index, z, J)
     lines = [
         f"base    : {W.describe(u)}",
@@ -216,7 +227,7 @@ def cmd_tilted(args) -> int:
 def cmd_qlen(args) -> int:
     rs, W, J = _context(args)
     graph = build_qbg(W, J)
-    u = W.min_coset_rep(W.from_word(_parse_word(args.u)), J)
+    u = W.min_coset_rep(_element(W, args.u), J)
     value = quantum_length(graph, u.index)
     _emit(args, f"{value}\n")
     return 0
@@ -230,8 +241,13 @@ def cmd_verify(args) -> int:
         unknown = [s for s in names if s not in SUITES]
         if unknown:
             raise UsageError(f"unknown suites {unknown}; pick from {sorted(SUITES)}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     types = _parse_types(args.types) if args.types else None
-    results = run_suites(names, types=types, jobs=args.jobs)
+    try:
+        results = run_suites(names, types=types, jobs=args.jobs)
+    except ConfigurationError as exc:  # e.g. a type past the enumeration cap
+        raise UsageError(str(exc)) from exc
     lines = []
     ok = True
     for res in results:
@@ -266,19 +282,29 @@ def cmd_verify(args) -> int:
 
 
 def _parse_types(text: str) -> list[tuple[str, int]]:
-    """Parse 'A2,B2' or 'A1..A4,G2' into (type, rank) pairs."""
+    """Parse 'A2,B2' or 'A1..A4,G2' into valid (type, rank) pairs."""
     out: list[tuple[str, int]] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            t = lo[0]
-            if hi[0] != t:
-                raise UsageError(f"bad type range {chunk!r}")
-            for r in range(int(lo[1:]), int(hi[1:]) + 1):
-                out.append((t, r))
-        elif chunk:
-            out.append((chunk[0], int(chunk[1:])))
+        if not chunk:
+            continue
+        try:
+            if ".." in chunk:
+                lo, hi = chunk.split("..")
+                if lo[0] != hi[0]:
+                    raise ValueError("the ends name different types")
+                pairs = [(lo[0], r) for r in range(int(lo[1:]), int(hi[1:]) + 1)]
+                if not pairs:
+                    raise ValueError("the range is empty")
+            else:
+                pairs = [(chunk[0], int(chunk[1:]))]
+            for t, r in pairs:
+                cartan_matrix(t, r)  # raises ConfigurationError on a bad pair
+        except (ValueError, IndexError) as exc:
+            raise UsageError(f"bad type {chunk!r}: {exc}") from exc
+        out.extend(pairs)
+    if not out:
+        raise UsageError(f"no types in {text!r}")
     return out
 
 

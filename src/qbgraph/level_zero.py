@@ -168,14 +168,23 @@ class LevelZeroPoset:
         n_lo = -(window // self.d) * self.d
         return len(range(n_lo, window + 1, self.d)), n_lo
 
-    def _id(self, mu: LevelZeroWeight, window: int) -> int | None:
-        """Dense id of mu in the window's slice, or None when mu is outside."""
-        c = self.graph.vertex_pos.get(mu.w)
+    def _id(self, mu: LevelZeroWeight, window: int) -> int:
+        """Dense id of an on-grid mu inside the window's slice."""
         levels, n_lo = self._layout(window)
-        lev, off = divmod(mu.n - n_lo, self.d)
-        if c is None or off or not 0 <= lev < levels:
-            return None
-        return c * levels + lev
+        return self.graph.vertex_pos[mu.w] * levels + (mu.n - n_lo) // self.d
+
+    def _require_on_grid(self, *weights: LevelZeroWeight) -> None:
+        """Raise ValueError naming the first weight off the orbit's grid.
+
+        An orbit element (w, n) has w a vertex of the graph (a minimal
+        coset representative) and n a multiple of d.
+        """
+        for mu in weights:
+            if mu.w not in self.graph.vertex_pos or mu.n % self.d:
+                raise ValueError(
+                    f"{mu} is off the orbit grid: w must be a minimal coset "
+                    f"representative and n a multiple of {self.d}"
+                )
 
     def slice_elements(self, window: int) -> tuple[LevelZeroWeight, ...]:
         """All orbit elements with |n| <= window, in display order."""
@@ -224,18 +233,17 @@ class LevelZeroPoset:
         return abs(mu.n) <= window - self._margin
 
     def leq(self, mu: LevelZeroWeight, nu: LevelZeroWeight, window: int) -> bool:
-        """Brute-force order test; raises if the window cannot certify it."""
+        """Brute-force order test; raises ValueError for an element off the
+        orbit grid and InconclusiveWindow if the window cannot certify it."""
+        self._require_on_grid(mu, nu)
         if mu == nu:
             return True
         if not (self.certified(mu, window) and self.certified(nu, window)):
             raise InconclusiveWindow(
                 f"window {window} too small (margin {self._margin})"
             )
-        i = self._id(mu, window)
-        if i is None:
-            raise KeyError(mu)
-        j = self._id(nu, window)
-        return j is not None and self._closure(window)[i] >> j & 1 == 1
+        i, j = self._id(mu, window), self._id(nu, window)
+        return self._closure(window)[i] >> j & 1 == 1
 
     def hasse_covers(self, window: int) -> dict[LevelZeroWeight, list[PosetCover]]:
         """Covers of the brute-force order, for certified lower elements.
@@ -352,8 +360,6 @@ class LevelZeroPoset:
         if not self.leq(mu, nu, window):
             raise ValueError("dist requires mu <= nu")
         start = self._id(mu, window)
-        if start is None:
-            raise KeyError(mu)
         self.hasse_covers(window)  # also builds the id-indexed cover lists
         covers = self._cover_ids_cache[window]
         reach = self._closure(window)

@@ -172,10 +172,31 @@ class QbgGraph:
         return QbgPath(u, tuple(reversed(edges)))
 
     def diameter(self) -> int:
+        """The exact diameter, by bit-parallel reachability.
+
+        After r rounds, bit i of ``reach[v]`` is set exactly when vertex i
+        reaches v in at most r steps: each round ORs every predecessor's
+        bitset into v's.  The diameter is the number of rounds until every
+        bitset is full.  A round that changes nothing before then means the
+        graph is not strongly connected.  No distance table is stored.
+        """
         if self._diameter is None:
-            self._diameter = max(
-                max(self.distances_from(u).values()) for u in self.vertices
-            )
+            pos = self.vertex_pos
+            preds = [[pos[e.source] for e in self.into[v]] for v in self.vertices]
+            full = (1 << len(self.vertices)) - 1
+            reach = [1 << i for i in range(len(self.vertices))]
+            rounds = 0
+            while any(r != full for r in reach):
+                nxt = []
+                for acc, ps in zip(reach, preds):
+                    for p in ps:
+                        acc |= reach[p]
+                    nxt.append(acc)
+                if nxt == reach:
+                    raise GraphInvariantError("graph is not strongly connected")
+                reach = nxt
+                rounds += 1
+            self._diameter = rounds
         return self._diameter
 
     def iter_paths(self, u: int, v: int, max_len: int):

@@ -158,6 +158,7 @@ class RootSystem:
         )
         self._parabolic_cache: dict[tuple[int, ...], ParabolicIndex] = {}
         self._inverse_cartan: tuple[tuple[Fraction, ...], ...] | None = None
+        self._scaled_inverse_cartan: tuple[int, Matrix] | None = None
         self._refl_len = {a: self._reflection_length(a) for a in self.positive_roots}
 
     # -- construction helpers -------------------------------------------
@@ -326,6 +327,17 @@ class RootSystem:
             self._inverse_cartan = _invert(self.cartan)
         return self._inverse_cartan
 
+    def scaled_inverse_cartan(self) -> tuple[int, Matrix]:
+        """(D, D * C^-1) with D the least common denominator of C^-1.
+
+        A row vector p over the simple roots has integral coweight
+        coordinates p C^-1 exactly when every entry of p (D C^-1) is
+        divisible by D; integer arithmetic throughout.
+        """
+        if self._scaled_inverse_cartan is None:
+            self._scaled_inverse_cartan = scaled_inverse(self.cartan)
+        return self._scaled_inverse_cartan
+
     def fundamental_coweight(self, i: int) -> tuple[Fraction, ...]:
         """omega_i^vee in (rational) simple-coroot coordinates, 1-based i."""
         return self.inverse_cartan()[i - 1]
@@ -391,6 +403,17 @@ def _invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def scaled_inverse(m: Matrix) -> tuple[int, Matrix]:
+    """(D, D * m^-1) for an invertible integer matrix, D the least common
+    denominator of the entries of m^-1."""
+    inv = _invert(m)
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // _gcd(den, x.denominator)
+    return den, tuple(tuple(int(x * den) for x in row) for row in inv)
 
 
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:

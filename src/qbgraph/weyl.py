@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .root_system import (
     ConfigurationError,
@@ -88,9 +89,18 @@ def _apply(mat: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, .
     return tuple(out)
 
 
-def _compose(a, b):
-    # matrix of the map v -> a(b(v)); rows are images of the simple roots
-    return tuple(_apply(a, row) for row in b)
+def _times_simple(mat, k: int, coeffs):
+    """The matrix of mat composed with the simple reflection r_k.
+
+    Rows are images of basis vectors; r_k sends basis vector j to
+    e_j - c e_k for each (j, c) in coeffs and fixes the others, so only
+    those rows change.
+    """
+    mk = mat[k]
+    out = list(mat)
+    for j, c in coeffs:
+        out[j] = tuple(map(add, mat[j], map((-c).__mul__, mk)))
+    return tuple(out)
 
 
 class WeightPairings:
@@ -149,17 +159,11 @@ class WeylGroup:
         rs = self.rs
         n = self.rank
         ident = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        gen_mats = []
-        gen_comats = []
-        for i in range(n):
-            gen_mats.append(tuple(rs._simple_reflect(i, row) for row in ident))
-            # r_i on coroots: alpha_j^vee - a_ji alpha_i^vee
-            rows = []
-            for j in range(n):
-                row = [1 if k == j else 0 for k in range(n)]
-                row[i] -= rs.cartan[j][i]
-                rows.append(tuple(row))
-            gen_comats.append(tuple(rows))
+        # r_k(alpha_j) = alpha_j - a_kj alpha_k and
+        # r_k(alpha_j^vee) = alpha_j^vee - a_jk alpha_k^vee
+        a = rs.cartan
+        root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
+        coroot_coeffs = [[(j, a[j][k]) for j in range(n) if a[j][k]] for k in range(n)]
 
         mats = [ident]
         comats = [ident]
@@ -172,13 +176,13 @@ class WeylGroup:
             cur = head
             head += 1
             for k in range(n):
-                new_mat = _compose(mats[cur], gen_mats[k])
+                new_mat = _times_simple(mats[cur], k, root_coeffs[k])
                 found = index.get(new_mat)
                 if found is None:
                     found = len(mats)
                     index[new_mat] = found
                     mats.append(new_mat)
-                    comats.append(_compose(comats[cur], gen_comats[k]))
+                    comats.append(_times_simple(comats[cur], k, coroot_coeffs[k]))
                     length.append(length[cur] + 1)
                     word.append(word[cur] + (k + 1,))
                     right.append([-1] * n)

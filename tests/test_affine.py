@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from qbgraph.affine import (
     complete_bottom,
     complete_top,
     cover_label,
+    coweight_box,
     iter_bottom_configurations,
 )
 from qbgraph.qbg import BRUHAT, QUANTUM, QbgPath, build_qbg
@@ -142,6 +144,58 @@ def test_sigma_and_witnesses(a2):
         assert aw.z_mu(mu, J).index == zid
     with pytest.raises(ValueError):
         aw.superantidominant_mu(W.simple_reflection(2), J, 3)
+
+
+def fraction_box(rs):
+    """Reference for coweight_box: the coordinates p C^-1 in Fractions."""
+    inv = rs.inverse_cartan()
+    out = []
+    for pairs in itertools.product(range(-2, 3), repeat=rs.rank):
+        coords = []
+        for b in range(rs.rank):
+            c = sum(p * inv[a][b] for a, p in enumerate(pairs) if p)
+            if c.denominator != 1:
+                break
+            coords.append(int(c))
+        else:
+            out.append(tuple(coords))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank",
+    [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
+)
+def test_coweight_box_matches_fraction_reference(cartan_type, rank):
+    rs = build_root_system(cartan_type, rank)
+    got = list(coweight_box(rs))
+    assert got == fraction_box(rs)
+    assert (0,) * rank in got and len(got) > 1
+    for mu in got:
+        assert all(-2 <= rs.pairing(mu, a) <= 2 for a in rs.simple_roots())
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_component_decomposition_meets_its_definition(cartan_type, rank):
+    # per component of J, mu plus the correction pairs with the component's
+    # simple roots as minus the chosen fundamental coweight (zero for None)
+    rs = build_root_system(cartan_type, rank)
+    aw = AffineWeyl(WeylGroup(rs))
+    rnd = random.Random(rank)
+    for size in range(1, rank + 1):
+        for J in itertools.combinations(range(1, rank + 1), size):
+            par = rs.parabolic(J)
+            for _ in range(12):
+                mu = tuple(rnd.randint(-5, 5) for _ in range(rank))
+                for comp, jm, corr in aw._component_decomposition(mu, par):
+                    assert jm is None or jm in comp
+                    full = list(mu)
+                    for node, c in zip(comp, corr):
+                        full[node - 1] += c
+                    pairs = [rs.pairing(tuple(full), rs.simple_roots()[j - 1]) for j in comp]
+                    assert pairs == [-1 if j == jm else 0 for j in comp]
 
 
 def test_sigma_proper_subgroup():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qbgraph.cli import main
 
 
@@ -172,3 +174,27 @@ def test_poset_parabolic_consistency(capsys):
         "--parabolic", "2", "--window", "2",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--types", "A"],
+        ["verify", "--types", "Z3"],
+        ["verify", "--types", "A3..A1"],
+        ["verify", "--suite", "qbg-structure", "--types", "E7"],
+        ["tilted", "--type", "A", "--rank", "2", "--u", "1,9"],
+        ["qlen", "--type", "A", "--rank", "2", "--u", "3"],
+        ["qbg", "--type", "A", "--rank", "2", "--out", "{missing}/x.json"],
+        ["verify", "--suite", "determinism", "--jobs", "0"],
+        ["verify", "--suite", "determinism", "--jobs", "-3"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv):
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -206,3 +206,21 @@ def test_rerun_with_larger_window_is_stable(a2):
     bigger = P.hasse_covers(win + 4)
     for mu, covers in base.items():
         assert [(c.upper, c.label) for c in bigger[mu]] == covers
+
+
+@pytest.mark.parametrize("lower_is_bad", [True, False], ids=["lower", "upper"])
+@pytest.mark.parametrize("bad", [(0, 1), ("r1", 0)], ids=["odd-n", "w-not-in-WJ"])
+def test_off_grid_elements_raise_in_either_position(lower_is_bad, bad):
+    # B2, lambda = (0, 2): J = {1} and d = 2, so n = 1 and r_1 are off grid
+    rs = build_root_system("B", 2)
+    W = WeylGroup(rs)
+    P = LevelZeroPoset(W, (0, 2))
+    w, n = bad
+    bad = LevelZeroWeight(W.simple_reflection(1).index if w == "r1" else w, n)
+    good = LevelZeroWeight(W.identity.index, 0)
+    args = (bad, good) if lower_is_bad else (good, bad)
+    win = 2 + P.margin()
+    for query in (P.leq, P.dist):
+        with pytest.raises(ValueError, match="off the orbit grid") as info:
+            query(*args, win)
+        assert str(bad) in str(info.value)

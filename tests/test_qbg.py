@@ -4,6 +4,7 @@ from qbgraph.qbg import (
     BRUHAT,
     QUANTUM,
     GraphInvariantError,
+    QbgGraph,
     QbgPath,
     build_qbg,
     build_subsystem_qbg,
@@ -16,6 +17,7 @@ from qbgraph.qbg import (
     reflection_ordering_from_word,
 )
 from qbgraph.root_system import build_root_system
+from qbgraph.verify import SMALL_TYPES, all_parabolics
 from qbgraph.weyl import WeylGroup
 
 
@@ -95,6 +97,62 @@ def test_distances(a2, a2_graph):
     assert g1.distance(W.from_word([1, 2]).index, W.simple_reflection(2).index) == 2
     p = g1.shortest_path(W.from_word([1, 2]).index, W.simple_reflection(2).index)
     assert len(p) == 2 and p.start == W.from_word([1, 2]).index
+
+
+def bfs_diameter(g):
+    """Reference diameter: the largest BFS eccentricity over all vertices."""
+    return max(max(g.distances_from(u).values()) for u in g.vertices)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,parabolics",
+    [(t, r, None) for t, r in SMALL_TYPES] + [("A", 5, [(1,)]), ("F", 4, [()])],
+)
+def test_diameter_matches_bfs_eccentricities(cartan_type, rank, parabolics):
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    for J in parabolics or all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        assert g.diameter() == bfs_diameter(g), J
+
+
+def test_diameter_rejects_graphs_that_are_not_strongly_connected(a2, a2_graph):
+    rs, W = a2
+    cycle = build_qbg(W, rs.parabolic((1,)))  # a directed 3-cycle
+    cut = QbgGraph(W, cycle.J, cycle.vertices, cycle.edges[1:])
+    with pytest.raises(GraphInvariantError, match="not strongly connected"):
+        cut.diameter()
+    # drop each edge of QB(A2) in turn: the diameter and the BFS reference
+    # agree, or both find the graph not strongly connected
+    g = a2_graph
+    for k in range(len(g.edges)):
+        h = QbgGraph(W, g.J, g.vertices, g.edges[:k] + g.edges[k + 1:])
+        try:
+            expect = bfs_diameter(h)
+        except GraphInvariantError:
+            with pytest.raises(GraphInvariantError):
+                h.diameter()
+        else:
+            assert h.diameter() == expect
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank",
+    [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
+)
+def test_diameter_is_the_number_of_roots_outside_phi_j(cartan_type, rank):
+    # an observed identity, diam QB(W^J) = |Phi+ minus Phi_J+|; the lift
+    # depth does not rely on it
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    if rank <= 4:
+        parabolics = list(all_parabolics(rank))
+    else:  # two small quotients: J is every node but node 1, or node 2
+        parabolics = [tuple(j for j in range(1, rank + 1) if j != k) for k in (1, 2)]
+    for J in parabolics:
+        par = rs.parabolic(J)
+        g = build_qbg(W, par)
+        assert g.diameter() == len(rs.positive_roots) - len(par.phi_plus), J
 
 
 def test_dual_involution(a2):
