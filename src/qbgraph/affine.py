@@ -94,13 +94,18 @@ class AffineWeyl:
     # -- length ---------------------------------------------------------------
 
     def length(self, x: AffineElement) -> int:
-        """Sum over alpha in Phi+ of |chi(w alpha < 0) + <mu, alpha>|."""
-        w = self.W.element(x.w)
-        total = 0
-        for alpha in self.rs.positive_roots:
-            chi = 0 if is_positive_vec(w.act(alpha)) else 1
-            total += abs(chi + self.rs.pairing(x.mu, alpha))
-        return total
+        """Sum over alpha in Phi+ of |chi(w alpha < 0) + <mu, alpha>|.
+
+        chi is w's inversion flag at alpha and <mu, alpha> one dot product
+        with alpha's pairing row.
+        """
+        mu = x.mu
+        if len(mu) != self.rs.rank:
+            raise ValueError("rank mismatch")
+        return sum(
+            abs(chi + sum(map(mul, mu, row)))
+            for chi, row in zip(self.W.inversion_flags(x.w), self.rs.positive_rows)
+        )
 
     def length_by_inversions(self, x: AffineElement) -> int:
         """Independent oracle: count positive affine roots sent negative.
@@ -108,15 +113,16 @@ class AffineWeyl:
         The delta coefficient is scanned over a window wide enough to cover
         every possible inversion of x; the image of alpha + k delta is
         w(alpha) + (k - <mu, alpha>) delta, so each root's classical image
-        is computed once and the scan compares delta parts.
+        is computed once and the scan compares delta parts.  The pairings
+        come from the Cartan matrix and the images from w's matrix, not from
+        the tables behind ``length``.
         """
-        bound = 1 + max(
-            (abs(self.rs.pairing(x.mu, a)) for a in self.rs.positive_roots), default=0
-        )
+        rs = self.rs
+        pairs = [_pairing_by_definition(rs.cartan, x.mu, a) for a in rs.positive_roots]
+        bound = 1 + max((abs(p) for p in pairs), default=0)
         w = self.W.element(x.w)
         count = 0
-        for alpha in self.rs.positive_roots:
-            p = self.rs.pairing(x.mu, alpha)
+        for alpha, p in zip(rs.positive_roots, pairs):
             wpos = is_positive_vec(w.act(alpha))
             for k in range(0, bound + 1):  # alpha + k delta
                 if k - p < 0 or (k - p == 0 and not wpos):
@@ -129,26 +135,28 @@ class AffineWeyl:
     # -- distinguished coset representatives -----------------------------------
 
     def in_waf_minus(self, x: AffineElement) -> bool:
-        """Minimum-length representative of x W: all finite simples stay positive."""
-        n = self.rs.rank
-        for i in range(n):
-            alpha = tuple(1 if j == i else 0 for j in range(n))
-            if not self.act(x, AffineRoot(alpha, 0)).is_positive():
+        """Minimum-length representative of x W: all finite simples stay positive.
+
+        x sends alpha_i to w(alpha_i) - <mu, alpha_i> delta, which is
+        positive unless the pairing is positive, or zero with w(alpha_i) < 0,
+        i.e. with a right descent of w at i.
+        """
+        mu, w = x.mu, x.w
+        length = self.W._length
+        right = self.W._right[w]
+        for i, row in enumerate(self.rs.simple_rows):
+            pair = sum(map(mul, mu, row))
+            if pair > 0 or (pair == 0 and length[right[i]] < length[w]):
                 return False
         return True
 
     def in_wj_af(self, x: AffineElement, J: ParabolicIndex) -> bool:
         """Membership in (W^J)_af: for alpha in Phi_J^+, w alpha > 0 forces
         <mu, alpha> = 0 and w alpha < 0 forces <mu, alpha> = -1."""
-        w = self.W.element(x.w)
-        for alpha in J.phi_plus:
-            pair = self.rs.pairing(x.mu, alpha)
-            if is_positive_vec(w.act(alpha)):
-                if pair != 0:
-                    return False
-            elif pair != -1:
-                return False
-        return True
+        mu = x.mu
+        flags = self.W.inversion_flags(x.w)
+        rows = self.rs.positive_rows
+        return all(sum(map(mul, mu, rows[b])) == -flags[b] for b in J.phi_plus_pos)
 
     def in_wjaf_parabolic_factor(self, x: AffineElement, J: ParabolicIndex) -> bool:
         """Membership in (W_J)_af = W_J x Q_J^vee."""
@@ -160,7 +168,10 @@ class AffineWeyl:
 
     def is_adjusted(self, mu: Coroot, J: ParabolicIndex) -> bool:
         """<mu, alpha> in {0, -1} for every alpha in Phi_J^+."""
-        return all(self.rs.pairing(mu, a) in (0, -1) for a in J.phi_plus)
+        if len(mu) != self.rs.rank:
+            raise ValueError("rank mismatch")
+        rows = self.rs.positive_rows
+        return all(sum(map(mul, mu, rows[b])) in (0, -1) for b in J.phi_plus_pos)
 
     def _component_decomposition(self, mu: Coroot, J: ParabolicIndex):
         """Per component: the special node j_m (or None) and the integral
@@ -315,15 +326,13 @@ class AffineWeyl:
         return mu
 
     def is_superantidominant(self, mu: Coroot, J: ParabolicIndex, depth: int) -> bool:
-        rs = self.rs
-        for a in rs.positive_roots:
-            pair = rs.pairing(mu, a)
-            if J.supports(a):
-                if pair > 0:
-                    return False
-            elif pair > -depth:
-                return False
-        return True
+        """<mu, alpha> <= 0 on Phi_J^+ and <= -depth on Phi^+ minus Phi_J^+."""
+        if len(mu) != self.rs.rank:
+            raise ValueError("rank mismatch")
+        return all(
+            sum(map(mul, mu, row)) <= (0 if inside else -depth)
+            for inside, row in zip(J.in_phi_J, self.rs.positive_rows)
+        )
 
     def in_omega(self, x: AffineElement, J: ParabolicIndex, depth: int = 1) -> bool:
         """Membership in the lift target: floor part in W^J, mu adjusted with
@@ -508,6 +517,15 @@ def coweight_box(rs):
             yield tuple(sum(map(mul, pairs, col)) // den for col in cols)
 
 
+def _pairing_by_definition(cartan, c: Coroot, v: Root) -> int:
+    """<c, v> = sum_ij c_i a_ij v_j, straight from the Cartan matrix."""
+    if len(c) != len(cartan) or len(v) != len(cartan):
+        raise ValueError("rank mismatch")
+    return sum(
+        ci * aij * vj for ci, row in zip(c, cartan) for aij, vj in zip(row, v)
+    )
+
+
 def cover_label(gamma: AffineRoot) -> AffineRoot:
     """Positive representative of a cover's connecting root."""
     return gamma if gamma.is_positive() else -gamma
@@ -596,13 +614,6 @@ def _require_edge(graph: QbgGraph, source: int, label: Root, kind: str,
     return edge
 
 
-def _theta_twist(W: WeylGroup, J: ParabolicIndex, w: WeylElement) -> WeylElement:
-    """z with r_theta floor(w) = floor(r_theta w) z."""
-    rth = W.reflection(W.rs.theta)
-    lhs = rth * W.min_coset_rep(w, J)
-    return W.min_coset_rep(lhs, J).inverse() * lhs
-
-
 def _congruent_mod_qj(rank: int, J: ParabolicIndex, a: Coroot, b: Coroot) -> bool:
     return all(
         (x - y) == 0 for i, (x, y) in enumerate(zip(a, b)) if (i + 1) not in J.nodes
@@ -666,8 +677,8 @@ def complete_bottom(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
         if bottom_right is None or bottom_right.kind != kinds[1]:
             raise ValueError(f"bottom-right edge of kind {kinds[1]} absent at {gamma}")
         wg = W.element(bottom_right.target)
-        z = _theta_twist(W, J, w)
-        z2 = _theta_twist(W, J, wg)
+        z = W.theta_twist(w, J)
+        z2 = W.theta_twist(wg, J)
         top = W.min_coset_rep(W.reflection(theta) * w * W.reflection(gamma), J)
         if W.min_coset_rep(W.reflection(theta) * wg, J).index != top.index:
             raise GraphInvariantError("floors of the top vertex disagree")
@@ -749,8 +760,8 @@ def complete_top(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
         if top_left is None or top_left.kind != want_tl:
             raise ValueError(f"top-left edge of kind {want_tl} absent at {gamma}")
         wg = W.element(top_left.target)
-        z = _theta_twist(W, J, w)
-        z2 = _theta_twist(W, J, wg)
+        z = W.theta_twist(w, J)
+        z2 = W.theta_twist(wg, J)
         rtheta_w = W.min_coset_rep(W.reflection(theta) * w, J)
         rtheta_wg = W.min_coset_rep(W.reflection(theta) * wg, J)
         given_tr = graph.edge(rtheta_wg.index, z2.act(wg.inverse().act(theta)))

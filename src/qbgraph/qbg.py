@@ -11,8 +11,6 @@ from .root_system import (
     ParabolicIndex,
     Root,
     add_vec,
-    is_positive_vec,
-    sub_vec,
 )
 from .weyl import WeylElement, WeylGroup
 
@@ -53,10 +51,9 @@ class QbgPath:
         return len(self.edges)
 
     def weight(self, rank: int) -> Coroot:
-        total = (0,) * rank
-        for e in self.edges:
-            total = add_vec(total, e.weight)
-        return total
+        if not self.edges:
+            return (0,) * rank
+        return tuple(map(sum, zip(*(e.weight for e in self.edges))))
 
 
 def edge_between(W: WeylGroup, J: ParabolicIndex, w: WeylElement, alpha: Root):
@@ -66,14 +63,13 @@ def edge_between(W: WeylGroup, J: ParabolicIndex, w: WeylElement, alpha: Root):
     kinds can fire for a given (w, alpha).
     """
     rs = W.rs
-    if not rs.is_positive_root(alpha) or J.supports(alpha):
+    if not rs.is_positive_root(alpha) or alpha in J.phi_plus:
         raise ValueError(f"label {alpha} not in Phi+ minus Phi_J+")
     x = w * W.reflection(alpha)
     lw = w.length
     bruhat = x.length == lw + 1
     floor = W.min_coset_rep(x, J)
-    pair = rs.pairing(rs.coroot(alpha), sub_vec(rs.two_rho, J.two_rho_J))
-    quantum = floor.length == lw + 1 - pair
+    quantum = floor.length == lw + 1 - J.quantum_shift[alpha]
     if bruhat and quantum:
         raise GraphInvariantError(f"edge kinds collide at ({w}, {alpha})")
     if bruhat:
@@ -200,20 +196,31 @@ class QbgGraph:
         return self._diameter
 
     def iter_paths(self, u: int, v: int, max_len: int):
-        """Yield every directed path u -> v of length at most max_len."""
-        stack: list[QbgEdge] = []
+        """Yield every directed path u -> v of length at most max_len.
 
-        def rec(cur: int):
-            if cur == v:
-                yield QbgPath(u, tuple(stack))
-            if len(stack) == max_len:
-                return
-            for e in self.out[cur]:
-                stack.append(e)
-                yield from rec(e.target)
-                stack.pop()
-
-        yield from rec(u)
+        Depth first over the sorted adjacency lists, shorter prefixes first;
+        the walk keeps one edge iterator per step on an explicit stack.
+        """
+        if u == v:
+            yield QbgPath(u, ())
+        if max_len <= 0:
+            return
+        edges: list[QbgEdge] = []
+        frames = [iter(self.out[u])]
+        while frames:
+            e = next(frames[-1], None)
+            if e is None:
+                frames.pop()
+                if edges:
+                    edges.pop()
+                continue
+            edges.append(e)
+            if e.target == v:
+                yield QbgPath(u, tuple(edges))
+            if len(edges) < max_len:
+                frames.append(iter(self.out[e.target]))
+            else:
+                edges.pop()
 
     def quantum_edges(self) -> tuple[QbgEdge, ...]:
         return tuple(e for e in self.edges if e.kind == QUANTUM)
@@ -385,21 +392,25 @@ def increasing_path(graph: QbgGraph, u: int, v: int, ordering: ReflectionOrderin
     exactly one, which would mean the ordering is not a reflection ordering
     or the graph is corrupt.
     """
-    pos = ordering.position
-    hits: list[tuple[QbgEdge, ...]] = []
-    stack: list[QbgEdge] = []
-
-    def rec(cur: int, floor_pos: int) -> None:
-        if cur == v:
-            hits.append(tuple(stack))
-        for e in graph.out[cur]:
-            p = pos(e.label)
-            if p > floor_pos:
-                stack.append(e)
-                rec(e.target, p)
-                stack.pop()
-
-    rec(u, -1)
+    pos = ordering._pos
+    hits: list[tuple[QbgEdge, ...]] = [()] if u == v else []
+    edges: list[QbgEdge] = []
+    # one (edge iterator, position of the label that entered it) per step
+    frames = [(iter(graph.out[u]), -1)]
+    while frames:
+        it, floor_pos = frames[-1]
+        e = next(it, None)
+        if e is None:
+            frames.pop()
+            if edges:
+                edges.pop()
+            continue
+        p = pos[e.label]
+        if p > floor_pos:
+            edges.append(e)
+            if e.target == v:
+                hits.append(tuple(edges))
+            frames.append((iter(graph.out[e.target]), p))
     if len(hits) != 1:
         raise GraphInvariantError(
             f"expected exactly one increasing path, found {len(hits)}"

@@ -6,8 +6,9 @@ roots (resp. simple coroots); everything is exact, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 Root = tuple[int, ...]
 Coroot = tuple[int, ...]
@@ -127,6 +128,14 @@ class ParabolicIndex:
     phi_plus: tuple[Root, ...]
     two_rho_J: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
+    #: <alpha^vee, 2rho - 2rho_J> for every alpha in Phi^+: the drop in
+    #: length that a quantum edge labelled alpha makes up for
+    quantum_shift: dict[Root, int] = field(default_factory=dict, compare=False, repr=False)
+    #: whether each positive root, in ``RootSystem.positive_roots`` order,
+    #: lies in Phi_J
+    in_phi_J: tuple[bool, ...] = field(default=(), compare=False, repr=False)
+    #: the positions of ``phi_plus`` in ``RootSystem.positive_roots``
+    phi_plus_pos: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes
@@ -149,6 +158,13 @@ class RootSystem:
         self._symmetrizer = self._compute_symmetrizer()
         self.positive_roots = self._generate_positive_roots()
         self._root_set = frozenset(self.positive_roots)
+        # C beta for every root beta, so that <c, beta> = c . (C beta)
+        self.positive_rows = tuple(self._cartan_image(a) for a in self.positive_roots)
+        self._rows: dict[Root, tuple[int, ...]] = {}
+        for a, row in zip(self.positive_roots, self.positive_rows):
+            self._rows[a] = row
+            self._rows[neg_vec(a)] = neg_vec(row)
+        self.simple_rows = tuple(self._rows[s] for s in self.simple_roots())
         self._norm2 = {a: self._form(a, a) for a in self.positive_roots}
         self._max_norm2 = max(self._norm2.values())
         self._coroot = {a: self._coroot_of(a) for a in self.positive_roots}
@@ -197,6 +213,10 @@ class RootSystem:
                 di = self._symmetrizer[i]
                 total += ui * di * sum(row[j] * v[j] for j in range(self.rank) if v[j])
         return total
+
+    def _cartan_image(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        # entry i is <alpha_i^vee, v>
+        return tuple(sum(map(mul, row, v)) for row in self.cartan)
 
     def _simple_reflect(self, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
         # r_i acting on the root lattice, 0-based index
@@ -261,15 +281,20 @@ class RootSystem:
         return v in self._root_set
 
     def pairing(self, c: Coroot, v: tuple[int, ...]) -> int:
-        """Evaluation pairing <c, v> of a coroot vector against a root vector."""
-        if len(c) != self.rank or len(v) != self.rank:
+        """Evaluation pairing <c, v> of a coroot vector against a root vector.
+
+        For a root v this is one dot product with its stored row C v; any
+        other vector (a weight, 2rho - 2rho_J) is multiplied out and not
+        stored.
+        """
+        row = self._rows.get(v)
+        if row is None:
+            if len(v) != self.rank:
+                raise ValueError("rank mismatch")
+            row = self._cartan_image(v)
+        if len(c) != self.rank:
             raise ValueError("rank mismatch")
-        total = 0
-        for i, ci in enumerate(c):
-            if ci:
-                row = self.cartan[i]
-                total += ci * sum(row[j] * v[j] for j in range(self.rank) if v[j])
-        return total
+        return sum(map(mul, c, row))
 
     def coroot(self, alpha: tuple[int, ...]) -> Coroot:
         """Coroot alpha^vee of a root (negative roots allowed)."""
@@ -286,10 +311,7 @@ class RootSystem:
 
     def reflect_coroot(self, beta: tuple[int, ...], c: Coroot) -> Coroot:
         """Reflection r_beta applied to a coroot-lattice vector."""
-        return sub_vec(c, scale_vec(self.coroot_pairing(c, beta), self.coroot(beta)))
-
-    def coroot_pairing(self, c: Coroot, v: tuple[int, ...]) -> int:
-        return self.pairing(c, v)
+        return sub_vec(c, scale_vec(self.pairing(c, beta), self.coroot(beta)))
 
     def is_long(self, alpha: tuple[int, ...]) -> bool:
         """Long/short classification; in simply-laced types every root is long."""
@@ -338,10 +360,6 @@ class RootSystem:
             self._scaled_inverse_cartan = scaled_inverse(self.cartan)
         return self._scaled_inverse_cartan
 
-    def fundamental_coweight(self, i: int) -> tuple[Fraction, ...]:
-        """omega_i^vee in (rational) simple-coroot coordinates, 1-based i."""
-        return self.inverse_cartan()[i - 1]
-
     # -- parabolic data ----------------------------------------------------
 
     def parabolic(self, nodes) -> ParabolicIndex:
@@ -358,7 +376,13 @@ class RootSystem:
         )
         two_rho_J = tuple(sum(col) for col in zip(*phi_plus)) if phi_plus else (0,) * self.rank
         comps = _connected_components(key, self.cartan)
-        par = ParabolicIndex(key, phi_plus, two_rho_J, comps)
+        shift_row = self._cartan_image(sub_vec(self.two_rho, two_rho_J))
+        shift = {a: sum(map(mul, self._coroot[a], shift_row)) for a in self.positive_roots}
+        in_J = tuple(a in phi_plus for a in self.positive_roots)
+        par = ParabolicIndex(
+            key, phi_plus, two_rho_J, comps, shift, in_J,
+            tuple(b for b, inside in enumerate(in_J) if inside),
+        )
         self._parabolic_cache[key] = par
         return par
 

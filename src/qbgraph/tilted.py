@@ -59,29 +59,30 @@ class TiltedOrder:
 # -- left multiplication steps ---------------------------------------------------
 
 
-def tilde_root(rs, i: int) -> Root:
-    """alpha_i for i >= 1, minus theta for i = 0."""
-    if i == 0:
-        return neg_vec(rs.theta)
-    return tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
-
-
 def tilde_coroot(rs, i: int) -> Coroot:
     if i == 0:
         return neg_vec(rs.coroot(rs.theta))
     return rs.simple_coroot(i)
 
 
+def _tilde_image(W: WeylGroup, i: int, x: WeylElement) -> Root:
+    """x^{-1}(tilde alpha_i), where tilde alpha_i is alpha_i for i >= 1 and
+    minus theta for i = 0."""
+    if i == 0:
+        return neg_vec(x.inverse().act(W.rs.theta))
+    return W.simple_image(x.inverse(), i)
+
+
 def floor_smul(graph: QbgGraph, i: int, x: WeylElement) -> WeylElement:
     """floor(s_i x) where s_0 is the reflection in theta."""
     W = graph.W
-    s = W.reflection(graph.rs.theta) if i == 0 else W.simple_reflection(i)
-    return W.min_coset_rep(s * x, graph.J)
+    sx = W.reflection(graph.rs.theta) * x if i == 0 else W.left_mul(i, x)
+    return W.min_coset_rep(sx, graph.J)
 
 
 def left_step_edge(graph: QbgGraph, i: int, x: WeylElement) -> QbgEdge | None:
     """The edge x -> floor(s_i x) when x^{-1}(tilde alpha_i) is a usable label."""
-    label = x.inverse().act(tilde_root(graph.rs, i))
+    label = _tilde_image(graph.W, i, x)
     if not is_positive_vec(label) or graph.J.supports(label):
         return None
     edge = graph.edge(x.index, label)
@@ -111,7 +112,7 @@ def left_multiplication_step(graph: QbgGraph, w: WeylElement, j: int) -> LeftSte
     Bruhat for j != 0 and quantum for j = 0.
     """
     rs, W, J = graph.rs, graph.W, graph.J
-    img = w.inverse().act(tilde_root(rs, j))
+    img = _tilde_image(W, j, w)
     target = floor_smul(graph, j, w)
     if J.supports(img):
         if target != w:
@@ -131,7 +132,7 @@ def left_multiplication_step(graph: QbgGraph, w: WeylElement, j: int) -> LeftSte
         return LeftStep(Trichotomy.UP, edge, twist)
     twist = None
     if j == 0:
-        twist = _theta_twist(W, J, w)
+        twist = W.theta_twist(w, J)
         gamma = neg_vec(img)  # w^{-1}theta, positive off Phi_J
         if (W.reflection(rs.theta) * w).index != (target * twist).index:
             raise GraphInvariantError("twist does not factor the theta product")
@@ -209,27 +210,18 @@ def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
 # -- path surgery ------------------------------------------------------------------
 
 
-def _theta_twist(W: WeylGroup, J: ParabolicIndex, w: WeylElement) -> WeylElement:
-    rth = W.reflection(W.rs.theta)
-    lhs = rth * W.min_coset_rep(w, J)
-    return W.min_coset_rep(lhs, J).inverse() * lhs
-
-
 def _canonical_lambda(graph: QbgGraph) -> tuple[int, ...]:
     return tuple(
         0 if (i + 1) in graph.J.nodes else 1 for i in range(graph.rs.rank)
     )
 
 
-def _pairing_sign_data(graph: QbgGraph, j: int):
-    """x -> <tilde alpha_j^vee, x(lambda)> for the canonical lambda of J."""
-    pairings = graph.W.weight_pairings(_canonical_lambda(graph))
+def _signs(graph: QbgGraph, j: int, verts: list[int]) -> list[int]:
+    """<tilde alpha_j^vee, x(lambda)> at each vertex id x, for the canonical
+    lambda of J."""
+    pair = graph.W.weight_pairings(_canonical_lambda(graph)).pair
     cor = tilde_coroot(graph.rs, j)
-
-    def pair(x: WeylElement) -> int:
-        return pairings.pair(cor, x.index)
-
-    return pair
+    return [pair(cor, x) for x in verts]
 
 
 def _push_edge(graph: QbgGraph, j: int, edge: QbgEdge) -> QbgEdge:
@@ -238,7 +230,7 @@ def _push_edge(graph: QbgGraph, j: int, edge: QbgEdge) -> QbgEdge:
     a = W.element(edge.source)
     label = edge.label
     if j == 0:
-        label = _theta_twist(W, graph.J, a).act(label)
+        label = W.theta_twist(a, graph.J).act(label)
     target = floor_smul(graph, j, W.element(edge.target))
     moved = graph.edge(floor_smul(graph, j, a).index, label)
     if moved is None or moved.target != target.index:
@@ -265,9 +257,8 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
     W = graph.W
-    pair = _pairing_sign_data(graph, j)
     verts = _vertices(graph, path)
-    signs = [pair(W.element(v)) for v in verts]
+    signs = _signs(graph, j, verts)
     n = len(path.edges)
 
     if case == 1:
@@ -314,7 +305,7 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
                        tuple(new_edges))
     shorter = transform_path(graph, path, j, 3)
     end = W.element(verts[-1])
-    up = graph.edge(end.index, end.inverse().act(tilde_root(graph.rs, j)))
+    up = graph.edge(end.index, _tilde_image(W, j, end))
     if up is None or up.target != floor_smul(graph, j, end).index:
         raise GraphInvariantError("ascent edge out of the end is missing")
     return QbgPath(shorter.start, shorter.edges + (up,))
@@ -323,9 +314,9 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
 def _down_label(graph: QbgGraph, j: int, w: WeylElement) -> Root:
     """Label of the edge floor(s_j w) -> w when the sign at w is negative."""
     if j == 0:
-        z = _theta_twist(graph.W, graph.J, w)
+        z = graph.W.theta_twist(w, graph.J)
         return z.act(w.inverse().act(graph.rs.theta))
-    return neg_vec(w.inverse().act(tilde_root(graph.rs, j)))
+    return neg_vec(_tilde_image(graph.W, j, w))
 
 
 def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> Coroot:

@@ -8,6 +8,7 @@ counterexample dump on failure.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 from .affine import (
@@ -40,7 +41,14 @@ from .qbg import (
     reflection_ordering_from_word,
     subsystem_word_ordering,
 )
-from .root_system import build_root_system, is_positive_vec, neg_vec, add_vec, sub_vec
+from .root_system import (
+    add_vec,
+    build_root_system,
+    is_positive_vec,
+    neg_vec,
+    scale_vec,
+    sub_vec,
+)
 from .tilted import (
     TiltedOrder,
     compare_path_weights,
@@ -91,17 +99,26 @@ def _require(ok: bool, detail: object = "") -> None:
         raise AssertionError(detail)
 
 
+#: contexts kept by ``context``; at least the 13 (type, rank) pairs that the
+#: default suites use, so ``--suite all`` builds each one once
+CONTEXT_CACHE_SIZE = 16
 _context_cache: dict[tuple[str, int], tuple] = {}
+_context_lock = threading.Lock()
 
 
 def context(cartan_type: str, rank: int):
+    """(root system, Weyl group, affine operations) of one type, shared
+    between suites; past ``CONTEXT_CACHE_SIZE`` the oldest is dropped."""
     key = (cartan_type, rank)
     got = _context_cache.get(key)
     if got is None:
         rs = build_root_system(cartan_type, rank)
         W = WeylGroup(rs)
         got = (rs, W, AffineWeyl(W))
-        _context_cache[key] = got
+        with _context_lock:
+            _context_cache[key] = got
+            while len(_context_cache) > CONTEXT_CACHE_SIZE:
+                del _context_cache[next(iter(_context_cache))]
     return got
 
 
@@ -518,7 +535,7 @@ def suite_affine_core(types) -> SuiteResult:
                     for mu0 in small[:: max(1, len(small) // 6)]:
                         if not aw.is_adjusted(mu0, J):
                             continue
-                        mu = sub_vec(mu0, scale(3, h))
+                        mu = sub_vec(mu0, scale_vec(3, h))
                         if not aw.is_superantidominant(mu, J, 1):
                             continue
                         z = aw.z_mu(mu, J)
@@ -532,10 +549,6 @@ def suite_affine_core(types) -> SuiteResult:
 
         res.run(_tag(t, r), one)
     return res
-
-
-def scale(c, v):
-    return tuple(c * x for x in v)
 
 
 def suite_lift_roundtrip(types) -> SuiteResult:
@@ -670,19 +683,7 @@ def suite_level_zero(cases=None) -> SuiteResult:
         "graph-derived covers with labels; raising by admissible simple "
         "roots is a cover; the diamond and duality laws hold",
     )
-    if cases is None:
-        cases = [
-            ("A", 2, (2, 1)),
-            ("A", 2, (1, 0)),
-            ("A", 2, (1, 1)),
-            ("C", 2, (1, 0)),
-            ("C", 2, (0, 1)),
-            ("B", 2, (0, 1)),
-            ("B", 2, (1, 1)),
-            ("G", 2, (1, 0)),
-            ("A", 3, (1, 0, 1)),
-        ]
-    for t, r, lam in cases:
+    for t, r, lam in LEVEL_ZERO_CASES if cases is None else cases:
         rs, W, _ = context(t, r)
 
         def one(lam=lam):
@@ -779,7 +780,7 @@ def _reflect_affine(P: LevelZeroPoset, alpha: AffineRoot, beta: AffineRoot) -> A
     """r_alpha(beta) for affine roots, alpha of the simple or theta form."""
     rs = P.rs
     pair = rs.pairing(rs.coroot(alpha.alpha), beta.alpha)
-    new_alpha = sub_vec(beta.alpha, scale(pair, alpha.alpha))
+    new_alpha = sub_vec(beta.alpha, scale_vec(pair, alpha.alpha))
     new_k = beta.k - pair * alpha.k
     return AffineRoot(new_alpha, new_k)
 
@@ -929,19 +930,7 @@ def suite_path_weights(cases=None) -> SuiteResult:
         "off Q_J^vee and zero for other shortest paths; surgery by a simple "
         "or theta step preserves weights up to the stated correction",
     )
-    if cases is None:
-        cases = [
-            ("A", 2, ()),
-            ("A", 3, ()),
-            ("A", 3, (1,)),
-            ("A", 3, (1, 3)),
-            ("B", 2, ()),
-            ("B", 2, (1,)),
-            ("B", 2, (2,)),
-            ("C", 2, ()),
-            ("G", 2, ()),
-        ]
-    for t, r, J_nodes in cases:
+    for t, r, J_nodes in PATH_WEIGHT_CASES if cases is None else cases:
         rs, W, _ = context(t, r)
 
         def one(J_nodes=J_nodes):
@@ -1072,6 +1061,28 @@ ROOT_TYPES = [
     ("B", 2), ("B", 3), ("B", 4),
     ("C", 2), ("C", 3), ("C", 4),
     ("D", 4), ("F", 4), ("G", 2),
+]
+LEVEL_ZERO_CASES = [
+    ("A", 2, (2, 1)),
+    ("A", 2, (1, 0)),
+    ("A", 2, (1, 1)),
+    ("C", 2, (1, 0)),
+    ("C", 2, (0, 1)),
+    ("B", 2, (0, 1)),
+    ("B", 2, (1, 1)),
+    ("G", 2, (1, 0)),
+    ("A", 3, (1, 0, 1)),
+]
+PATH_WEIGHT_CASES = [
+    ("A", 2, ()),
+    ("A", 3, ()),
+    ("A", 3, (1,)),
+    ("A", 3, (1, 3)),
+    ("B", 2, ()),
+    ("B", 2, (1,)),
+    ("B", 2, (2,)),
+    ("C", 2, ()),
+    ("G", 2, ()),
 ]
 
 SUITES = {

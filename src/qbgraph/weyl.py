@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from operator import add, mul
 
 from .root_system import (
     ConfigurationError,
@@ -122,13 +122,13 @@ class WeightPairings:
         got = self._weights.get(w)
         if got is None:
             comat = self.W._comat[self.W._inverse[w]]
-            got = tuple(sum(c * v for c, v in zip(row, self.lam)) for row in comat)
+            got = tuple(sum(map(mul, row, self.lam)) for row in comat)
             self._weights[w] = got
         return got
 
     def pair(self, coroot: Coroot, w: int) -> int:
         """<coroot, w(lam)>."""
-        return sum(c * v for c, v in zip(coroot, self.weight(w)))
+        return sum(map(mul, coroot, self.weight(w)))
 
 
 class WeylGroup:
@@ -148,6 +148,8 @@ class WeylGroup:
         self.rs = rs
         self.rank = rs.rank
         self._build()
+        self._simple_perms = self._build_simple_perms()
+        self._flags: dict[int, bytes] = {0: bytes(len(rs.positive_roots))}
         self._reflection_ids: dict[Root, int] = {}
         self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._longest_cache: dict[tuple[int, ...], int] = {}
@@ -201,6 +203,21 @@ class WeylGroup:
         self._right = right
         self._inverse = inverse
 
+    def _build_simple_perms(self) -> list[tuple[tuple[int, ...], int]]:
+        """Per simple reflection r_k: the position of r_k(beta) for every
+        positive root beta, and the position of alpha_k, the one positive
+        root r_k sends negative (listed at its own position)."""
+        rs = self.rs
+        pos = {a: b for b, a in enumerate(rs.positive_roots)}
+        perms = []
+        for k in range(self.rank):
+            simple = pos[tuple(1 if j == k else 0 for j in range(self.rank))]
+            perm = tuple(
+                pos.get(rs._simple_reflect(k, a), simple) for a in rs.positive_roots
+            )
+            perms.append((perm, simple))
+        return perms
+
     # -- element access ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -233,9 +250,6 @@ class WeylGroup:
         for k in u.word:
             cur = self._right[cur][k - 1]
         return self.element(cur)
-
-    def right_mul_index(self, index: int, k: int) -> int:
-        return self._right[index][k - 1]
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
         """r_i * w for a 1-based node index."""
@@ -276,10 +290,41 @@ class WeylGroup:
             a for a in self.rs.positive_roots if not is_positive_vec(w.act(a))
         )
 
+    def inversion_flags(self, w: int) -> bytes:
+        """Per positive root beta, in ``rs.positive_roots`` order, 1 when
+        w(beta) < 0 and 0 otherwise; w is an element id.
+
+        Filled lazily by id from the last letter of the shortlex word: with
+        w = u r_k and l(w) = l(u) + 1, w(beta) = u(r_k beta), so w's flags
+        are u's read through the permutation r_k makes of Phi^+, except at
+        alpha_k, whose sign flips.  Only the elements asked for and the
+        prefixes of their words get flags, at most |W| |Phi^+| bytes.
+        """
+        flags = self._flags
+        got = flags.get(w)
+        if got is not None:
+            return got
+        chain = []
+        cur = w
+        while got is None:
+            chain.append(cur)
+            cur = self._right[cur][self._word[cur][-1] - 1]
+            got = flags.get(cur)
+        for cur in reversed(chain):
+            perm, simple = self._simple_perms[self._word[cur][-1] - 1]
+            row = [got[b] for b in perm]
+            row[simple] ^= 1
+            got = flags[cur] = bytes(row)
+        return got
+
+    def simple_image(self, w: WeylElement, i: int) -> Root:
+        """w(alpha_i) for a 1-based node index: a row of w's matrix."""
+        return self._mat[w.index][i - 1]
+
     def has_right_descent(self, w: WeylElement, i: int) -> bool:
         """Whether l(w r_i) < l(w), i.e. w(alpha_i) < 0.  1-based index."""
-        n = self.rank
-        return not is_positive_vec(w.act(tuple(1 if j == i - 1 else 0 for j in range(n))))
+        length = self._length
+        return length[self._right[w.index][i - 1]] < length[w.index]
 
     def bruhat_covers(self, w: WeylElement) -> tuple[WeylElement, ...]:
         """All u = w r_alpha with l(u) = l(w) + 1, sorted by id."""
@@ -333,6 +378,11 @@ class WeylGroup:
         v = u.inverse() * w
         return u, v
 
+    def theta_twist(self, w: WeylElement, J: ParabolicIndex) -> WeylElement:
+        """The z in W_J with r_theta floor(w) = floor(r_theta w) z."""
+        lhs = self.reflection(self.rs.theta) * self.min_coset_rep(w, J)
+        return self.min_coset_rep(lhs, J).inverse() * lhs
+
     def in_min_coset_reps(self, w: WeylElement, J: ParabolicIndex) -> bool:
         return all(not self.has_right_descent(w, j) for j in J.nodes)
 
@@ -358,10 +408,13 @@ class WeylGroup:
         return out
 
     def min_coset_reps(self, J: ParabolicIndex) -> tuple[WeylElement, ...]:
+        """W^J in id order: the elements with no right descent in J."""
+        length = self._length
+        cols = [j - 1 for j in J.nodes]
         return tuple(
             self.element(i)
-            for i in range(len(self._mat))
-            if self.in_min_coset_reps(self.element(i), J)
+            for i, row in enumerate(self._right)
+            if all(length[row[c]] > length[i] for c in cols)
         )
 
     def coset(self, z: WeylElement, J: ParabolicIndex) -> tuple[WeylElement, ...]:

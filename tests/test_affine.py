@@ -21,7 +21,8 @@ from qbgraph.affine import (
     iter_bottom_configurations,
 )
 from qbgraph.qbg import BRUHAT, QUANTUM, QbgPath, build_qbg
-from qbgraph.root_system import build_root_system, neg_vec
+from qbgraph.root_system import RootSystem, build_root_system, is_positive_vec, neg_vec
+from qbgraph.verify import all_parabolics
 from qbgraph.weyl import WeylGroup
 
 
@@ -45,6 +46,76 @@ def test_length_matches_inversion_oracle(a2):
         for wid in (0, 2, 5):
             x = AffineElement(wid, mu)
             assert aw.length(x) == aw.length_by_inversions(x)
+
+
+class _Tripwire:
+    """Stands in for a fast table; any use of it fails the test."""
+
+    def _trip(self, *_args, **_kwargs):
+        raise AssertionError("a fast table was used")
+
+    __iter__ = __getitem__ = __len__ = get = _trip
+
+
+def test_length_oracle_does_not_use_the_fast_tables(monkeypatch):
+    rs = build_root_system("B", 3)
+    W = WeylGroup(rs)
+    aw = AffineWeyl(W)
+    xs = [
+        AffineElement(wid, mu)
+        for wid in range(0, len(W), 5)
+        for mu in itertools.product(range(-2, 3), repeat=3)
+    ]
+    expect = [aw.length(x) for x in xs]
+    monkeypatch.setattr(RootSystem, "pairing", _Tripwire._trip)
+    monkeypatch.setattr(WeylGroup, "inversion_flags", _Tripwire._trip)
+    for table in ("_rows", "positive_rows", "simple_rows"):
+        monkeypatch.setattr(rs, table, _Tripwire())
+    with pytest.raises(AssertionError, match="fast table"):
+        aw.length(xs[0])
+    assert [aw.length_by_inversions(x) for x in xs] == expect
+
+
+def cartan_pairing(rs, c, v):
+    n = rs.rank
+    return sum(c[i] * rs.cartan[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_table_predicates_match_their_definitions(cartan_type, rank):
+    # in_waf_minus, in_wj_af, is_adjusted and is_superantidominant read the
+    # pairing rows and the inversion flags; recompute each from w.act and
+    # the Cartan matrix
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    aw = AffineWeyl(W)
+    rnd = random.Random(rank)
+    simples = rs.simple_roots()
+    for nodes in all_parabolics(rank):
+        J = rs.parabolic(nodes)
+        for _ in range(40):
+            w = W.element(rnd.randrange(len(W)))
+            mu = tuple(rnd.randint(-3, 2) for _ in range(rank))
+            x = AffineElement(w.index, mu)
+            pair = {a: cartan_pairing(rs, mu, a) for a in rs.positive_roots}
+            assert aw.length(x) == sum(
+                abs((0 if is_positive_vec(w.act(a)) else 1) + pair[a])
+                for a in rs.positive_roots
+            )
+            waf_minus = all(
+                cartan_pairing(rs, mu, s) < 0
+                or (cartan_pairing(rs, mu, s) == 0 and is_positive_vec(w.act(s)))
+                for s in simples
+            )
+            assert aw.in_waf_minus(x) == waf_minus
+            assert aw.in_wj_af(x, J) == all(
+                pair[a] == (0 if is_positive_vec(w.act(a)) else -1) for a in J.phi_plus
+            )
+            assert aw.is_adjusted(mu, J) == all(pair[a] in (0, -1) for a in J.phi_plus)
+            for depth in (0, 1, 2):
+                assert aw.is_superantidominant(mu, J, depth) == all(
+                    pair[a] <= (0 if J.supports(a) else -depth) for a in rs.positive_roots
+                )
 
 
 def test_affine_action(a2):

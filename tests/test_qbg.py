@@ -1,11 +1,15 @@
+import sys
+
 import pytest
 
 from qbgraph.qbg import (
     BRUHAT,
     QUANTUM,
     GraphInvariantError,
+    QbgEdge,
     QbgGraph,
     QbgPath,
+    ReflectionOrdering,
     build_qbg,
     build_subsystem_qbg,
     dual_involution,
@@ -16,7 +20,7 @@ from qbgraph.qbg import (
     lexicographically_minimal_shortest,
     reflection_ordering_from_word,
 )
-from qbgraph.root_system import build_root_system
+from qbgraph.root_system import build_root_system, is_positive_vec
 from qbgraph.verify import SMALL_TYPES, all_parabolics
 from qbgraph.weyl import WeylGroup
 
@@ -25,6 +29,22 @@ from qbgraph.weyl import WeylGroup
 def a2():
     rs = build_root_system("A", 2)
     return rs, WeylGroup(rs)
+
+
+@pytest.fixture(scope="module")
+def groups():
+    """Weyl groups by (type, rank), built once for this module (E6 takes
+    seconds to enumerate)."""
+    built = {}
+
+    def get(cartan_type, rank):
+        key = (cartan_type, rank)
+        if key not in built:
+            rs = build_root_system(cartan_type, rank)
+            built[key] = rs, WeylGroup(rs)
+        return built[key]
+
+    return get
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +160,10 @@ def test_diameter_rejects_graphs_that_are_not_strongly_connected(a2, a2_graph):
     "cartan_type,rank",
     [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
 )
-def test_diameter_is_the_number_of_roots_outside_phi_j(cartan_type, rank):
+def test_diameter_is_the_number_of_roots_outside_phi_j(groups, cartan_type, rank):
     # an observed identity, diam QB(W^J) = |Phi+ minus Phi_J+|; the lift
     # depth does not rely on it
-    rs = build_root_system(cartan_type, rank)
-    W = WeylGroup(rs)
+    rs, W = groups(cartan_type, rank)
     if rank <= 4:
         parabolics = list(all_parabolics(rank))
     else:  # two small quotients: J is every node but node 1, or node 2
@@ -273,3 +292,88 @@ def test_mixed_length_subsystem_coset_copies():
         }
         got = {(e.source, e.target, e.label, e.kind) for e in sub.edges}
         assert mapped == got
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,parabolics",
+    [("A", 3, None), ("B", 3, None), ("C", 3, None), ("G", 2, None),
+     ("E", 6, [(2, 3, 4, 5, 6)])],
+)
+def test_min_coset_reps_match_the_matrix_action(groups, cartan_type, rank, parabolics):
+    rs, W = groups(cartan_type, rank)
+    simples = rs.simple_roots()
+    for nodes in parabolics or all_parabolics(rank):
+        J = rs.parabolic(nodes)
+        expect = [
+            w for w in W.elements()
+            if all(is_positive_vec(w.act(simples[j - 1])) for j in nodes)
+        ]
+        assert list(W.min_coset_reps(J)) == expect, nodes
+        assert all(W.in_min_coset_reps(w, J) for w in expect)
+
+
+def recursive_paths(g, u, v, max_len):
+    """The recursive depth-first walk that iter_paths replaced."""
+    stack = []
+
+    def rec(cur):
+        if cur == v:
+            yield QbgPath(u, tuple(stack))
+        if len(stack) == max_len:
+            return
+        for e in g.out[cur]:
+            stack.append(e)
+            yield from rec(e.target)
+            stack.pop()
+
+    yield from rec(u)
+
+
+def recursive_increasing_paths(g, u, v, ordering):
+    """Every path u -> v with strictly increasing labels, found recursively."""
+    hits, stack = [], []
+
+    def rec(cur, floor_pos):
+        if cur == v:
+            hits.append(tuple(stack))
+        for e in g.out[cur]:
+            p = ordering.position(e.label)
+            if p > floor_pos:
+                stack.append(e)
+                rec(e.target, p)
+                stack.pop()
+
+    rec(u, -1)
+    return hits
+
+
+def test_walks_match_the_recursive_order_on_a3():
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    g = build_qbg(W, rs.parabolic(()))
+    ordering = reflection_ordering_from_word(W, W.longest_element().word)
+    for u in g.vertices:
+        for v in g.vertices:
+            d = g.distance(u, v)
+            for max_len in (d, d + 1):
+                got = list(g.iter_paths(u, v, max_len))
+                assert got == list(recursive_paths(g, u, v, max_len)), (u, v)
+            (hit,) = recursive_increasing_paths(g, u, v, ordering)
+            assert increasing_path(g, u, v, ordering).edges == hit
+
+
+def test_walks_run_deeper_than_the_recursion_limit(a2):
+    rs, W = a2
+    n = 300
+    labels = [(k,) for k in range(n)]
+    edges = [QbgEdge(k, (k + 1) % n, labels[k], BRUHAT, (0, 0)) for k in range(n)]
+    g = QbgGraph(W, rs.parabolic(()), range(n), edges)
+    ordering = ReflectionOrdering(tuple(labels))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        (path,) = g.iter_paths(0, n - 1, n)
+        assert len(path) == n - 1 and path.end == n - 1
+        assert increasing_path(g, 0, n - 1, ordering).edges == path.edges
+    finally:
+        sys.setrecursionlimit(limit)

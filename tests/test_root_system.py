@@ -6,7 +6,9 @@ from qbgraph.root_system import (
     cartan_matrix,
     is_positive_vec,
     neg_vec,
+    sub_vec,
 )
+from qbgraph.verify import ROOT_TYPES, all_parabolics
 
 # closed-form positive root counts, used as an independent oracle
 COUNTS = {
@@ -172,3 +174,40 @@ def test_parabolic_data():
     assert empty.phi_plus == () and empty.two_rho_J == (0, 0, 0)
     with pytest.raises(ConfigurationError):
         rs.parabolic((0,))
+
+
+def cartan_pairing(cartan, c, v):
+    """<c, v> from the definition: sum over i, j of c_i a_ij v_j."""
+    n = len(cartan)
+    return sum(c[i] * cartan[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES)
+def test_pairing_rows_match_the_cartan_definition(cartan_type, rank):
+    rs = build_root_system(cartan_type, rank)
+    roots = rs.positive_roots + tuple(neg_vec(a) for a in rs.positive_roots)
+    for alpha in roots:
+        c = rs.coroot(alpha)
+        for beta in roots:
+            assert rs.pairing(c, beta) == cartan_pairing(rs.cartan, c, beta)
+    stored = len(rs._rows)
+    # 2rho - 2rho_J is not a root: it is multiplied out and never stored
+    for nodes in all_parabolics(rank):
+        J = rs.parabolic(nodes)
+        v = sub_vec(rs.two_rho, J.two_rho_J)
+        for alpha in rs.positive_roots:
+            want = cartan_pairing(rs.cartan, rs.coroot(alpha), v)
+            assert rs.pairing(rs.coroot(alpha), v) == want
+            assert J.quantum_shift[alpha] == want
+        assert J.in_phi_J == tuple(a in J.phi_plus for a in rs.positive_roots)
+        assert tuple(rs.positive_roots[b] for b in J.phi_plus_pos) == J.phi_plus
+    assert len(rs._rows) == stored == len(roots)
+
+
+def test_pairing_rank_mismatch():
+    rs = build_root_system("B", 3)
+    root = rs.positive_roots[0]
+    for c, v in [((1, 0), root), ((1, 0, 0, 0), root), ((1, 0, 0), (1, 0)),
+                 ((1, 0, 0), (1, 1, 1, 1))]:
+        with pytest.raises(ValueError, match="rank mismatch"):
+            rs.pairing(c, v)

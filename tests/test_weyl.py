@@ -1,6 +1,7 @@
 import pytest
 
-from qbgraph.root_system import ConfigurationError, build_root_system
+from qbgraph.root_system import ConfigurationError, build_root_system, is_positive_vec
+from qbgraph.verify import ROOT_TYPES
 from qbgraph.weyl import Trichotomy, WeylGroup
 
 
@@ -176,3 +177,19 @@ def test_conjugation_by_longest_preserves_length(a3):
     w0 = W.longest_element()
     for w in W.elements():
         assert (w0 * w * w0).length == w.length
+
+
+@pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES)
+def test_descents_and_inversion_flags_match_the_matrix_action(cartan_type, rank):
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    simples = rs.simple_roots()
+    # longest elements first, so the lazy flags walk whole words at once
+    for wid in reversed(range(len(W))):
+        w = W.element(wid)
+        for i in range(1, rank + 1):
+            assert W.has_right_descent(w, i) == (not is_positive_vec(w.act(simples[i - 1])))
+        flags = W.inversion_flags(wid)
+        assert len(flags) == len(rs.positive_roots)
+        assert tuple(a for a, f in zip(rs.positive_roots, flags) if f) == W.inversions(w)
+        assert sum(flags) == w.length
