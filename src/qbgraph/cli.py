@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 a verification suite failed, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import render
@@ -153,8 +152,7 @@ def _lift(args) -> int:
                 }
             )
     if args.format == "json":
-        doc = {"schema": "qbgraph/lifts/1", "mu": list(mu), "covers": rows}
-        _emit(args, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        _emit(args, render.lifts_to_json(mu, rows))
     elif args.format == "dot":
         out = ["digraph lifts {"]
         for row in rows:
@@ -244,6 +242,12 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     types = _parse_types(args.types) if args.types else None
+    if types is not None and args.suite != "all":
+        fixed = [s for s in names if SUITES[s][1] is None]
+        if fixed:
+            raise UsageError(
+                f"suites {fixed} run their own case lists and take no --types"
+            )
     try:
         results = run_suites(names, types=types, jobs=args.jobs)
     except ConfigurationError as exc:  # e.g. a type past the enumeration cap
@@ -259,23 +263,7 @@ def cmd_verify(args) -> int:
         lines.append(f"RESULT suite={res.suite} {'pass' if res.passed else 'FAIL'}")
         ok = ok and res.passed
     if args.format == "json":
-        doc = {
-            "schema": "qbgraph/verify/1",
-            "passed": ok,
-            "suites": [
-                {
-                    "suite": r.suite,
-                    "claim": r.claim,
-                    "passed": r.passed,
-                    "cases": [
-                        {"name": c.name, "passed": c.passed, "detail": c.detail}
-                        for c in r.cases
-                    ],
-                }
-                for r in results
-            ],
-        }
-        _emit(args, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        _emit(args, render.report_to_json(results))
     else:
         _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -363,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="comma separated suite names, or 'all'")
     p.add_argument("--types", default="",
-                   help="override type list, e.g. 'A1..A4,B2,G2'")
+                   help="override type list, e.g. 'A1..A4,B2,G2'; a named suite "
+                        "with its own case list rejects it, and with --suite all "
+                        "those suites run their own cases")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default="")

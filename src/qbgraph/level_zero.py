@@ -128,7 +128,6 @@ class LevelZeroPoset:
         if got is not None:
             return got
         W, rs = self.W, self.rs
-        x = W.element(w)
         height = self.pair(self._two_rho_vee, w)
         steps = []
         for alpha in rs.positive_roots:
@@ -136,7 +135,7 @@ class LevelZeroPoset:
             if p == 0:
                 continue
             root, k = (alpha, 0) if p > 0 else (neg_vec(alpha), 1)
-            target = W.min_coset_rep(W.reflection(alpha) * x, self.J).index
+            target = W.coset_floor(W.left_reflect(w, alpha), self.J)
             if k == 0 and self.pair(self._two_rho_vee, target) >= height:
                 raise GraphInvariantError(f"raising step from coset {w} keeps its height")
             steps.append((root, abs(p), target, k))
@@ -332,9 +331,7 @@ class LevelZeroPoset:
     def reflect(self, mu: LevelZeroWeight, beta: AffineRoot) -> LevelZeroWeight:
         """r_beta applied to the orbit element."""
         p = self.pair(self.rs.coroot(beta.alpha), mu.w)
-        target_w = self.W.min_coset_rep(
-            self.W.reflection(beta.alpha) * self.cl(mu), self.J
-        ).index
+        target_w = self.W.coset_floor(self.W.left_reflect(mu.w, beta.alpha), self.J)
         return LevelZeroWeight(target_w, mu.n - beta.k * p)
 
     def affine_simple_pairing(self, i: int, mu: LevelZeroWeight) -> int:

@@ -62,22 +62,29 @@ def edge_between(W: WeylGroup, J: ParabolicIndex, w: WeylElement, alpha: Root):
     alpha must lie in Phi^+ minus Phi_J^+.  At most one of the two edge
     kinds can fire for a given (w, alpha).
     """
-    rs = W.rs
-    if not rs.is_positive_root(alpha) or alpha in J.phi_plus:
+    if not W.rs.is_positive_root(alpha) or alpha in J.phi_plus:
         raise ValueError(f"label {alpha} not in Phi+ minus Phi_J+")
-    x = w * W.reflection(alpha)
-    lw = w.length
-    bruhat = x.length == lw + 1
-    floor = W.min_coset_rep(x, J)
-    quantum = floor.length == lw + 1 - J.quantum_shift[alpha]
+    return _edge(W, J, w.index, alpha)
+
+
+def _edge(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
+    """``edge_between`` on an element id, for a label already checked."""
+    length = W._length
+    x = W.right_reflect(w, alpha)
+    up = length[w] + 1
+    bruhat = length[x] == up
+    floor = W.coset_floor(x, J)
+    quantum = length[floor] == up - J.quantum_shift[alpha]
     if bruhat and quantum:
-        raise GraphInvariantError(f"edge kinds collide at ({w}, {alpha})")
+        raise GraphInvariantError(f"edge kinds collide at ({W.element(w)}, {alpha})")
     if bruhat:
-        if floor.index != x.index:
-            raise GraphInvariantError(f"Bruhat target {x} left W^J at ({w}, {alpha})")
-        return QbgEdge(w.index, x.index, alpha, BRUHAT, (0,) * rs.rank)
+        if floor != x:
+            raise GraphInvariantError(
+                f"Bruhat target {W.element(x)} left W^J at ({W.element(w)}, {alpha})"
+            )
+        return QbgEdge(w, x, alpha, BRUHAT, (0,) * W.rank)
     if quantum:
-        return QbgEdge(w.index, floor.index, alpha, QUANTUM, rs.coroot(alpha))
+        return QbgEdge(w, floor, alpha, QUANTUM, W.rs.coroot(alpha))
     return None
 
 
@@ -227,18 +234,19 @@ class QbgGraph:
 
 
 def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
-    """The quantum Bruhat graph on the minimum-length coset representatives."""
-    rs = W.rs
-    reps = W.min_coset_reps(J)
-    order = sorted(reps, key=lambda w: (w.length, w.word))
-    labels = [a for a in rs.positive_roots if not J.supports(a)]
+    """The quantum Bruhat graph on the minimum-length coset representatives.
+
+    Vertices are listed by id, which is (length, shortlex word) order.
+    """
+    order = [w.index for w in W.min_coset_reps(J)]
+    labels = [a for a in W.rs.positive_roots if not J.supports(a)]
     edges = []
     for w in order:
         for a in labels:
-            e = edge_between(W, J, w, a)
+            e = _edge(W, J, w, a)
             if e is not None:
                 edges.append(e)
-    return QbgGraph(W, J, (w.index for w in order), edges)
+    return QbgGraph(W, J, order, edges)
 
 
 def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
@@ -248,27 +256,30 @@ def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     quantum length condition uses the subsystem's positive-root sum.
     """
     rs = W.rs
-    ids = W.subgroup_elements(J.nodes)
-    order = sorted((W.element(i) for i in ids), key=lambda w: (w.length, w.word))
+    length = W._length
+    order = W.subgroup_elements(J.nodes)
+    # per label: <alpha^vee, 2rho_J> and whether a quantum edge may carry it
+    labels = [
+        (a, rs.pairing(rs.coroot(a), J.two_rho_J), rs.is_quantum_root(a))
+        for a in J.phi_plus
+    ]
     edges = []
     for w in order:
-        lw = w.length
-        for a in J.phi_plus:
-            x = w * W.reflection(a)
-            pair = rs.pairing(rs.coroot(a), J.two_rho_J)
-            if x.length == lw + 1:
-                edges.append(QbgEdge(w.index, x.index, a, BRUHAT, (0,) * rs.rank))
-            elif x.length == lw + 1 - pair and rs.is_quantum_root(a):
-                edges.append(QbgEdge(w.index, x.index, a, QUANTUM, rs.coroot(a)))
-    return QbgGraph(W, J, (w.index for w in order), edges)
+        up = length[w] + 1
+        for a, pair, quantum in labels:
+            x = W.right_reflect(w, a)
+            if length[x] == up:
+                edges.append(QbgEdge(w, x, a, BRUHAT, (0,) * rs.rank))
+            elif length[x] == up - pair and quantum:
+                edges.append(QbgEdge(w, x, a, QUANTUM, rs.coroot(a)))
+    return QbgGraph(W, J, order, edges)
 
 
 def induced_coset_subgraph(graph: QbgGraph, z: WeylElement, J: ParabolicIndex) -> QbgGraph:
     """Induced subgraph of QB(W) on the coset z W_J."""
     ids = {w.index for w in graph.W.coset(z, J)}
     keep = [e for e in graph.edges if e.source in ids and e.target in ids]
-    order = sorted(ids, key=lambda i: (graph.W._length[i], graph.W._word[i]))
-    return QbgGraph(graph.W, J, order, keep)
+    return QbgGraph(graph.W, J, sorted(ids), keep)
 
 
 def dual_involution(graph: QbgGraph, w: WeylElement) -> WeylElement:

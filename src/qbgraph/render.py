@@ -6,7 +6,7 @@ order and nothing depends on hashing or timestamps.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .affine import AffineElement, AffineRoot, AffineWeyl, cover_label
 from .level_zero import LevelZeroPoset, LevelZeroWeight
@@ -17,6 +17,86 @@ from .weyl import WeylGroup
 SCHEMA_GRAPH = "qbgraph/graph/1"
 SCHEMA_CHAIN = "qbgraph/chain/1"
 SCHEMA_SLICE = "qbgraph/slice/1"
+SCHEMA_LIFTS = "qbgraph/lifts/1"
+SCHEMA_VERIFY = "qbgraph/verify/1"
+
+
+# -- JSON ------------------------------------------------------------------------
+
+
+def dump_json(doc) -> str:
+    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte.
+
+    The stdlib encoder runs in pure Python whenever ``indent`` is set; this
+    one emits by exact type, escapes strings with the stdlib's ASCII
+    escaper, and renders each flat list of ints once per (values, depth).
+    Documents hold dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else, floats included, raises ``TypeError``.
+    """
+    out: list[str] = []
+    _emit_json(doc, 0, out, {})
+    return "".join(out)
+
+
+#: the text of each scalar type a document may hold, by exact type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_INT_ONLY = {int}
+
+
+def _emit_json(o, depth: int, out: list, int_lists: dict) -> None:
+    """Append the text of o, a value at the given nesting depth."""
+    t = type(o)
+    inner = "\n" + " " * (depth + 1)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            value = o[key]
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                out.append(sep + encode_basestring_ascii(key) + ": " + scalar(value))
+            else:
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _emit_json(value, depth + 1, out, int_lists)
+            sep = "," + inner
+        out.append(inner[:-1] + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        if {*map(type, o)} == _INT_ONLY:
+            key = (tuple(o), depth)
+            text = int_lists.get(key)
+            if text is None:
+                text = int_lists[key] = (
+                    "[" + inner + ("," + inner).join(map(int.__repr__, o)) + inner[:-1] + "]"
+                )
+            out.append(text)
+            return
+        sep = "[" + inner
+        for value in o:
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                out.append(sep + scalar(value))
+            else:
+                out.append(sep)
+                _emit_json(value, depth + 1, out, int_lists)
+            sep = "," + inner
+        out.append(inner[:-1] + "]")
+    else:
+        scalar = _SCALARS.get(t)
+        if scalar is None:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+        out.append(scalar(o))
 
 
 def root_text(alpha: tuple[int, ...]) -> str:
@@ -102,7 +182,7 @@ def graph_to_json(graph: QbgGraph) -> str:
         "vertices": verts,
         "edges": edges,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return dump_json(doc) + "\n"
 
 
 def graph_to_text(graph: QbgGraph) -> str:
@@ -162,7 +242,7 @@ def chain_to_json(aw: AffineWeyl, chain) -> str:
             row["label"] = {"alpha": list(pos.alpha), "delta": pos.k}
         rows.append(row)
     doc = {"schema": SCHEMA_CHAIN, "chain": rows}
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return dump_json(doc) + "\n"
 
 
 # -- level-zero slices ---------------------------------------------------------------
@@ -248,4 +328,34 @@ def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
         "vertices": verts,
         "covers": edges,
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return dump_json(doc) + "\n"
+
+
+# -- lift tables and verify reports ---------------------------------------------------
+
+
+def lifts_to_json(mu, rows: list[dict]) -> str:
+    """The ``qbgraph/lifts/1`` document: one row per lifted edge."""
+    doc = {"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": rows}
+    return dump_json(doc) + "\n"
+
+
+def report_to_json(results) -> str:
+    """The ``qbgraph/verify/1`` document of a list of suite results."""
+    doc = {
+        "schema": SCHEMA_VERIFY,
+        "passed": all(r.passed for r in results),
+        "suites": [
+            {
+                "suite": r.suite,
+                "claim": r.claim,
+                "passed": r.passed,
+                "cases": [
+                    {"name": c.name, "passed": c.passed, "detail": c.detail}
+                    for c in r.cases
+                ],
+            }
+            for r in results
+        ],
+    }
+    return dump_json(doc) + "\n"

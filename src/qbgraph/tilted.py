@@ -76,8 +76,9 @@ def _tilde_image(W: WeylGroup, i: int, x: WeylElement) -> Root:
 def floor_smul(graph: QbgGraph, i: int, x: WeylElement) -> WeylElement:
     """floor(s_i x) where s_0 is the reflection in theta."""
     W = graph.W
-    sx = W.reflection(graph.rs.theta) * x if i == 0 else W.left_mul(i, x)
-    return W.min_coset_rep(sx, graph.J)
+    if i == 0:
+        return W.element(W.coset_floor(W.left_reflect(x.index, graph.rs.theta), graph.J))
+    return W.min_coset_rep(W.left_mul(i, x), graph.J)
 
 
 def left_step_edge(graph: QbgGraph, i: int, x: WeylElement) -> QbgEdge | None:

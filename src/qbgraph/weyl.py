@@ -1,15 +1,18 @@
 """Finite Weyl groups: enumeration, length, Bruhat order, parabolic quotients.
 
-Elements are interned with stable integer ids; the canonical identity of an
-element is its matrix action on the simple roots.  The interning tables are
-built once and then only read.
+Elements are interned with stable integer ids.  An element w is named by the
+weight w^{-1}(rho) over the fundamental weights: rho is regular, so the name
+is unique, and right multiplication by a simple reflection or by any
+reflection is one reflection of the name.  The id, word, length, right and
+inverse tables are built once and then only read; an element's matrices on
+the simple roots and coroots are built the first time they are used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, mul
+from operator import add, mul, sub
 
 from .root_system import (
     ConfigurationError,
@@ -65,11 +68,17 @@ class WeylElement:
 
     def act(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a root-lattice vector."""
-        return _apply(self.group._mat[self.index], v)
+        mat = self.group._mat[self.index]
+        if mat is None:
+            mat = self.group.matrix(self.index)
+        return _apply(mat, v)
 
     def act_coroot(self, c: Coroot) -> Coroot:
         """Image of a coroot-lattice vector."""
-        return _apply(self.group._comat[self.index], c)
+        mat = self.group._comat[self.index]
+        if mat is None:
+            mat = self.group.comatrix(self.index)
+        return _apply(mat, c)
 
     def is_identity(self) -> bool:
         return self.index == 0
@@ -121,7 +130,7 @@ class WeightPairings:
         """w(lam) over the fundamental weights."""
         got = self._weights.get(w)
         if got is None:
-            comat = self.W._comat[self.W._inverse[w]]
+            comat = self.W.comatrix(self.W._inverse[w])
             got = tuple(sum(map(mul, row, self.lam)) for row in comat)
             self._weights[w] = got
         return got
@@ -135,8 +144,13 @@ class WeylGroup:
     """Fully enumerated Weyl group over a root system.
 
     Enumeration is a breadth-first search from the identity over right
-    multiplication by simple reflections, so ids are stable and words are
-    shortlex-minimal reduced words.
+    multiplication by simple reflections, so ids are stable, ids follow
+    (length, word) order and words are shortlex-minimal reduced words.
+    Each element is interned by its key w^{-1}(rho) over the fundamental
+    weights: w r_k has key v - v_k alpha_k for w's key v, and v_k < 0
+    exactly when r_k is a right descent of w, which the search has already
+    linked back.  ``matrix``/``comatrix`` (and ``act``/``act_coroot``) fill
+    an element's matrices on first use along its word's prefixes.
     """
 
     def __init__(self, rs: RootSystem):
@@ -149,8 +163,12 @@ class WeylGroup:
         self.rank = rs.rank
         self._build()
         self._simple_perms = self._build_simple_perms()
-        self._flags: dict[int, bytes] = {0: bytes(len(rs.positive_roots))}
+        self._flags: list = [bytes(len(rs.positive_roots))] + [None] * (len(self) - 1)
         self._reflection_ids: dict[Root, int] = {}
+        # per root +-alpha: (alpha^vee, C alpha); r_{-alpha} = r_alpha
+        self._reflect_data: dict[Root, tuple[Coroot, tuple[int, ...]]] = {}
+        for a, row in zip(rs.positive_roots, rs.positive_rows):
+            self._reflect_data[a] = self._reflect_data[neg_vec(a)] = (rs.coroot(a), row)
         self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._longest_cache: dict[tuple[int, ...], int] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -160,43 +178,57 @@ class WeylGroup:
     def _build(self) -> None:
         rs = self.rs
         n = self.rank
-        ident = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        # r_k(alpha_j) = alpha_j - a_kj alpha_k and
-        # r_k(alpha_j^vee) = alpha_j^vee - a_jk alpha_k^vee
         a = rs.cartan
-        root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
-        coroot_coeffs = [[(j, a[j][k]) for j in range(n) if a[j][k]] for k in range(n)]
+        # r_k(v) = v - v_k alpha_k for a weight v over the fundamental
+        # weights; alpha_k has coordinates a_jk (column k of the Cartan matrix)
+        columns = [[(j, a[j][k]) for j in range(n) if a[j][k]] for k in range(n)]
 
-        mats = [ident]
-        comats = [ident]
+        rho = (1,) * n
+        keys = [rho]
         length = [0]
         word: list[tuple[int, ...]] = [()]
-        index = {ident: 0}
+        index = {rho: 0}
         right = [[-1] * n]
+        # tail[w]: the id of r_i w for the first letter r_i of w's word, whose
+        # word is the rest of w's (a suffix of a shortlex word is shortlex)
+        tail = [0]
         head = 0
-        while head < len(mats):
+        while head < len(keys):
             cur = head
             head += 1
+            v = keys[cur]
+            row = right[cur]
             for k in range(n):
-                new_mat = _times_simple(mats[cur], k, root_coeffs[k])
-                found = index.get(new_mat)
+                vk = v[k]
+                if vk < 0:
+                    continue  # a descent: w r_k was found first and linked back
+                out = list(v)
+                for j, c in columns[k]:
+                    out[j] -= vk * c
+                key = tuple(out)
+                found = index.get(key)
                 if found is None:
-                    found = len(mats)
-                    index[new_mat] = found
-                    mats.append(new_mat)
-                    comats.append(_times_simple(comats[cur], k, coroot_coeffs[k]))
+                    found = len(keys)
+                    index[key] = found
+                    keys.append(key)
                     length.append(length[cur] + 1)
                     word.append(word[cur] + (k + 1,))
                     right.append([-1] * n)
-                right[cur][k] = found
-        inverse = [0] * len(mats)
-        for i, wrd in enumerate(word):
-            cur = 0
-            for k in reversed(wrd):
-                cur = right[cur][k - 1]
-            inverse[i] = cur
-        self._mat = mats
-        self._comat = comats
+                    tail.append(right[tail[cur]][k] if cur else 0)
+                row[k] = found
+                right[found][k] = cur
+        # w = r_i x with x = tail[w] gives w^{-1} = x^{-1} r_i; x comes first
+        inverse = [0] * len(keys)
+        for w in range(1, len(keys)):
+            inverse[w] = right[inverse[tail[w]]][word[w][0] - 1]
+        # r_k(alpha_j) = alpha_j - a_kj alpha_k and
+        # r_k(alpha_j^vee) = alpha_j^vee - a_jk alpha_k^vee
+        self._root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
+        self._coroot_coeffs = columns
+        ident = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        self._mat: list = [ident] + [None] * (len(keys) - 1)
+        self._comat: list = list(self._mat)
+        self._key = keys
         self._length = length
         self._word = word
         self._index = index
@@ -220,8 +252,46 @@ class WeylGroup:
 
     # -- element access ------------------------------------------------------
 
+    def _fill(self, table: list, w: int, step):
+        """table[w], computing it and every missing entry along its word.
+
+        The entry of w = u r_k, with r_k the last letter of w's shortlex
+        word, is step(table[u], k) for a 0-based k; the walk goes down the
+        word's prefixes to the first one already filled.  Fills are
+        idempotent, so concurrent readers at worst repeat work.
+        """
+        right, word = self._right, self._word
+        chain = []
+        cur = w
+        got = table[cur]
+        while got is None:
+            chain.append(cur)
+            cur = right[cur][word[cur][-1] - 1]
+            got = table[cur]
+        for cur in reversed(chain):
+            got = table[cur] = step(got, word[cur][-1] - 1)
+        return got
+
+    def matrix(self, w: int) -> tuple[Root, ...]:
+        """The rows w(alpha_j) over the simple roots; w is an element id.
+        Built the first time it is asked for."""
+        got = self._mat[w]
+        if got is None:
+            coeffs = self._root_coeffs
+            got = self._fill(self._mat, w, lambda m, k: _times_simple(m, k, coeffs[k]))
+        return got
+
+    def comatrix(self, w: int) -> tuple[Coroot, ...]:
+        """The rows w(alpha_j^vee) over the simple coroots; w is an element
+        id.  Built the first time it is asked for."""
+        got = self._comat[w]
+        if got is None:
+            coeffs = self._coroot_coeffs
+            got = self._fill(self._comat, w, lambda m, k: _times_simple(m, k, coeffs[k]))
+        return got
+
     def __len__(self) -> int:
-        return len(self._mat)
+        return len(self._word)
 
     def element(self, index: int) -> WeylElement:
         return WeylElement(self, index)
@@ -257,19 +327,34 @@ class WeylGroup:
         return self.element(self._inverse[self._right[inv][i - 1]])
 
     def reflection(self, alpha: tuple[int, ...]) -> WeylElement:
-        """The reflection r_alpha as a group element."""
+        """The reflection r_alpha as a group element: the element keyed by
+        r_alpha(rho) = rho - <alpha^vee, rho> alpha."""
         a = alpha if is_positive_vec(alpha) else neg_vec(alpha)
         cached = self._reflection_ids.get(a)
         if cached is None:
-            rs = self.rs
-            n = self.rank
-            mat = tuple(
-                rs.reflect(a, tuple(1 if j == i else 0 for j in range(n)))
-                for i in range(n)
-            )
-            cached = self._index[mat]
-            self._reflection_ids[a] = cached
+            cached = self._reflection_ids[a] = self.right_reflect(0, a)
         return self.element(cached)
+
+    def right_reflect(self, w: int, alpha: Root) -> int:
+        """The id of w r_alpha, for an element id w and a root alpha.
+
+        (w r_alpha)^{-1}(rho) = r_alpha(v) = v - <alpha^vee, v> alpha with
+        v = w^{-1}(rho); over the fundamental weights alpha is its row
+        C alpha, and the new key is looked up.
+        """
+        data = self._reflect_data.get(alpha)
+        if data is None:
+            raise ValueError(f"{alpha} is not a root")
+        coroot, row = data
+        v = self._key[w]
+        c = sum(map(mul, coroot, v))
+        return self._index[tuple(map(sub, v, map(c.__mul__, row)))]
+
+    def left_reflect(self, w: int, alpha: Root) -> int:
+        """The id of r_alpha w, for an element id w and a root alpha:
+        r_alpha w = (w^{-1} r_alpha)^{-1}."""
+        inverse = self._inverse
+        return inverse[self.right_reflect(inverse[w], alpha)]
 
     def weight_pairings(self, lam: tuple[int, ...]) -> WeightPairings:
         """The shared pairing table of the orbit of lam (fundamental-weight
@@ -281,7 +366,7 @@ class WeylGroup:
         return got
 
     def elements(self):
-        return (self.element(i) for i in range(len(self._mat)))
+        return (self.element(i) for i in range(len(self._word)))
 
     # -- length, descents, Bruhat order ---------------------------------------
 
@@ -300,26 +385,20 @@ class WeylGroup:
         alpha_k, whose sign flips.  Only the elements asked for and the
         prefixes of their words get flags, at most |W| |Phi^+| bytes.
         """
-        flags = self._flags
-        got = flags.get(w)
-        if got is not None:
-            return got
-        chain = []
-        cur = w
-        while got is None:
-            chain.append(cur)
-            cur = self._right[cur][self._word[cur][-1] - 1]
-            got = flags.get(cur)
-        for cur in reversed(chain):
-            perm, simple = self._simple_perms[self._word[cur][-1] - 1]
-            row = [got[b] for b in perm]
-            row[simple] ^= 1
-            got = flags[cur] = bytes(row)
+        got = self._flags[w]
+        if got is None:
+            got = self._fill(self._flags, w, self._flags_step)
         return got
+
+    def _flags_step(self, flags: bytes, k: int) -> bytes:
+        perm, simple = self._simple_perms[k]
+        row = [flags[b] for b in perm]
+        row[simple] ^= 1
+        return bytes(row)
 
     def simple_image(self, w: WeylElement, i: int) -> Root:
         """w(alpha_i) for a 1-based node index: a row of w's matrix."""
-        return self._mat[w.index][i - 1]
+        return self.matrix(w.index)[i - 1]
 
     def has_right_descent(self, w: WeylElement, i: int) -> bool:
         """Whether l(w r_i) < l(w), i.e. w(alpha_i) < 0.  1-based index."""
@@ -328,13 +407,14 @@ class WeylGroup:
 
     def bruhat_covers(self, w: WeylElement) -> tuple[WeylElement, ...]:
         """All u = w r_alpha with l(u) = l(w) + 1, sorted by id."""
-        out = []
-        lw = w.length
-        for a in self.rs.positive_roots:
-            u = w * self.reflection(a)
-            if u.length == lw + 1:
-                out.append(u.index)
-        return tuple(self.element(i) for i in sorted(set(out)))
+        length = self._length
+        up = length[w.index] + 1
+        out = {
+            u
+            for u in (self.right_reflect(w.index, a) for a in self.rs.positive_roots)
+            if length[u] == up
+        }
+        return tuple(self.element(i) for i in sorted(out))
 
     def bruhat_leq(self, v: WeylElement, w: WeylElement) -> bool:
         vi, wi = v.index, w.index
@@ -359,16 +439,22 @@ class WeylGroup:
 
     def min_coset_rep(self, w: WeylElement, J: ParabolicIndex) -> WeylElement:
         """The minimum-length representative of the coset w W_J."""
-        cur = w.index
+        return self.element(self.coset_floor(w.index, J))
+
+    def coset_floor(self, w: int, J: ParabolicIndex) -> int:
+        """The id of the minimum-length representative of w W_J, for an
+        element id w: right descents in J are stripped until none is left."""
+        right, length = self._right, self._length
+        cur = w
         changed = True
         while changed:
             changed = False
             for j in J.nodes:
-                nxt = self._right[cur][j - 1]
-                if self._length[nxt] < self._length[cur]:
+                nxt = right[cur][j - 1]
+                if length[nxt] < length[cur]:
                     cur = nxt
                     changed = True
-        return self.element(cur)
+        return cur
 
     def parabolic_decompose(
         self, w: WeylElement, J: ParabolicIndex
@@ -380,7 +466,8 @@ class WeylGroup:
 
     def theta_twist(self, w: WeylElement, J: ParabolicIndex) -> WeylElement:
         """The z in W_J with r_theta floor(w) = floor(r_theta w) z."""
-        lhs = self.reflection(self.rs.theta) * self.min_coset_rep(w, J)
+        floor = self.coset_floor(w.index, J)
+        lhs = self.element(self.left_reflect(floor, self.rs.theta))
         return self.min_coset_rep(lhs, J).inverse() * lhs
 
     def in_min_coset_reps(self, w: WeylElement, J: ParabolicIndex) -> bool:

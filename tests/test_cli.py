@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qbgraph.cli import main
+from qbgraph.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -183,6 +184,10 @@ def test_poset_parabolic_consistency(capsys):
         ["verify", "--types", "Z3"],
         ["verify", "--types", "A3..A1"],
         ["verify", "--suite", "qbg-structure", "--types", "E7"],
+        ["verify", "--suite", "level-zero", "--types", "A2"],
+        ["verify", "--suite", "path-weights", "--types", "A2"],
+        ["verify", "--suite", "quantum-roots,determinism", "--types", "A2"],
+        ["verify", "--suite", "reference-graphs", "--types", "A2"],
         ["tilted", "--type", "A", "--rank", "2", "--u", "1,9"],
         ["qlen", "--type", "A", "--rank", "2", "--u", "3"],
         ["qbg", "--type", "A", "--rank", "2", "--out", "{missing}/x.json"],
@@ -198,3 +203,18 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_verify_all_with_types_runs_every_suite(monkeypatch, capsys):
+    # --suite all keeps --types for the suites that take a type list; the
+    # suites with their own case lists run those
+    seen = {}
+
+    def fake_run_suites(names, types=None, jobs=1):
+        seen.update(names=list(names), types=types)
+        return []
+
+    monkeypatch.setattr("qbgraph.cli.run_suites", fake_run_suites)
+    assert main(["verify", "--suite", "all", "--types", "A2,G2"]) == 0
+    assert seen["names"] == list(SUITES)
+    assert seen["types"] == [("A", 2), ("G", 2)]

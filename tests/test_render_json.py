@@ -1,0 +1,97 @@
+"""``render.dump_json`` writes exactly what ``json.dumps(doc, indent=1,
+sort_keys=True)`` writes, on every document the CLI emits and on edge cases."""
+
+import json
+
+import pytest
+
+from qbgraph import render
+from qbgraph.cli import main
+
+
+def stdlib(doc) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+CLI_RUNS = [
+    ["qbg", "--type", "A", "--rank", "3", "--parabolic", "1", "--format", "json"],
+    ["pqbg", "--type", "B", "--rank", "2", "--format", "json"],
+    ["qbg", "--type", "G", "--rank", "2", "--parabolic", "1,2", "--format", "json"],
+    ["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--format", "json"],
+    ["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--mu=-2,-4",
+     "--start", "", "--walk", "0,1;1,1;0,1", "--format", "json"],
+    ["poset", "--type", "A", "--rank", "2", "--lambda", "2,1", "--window", "1",
+     "--format", "json"],
+    ["poset", "--type", "B", "--rank", "2", "--lambda", "0,1", "--window", "2",
+     "--format", "json"],
+    ["verify", "--suite", "reference-graphs,example-chain", "--format", "json"],
+    ["verify", "--suite", "quantum-roots,weyl-basics", "--types", "A2,G2",
+     "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv[:5]))
+def test_cli_documents_match_the_stdlib(monkeypatch, capsys, argv):
+    seen = []
+    real = render.dump_json
+
+    def recording(doc):
+        text = real(doc)
+        seen.append((doc, text))
+        return text
+
+    monkeypatch.setattr(render, "dump_json", recording)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(seen) == 1
+    doc, text = seen[0]
+    assert text == stdlib(doc)
+    assert out == text + "\n"
+
+
+EDGE_CASES = [
+    {},
+    [],
+    (),
+    {"a": [], "b": {}, "c": ()},
+    [[], {}, [[]], [{}]],
+    {"z": 1, "a": 2, "m": {"y": 0, "b": -1}},
+    [1, [2, [3, [4]]], {"k": [5, [6]]}],
+    [-1, -20, 0, 10**30, -(10**30)],
+    [True, False, None],
+    [1, True, 0, False],
+    {"t": True, "f": False, "n": None},
+    (1, 2, (3, 4), [5, (6,)]),
+    {"same": [1, 2], "nested": [[1, 2], {"deeper": [1, 2]}], "z": (1, 2)},
+    'quote " and backslash \\ and slash /',
+    ["control \x00 \x01 \x1f \n \r \t \b \f", "\u007f"],
+    {"non-ascii é ß ∑": "😀   ퟿", "é": ["ü"]},
+    {"key \"quoted\"": "value \\ escaped"},
+    "",
+    0,
+    -7,
+    True,
+    None,
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_CASES, ids=lambda d: repr(d)[:40])
+def test_edge_cases_match_the_stdlib(doc):
+    assert render.dump_json(doc) == stdlib(doc)
+
+
+def test_repeated_int_lists_render_at_each_depth():
+    doc = [[1, 2], {"a": [1, 2], "b": [[1, 2]]}, [[[1, 2]]], [1, 2]]
+    assert render.dump_json(doc) == stdlib(doc)
+    assert render.dump_json(doc) == render.dump_json(json.loads(stdlib(doc)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, [1.0], [1, 2.0], {"a": 2.0}, {"a": [0.5]}, float("nan"), {1: 2}, {"a": {3}},
+     b"bytes", [object()]],
+    ids=repr,
+)
+def test_unsupported_types_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        render.dump_json(doc)

@@ -1,0 +1,183 @@
+"""Weyl enumeration keyed by w^{-1}(rho) against a matrix-keyed reference.
+
+The reference is a breadth-first search that interns each element by its
+matrix action on the simple roots, composing with a simple reflection by
+rewriting the rows it moves; it never looks at weights.  The engine must
+give the same ids, words, lengths, right table, inverses and matrices,
+and must build matrices only when they are asked for.
+"""
+
+import random
+import sys
+import threading
+from operator import sub
+
+import pytest
+
+from qbgraph.qbg import build_qbg
+from qbgraph.root_system import build_root_system
+from qbgraph.verify import ROOT_TYPES
+from qbgraph.weyl import WeylGroup
+
+EXTRA_TYPES = [("D", 5), ("A", 6), ("E", 6)]
+
+
+def _times_simple(mat, k, coeffs):
+    out = list(mat)
+    for j, c in coeffs:
+        out[j] = tuple(map(sub, mat[j], map(c.__mul__, mat[k])))
+    return tuple(out)
+
+
+def reference_enumeration(rs):
+    """(matrices, comatrices, lengths, words, right table, inverses, index
+    by matrix), with ids in breadth-first order over right multiplication."""
+    n = rs.rank
+    a = rs.cartan
+    root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
+    coroot_coeffs = [[(j, a[j][k]) for j in range(n) if a[j][k]] for k in range(n)]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    mats, comats, length, word = [ident], [ident], [0], [()]
+    index = {ident: 0}
+    right = [[-1] * n]
+    head = 0
+    while head < len(mats):
+        cur = head
+        head += 1
+        for k in range(n):
+            new = _times_simple(mats[cur], k, root_coeffs[k])
+            found = index.get(new)
+            if found is None:
+                found = index[new] = len(mats)
+                mats.append(new)
+                comats.append(_times_simple(comats[cur], k, coroot_coeffs[k]))
+                length.append(length[cur] + 1)
+                word.append(word[cur] + (k + 1,))
+                right.append([-1] * n)
+            right[cur][k] = found
+    inverse = []
+    for wrd in word:
+        cur = 0
+        for k in reversed(wrd):
+            cur = right[cur][k - 1]
+        inverse.append(cur)
+    return mats, comats, length, word, right, inverse, index
+
+
+_REFERENCES: dict = {}
+
+
+def reference(cartan_type, rank):
+    key = (cartan_type, rank)
+    if key not in _REFERENCES:
+        _REFERENCES[key] = reference_enumeration(build_root_system(cartan_type, rank))
+    return _REFERENCES[key]
+
+
+@pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES + EXTRA_TYPES)
+def test_enumeration_matches_the_matrix_keyed_reference(cartan_type, rank):
+    mats, comats, length, word, right, inverse, _ = reference(cartan_type, rank)
+    W = WeylGroup(build_root_system(cartan_type, rank))
+    assert len(W) == len(mats)
+    assert W._word == word
+    assert W._length == length
+    assert W._right == right
+    assert W._inverse == inverse
+    assert [W.matrix(i) for i in range(len(W))] == mats
+    assert [W.comatrix(i) for i in range(len(W))] == comats
+    assert [w.index for w in W.elements()] == list(range(len(mats)))
+    # ids run in (length, shortlex word) order, which vertex lists rely on
+    assert sorted(range(len(W)), key=lambda i: (length[i], word[i])) == list(range(len(W)))
+
+
+@pytest.mark.parametrize("order", ["longest-first", "reversed", "shuffled"])
+@pytest.mark.parametrize("cartan_type,rank", [("B", 3), ("F", 4), ("G", 2)])
+def test_lazy_matrices_do_not_depend_on_query_order(cartan_type, rank, order):
+    mats, comats, length, *_ = reference(cartan_type, rank)
+    W = WeylGroup(build_root_system(cartan_type, rank))
+    ids = list(range(len(W)))
+    if order == "longest-first":
+        ids.sort(key=lambda i: -length[i])
+    elif order == "reversed":
+        ids.reverse()
+    else:
+        random.Random(7).shuffle(ids)
+    for i in ids:
+        assert W.matrix(i) == mats[i]
+        assert W.element(i).act_coroot((1,) * rank) == tuple(map(sum, zip(*comats[i])))
+    for i in ids:
+        assert W.comatrix(i) == comats[i]
+
+
+def test_lazy_matrices_under_threads():
+    # verify --jobs reads one group from several threads: fills racing down
+    # shared word prefixes must still leave every matrix right
+    mats, comats, *_ = reference("F", 4)
+    W = WeylGroup(build_root_system("F", 4))
+    errors = []
+
+    def work(seed):
+        try:
+            ids = list(range(len(W)))
+            random.Random(seed).shuffle(ids)
+            for i in ids:
+                if W.matrix(i) != mats[i] or W.comatrix(i) != comats[i]:
+                    errors.append(i)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES)
+def test_reflection_is_the_element_whose_matrix_is_r_alpha(cartan_type, rank):
+    rs = build_root_system(cartan_type, rank)
+    *_, index = reference(cartan_type, rank)
+    W = WeylGroup(rs)
+    for alpha in rs.positive_roots:
+        want = tuple(rs.reflect(alpha, s) for s in rs.simple_roots())
+        r = W.reflection(alpha)
+        assert r.index == index[want]
+        assert W.matrix(r.index) == want
+        assert W.reflection(tuple(-c for c in alpha)) == r
+    with pytest.raises(ValueError):
+        W.reflection((2,) * rank)
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_reflecting_by_key_is_multiplication_by_the_reflection(cartan_type, rank):
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    refl = {a: W.reflection(a) for a in rs.positive_roots}
+    for w in W.elements():
+        for a, r in refl.items():
+            neg = tuple(-c for c in a)
+            assert W.right_reflect(w.index, a) == (w * r).index
+            assert W.right_reflect(w.index, neg) == (w * r).index
+            assert W.left_reflect(w.index, a) == (r * w).index
+            assert W.left_reflect(w.index, neg) == (r * w).index
+
+
+def test_graph_build_builds_few_matrices():
+    rs = build_root_system("E", 6)
+    W = WeylGroup(rs)
+    graph = build_qbg(W, rs.parabolic((2, 3, 4, 5, 6)))
+    assert len(graph.vertices) == 27
+    built = sum(m is not None for m in W._mat)
+    cobuilt = sum(m is not None for m in W._comat)
+    assert built < len(W) // 100 and cobuilt < len(W) // 100
+    # asking for one matrix builds it and the prefixes of its word only
+    w0 = W.longest_element().index
+    W.matrix(w0)
+    assert sum(m is not None for m in W._mat) <= built + W._length[w0]
