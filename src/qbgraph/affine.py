@@ -3,7 +3,7 @@ onto (W^J)_af, adjusted coweights, edge lifting, and diamond completions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -577,6 +577,8 @@ DIAMOND_CASES = (
     THETA_QUANTUM_ORTHO,
 )
 
+_SIMPLE_CASES = (SIMPLE_BRUHAT, SIMPLE_QUANTUM)
+
 #: kinds (bottom-left, bottom-right, top-left, top-right) of the ascending
 #: diamond for each case
 _LEFT_KINDS = {
@@ -586,6 +588,24 @@ _LEFT_KINDS = {
     THETA_BRUHAT_ORTHO: (QUANTUM, BRUHAT, BRUHAT, QUANTUM),
     THETA_QUANTUM: (QUANTUM, QUANTUM, BRUHAT, QUANTUM),
     THETA_QUANTUM_ORTHO: (QUANTUM, QUANTUM, QUANTUM, QUANTUM),
+}
+
+#: the ascending case whose diamond, read down from its top vertex, is the
+#: descending case: the non-orthogonal theta shapes swap Bruhat and quantum
+_MIRROR = {
+    SIMPLE_BRUHAT: SIMPLE_BRUHAT,
+    SIMPLE_QUANTUM: SIMPLE_QUANTUM,
+    THETA_BRUHAT: THETA_QUANTUM,
+    THETA_BRUHAT_ORTHO: THETA_BRUHAT_ORTHO,
+    THETA_QUANTUM: THETA_BRUHAT,
+    THETA_QUANTUM_ORTHO: THETA_QUANTUM_ORTHO,
+}
+
+#: per side (True: ascending), the cases whose label gamma must differ from
+#: the positive one of +-w^{-1} alpha (simple) or +-w^{-1} theta
+_CLASH = {
+    True: (SIMPLE_BRUHAT, THETA_QUANTUM, THETA_QUANTUM_ORTHO),
+    False: (SIMPLE_BRUHAT, THETA_BRUHAT, THETA_BRUHAT_ORTHO),
 }
 
 
@@ -614,10 +634,82 @@ def _require_edge(graph: QbgGraph, source: int, label: Root, kind: str,
     return edge
 
 
-def _congruent_mod_qj(rank: int, J: ParabolicIndex, a: Coroot, b: Coroot) -> bool:
-    return all(
-        (x - y) == 0 for i, (x, y) in enumerate(zip(a, b)) if (i + 1) not in J.nodes
+def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
+                       gamma: Root, alpha: Root | None) -> str | None:
+    """The first hypothesis of the case that (w, gamma, alpha) breaks, or
+    None.  Ascending (up), w is the diamond's bottom vertex and the edge at
+    gamma its bottom-right edge; descending, w is the top vertex and that
+    edge its top-left edge."""
+    if case not in _LEFT_KINDS:
+        return f"unknown diamond case {case!r}"
+    rs, J = graph.rs, graph.J
+    simple = case in _SIMPLE_CASES
+    if simple and (alpha is None or sum(alpha) != 1):
+        return "simple cases need a simple root alpha"
+    beta, name = (alpha, "alpha") if simple else (rs.theta, "theta")
+    # w^{-1} alpha goes up positive, w^{-1} theta goes up negative
+    positive = up == simple
+    sign = "+" if positive else "-"
+    v = w.inverse().act(beta)
+    if is_positive_vec(v) != positive or J.supports(v):
+        return f"w^{{-1}} {name} must lie in Phi{sign} minus Phi_J{sign}"
+    if not simple:
+        ortho = case in (THETA_BRUHAT_ORTHO, THETA_QUANTUM_ORTHO)
+        if ortho != (rs.pairing(rs.coroot(gamma), v) == 0):
+            return "orthogonality side condition violated"
+    if case in _CLASH[up] and gamma == (v if positive else neg_vec(v)):
+        return f"gamma must differ from {'' if positive else '-'}w^{{-1}} {name}"
+    # the given edge has the case's own kind on both sides:
+    # _LEFT_KINDS[case][1] == _LEFT_KINDS[_MIRROR[case]][2]
+    kind = _LEFT_KINDS[case][1]
+    edge = graph.edge(w.index, gamma)
+    if edge is None or edge.kind != kind:
+        return f"{kind} edge out of w absent at {gamma}"
+    if not up:
+        u = graph.W.element(edge.target).inverse().act(beta)
+        if is_positive_vec(u) != positive or J.supports(u):
+            return f"floor(w r_gamma)^{{-1}} {name} must lie in Phi{sign} minus Phi_J{sign}"
+    return None
+
+
+def _complete(graph: QbgGraph, case: str, b: WeylElement, gamma: Root,
+              alpha: Root | None) -> Diamond:
+    """The ascending diamond of the case on the bottom vertex b, its four
+    edges derived in ``Diamond`` order and checked against the graph."""
+    W, rs, J = graph.W, graph.rs, graph.J
+    simple = case in _SIMPLE_CASES
+    beta = alpha if simple else rs.theta
+    bg = W.right_reflect(b.index, gamma)
+    right = W.coset_floor(bg, J)
+    left = W.coset_floor(W.left_reflect(b.index, beta), J)
+    top = W.coset_floor(W.left_reflect(right, beta), J)
+    if W.coset_floor(W.left_reflect(bg, beta), J) != top:
+        raise GraphInvariantError("floors of the top vertex disagree")
+    if simple:
+        z = z2 = W.identity
+    else:
+        z, z2 = W.theta_twist(b, J), W.theta_twist(W.element(right), J)
+
+    def up_label(v: int) -> Root:
+        # w^{-1} alpha going up is positive, w^{-1} theta negative
+        label = W.element(v).inverse().act(beta)
+        return label if simple else neg_vec(label)
+
+    slots = (
+        ("bottom-left", b.index, up_label(b.index), left),
+        ("bottom-right", b.index, gamma, right),
+        ("top-left", left, z.act(gamma), top),
+        ("top-right", right, up_label(right), top),
     )
+    bl, br, tl, tr = (
+        _require_edge(graph, source, label, kind, target, who)
+        for (who, source, label, target), kind in zip(slots, _LEFT_KINDS[case])
+    )
+    if J.weight_class(add_vec(bl.weight, tl.weight)) != J.weight_class(
+        add_vec(br.weight, tr.weight)
+    ):
+        raise GraphInvariantError("diamond path weights differ mod Q_J^vee")
+    return Diamond(case, bl, br, tl, tr, z, z2)
 
 
 def complete_bottom(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
@@ -630,233 +722,50 @@ def complete_bottom(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
     Raises ValueError when the configuration does not satisfy the case's
     hypotheses and GraphInvariantError if the implied edges are absent.
     """
-    W, rs, J = graph.W, graph.rs, graph.J
-    winv = w.inverse()
-    if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM):
-        if alpha is None or sum(alpha) != 1:
-            raise ValueError("simple cases need a simple root alpha")
-        wia = winv.act(alpha)
-        if not is_positive_vec(wia) or J.supports(wia):
-            raise ValueError("w^{-1} alpha must lie in Phi+ minus Phi_J+")
-        if case == SIMPLE_BRUHAT and gamma == wia:
-            raise ValueError("gamma must differ from w^{-1} alpha")
-        kinds = _LEFT_KINDS[case]
-        ra_w = W.reflection(alpha) * w
-        bottom_left = _require_edge(
-            graph, w.index, wia, kinds[0], ra_w.index, "bottom-left"
-        )
-        bottom_right = graph.edge(w.index, gamma)
-        if bottom_right is None or bottom_right.kind != kinds[1]:
-            raise ValueError(f"bottom-right edge of kind {kinds[1]} absent at {gamma}")
-        wg = W.element(bottom_right.target)
-        top = W.reflection(alpha) * wg
-        if W.min_coset_rep(W.reflection(alpha) * w * W.reflection(gamma), J).index != top.index:
-            raise GraphInvariantError("floors of the top vertex disagree")
-        top_left = _require_edge(graph, ra_w.index, gamma, kinds[2], top.index, "top-left")
-        top_right = _require_edge(
-            graph, wg.index, wg.inverse().act(alpha), kinds[3], top.index, "top-right"
-        )
-        z = z2 = W.identity
-    elif case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO, THETA_QUANTUM, THETA_QUANTUM_ORTHO):
-        theta = rs.theta
-        witheta = winv.act(theta)
-        if is_positive_vec(witheta) or J.supports(witheta):
-            raise ValueError("w^{-1} theta must lie in Phi- minus Phi_J-")
-        pair = rs.pairing(rs.coroot(gamma), witheta)
-        ortho = case in (THETA_BRUHAT_ORTHO, THETA_QUANTUM_ORTHO)
-        if ortho != (pair == 0):
-            raise ValueError("orthogonality side condition violated")
-        if case in (THETA_QUANTUM, THETA_QUANTUM_ORTHO) and gamma == neg_vec(witheta):
-            raise ValueError("gamma must differ from -w^{-1} theta")
-        kinds = _LEFT_KINDS[case]
-        rtheta_w = W.min_coset_rep(W.reflection(theta) * w, J)
-        bottom_left = _require_edge(
-            graph, w.index, neg_vec(witheta), kinds[0], rtheta_w.index, "bottom-left"
-        )
-        bottom_right = graph.edge(w.index, gamma)
-        if bottom_right is None or bottom_right.kind != kinds[1]:
-            raise ValueError(f"bottom-right edge of kind {kinds[1]} absent at {gamma}")
-        wg = W.element(bottom_right.target)
-        z = W.theta_twist(w, J)
-        z2 = W.theta_twist(wg, J)
-        top = W.min_coset_rep(W.reflection(theta) * w * W.reflection(gamma), J)
-        if W.min_coset_rep(W.reflection(theta) * wg, J).index != top.index:
-            raise GraphInvariantError("floors of the top vertex disagree")
-        top_left = _require_edge(
-            graph, rtheta_w.index, z.act(gamma), kinds[2], top.index, "top-left"
-        )
-        top_right = _require_edge(
-            graph, wg.index, neg_vec(wg.inverse().act(theta)), kinds[3], top.index,
-            "top-right",
-        )
-    else:
-        raise ValueError(f"unknown diamond case {case!r}")
-
-    left_wt = add_vec(bottom_left.weight, top_left.weight)
-    right_wt = add_vec(bottom_right.weight, top_right.weight)
-    if not _congruent_mod_qj(rs.rank, J, left_wt, right_wt):
-        raise GraphInvariantError("diamond path weights differ mod Q_J^vee")
-    return Diamond(case, bottom_left, bottom_right, top_left, top_right, z, z2)
+    broken = _broken_hypothesis(graph, case, True, w, gamma, alpha)
+    if broken:
+        raise ValueError(broken)
+    return _complete(graph, case, w, gamma, alpha)
 
 
 def complete_top(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
                  alpha: Root | None = None) -> Diamond:
     """Given the two edges converging on the diamond's top vertex, derive
-    and verify the two edges below them (the descending statement)."""
-    W, rs, J = graph.W, graph.rs, graph.J
-    winv = w.inverse()
-    if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM):
-        if alpha is None or sum(alpha) != 1:
-            raise ValueError("simple cases need a simple root alpha")
-        wia = winv.act(alpha)
-        if is_positive_vec(wia) or J.supports(wia):
-            raise ValueError("w^{-1} alpha must lie in Phi- minus Phi_J-")
-        if case == SIMPLE_BRUHAT and gamma == neg_vec(wia):
-            raise ValueError("gamma must differ from -w^{-1} alpha")
-        kinds = _LEFT_KINDS[case]
-        top_left = graph.edge(w.index, gamma)
-        if top_left is None or top_left.kind != kinds[2]:
-            raise ValueError(f"top-left edge of kind {kinds[2]} absent at {gamma}")
-        wg = W.element(top_left.target)
-        wgia = wg.inverse().act(alpha)
-        if is_positive_vec(wgia) or J.supports(wgia):
-            raise ValueError("floor(w r_gamma)^{-1} alpha must lie in Phi- minus Phi_J-")
-        ra_w = W.reflection(alpha) * w
-        ra_wg = W.reflection(alpha) * wg
-        given_tr = graph.edge(ra_wg.index, neg_vec(wgia))
-        if given_tr is None or given_tr.kind != kinds[3] or given_tr.target != wg.index:
-            raise ValueError("top-right edge of the descending diamond is absent")
-        top_right = given_tr
-        if W.min_coset_rep(W.reflection(alpha) * w * W.reflection(gamma), J).index != ra_wg.index:
-            raise GraphInvariantError("floors of the right vertex disagree")
-        bottom_left = _require_edge(
-            graph, ra_w.index, neg_vec(wia), kinds[0], w.index, "bottom-left"
-        )
-        bottom_right = _require_edge(
-            graph, ra_w.index, gamma, kinds[1], ra_wg.index, "bottom-right"
-        )
-        z = z2 = W.identity
-    elif case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO, THETA_QUANTUM, THETA_QUANTUM_ORTHO):
-        theta = rs.theta
-        witheta = winv.act(theta)
-        if not is_positive_vec(witheta) or J.supports(witheta):
-            raise ValueError("w^{-1} theta must lie in Phi+ minus Phi_J+")
-        pair = rs.pairing(rs.coroot(gamma), witheta)
-        ortho = case in (THETA_BRUHAT_ORTHO, THETA_QUANTUM_ORTHO)
-        if ortho != (pair == 0):
-            raise ValueError("orthogonality side condition violated")
-        if case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO) and gamma == witheta:
-            raise ValueError("gamma must differ from w^{-1} theta")
-        # the descending theta/Bruhat shape completes with a quantum lower
-        # edge and vice versa; the orthogonal shapes keep their kind
-        want_tl = BRUHAT if case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO) else QUANTUM
-        implied_br = {
-            THETA_BRUHAT: QUANTUM,
-            THETA_BRUHAT_ORTHO: BRUHAT,
-            THETA_QUANTUM: BRUHAT,
-            THETA_QUANTUM_ORTHO: QUANTUM,
-        }[case]
-        top_left = graph.edge(w.index, gamma)
-        if top_left is None or top_left.kind != want_tl:
-            raise ValueError(f"top-left edge of kind {want_tl} absent at {gamma}")
-        wg = W.element(top_left.target)
-        z = W.theta_twist(w, J)
-        z2 = W.theta_twist(wg, J)
-        rtheta_w = W.min_coset_rep(W.reflection(theta) * w, J)
-        rtheta_wg = W.min_coset_rep(W.reflection(theta) * wg, J)
-        given_tr = graph.edge(rtheta_wg.index, z2.act(wg.inverse().act(theta)))
-        if given_tr is None or given_tr.kind != QUANTUM or given_tr.target != wg.index:
-            raise ValueError("top-right edge of the descending diamond is absent")
-        top_right = given_tr
-        bottom_left = _require_edge(
-            graph, rtheta_w.index, z.act(witheta), QUANTUM, w.index, "bottom-left"
-        )
-        bottom_right = _require_edge(
-            graph, rtheta_w.index, z.act(gamma), implied_br, rtheta_wg.index,
-            "bottom-right",
-        )
-    else:
-        raise ValueError(f"unknown diamond case {case!r}")
+    and verify the two edges below them (the descending statement).
 
-    left_wt = add_vec(bottom_left.weight, top_left.weight)
-    right_wt = add_vec(bottom_right.weight, top_right.weight)
-    if not _congruent_mod_qj(rs.rank, J, left_wt, right_wt):
-        raise GraphInvariantError("diamond path weights differ mod Q_J^vee")
-    return Diamond(case, bottom_left, bottom_right, top_left, top_right, z, z2)
+    The descending diamond is the ascending diamond of the mirrored case on
+    its bottom vertex: r_alpha w with the label gamma, or floor(r_theta w)
+    with the label z(gamma) for the theta twist z of w.
+    """
+    broken = _broken_hypothesis(graph, case, False, w, gamma, alpha)
+    if broken:
+        raise ValueError(broken)
+    W, J = graph.W, graph.J
+    if case in _SIMPLE_CASES:
+        return _complete(graph, case, W.reflection(alpha) * w, gamma, alpha)
+    z = W.theta_twist(w, J)
+    bottom = W.min_coset_rep(W.reflection(graph.rs.theta) * w, J)
+    d = _complete(graph, _MIRROR[case], bottom, z.act(gamma), None)
+    return replace(d, case=case, z=z, z2=W.theta_twist(W.element(d.top_left.target), J))
+
+
+def _configurations(graph: QbgGraph, case: str, up: bool):
+    if case not in _LEFT_KINDS:
+        raise ValueError(f"unknown diamond case {case!r}")
+    alphas = graph.rs.simple_roots() if case in _SIMPLE_CASES else (None,)
+    for wid in graph.vertices:
+        w = graph.W.element(wid)
+        for edge in graph.out[wid]:
+            for alpha in alphas:
+                if _broken_hypothesis(graph, case, up, w, edge.label, alpha) is None:
+                    yield w, edge.label, alpha
 
 
 def iter_top_configurations(graph: QbgGraph, case: str):
     """All (w, gamma, alpha) satisfying the descending case's hypotheses."""
-    W, rs, J = graph.W, graph.rs, graph.J
-    simples = rs.simple_roots()
-    for wid in graph.vertices:
-        w = W.element(wid)
-        winv = w.inverse()
-        for edge in graph.out[wid]:
-            gamma = edge.label
-            wg = W.element(edge.target)
-            if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM):
-                if edge.kind != (BRUHAT if case == SIMPLE_BRUHAT else QUANTUM):
-                    continue
-                for alpha in simples:
-                    wia = winv.act(alpha)
-                    if is_positive_vec(wia) or J.supports(wia):
-                        continue
-                    wgia = wg.inverse().act(alpha)
-                    if is_positive_vec(wgia) or J.supports(wgia):
-                        continue
-                    if case == SIMPLE_BRUHAT and gamma == neg_vec(wia):
-                        continue
-                    yield w, gamma, alpha
-            else:
-                want = BRUHAT if case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO) else QUANTUM
-                if edge.kind != want:
-                    continue
-                witheta = winv.act(rs.theta)
-                if not is_positive_vec(witheta) or J.supports(witheta):
-                    continue
-                wgitheta = wg.inverse().act(rs.theta)
-                if not is_positive_vec(wgitheta) or J.supports(wgitheta):
-                    continue
-                pair = rs.pairing(rs.coroot(gamma), witheta)
-                ortho = case in (THETA_BRUHAT_ORTHO, THETA_QUANTUM_ORTHO)
-                if ortho != (pair == 0):
-                    continue
-                if case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO) and gamma == witheta:
-                    continue
-                yield w, gamma, None
+    return _configurations(graph, case, False)
 
 
 def iter_bottom_configurations(graph: QbgGraph, case: str):
     """All (w, gamma, alpha) satisfying the ascending case's hypotheses."""
-    W, rs, J = graph.W, graph.rs, graph.J
-    simples = rs.simple_roots()
-    for wid in graph.vertices:
-        w = W.element(wid)
-        winv = w.inverse()
-        for edge in graph.out[wid]:
-            gamma = edge.label
-            if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM):
-                if edge.kind != (BRUHAT if case == SIMPLE_BRUHAT else QUANTUM):
-                    continue
-                for alpha in simples:
-                    wia = winv.act(alpha)
-                    if not is_positive_vec(wia) or J.supports(wia):
-                        continue
-                    if case == SIMPLE_BRUHAT and gamma == wia:
-                        continue
-                    yield w, gamma, alpha
-            else:
-                want = BRUHAT if case in (THETA_BRUHAT, THETA_BRUHAT_ORTHO) else QUANTUM
-                if edge.kind != want:
-                    continue
-                witheta = winv.act(rs.theta)
-                if is_positive_vec(witheta) or J.supports(witheta):
-                    continue
-                pair = rs.pairing(rs.coroot(gamma), witheta)
-                ortho = case in (THETA_BRUHAT_ORTHO, THETA_QUANTUM_ORTHO)
-                if ortho != (pair == 0):
-                    continue
-                if case in (THETA_QUANTUM, THETA_QUANTUM_ORTHO) and gamma == neg_vec(witheta):
-                    continue
-                yield w, gamma, None
+    return _configurations(graph, case, True)

@@ -167,11 +167,7 @@ def _lift(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    try:
-        rs = build_root_system(args.cartan_type, args.rank)
-        W = WeylGroup(rs)
-    except ConfigurationError as exc:
-        raise UsageError(str(exc)) from exc
+    rs, W, J = _context(args)
     lam = _parse_ints(args.lam)
     if len(lam) != rs.rank:
         raise UsageError("lambda has the wrong rank")
@@ -179,9 +175,8 @@ def cmd_poset(args) -> int:
         poset = LevelZeroPoset(W, lam)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.parabolic:
-        if _parse_nodes(args.parabolic) != poset.J.nodes:
-            raise UsageError("parabolic set disagrees with the zero set of lambda")
+    if args.parabolic and J != poset.J:
+        raise UsageError("parabolic set disagrees with the zero set of lambda")
     if args.window < poset.d:
         raise UsageError(
             f"window {args.window} is smaller than the orbit delta step {poset.d}"
@@ -239,8 +234,6 @@ def cmd_verify(args) -> int:
         unknown = [s for s in names if s not in SUITES]
         if unknown:
             raise UsageError(f"unknown suites {unknown}; pick from {sorted(SUITES)}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     types = _parse_types(args.types) if args.types else None
     if types is not None and args.suite != "all":
         fixed = [s for s in names if SUITES[s][1] is None]
@@ -249,7 +242,7 @@ def cmd_verify(args) -> int:
                 f"suites {fixed} run their own case lists and take no --types"
             )
     try:
-        results = run_suites(names, types=types, jobs=args.jobs)
+        results = run_suites(names, types=types)
     except ConfigurationError as exc:  # e.g. a type past the enumeration cap
         raise UsageError(str(exc)) from exc
     lines = []
@@ -354,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override type list, e.g. 'A1..A4,B2,G2'; a named suite "
                         "with its own case list rejects it, and with --suite all "
                         "those suites run their own cases")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default="")
     p.set_defaults(fn=cmd_verify)

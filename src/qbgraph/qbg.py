@@ -325,40 +325,37 @@ class ReflectionOrdering:
                         )
 
 
+def _word_roots(W: WeylGroup, word) -> tuple[Root, ...]:
+    """The roots r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) along a word."""
+    roots = []
+    prefix = W.identity
+    for k in word:
+        roots.append(W.simple_image(prefix, k))
+        prefix = prefix * W.simple_reflection(k)
+    return tuple(roots)
+
+
 def reflection_ordering_from_word(W: WeylGroup, word) -> ReflectionOrdering:
     """The ordering beta_k = r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) from a
     reduced word for the longest element."""
-    rs = W.rs
     word = tuple(word)
     w = W.from_word(word)
     if w.index != W.longest_element().index or len(word) != w.length:
         raise ValueError("word is not a reduced word for the longest element")
-    seq = []
-    prefix = W.identity
-    for k in word:
-        alpha = tuple(1 if j == k - 1 else 0 for j in range(rs.rank))
-        seq.append(prefix.act(alpha))
-        prefix = prefix * W.simple_reflection(k)
-    if sorted(seq) != sorted(rs.positive_roots):
+    seq = _word_roots(W, word)
+    if sorted(seq) != sorted(W.rs.positive_roots):
         raise GraphInvariantError("word ordering does not enumerate Phi+")
-    ordering = ReflectionOrdering(tuple(seq))
+    ordering = ReflectionOrdering(seq)
     ordering.validate()
     return ordering
 
 
 def subsystem_word_ordering(W: WeylGroup, J: ParabolicIndex) -> tuple[Root, ...]:
     """Ordering of Phi_J^+ derived from the shortlex word of w_0^J."""
-    rs = W.rs
-    word = W.longest_element(J.nodes).word
-    seq = []
-    prefix = W.identity
-    for k in word:
-        alpha = tuple(1 if j == k - 1 else 0 for j in range(rs.rank))
-        seq.append(prefix.act(alpha))
-        prefix = prefix * W.simple_reflection(k)
+    seq = _word_roots(W, W.longest_element(J.nodes).word)
     if sorted(seq) != sorted(J.phi_plus):
         raise GraphInvariantError("subsystem word ordering does not enumerate Phi_J+")
-    return tuple(seq)
+    return seq
 
 
 def lambda_ordering(W: WeylGroup, lam: tuple[int, ...], J: ParabolicIndex,

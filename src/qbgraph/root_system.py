@@ -144,6 +144,10 @@ class ParabolicIndex:
         """Whether the root lies in Phi_J, i.e. is supported on J."""
         return all(c == 0 or (i + 1) in self.nodes for i, c in enumerate(root))
 
+    def weight_class(self, vec: Coroot) -> Coroot:
+        """Representative of vec modulo Q_J^vee: zero out the J coordinates."""
+        return tuple(0 if (i + 1) in self.nodes else c for i, c in enumerate(vec))
+
 
 class RootSystem:
     """Cartan data plus the positive roots, coroots, theta and 2*rho.

@@ -338,22 +338,7 @@ def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> 
     return shift
 
 
-def weights_congruent(graph: QbgGraph, a: Coroot, b: Coroot) -> bool:
-    return all(
-        x == y
-        for i, (x, y) in enumerate(zip(a, b))
-        if (i + 1) not in graph.J.nodes
-    )
-
-
 # -- path weight comparison ---------------------------------------------------------
-
-
-def weight_class(graph: QbgGraph, vec: Coroot) -> Coroot:
-    """Representative of vec modulo Q_J^vee: zero out the J coordinates."""
-    return tuple(
-        0 if (i + 1) in graph.J.nodes else c for i, c in enumerate(vec)
-    )
 
 
 def compare_path_weights(graph: QbgGraph, shortest: QbgPath, other: QbgPath) -> Coroot:
@@ -369,4 +354,4 @@ def compare_path_weights(graph: QbgGraph, shortest: QbgPath, other: QbgPath) -> 
         raise ValueError("first path is not shortest")
     rank = graph.rs.rank
     diff = sub_vec(other.weight(rank), shortest.weight(rank))
-    return weight_class(graph, diff)
+    return graph.J.weight_class(diff)

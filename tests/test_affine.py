@@ -19,6 +19,7 @@ from qbgraph.affine import (
     cover_label,
     coweight_box,
     iter_bottom_configurations,
+    iter_top_configurations,
 )
 from qbgraph.qbg import BRUHAT, QUANTUM, QbgPath, build_qbg
 from qbgraph.root_system import RootSystem, build_root_system, is_positive_vec, neg_vec
@@ -447,6 +448,49 @@ def test_diamond_hypothesis_errors(a2):
         complete_bottom(g, "nonsense", W.identity, (0, 1), (1, 0))
 
 
+def test_complete_top_hypothesis_errors(a2):
+    rs, W, aw = a2
+    g = build_qbg(W, rs.parabolic(()))
+    r1 = W.simple_reflection(1)
+    with pytest.raises(ValueError, match="unknown diamond case"):
+        complete_top(g, "nonsense", r1, (0, 1), (1, 0))
+    with pytest.raises(ValueError, match="simple root"):
+        complete_top(g, SIMPLE_BRUHAT, r1, (0, 1), (1, 1))
+    with pytest.raises(ValueError, match="Phi-"):  # w^-1 alpha is positive
+        complete_top(g, SIMPLE_BRUHAT, W.identity, (0, 1), (1, 0))
+    with pytest.raises(ValueError, match="Phi\\+"):  # w0^-1 theta is negative
+        complete_top(g, THETA_BRUHAT, W.longest_element(), (0, 1))
+    with pytest.raises(ValueError, match="gamma must differ"):
+        complete_top(g, SIMPLE_BRUHAT, r1, (1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("cartan", [("A", 3), ("B", 3), ("G", 2)])
+def test_complete_raises_exactly_off_configurations(cartan):
+    # complete_* rejects with ValueError exactly the inputs its iterator
+    # does not yield, on both sides of every case
+    rs = build_root_system(*cartan)
+    W = WeylGroup(rs)
+    sides = (
+        (iter_bottom_configurations, complete_bottom),
+        (iter_top_configurations, complete_top),
+    )
+    for nodes in all_parabolics(rs.rank):
+        J = rs.parabolic(nodes)
+        g = build_qbg(W, J)
+        labels = [a for a in rs.positive_roots if a not in J.phi_plus]
+        for case in DIAMOND_CASES:
+            alphas = rs.simple_roots() if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM) else (None,)
+            for configurations, complete in sides:
+                given = {(w.index, gamma, alpha) for w, gamma, alpha in configurations(g, case)}
+                for wid, gamma, alpha in itertools.product(g.vertices, labels, alphas):
+                    try:
+                        complete(g, case, W.element(wid), gamma, alpha)
+                    except ValueError:
+                        assert (wid, gamma, alpha) not in given
+                    else:
+                        assert (wid, gamma, alpha) in given
+
+
 PAIRED = {
     SIMPLE_BRUHAT: SIMPLE_BRUHAT,
     SIMPLE_QUANTUM: SIMPLE_QUANTUM,
@@ -457,11 +501,11 @@ PAIRED = {
 }
 
 
-@pytest.mark.parametrize("cartan", [("A", 2), ("B", 2)])
+@pytest.mark.parametrize("cartan", [("A", 2), ("B", 2), ("A", 3), ("B", 3), ("G", 2)])
 def test_descending_is_relabeled_ascending(cartan):
     rs = build_root_system(*cartan)
     W = WeylGroup(rs)
-    for nodes in [(), (1,), (2,)]:
+    for nodes in all_parabolics(rs.rank):
         J = rs.parabolic(nodes)
         g = build_qbg(W, J)
         for case in DIAMOND_CASES:
@@ -475,9 +519,10 @@ def test_descending_is_relabeled_ascending(cartan):
                     twist = w2.inverse() * W.reflection(rs.theta) * w
                     gamma2 = twist.act(gamma)
                 desc = complete_top(g, PAIRED[case], w2, gamma2, alpha)
-                assert {asc.bottom_left, asc.bottom_right, asc.top_left, asc.top_right} == {
-                    desc.bottom_left,
-                    desc.bottom_right,
-                    desc.top_left,
-                    desc.top_right,
-                }
+                assert desc.case == PAIRED[case]
+                assert desc.bottom_left == asc.bottom_left
+                assert desc.bottom_right == asc.bottom_right
+                assert desc.top_left == asc.top_left
+                assert desc.top_right == asc.top_right
+                # the twists of the top vertices undo those of the bottom ones
+                assert desc.z == asc.z.inverse() and desc.z2 == asc.z2.inverse()

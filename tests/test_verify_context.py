@@ -33,8 +33,8 @@ def test_context_cache_stays_bounded(monkeypatch):
 
 
 def test_context_cache_under_threads(monkeypatch):
-    # builds and evictions from several threads at once, as verify --jobs
-    # runs suites: no lost eviction, no error, the bound holds
+    # builds and evictions from several threads at once: no lost eviction,
+    # no error, the bound holds
     monkeypatch.setattr(verify, "CONTEXT_CACHE_SIZE", 2)
     monkeypatch.setattr(verify, "_context_cache", {})
     errors = []

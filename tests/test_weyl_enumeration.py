@@ -110,8 +110,8 @@ def test_lazy_matrices_do_not_depend_on_query_order(cartan_type, rank, order):
 
 
 def test_lazy_matrices_under_threads():
-    # verify --jobs reads one group from several threads: fills racing down
-    # shared word prefixes must still leave every matrix right
+    # threads reading one group: fills racing down shared word prefixes
+    # must still leave every matrix right
     mats, comats, *_ = reference("F", 4)
     W = WeylGroup(build_root_system("F", 4))
     errors = []
