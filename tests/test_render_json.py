@@ -89,7 +89,7 @@ def test_repeated_int_lists_render_at_each_depth():
 @pytest.mark.parametrize(
     "doc",
     [1.5, [1.0], [1, 2.0], {"a": 2.0}, {"a": [0.5]}, float("nan"), {1: 2}, {"a": {3}},
-     b"bytes", [object()]],
+     b"bytes", pytest.param([object()], id="[object()]")],
     ids=repr,
 )
 def test_unsupported_types_raise_type_error(doc):
