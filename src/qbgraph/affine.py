@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, edge_between
+from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath, edge_between
 from .root_system import (
     Coroot,
     ParabolicIndex,
@@ -471,7 +471,7 @@ class AffineWeyl:
         return out
 
     def lift_path(
-        self, graph: QbgGraph, path, mu: Coroot
+        self, graph: QbgGraph, path: QbgPath, mu: Coroot
     ) -> list[tuple[AffineElement, AffineRoot | None]]:
         """Lift a directed path to a saturated downward chain.
 
@@ -487,12 +487,10 @@ class AffineWeyl:
         depth = self.lift_depth(graph)
         if not self.is_superantidominant(mu, J, depth):
             raise ValueError(f"starting mu is not superantidominant to depth {depth}")
-        edges = path.edges if hasattr(path, "edges") else tuple(path)
-        start = path.start if hasattr(path, "start") else edges[0].source
         z0 = self.z_mu(mu, J)
-        x = AffineElement((self.W.element(start) * z0).index, mu)
+        x = AffineElement((self.W.element(path.start) * z0).index, mu)
         chain: list[tuple[AffineElement, AffineRoot | None]] = [(x, None)]
-        for edge in edges:
+        for edge in path.edges:
             w, z = self.W.parabolic_decompose(self.W.element(x.w), J)
             if w.index != edge.source:
                 raise ValueError("path does not start where the chain is")
@@ -539,18 +537,8 @@ def _reflection_root(W: WeylGroup, w: WeylElement) -> Root:
     raise ValueError("finite part is not a reflection")
 
 
-def _component_positive_roots(rs, comp: tuple[int, ...]) -> tuple[Root, ...]:
-    node_set = set(comp)
-    return tuple(
-        a
-        for a in rs.positive_roots
-        if all(c == 0 or (i + 1) in node_set for i, c in enumerate(a))
-        and any(c != 0 and (i + 1) in node_set for i, c in enumerate(a))
-    )
-
-
 def _component_special_nodes(rs, comp: tuple[int, ...]) -> tuple[int, ...]:
-    roots = _component_positive_roots(rs, comp)
+    roots = rs.parabolic(comp).phi_plus
     theta = max(roots, key=lambda a: (sum(a), a))
     return tuple(j for j in comp if theta[j - 1] == 1)
 

@@ -12,10 +12,10 @@ from . import render
 from .affine import AffineWeyl
 from .level_zero import LevelZeroPoset
 from .qbg import QbgPath, build_qbg
-from .root_system import ConfigurationError, build_root_system, cartan_matrix
+from .root_system import ConfigurationError, cartan_matrix
 from .tilted import TiltedOrder, quantum_length
 from .verify import SUITES, run_suites
-from .weyl import WeylGroup
+from .weyl import WeylGroup, build_weyl_group
 
 
 class UsageError(Exception):
@@ -54,10 +54,10 @@ def _element(W: WeylGroup, text: str):
 
 def _context(args):
     try:
-        rs = build_root_system(args.cartan_type, args.rank)
-        W = WeylGroup(rs)
+        W = build_weyl_group(args.cartan_type, args.rank)
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from exc
+    rs = W.rs
     nodes = _parse_nodes(args.parabolic)
     if any(not 1 <= j <= rs.rank for j in nodes):
         raise UsageError(f"parabolic nodes {nodes} out of range")
@@ -133,16 +133,10 @@ def _lift(args) -> int:
         return 0
 
     z = aw.z_mu(mu, J)
-    lines = []
     rows = []
     for v in graph.vertices:
         for e in graph.out[v]:
             x, y, gamma = aw.lift_edge(graph, e, z, mu)
-            lines.append(
-                f"{render.affine_element_text(W, x)} > "
-                f"[{render.affine_root_text(gamma)}] "
-                f"{render.affine_element_text(W, y)}"
-            )
             rows.append(
                 {
                     "upper": render.affine_element_text(W, x),
@@ -154,15 +148,9 @@ def _lift(args) -> int:
     if args.format == "json":
         _emit(args, render.lifts_to_json(mu, rows))
     elif args.format == "dot":
-        out = ["digraph lifts {"]
-        for row in rows:
-            out.append(
-                f'  "{row["upper"]}" -> "{row["lower"]}" [label="{row["label"]}"];'
-            )
-        out.append("}")
-        _emit(args, "\n".join(out) + "\n")
+        _emit(args, render.lifts_to_dot(rows))
     else:
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, render.lifts_to_text(rows))
     return 0
 
 
@@ -171,6 +159,8 @@ def cmd_poset(args) -> int:
     lam = _parse_ints(args.lam)
     if len(lam) != rs.rank:
         raise UsageError("lambda has the wrong rank")
+    if any(c < 0 for c in lam):
+        raise UsageError(f"lambda {list(lam)} is not dominant")
     try:
         poset = LevelZeroPoset(W, lam)
     except ValueError as exc:

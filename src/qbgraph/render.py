@@ -334,6 +334,21 @@ def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
 # -- lift tables and verify reports ---------------------------------------------------
 
 
+def lifts_to_text(rows: list[dict]) -> str:
+    """One 'upper > [label] lower' line per lifted edge."""
+    lines = [f"{row['upper']} > [{row['label']}] {row['lower']}" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def lifts_to_dot(rows: list[dict]) -> str:
+    """Graphviz text: one labelled arrow per lifted edge."""
+    lines = ["digraph lifts {"]
+    for row in rows:
+        lines.append(f'  "{row["upper"]}" -> "{row["lower"]}" [label="{row["label"]}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def lifts_to_json(mu, rows: list[dict]) -> str:
     """The ``qbgraph/lifts/1`` document: one row per lifted edge."""
     doc = {"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": rows}

@@ -23,6 +23,8 @@ class ConfigurationError(ValueError):
 def weyl_order(cartan_type: str, rank: int) -> int:
     import math
 
+    if not _valid_pair(cartan_type, rank):
+        raise ConfigurationError(f"invalid Cartan data {cartan_type}{rank}")
     n = rank
     if cartan_type == "A":
         return math.factorial(n + 1)
@@ -34,9 +36,7 @@ def weyl_order(cartan_type: str, rank: int) -> int:
         return {6: 51840, 7: 2903040, 8: 696729600}[n]
     if cartan_type == "F":
         return 1152
-    if cartan_type == "G":
-        return 12
-    raise ConfigurationError(f"unknown type {cartan_type}")
+    return 12  # G2
 
 
 def _valid_pair(cartan_type: str, rank: int) -> bool:

@@ -20,12 +20,21 @@ from .root_system import (
     ParabolicIndex,
     Root,
     RootSystem,
+    build_root_system,
     is_positive_vec,
     neg_vec,
     weyl_order,
 )
 
 ENUMERATION_CAP = 10**6
+
+
+def _check_order(cartan_type: str, rank: int) -> None:
+    order = weyl_order(cartan_type, rank)
+    if order > ENUMERATION_CAP:
+        raise ConfigurationError(
+            f"|W| = {order} exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
 
 
 class Trichotomy(Enum):
@@ -154,11 +163,7 @@ class WeylGroup:
     """
 
     def __init__(self, rs: RootSystem):
-        order = weyl_order(rs.cartan_type, rs.rank)
-        if order > ENUMERATION_CAP:
-            raise ConfigurationError(
-                f"|W| = {order} exceeds the enumeration cap {ENUMERATION_CAP}"
-            )
+        _check_order(rs.cartan_type, rs.rank)
         self.rs = rs
         self.rank = rs.rank
         self._build()
@@ -565,3 +570,14 @@ class WeylGroup:
         if w.index == 0:
             return "e"
         return "".join(f"r{i}" for i in w.word)
+
+
+def build_weyl_group(cartan_type: str, rank: int) -> WeylGroup:
+    """The enumerated Weyl group of a Cartan type.
+
+    The order is checked against ``ENUMERATION_CAP`` before the root system
+    is built, so a type past the cap fails at once instead of after the
+    O(|Phi+|^2 n) root closure.
+    """
+    _check_order(cartan_type, rank)
+    return WeylGroup(build_root_system(cartan_type, rank))

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from qbgraph.cli import main
+from qbgraph.root_system import RootSystem
 from qbgraph.verify import SUITES
 
 
@@ -75,6 +77,23 @@ def test_lift_bad_start_exits_two(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: sha256 of `lift --type A --rank 2 --parabolic 1` per format
+LIFT_TABLE_SHA256 = {
+    "text": "0cc3783ef66c93980097d57afdf55ab90d146e4e6f3ba42c9caf99e33a249505",
+    "dot": "4825e87a72e8a2844efab8c921303703d2eb29acaf7e57e849ca630df75fe6d8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LIFT_TABLE_SHA256))
+def test_lift_table_output_is_pinned(capsys, fmt):
+    code, out = run(
+        capsys, "lift", "--type", "A", "--rank", "2", "--parabolic", "1",
+        "--format", fmt,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIFT_TABLE_SHA256[fmt]
 
 
 def test_lift_table(capsys):
@@ -192,6 +211,8 @@ def test_poset_parabolic_consistency(capsys):
         ["qlen", "--type", "A", "--rank", "2", "--u", "3"],
         ["qbg", "--type", "A", "--rank", "2", "--out", "{missing}/x.json"],
         ["poset", "--type", "A", "--rank", "2", "--lambda", "1,1", "--parabolic", "9"],
+        ["poset", "--type", "A", "--rank", "2", "--lambda=-1,0"],
+        ["poset", "--type", "A", "--rank", "2", "--lambda=-1,-1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -201,6 +222,30 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qbg", "--type", "A", "--rank", "80"],
+        ["verify", "--suite", "qbg-structure", "--types", "A80"],
+    ],
+    ids=" ".join,
+)
+def test_type_past_the_cap_exits_two_before_building_roots(monkeypatch, capsys, argv):
+    # the cap is checked on |W| alone: build_root_system raises if it is
+    # reached, since no root system may be built for A80
+    def refuse(*_args):
+        raise AssertionError("a root system was built past the enumeration cap")
+
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: |W| = ")
+    assert "exceeds the enumeration cap" in captured.err
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from qbgraph.root_system import ConfigurationError, build_root_system, is_positive_vec
 from qbgraph.verify import ROOT_TYPES
-from qbgraph.weyl import Trichotomy, WeylGroup
+from qbgraph.weyl import Trichotomy, WeylGroup, build_weyl_group
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,15 @@ def test_orders(a2, a3):
 def test_enumeration_cap():
     with pytest.raises(ConfigurationError):
         WeylGroup(build_root_system("E", 7))
+    with pytest.raises(ConfigurationError, match="enumeration cap"):
+        build_weyl_group("E", 7)
+
+
+def test_build_weyl_group_rejects_invalid_pairs():
+    assert len(build_weyl_group("G", 2)) == 12
+    for t, r in [("A", 0), ("B", 1), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("X", 2)]:
+        with pytest.raises(ConfigurationError, match="invalid Cartan data"):
+            build_weyl_group(t, r)
 
 
 def test_from_word(a2):
