@@ -450,7 +450,10 @@ class AffineWeyl:
         target, over the full reflection window for x's translation part.
 
         The flag records whether the connecting root's classical part lies
-        outside Phi_J (the covers the projection applies to).
+        outside Phi_J (the covers the projection applies to).  With
+        r_{beta + n delta} = r_beta t_{n beta^vee}, y is w r_beta t_nu for
+        nu = r_beta(mu) + n beta^vee, so w r_beta and r_beta(mu) are found
+        once per beta.
         """
         rs = self.rs
         lx = self.length(x)
@@ -459,8 +462,11 @@ class AffineWeyl:
         )
         out = []
         for beta in rs.positive_roots:
+            wr = self.W.right_reflect(x.w, beta)
+            cor = rs.coroot(beta)
+            base = sub_vec(x.mu, scale_vec(rs.pairing(x.mu, beta), cor))
             for n in range(-window, window + 1):
-                y = self.mul(x, self.reflection(AffineRoot(beta, n)))
+                y = AffineElement(wr, add_vec(base, scale_vec(n, cor)))
                 if self.length(y) != lx - 1:
                     continue
                 if not self.in_wj_af(y, J) or not self.in_waf_minus(y):

@@ -30,7 +30,8 @@ on elements already done (a post-order of the step graph).  A raising step
 nu of mu is a cover exactly when nu's bit is absent from the OR of
 ``reach[rho]`` over the rho above mu; that OR equals the OR over the raising
 steps of mu alone.  ``dist`` finds longest chains over id-indexed cover
-lists, testing "reaches nu" with one bit operation.
+lists, testing "reaches nu" with one bit operation, and keeps one table of
+chain lengths per (window, nu).
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class LevelZeroPoset:
         self._closure_cache: dict[int, list[int]] = {}
         self._hasse_cache: dict[int, dict[LevelZeroWeight, list[PosetCover]]] = {}
         self._cover_ids_cache: dict[int, list[tuple[int, ...]]] = {}
+        # longest chain from each id up to nu, per (window, id of nu)
+        self._dist_cache: dict[tuple[int, int], dict[int, int]] = {}
 
     # -- pairings ------------------------------------------------------------
 
@@ -352,16 +355,23 @@ class LevelZeroPoset:
         """Maximum chain length from mu to nu, over the certified window.
 
         A longest-chain pass over the covers, iterative and memoised by id,
-        restricted to covers that still reach nu.
+        restricted to covers that still reach nu.  The memo holds longest
+        chains up to nu, whatever the start, so there is one per (window,
+        nu) and every later mu reuses it; an entry enters it only once
+        every cover above it is done.
         """
         if not self.leq(mu, nu, window):
             raise ValueError("dist requires mu <= nu")
         start = self._id(mu, window)
+        top = self._id(nu, window)
+        best = self._dist_cache.get((window, top))
+        if best is None:
+            best = self._dist_cache[(window, top)] = {top: 0}
+        elif start in best:
+            return best[start]
         self.hasse_covers(window)  # also builds the id-indexed cover lists
         covers = self._cover_ids_cache[window]
         reach = self._closure(window)
-        top = self._id(nu, window)
-        best = {top: 0}
         uppers: dict[int, list[int]] = {}
         stack = [start]
         while stack:

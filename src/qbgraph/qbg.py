@@ -114,6 +114,10 @@ class QbgGraph:
         self._by_key = by_key
         self._dist: dict[int, dict[int, int]] | None = None
         self._diameter: int | None = None
+        # path surgery tables, filled by ``tilted`` on first use: per j the
+        # sign of every vertex, and per (j, edge) the edge pushed across s_j
+        self._surgery_signs: dict[int, dict[int, int]] = {}
+        self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
 
     # -- lookups -----------------------------------------------------------
 

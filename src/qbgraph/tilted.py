@@ -217,16 +217,26 @@ def _canonical_lambda(graph: QbgGraph) -> tuple[int, ...]:
     )
 
 
-def _signs(graph: QbgGraph, j: int, verts: list[int]) -> list[int]:
-    """<tilde alpha_j^vee, x(lambda)> at each vertex id x, for the canonical
-    lambda of J."""
-    pair = graph.W.weight_pairings(_canonical_lambda(graph)).pair
-    cor = tilde_coroot(graph.rs, j)
-    return [pair(cor, x) for x in verts]
+def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
+    """<tilde alpha_j^vee, x(lambda)> for every vertex id x, for the
+    canonical lambda of J; built once per (graph, j) and kept on the graph."""
+    got = graph._surgery_signs.get(j)
+    if got is None:
+        pair = graph.W.weight_pairings(_canonical_lambda(graph)).pair
+        cor = tilde_coroot(graph.rs, j)
+        got = graph._surgery_signs[j] = {x: pair(cor, x) for x in graph.vertices}
+    return got
 
 
 def _push_edge(graph: QbgGraph, j: int, edge: QbgEdge) -> QbgEdge:
-    """The parallel edge floor(s_j a) -> floor(s_j b) below/above a -> b."""
+    """The parallel edge floor(s_j a) -> floor(s_j b) below/above a -> b.
+
+    Kept on the graph per (j, edge) once it has passed the check.
+    """
+    key = (j, edge)
+    got = graph._pushed_edges.get(key)
+    if got is not None:
+        return got
     W = graph.W
     a = W.element(edge.source)
     label = edge.label
@@ -236,6 +246,7 @@ def _push_edge(graph: QbgGraph, j: int, edge: QbgEdge) -> QbgEdge:
     moved = graph.edge(floor_smul(graph, j, a).index, label)
     if moved is None or moved.target != target.index:
         raise GraphInvariantError("pushed edge is missing from the graph")
+    graph._pushed_edges[key] = moved
     return moved
 
 
@@ -259,7 +270,8 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         raise ValueError("case must be 1..4")
     W = graph.W
     verts = _vertices(graph, path)
-    signs = _signs(graph, j, verts)
+    table = surgery_signs(graph, j)
+    signs = [table[x] for x in verts]
     n = len(path.edges)
 
     if case == 1:

@@ -44,7 +44,6 @@ from .root_system import (
     add_vec,
     build_root_system,
     is_positive_vec,
-    neg_vec,
     scale_vec,
     sub_vec,
 )
@@ -398,8 +397,7 @@ def _dual_label(W, w0J, e):
     # W_J remainder of the unfloored product
     u = W.element(e.target).inverse() * W.element(e.source) * W.reflection(e.label)
     lab = w0J.act(u.act(e.label))
-    if not is_positive_vec(lab):
-        lab = neg_vec(lab)
+    _require(is_positive_vec(lab), f"dual label {lab} of {e} is not positive")
     return lab, u
 
 

@@ -321,10 +321,19 @@ class WeylGroup:
         return self.element(cur)
 
     def multiply(self, w: WeylElement, u: WeylElement) -> WeylElement:
-        cur = w.index
-        for k in u.word:
-            cur = self._right[cur][k - 1]
-        return self.element(cur)
+        """w u, walking the word of the shorter factor: when u is longer,
+        (w u)^{-1} = u^{-1} w^{-1} is u^{-1} walked along w^{-1}'s word."""
+        right, inv = self._right, self._inverse
+        wi, ui = w.index, u.index
+        if self._length[ui] <= self._length[wi]:
+            cur = wi
+            for k in self._word[ui]:
+                cur = right[cur][k - 1]
+            return self.element(cur)
+        cur = inv[ui]
+        for k in self._word[inv[wi]]:
+            cur = right[cur][k - 1]
+        return self.element(inv[cur])
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
         """r_i * w for a 1-based node index."""

@@ -422,6 +422,55 @@ def test_cocovers_project(a2):
         assert edge.source == W.identity.index
 
 
+def _reference_cocovers(aw, x, J, depth):
+    """``cocovers`` by the group law: y = x * r_{beta + n delta} per n."""
+    rs = aw.rs
+    lx = aw.length(x)
+    window = 2 + max(abs(rs.pairing(x.mu, a)) for a in rs.positive_roots)
+    out = []
+    for beta in rs.positive_roots:
+        for n in range(-window, window + 1):
+            y = aw.mul(x, aw.reflection(AffineRoot(beta, n)))
+            if (
+                aw.length(y) == lx - 1
+                and aw.in_wj_af(y, J)
+                and aw.in_waf_minus(y)
+                and aw.in_omega(y, J, depth)
+            ):
+                out.append((y, AffineRoot(beta, n), not J.supports(beta)))
+    return out
+
+
+@pytest.mark.parametrize("cartan", [("A", 2), ("B", 2), ("G", 2)])
+def test_cocovers_match_the_group_law(cartan):
+    rs = build_root_system(*cartan)
+    W = WeylGroup(rs)
+    aw = AffineWeyl(W)
+    rng = random.Random(11)
+    found = 0
+    for J_nodes in all_parabolics(rs.rank):
+        J = rs.parabolic(J_nodes)
+        # lift-target elements of the proper quotients, where covers
+        # exist, and arbitrary elements for every J
+        xs = []
+        if len(J_nodes) < rs.rank:
+            g = build_qbg(W, J)
+            depth = aw.lift_depth(g)
+            for zid in sorted(aw.sigma_J(J)):
+                mu = aw.superantidominant_mu(W.element(zid), J, depth)
+                for v in rng.sample(g.vertices, min(4, len(g.vertices))):
+                    xs.append(AffineElement((W.element(v) * W.element(zid)).index, mu))
+        for _ in range(4):
+            mu = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
+            xs.append(AffineElement(rng.randrange(len(W)), mu))
+        for x in xs:
+            for d in (1, 2):
+                got = aw.cocovers(x, J, depth=d)
+                assert got == _reference_cocovers(aw, x, J, d), (x, J_nodes, d)
+                found += len(got)
+    assert found > 0
+
+
 def test_classical_diamond_case(a2):
     rs, W, aw = a2
     J = rs.parabolic(())

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qbgraph.affine import AffineRoot
@@ -224,3 +226,23 @@ def test_off_grid_elements_raise_in_either_position(lower_is_bad, bad):
         with pytest.raises(ValueError, match="off the orbit grid") as info:
             query(*args, win)
         assert str(bad) in str(info.value)
+
+
+@pytest.mark.parametrize("cartan_type,rank,lam", [("A", 2, (2, 1)), ("B", 2, (1, 1)), ("G", 2, (1, 0))])
+def test_dist_reuses_its_table_without_changing_answers(cartan_type, rank, lam):
+    """One poset answers every certified comparable pair, in a shuffled
+    order and at two windows, exactly as a poset with an empty memo does."""
+    W = WeylGroup(build_root_system(cartan_type, rank))
+    P = LevelZeroPoset(W, lam)
+    fresh = LevelZeroPoset(W, lam)
+    rng = random.Random(7)
+    checked = 0
+    for window in (P.margin() + 1, P.margin() + 2):
+        elems = [m for m in P.slice_elements(window) if P.certified(m, window)]
+        pairs = [(a, b) for a in elems for b in elems if P.leq(a, b, window)]
+        rng.shuffle(pairs)
+        for mu, nu in pairs:
+            fresh._dist_cache.clear()
+            assert P.dist(mu, nu, window) == fresh.dist(mu, nu, window), (mu, nu, window)
+            checked += 1
+    assert checked > 100

@@ -21,7 +21,7 @@ from qbgraph.qbg import (
     reflection_ordering_from_word,
 )
 from qbgraph.root_system import build_root_system, is_positive_vec
-from qbgraph.verify import SMALL_TYPES, all_parabolics
+from qbgraph.verify import SMALL_TYPES, _dual_label, all_parabolics
 from qbgraph.weyl import WeylGroup
 
 
@@ -193,6 +193,23 @@ def test_dual_involution_a3():
     e_dual = dual_involution(g, W.identity)
     assert e_dual.length == 4
     assert W.describe(e_dual) == "3412"
+
+
+def test_dual_label_rejects_a_negative_label():
+    """The dual label w0J u(alpha) of a real edge is positive; on the
+    reverse of the quantum edge 3 -> 0 of G2 J={1} it is (-3, -2), and the
+    check names the edge instead of flipping it to (3, 2)."""
+    rs = build_root_system("G", 2)
+    W = WeylGroup(rs)
+    J = rs.parabolic((1,))
+    w0J = W.longest_element(J.nodes)
+    real = build_qbg(W, J).edge(3, (0, 1))
+    assert (real.target, real.kind) == (0, QUANTUM)
+    assert is_positive_vec(_dual_label(W, w0J, real)[0])
+    forged = QbgEdge(0, 3, (0, 1), QUANTUM, (0, 1))
+    with pytest.raises(AssertionError, match="not positive") as info:
+        _dual_label(W, w0J, forged)
+    assert str(forged) in str(info.value)
 
 
 def test_word_ordering(a2):

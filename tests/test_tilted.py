@@ -1,18 +1,22 @@
 import pytest
 
-from qbgraph.qbg import QbgPath, build_qbg
+from qbgraph.qbg import GraphInvariantError, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import (
     TiltedOrder,
+    _push_edge,
     compare_path_weights,
     expected_weight_shift,
+    floor_smul,
     left_multiplication_step,
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
+    surgery_signs,
+    tilde_coroot,
     transform_path,
 )
-from qbgraph.weyl import Trichotomy, WeylGroup
+from qbgraph.weyl import Trichotomy, WeightPairings, WeylGroup
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +239,85 @@ def test_two_shortest_paths_same_weight():
     base = g.shortest_path(u, v)
     for p in paths:
         assert compare_path_weights(g, base, p) == (0, 0, 0)
+
+
+def _all_surgeries(g):
+    """transform_path on every shortest path, every j and every case."""
+    for u in g.vertices:
+        for v in g.vertices:
+            d = g.distance(u, v)
+            for p in g.iter_paths(u, v, d):
+                if len(p) != d:
+                    continue
+                for j in range(0, g.rs.rank + 1):
+                    for case in (1, 2, 3, 4):
+                        try:
+                            transform_path(g, p, j, case)
+                        except ValueError:
+                            pass
+
+
+@pytest.mark.parametrize("cartan,J_nodes", [(("A", 3), (1,)), (("B", 2), ())])
+def test_surgery_signs_are_the_pairings(cartan, J_nodes):
+    rs = build_root_system(*cartan)
+    W = WeylGroup(rs)
+    g = build_qbg(W, rs.parabolic(J_nodes))
+    lam = tuple(0 if i + 1 in J_nodes else 1 for i in range(rs.rank))
+    pair = W.weight_pairings(lam).pair
+    for j in range(0, rs.rank + 1):
+        table = surgery_signs(g, j)
+        assert set(table) == set(g.vertices)
+        for x, sign in table.items():
+            assert sign == pair(tilde_coroot(rs, j), x)
+
+
+def test_surgery_tables_belong_to_their_graph():
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    g0 = build_qbg(W, rs.parabolic(()))
+    g1 = build_qbg(W, rs.parabolic((1,)))
+    _all_surgeries(g1)
+    _all_surgeries(g0)
+    for g, lam in ((g0, (1, 1, 1)), (g1, (0, 1, 1))):
+        pair = W.weight_pairings(lam).pair
+        for j in range(0, rs.rank + 1):
+            table = surgery_signs(g, j)
+            assert set(table) == set(g.vertices)
+            assert all(s == pair(tilde_coroot(rs, j), x) for x, s in table.items())
+        assert g._pushed_edges
+        for (j, edge), moved in g._pushed_edges.items():
+            assert g.edge(edge.source, edge.label) is edge
+            assert g.edge(moved.source, moved.label) is moved
+            assert moved.source == floor_smul(g, j, W.element(edge.source)).index
+            assert moved.target == floor_smul(g, j, W.element(edge.target)).index
+
+
+def test_a_failed_push_is_not_kept():
+    rs = build_root_system("A", 2)
+    W = WeylGroup(rs)
+    J = rs.parabolic(())
+    g = build_qbg(W, J)
+    edge = g.edges[0]
+    moved = _push_edge(g, 1, edge)
+    broken = QbgGraph(W, J, g.vertices, [e for e in g.edges if e != moved])
+    for _ in range(2):
+        with pytest.raises(GraphInvariantError, match="pushed edge is missing"):
+            _push_edge(broken, 1, edge)
+    assert not broken._pushed_edges
+
+
+def test_surgery_pairs_each_vertex_once_per_j(monkeypatch):
+    """At most |V| (rank + 1) pairings over every surgery of A3 J={1}."""
+    calls = 0
+    real = WeightPairings.pair
+
+    def counting(self, coroot, w):
+        nonlocal calls
+        calls += 1
+        return real(self, coroot, w)
+
+    monkeypatch.setattr(WeightPairings, "pair", counting)
+    rs = build_root_system("A", 3)
+    g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
+    _all_surgeries(g)
+    assert 0 < calls <= len(g.vertices) * (rs.rank + 1)

@@ -202,3 +202,14 @@ def test_descents_and_inversion_flags_match_the_matrix_action(cartan_type, rank)
         assert len(flags) == len(rs.positive_roots)
         assert tuple(a for a, f in zip(rs.positive_roots, flags) if f) == W.inversions(w)
         assert sum(flags) == w.length
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_multiply_equals_the_right_walk(cartan_type, rank):
+    W = build_weyl_group(cartan_type, rank)
+    for w in W.elements():
+        for u in W.elements():
+            cur = w.index
+            for k in u.word:
+                cur = W._right[cur][k - 1]
+            assert W.multiply(w, u).index == cur
