@@ -82,9 +82,7 @@ class AffineWeyl:
 
     def simple_affine_reflection(self, i: int) -> AffineElement:
         """r_i for i in 0..rank, with r_0 = r_theta t_{-theta^vee}."""
-        if i == 0:
-            return self.reflection(AffineRoot(neg_vec(self.rs.theta), 1))
-        return self.from_finite(self.W.simple_reflection(i))
+        return self.reflection(affine_simple_root(self.rs, i))
 
     def act(self, x: AffineElement, beta: AffineRoot) -> AffineRoot:
         """w t_mu sends alpha + k delta to w(alpha) + (k - <mu, alpha>) delta."""
@@ -305,6 +303,8 @@ class AffineWeyl:
 
     def superantidominant_mu(self, z: WeylElement, J: ParabolicIndex, depth: int) -> Coroot:
         """A J-adjusted mu with z_mu = z and <mu, alpha> <= -depth off Phi_J."""
+        if len(J.nodes) == self.rs.rank:
+            raise ValueError("J must be proper: no positive root lies outside Phi_J")
         reps = self.sigma_J(J)
         if z.index not in reps:
             raise ValueError("z is not realized by any coweight (not in Sigma_J)")
@@ -506,6 +506,12 @@ class AffineWeyl:
         return chain
 
 
+def affine_simple_root(rs, i: int) -> AffineRoot:
+    """The affine simple root alpha_i for i in 0..rank: tilde alpha_i, plus
+    delta for i = 0 (alpha_0 = delta - theta)."""
+    return AffineRoot(rs.tilde_root(i), int(i == 0))
+
+
 def coweight_box(rs):
     """The integral coweights whose pairings with the simple roots all lie
     in [-2, 2], in lexicographic order of those pairings.
@@ -616,16 +622,19 @@ class Diamond:
     z2: WeylElement
 
 
-def _require_edge(graph: QbgGraph, source: int, label: Root, kind: str,
-                  target: int, who: str) -> QbgEdge:
-    edge = graph.edge(source, label)
+def _require_edge(who: str, edge: QbgEdge | None, kind: str, target: int) -> QbgEdge:
     if edge is None:
-        raise GraphInvariantError(f"{who}: missing edge at label {label}")
+        raise GraphInvariantError(f"{who}: missing edge")
     if edge.kind != kind:
         raise GraphInvariantError(f"{who}: expected {kind}, found {edge.kind}")
     if edge.target != target:
         raise GraphInvariantError(f"{who}: wrong target")
     return edge
+
+
+def _step_index(case: str, alpha: Root | None) -> int:
+    """The j of s_j the case acts by: alpha's node, or 0 for theta."""
+    return alpha.index(1) + 1 if case in _SIMPLE_CASES else 0
 
 
 def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
@@ -638,7 +647,7 @@ def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
         return f"unknown diamond case {case!r}"
     rs, J = graph.rs, graph.J
     simple = case in _SIMPLE_CASES
-    if simple and (alpha is None or sum(alpha) != 1):
+    if simple and (alpha is None or sum(alpha) != 1 or min(alpha) < 0):
         return "simple cases need a simple root alpha"
     beta, name = (alpha, "alpha") if simple else (rs.theta, "theta")
     # w^{-1} alpha goes up positive, w^{-1} theta goes up negative
@@ -668,37 +677,28 @@ def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
 
 def _complete(graph: QbgGraph, case: str, b: WeylElement, gamma: Root,
               alpha: Root | None) -> Diamond:
-    """The ascending diamond of the case on the bottom vertex b, its four
-    edges derived in ``Diamond`` order and checked against the graph."""
-    W, rs, J = graph.W, graph.rs, graph.J
-    simple = case in _SIMPLE_CASES
-    beta = alpha if simple else rs.theta
+    """The ascending diamond of the case on the bottom vertex b, read from
+    the left action of s_j (j = 0 for the theta cases): the step out of b,
+    the edge at gamma, that edge pushed across s_j and the step out of its
+    target, each checked against the floors of the diamond's vertices."""
+    W, J = graph.W, graph.J
+    j = _step_index(case, alpha)
+    beta = graph.rs.tilde_root(j)
     bg = W.right_reflect(b.index, gamma)
     right = W.coset_floor(bg, J)
     left = W.coset_floor(W.left_reflect(b.index, beta), J)
     top = W.coset_floor(W.left_reflect(right, beta), J)
     if W.coset_floor(W.left_reflect(bg, beta), J) != top:
         raise GraphInvariantError("floors of the top vertex disagree")
-    if simple:
+    if j:
         z = z2 = W.identity
     else:
         z, z2 = W.theta_twist(b, J), W.theta_twist(W.element(right), J)
-
-    def up_label(v: int) -> Root:
-        # w^{-1} alpha going up is positive, w^{-1} theta negative
-        label = W.element(v).inverse().act(beta)
-        return label if simple else neg_vec(label)
-
-    slots = (
-        ("bottom-left", b.index, up_label(b.index), left),
-        ("bottom-right", b.index, gamma, right),
-        ("top-left", left, z.act(gamma), top),
-        ("top-right", right, up_label(right), top),
-    )
-    bl, br, tl, tr = (
-        _require_edge(graph, source, label, kind, target, who)
-        for (who, source, label, target), kind in zip(slots, _LEFT_KINDS[case])
-    )
+    kl, kr, ktl, ktr = _LEFT_KINDS[case]
+    bl = _require_edge("bottom-left", graph.left_step(j, b.index)[1], kl, left)
+    br = _require_edge("bottom-right", graph.edge(b.index, gamma), kr, right)
+    tl = _require_edge("top-left", graph.push_edge(j, br), ktl, top)
+    tr = _require_edge("top-right", graph.left_step(j, right)[1], ktr, top)
     if J.weight_class(add_vec(bl.weight, tl.weight)) != J.weight_class(
         add_vec(br.weight, tr.weight)
     ):
@@ -735,10 +735,10 @@ def complete_top(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
     if broken:
         raise ValueError(broken)
     W, J = graph.W, graph.J
+    bottom = W.element(graph.left_step(_step_index(case, alpha), w.index)[0])
     if case in _SIMPLE_CASES:
-        return _complete(graph, case, W.reflection(alpha) * w, gamma, alpha)
+        return _complete(graph, case, bottom, gamma, alpha)
     z = W.theta_twist(w, J)
-    bottom = W.min_coset_rep(W.reflection(graph.rs.theta) * w, J)
     d = _complete(graph, _MIRROR[case], bottom, z.act(gamma), None)
     return replace(d, case=case, z=z, z2=W.theta_twist(W.element(d.top_left.target), J))
 

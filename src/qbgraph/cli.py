@@ -176,17 +176,7 @@ def cmd_poset(args) -> int:
     elif args.format == "json":
         _emit(args, render.slice_to_json(poset, args.window))
     else:
-        lines = [
-            f"# slice {args.cartan_type}{args.rank} lambda={list(lam)} "
-            f"window={args.window}"
-        ]
-        for mu in poset.slice_elements(args.window):
-            covers = ", ".join(
-                f"{render.weight_text(poset, c.upper)} [{render.affine_root_text(c.label)}]"
-                for c in poset.covers(mu)
-            )
-            lines.append(f"{render.weight_text(poset, mu)} < {covers}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, render.slice_to_text(poset, args.window))
     return 0
 
 
@@ -235,21 +225,11 @@ def cmd_verify(args) -> int:
         results = run_suites(names, types=types)
     except ConfigurationError as exc:  # e.g. a type past the enumeration cap
         raise UsageError(str(exc)) from exc
-    lines = []
-    ok = True
-    for res in results:
-        lines.append(f"suite {res.suite}: {res.claim}")
-        for case in res.cases:
-            status = "pass" if case.passed else "FAIL"
-            detail = f" ({case.detail})" if case.detail else ""
-            lines.append(f"  {case.name}: {status}{detail}")
-        lines.append(f"RESULT suite={res.suite} {'pass' if res.passed else 'FAIL'}")
-        ok = ok and res.passed
     if args.format == "json":
         _emit(args, render.report_to_json(results))
     else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+        _emit(args, render.report_to_text(results))
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _parse_types(text: str) -> list[tuple[str, int]]:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .affine import AffineRoot
+from .affine import AffineRoot, affine_simple_root
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgGraph, build_qbg
 from .root_system import Coroot, Root, add_vec, is_positive_vec, neg_vec
 from .weyl import WeylElement, WeylGroup
@@ -344,10 +344,7 @@ class LevelZeroPoset:
         return self._pairings.weight(mu.w)[i - 1]
 
     def affine_simple_root(self, i: int) -> AffineRoot:
-        if i == 0:
-            return AffineRoot(neg_vec(self.rs.theta), 1)
-        n = self.rs.rank
-        return AffineRoot(tuple(1 if j == i - 1 else 0 for j in range(n)), 0)
+        return affine_simple_root(self.rs, i)
 
     # -- distance ----------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from .root_system import (
     ParabolicIndex,
     Root,
     add_vec,
+    is_positive_vec,
 )
 from .weyl import WeylElement, WeylGroup
 
@@ -114,10 +115,14 @@ class QbgGraph:
         self._by_key = by_key
         self._dist: dict[int, dict[int, int]] | None = None
         self._diameter: int | None = None
-        # path surgery tables, filled by ``tilted`` on first use: per j the
-        # sign of every vertex, and per (j, edge) the edge pushed across s_j
-        self._surgery_signs: dict[int, dict[int, int]] = {}
+        # the left action of s_0, ..., s_r, filled on first use: per (j, x)
+        # the step out of x, per (j, edge) the edge pushed across s_j, and
+        # the subgraph of step edges
+        self._steps: dict[tuple[int, int], tuple[int, QbgEdge | None]] = {}
         self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
+        self._step_graph: QbgGraph | None = None
+        # per j the surgery sign of every vertex, filled by ``tilted``
+        self._surgery_signs: dict[int, dict[int, int]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -129,6 +134,62 @@ class QbgGraph:
 
     def empty_path(self, v: int) -> QbgPath:
         return QbgPath(v, ())
+
+    # -- the left action of s_0, ..., s_r ---------------------------------------
+
+    def left_step(self, j: int, x: int) -> tuple[int, QbgEdge | None]:
+        """floor(s_j x) and the edge x -> floor(s_j x), for j in 0..rank.
+
+        s_0 acts on W as the reflection in theta.  The edge carries the
+        label x^{-1}(tilde alpha_j) (``RootSystem.tilde_root``) and exists
+        exactly when that root lies in Phi+ minus Phi_J+; it is Bruhat for
+        j >= 1 and quantum for j = 0.  floor(s_j .) is an involution of W^J,
+        so the edge along which s_j descends into x is the step out of
+        floor(s_j x).  Kept per (j, x) once its check passes.
+        """
+        got = self._steps.get((j, x))
+        if got is None:
+            W, J = self.W, self.J
+            tilde = self.rs.tilde_root(j)
+            target = W.coset_floor(W.left_reflect(x, tilde), J)
+            label = W.element(W._inverse[x]).act(tilde)
+            edge = None
+            if is_positive_vec(label) and not J.supports(label):
+                edge = self.edge(x, label)
+                if edge is None or edge.target != target:
+                    raise GraphInvariantError(
+                        f"left step by {j} at {W.element(x)} is not a graph edge"
+                    )
+            got = self._steps[(j, x)] = (target, edge)
+        return got
+
+    def push_edge(self, j: int, edge: QbgEdge) -> QbgEdge:
+        """The edge floor(s_j a) -> floor(s_j b) parallel to the edge a -> b.
+
+        It keeps the label, twisted for j = 0 by the theta twist z of a
+        (r_theta a = floor(r_theta a) z).  Kept per (j, edge) once its check
+        passes.
+        """
+        key = (j, edge)
+        got = self._pushed_edges.get(key)
+        if got is None:
+            label = edge.label
+            if j == 0:
+                label = self.W.theta_twist(self.W.element(edge.source), self.J).act(label)
+            got = self.edge(self.left_step(j, edge.source)[0], label)
+            if got is None or got.target != self.left_step(j, edge.target)[0]:
+                raise GraphInvariantError("pushed edge is missing from the graph")
+            self._pushed_edges[key] = got
+        return got
+
+    def step_graph(self) -> QbgGraph:
+        """The subgraph of the step edges x -> floor(s_j x), j in 0..rank."""
+        if self._step_graph is None:
+            steps = (self.left_step(j, x)[1] for x in self.vertices
+                     for j in range(self.rs.rank + 1))
+            self._step_graph = QbgGraph(self.W, self.J, self.vertices,
+                                        [e for e in steps if e is not None])
+        return self._step_graph
 
     # -- distances -----------------------------------------------------------
 

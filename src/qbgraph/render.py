@@ -11,7 +11,6 @@ from json.encoder import encode_basestring_ascii
 from .affine import AffineElement, AffineRoot, AffineWeyl, cover_label
 from .level_zero import LevelZeroPoset, LevelZeroWeight
 from .qbg import QUANTUM, QbgGraph
-from .root_system import Root
 from .weyl import WeylGroup
 
 SCHEMA_GRAPH = "qbgraph/graph/1"
@@ -294,6 +293,20 @@ def slice_to_dot(poset: LevelZeroPoset, window: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def slice_to_text(poset: LevelZeroPoset, window: int) -> str:
+    """A header line, then one 'mu < upper [label], ...' line per element
+    with its graph-derived covers."""
+    rs = poset.rs
+    lines = [f"# slice {rs.cartan_type}{rs.rank} lambda={list(poset.lam)} window={window}"]
+    for mu in poset.slice_elements(window):
+        covers = ", ".join(
+            f"{weight_text(poset, c.upper)} [{affine_root_text(c.label)}]"
+            for c in poset.covers(mu)
+        )
+        lines.append(f"{weight_text(poset, mu)} < {covers}")
+    return "\n".join(lines) + "\n"
+
+
 def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
     elems = poset.slice_elements(window)
     pos_of = {mu: i for i, mu in enumerate(elems)}
@@ -353,6 +366,19 @@ def lifts_to_json(mu, rows: list[dict]) -> str:
     """The ``qbgraph/lifts/1`` document: one row per lifted edge."""
     doc = {"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": rows}
     return dump_json(doc) + "\n"
+
+
+def report_to_text(results) -> str:
+    """Per suite its claim, one pass/FAIL line per case, and a RESULT line."""
+    lines = []
+    for res in results:
+        lines.append(f"suite {res.suite}: {res.claim}")
+        for case in res.cases:
+            status = "pass" if case.passed else "FAIL"
+            detail = f" ({case.detail})" if case.detail else ""
+            lines.append(f"  {case.name}: {status}{detail}")
+        lines.append(f"RESULT suite={res.suite} {'pass' if res.passed else 'FAIL'}")
+    return "\n".join(lines) + "\n"
 
 
 def report_to_json(results) -> str:

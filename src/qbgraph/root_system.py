@@ -39,6 +39,27 @@ def weyl_order(cartan_type: str, rank: int) -> int:
     return 12  # G2
 
 
+#: largest |Phi+| built: the root closure costs O(|Phi+|^2 rank), and A24
+#: (300 positive roots) still builds in under a second
+ROOT_CAP = 300
+
+
+def positive_root_count(cartan_type: str, rank: int) -> int:
+    """|Phi+| in closed form, for a valid (type, rank) pair."""
+    n = rank
+    if cartan_type == "A":
+        return n * (n + 1) // 2
+    if cartan_type in ("B", "C"):
+        return n * n
+    if cartan_type == "D":
+        return n * (n - 1)
+    if cartan_type == "E":
+        return {6: 36, 7: 63, 8: 120}[n]
+    if cartan_type == "F":
+        return 24
+    return 6  # G2
+
+
 def _valid_pair(cartan_type: str, rank: int) -> bool:
     if cartan_type == "A":
         return rank >= 1
@@ -173,6 +194,7 @@ class RootSystem:
         self._max_norm2 = max(self._norm2.values())
         self._coroot = {a: self._coroot_of(a) for a in self.positive_roots}
         self.theta = self._highest_root()
+        self._tilde_roots = (neg_vec(self.theta),) + self.simple_roots()
         self.two_rho = tuple(
             sum(col) for col in zip(*self.positive_roots)
         )
@@ -277,6 +299,11 @@ class RootSystem:
     def simple_coroot(self, i: int) -> Coroot:
         """Simple coroot alpha_i^vee for a 1-based node index."""
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
+
+    def tilde_root(self, j: int) -> Root:
+        """The finite part of the affine simple root alpha_j, for j in
+        0..rank: alpha_j for j >= 1 and minus theta for j = 0."""
+        return self._tilde_roots[j]
 
     def is_root(self, v: tuple[int, ...]) -> bool:
         return v in self._root_set or neg_vec(v) in self._root_set
@@ -445,7 +472,14 @@ def scaled_inverse(m: Matrix) -> tuple[int, Matrix]:
 
 
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:
-    """Validated constructor for a finite root system."""
+    """Validated constructor for a finite root system.
+
+    |Phi+| is checked against ``ROOT_CAP`` before the root closure runs, so
+    a type past the cap fails at once.
+    """
     if not _valid_pair(cartan_type, rank):
         raise ConfigurationError(f"invalid Cartan data {cartan_type}{rank}")
+    count = positive_root_count(cartan_type, rank)
+    if count > ROOT_CAP:
+        raise ConfigurationError(f"|Phi+| = {count} exceeds the root cap {ROOT_CAP}")
     return RootSystem(cartan_type, rank)

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from .affine import AffineWeyl
 from .qbg import GraphInvariantError, QbgEdge, QbgGraph, QbgPath
 from .root_system import (
     Coroot,
     ParabolicIndex,
-    Root,
     add_vec,
     is_positive_vec,
     neg_vec,
     sub_vec,
 )
-from .weyl import Trichotomy, WeylElement, WeylGroup
+from .weyl import Trichotomy, WeylElement
 
 
 class TieError(AssertionError):
@@ -60,36 +59,13 @@ class TiltedOrder:
 
 
 def tilde_coroot(rs, i: int) -> Coroot:
-    if i == 0:
-        return neg_vec(rs.coroot(rs.theta))
-    return rs.simple_coroot(i)
-
-
-def _tilde_image(W: WeylGroup, i: int, x: WeylElement) -> Root:
-    """x^{-1}(tilde alpha_i), where tilde alpha_i is alpha_i for i >= 1 and
-    minus theta for i = 0."""
-    if i == 0:
-        return neg_vec(x.inverse().act(W.rs.theta))
-    return W.simple_image(x.inverse(), i)
-
-
-def floor_smul(graph: QbgGraph, i: int, x: WeylElement) -> WeylElement:
-    """floor(s_i x) where s_0 is the reflection in theta."""
-    W = graph.W
-    if i == 0:
-        return W.element(W.coset_floor(W.left_reflect(x.index, graph.rs.theta), graph.J))
-    return W.min_coset_rep(W.left_mul(i, x), graph.J)
+    """The coroot of tilde alpha_i (``RootSystem.tilde_root``)."""
+    return rs.coroot(rs.tilde_root(i))
 
 
 def left_step_edge(graph: QbgGraph, i: int, x: WeylElement) -> QbgEdge | None:
     """The edge x -> floor(s_i x) when x^{-1}(tilde alpha_i) is a usable label."""
-    label = _tilde_image(graph.W, i, x)
-    if not is_positive_vec(label) or graph.J.supports(label):
-        return None
-    edge = graph.edge(x.index, label)
-    if edge is None or edge.target != floor_smul(graph, i, x).index:
-        raise GraphInvariantError(f"left step by {i} at {x} is not a graph edge")
-    return edge
+    return graph.left_step(i, x.index)[1]
 
 
 @dataclass(frozen=True)
@@ -110,102 +86,55 @@ def left_multiplication_step(graph: QbgGraph, w: WeylElement, j: int) -> LeftSte
     """Classify w^{-1}(tilde alpha_j) and return the induced edge.
 
     j ranges over 0..rank with s_0 the reflection in theta; the edge is
-    Bruhat for j != 0 and quantum for j = 0.
+    Bruhat for j != 0 and quantum for j = 0.  The descending edge is the
+    step out of floor(s_j w), checked to land on w with the label
+    -w^{-1} alpha_j, or z(w^{-1} theta) for the theta twist z of w.
     """
     rs, W, J = graph.rs, graph.W, graph.J
-    img = _tilde_image(W, j, w)
-    target = floor_smul(graph, j, w)
+    img = w.inverse().act(rs.tilde_root(j))
+    target, edge = graph.left_step(j, w.index)
     if J.supports(img):
-        if target != w:
+        if target != w.index:
             raise GraphInvariantError("fixed case moved the coset")
         return LeftStep(Trichotomy.FIXED, None, None)
-    aw = _affine_ops(W)
     if is_positive_vec(img):
-        edge = graph.edge(w.index, img)
-        if edge is None or edge.target != target.index:
-            raise GraphInvariantError("ascending left step is not a graph edge")
-        twist = None
-        if j == 0:
-            # crossing root w^{-1}theta is negative here; with w already a
-            # coset representative the adjusted element is minus its coroot
-            if not aw.is_adjusted(rs.coroot(img), J):
-                raise GraphInvariantError("crossing coroot is not adjusted")
-        return LeftStep(Trichotomy.UP, edge, twist)
+        # crossing root w^{-1}theta is negative here; with w already a
+        # coset representative the adjusted element is minus its coroot
+        if j == 0 and not AffineWeyl(W).is_adjusted(rs.coroot(img), J):
+            raise GraphInvariantError("crossing coroot is not adjusted")
+        return LeftStep(Trichotomy.UP, edge, None)
+    label = neg_vec(img)
     twist = None
     if j == 0:
+        aw = AffineWeyl(W)
         twist = W.theta_twist(w, J)
-        gamma = neg_vec(img)  # w^{-1}theta, positive off Phi_J
-        if (W.reflection(rs.theta) * w).index != (target * twist).index:
+        gamma = label  # w^{-1}theta, positive off Phi_J
+        if (W.reflection(rs.theta) * w).index != (W.element(target) * twist).index:
             raise GraphInvariantError("twist does not factor the theta product")
         if twist != aw.z_mu(rs.coroot(gamma), J).inverse():
             raise GraphInvariantError("twist is not the inverse crossing factor")
         if not aw.is_adjusted(twist.act_coroot(rs.coroot(gamma)), J):
             raise GraphInvariantError("twisted crossing coroot is not adjusted")
         label = twist.act(gamma)
-    else:
-        label = neg_vec(img)
-    edge = graph.edge(target.index, label)
-    if edge is None or edge.target != w.index:
+    edge = graph.left_step(j, target)[1]
+    if edge is None or edge.target != w.index or edge.label != label:
         raise GraphInvariantError("descending left step is not a graph edge")
     return LeftStep(Trichotomy.DOWN, edge, twist)
 
 
-def _affine_ops(W: WeylGroup):
-    from .affine import AffineWeyl
-
-    ops = getattr(W, "_affine_ops_cache", None)
-    if ops is None:
-        ops = AffineWeyl(W)
-        W._affine_ops_cache = ops
-    return ops
-
-
 def quantum_length(graph: QbgGraph, u: int) -> int:
     """Fewest left steps by simple or theta reflections from u to the identity."""
-    W = graph.W
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        cur = queue.popleft()
-        if cur == W.identity.index:
-            return dist[cur]
-        for i in range(0, graph.rs.rank + 1):
-            edge = left_step_edge(graph, i, W.element(cur))
-            if edge is not None and edge.target not in dist:
-                dist[edge.target] = dist[cur] + 1
-                queue.append(edge.target)
-    raise GraphInvariantError("identity unreachable by left steps")
+    return len(graph.step_graph().shortest_path(u, graph.W.identity.index))
 
 
 def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
     """Strong connectivity of the subgraph of left multiplication steps."""
-    succ = {}
-    for v in graph.vertices:
-        outs = []
-        for i in range(0, graph.rs.rank + 1):
-            e = left_step_edge(graph, i, graph.W.element(v))
-            if e is not None:
-                outs.append(e.target)
-        succ[v] = outs
-    start = graph.vertices[0]
-
-    def reach(adj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    pred: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for v, outs in succ.items():
-        for t in outs:
-            pred[t].append(v)
-    n = len(graph.vertices)
-    return len(reach(succ)) == n and len(reach(pred)) == n
+    steps = graph.step_graph()
+    try:
+        steps.diameter()
+    except GraphInvariantError:
+        return False
+    return True
 
 
 # -- path surgery ------------------------------------------------------------------
@@ -228,28 +157,6 @@ def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
     return got
 
 
-def _push_edge(graph: QbgGraph, j: int, edge: QbgEdge) -> QbgEdge:
-    """The parallel edge floor(s_j a) -> floor(s_j b) below/above a -> b.
-
-    Kept on the graph per (j, edge) once it has passed the check.
-    """
-    key = (j, edge)
-    got = graph._pushed_edges.get(key)
-    if got is not None:
-        return got
-    W = graph.W
-    a = W.element(edge.source)
-    label = edge.label
-    if j == 0:
-        label = W.theta_twist(a, graph.J).act(label)
-    target = floor_smul(graph, j, W.element(edge.target))
-    moved = graph.edge(floor_smul(graph, j, a).index, label)
-    if moved is None or moved.target != target.index:
-        raise GraphInvariantError("pushed edge is missing from the graph")
-    graph._pushed_edges[key] = moved
-    return moved
-
-
 def _vertices(graph: QbgGraph, path: QbgPath) -> list[int]:
     out = [path.start]
     for e in path.edges:
@@ -268,68 +175,53 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
     """
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
-    W = graph.W
     verts = _vertices(graph, path)
     table = surgery_signs(graph, j)
     signs = [table[x] for x in verts]
-    n = len(path.edges)
+
+    def floor(x: int) -> int:
+        return graph.left_step(j, x)[0]
+
+    def push(edges) -> tuple[QbgEdge, ...]:
+        return tuple(graph.push_edge(j, e) for e in edges)
 
     if case == 1:
         if not (signs[-1] < 0 and any(s >= 0 for s in signs)):
             raise ValueError("case 1 needs a nonnegative vertex and negative end")
         k = max(i for i, s in enumerate(signs) if s >= 0)
-        if floor_smul(graph, j, W.element(verts[k + 1])).index != verts[k]:
+        if floor(verts[k + 1]) != verts[k]:
             raise GraphInvariantError("transition vertex does not fold back")
-        new_edges = list(path.edges[:k])
-        for e in path.edges[k + 1 :]:
-            new_edges.append(_push_edge(graph, j, e))
-        return QbgPath(path.start, tuple(new_edges))
+        return QbgPath(path.start, path.edges[:k] + push(path.edges[k + 1 :]))
 
     if case == 2:
         if not (signs[0] < 0 and signs[-1] < 0):
             raise ValueError("case 2 needs negative signs at both endpoints")
+        start = floor(path.start)
         if all(s < 0 for s in signs):
-            new_edges = [_push_edge(graph, j, e) for e in path.edges]
-            return QbgPath(floor_smul(graph, j, W.element(path.start)).index,
-                           tuple(new_edges))
+            return QbgPath(start, push(path.edges))
         shorter = transform_path(graph, path, j, 1)
-        start = floor_smul(graph, j, W.element(path.start))
-        down = graph.edge(start.index, _down_label(graph, j, W.element(path.start)))
+        down = graph.left_step(j, start)[1]
         if down is None or down.target != path.start:
             raise GraphInvariantError("descent edge into the start is missing")
-        return QbgPath(start.index, (down,) + shorter.edges)
+        return QbgPath(start, (down,) + shorter.edges)
 
     if case == 3:
         if not (signs[0] > 0 and any(s <= 0 for s in signs)):
             raise ValueError("case 3 needs a positive start and a nonpositive vertex")
         k = min(i for i, s in enumerate(signs) if s <= 0)
-        if floor_smul(graph, j, W.element(verts[k - 1])).index != verts[k]:
+        if floor(verts[k - 1]) != verts[k]:
             raise GraphInvariantError("transition vertex does not fold forward")
-        new_edges = [_push_edge(graph, j, e) for e in path.edges[: k - 1]]
-        new_edges.extend(path.edges[k:])
-        return QbgPath(floor_smul(graph, j, W.element(path.start)).index,
-                       tuple(new_edges))
+        return QbgPath(floor(path.start), push(path.edges[: k - 1]) + path.edges[k:])
 
     if not (signs[0] > 0 and signs[-1] > 0):
         raise ValueError("case 4 needs positive signs at both endpoints")
     if all(s > 0 for s in signs):
-        new_edges = [_push_edge(graph, j, e) for e in path.edges]
-        return QbgPath(floor_smul(graph, j, W.element(path.start)).index,
-                       tuple(new_edges))
+        return QbgPath(floor(path.start), push(path.edges))
     shorter = transform_path(graph, path, j, 3)
-    end = W.element(verts[-1])
-    up = graph.edge(end.index, _tilde_image(W, j, end))
-    if up is None or up.target != floor_smul(graph, j, end).index:
+    up = graph.left_step(j, verts[-1])[1]
+    if up is None:
         raise GraphInvariantError("ascent edge out of the end is missing")
     return QbgPath(shorter.start, shorter.edges + (up,))
-
-
-def _down_label(graph: QbgGraph, j: int, w: WeylElement) -> Root:
-    """Label of the edge floor(s_j w) -> w when the sign at w is negative."""
-    if j == 0:
-        z = graph.W.theta_twist(w, graph.J)
-        return z.act(w.inverse().act(graph.rs.theta))
-    return neg_vec(_tilde_image(graph.W, j, w))
 
 
 def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> Coroot:

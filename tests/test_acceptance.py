@@ -22,6 +22,8 @@ from qbgraph.weyl import WeylGroup
 
 #: sha256 of `qbgraph verify --suite all --format json`
 REPORT_SHA256 = "1f86e38f8156b33b2b300d0b82c5b17d33007e37568765ad8c489217ef7fd458"
+#: sha256 of `qbgraph verify --suite all` (text)
+TEXT_REPORT_SHA256 = "6a175373c2889b57c68a8a1e2d1903099b10226bdb079c6f5abab28207dfc7a3"
 
 
 def _report(number: int, text: str) -> None:
@@ -64,6 +66,11 @@ def suite_run(default_run):
 def test_verify_report_is_pinned(default_run):
     doc = render.report_to_json([res for res, _ in default_run.values()])
     assert hashlib.sha256(doc.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_verify_text_report_is_pinned(default_run):
+    text = render.report_to_text([res for res, _ in default_run.values()])
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_REPORT_SHA256
 
 
 def test_criterion_01_quantum_roots(suite_run):

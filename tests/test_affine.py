@@ -218,6 +218,12 @@ def test_sigma_and_witnesses(a2):
         aw.superantidominant_mu(W.simple_reflection(2), J, 3)
 
 
+def test_superantidominant_mu_needs_a_proper_j(a2):
+    rs, W, aw = a2
+    with pytest.raises(ValueError, match="J must be proper"):
+        aw.superantidominant_mu(W.identity, rs.parabolic((1, 2)), 1)
+
+
 def fraction_box(rs):
     """Reference for coweight_box: the coordinates p C^-1 in Fractions."""
     inv = rs.inverse_cartan()

@@ -116,6 +116,19 @@ def test_poset_slice(capsys):
     assert len(doc["vertices"]) == 18
 
 
+#: sha256 of `poset --type A --rank 2 --lambda 2,1 --window 1` (text)
+SLICE_TEXT_SHA256 = "cadd3b0f88e9d9ef4d68ba3437b7c49603e69605abbc26a7514d661fb73185e3"
+
+
+def test_poset_text_slice_is_pinned(capsys):
+    code, out = run(
+        capsys, "poset", "--type", "A", "--rank", "2", "--lambda", "2,1",
+        "--window", "1",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SLICE_TEXT_SHA256
+
+
 def test_poset_dot_red_layer(capsys):
     code, out = run(
         capsys, "poset", "--type", "A", "--rank", "2", "--lambda", "2,1",
@@ -246,6 +259,19 @@ def test_type_past_the_cap_exits_two_before_building_roots(monkeypatch, capsys, 
     assert captured.err.startswith("error: |W| = ")
     assert "exceeds the enumeration cap" in captured.err
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_root_system_past_the_root_cap_exits_two(monkeypatch, capsys):
+    # quantum-roots builds only the root system, so no |W| cap applies
+    def refuse(*_args):
+        raise AssertionError("a root system was built past the root cap")
+
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    code = main(["verify", "--suite", "quantum-roots", "--types", "A30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: |Phi+| = 465 exceeds the root cap 300\n"
     assert captured.out == ""
 
 

@@ -1,11 +1,14 @@
 import pytest
 
 from qbgraph.root_system import (
+    ROOT_CAP,
     ConfigurationError,
+    RootSystem,
     build_root_system,
     cartan_matrix,
     is_positive_vec,
     neg_vec,
+    positive_root_count,
     sub_vec,
 )
 from qbgraph.verify import ROOT_TYPES, all_parabolics
@@ -26,6 +29,22 @@ def test_positive_root_counts(key):
     rs = build_root_system(t, r)
     assert len(rs.positive_roots) == COUNTS[key]
     assert len(set(rs.positive_roots)) == COUNTS[key]
+
+
+@pytest.mark.parametrize("key", sorted(COUNTS))
+def test_closed_form_root_counts(key):
+    assert positive_root_count(*key) == COUNTS[key]
+
+
+def test_root_cap_refuses_before_the_closure(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a root system was built past the root cap")
+
+    monkeypatch.setattr(RootSystem, "__init__", refuse)
+    assert positive_root_count("A", 24) == ROOT_CAP
+    for t, r in [("A", 25), ("B", 18), ("D", 18), ("A", 80)]:
+        with pytest.raises(ConfigurationError, match="exceeds the root cap"):
+            build_root_system(t, r)
 
 
 def test_invalid_configurations():

@@ -4,10 +4,8 @@ from qbgraph.qbg import GraphInvariantError, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import (
     TiltedOrder,
-    _push_edge,
     compare_path_weights,
     expected_weight_shift,
-    floor_smul,
     left_multiplication_step,
     left_step_edge,
     left_step_subgraph_strongly_connected,
@@ -288,8 +286,8 @@ def test_surgery_tables_belong_to_their_graph():
         for (j, edge), moved in g._pushed_edges.items():
             assert g.edge(edge.source, edge.label) is edge
             assert g.edge(moved.source, moved.label) is moved
-            assert moved.source == floor_smul(g, j, W.element(edge.source)).index
-            assert moved.target == floor_smul(g, j, W.element(edge.target)).index
+            assert moved.source == g.left_step(j, edge.source)[0]
+            assert moved.target == g.left_step(j, edge.target)[0]
 
 
 def test_a_failed_push_is_not_kept():
@@ -298,11 +296,11 @@ def test_a_failed_push_is_not_kept():
     J = rs.parabolic(())
     g = build_qbg(W, J)
     edge = g.edges[0]
-    moved = _push_edge(g, 1, edge)
+    moved = g.push_edge(1, edge)
     broken = QbgGraph(W, J, g.vertices, [e for e in g.edges if e != moved])
     for _ in range(2):
         with pytest.raises(GraphInvariantError, match="pushed edge is missing"):
-            _push_edge(broken, 1, edge)
+            broken.push_edge(1, edge)
     assert not broken._pushed_edges
 
 
