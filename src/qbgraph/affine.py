@@ -62,23 +62,18 @@ class AffineWeyl:
     def translation(self, mu: Coroot) -> AffineElement:
         return AffineElement(0, tuple(mu))
 
-    def finite_part(self, x: AffineElement) -> WeylElement:
-        return self.W.element(x.w)
-
     def mul(self, x: AffineElement, y: AffineElement) -> AffineElement:
         # (w t_mu)(v t_nu) = wv t_{v^{-1} mu + nu}
-        v = self.W.element(y.w)
-        w = self.W.element(x.w)
-        return AffineElement((w * v).index, add_vec(v.inverse().act_coroot(x.mu), y.mu))
+        W = self.W
+        return AffineElement(W.mul(x.w, y.w), add_vec(W.act_coroot(W._inverse[y.w], x.mu), y.mu))
 
     def inv(self, x: AffineElement) -> AffineElement:
-        w = self.W.element(x.w)
-        return AffineElement(w.inverse().index, neg_vec(w.act_coroot(x.mu)))
+        return AffineElement(self.W._inverse[x.w], neg_vec(self.W.act_coroot(x.w, x.mu)))
 
     def reflection(self, beta: AffineRoot) -> AffineElement:
         """r_{alpha + k delta} = r_alpha t_{k alpha^vee}."""
-        r = self.W.reflection(beta.alpha)
-        return AffineElement(r.index, scale_vec(beta.k, self.rs.coroot(beta.alpha)))
+        r = self.W.right_reflect(0, beta.alpha)
+        return AffineElement(r, scale_vec(beta.k, self.rs.coroot(beta.alpha)))
 
     def simple_affine_reflection(self, i: int) -> AffineElement:
         """r_i for i in 0..rank, with r_0 = r_theta t_{-theta^vee}."""
@@ -86,8 +81,7 @@ class AffineWeyl:
 
     def act(self, x: AffineElement, beta: AffineRoot) -> AffineRoot:
         """w t_mu sends alpha + k delta to w(alpha) + (k - <mu, alpha>) delta."""
-        w = self.W.element(x.w)
-        return AffineRoot(w.act(beta.alpha), beta.k - self.rs.pairing(x.mu, beta.alpha))
+        return AffineRoot(self.W.act(x.w, beta.alpha), beta.k - self.rs.pairing(x.mu, beta.alpha))
 
     # -- length ---------------------------------------------------------------
 
@@ -118,10 +112,9 @@ class AffineWeyl:
         rs = self.rs
         pairs = [_pairing_by_definition(rs.cartan, x.mu, a) for a in rs.positive_roots]
         bound = 1 + max((abs(p) for p in pairs), default=0)
-        w = self.W.element(x.w)
         count = 0
         for alpha, p in zip(rs.positive_roots, pairs):
-            wpos = is_positive_vec(w.act(alpha))
+            wpos = is_positive_vec(self.W.act(x.w, alpha))
             for k in range(0, bound + 1):  # alpha + k delta
                 if k - p < 0 or (k - p == 0 and not wpos):
                     count += 1
@@ -184,7 +177,7 @@ class AffineWeyl:
             raise ValueError("rank mismatch")
         out = []
         for comp in J.components:
-            den, cols, candidates = self._component_data(comp)
+            den, cols, candidates, _factors = self._component_data(comp)
             proj = [sum(map(mul, mu, col)) for col in cols]
             chosen = None
             for cand, shift in candidates:
@@ -199,13 +192,15 @@ class AffineWeyl:
         return out
 
     def _component_data(self, comp: tuple[int, ...]):
-        """(D, columns, candidates) of one component of J.
+        """(D, columns, candidates, factors) of one component of J.
 
         D * C_comp^-1 is the component's scaled inverse Cartan matrix.
         Column b maps mu to D times coordinate b of its projection:
         sum_a <mu, alpha_{comp[a]}> (D C_comp^-1)[a][b].  The candidates
         pair None and every special node j with the shift added to that
-        scaled projection: zero, or row j of D C_comp^-1.
+        scaled projection: zero, or row j of D C_comp^-1.  The factors map
+        None to the identity and j to the id of v_j = w_0^comp
+        w_0^(comp minus j).
         """
         got = self._component_cache.get(comp)
         if got is None:
@@ -220,10 +215,16 @@ class AffineWeyl:
                 )
                 for b in range(len(comp))
             )
+            specials = _component_special_nodes(self.rs, comp)
             candidates = ((None, (0,) * len(comp)),) + tuple(
-                (j, scaled[comp.index(j)]) for j in _component_special_nodes(self.rs, comp)
+                (j, scaled[comp.index(j)]) for j in specials
             )
-            got = self._component_cache[comp] = (den, cols, candidates)
+            W = self.W
+            factors = {None: 0} | {
+                j: W.mul(W.longest(comp), W.longest(tuple(k for k in comp if k != j)))
+                for j in specials
+            }
+            got = self._component_cache[comp] = (den, cols, candidates, factors)
         return got
 
     def phi_correction(self, mu: Coroot, J: ParabolicIndex) -> Coroot:
@@ -234,21 +235,20 @@ class AffineWeyl:
                 phi[node - 1] = c
         return tuple(phi)
 
-    def z_mu(self, mu: Coroot, J: ParabolicIndex) -> WeylElement:
+    def z_mu(self, mu: Coroot, J: ParabolicIndex) -> int:
         """The Weyl factor of pi_J(t_mu), a product of one special element
         per component of J."""
-        z = self.W.identity
+        z = 0
         for comp, jm, _corr in self._component_decomposition(mu, J):
-            if jm is not None:
-                z = z * _component_special_v(self.W, comp, jm)
+            z = self.W.mul(z, self._component_data(comp)[3][jm])
         return z
 
     def project(self, x: AffineElement, J: ParabolicIndex) -> AffineElement:
         """pi_J(w t_mu) = floor(w) z_mu t_{mu + phi_J(mu)}."""
-        wfloor = self.W.min_coset_rep(self.W.element(x.w), J)
+        wfloor = self.W.coset_floor(x.w, J)
         z = self.z_mu(x.mu, J)
         mu = add_vec(x.mu, self.phi_correction(x.mu, J))
-        return AffineElement((wfloor * z).index, mu)
+        return AffineElement(self.W.mul(wfloor, z), mu)
 
     def sigma_J(self, J: ParabolicIndex) -> dict[int, Coroot]:
         """The group of Weyl factors z_mu, as a map element id -> witness mu.
@@ -264,9 +264,7 @@ class AffineWeyl:
         seeds: dict[int, Coroot] = {}
 
         def note(mu: Coroot) -> None:
-            z = self.z_mu(mu, J)
-            if z.index not in seeds:
-                seeds[z.index] = mu
+            seeds.setdefault(self.z_mu(mu, J), mu)
 
         note((0,) * rs.rank)
         for i in range(1, rs.rank + 1):
@@ -279,7 +277,7 @@ class AffineWeyl:
             changed = False
             for za, mua in list(seeds.items()):
                 for zb, mub in list(seeds.items()):
-                    prod = (self.W.element(za) * self.W.element(zb)).index
+                    prod = self.W.mul(za, zb)
                     if prod not in seeds:
                         seeds[prod] = add_vec(mua, mub)
                         changed = True
@@ -321,7 +319,7 @@ class AffineWeyl:
         mu = sub_vec(mu, scale_vec(m, h))
         if not self.is_superantidominant(mu, J, depth) or not self.is_adjusted(mu, J):
             raise GraphInvariantError("failed to build a superantidominant witness")
-        if self.z_mu(mu, J).index != z.index:
+        if self.z_mu(mu, J) != z.index:
             raise GraphInvariantError("witness has the wrong Weyl factor")
         return mu
 
@@ -337,10 +335,10 @@ class AffineWeyl:
     def in_omega(self, x: AffineElement, J: ParabolicIndex, depth: int = 1) -> bool:
         """Membership in the lift target: floor part in W^J, mu adjusted with
         matching Weyl factor, and mu at least `depth` antidominant off Phi_J."""
-        wfloor, rest = self.W.parabolic_decompose(self.W.element(x.w), J)
+        rest = self.W.parabolic_decompose(x.w, J)[1]
         return (
             self.is_adjusted(x.mu, J)
-            and self.z_mu(x.mu, J).index == rest.index
+            and self.z_mu(x.mu, J) == rest
             and self.is_superantidominant(x.mu, J, depth)
         )
 
@@ -358,7 +356,7 @@ class AffineWeyl:
         self,
         graph: QbgGraph,
         edge: QbgEdge,
-        z: WeylElement,
+        z: int,
         mu: Coroot,
         depth: int | None = None,
     ) -> tuple[AffineElement, AffineElement, AffineRoot]:
@@ -374,15 +372,14 @@ class AffineWeyl:
             raise ValueError("mu is not J-adjusted")
         if not self.is_superantidominant(mu, J, depth):
             raise ValueError(f"mu is not superantidominant to depth {depth}")
-        if self.z_mu(mu, J).index != z.index:
+        if self.z_mu(mu, J) != z:
             raise ValueError("z does not match the Weyl factor of mu")
         rs = self.rs
         W = self.W
-        w = W.element(edge.source)
         chi = 1 if edge.kind == QUANTUM else 0
-        zinv_alpha = z.inverse().act(edge.label)
+        zinv_alpha = W.act(W._inverse[z], edge.label)
         gamma = AffineRoot(zinv_alpha, chi + rs.pairing(mu, zinv_alpha))
-        x = AffineElement((w * z).index, mu)
+        x = AffineElement(W.mul(edge.source, z), mu)
         y = self.mul(x, self.reflection(gamma))
         if gamma.is_positive():
             raise GraphInvariantError("lift label should be a negative affine root")
@@ -397,7 +394,7 @@ class AffineWeyl:
 
     def project_cover(
         self, x: AffineElement, y: AffineElement, J: ParabolicIndex
-    ) -> tuple[QbgEdge, WeylElement, int, AffineRoot]:
+    ) -> tuple[QbgEdge, int, int, AffineRoot]:
         """Project a cover y < x back to a graph edge (with its z and chi).
 
         x must factor as w z t_mu with w in W^J, z = z_mu; the connecting
@@ -405,14 +402,14 @@ class AffineWeyl:
         """
         rs = self.rs
         W = self.W
-        w, z = W.parabolic_decompose(W.element(x.w), J)
+        w, z = W.parabolic_decompose(x.w, J)
         mu = x.mu
-        if not self.is_adjusted(mu, J) or self.z_mu(mu, J).index != z.index:
+        if not self.is_adjusted(mu, J) or self.z_mu(mu, J) != z:
             raise ValueError("x does not factor through the projection")
         if self.length(x) - self.length(y) != 1:
             raise ValueError("not a length-one cover")
         u = self.mul(self.inv(x), y)
-        beta = _reflection_root(W, W.element(u.w))
+        beta = _reflection_root(W, u.w)
         cor = rs.coroot(beta)
         ns = {
             Fraction(c, d) for c, d in zip(u.mu, cor) if d != 0
@@ -423,7 +420,7 @@ class AffineWeyl:
         if n.denominator != 1:
             raise ValueError("cover is not by an affine reflection")
         n = int(n)
-        alpha = z.act(beta)
+        alpha = W.act(z, beta)
         if not is_positive_vec(alpha):
             alpha = neg_vec(alpha)
             beta, n = neg_vec(beta), -n
@@ -493,12 +490,11 @@ class AffineWeyl:
         depth = self.lift_depth(graph)
         if not self.is_superantidominant(mu, J, depth):
             raise ValueError(f"starting mu is not superantidominant to depth {depth}")
-        z0 = self.z_mu(mu, J)
-        x = AffineElement((self.W.element(path.start) * z0).index, mu)
+        x = AffineElement(self.W.mul(path.start, self.z_mu(mu, J)), mu)
         chain: list[tuple[AffineElement, AffineRoot | None]] = [(x, None)]
         for edge in path.edges:
-            w, z = self.W.parabolic_decompose(self.W.element(x.w), J)
-            if w.index != edge.source:
+            w, z = self.W.parabolic_decompose(x.w, J)
+            if w != edge.source:
                 raise ValueError("path does not start where the chain is")
             x, y, gamma = self.lift_edge(graph, edge, z, x.mu, depth=1)
             chain.append((y, gamma))
@@ -541,10 +537,10 @@ def cover_label(gamma: AffineRoot) -> AffineRoot:
     return gamma if gamma.is_positive() else -gamma
 
 
-def _reflection_root(W: WeylGroup, w: WeylElement) -> Root:
+def _reflection_root(W: WeylGroup, w: int) -> Root:
     """The positive root beta with w = r_beta, or raise ValueError."""
     for beta in W.rs.positive_roots:
-        if W.reflection(beta).index == w.index:
+        if W.right_reflect(0, beta) == w:
             return beta
     raise ValueError("finite part is not a reflection")
 
@@ -553,10 +549,6 @@ def _component_special_nodes(rs, comp: tuple[int, ...]) -> tuple[int, ...]:
     roots = rs.parabolic(comp).phi_plus
     theta = max(roots, key=lambda a: (sum(a), a))
     return tuple(j for j in comp if theta[j - 1] == 1)
-
-
-def _component_special_v(W: WeylGroup, comp: tuple[int, ...], j: int) -> WeylElement:
-    return W.longest_element(comp) * W.longest_element(tuple(k for k in comp if k != j))
 
 
 # -- diamond completions -------------------------------------------------------
@@ -618,8 +610,8 @@ class Diamond:
     bottom_right: QbgEdge
     top_left: QbgEdge
     top_right: QbgEdge
-    z: WeylElement
-    z2: WeylElement
+    z: int
+    z2: int
 
 
 def _require_edge(who: str, edge: QbgEdge | None, kind: str, target: int) -> QbgEdge:
@@ -637,7 +629,7 @@ def _step_index(case: str, alpha: Root | None) -> int:
     return alpha.index(1) + 1 if case in _SIMPLE_CASES else 0
 
 
-def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
+def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: int,
                        gamma: Root, alpha: Root | None) -> str | None:
     """The first hypothesis of the case that (w, gamma, alpha) breaks, or
     None.  Ascending (up), w is the diamond's bottom vertex and the edge at
@@ -645,7 +637,7 @@ def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
     edge its top-left edge."""
     if case not in _LEFT_KINDS:
         return f"unknown diamond case {case!r}"
-    rs, J = graph.rs, graph.J
+    rs, W, J = graph.rs, graph.W, graph.J
     simple = case in _SIMPLE_CASES
     if simple and (alpha is None or sum(alpha) != 1 or min(alpha) < 0):
         return "simple cases need a simple root alpha"
@@ -653,7 +645,7 @@ def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
     # w^{-1} alpha goes up positive, w^{-1} theta goes up negative
     positive = up == simple
     sign = "+" if positive else "-"
-    v = w.inverse().act(beta)
+    v = W.act(W._inverse[w], beta)
     if is_positive_vec(v) != positive or J.supports(v):
         return f"w^{{-1}} {name} must lie in Phi{sign} minus Phi_J{sign}"
     if not simple:
@@ -665,17 +657,17 @@ def _broken_hypothesis(graph: QbgGraph, case: str, up: bool, w: WeylElement,
     # the given edge has the case's own kind on both sides:
     # _LEFT_KINDS[case][1] == _LEFT_KINDS[_MIRROR[case]][2]
     kind = _LEFT_KINDS[case][1]
-    edge = graph.edge(w.index, gamma)
+    edge = graph.edge(w, gamma)
     if edge is None or edge.kind != kind:
         return f"{kind} edge out of w absent at {gamma}"
     if not up:
-        u = graph.W.element(edge.target).inverse().act(beta)
+        u = W.act(W._inverse[edge.target], beta)
         if is_positive_vec(u) != positive or J.supports(u):
             return f"floor(w r_gamma)^{{-1}} {name} must lie in Phi{sign} minus Phi_J{sign}"
     return None
 
 
-def _complete(graph: QbgGraph, case: str, b: WeylElement, gamma: Root,
+def _complete(graph: QbgGraph, case: str, b: int, gamma: Root,
               alpha: Root | None) -> Diamond:
     """The ascending diamond of the case on the bottom vertex b, read from
     the left action of s_j (j = 0 for the theta cases): the step out of b,
@@ -684,19 +676,19 @@ def _complete(graph: QbgGraph, case: str, b: WeylElement, gamma: Root,
     W, J = graph.W, graph.J
     j = _step_index(case, alpha)
     beta = graph.rs.tilde_root(j)
-    bg = W.right_reflect(b.index, gamma)
+    bg = W.right_reflect(b, gamma)
     right = W.coset_floor(bg, J)
-    left = W.coset_floor(W.left_reflect(b.index, beta), J)
+    left = W.coset_floor(W.left_reflect(b, beta), J)
     top = W.coset_floor(W.left_reflect(right, beta), J)
     if W.coset_floor(W.left_reflect(bg, beta), J) != top:
         raise GraphInvariantError("floors of the top vertex disagree")
     if j:
-        z = z2 = W.identity
+        z = z2 = 0
     else:
-        z, z2 = W.theta_twist(b, J), W.theta_twist(W.element(right), J)
+        z, z2 = W.theta_twist(b, J), W.theta_twist(right, J)
     kl, kr, ktl, ktr = _LEFT_KINDS[case]
-    bl = _require_edge("bottom-left", graph.left_step(j, b.index)[1], kl, left)
-    br = _require_edge("bottom-right", graph.edge(b.index, gamma), kr, right)
+    bl = _require_edge("bottom-left", graph.left_step(j, b)[1], kl, left)
+    br = _require_edge("bottom-right", graph.edge(b, gamma), kr, right)
     tl = _require_edge("top-left", graph.push_edge(j, br), ktl, top)
     tr = _require_edge("top-right", graph.left_step(j, right)[1], ktr, top)
     if J.weight_class(add_vec(bl.weight, tl.weight)) != J.weight_class(
@@ -706,7 +698,7 @@ def _complete(graph: QbgGraph, case: str, b: WeylElement, gamma: Root,
     return Diamond(case, bl, br, tl, tr, z, z2)
 
 
-def complete_bottom(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
+def complete_bottom(graph: QbgGraph, case: str, w: int, gamma: Root,
                     alpha: Root | None = None) -> Diamond:
     """Given the two ascending edges out of w, derive and verify the two
     edges that close the diamond above them.
@@ -722,7 +714,7 @@ def complete_bottom(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
     return _complete(graph, case, w, gamma, alpha)
 
 
-def complete_top(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
+def complete_top(graph: QbgGraph, case: str, w: int, gamma: Root,
                  alpha: Root | None = None) -> Diamond:
     """Given the two edges converging on the diamond's top vertex, derive
     and verify the two edges below them (the descending statement).
@@ -735,21 +727,20 @@ def complete_top(graph: QbgGraph, case: str, w: WeylElement, gamma: Root,
     if broken:
         raise ValueError(broken)
     W, J = graph.W, graph.J
-    bottom = W.element(graph.left_step(_step_index(case, alpha), w.index)[0])
+    bottom = graph.left_step(_step_index(case, alpha), w)[0]
     if case in _SIMPLE_CASES:
         return _complete(graph, case, bottom, gamma, alpha)
     z = W.theta_twist(w, J)
-    d = _complete(graph, _MIRROR[case], bottom, z.act(gamma), None)
-    return replace(d, case=case, z=z, z2=W.theta_twist(W.element(d.top_left.target), J))
+    d = _complete(graph, _MIRROR[case], bottom, W.act(z, gamma), None)
+    return replace(d, case=case, z=z, z2=W.theta_twist(d.top_left.target, J))
 
 
 def _configurations(graph: QbgGraph, case: str, up: bool):
     if case not in _LEFT_KINDS:
         raise ValueError(f"unknown diamond case {case!r}")
     alphas = graph.rs.simple_roots() if case in _SIMPLE_CASES else (None,)
-    for wid in graph.vertices:
-        w = graph.W.element(wid)
-        for edge in graph.out[wid]:
+    for w in graph.vertices:
+        for edge in graph.out[w]:
             for alpha in alphas:
                 if _broken_hypothesis(graph, case, up, w, edge.label, alpha) is None:
                     yield w, edge.label, alpha

@@ -42,7 +42,7 @@ from math import gcd
 from .affine import AffineRoot, affine_simple_root
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgGraph, build_qbg
 from .root_system import Coroot, Root, add_vec, is_positive_vec, neg_vec
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 
 #: a raising step of one coset: (root, pairing p > 0, target coset id, first k)
 Step = tuple[Root, int, int, int]
@@ -111,9 +111,6 @@ class LevelZeroPoset:
     def pair(self, coroot: Coroot, w: int) -> int:
         """<coroot, w(lambda)>."""
         return self._pairings.pair(coroot, w)
-
-    def cl(self, mu: LevelZeroWeight) -> WeylElement:
-        return self.W.element(mu.w)
 
     def weight_coordinates(self, mu: LevelZeroWeight) -> tuple[int, ...]:
         """Coefficients of cl(mu) over the fundamental weights."""
@@ -313,10 +310,9 @@ class LevelZeroPoset:
         if not self.dominant:
             raise ValueError("covers through the graph need a dominant weight")
         rs = self.rs
-        w = self.cl(mu)
         out = []
         for edge in self.graph.out[mu.w]:
-            wgamma = w.act(edge.label)
+            wgamma = self.W.act(mu.w, edge.label)
             if edge.kind == BRUHAT:
                 if not is_positive_vec(wgamma):
                     raise GraphInvariantError("Bruhat edge moved the label negative")

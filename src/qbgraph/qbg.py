@@ -13,7 +13,7 @@ from .root_system import (
     add_vec,
     is_positive_vec,
 )
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 
 BRUHAT = "bruhat"
 QUANTUM = "quantum"
@@ -57,7 +57,7 @@ class QbgPath:
         return tuple(map(sum, zip(*(e.weight for e in self.edges))))
 
 
-def edge_between(W: WeylGroup, J: ParabolicIndex, w: WeylElement, alpha: Root):
+def edge_between(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
     """The edge out of w in the label alpha's direction, or None.
 
     alpha must lie in Phi^+ minus Phi_J^+.  At most one of the two edge
@@ -65,11 +65,11 @@ def edge_between(W: WeylGroup, J: ParabolicIndex, w: WeylElement, alpha: Root):
     """
     if not W.rs.is_positive_root(alpha) or alpha in J.phi_plus:
         raise ValueError(f"label {alpha} not in Phi+ minus Phi_J+")
-    return _edge(W, J, w.index, alpha)
+    return _edge(W, J, w, alpha)
 
 
 def _edge(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
-    """``edge_between`` on an element id, for a label already checked."""
+    """``edge_between`` for a label already checked."""
     length = W._length
     x = W.right_reflect(w, alpha)
     up = length[w] + 1
@@ -129,9 +129,6 @@ class QbgGraph:
     def edge(self, source: int, label: Root) -> QbgEdge | None:
         return self._by_key.get((source, label))
 
-    def element(self, vid: int) -> WeylElement:
-        return self.W.element(vid)
-
     def empty_path(self, v: int) -> QbgPath:
         return QbgPath(v, ())
 
@@ -152,7 +149,7 @@ class QbgGraph:
             W, J = self.W, self.J
             tilde = self.rs.tilde_root(j)
             target = W.coset_floor(W.left_reflect(x, tilde), J)
-            label = W.element(W._inverse[x]).act(tilde)
+            label = W.act(W._inverse[x], tilde)
             edge = None
             if is_positive_vec(label) and not J.supports(label):
                 edge = self.edge(x, label)
@@ -175,7 +172,7 @@ class QbgGraph:
         if got is None:
             label = edge.label
             if j == 0:
-                label = self.W.theta_twist(self.W.element(edge.source), self.J).act(label)
+                label = self.W.act(self.W.theta_twist(edge.source, self.J), label)
             got = self.edge(self.left_step(j, edge.source)[0], label)
             if got is None or got.target != self.left_step(j, edge.target)[0]:
                 raise GraphInvariantError("pushed edge is missing from the graph")
@@ -303,7 +300,7 @@ def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
 
     Vertices are listed by id, which is (length, shortlex word) order.
     """
-    order = [w.index for w in W.min_coset_reps(J)]
+    order = W.min_coset_ids(J)
     labels = [a for a in W.rs.positive_roots if not J.supports(a)]
     edges = []
     for w in order:
@@ -340,17 +337,17 @@ def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     return QbgGraph(W, J, order, edges)
 
 
-def induced_coset_subgraph(graph: QbgGraph, z: WeylElement, J: ParabolicIndex) -> QbgGraph:
+def induced_coset_subgraph(graph: QbgGraph, z: int, J: ParabolicIndex) -> QbgGraph:
     """Induced subgraph of QB(W) on the coset z W_J."""
-    ids = {w.index for w in graph.W.coset(z, J)}
+    ids = set(graph.W.coset_ids(z, J))
     keep = [e for e in graph.edges if e.source in ids and e.target in ids]
     return QbgGraph(graph.W, J, sorted(ids), keep)
 
 
-def dual_involution(graph: QbgGraph, w: WeylElement) -> WeylElement:
+def dual_involution(graph: QbgGraph, w: int) -> int:
     """The duality w -> w_0 w w_0^J on W^J; reverses edges, preserves kinds."""
     W = graph.W
-    return W.longest_element() * w * W.longest_element(graph.J.nodes)
+    return W.mul(W.mul(W.longest(), w), W.longest(graph.J.nodes))
 
 
 # -- reflection orderings -----------------------------------------------------
@@ -393,10 +390,10 @@ class ReflectionOrdering:
 def _word_roots(W: WeylGroup, word) -> tuple[Root, ...]:
     """The roots r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) along a word."""
     roots = []
-    prefix = W.identity
+    prefix = 0
     for k in word:
-        roots.append(W.simple_image(prefix, k))
-        prefix = prefix * W.simple_reflection(k)
+        roots.append(W.matrix(prefix)[k - 1])
+        prefix = W._right[prefix][k - 1]
     return tuple(roots)
 
 
@@ -404,8 +401,8 @@ def reflection_ordering_from_word(W: WeylGroup, word) -> ReflectionOrdering:
     """The ordering beta_k = r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) from a
     reduced word for the longest element."""
     word = tuple(word)
-    w = W.from_word(word)
-    if w.index != W.longest_element().index or len(word) != w.length:
+    w0 = W.longest_element()
+    if W.from_word(word) != w0 or len(word) != w0.length:
         raise ValueError("word is not a reduced word for the longest element")
     seq = _word_roots(W, word)
     if sorted(seq) != sorted(W.rs.positive_roots):

@@ -39,8 +39,8 @@ class TiltedOrder:
         Also checks that the minimizer sits below every coset member in the
         tilted order; a tie raises, since uniqueness is guaranteed.
         """
-        coset = self.W.coset(z, J)
-        dists = [(self.graph.distance(u, x.index), x) for x in coset]
+        coset = self.W.coset_ids(z.index, J)
+        dists = [(self.graph.distance(u, x), x) for x in coset]
         best = min(d for d, _ in dists)
         winners = [x for d, x in dists if d == best]
         if len(winners) != 1:
@@ -50,9 +50,9 @@ class TiltedOrder:
             )
         x0 = winners[0]
         for _, x in dists:
-            if not self.leq(u, x0.index, x.index):
+            if not self.leq(u, x0, x):
                 raise GraphInvariantError("coset minimum is not below a coset member")
-        return x0
+        return self.W.element(x0)
 
 
 # -- left multiplication steps ---------------------------------------------------
@@ -63,9 +63,9 @@ def tilde_coroot(rs, i: int) -> Coroot:
     return rs.coroot(rs.tilde_root(i))
 
 
-def left_step_edge(graph: QbgGraph, i: int, x: WeylElement) -> QbgEdge | None:
+def left_step_edge(graph: QbgGraph, i: int, x: int) -> QbgEdge | None:
     """The edge x -> floor(s_i x) when x^{-1}(tilde alpha_i) is a usable label."""
-    return graph.left_step(i, x.index)[1]
+    return graph.left_step(i, x)[1]
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,10 @@ class LeftStep:
 
     classification: Trichotomy
     edge: QbgEdge | None
-    twist: WeylElement | None
+    twist: int | None
 
 
-def left_multiplication_step(graph: QbgGraph, w: WeylElement, j: int) -> LeftStep:
+def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
     """Classify w^{-1}(tilde alpha_j) and return the induced edge.
 
     j ranges over 0..rank with s_0 the reflection in theta; the edge is
@@ -91,10 +91,10 @@ def left_multiplication_step(graph: QbgGraph, w: WeylElement, j: int) -> LeftSte
     -w^{-1} alpha_j, or z(w^{-1} theta) for the theta twist z of w.
     """
     rs, W, J = graph.rs, graph.W, graph.J
-    img = w.inverse().act(rs.tilde_root(j))
-    target, edge = graph.left_step(j, w.index)
+    img = W.act(W._inverse[w], rs.tilde_root(j))
+    target, edge = graph.left_step(j, w)
     if J.supports(img):
-        if target != w.index:
+        if target != w:
             raise GraphInvariantError("fixed case moved the coset")
         return LeftStep(Trichotomy.FIXED, None, None)
     if is_positive_vec(img):
@@ -109,22 +109,22 @@ def left_multiplication_step(graph: QbgGraph, w: WeylElement, j: int) -> LeftSte
         aw = AffineWeyl(W)
         twist = W.theta_twist(w, J)
         gamma = label  # w^{-1}theta, positive off Phi_J
-        if (W.reflection(rs.theta) * w).index != (W.element(target) * twist).index:
+        if W.mul(W.right_reflect(0, rs.theta), w) != W.mul(target, twist):
             raise GraphInvariantError("twist does not factor the theta product")
-        if twist != aw.z_mu(rs.coroot(gamma), J).inverse():
+        if twist != W._inverse[aw.z_mu(rs.coroot(gamma), J)]:
             raise GraphInvariantError("twist is not the inverse crossing factor")
-        if not aw.is_adjusted(twist.act_coroot(rs.coroot(gamma)), J):
+        if not aw.is_adjusted(W.act_coroot(twist, rs.coroot(gamma)), J):
             raise GraphInvariantError("twisted crossing coroot is not adjusted")
-        label = twist.act(gamma)
+        label = W.act(twist, gamma)
     edge = graph.left_step(j, target)[1]
-    if edge is None or edge.target != w.index or edge.label != label:
+    if edge is None or edge.target != w or edge.label != label:
         raise GraphInvariantError("descending left step is not a graph edge")
     return LeftStep(Trichotomy.DOWN, edge, twist)
 
 
 def quantum_length(graph: QbgGraph, u: int) -> int:
     """Fewest left steps by simple or theta reflections from u to the identity."""
-    return len(graph.step_graph().shortest_path(u, graph.W.identity.index))
+    return len(graph.step_graph().shortest_path(u, 0))
 
 
 def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
@@ -230,15 +230,13 @@ def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> 
     zero = (0,) * rs.rank
     if j != 0:
         return zero
-    W = graph.W
-    w1 = W.element(path.start)
-    w2 = W.element(_vertices(graph, path)[-1])
+    W, inv = graph.W, graph.W._inverse
     cor = tilde_coroot(rs, 0)
     shift = zero
     if case in (1, 2, 4):
-        shift = add_vec(shift, w2.inverse().act_coroot(cor))
+        shift = add_vec(shift, W.act_coroot(inv[path.end], cor))
     if case in (2, 3, 4):
-        shift = sub_vec(shift, w1.inverse().act_coroot(cor))
+        shift = sub_vec(shift, W.act_coroot(inv[path.start], cor))
     return shift
 
 

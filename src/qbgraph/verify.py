@@ -277,7 +277,7 @@ def weyl_basics(rs, W, _aw):
         J = rs.parabolic(J_nodes)
         wjset = set(W.subgroup_elements(J.nodes))
         for w in W.elements():
-            u, v = W.parabolic_decompose(w, J)
+            u, v = map(W.element, W.parabolic_decompose(w.index, J))
             if (u * v).index != w.index or v.index not in wjset:
                 raise AssertionError("decomposition broke")
             if u.length + v.length != w.length:
@@ -425,24 +425,24 @@ def qbg_structure(rs, W, aw, J):
     g.diameter()  # also asserts strong connectivity
     # duality
     for v in g.vertices:
-        vv = dual_involution(g, W.element(v))
-        if dual_involution(g, vv).index != v:
+        vv = dual_involution(g, v)
+        if dual_involution(g, vv) != v:
             raise AssertionError("duality is not an involution")
         expect = len(rs.positive_roots) - len(J.phi_plus) - W.element(v).length
-        if vv.length != expect:
+        if W.element(vv).length != expect:
             raise AssertionError("duality length formula failed")
     w0J = W.longest_element(J.nodes)
     for e in g.edges:
-        src = dual_involution(g, W.element(e.target))
-        dst = dual_involution(g, W.element(e.source))
+        src = dual_involution(g, e.target)
+        dst = dual_involution(g, e.source)
         lab, u = _dual_label(W, w0J, e)
-        mirror = g.edge(src.index, lab)
-        if mirror is None or mirror.target != dst.index or mirror.kind != e.kind:
+        mirror = g.edge(src, lab)
+        if mirror is None or mirror.target != dst or mirror.kind != e.kind:
             raise AssertionError(f"dual edge missing for {e}")
         if u.index == 0 and lab != w0J.act(e.label):
             raise AssertionError("plain dual label rule failed")
         lab2, _ = _dual_label(W, w0J, mirror)
-        if g.edge(dual_involution(g, W.element(mirror.target)).index, lab2) != e:
+        if g.edge(dual_involution(g, mirror.target), lab2) != e:
             raise AssertionError("dual edge map is not an involution")
     # embedded copies w -> wz inside the full graph; a quantum
     # edge lands in the copy twisted by the label's Weyl factor,
@@ -499,13 +499,13 @@ def affine_core(rs, W, aw):
                 raise AssertionError("adjusted test disagrees with phi")
             if adj:
                 z = aw.z_mu(mu, J)
-                if z.length != -rs.pairing(mu, J.two_rho_J):
+                if W.element(z).length != -rs.pairing(mu, J.two_rho_J):
                     raise AssertionError("adjusted z-length formula failed")
                 invariant = all(
                     rs.pairing(mu, rs.simple_roots()[j - 1]) == 0
                     for j in J.nodes
                 )
-                if invariant != (adj and z.index == 0):
+                if invariant != (adj and z == 0):
                     raise AssertionError("invariance criterion failed")
             # membership criterion over a couple of finite parts
             for wid in sample_w:
@@ -513,9 +513,9 @@ def affine_core(rs, W, aw):
                 if not W.in_min_coset_reps(w_el, J):
                     continue
                 for zid in (0, next(iter(wj_ids - {0}), 0)):
-                    x = AffineElement((w_el * W.element(zid)).index, mu)
+                    x = AffineElement(W.mul(wid, zid), mu)
                     member = aw.in_wj_af(x, J)
-                    expect = aw.is_adjusted(mu, J) and aw.z_mu(mu, J).index == zid
+                    expect = aw.is_adjusted(mu, J) and aw.z_mu(mu, J) == zid
                     if member != expect:
                         raise AssertionError("membership criterion failed")
         # homomorphism and W_J-invariance of the factor map
@@ -524,10 +524,10 @@ def affine_core(rs, W, aw):
             za = aw.z_mu(mua, J)
             for mub in small[:: max(1, len(small) // 8)]:
                 zb = aw.z_mu(mub, J)
-                if aw.z_mu(add_vec(mua, mub), J).index != (za * zb).index:
+                if aw.z_mu(add_vec(mua, mub), J) != W.mul(za, zb):
                     raise AssertionError("factor map is not a homomorphism")
             for vj in list(wj_ids)[:4]:
-                if aw.z_mu(W.element(vj).act_coroot(mua), J).index != za.index:
+                if aw.z_mu(W.act_coroot(vj, mua), J) != za:
                     raise AssertionError("factor map moved under W_J")
         # projection properties on sampled elements
         for wid in sample_w:
@@ -569,8 +569,7 @@ def affine_core(rs, W, aw):
                 mu = sub_vec(mu0, scale_vec(3, h))
                 if not aw.is_superantidominant(mu, J, 1):
                     continue
-                z = aw.z_mu(mu, J)
-                x = AffineElement((w_el * z).index, mu)
+                x = AffineElement(W.mul(wid, aw.z_mu(mu, J)), mu)
                 expect = -rs.pairing(mu, sub_vec(rs.two_rho, J.two_rho_J)) - w_el.length
                 if aw.length(x) != expect:
                     raise AssertionError("antidominant length formula failed")
@@ -589,22 +588,20 @@ def lift_roundtrip(_rs, W, aw, J):
     sigma = aw.sigma_J(J)
     lifted = 0
     for zid in sorted(sigma):
-        z = W.element(zid)
-        mu = aw.superantidominant_mu(z, J, depth)
+        mu = aw.superantidominant_mu(W.element(zid), J, depth)
         for e in g.edges:
-            x, y, gamma = aw.lift_edge(g, e, z, mu)
+            x, y, gamma = aw.lift_edge(g, e, zid, mu)
             e2, z2, chi, gamma2 = aw.project_cover(x, y, J)
-            if e2 != e or z2.index != zid or gamma2 != gamma:
+            if e2 != e or z2 != zid or gamma2 != gamma:
                 raise AssertionError(f"roundtrip failed at {e}")
             if chi != (1 if e.kind == QUANTUM else 0):
                 raise AssertionError("kind discriminant mismatch")
             lifted += 1
     covered = 0
     for zid in sorted(sigma):
-        z = W.element(zid)
-        mu = aw.superantidominant_mu(z, J, depth)
+        mu = aw.superantidominant_mu(W.element(zid), J, depth)
         for v in g.vertices:
-            x = AffineElement((W.element(v) * z).index, mu)
+            x = AffineElement(W.mul(v, zid), mu)
             for y, gamma, outer in aw.cocovers(x, J, depth=2):
                 if not outer:
                     continue
@@ -870,7 +867,7 @@ def reflection_orderings(rs, W, _aw):
         ref = build_subsystem_qbg(W, J)
         for z in list(W.elements())[:: max(1, len(W) // 6)]:
             z0 = W.min_coset_rep(z, J)
-            sub = induced_coset_subgraph(g, z, J)
+            sub = induced_coset_subgraph(g, z.index, J)
             mapped = {
                 (
                     (z0 * W.element(e.source)).index,
@@ -958,8 +955,8 @@ def connectivity(rs, W, _aw, J):
         raise AssertionError("left-step subgraph not strongly connected")
     for v in g.vertices:
         for i in range(0, rs.rank + 1):
-            left_step_edge(g, i, W.element(v))  # asserts edge membership
-            step = left_multiplication_step(g, W.element(v), i)
+            left_step_edge(g, i, v)  # asserts edge membership
+            step = left_multiplication_step(g, v, i)
             if step.edge is not None:
                 want = QUANTUM if i == 0 else BRUHAT
                 if step.edge.kind != want:

@@ -6,6 +6,9 @@ is unique, and right multiplication by a simple reflection or by any
 reflection is one reflection of the name.  The id, word, length, right and
 inverse tables are built once and then only read; an element's matrices on
 the simple roots and coroots are built the first time they are used.
+
+The group operations take and return ids; ``WeylElement`` is the public view
+of an id, and its methods call them.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class Trichotomy(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """A Weyl group element, identified by its interning index."""
+    """A Weyl group element, identified by its interning index: the public
+    view of an id, whose operations call the group's id kernel."""
 
     group: "WeylGroup"
     index: int
@@ -61,7 +65,7 @@ class WeylElement:
         return hash((id(self.group), self.index))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.multiply(self, other)
+        return self.group.element(self.group.mul(self.index, other.index))
 
     @property
     def length(self) -> int:
@@ -77,20 +81,11 @@ class WeylElement:
 
     def act(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a root-lattice vector."""
-        mat = self.group._mat[self.index]
-        if mat is None:
-            mat = self.group.matrix(self.index)
-        return _apply(mat, v)
+        return self.group.act(self.index, v)
 
     def act_coroot(self, c: Coroot) -> Coroot:
         """Image of a coroot-lattice vector."""
-        mat = self.group._comat[self.index]
-        if mat is None:
-            mat = self.group.comatrix(self.index)
-        return _apply(mat, c)
-
-    def is_identity(self) -> bool:
-        return self.index == 0
+        return self.group.act_coroot(self.index, c)
 
     def __repr__(self) -> str:
         return f"W[{self.group.describe(self)}]"
@@ -167,9 +162,8 @@ class WeylGroup:
         self.rs = rs
         self.rank = rs.rank
         self._build()
-        self._simple_perms = self._build_simple_perms()
-        self._flags: list = [bytes(len(rs.positive_roots))] + [None] * (len(self) - 1)
-        self._reflection_ids: dict[Root, int] = {}
+        self._coroots = tuple(map(rs.coroot, rs.positive_roots))
+        self._flags: list = [None] * len(self)
         # per root +-alpha: (alpha^vee, C alpha); r_{-alpha} = r_alpha
         self._reflect_data: dict[Root, tuple[Coroot, tuple[int, ...]]] = {}
         for a, row in zip(rs.positive_roots, rs.positive_rows):
@@ -240,21 +234,6 @@ class WeylGroup:
         self._right = right
         self._inverse = inverse
 
-    def _build_simple_perms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Per simple reflection r_k: the position of r_k(beta) for every
-        positive root beta, and the position of alpha_k, the one positive
-        root r_k sends negative (listed at its own position)."""
-        rs = self.rs
-        pos = {a: b for b, a in enumerate(rs.positive_roots)}
-        perms = []
-        for k in range(self.rank):
-            simple = pos[tuple(1 if j == k else 0 for j in range(self.rank))]
-            perm = tuple(
-                pos.get(rs._simple_reflect(k, a), simple) for a in rs.positive_roots
-            )
-            perms.append((perm, simple))
-        return perms
-
     # -- element access ------------------------------------------------------
 
     def _fill(self, table: list, w: int, step):
@@ -320,20 +299,27 @@ class WeylGroup:
             cur = self._right[cur][i - 1]
         return self.element(cur)
 
-    def multiply(self, w: WeylElement, u: WeylElement) -> WeylElement:
-        """w u, walking the word of the shorter factor: when u is longer,
-        (w u)^{-1} = u^{-1} w^{-1} is u^{-1} walked along w^{-1}'s word."""
+    def mul(self, w: int, u: int) -> int:
+        """The id of w u, walking the word of the shorter factor: when u is
+        longer, (w u)^{-1} = u^{-1} w^{-1} is u^{-1} walked along w^{-1}'s
+        word."""
         right, inv = self._right, self._inverse
-        wi, ui = w.index, u.index
-        if self._length[ui] <= self._length[wi]:
-            cur = wi
-            for k in self._word[ui]:
-                cur = right[cur][k - 1]
-            return self.element(cur)
-        cur = inv[ui]
-        for k in self._word[inv[wi]]:
+        if self._length[u] <= self._length[w]:
+            for k in self._word[u]:
+                w = right[w][k - 1]
+            return w
+        cur = inv[u]
+        for k in self._word[inv[w]]:
             cur = right[cur][k - 1]
-        return self.element(inv[cur])
+        return inv[cur]
+
+    def act(self, w: int, v: Root) -> Root:
+        """w(v) for an element id w and a root-lattice vector v."""
+        return _apply(self.matrix(w), v)
+
+    def act_coroot(self, w: int, c: Coroot) -> Coroot:
+        """w(c) for an element id w and a coroot-lattice vector c."""
+        return _apply(self.comatrix(w), c)
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
         """r_i * w for a 1-based node index."""
@@ -343,11 +329,7 @@ class WeylGroup:
     def reflection(self, alpha: tuple[int, ...]) -> WeylElement:
         """The reflection r_alpha as a group element: the element keyed by
         r_alpha(rho) = rho - <alpha^vee, rho> alpha."""
-        a = alpha if is_positive_vec(alpha) else neg_vec(alpha)
-        cached = self._reflection_ids.get(a)
-        if cached is None:
-            cached = self._reflection_ids[a] = self.right_reflect(0, a)
-        return self.element(cached)
+        return self.element(self.right_reflect(0, alpha))
 
     def right_reflect(self, w: int, alpha: Root) -> int:
         """The id of w r_alpha, for an element id w and a root alpha.
@@ -393,26 +375,14 @@ class WeylGroup:
         """Per positive root beta, in ``rs.positive_roots`` order, 1 when
         w(beta) < 0 and 0 otherwise; w is an element id.
 
-        Filled lazily by id from the last letter of the shortlex word: with
-        w = u r_k and l(w) = l(u) + 1, w(beta) = u(r_k beta), so w's flags
-        are u's read through the permutation r_k makes of Phi^+, except at
-        alpha_k, whose sign flips.  Only the elements asked for and the
-        prefixes of their words get flags, at most |W| |Phi^+| bytes.
+        Read from w's key: w(beta) < 0 exactly when
+        <beta^vee, w^{-1}(rho)> < 0.  Kept per id once computed.
         """
         got = self._flags[w]
         if got is None:
-            got = self._fill(self._flags, w, self._flags_step)
+            key = self._key[w]
+            got = self._flags[w] = bytes(sum(map(mul, c, key)) < 0 for c in self._coroots)
         return got
-
-    def _flags_step(self, flags: bytes, k: int) -> bytes:
-        perm, simple = self._simple_perms[k]
-        row = [flags[b] for b in perm]
-        row[simple] ^= 1
-        return bytes(row)
-
-    def simple_image(self, w: WeylElement, i: int) -> Root:
-        """w(alpha_i) for a 1-based node index: a row of w's matrix."""
-        return self.matrix(w.index)[i - 1]
 
     def has_right_descent(self, w: WeylElement, i: int) -> bool:
         """Whether l(w r_i) < l(w), i.e. w(alpha_i) < 0.  1-based index."""
@@ -470,19 +440,15 @@ class WeylGroup:
                     changed = True
         return cur
 
-    def parabolic_decompose(
-        self, w: WeylElement, J: ParabolicIndex
-    ) -> tuple[WeylElement, WeylElement]:
-        """w = u * v with u in W^J, v in W_J, lengths adding."""
-        u = self.min_coset_rep(w, J)
-        v = u.inverse() * w
-        return u, v
+    def parabolic_decompose(self, w: int, J: ParabolicIndex) -> tuple[int, int]:
+        """The ids u in W^J and v in W_J with w = u v, lengths adding."""
+        u = self.coset_floor(w, J)
+        return u, self.mul(self._inverse[u], w)
 
-    def theta_twist(self, w: WeylElement, J: ParabolicIndex) -> WeylElement:
-        """The z in W_J with r_theta floor(w) = floor(r_theta w) z."""
-        floor = self.coset_floor(w.index, J)
-        lhs = self.element(self.left_reflect(floor, self.rs.theta))
-        return self.min_coset_rep(lhs, J).inverse() * lhs
+    def theta_twist(self, w: int, J: ParabolicIndex) -> int:
+        """The id of the z in W_J with r_theta floor(w) = floor(r_theta w) z."""
+        lhs = self.left_reflect(self.coset_floor(w, J), self.rs.theta)
+        return self.mul(self._inverse[self.coset_floor(lhs, J)], lhs)
 
     def in_min_coset_reps(self, w: WeylElement, J: ParabolicIndex) -> bool:
         return all(not self.has_right_descent(w, j) for j in J.nodes)
@@ -508,31 +474,38 @@ class WeylGroup:
         self._subgroup_cache[key] = out
         return out
 
-    def min_coset_reps(self, J: ParabolicIndex) -> tuple[WeylElement, ...]:
-        """W^J in id order: the elements with no right descent in J."""
+    def min_coset_ids(self, J: ParabolicIndex) -> tuple[int, ...]:
+        """The ids of W^J, in order: the elements with no right descent in J."""
         length = self._length
         cols = [j - 1 for j in J.nodes]
         return tuple(
-            self.element(i)
-            for i, row in enumerate(self._right)
-            if all(length[row[c]] > length[i] for c in cols)
+            i for i, row in enumerate(self._right) if all(length[row[c]] > length[i] for c in cols)
         )
+
+    def min_coset_reps(self, J: ParabolicIndex) -> tuple[WeylElement, ...]:
+        """W^J in id order."""
+        return tuple(map(self.element, self.min_coset_ids(J)))
+
+    def coset_ids(self, z: int, J: ParabolicIndex) -> tuple[int, ...]:
+        """The ids of the coset z W_J, sorted."""
+        return tuple(sorted(self.mul(z, u) for u in self.subgroup_elements(J.nodes)))
 
     def coset(self, z: WeylElement, J: ParabolicIndex) -> tuple[WeylElement, ...]:
         """The coset z W_J, sorted by id."""
-        ids = sorted(
-            self.multiply(z, self.element(u)).index for u in self.subgroup_elements(J.nodes)
-        )
-        return tuple(self.element(i) for i in ids)
+        return tuple(map(self.element, self.coset_ids(z.index, J)))
 
     def longest_element(self, nodes=None) -> WeylElement:
         """Longest element of the standard parabolic subgroup (default: W)."""
+        return self.element(self.longest(nodes))
+
+    def longest(self, nodes=None) -> int:
+        """The id of ``longest_element(nodes)``."""
         key = (
             tuple(range(1, self.rank + 1)) if nodes is None else tuple(sorted(set(nodes)))
         )
         cached = self._longest_cache.get(key)
         if cached is not None:
-            return self.element(cached)
+            return cached
         cur = 0
         changed = True
         while changed:
@@ -543,20 +516,20 @@ class WeylGroup:
                     cur = nxt
                     changed = True
         self._longest_cache[key] = cur
-        return self.element(cur)
+        return cur
 
     def special_v(self, i: int) -> WeylElement:
         """The factor v_i with w_0 = v_i w_0^(I minus i), for a special node i."""
         if i not in self.rs.special_nodes():
             raise ValueError(f"node {i} is not special (theta coefficient != 1)")
         rest = tuple(j for j in range(1, self.rank + 1) if j != i)
-        return self.longest_element() * self.longest_element(rest)
+        return self.element(self.mul(self.longest(), self.longest(rest)))
 
     def trichotomy(self, v: WeylElement, alpha: Root, J: ParabolicIndex) -> Trichotomy:
         """Classify v^{-1} alpha against Phi_J for a positive root alpha."""
         if not self.rs.is_positive_root(alpha):
             raise ValueError(f"{alpha} is not a positive root")
-        img = v.inverse().act(alpha)
+        img = self.act(self._inverse[v.index], alpha)
         if J.supports(img):
             return Trichotomy.FIXED
         return Trichotomy.UP if is_positive_vec(img) else Trichotomy.DOWN

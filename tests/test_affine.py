@@ -161,12 +161,12 @@ def test_adjusted_examples(a2):
     mu = (-2, -4)
     assert rs.pairing(mu, (1, 0)) == 0
     assert aw.is_adjusted(mu, J)
-    assert aw.z_mu(mu, J) == W.identity
+    assert aw.z_mu(mu, J) == W.identity.index
     # -theta^vee pairs to -1 against alpha_1
     mtheta = neg_vec(rs.coroot(rs.theta))
     assert rs.pairing(mtheta, (1, 0)) == -1
     assert aw.is_adjusted(mtheta, J)
-    z = aw.z_mu(mtheta, J)
+    z = W.element(aw.z_mu(mtheta, J))
     assert z == W.simple_reflection(1)
     assert z.length == -rs.pairing(mtheta, J.two_rho_J) == 1
     # -alpha_1^vee pairs to -2: not adjusted
@@ -198,7 +198,7 @@ def test_membership_criterion(a2):
         for w in W.min_coset_reps(J):
             for zid in W.subgroup_elements((1,)):
                 x = AffineElement((w * W.element(zid)).index, mu)
-                expect = aw.is_adjusted(mu, J) and aw.z_mu(mu, J).index == zid
+                expect = aw.is_adjusted(mu, J) and aw.z_mu(mu, J) == zid
                 assert aw.in_wj_af(x, J) == expect
 
 
@@ -213,7 +213,7 @@ def test_sigma_and_witnesses(a2):
         mu = aw.superantidominant_mu(W.element(zid), J, 5)
         assert aw.is_adjusted(mu, J)
         assert aw.is_superantidominant(mu, J, 5)
-        assert aw.z_mu(mu, J).index == zid
+        assert aw.z_mu(mu, J) == zid
     with pytest.raises(ValueError):
         aw.superantidominant_mu(W.simple_reflection(2), J, 3)
 
@@ -322,7 +322,7 @@ def test_lift_trivial_bruhat(a2):
     g = build_qbg(W, J)
     mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
     e = g.edge(W.identity.index, (1, 0))
-    x, y, gamma = aw.lift_edge(g, e, W.identity, mu)
+    x, y, gamma = aw.lift_edge(g, e, W.identity.index, mu)
     assert x == aw.translation(mu)
     assert y == AffineElement(W.simple_reflection(1).index, mu)
     assert gamma.k == rs.pairing(mu, (1, 0))
@@ -334,12 +334,12 @@ def test_lift_validation_errors(a2):
     g = build_qbg(W, J)
     e = g.edge(W.identity.index, (0, 1))
     with pytest.raises(ValueError):
-        aw.lift_edge(g, e, W.identity, (-1, 0))  # not adjusted
+        aw.lift_edge(g, e, W.identity.index, (-1, 0))  # not adjusted
     with pytest.raises(ValueError):
-        aw.lift_edge(g, e, W.identity, (0, -1))  # not deep enough
+        aw.lift_edge(g, e, W.identity.index, (0, -1))  # not deep enough
     mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
     with pytest.raises(ValueError):
-        aw.lift_edge(g, e, W.simple_reflection(1), mu)  # z mismatch
+        aw.lift_edge(g, e, W.simple_reflection(1).index, mu)  # z mismatch
 
 
 def test_lift_every_shortest_path_a3():
@@ -406,10 +406,10 @@ def test_roundtrip_all_edges(a2):
             z = W.element(zid)
             mu = aw.superantidominant_mu(z, J, depth)
             for e in g.edges:
-                x, y, gamma = aw.lift_edge(g, e, z, mu)
+                x, y, gamma = aw.lift_edge(g, e, zid, mu)
                 assert not gamma.is_positive()
                 edge, z2, chi, gamma2 = aw.project_cover(x, y, J)
-                assert edge == e and z2 == z and gamma2 == gamma
+                assert edge == e and W.element(z2) == z and gamma2 == gamma
                 assert chi == (1 if e.kind == QUANTUM else 0)
 
 
@@ -482,8 +482,8 @@ def test_classical_diamond_case(a2):
     J = rs.parabolic(())
     g = build_qbg(W, J)
     # both bottom edges Bruhat, trivial parabolic: the classical diamond
-    d = complete_bottom(g, SIMPLE_BRUHAT, W.identity, (0, 1), (1, 0))
-    assert d.z == W.identity and d.z2 == W.identity
+    d = complete_bottom(g, SIMPLE_BRUHAT, W.identity.index, (0, 1), (1, 0))
+    assert d.z == W.identity.index and d.z2 == W.identity.index
     assert d.top_left.kind == BRUHAT and d.top_right.kind == BRUHAT
     assert d.top_left.target == d.top_right.target
     # matches the cover structure: both tops end at the length-2 element
@@ -494,27 +494,27 @@ def test_diamond_hypothesis_errors(a2):
     rs, W, aw = a2
     g = build_qbg(W, rs.parabolic(()))
     with pytest.raises(ValueError):
-        complete_bottom(g, SIMPLE_BRUHAT, W.identity, (1, 0), (1, 0))  # gamma clash
+        complete_bottom(g, SIMPLE_BRUHAT, W.identity.index, (1, 0), (1, 0))  # gamma clash
     with pytest.raises(ValueError):
-        complete_bottom(g, SIMPLE_BRUHAT, W.identity, (0, 1), (1, 1))  # not simple
+        complete_bottom(g, SIMPLE_BRUHAT, W.identity.index, (0, 1), (1, 1))  # not simple
     with pytest.raises(ValueError):
-        complete_bottom(g, THETA_BRUHAT, W.identity, (0, 1))  # theta sign wrong
+        complete_bottom(g, THETA_BRUHAT, W.identity.index, (0, 1))  # theta sign wrong
     with pytest.raises(ValueError):
-        complete_bottom(g, "nonsense", W.identity, (0, 1), (1, 0))
+        complete_bottom(g, "nonsense", W.identity.index, (0, 1), (1, 0))
 
 
 def test_complete_top_hypothesis_errors(a2):
     rs, W, aw = a2
     g = build_qbg(W, rs.parabolic(()))
-    r1 = W.simple_reflection(1)
+    r1 = W.simple_reflection(1).index
     with pytest.raises(ValueError, match="unknown diamond case"):
         complete_top(g, "nonsense", r1, (0, 1), (1, 0))
     with pytest.raises(ValueError, match="simple root"):
         complete_top(g, SIMPLE_BRUHAT, r1, (0, 1), (1, 1))
     with pytest.raises(ValueError, match="Phi-"):  # w^-1 alpha is positive
-        complete_top(g, SIMPLE_BRUHAT, W.identity, (0, 1), (1, 0))
+        complete_top(g, SIMPLE_BRUHAT, W.identity.index, (0, 1), (1, 0))
     with pytest.raises(ValueError, match="Phi\\+"):  # w0^-1 theta is negative
-        complete_top(g, THETA_BRUHAT, W.longest_element(), (0, 1))
+        complete_top(g, THETA_BRUHAT, W.longest_element().index, (0, 1))
     with pytest.raises(ValueError, match="gamma must differ"):
         complete_top(g, SIMPLE_BRUHAT, r1, (1, 0), (1, 0))
 
@@ -536,10 +536,10 @@ def test_complete_raises_exactly_off_configurations(cartan):
         for case in DIAMOND_CASES:
             alphas = rs.simple_roots() if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM) else (None,)
             for configurations, complete in sides:
-                given = {(w.index, gamma, alpha) for w, gamma, alpha in configurations(g, case)}
+                given = set(configurations(g, case))
                 for wid, gamma, alpha in itertools.product(g.vertices, labels, alphas):
                     try:
-                        complete(g, case, W.element(wid), gamma, alpha)
+                        complete(g, case, wid, gamma, alpha)
                     except ValueError:
                         assert (wid, gamma, alpha) not in given
                     else:
@@ -564,8 +564,9 @@ def test_descending_is_relabeled_ascending(cartan):
         J = rs.parabolic(nodes)
         g = build_qbg(W, J)
         for case in DIAMOND_CASES:
-            for w, gamma, alpha in iter_bottom_configurations(g, case):
-                asc = complete_bottom(g, case, w, gamma, alpha)
+            for wid, gamma, alpha in iter_bottom_configurations(g, case):
+                asc = complete_bottom(g, case, wid, gamma, alpha)
+                w = W.element(wid)
                 if case in (SIMPLE_BRUHAT, SIMPLE_QUANTUM):
                     w2 = W.reflection(alpha) * w
                     gamma2 = gamma
@@ -573,11 +574,12 @@ def test_descending_is_relabeled_ascending(cartan):
                     w2 = W.min_coset_rep(W.reflection(rs.theta) * w, J)
                     twist = w2.inverse() * W.reflection(rs.theta) * w
                     gamma2 = twist.act(gamma)
-                desc = complete_top(g, PAIRED[case], w2, gamma2, alpha)
+                desc = complete_top(g, PAIRED[case], w2.index, gamma2, alpha)
                 assert desc.case == PAIRED[case]
                 assert desc.bottom_left == asc.bottom_left
                 assert desc.bottom_right == asc.bottom_right
                 assert desc.top_left == asc.top_left
                 assert desc.top_right == asc.top_right
                 # the twists of the top vertices undo those of the bottom ones
-                assert desc.z == asc.z.inverse() and desc.z2 == asc.z2.inverse()
+                assert W.element(desc.z) == W.element(asc.z).inverse()
+                assert W.element(desc.z2) == W.element(asc.z2).inverse()

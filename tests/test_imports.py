@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+``WeylElement`` stays at the public boundary of the engine modules.
 
 A stdlib ``ast`` scan; ``__init__.py`` re-exports its imports and is exempt.
 """
@@ -55,3 +56,53 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def annotation_owners(source: str, name: str) -> set[str]:
+    """The functions and classes holding an annotation that names ``name``:
+    a parameter or return annotation, or an annotated assignment."""
+    owners = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if note is not None and any(
+                (isinstance(n, ast.Name) and n.id == name) or name in _annotation_names(n)
+                for n in ast.walk(note)
+            ):
+                owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return owners
+
+
+def test_the_scan_sees_an_annotation_owner():
+    source = (
+        "class D:\n    z: 'WeylElement'\n\n"
+        "def f(x: int) -> tuple[WeylElement, int]:\n    pass\n\n"
+        "def g(x: WeylElement | None):\n    pass\n\n"
+        "def h(x: int, y: 'WeylGroup') -> int:\n    z: int = 0\n    return z\n"
+    )
+    assert annotation_owners(source, "WeylElement") == {"D", "f", "g"}
+
+
+#: per engine module, the functions allowed to take or return a WeylElement;
+#: everything else in them works on element ids
+BOUNDARY = {
+    "qbg.py": set(),
+    "level_zero.py": set(),
+    "affine.py": {"from_finite", "superantidominant_mu"},
+    "tilted.py": {"coset_min"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY))
+def test_weyl_element_only_at_the_boundary(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert annotation_owners(source, "WeylElement") == BOUNDARY[name]
+    if not BOUNDARY[name]:
+        imports = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)]
+        assert "WeylElement" not in {a.asname or a.name for n in imports for a in n.names}

@@ -53,7 +53,7 @@ def test_left_step_is_the_floored_reflection(cartan):
                     down = g.left_step(j, target)[1]
                     label = neg_vec(img)
                     if j == 0:
-                        label = W.theta_twist(W.element(x), J).act(label)
+                        label = W.element(W.theta_twist(x, J)).act(label)
                     assert (down.target, down.label) == (x, label)
 
 

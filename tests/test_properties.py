@@ -46,7 +46,7 @@ def test_action_preserves_pairing(word):
 def test_parabolic_decomposition_properties(word, nodes):
     J = RS.parabolic(nodes)
     w = W.from_word(word)
-    u, v = W.parabolic_decompose(w, J)
+    u, v = map(W.element, W.parabolic_decompose(w.index, J))
     assert u * v == w
     assert u.length + v.length == w.length
     assert all(is_positive_vec(u.act(a)) for a in J.phi_plus)
@@ -55,9 +55,9 @@ def test_parabolic_decomposition_properties(word, nodes):
 @given(coweights, coweights, st.sampled_from([(), (1,), (2,)]))
 def test_factor_map_homomorphism(mu, nu, nodes):
     J = RS.parabolic(nodes)
-    za = AW.z_mu(mu, J)
-    zb = AW.z_mu(nu, J)
-    assert AW.z_mu(add_vec(mu, nu), J) == za * zb
+    za = W.element(AW.z_mu(mu, J))
+    zb = W.element(AW.z_mu(nu, J))
+    assert W.element(AW.z_mu(add_vec(mu, nu), J)) == za * zb
 
 
 @given(coweights, words, st.sampled_from([(), (1,), (2,)]))
@@ -116,5 +116,5 @@ def test_observable_membership(nodes, mu):
     adjusted = AW_B.is_adjusted(mu, J)
     assert adjusted == (AW_B.phi_correction(mu, J) == (0, 0))
     if adjusted:
-        z = AW_B.z_mu(mu, J)
+        z = W_B.element(AW_B.z_mu(mu, J))
         assert z.length == -RS_B.pairing(mu, J.two_rho_J)

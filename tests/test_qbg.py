@@ -56,25 +56,25 @@ def a2_graph(a2):
 def test_edge_between_examples(a2):
     rs, W = a2
     J1 = rs.parabolic((1,))
-    e = edge_between(W, J1, W.identity, (0, 1))
+    e = edge_between(W, J1, W.identity.index, (0, 1))
     assert e.kind == BRUHAT and e.target == W.simple_reflection(2).index
-    e = edge_between(W, J1, W.simple_reflection(2), (1, 1))
+    e = edge_between(W, J1, W.simple_reflection(2).index, (1, 1))
     assert e.kind == BRUHAT and e.target == W.from_word([1, 2]).index
-    e = edge_between(W, J1, W.from_word([1, 2]), (0, 1))
+    e = edge_between(W, J1, W.from_word([1, 2]).index, (0, 1))
     assert e.kind == QUANTUM and e.target == W.identity.index
     # labels inside Phi_J are rejected
     with pytest.raises(ValueError):
-        edge_between(W, J1, W.identity, (1, 0))
+        edge_between(W, J1, W.identity.index, (1, 0))
 
 
 def test_edge_between_full_graph(a2, a2_graph):
     rs, W = a2
     J0 = rs.parabolic(())
-    e = edge_between(W, J0, W.from_word([1, 2]), (1, 0))
+    e = edge_between(W, J0, W.from_word([1, 2]).index, (1, 0))
     assert e.kind == BRUHAT and e.target == W.longest_element().index
-    e = edge_between(W, J0, W.longest_element(), rs.theta)
+    e = edge_between(W, J0, W.longest_element().index, rs.theta)
     assert e.kind == QUANTUM and e.target == W.identity.index
-    assert edge_between(W, J0, W.longest_element(), (1, 0)).kind == QUANTUM
+    assert edge_between(W, J0, W.longest_element().index, (1, 0)).kind == QUANTUM
 
 
 def test_a2_graph_structure(a2, a2_graph):
@@ -180,19 +180,32 @@ def test_dual_involution(a2):
         J = rs.parabolic(nodes)
         g = build_qbg(W, J)
         top = W.min_coset_rep(W.longest_element(), J)
-        assert dual_involution(g, W.identity) == top
+        assert dual_involution(g, W.identity.index) == top.index
         for v in g.vertices:
-            el = W.element(v)
-            assert dual_involution(g, dual_involution(g, el)) == el
+            assert dual_involution(g, dual_involution(g, v)) == v
 
 
 def test_dual_involution_a3():
     rs = build_root_system("A", 3)
     W = WeylGroup(rs)
     g = build_qbg(W, rs.parabolic((1, 3)))
-    e_dual = dual_involution(g, W.identity)
+    e_dual = W.element(dual_involution(g, W.identity.index))
     assert e_dual.length == 4
     assert W.describe(e_dual) == "3412"
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_dual_involution_matches_concatenated_words(cartan_type, rank):
+    # the reference product is from_word on the concatenated words, which
+    # shares no code with mul
+    W = WeylGroup(build_root_system(cartan_type, rank))
+    w0 = W.longest_element().word
+    for nodes in all_parabolics(rank):
+        g = build_qbg(W, W.rs.parabolic(nodes))
+        w0J = W.longest_element(nodes).word
+        for x in g.vertices:
+            want = W.from_word(w0 + W.element(x).word + w0J)
+            assert W.element(dual_involution(g, x)) == want
 
 
 def test_dual_label_rejects_a_negative_label():
@@ -272,7 +285,7 @@ def test_subsystem_graph_matches_coset_subgraph(a2, a2_graph):
     rs, W = a2
     J = rs.parabolic((1,))
     ref = build_subsystem_qbg(W, J)
-    sub = induced_coset_subgraph(a2_graph, W.identity, J)
+    sub = induced_coset_subgraph(a2_graph, W.identity.index, J)
     assert {(e.source, e.target, e.label, e.kind) for e in ref.edges} == {
         (e.source, e.target, e.label, e.kind) for e in sub.edges
     }
@@ -297,7 +310,7 @@ def test_mixed_length_subsystem_coset_copies():
     assert len(ref.edges) == 22 and len(ref.quantum_edges()) == 10
     for z in [W.identity, W.from_word([1]), W.from_word([1, 2, 1])]:
         z0 = W.min_coset_rep(z, J)
-        sub = induced_coset_subgraph(g, z, J)
+        sub = induced_coset_subgraph(g, z.index, J)
         mapped = {
             (
                 (z0 * W.element(e.source)).index,

@@ -97,29 +97,29 @@ def test_left_multiplication_step_cases(a2):
     rs, W = a2
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
-    up = left_multiplication_step(g, W.identity, 2)
+    up = left_multiplication_step(g, W.identity.index, 2)
     assert up.classification is Trichotomy.UP
     assert up.edge.kind == "bruhat"
     assert up.edge.source == W.identity.index
     assert up.edge.target == W.simple_reflection(2).index
 
-    fixed = left_multiplication_step(g, W.identity, 1)
+    fixed = left_multiplication_step(g, W.identity.index, 1)
     assert fixed.classification is Trichotomy.FIXED
     assert fixed.edge is None and fixed.twist is None
 
     # the theta step out of the top of the cycle is the quantum edge
     w = W.from_word([1, 2])
-    out = left_multiplication_step(g, w, 0)
+    out = left_multiplication_step(g, w.index, 0)
     assert out.classification is Trichotomy.UP
     assert out.edge.kind == "quantum"
     assert out.edge.label == (0, 1)
     assert out.edge.target == W.identity.index
 
     # the theta step at the identity comes in with a twist
-    down = left_multiplication_step(g, W.identity, 0)
+    down = left_multiplication_step(g, W.identity.index, 0)
     assert down.classification is Trichotomy.DOWN
     assert down.edge.target == W.identity.index
-    assert down.twist == W.simple_reflection(1)
+    assert down.twist == W.simple_reflection(1).index
     assert down.edge.label == (0, 1)
 
 
@@ -128,7 +128,7 @@ def test_left_steps_are_edges(a2, graph):
     assert left_step_subgraph_strongly_connected(graph)
     for v in graph.vertices:
         for i in range(0, rs.rank + 1):
-            edge = left_step_edge(graph, i, W.element(v))
+            edge = left_step_edge(graph, i, v)
             if edge is not None:
                 assert graph.edge(edge.source, edge.label) == edge
 

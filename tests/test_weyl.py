@@ -1,7 +1,7 @@
 import pytest
 
 from qbgraph.root_system import ConfigurationError, build_root_system, is_positive_vec
-from qbgraph.verify import ROOT_TYPES
+from qbgraph.verify import ROOT_TYPES, all_parabolics
 from qbgraph.weyl import Trichotomy, WeylGroup, build_weyl_group
 
 
@@ -77,8 +77,8 @@ def test_min_coset_rep_examples(a2):
     assert W.min_coset_rep(W.from_word([1, 2]), J2) == W.simple_reflection(1)
     # elements of W_J decompose as (identity, themselves)
     for wid in W.subgroup_elements((1,)):
-        u, v = W.parabolic_decompose(W.element(wid), J1)
-        assert u == W.identity and v.index == wid
+        u, v = W.parabolic_decompose(wid, J1)
+        assert u == W.identity.index and v == wid
 
 
 def test_parabolic_decompose_length_additive(a3):
@@ -86,7 +86,7 @@ def test_parabolic_decompose_length_additive(a3):
     for nodes in [(), (1,), (2,), (1, 3), (1, 2), (1, 2, 3)]:
         J = rs.parabolic(nodes)
         for w in W.elements():
-            u, v = W.parabolic_decompose(w, J)
+            u, v = map(W.element, W.parabolic_decompose(w.index, J))
             assert (u * v) == w
             assert u.length + v.length == w.length
             assert W.in_min_coset_reps(u, J)
@@ -193,7 +193,6 @@ def test_descents_and_inversion_flags_match_the_matrix_action(cartan_type, rank)
     rs = build_root_system(cartan_type, rank)
     W = WeylGroup(rs)
     simples = rs.simple_roots()
-    # longest elements first, so the lazy flags walk whole words at once
     for wid in reversed(range(len(W))):
         w = W.element(wid)
         for i in range(1, rank + 1):
@@ -212,4 +211,34 @@ def test_multiply_equals_the_right_walk(cartan_type, rank):
             cur = w.index
             for k in u.word:
                 cur = W._right[cur][k - 1]
-            assert W.multiply(w, u).index == cur
+            assert W.mul(w.index, u.index) == cur
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_parabolic_decompose_matches_concatenated_words(cartan_type, rank):
+    # the reference product is from_word on the concatenated words, which
+    # shares no code with mul
+    W = build_weyl_group(cartan_type, rank)
+    for nodes in all_parabolics(rank):
+        J = W.rs.parabolic(nodes)
+        wj = set(W.subgroup_elements(J.nodes))
+        for w in W.elements():
+            u, v = map(W.element, W.parabolic_decompose(w.index, J))
+            assert W.in_min_coset_reps(u, J) and v.index in wj
+            assert W.from_word(u.word + v.word) == w
+            assert u.length + v.length == w.length
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_theta_twist_is_the_parabolic_factor_of_r_theta_floor(cartan_type, rank):
+    W = build_weyl_group(cartan_type, rank)
+    r_theta = W.reflection(W.rs.theta).word
+    for nodes in all_parabolics(rank):
+        J = W.rs.parabolic(nodes)
+        wj = set(W.subgroup_elements(J.nodes))
+        for w in W.elements():
+            lhs = W.from_word(r_theta + W.min_coset_rep(w, J).word)
+            z = W.element(W.theta_twist(w.index, J))
+            # the factorization lhs = floor(lhs) z with z in W_J is unique
+            assert z.index in wj
+            assert W.from_word(W.min_coset_rep(lhs, J).word + z.word) == lhs
