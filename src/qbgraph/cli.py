@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 a verification suite failed, 2 bad arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from . import render
@@ -64,26 +66,48 @@ def _context(args):
     return rs, W, rs.parabolic(nodes)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
+def _emit(args, chunks) -> None:
+    """Write an iterable of text chunks to stdout, or to --out, as they come.
+
+    --out is written through a sibling temporary file that replaces it only
+    once the last chunk is written: a failure part way leaves no file, and
+    a file already there untouched.  A device or pipe is written in place.
+    """
+    if not args.out:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    target = os.path.realpath(args.out)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    path = target if in_place else f"{target}.{os.getpid()}.tmp"
+    try:
+        f = open(path, "w" if in_place else "x", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
+    try:
+        with f:
+            for chunk in chunks:
+                f.write(chunk)
+        if not in_place:
+            os.replace(path, target)
+    except BaseException as exc:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        if isinstance(exc, OSError):
             raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+        raise
 
 
 def cmd_qbg(args) -> int:
     rs, W, J = _context(args)
     graph = build_qbg(W, J)
     if args.format == "dot":
-        _emit(args, render.graph_to_dot(graph))
+        _emit(args, render.graph_dot_chunks(graph))
     elif args.format == "json":
-        _emit(args, render.graph_to_json(graph))
+        _emit(args, render.graph_json_chunks(graph))
     else:
-        _emit(args, render.graph_to_text(graph))
+        _emit(args, render.graph_text_chunks(graph))
     return 0
 
 
@@ -125,32 +149,32 @@ def _lift(args) -> int:
             cur = edge.target
         chain = aw.lift_path(graph, QbgPath(start.index, tuple(edges)), mu)
         if args.format == "dot":
-            _emit(args, render.chain_to_dot(aw, chain))
+            _emit(args, [render.chain_to_dot(aw, chain)])
         elif args.format == "json":
-            _emit(args, render.chain_to_json(aw, chain))
+            _emit(args, [render.chain_to_json(aw, chain)])
         else:
-            _emit(args, render.chain_to_text(aw, chain))
+            _emit(args, [render.chain_to_text(aw, chain)])
         return 0
 
     z = aw.z_mu(mu, J)
-    rows = []
-    for v in graph.vertices:
-        for e in graph.out[v]:
-            x, y, gamma = aw.lift_edge(graph, e, z, mu)
-            rows.append(
-                {
+
+    def rows():  # made as they are written
+        for v in graph.vertices:
+            for e in graph.out[v]:
+                x, y, gamma = aw.lift_edge(graph, e, z, mu)
+                yield {
                     "upper": render.affine_element_text(W, x),
                     "lower": render.affine_element_text(W, y),
                     "label": render.affine_root_text(gamma),
                     "kind": e.kind,
                 }
-            )
+
     if args.format == "json":
-        _emit(args, render.lifts_to_json(mu, rows))
+        _emit(args, render.lifts_json_chunks(mu, rows()))
     elif args.format == "dot":
-        _emit(args, render.lifts_to_dot(rows))
+        _emit(args, render.lifts_dot_chunks(rows()))
     else:
-        _emit(args, render.lifts_to_text(rows))
+        _emit(args, render.lifts_text_chunks(rows()))
     return 0
 
 
@@ -172,11 +196,11 @@ def cmd_poset(args) -> int:
             f"window {args.window} is smaller than the orbit delta step {poset.d}"
         )
     if args.format == "dot":
-        _emit(args, render.slice_to_dot(poset, args.window))
+        _emit(args, render.slice_dot_chunks(poset, args.window))
     elif args.format == "json":
-        _emit(args, render.slice_to_json(poset, args.window))
+        _emit(args, render.slice_json_chunks(poset, args.window))
     else:
-        _emit(args, render.slice_to_text(poset, args.window))
+        _emit(args, render.slice_text_chunks(poset, args.window))
     return 0
 
 
@@ -193,7 +217,7 @@ def cmd_tilted(args) -> int:
         f"minimum : {W.describe(x)}",
         f"distance: {graph.distance(u.index, x.index)}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -202,7 +226,7 @@ def cmd_qlen(args) -> int:
     graph = build_qbg(W, J)
     u = W.min_coset_rep(_element(W, args.u), J)
     value = quantum_length(graph, u.index)
-    _emit(args, f"{value}\n")
+    _emit(args, [f"{value}\n"])
     return 0
 
 
@@ -226,9 +250,9 @@ def cmd_verify(args) -> int:
     except ConfigurationError as exc:  # e.g. a type past the enumeration cap
         raise UsageError(str(exc)) from exc
     if args.format == "json":
-        _emit(args, render.report_to_json(results))
+        _emit(args, [render.report_to_json(results)])
     else:
-        _emit(args, render.report_to_text(results))
+        _emit(args, [render.report_to_text(results)])
     return 0 if all(res.passed for res in results) else 1
 
 

@@ -16,7 +16,10 @@ coset id and kept:
   coset, first k) of every root pairing positively, alpha before -alpha in
   the order of the positive roots.  The steps out of (w, n) are the elements
   (target, n - k*p) for k = first k, first k + 1, ..., so ``raising_steps``
-  only expands n.
+  only expands n;
+- ``_cover_cache[w]``: the graph-derived covers out of w(lambda) + 0*delta
+  (target coset, delta drop, label, kind), in output order; ``covers``
+  shifts them by n.
 
 An n-window numbers its slice elements densely: the element (w, n) gets id
 ``c * levels + (n - n_lo) // d``, where c is the position of w in
@@ -46,6 +49,8 @@ from .weyl import WeylGroup
 
 #: a raising step of one coset: (root, pairing p > 0, target coset id, first k)
 Step = tuple[Root, int, int, int]
+#: a graph-derived cover of one coset at n = 0: (target coset id, delta drop, label, kind)
+CosetCover = tuple[int, int, AffineRoot, str]
 
 
 class InconclusiveWindow(RuntimeError):
@@ -97,6 +102,7 @@ class LevelZeroPoset:
         self._two_rho_vee = two_rho_vee
         self._pairings = W.weight_pairings(self.lam)
         self._steps_cache: dict[int, tuple[Step, ...]] = {}
+        self._cover_cache: dict[int, tuple[CosetCover, ...]] = {}
         self._margin = len(rs.positive_roots) * max(
             abs(self.pair(rs.coroot(a), 0)) for a in rs.positive_roots
         )
@@ -309,23 +315,35 @@ class LevelZeroPoset:
         """
         if not self.dominant:
             raise ValueError("covers through the graph need a dominant weight")
+        n = mu.n
+        return [
+            PosetCover(mu, LevelZeroWeight(target, n - drop), label, kind)
+            for target, drop, label, kind in self._cover_data(mu.w)
+        ]
+
+    def _cover_data(self, w: int) -> tuple[CosetCover, ...]:
+        """(target, delta drop, label, kind) per edge out of coset w, in the
+        order of ``covers``: by (target, n - drop, label k), which a shift of
+        n keeps."""
+        got = self._cover_cache.get(w)
+        if got is not None:
+            return got
         rs = self.rs
         out = []
-        for edge in self.graph.out[mu.w]:
-            wgamma = self.W.act(mu.w, edge.label)
+        for edge in self.graph.out[w]:
+            wgamma = self.W.act(w, edge.label)
             if edge.kind == BRUHAT:
                 if not is_positive_vec(wgamma):
                     raise GraphInvariantError("Bruhat edge moved the label negative")
-                nu = LevelZeroWeight(edge.target, mu.n)
-                label = AffineRoot(wgamma, 0)
+                out.append((edge.target, 0, AffineRoot(wgamma, 0), edge.kind))
             else:
                 if is_positive_vec(wgamma):
                     raise GraphInvariantError("quantum edge kept the label positive")
                 drop = sum(c * v for c, v in zip(rs.coroot(edge.label), self.lam))
-                nu = LevelZeroWeight(edge.target, mu.n - drop)
-                label = AffineRoot(wgamma, 1)
-            out.append(PosetCover(mu, nu, label, edge.kind))
-        return sorted(out, key=lambda c: (c.upper.w, c.upper.n, c.label.k))
+                out.append((edge.target, drop, AffineRoot(wgamma, 1), edge.kind))
+        out.sort(key=lambda c: (c[0], -c[1], c[2].k))
+        got = self._cover_cache[w] = tuple(out)
+        return got
 
     def reflect(self, mu: LevelZeroWeight, beta: AffineRoot) -> LevelZeroWeight:
         """r_beta applied to the orbit element."""

@@ -6,6 +6,9 @@ order and nothing depends on hashing or timestamps.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .affine import AffineElement, AffineRoot, AffineWeyl, cover_label
@@ -22,19 +25,61 @@ SCHEMA_VERIFY = "qbgraph/verify/1"
 
 # -- JSON ------------------------------------------------------------------------
 
+#: text pieces gathered before they are handed on as one chunk
+CHUNK = 2048
 
-def dump_json(doc) -> str:
-    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte.
 
-    The stdlib encoder runs in pure Python whenever ``indent`` is set; this
-    one emits by exact type, escapes strings with the stdlib's ASCII
-    escaper, and renders each flat list of ints once per (values, depth).
-    Documents hold dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else, floats included, raises ``TypeError``.
+def json_chunks(doc) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=1, sort_keys=True)``, in chunks.
+
+    The one JSON emitter.  The stdlib encoder runs in pure Python whenever
+    ``indent`` is set; this one emits by exact type, escapes strings with
+    the stdlib's ASCII escaper, and renders each flat list of ints once per
+    (values, depth).  Documents hold dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else, floats included, raises
+    ``TypeError``.  A dict value may also be an iterator, a lazy row
+    sequence: it is written as a list, one row at a time, and the text is
+    handed on every ``CHUNK`` pieces, so its rows never sit in memory
+    together.  Rows and lists hold no iterators.
     """
     out: list[str] = []
-    _emit_json(doc, 0, out, {})
-    return "".join(out)
+    yield from _stream_json(doc, 0, out, {})
+    if out:
+        yield "".join(out)
+
+
+def dump_json(doc) -> str:
+    """``json.dumps(doc, indent=1, sort_keys=True)``, byte for byte: the
+    joined form of ``json_chunks``."""
+    return "".join(json_chunks(doc))
+
+
+def _stream_json(o, depth: int, out: list, int_lists: dict) -> Iterator[str]:
+    """Append the text of o to out, yielding full chunks of it as rows of
+    its iterators are written; dicts are walked here, all else is plain."""
+    if isinstance(o, Iterator):
+        inner = "\n" + " " * (depth + 1)
+        sep = "[" + inner
+        for row in o:
+            out.append(sep)
+            _emit_json(row, depth + 1, out, int_lists)
+            sep = "," + inner
+            if len(out) >= CHUNK:
+                yield "".join(out)
+                out.clear()
+        out.append("[]" if sep[0] == "[" else inner[:-1] + "]")
+    elif type(o) is dict and o:
+        inner = "\n" + " " * (depth + 1)
+        sep = "{" + inner
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            yield from _stream_json(o[key], depth + 1, out, int_lists)
+            sep = "," + inner
+        out.append(inner[:-1] + "}")
+    else:
+        _emit_json(o, depth, out, int_lists)
 
 
 #: the text of each scalar type a document may hold, by exact type
@@ -129,40 +174,55 @@ def affine_element_text(W: WeylGroup, x: AffineElement) -> str:
     return f"{w} t({mu})"
 
 
+def _lines_in_chunks(lines_fn):
+    """Turn a generator of text lines into one of chunks of ``CHUNK`` lines."""
+
+    @functools.wraps(lines_fn)
+    def chunks(*args) -> Iterator[str]:
+        lines = lines_fn(*args)
+        while batch := list(islice(lines, CHUNK)):
+            yield "".join(batch)
+
+    return chunks
+
+
 def _vertex_names(graph: QbgGraph) -> dict[int, str]:
     return {v: graph.W.describe(graph.W.element(v)) for v in graph.vertices}
 
 
-def graph_to_dot(graph: QbgGraph) -> str:
+@_lines_in_chunks
+def graph_dot_chunks(graph: QbgGraph) -> Iterator[str]:
     """Graphviz text; quantum edges dashed and red."""
     names = _vertex_names(graph)
-    lines = ["digraph qbg {"]
+    yield "digraph qbg {\n"
     for v in graph.vertices:
-        lines.append(f'  "{names[v]}";')
+        yield f'  "{names[v]}";\n'
     for v in graph.vertices:
         for e in graph.out[v]:
             attrs = [f'label="{root_text(e.label)}"']
             if e.kind == QUANTUM:
                 attrs.append("style=dashed")
                 attrs.append("color=red")
-            lines.append(
-                f'  "{names[e.source]}" -> "{names[e.target]}" [{", ".join(attrs)}];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f'  "{names[e.source]}" -> "{names[e.target]}" [{", ".join(attrs)}];\n'
+    yield "}\n"
 
 
-def graph_to_json(graph: QbgGraph) -> str:
+def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
+    """The ``qbgraph/graph/1`` document; vertex and edge rows are made as
+    they are written."""
     W = graph.W
-    verts = []
-    for pos, v in enumerate(graph.vertices):
-        el = W.element(v)
-        row = {"id": pos, "word": list(el.word), "text": W.describe(el)}
-        if graph.rs.cartan_type == "A":
-            row["permutation"] = "".join(str(x) for x in W.one_line(el))
-        verts.append(row)
-    pos_of = {v: i for i, v in enumerate(graph.vertices)}
-    edges = [
+    type_a = graph.rs.cartan_type == "A"
+
+    def vertex_rows():
+        for pos, v in enumerate(graph.vertices):
+            el = W.element(v)
+            row = {"id": pos, "word": list(el.word), "text": W.describe(el)}
+            if type_a:
+                row["permutation"] = "".join(str(x) for x in W.one_line(el))
+            yield row
+
+    pos_of = graph.vertex_pos
+    edge_rows = (
         {
             "src": pos_of[e.source],
             "dst": pos_of[e.target],
@@ -172,32 +232,42 @@ def graph_to_json(graph: QbgGraph) -> str:
         }
         for v in graph.vertices
         for e in graph.out[v]
-    ]
+    )
     doc = {
         "schema": SCHEMA_GRAPH,
         "cartan_type": graph.rs.cartan_type,
         "rank": graph.rs.rank,
         "parabolic": list(graph.J.nodes),
-        "vertices": verts,
-        "edges": edges,
+        "vertices": vertex_rows(),
+        "edges": edge_rows,
     }
-    return dump_json(doc) + "\n"
+    yield from json_chunks(doc)
+    yield "\n"
+
+
+@_lines_in_chunks
+def graph_text_chunks(graph: QbgGraph) -> Iterator[str]:
+    names = _vertex_names(graph)
+    yield f"# QB(W^J) {graph.rs.cartan_type}{graph.rs.rank} J={list(graph.J.nodes)}\n"
+    yield (
+        f"# vertices={len(graph.vertices)} edges={len(graph.edges)} "
+        f"quantum={len(graph.quantum_edges())}\n"
+    )
+    for v in graph.vertices:
+        for e in graph.out[v]:
+            yield f"{names[e.source]} -> {names[e.target]} [{root_text(e.label)}] {e.kind}\n"
+
+
+def graph_to_dot(graph: QbgGraph) -> str:
+    return "".join(graph_dot_chunks(graph))
+
+
+def graph_to_json(graph: QbgGraph) -> str:
+    return "".join(graph_json_chunks(graph))
 
 
 def graph_to_text(graph: QbgGraph) -> str:
-    names = _vertex_names(graph)
-    lines = [
-        f"# QB(W^J) {graph.rs.cartan_type}{graph.rs.rank} J={list(graph.J.nodes)}",
-        f"# vertices={len(graph.vertices)} edges={len(graph.edges)} "
-        f"quantum={len(graph.quantum_edges())}",
-    ]
-    for v in graph.vertices:
-        for e in graph.out[v]:
-            lines.append(
-                f"{names[e.source]} -> {names[e.target]}"
-                f" [{root_text(e.label)}] {e.kind}"
-            )
-    return "\n".join(lines) + "\n"
+    return "".join(graph_text_chunks(graph))
 
 
 # -- affine chains ------------------------------------------------------------------
@@ -270,13 +340,14 @@ def weight_text(poset: LevelZeroPoset, mu: LevelZeroWeight) -> str:
     return f"({W.describe(W.element(mu.w))}, {mu.n})"
 
 
-def slice_to_dot(poset: LevelZeroPoset, window: int) -> str:
+@_lines_in_chunks
+def slice_dot_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     """Hasse slice with the n = 0 layer (and its internal covers) in red."""
     elems = poset.slice_elements(window)
-    lines = ["digraph slice {"]
+    yield "digraph slice {\n"
     for mu in elems:
         attrs = ' [color=red, fontcolor=red]' if mu.n == 0 else ""
-        lines.append(f'  "{weight_text(poset, mu)}"{attrs};')
+        yield f'  "{weight_text(poset, mu)}"{attrs};\n'
     in_slice = set(elems)
     for mu in elems:
         for cov in poset.covers(mu):
@@ -285,32 +356,33 @@ def slice_to_dot(poset: LevelZeroPoset, window: int) -> str:
             attrs = [f'label="{affine_root_text(cov.label)}"']
             if mu.n == 0 and cov.upper.n == 0:
                 attrs.append("color=red")
-            lines.append(
+            yield (
                 f'  "{weight_text(poset, mu)}" -> "{weight_text(poset, cov.upper)}"'
-                f' [{", ".join(attrs)}];'
+                f' [{", ".join(attrs)}];\n'
             )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "}\n"
 
 
-def slice_to_text(poset: LevelZeroPoset, window: int) -> str:
+@_lines_in_chunks
+def slice_text_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     """A header line, then one 'mu < upper [label], ...' line per element
     with its graph-derived covers."""
     rs = poset.rs
-    lines = [f"# slice {rs.cartan_type}{rs.rank} lambda={list(poset.lam)} window={window}"]
+    yield f"# slice {rs.cartan_type}{rs.rank} lambda={list(poset.lam)} window={window}\n"
     for mu in poset.slice_elements(window):
         covers = ", ".join(
             f"{weight_text(poset, c.upper)} [{affine_root_text(c.label)}]"
             for c in poset.covers(mu)
         )
-        lines.append(f"{weight_text(poset, mu)} < {covers}")
-    return "\n".join(lines) + "\n"
+        yield f"{weight_text(poset, mu)} < {covers}\n"
 
 
-def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
+def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
+    """The ``qbgraph/slice/1`` document; vertex and cover rows are made as
+    they are written."""
     elems = poset.slice_elements(window)
     pos_of = {mu: i for i, mu in enumerate(elems)}
-    verts = [
+    vertex_rows = (
         {
             "id": i,
             "coset_word": list(poset.W.element(mu.w).word),
@@ -318,54 +390,81 @@ def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
             "text": weight_text(poset, mu),
         }
         for i, mu in enumerate(elems)
-    ]
-    edges = []
-    for mu in elems:
-        for cov in poset.covers(mu):
-            if cov.upper not in pos_of:
-                continue
-            edges.append(
-                {
-                    "src": pos_of[mu],
-                    "dst": pos_of[cov.upper],
-                    "label": {"alpha": list(cov.label.alpha), "delta": cov.label.k},
-                    "kind": cov.kind,
-                }
-            )
+    )
+    cover_rows = (
+        {
+            "src": pos_of[mu],
+            "dst": pos_of[cov.upper],
+            "label": {"alpha": list(cov.label.alpha), "delta": cov.label.k},
+            "kind": cov.kind,
+        }
+        for mu in elems
+        for cov in poset.covers(mu)
+        if cov.upper in pos_of
+    )
     doc = {
         "schema": SCHEMA_SLICE,
         "cartan_type": poset.rs.cartan_type,
         "rank": poset.rs.rank,
         "lambda": list(poset.lam),
         "window": window,
-        "vertices": verts,
-        "covers": edges,
+        "vertices": vertex_rows,
+        "covers": cover_rows,
     }
-    return dump_json(doc) + "\n"
+    yield from json_chunks(doc)
+    yield "\n"
+
+
+def slice_to_dot(poset: LevelZeroPoset, window: int) -> str:
+    return "".join(slice_dot_chunks(poset, window))
+
+
+def slice_to_text(poset: LevelZeroPoset, window: int) -> str:
+    return "".join(slice_text_chunks(poset, window))
+
+
+def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
+    return "".join(slice_json_chunks(poset, window))
 
 
 # -- lift tables and verify reports ---------------------------------------------------
 
+# A lift table is an iterable of rows {"upper", "lower", "label", "kind"}, one
+# per lifted edge, consumed once.
 
-def lifts_to_text(rows: list[dict]) -> str:
+
+@_lines_in_chunks
+def lifts_text_chunks(rows) -> Iterator[str]:
     """One 'upper > [label] lower' line per lifted edge."""
-    lines = [f"{row['upper']} > [{row['label']}] {row['lower']}" for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def lifts_to_dot(rows: list[dict]) -> str:
-    """Graphviz text: one labelled arrow per lifted edge."""
-    lines = ["digraph lifts {"]
     for row in rows:
-        lines.append(f'  "{row["upper"]}" -> "{row["lower"]}" [label="{row["label"]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"{row['upper']} > [{row['label']}] {row['lower']}\n"
 
 
-def lifts_to_json(mu, rows: list[dict]) -> str:
+@_lines_in_chunks
+def lifts_dot_chunks(rows) -> Iterator[str]:
+    """Graphviz text: one labelled arrow per lifted edge."""
+    yield "digraph lifts {\n"
+    for row in rows:
+        yield f'  "{row["upper"]}" -> "{row["lower"]}" [label="{row["label"]}"];\n'
+    yield "}\n"
+
+
+def lifts_json_chunks(mu, rows) -> Iterator[str]:
     """The ``qbgraph/lifts/1`` document: one row per lifted edge."""
-    doc = {"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": rows}
-    return dump_json(doc) + "\n"
+    yield from json_chunks({"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": iter(rows)})
+    yield "\n"
+
+
+def lifts_to_text(rows) -> str:
+    return "".join(lifts_text_chunks(rows))
+
+
+def lifts_to_dot(rows) -> str:
+    return "".join(lifts_dot_chunks(rows))
+
+
+def lifts_to_json(mu, rows) -> str:
+    return "".join(lifts_json_chunks(mu, rows))
 
 
 def report_to_text(results) -> str:

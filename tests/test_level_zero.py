@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qbgraph.affine import AffineRoot
-from qbgraph.level_zero import InconclusiveWindow, LevelZeroPoset, LevelZeroWeight
+from qbgraph.level_zero import InconclusiveWindow, LevelZeroPoset, LevelZeroWeight, PosetCover
 from qbgraph.qbg import BRUHAT, QUANTUM
 from qbgraph.root_system import build_root_system, neg_vec
 from qbgraph.weyl import WeylGroup
@@ -246,3 +246,27 @@ def test_dist_reuses_its_table_without_changing_answers(cartan_type, rank, lam):
             assert P.dist(mu, nu, window) == fresh.dist(mu, nu, window), (mu, nu, window)
             checked += 1
     assert checked > 100
+
+
+def reference_covers(P, mu):
+    """The graph-derived covers of mu computed from its edges, per call."""
+    out = []
+    for edge in P.graph.out[mu.w]:
+        wgamma = P.W.element(mu.w).act(edge.label)
+        if edge.kind == BRUHAT:
+            upper, label = LevelZeroWeight(edge.target, mu.n), AffineRoot(wgamma, 0)
+        else:
+            drop = sum(c * v for c, v in zip(P.rs.coroot(edge.label), P.lam))
+            upper, label = LevelZeroWeight(edge.target, mu.n - drop), AffineRoot(wgamma, 1)
+        out.append(PosetCover(mu, upper, label, edge.kind))
+    return sorted(out, key=lambda c: (c.upper.w, c.upper.n, c.label.k))
+
+
+@pytest.mark.parametrize("cartan_type,rank,lam", [
+    ("A", 2, (2, 1)), ("A", 3, (1, 0, 1)), ("B", 2, (0, 1)), ("C", 3, (0, 1, 0)),
+    ("G", 2, (1, 0)),
+])
+def test_covers_are_the_per_coset_covers_shifted_by_n(cartan_type, rank, lam):
+    P = LevelZeroPoset(WeylGroup(build_root_system(cartan_type, rank)), lam)
+    for mu in P.slice_elements(2 * P.d):
+        assert P.covers(mu) == reference_covers(P, mu)

@@ -1,7 +1,9 @@
-"""``render.dump_json`` writes exactly what ``json.dumps(doc, indent=1,
-sort_keys=True)`` writes, on every document the CLI emits and on edge cases."""
+"""``render.json_chunks`` and its joined form ``render.dump_json`` write
+exactly what ``json.dumps(doc, indent=1, sort_keys=True)`` writes, on every
+document the CLI emits, on edge cases, and on lazy row sequences."""
 
 import json
+from collections.abc import Iterator
 
 import pytest
 
@@ -30,17 +32,28 @@ CLI_RUNS = [
 ]
 
 
+def materialised(doc):
+    """doc with every lazy row sequence read into a list."""
+    if isinstance(doc, Iterator):
+        return list(doc)
+    if type(doc) is dict:
+        return {key: materialised(value) for key, value in doc.items()}
+    return doc
+
+
 @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv[:5]))
 def test_cli_documents_match_the_stdlib(monkeypatch, capsys, argv):
+    # every JSON export, streamed or not, goes through json_chunks once
     seen = []
-    real = render.dump_json
+    real = render.json_chunks
 
     def recording(doc):
-        text = real(doc)
+        doc = materialised(doc)
+        text = "".join(real(doc))
         seen.append((doc, text))
-        return text
+        yield text
 
-    monkeypatch.setattr(render, "dump_json", recording)
+    monkeypatch.setattr(render, "json_chunks", recording)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert len(seen) == 1
@@ -93,5 +106,49 @@ def test_repeated_int_lists_render_at_each_depth():
     ids=repr,
 )
 def test_unsupported_types_raise_type_error(doc):
+    with pytest.raises(TypeError):
+        render.dump_json(doc)
+
+
+LAZY_DOCS = [
+    lambda: {"rows": iter([])},
+    lambda: {"rows": iter([{"a": 1, "b": [1, 2]}, [1, 2], "x", None, 7, [], {}])},
+    lambda: {"z": 0, "a": {"b": (row for row in ([1], [2, [3]], {"c": (4, 5)}))}},
+    lambda: {"x": iter([1, 2]), "y": iter([[1, 2]]), "empty": {}},
+    lambda: iter([{"k": [1, 2]}, 3, True]),
+    lambda: iter([]),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("make", LAZY_DOCS, ids=lambda make: repr(materialised(make()))[:40])
+def test_lazy_rows_write_as_their_lists(monkeypatch, chunk, make):
+    monkeypatch.setattr(render, "CHUNK", chunk)
+    assert "".join(render.json_chunks(make())) == stdlib(materialised(make()))
+    assert render.dump_json(make()) == stdlib(materialised(make()))
+
+
+def test_lazy_rows_are_written_before_they_are_all_read(monkeypatch):
+    monkeypatch.setattr(render, "CHUNK", 8)
+    read = []
+
+    def rows():
+        for i in range(100):
+            read.append(i)
+            yield {"i": i, "label": [i, 0]}
+
+    chunks = render.json_chunks({"rows": rows(), "schema": "s"})
+    first = next(chunks)
+    assert first.startswith('{\n "rows": [')
+    assert len(read) < 10
+    rest = "".join(chunks)
+    assert len(read) == 100
+    assert first + rest == stdlib({"rows": [{"i": i, "label": [i, 0]} for i in range(100)],
+                                   "schema": "s"})
+
+
+@pytest.mark.parametrize("doc", [[iter([1])], {"a": [iter([])]}, ({"b": iter([])},)],
+                         ids=["list", "list in dict", "dict in tuple"])
+def test_iterators_outside_dict_values_raise_type_error(doc):
     with pytest.raises(TypeError):
         render.dump_json(doc)
