@@ -4,8 +4,6 @@ onto (W^J)_af, adjusted coweights, edge lifting, and diamond completions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from itertools import product
 from operator import mul
 
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath, edge_between
@@ -74,10 +72,6 @@ class AffineWeyl:
         """r_{alpha + k delta} = r_alpha t_{k alpha^vee}."""
         r = self.W.right_reflect(0, beta.alpha)
         return AffineElement(r, scale_vec(beta.k, self.rs.coroot(beta.alpha)))
-
-    def simple_affine_reflection(self, i: int) -> AffineElement:
-        """r_i for i in 0..rank, with r_0 = r_theta t_{-theta^vee}."""
-        return self.reflection(affine_simple_root(self.rs, i))
 
     def act(self, x: AffineElement, beta: AffineRoot) -> AffineRoot:
         """w t_mu sends alpha + k delta to w(alpha) + (k - <mu, alpha>) delta."""
@@ -227,50 +221,45 @@ class AffineWeyl:
             got = self._component_cache[comp] = (den, cols, candidates, factors)
         return got
 
-    def phi_correction(self, mu: Coroot, J: ParabolicIndex) -> Coroot:
-        """The Q_J^vee correction phi_J(mu) in the canonical decomposition."""
-        phi = [0] * self.rs.rank
-        for comp, _jm, corr in self._component_decomposition(mu, J):
+    def _factor_and_correction(self, mu: Coroot, J: ParabolicIndex) -> tuple[int, Coroot]:
+        """(z_mu, phi_J(mu)) from one component decomposition: z_mu is the
+        product of one special element per component of J."""
+        z, phi = 0, [0] * self.rs.rank
+        for comp, jm, corr in self._component_decomposition(mu, J):
+            z = self.W.mul(z, self._component_data(comp)[3][jm])
             for node, c in zip(comp, corr):
                 phi[node - 1] = c
-        return tuple(phi)
+        return z, tuple(phi)
+
+    def phi_correction(self, mu: Coroot, J: ParabolicIndex) -> Coroot:
+        """The Q_J^vee correction phi_J(mu) in the canonical decomposition."""
+        return self._factor_and_correction(mu, J)[1]
 
     def z_mu(self, mu: Coroot, J: ParabolicIndex) -> int:
-        """The Weyl factor of pi_J(t_mu), a product of one special element
-        per component of J."""
-        z = 0
-        for comp, jm, _corr in self._component_decomposition(mu, J):
-            z = self.W.mul(z, self._component_data(comp)[3][jm])
-        return z
+        """The Weyl factor of pi_J(t_mu), as an element id."""
+        return self._factor_and_correction(mu, J)[0]
 
     def project(self, x: AffineElement, J: ParabolicIndex) -> AffineElement:
         """pi_J(w t_mu) = floor(w) z_mu t_{mu + phi_J(mu)}."""
-        wfloor = self.W.coset_floor(x.w, J)
-        z = self.z_mu(x.mu, J)
-        mu = add_vec(x.mu, self.phi_correction(x.mu, J))
-        return AffineElement(self.W.mul(wfloor, z), mu)
+        z, phi = self._factor_and_correction(x.mu, J)
+        return AffineElement(self.W.mul(self.W.coset_floor(x.w, J), z), add_vec(x.mu, phi))
 
     def sigma_J(self, J: ParabolicIndex) -> dict[int, Coroot]:
         """The group of Weyl factors z_mu, as a map element id -> witness mu.
 
-        Seeded from simple coroots and the integral coweights whose pairings
-        with the simple roots lie in [-2, 2], then closed under the group
-        law (mu -> z_mu is a homomorphism).
+        mu -> z_mu is a homomorphism on Q^vee and the simple coroots generate
+        Q^vee, so Sigma_J is the closure of z_0 = e and the factors of the
+        simple coroots under the group law.
         """
         cached = self._sigma_cache.get(J.nodes)
         if cached is not None:
             return cached
         rs = self.rs
-        seeds: dict[int, Coroot] = {}
-
-        def note(mu: Coroot) -> None:
-            seeds.setdefault(self.z_mu(mu, J), mu)
-
-        note((0,) * rs.rank)
+        zero = (0,) * rs.rank
+        seeds = {self.z_mu(zero, J): zero}
         for i in range(1, rs.rank + 1):
-            note(rs.simple_coroot(i))
-        for mu in coweight_box(rs):
-            note(mu)
+            mu = rs.simple_coroot(i)
+            seeds.setdefault(self.z_mu(mu, J), mu)
         # close under the group law
         changed = True
         while changed:
@@ -411,15 +400,11 @@ class AffineWeyl:
         u = self.mul(self.inv(x), y)
         beta = _reflection_root(W, u.w)
         cor = rs.coroot(beta)
-        ns = {
-            Fraction(c, d) for c, d in zip(u.mu, cor) if d != 0
-        }
-        if len(ns) != 1 or any(c != 0 and d == 0 for c, d in zip(u.mu, cor)):
+        # u = r_beta t_{n beta^vee}: n from any nonzero coordinate of beta^vee
+        i = next(i for i, d in enumerate(cor) if d)
+        n = u.mu[i] // cor[i]
+        if u.mu != scale_vec(n, cor):
             raise ValueError("cover is not by an affine reflection")
-        n = next(iter(ns))
-        if n.denominator != 1:
-            raise ValueError("cover is not by an affine reflection")
-        n = int(n)
         alpha = W.act(z, beta)
         if not is_positive_vec(alpha):
             alpha = neg_vec(alpha)
@@ -506,21 +491,6 @@ def affine_simple_root(rs, i: int) -> AffineRoot:
     """The affine simple root alpha_i for i in 0..rank: tilde alpha_i, plus
     delta for i = 0 (alpha_0 = delta - theta)."""
     return AffineRoot(rs.tilde_root(i), int(i == 0))
-
-
-def coweight_box(rs):
-    """The integral coweights whose pairings with the simple roots all lie
-    in [-2, 2], in lexicographic order of those pairings.
-
-    A pairing vector p has coweight coordinates p C^-1; with D the
-    denominator of C^-1 they are integral iff D divides every entry of
-    p (D C^-1), so the scan stays in integer arithmetic.
-    """
-    den, scaled = rs.scaled_inverse_cartan()
-    cols = tuple(zip(*scaled))
-    for pairs in product(range(-2, 3), repeat=rs.rank):
-        if all(sum(map(mul, pairs, col)) % den == 0 for col in cols):
-            yield tuple(sum(map(mul, pairs, col)) // den for col in cols)
 
 
 def _pairing_by_definition(cartan, c: Coroot, v: Root) -> int:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .affine import AffineRoot, affine_simple_root
+from .affine import AffineRoot
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgGraph, build_qbg
 from .root_system import Coroot, Root, add_vec, is_positive_vec, neg_vec
 from .weyl import WeylGroup
@@ -356,9 +356,6 @@ class LevelZeroPoset:
         if i == 0:
             return -self.pair(self.rs.coroot(self.rs.theta), mu.w)
         return self._pairings.weight(mu.w)[i - 1]
-
-    def affine_simple_root(self, i: int) -> AffineRoot:
-        return affine_simple_root(self.rs, i)
 
     # -- distance ----------------------------------------------------------------
 

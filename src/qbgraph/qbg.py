@@ -104,14 +104,11 @@ class QbgGraph:
         self.vertex_pos = {v: i for i, v in enumerate(self.vertices)}
         self.edges = tuple(edges)
         out: dict[int, list[QbgEdge]] = {v: [] for v in self.vertices}
-        into: dict[int, list[QbgEdge]] = {v: [] for v in self.vertices}
         by_key: dict[tuple[int, Root], QbgEdge] = {}
         for e in self.edges:
             out[e.source].append(e)
-            into[e.target].append(e)
             by_key[(e.source, e.label)] = e
         self.out = {v: tuple(sorted(es, key=lambda e: (e.label, e.kind))) for v, es in out.items()}
-        self.into = {v: tuple(sorted(es, key=lambda e: (e.label, e.kind))) for v, es in into.items()}
         self._by_key = by_key
         self._dist: dict[int, dict[int, int]] | None = None
         self._diameter: int | None = None
@@ -247,7 +244,9 @@ class QbgGraph:
         """
         if self._diameter is None:
             pos = self.vertex_pos
-            preds = [[pos[e.source] for e in self.into[v]] for v in self.vertices]
+            preds: list[list[int]] = [[] for _ in self.vertices]
+            for e in self.edges:
+                preds[pos[e.target]].append(pos[e.source])
             full = (1 << len(self.vertices)) - 1
             reach = [1 << i for i in range(len(self.vertices))]
             rounds = 0

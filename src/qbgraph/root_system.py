@@ -6,6 +6,7 @@ roots (resp. simple coroots); everything is exact, no floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -21,8 +22,6 @@ class ConfigurationError(ValueError):
 
 #: order of the Weyl group, used for the enumeration cap in weyl.py
 def weyl_order(cartan_type: str, rank: int) -> int:
-    import math
-
     if not _valid_pair(cartan_type, rank):
         raise ConfigurationError(f"invalid Cartan data {cartan_type}{rank}")
     n = rank
@@ -199,8 +198,6 @@ class RootSystem:
             sum(col) for col in zip(*self.positive_roots)
         )
         self._parabolic_cache: dict[tuple[int, ...], ParabolicIndex] = {}
-        self._inverse_cartan: tuple[tuple[Fraction, ...], ...] | None = None
-        self._scaled_inverse_cartan: tuple[int, Matrix] | None = None
         self._refl_len = {a: self._reflection_length(a) for a in self.positive_roots}
 
     # -- construction helpers -------------------------------------------
@@ -220,14 +217,9 @@ class RootSystem:
                     if i != j and self.cartan[i][j] != 0 and d[j] is None:
                         d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
                         stack.append(j)
-        lcm = 1
-        for x in d:
-            assert x is not None
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in d))
         ints = [int(x * lcm) for x in d]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
+        g = math.gcd(*ints)
         return tuple(x // g for x in ints)
 
     def _form(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -374,23 +366,6 @@ class RootSystem:
         """The 1-based nodes whose coefficient in the highest root is 1."""
         return tuple(i + 1 for i, c in enumerate(self.theta) if c == 1)
 
-    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Inverse Cartan matrix over the rationals (rows index coweights)."""
-        if self._inverse_cartan is None:
-            self._inverse_cartan = _invert(self.cartan)
-        return self._inverse_cartan
-
-    def scaled_inverse_cartan(self) -> tuple[int, Matrix]:
-        """(D, D * C^-1) with D the least common denominator of C^-1.
-
-        A row vector p over the simple roots has integral coweight
-        coordinates p C^-1 exactly when every entry of p (D C^-1) is
-        divisible by D; integer arithmetic throughout.
-        """
-        if self._scaled_inverse_cartan is None:
-            self._scaled_inverse_cartan = scaled_inverse(self.cartan)
-        return self._scaled_inverse_cartan
-
     # -- parabolic data ----------------------------------------------------
 
     def parabolic(self, nodes) -> ParabolicIndex:
@@ -439,12 +414,6 @@ def _connected_components(nodes: tuple[int, ...], cartan: Matrix) -> tuple[tuple
     return tuple(sorted(comps))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     n = len(m)
     aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -464,10 +433,7 @@ def scaled_inverse(m: Matrix) -> tuple[int, Matrix]:
     """(D, D * m^-1) for an invertible integer matrix, D the least common
     denominator of the entries of m^-1."""
     inv = _invert(m)
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for row in inv for x in row))
     return den, tuple(tuple(int(x * den) for x in row) for row in inv)
 
 

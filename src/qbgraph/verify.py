@@ -21,6 +21,7 @@ from .affine import (
     DIAMOND_CASES,
     THETA_BRUHAT,
     THETA_QUANTUM,
+    affine_simple_root,
     complete_bottom,
     complete_top,
     iter_bottom_configurations,
@@ -697,7 +698,7 @@ def level_zero(rs, W, _aw, lam):
     for mu in hasse:
         for i in range(0, rs.rank + 1):
             if P.affine_simple_pairing(i, mu) > 0:
-                nu = P.reflect(mu, P.affine_simple_root(i))
+                nu = P.reflect(mu, affine_simple_root(rs, i))
                 if not P.certified(nu, window):
                     continue
                 if P.dist(mu, nu, window) != 1:
@@ -707,7 +708,7 @@ def level_zero(rs, W, _aw, lam):
         for i in range(0, rs.rank + 1):
             if P.affine_simple_pairing(i, mu) <= 0:
                 continue
-            alpha = P.affine_simple_root(i)
+            alpha = affine_simple_root(rs, i)
             nu_a = P.reflect(mu, alpha)
             if not P.certified(nu_a, window):
                 continue
@@ -739,7 +740,7 @@ def level_zero(rs, W, _aw, lam):
                 pm = P.affine_simple_pairing(i, mu)
                 pn = P.affine_simple_pairing(i, nu)
                 if pm >= 0 > pn:
-                    down = P.reflect(nu, P.affine_simple_root(i))
+                    down = P.reflect(nu, affine_simple_root(rs, i))
                     if not P.certified(down, window):
                         continue
                     if not P.leq(mu, down, window):

@@ -169,7 +169,6 @@ class WeylGroup:
         for a, row in zip(rs.positive_roots, rs.positive_rows):
             self._reflect_data[a] = self._reflect_data[neg_vec(a)] = (rs.coroot(a), row)
         self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
-        self._longest_cache: dict[tuple[int, ...], int] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- enumeration -------------------------------------------------------
@@ -323,6 +322,8 @@ class WeylGroup:
 
     def left_mul(self, i: int, w: WeylElement) -> WeylElement:
         """r_i * w for a 1-based node index."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"generator index {i} out of range")
         inv = self._inverse[w.index]
         return self.element(self._inverse[self._right[inv][i - 1]])
 
@@ -459,6 +460,9 @@ class WeylGroup:
         cached = self._subgroup_cache.get(key)
         if cached is not None:
             return cached
+        for j in key:
+            if not 1 <= j <= self.rank:
+                raise ValueError(f"generator index {j} out of range")
         seen = {0}
         frontier = [0]
         while frontier:
@@ -499,24 +503,11 @@ class WeylGroup:
         return self.element(self.longest(nodes))
 
     def longest(self, nodes=None) -> int:
-        """The id of ``longest_element(nodes)``."""
-        key = (
-            tuple(range(1, self.rank + 1)) if nodes is None else tuple(sorted(set(nodes)))
-        )
-        cached = self._longest_cache.get(key)
-        if cached is not None:
-            return cached
-        cur = 0
-        changed = True
-        while changed:
-            changed = False
-            for j in key:
-                nxt = self._right[cur][j - 1]
-                if self._length[nxt] > self._length[cur]:
-                    cur = nxt
-                    changed = True
-        self._longest_cache[key] = cur
-        return cur
+        """The id of ``longest_element(nodes)``: ids follow (length,
+        shortlex) order, so it is the subgroup's last id."""
+        if nodes is None:
+            return len(self) - 1
+        return self.subgroup_elements(nodes)[-1]
 
     def special_v(self, i: int) -> WeylElement:
         """The factor v_i with w_0 = v_i w_0^(I minus i), for a special node i."""

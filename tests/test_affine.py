@@ -16,8 +16,8 @@ from qbgraph.affine import (
     THETA_QUANTUM_ORTHO,
     complete_bottom,
     complete_top,
+    affine_simple_root,
     cover_label,
-    coweight_box,
     iter_bottom_configurations,
     iter_top_configurations,
 )
@@ -149,7 +149,7 @@ def test_affine_reflection_form(a2):
     r = aw.reflection(AffineRoot((0, 1), 3))
     assert r.w == W.simple_reflection(2).index
     assert r.mu == (0, 3)
-    r0 = aw.simple_affine_reflection(0)
+    r0 = aw.reflection(affine_simple_root(rs, 0))
     assert r0.w == W.reflection(rs.theta).index
     assert r0.mu == neg_vec(rs.coroot(rs.theta))
 
@@ -224,35 +224,6 @@ def test_superantidominant_mu_needs_a_proper_j(a2):
         aw.superantidominant_mu(W.identity, rs.parabolic((1, 2)), 1)
 
 
-def fraction_box(rs):
-    """Reference for coweight_box: the coordinates p C^-1 in Fractions."""
-    inv = rs.inverse_cartan()
-    out = []
-    for pairs in itertools.product(range(-2, 3), repeat=rs.rank):
-        coords = []
-        for b in range(rs.rank):
-            c = sum(p * inv[a][b] for a, p in enumerate(pairs) if p)
-            if c.denominator != 1:
-                break
-            coords.append(int(c))
-        else:
-            out.append(tuple(coords))
-    return out
-
-
-@pytest.mark.parametrize(
-    "cartan_type,rank",
-    [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
-)
-def test_coweight_box_matches_fraction_reference(cartan_type, rank):
-    rs = build_root_system(cartan_type, rank)
-    got = list(coweight_box(rs))
-    assert got == fraction_box(rs)
-    assert (0,) * rank in got and len(got) > 1
-    for mu in got:
-        assert all(-2 <= rs.pairing(mu, a) <= 2 for a in rs.simple_roots())
-
-
 @pytest.mark.parametrize(
     "cartan_type,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 )
@@ -292,6 +263,39 @@ def test_sigma_proper_subgroup():
     assert not aw.in_wj_af(x, J)
 
 
+@pytest.mark.parametrize(
+    "cartan_type,rank,nodes", [("A", 3, (1, 2)), ("B", 3, (2,)), ("D", 4, (1, 3, 4)), ("G", 2, (1,))]
+)
+def test_sigma_seeds_only_from_the_simple_coroots(cartan_type, rank, nodes):
+    rs = build_root_system(cartan_type, rank)
+    aw = AffineWeyl(WeylGroup(rs))
+    seen = []
+    z_mu = aw.z_mu
+    aw.z_mu = lambda mu, J: seen.append(mu) or z_mu(mu, J)
+    aw.sigma_J(rs.parabolic(nodes))
+    assert 0 < len(seen) <= rank + 1
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank",
+    [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)],
+)
+def test_sigma_is_the_closed_image_of_z_mu(cartan_type, rank):
+    # a group under W.mul whose witnesses map to their keys, and which holds
+    # z_mu of every mu with simple-coroot coordinates in [-1, 1]
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    aw = AffineWeyl(W)
+    for nodes in all_parabolics(rank, proper=True):
+        J = rs.parabolic(nodes)
+        sigma = aw.sigma_J(J)
+        assert 0 in sigma
+        assert all(W.mul(a, b) in sigma for a in sigma for b in sigma), nodes
+        assert all(aw.z_mu(mu, J) == z for z, mu in sigma.items()), nodes
+        for mu in itertools.product((-1, 0, 1), repeat=rank):
+            assert aw.z_mu(mu, J) in sigma, (nodes, mu)
+
+
 def test_lift_chain_reproduces_ladder(a2):
     rs, W, aw = a2
     J = rs.parabolic((1,))
@@ -310,7 +314,7 @@ def test_lift_chain_reproduces_ladder(a2):
     xs = [x for x, _ in chain]
     assert [aw.length(x) for x in xs] == [12, 11, 10, 9]
     r0r1r2tmu = aw.mul(
-        aw.simple_affine_reflection(0),
+        aw.reflection(affine_simple_root(rs, 0)),
         aw.mul(aw.from_finite(W.from_word([1, 2])), aw.translation(mu)),
     )
     assert xs[-1] == r0r1r2tmu

@@ -106,3 +106,14 @@ def test_weyl_element_only_at_the_boundary(name):
     if not BOUNDARY[name]:
         imports = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ImportFrom)]
         assert "WeylElement" not in {a.asname or a.name for n in imports for a in n.names}
+
+
+def test_only_root_system_and_qbg_import_fractions():
+    # the affine coweight arithmetic is integer throughout
+    users = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "fractions" in names or (isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+                users.add(path.name)
+    assert users == {"qbg.py", "root_system.py"}

@@ -104,6 +104,44 @@ def test_longest_elements(a2, a3):
     assert w0J == W3.from_word([1, 3])
 
 
+def _climb_to_longest(W, nodes):
+    """Reference: go up by the given simple reflections until none lengthens."""
+    cur = W.identity
+    while True:
+        up = [s for s in (W.simple_reflection(j) for j in nodes) if (cur * s).length > cur.length]
+        if not up:
+            return cur
+        cur = cur * up[0]
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
+def test_longest_is_the_last_id_of_its_subgroup(cartan_type, rank):
+    W = build_weyl_group(cartan_type, rank)
+    assert W.longest() == len(W) - 1
+    for nodes in all_parabolics(rank):
+        want = _climb_to_longest(W, nodes)
+        assert W.longest_element(nodes) == want
+        assert want.length == max(W.element(i).length for i in W.subgroup_elements(nodes))
+
+
+@pytest.mark.parametrize("node", [0, -1, 4, 7])
+def test_subgroup_elements_rejects_nodes_out_of_range(a3, node):
+    rs, W = a3
+    with pytest.raises(ValueError, match=f"generator index {node} out of range"):
+        W.subgroup_elements((1, node))
+    with pytest.raises(ValueError, match="out of range"):
+        W.longest_element((node,))
+
+
+@pytest.mark.parametrize("node", [0, -1, 4, 7])
+def test_left_mul_rejects_nodes_out_of_range(a3, node):
+    rs, W = a3
+    v = W.from_word([1, 2])
+    assert W.left_mul(3, v) == W.simple_reflection(3) * v
+    with pytest.raises(ValueError, match=f"generator index {node} out of range"):
+        W.left_mul(node, v)
+
+
 def test_special_v(a2):
     rs, W = a2
     v1 = W.special_v(1)
