@@ -65,13 +65,13 @@ def edge_between(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
     """
     if not W.rs.is_positive_root(alpha) or alpha in J.phi_plus:
         raise ValueError(f"label {alpha} not in Phi+ minus Phi_J+")
-    return _edge(W, J, w, alpha)
+    return _edge(W, J, w, alpha, W.right_reflect(w, alpha))
 
 
-def _edge(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
-    """``edge_between`` for a label already checked."""
+def _edge(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root, x: int):
+    """``edge_between`` for a label already checked, given x = w r_alpha:
+    the one edge decision, which ``build_qbg`` also makes."""
     length = W._length
-    x = W.right_reflect(w, alpha)
     up = length[w] + 1
     bruhat = length[x] == up
     floor = W.coset_floor(x, J)
@@ -297,14 +297,16 @@ class QbgGraph:
 def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     """The quantum Bruhat graph on the minimum-length coset representatives.
 
-    Vertices are listed by id, which is (length, shortlex word) order.
+    Vertices are listed by id, which is (length, shortlex word) order.  Each
+    vertex's reflection row gives the target of every label at once.
     """
     order = W.min_coset_ids(J)
-    labels = [a for a in W.rs.positive_roots if not J.supports(a)]
+    labels = [(b, a) for b, a in enumerate(W.rs.positive_roots) if not J.in_phi_J[b]]
     edges = []
     for w in order:
-        for a in labels:
-            e = _edge(W, J, w, a)
+        row = W.reflection_row(w)
+        for b, a in labels:
+            e = _edge(W, J, w, a, row[b])
             if e is not None:
                 edges.append(e)
     return QbgGraph(W, J, order, edges)
@@ -319,16 +321,18 @@ def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     rs = W.rs
     length = W._length
     order = W.subgroup_elements(J.nodes)
-    # per label: <alpha^vee, 2rho_J> and whether a quantum edge may carry it
+    # per label: its row position, <alpha^vee, 2rho_J> and whether a quantum
+    # edge may carry it
     labels = [
-        (a, rs.pairing(rs.coroot(a), J.two_rho_J), rs.is_quantum_root(a))
-        for a in J.phi_plus
+        (b, a, rs.pairing(rs.coroot(a), J.two_rho_J), rs.is_quantum_root(a))
+        for b, a in zip(J.phi_plus_pos, J.phi_plus)
     ]
     edges = []
     for w in order:
         up = length[w] + 1
-        for a, pair, quantum in labels:
-            x = W.right_reflect(w, a)
+        row = W.reflection_row(w)
+        for b, a, pair, quantum in labels:
+            x = row[b]
             if length[x] == up:
                 edges.append(QbgEdge(w, x, a, BRUHAT, (0,) * rs.rank))
             elif length[x] == up - pair and quantum:

@@ -60,10 +60,29 @@ def _stream_json(o, depth: int, out: list, int_lists: dict) -> Iterator[str]:
     if isinstance(o, Iterator):
         inner = "\n" + " " * (depth + 1)
         sep = "[" + inner
+        # per key tuple of a dict row: its sorted keys with the text before
+        # each value, and the closing text
+        plans: dict[tuple, tuple[list[tuple[str, str]], str]] = {}
         for row in o:
             out.append(sep)
-            _emit_json(row, depth + 1, out, int_lists)
             sep = "," + inner
+            if type(row) is not dict or not row:
+                _emit_json(row, depth + 1, out, int_lists)
+            else:
+                shape = tuple(row)
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = plans[shape] = _row_plan(shape, depth + 1)
+                items, close = plan
+                for key, prefix in items:
+                    value = row[key]
+                    scalar = _SCALARS.get(type(value))
+                    if scalar is not None:
+                        out.append(prefix + scalar(value))
+                    else:
+                        out.append(prefix)
+                        _emit_json(value, depth + 2, out, int_lists)
+                out.append(close)
             if len(out) >= CHUNK:
                 yield "".join(out)
                 out.clear()
@@ -80,6 +99,21 @@ def _stream_json(o, depth: int, out: list, int_lists: dict) -> Iterator[str]:
         out.append(inner[:-1] + "}")
     else:
         _emit_json(o, depth, out, int_lists)
+
+
+def _row_plan(shape: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
+    """The sorted keys of a non-empty dict at the given depth, each with the
+    text written before its value, and the text that closes the dict."""
+    for key in shape:
+        if type(key) is not str:
+            raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+    inner = "\n" + " " * (depth + 1)
+    items = []
+    sep = "{" + inner
+    for key in sorted(shape):
+        items.append((key, sep + encode_basestring_ascii(key) + ": "))
+        sep = "," + inner
+    return items, inner[:-1] + "}"
 
 
 #: the text of each scalar type a document may hold, by exact type
@@ -216,10 +250,12 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
     def vertex_rows():
         for pos, v in enumerate(graph.vertices):
             el = W.element(v)
-            row = {"id": pos, "word": list(el.word), "text": W.describe(el)}
             if type_a:
-                row["permutation"] = "".join(str(x) for x in W.one_line(el))
-            yield row
+                # the one-line form is both the text and the permutation
+                text = "".join(map(str, W.one_line(el)))
+                yield {"id": pos, "word": list(el.word), "text": text, "permutation": text}
+            else:
+                yield {"id": pos, "word": list(el.word), "text": W.describe(el)}
 
     pos_of = graph.vertex_pos
     edge_rows = (

@@ -2,10 +2,12 @@
 
 Elements are interned with stable integer ids.  An element w is named by the
 weight w^{-1}(rho) over the fundamental weights: rho is regular, so the name
-is unique, and right multiplication by a simple reflection or by any
-reflection is one reflection of the name.  The id, word, length, right and
-inverse tables are built once and then only read; an element's matrices on
-the simple roots and coroots are built the first time they are used.
+is unique, and right multiplication by a simple reflection is one reflection
+of the name.  The id, word, length, right and inverse tables are built once
+and then only read.  Two kinds of per-element table are built the first time
+they are used, along the prefixes of the element's word: its matrices on the
+simple roots and coroots, and its reflection row, the ids of w r_beta over
+the positive roots beta, so that w r_beta is one list lookup.
 
 The group operations take and return ids; ``WeylElement`` is the public view
 of an id, and its methods call them.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, mul, sub
+from operator import add, mul
 
 from .root_system import (
     ConfigurationError,
@@ -155,6 +157,12 @@ class WeylGroup:
     exactly when r_k is a right descent of w, which the search has already
     linked back.  ``matrix``/``comatrix`` (and ``act``/``act_coroot``) fill
     an element's matrices on first use along its word's prefixes.
+
+    ``reflection_row`` fills the same way: the row of w holds the ids of
+    w r_beta for beta over ``rs.positive_roots``.  Row 0 holds the
+    reflections, found by their keys r_beta(rho); the row of u r_k follows
+    from u's by (u r_k) r_beta = (u r_{r_k beta}) r_k.  ``right_reflect``,
+    ``left_reflect``, ``reflection`` and ``bruhat_covers`` read the rows.
     """
 
     def __init__(self, rs: RootSystem):
@@ -164,10 +172,7 @@ class WeylGroup:
         self._build()
         self._coroots = tuple(map(rs.coroot, rs.positive_roots))
         self._flags: list = [None] * len(self)
-        # per root +-alpha: (alpha^vee, C alpha); r_{-alpha} = r_alpha
-        self._reflect_data: dict[Root, tuple[Coroot, tuple[int, ...]]] = {}
-        for a, row in zip(rs.positive_roots, rs.positive_rows):
-            self._reflect_data[a] = self._reflect_data[neg_vec(a)] = (rs.coroot(a), row)
+        self._build_reflection_rows()
         self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -233,6 +238,36 @@ class WeylGroup:
         self._right = right
         self._inverse = inverse
 
+    def _build_reflection_rows(self) -> None:
+        rs = self.rs
+        roots = rs.positive_roots
+        # the position of each root +-beta in ``rs.positive_roots``:
+        # r_{-beta} = r_beta
+        pos: dict[Root, int] = {}
+        for b, beta in enumerate(roots):
+            pos[beta] = pos[neg_vec(beta)] = b
+        # per simple node k, the position of r_k(beta) for each beta, where
+        # r_k(beta) = beta - <alpha_k^vee, beta> alpha_k and C beta holds
+        # the pairings
+        perms = []
+        for k in range(self.rank):
+            perm = []
+            for beta, row in zip(roots, rs.positive_rows):
+                img = list(beta)
+                img[k] -= row[k]
+                perm.append(pos[tuple(img)])
+            perms.append(tuple(perm))
+        # r_beta is keyed by r_beta(rho) = rho - <beta^vee, rho> C beta
+        index = self._index
+        reflections = [
+            index[tuple(1 - sum(rs.coroot(beta)) * c for c in row)]
+            for beta, row in zip(roots, rs.positive_rows)
+        ]
+        self._root_pos = pos
+        self._root_perms = perms
+        self._refl_rows: list = [None] * len(self)
+        self._refl_rows[0] = reflections
+
     # -- element access ------------------------------------------------------
 
     def _fill(self, table: list, w: int, step):
@@ -271,6 +306,17 @@ class WeylGroup:
         if got is None:
             coeffs = self._coroot_coeffs
             got = self._fill(self._comat, w, lambda m, k: _times_simple(m, k, coeffs[k]))
+        return got
+
+    def reflection_row(self, w: int) -> list[int]:
+        """The ids of w r_beta for beta over ``rs.positive_roots``; w is an
+        element id.  Built the first time it is asked for."""
+        got = self._refl_rows[w]
+        if got is None:
+            right, perms = self._right, self._root_perms
+            got = self._fill(
+                self._refl_rows, w, lambda row, k: [right[row[b]][k] for b in perms[k]]
+            )
         return got
 
     def __len__(self) -> int:
@@ -328,24 +374,16 @@ class WeylGroup:
         return self.element(self._inverse[self._right[inv][i - 1]])
 
     def reflection(self, alpha: tuple[int, ...]) -> WeylElement:
-        """The reflection r_alpha as a group element: the element keyed by
-        r_alpha(rho) = rho - <alpha^vee, rho> alpha."""
+        """The reflection r_alpha as a group element: an entry of row 0."""
         return self.element(self.right_reflect(0, alpha))
 
     def right_reflect(self, w: int, alpha: Root) -> int:
-        """The id of w r_alpha, for an element id w and a root alpha.
-
-        (w r_alpha)^{-1}(rho) = r_alpha(v) = v - <alpha^vee, v> alpha with
-        v = w^{-1}(rho); over the fundamental weights alpha is its row
-        C alpha, and the new key is looked up.
-        """
-        data = self._reflect_data.get(alpha)
-        if data is None:
+        """The id of w r_alpha, for an element id w and a root alpha (either
+        sign): an entry of w's reflection row."""
+        b = self._root_pos.get(alpha)
+        if b is None:
             raise ValueError(f"{alpha} is not a root")
-        coroot, row = data
-        v = self._key[w]
-        c = sum(map(mul, coroot, v))
-        return self._index[tuple(map(sub, v, map(c.__mul__, row)))]
+        return self.reflection_row(w)[b]
 
     def left_reflect(self, w: int, alpha: Root) -> int:
         """The id of r_alpha w, for an element id w and a root alpha:
@@ -387,6 +425,8 @@ class WeylGroup:
 
     def has_right_descent(self, w: WeylElement, i: int) -> bool:
         """Whether l(w r_i) < l(w), i.e. w(alpha_i) < 0.  1-based index."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"generator index {i} out of range")
         length = self._length
         return length[self._right[w.index][i - 1]] < length[w.index]
 
@@ -394,11 +434,7 @@ class WeylGroup:
         """All u = w r_alpha with l(u) = l(w) + 1, sorted by id."""
         length = self._length
         up = length[w.index] + 1
-        out = {
-            u
-            for u in (self.right_reflect(w.index, a) for a in self.rs.positive_roots)
-            if length[u] == up
-        }
+        out = {u for u in self.reflection_row(w.index) if length[u] == up}
         return tuple(self.element(i) for i in sorted(out))
 
     def bruhat_leq(self, v: WeylElement, w: WeylElement) -> bool:

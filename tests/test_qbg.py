@@ -407,3 +407,73 @@ def test_walks_run_deeper_than_the_recursion_limit(a2):
         assert increasing_path(g, 0, n - 1, ordering).edges == path.edges
     finally:
         sys.setrecursionlimit(limit)
+
+
+
+def matrix_edges(rs, W, J):
+    """QB(W^J) edge by edge, per (w, alpha) from matrices on the simple
+    roots: w -> floor(w r_alpha) is Bruhat when the floor has length
+    l(w) + 1, and quantum when it has length l(w) + 1 - <alpha^vee, 2rho - 2rho_J>."""
+    simples = rs.simple_roots()
+    # <beta^vee, alpha_j> for every root beta and node j
+    pairings = {b: tuple(rs.pairing(rs.coroot(b), s) for s in simples) for b in rs.positive_roots}
+
+    def times_reflection(mat, beta):
+        # rows x(alpha_j) -> rows (x r_beta)(alpha_j) = x(alpha_j) - <beta^vee, alpha_j> x(beta)
+        x_beta = tuple(map(sum, zip(*([c * v for v in row] for c, row in zip(beta, mat)))))
+        return tuple(
+            tuple(v - p * y for v, y in zip(row, x_beta)) for row, p in zip(mat, pairings[beta])
+        )
+
+    named = {}
+
+    def name(mat):
+        # the id and length of the element with this matrix, by stripping
+        # right descents (x(alpha_j) < 0) down to the identity
+        got = named.get(mat)
+        if got is None:
+            word, cur = [], mat
+            while True:
+                j = next((j for j, row in enumerate(cur) if not is_positive_vec(row)), None)
+                if j is None:
+                    break
+                cur = times_reflection(cur, simples[j])
+                word.append(j + 1)
+            got = named[mat] = (W.from_word(reversed(word)).index, len(word))
+        return got
+
+    def floor(mat):
+        while True:
+            j = next((j for j in J.nodes if not is_positive_vec(mat[j - 1])), None)
+            if j is None:
+                return mat
+            mat = times_reflection(mat, simples[j - 1])
+
+    inside = [a for a in rs.positive_roots if all(c == 0 or i + 1 in J.nodes for i, c in enumerate(a))]
+    two_rho_j = tuple(map(sum, zip(rs.two_rho, *([-c for c in a] for a in inside))))
+    labels = [(a, rs.pairing(rs.coroot(a), two_rho_j)) for a in rs.positive_roots if a not in inside]
+    edges = []
+    for w in range(len(W)):
+        mat = W.matrix(w)
+        if any(not is_positive_vec(mat[j - 1]) for j in J.nodes):
+            continue  # not in W^J
+        length = name(mat)[1]
+        for a, shift in labels:
+            target, tlen = name(floor(times_reflection(mat, a)))
+            if tlen == length + 1:
+                edges.append(QbgEdge(w, target, a, BRUHAT, (0,) * rs.rank))
+            elif tlen == length + 1 - shift:
+                edges.append(QbgEdge(w, target, a, QUANTUM, rs.coroot(a)))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,parabolics",
+    [(t, r, None) for t, r in SMALL_TYPES]
+    + [("A", 5, [(3,)]), ("A", 6, [(1,)]), ("E", 6, [(2, 3, 4, 5, 6)])],
+)
+def test_graph_edges_match_the_matrix_definition(groups, cartan_type, rank, parabolics):
+    rs, W = groups(cartan_type, rank)
+    for nodes in parabolics or all_parabolics(rank):
+        J = rs.parabolic(nodes)
+        assert list(build_qbg(W, J).edges) == matrix_edges(rs, W, J), nodes

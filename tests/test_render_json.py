@@ -117,15 +117,41 @@ LAZY_DOCS = [
     lambda: {"x": iter([1, 2]), "y": iter([[1, 2]]), "empty": {}},
     lambda: iter([{"k": [1, 2]}, 3, True]),
     lambda: iter([]),
+    # rows of differing key sets, in differing insertion orders, so that
+    # each shape gets its own plan
+    lambda: {"rows": iter([{"b": 1, "a": [2]}, {"a": [2], "b": 1}, {"c": None, "a": {"d": 3}},
+                           {"b": 1, "a": [2]}, {"z": "s", "é": [1, [2]]}, {"a": 1}])},
+    lambda: {"rows": iter([{}, {}, {"a": {}}, {}, {"a": []}, {}])},
+    lambda: {"rows": iter([{"k": (1, 2), "v": (x, {"w": [x]})} for x in range(5)])},
 ]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("chunk", [1, 3, 2048, 4096])
 @pytest.mark.parametrize("make", LAZY_DOCS, ids=lambda make: repr(materialised(make()))[:40])
 def test_lazy_rows_write_as_their_lists(monkeypatch, chunk, make):
     monkeypatch.setattr(render, "CHUNK", chunk)
     assert "".join(render.json_chunks(make())) == stdlib(materialised(make()))
     assert render.dump_json(make()) == stdlib(materialised(make()))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 2048])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"a": 1}, {"a": 2}, {"a": 3, 4: "x"}],
+        [{"a": 1}, {"b": 1}, {"b": 2, None: 0}],
+        [{"a": 1}, {"a": 1.5}],
+        [{"a": [1]}, {"a": [2, {3}]}],
+        [{"a": 1}, {"a": object()}],
+    ],
+    ids=["int key", "None key", "float value", "set value", "object value"],
+)
+def test_lazy_rows_raise_type_error_on_a_late_bad_row(monkeypatch, chunk, rows):
+    # the bad key or value sits in a row after good rows, and a bad key
+    # comes in a shape seen only there
+    monkeypatch.setattr(render, "CHUNK", chunk)
+    with pytest.raises(TypeError):
+        "".join(render.json_chunks({"rows": iter(rows)}))
 
 
 def test_lazy_rows_are_written_before_they_are_all_read(monkeypatch):

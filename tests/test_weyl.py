@@ -142,6 +142,15 @@ def test_left_mul_rejects_nodes_out_of_range(a3, node):
         W.left_mul(node, v)
 
 
+@pytest.mark.parametrize("node", [0, -1, 4, 7])
+def test_has_right_descent_rejects_nodes_out_of_range(a3, node):
+    rs, W = a3
+    w = W.from_word([3])
+    assert W.has_right_descent(w, 3) and not W.has_right_descent(w, 1)
+    with pytest.raises(ValueError, match=f"generator index {node} out of range"):
+        W.has_right_descent(w, node)
+
+
 def test_special_v(a2):
     rs, W = a2
     v1 = W.special_v(1)

@@ -3,8 +3,9 @@
 The reference is a breadth-first search that interns each element by its
 matrix action on the simple roots, composing with a simple reflection by
 rewriting the rows it moves; it never looks at weights.  The engine must
-give the same ids, words, lengths, right table, inverses and matrices,
-and must build matrices only when they are asked for.
+give the same ids, words, lengths, right table, inverses, matrices and
+reflection rows, and must build matrices and rows only when they are asked
+for.
 """
 
 import random
@@ -74,6 +75,34 @@ def reference(cartan_type, rank):
     return _REFERENCES[key]
 
 
+def times_reflection(rs, mat, beta):
+    """The matrix of w r_beta from w's: (w r_beta)(alpha_j) is
+    w(alpha_j) - <beta^vee, alpha_j> w(beta), with w(beta) the sum of
+    beta_i w(alpha_i)."""
+    w_beta = [0] * rs.rank
+    for c, row in zip(beta, mat):
+        for i, x in enumerate(row):
+            w_beta[i] += c * x
+    cor = rs.coroot(beta)
+    out = []
+    for j, row in enumerate(mat):
+        pair = rs.pairing(cor, tuple(int(i == j) for i in range(rs.rank)))
+        out.append(tuple(x - pair * y for x, y in zip(row, w_beta)))
+    return tuple(out)
+
+
+_ROWS: dict = {}
+
+
+def reference_row(rs, w):
+    """The ids of w r_beta over the positive roots, by the matrix definition."""
+    key = (rs.cartan_type, rs.rank, w)
+    if key not in _ROWS:
+        mats, *_, index = reference(rs.cartan_type, rs.rank)
+        _ROWS[key] = [index[times_reflection(rs, mats[w], beta)] for beta in rs.positive_roots]
+    return _ROWS[key]
+
+
 @pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES + EXTRA_TYPES)
 def test_enumeration_matches_the_matrix_keyed_reference(cartan_type, rank):
     mats, comats, length, word, right, inverse, _ = reference(cartan_type, rank)
@@ -111,9 +140,11 @@ def test_lazy_matrices_do_not_depend_on_query_order(cartan_type, rank, order):
 
 def test_lazy_matrices_under_threads():
     # threads reading one group: fills racing down shared word prefixes
-    # must still leave every matrix right
+    # must still leave every matrix and reflection row right
+    rs = build_root_system("F", 4)
     mats, comats, *_ = reference("F", 4)
-    W = WeylGroup(build_root_system("F", 4))
+    rows = [reference_row(rs, w) for w in range(len(mats))]
+    W = WeylGroup(rs)
     errors = []
 
     def work(seed):
@@ -121,7 +152,8 @@ def test_lazy_matrices_under_threads():
             ids = list(range(len(W)))
             random.Random(seed).shuffle(ids)
             for i in ids:
-                if W.matrix(i) != mats[i] or W.comatrix(i) != comats[i]:
+                if (W.matrix(i) != mats[i] or W.comatrix(i) != comats[i]
+                        or W.reflection_row(i) != rows[i]):
                     errors.append(i)
         except Exception as exc:  # noqa: BLE001 - reported by the assert below
             errors.append(exc)
@@ -155,7 +187,7 @@ def test_reflection_is_the_element_whose_matrix_is_r_alpha(cartan_type, rank):
         W.reflection((2,) * rank)
 
 
-@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+@pytest.mark.parametrize("cartan_type,rank", [("A", 1), ("A", 3), ("B", 3), ("G", 2), ("F", 4)])
 def test_reflecting_by_key_is_multiplication_by_the_reflection(cartan_type, rank):
     rs = build_root_system(cartan_type, rank)
     W = WeylGroup(rs)
@@ -177,7 +209,48 @@ def test_graph_build_builds_few_matrices():
     built = sum(m is not None for m in W._mat)
     cobuilt = sum(m is not None for m in W._comat)
     assert built < len(W) // 100 and cobuilt < len(W) // 100
+    assert sum(row is not None for row in W._refl_rows) < len(W) // 100
     # asking for one matrix builds it and the prefixes of its word only
     w0 = W.longest_element().index
     W.matrix(w0)
     assert sum(m is not None for m in W._mat) <= built + W._length[w0]
+
+
+def fill_order(ids, length, order):
+    ids = list(ids)
+    if order == "longest-first":
+        ids.sort(key=lambda i: -length[i])
+    elif order == "shuffled":
+        random.Random(11).shuffle(ids)
+    return ids
+
+
+@pytest.mark.parametrize("order", ["id", "longest-first", "shuffled"])
+@pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES)
+def test_reflection_rows_match_the_matrix_definition(cartan_type, rank, order):
+    rs = build_root_system(cartan_type, rank)
+    ref = reference(cartan_type, rank)
+    W = WeylGroup(rs)
+    for w in fill_order(range(len(W)), ref[2], order):
+        assert W.reflection_row(w) == reference_row(rs, w), w
+
+
+@pytest.mark.parametrize("order", ["id", "longest-first", "shuffled"])
+@pytest.mark.parametrize("cartan_type,rank", [("A", 6), ("E", 6)])
+def test_reflection_rows_of_a_sample_match_the_matrix_definition(cartan_type, rank, order):
+    rs = build_root_system(cartan_type, rank)
+    ref = reference(cartan_type, rank)
+    W = WeylGroup(rs)
+    sample = random.Random(5).sample(range(len(W)), 150) + [len(W) - 1]
+    for w in fill_order(sample, ref[2], order):
+        assert W.reflection_row(w) == reference_row(rs, w), w
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 1), ("B", 3), ("G", 2)])
+def test_right_reflect_rejects_non_roots(cartan_type, rank):
+    W = WeylGroup(build_root_system(cartan_type, rank))
+    for bad in [(0,) * rank, (2,) * rank, (1,) * (rank + 1), (3,) + (0,) * (rank - 1)]:
+        with pytest.raises(ValueError):
+            W.right_reflect(len(W) - 1, bad)
+        with pytest.raises(ValueError):
+            W.left_reflect(0, bad)
