@@ -398,7 +398,10 @@ class AffineWeyl:
         if self.length(x) - self.length(y) != 1:
             raise ValueError("not a length-one cover")
         u = self.mul(self.inv(x), y)
-        beta = _reflection_root(W, u.w)
+        reflections = W.reflection_row(0)  # r_beta over the positive roots beta
+        if u.w not in reflections:
+            raise ValueError("finite part is not a reflection")
+        beta = rs.positive_roots[reflections.index(u.w)]
         cor = rs.coroot(beta)
         # u = r_beta t_{n beta^vee}: n from any nonzero coordinate of beta^vee
         i = next(i for i, d in enumerate(cor) if d)
@@ -505,14 +508,6 @@ def _pairing_by_definition(cartan, c: Coroot, v: Root) -> int:
 def cover_label(gamma: AffineRoot) -> AffineRoot:
     """Positive representative of a cover's connecting root."""
     return gamma if gamma.is_positive() else -gamma
-
-
-def _reflection_root(W: WeylGroup, w: int) -> Root:
-    """The positive root beta with w = r_beta, or raise ValueError."""
-    for beta in W.rs.positive_roots:
-        if W.right_reflect(0, beta) == w:
-            return beta
-    raise ValueError("finite part is not a reflection")
 
 
 def _component_special_nodes(rs, comp: tuple[int, ...]) -> tuple[int, ...]:

@@ -32,9 +32,9 @@ lowers n, or keeps n and lowers that height, so every element's steps land
 on elements already done (a post-order of the step graph).  A raising step
 nu of mu is a cover exactly when nu's bit is absent from the OR of
 ``reach[rho]`` over the rho above mu; that OR equals the OR over the raising
-steps of mu alone.  ``dist`` finds longest chains over id-indexed cover
-lists, testing "reaches nu" with one bit operation, and keeps one table of
-chain lengths per (window, nu).
+steps of mu alone.  ``dist`` finds longest chains over the raising steps
+that stay at or above nu's level, testing "reaches nu" with one bit
+operation, and keeps one table of chain lengths per (window, nu).
 """
 
 from __future__ import annotations
@@ -108,7 +108,6 @@ class LevelZeroPoset:
         )
         self._closure_cache: dict[int, list[int]] = {}
         self._hasse_cache: dict[int, dict[LevelZeroWeight, list[PosetCover]]] = {}
-        self._cover_ids_cache: dict[int, list[tuple[int, ...]]] = {}
         # longest chain from each id up to nu, per (window, id of nu)
         self._dist_cache: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -263,7 +262,6 @@ class LevelZeroPoset:
         reach = self._closure(window)
         elems = self.slice_elements(window)
         levels, _ = self._layout(window)
-        cover_ids: list[tuple[int, ...]] = [()] * len(elems)
         out: dict[LevelZeroWeight, list[PosetCover]] = {}
         for c, w in enumerate(self.graph.vertices):
             for lev in range(levels):
@@ -295,12 +293,10 @@ class LevelZeroPoset:
                     for b in good:
                         kind = BRUHAT if b.k == 0 else QUANTUM
                         covers.append(PosetCover(mu, elems[j], b, kind))
-                cover_ids[c * levels + lev] = tuple(labels)
                 out[mu] = sorted(
                     covers,
                     key=lambda x: (x.upper.w, x.upper.n, x.label.k, x.label.alpha),
                 )
-        self._cover_ids_cache[window] = cover_ids
         self._hasse_cache[window] = out
         return out
 
@@ -353,6 +349,8 @@ class LevelZeroPoset:
 
     def affine_simple_pairing(self, i: int, mu: LevelZeroWeight) -> int:
         """<alpha_i^vee, mu> for an affine simple root index in 0..rank."""
+        if not 0 <= i <= self.rs.rank:
+            raise ValueError(f"affine node index {i} out of range")
         if i == 0:
             return -self.pair(self.rs.coroot(self.rs.theta), mu.w)
         return self._pairings.weight(mu.w)[i - 1]
@@ -362,11 +360,13 @@ class LevelZeroPoset:
     def dist(self, mu: LevelZeroWeight, nu: LevelZeroWeight, window: int) -> int:
         """Maximum chain length from mu to nu, over the certified window.
 
-        A longest-chain pass over the covers, iterative and memoised by id,
-        restricted to covers that still reach nu.  The memo holds longest
-        chains up to nu, whatever the start, so there is one per (window,
-        nu) and every later mu reuses it; an entry enters it only once
-        every cover above it is done.
+        A longest-path pass over the raising steps, iterative and memoised
+        by id, restricted to steps that still reach nu.  Every cover is a
+        raising step and every raising step refines into a chain of covers,
+        so the longest step path is the longest chain.  The memo holds
+        longest chains up to nu, whatever the start, so there is one per
+        (window, nu) and every later mu reuses it; an entry enters it only
+        once every step above it is done.
         """
         if not self.leq(mu, nu, window):
             raise ValueError("dist requires mu <= nu")
@@ -377,10 +377,9 @@ class LevelZeroPoset:
             best = self._dist_cache[(window, top)] = {top: 0}
         elif start in best:
             return best[start]
-        self.hasse_covers(window)  # also builds the id-indexed cover lists
-        covers = self._cover_ids_cache[window]
-        reach = self._closure(window)
-        uppers: dict[int, list[int]] = {}
+        levels, verts, reach = self._layout(window)[0], self.graph.vertices, self._closure(window)
+        floor = top % levels  # nu's level: a step to a lower one cannot reach nu
+        uppers: dict[int, set[int]] = {}
         stack = [start]
         while stack:
             i = stack.pop()
@@ -388,8 +387,13 @@ class LevelZeroPoset:
                 continue
             ups = uppers.get(i)
             if ups is None:
-                ups = [u for u in covers[i] if u == top or reach[u] >> top & 1]
-                uppers[i] = ups
+                c, lev = divmod(i, levels)
+                # ids shift with the level, so the steps from level lev - floor,
+                # shifted by floor, are the steps that stay at or above nu's level
+                ups = uppers[i] = {
+                    u for j, _root, _k in self._step_ids(verts[c], lev - floor, levels)
+                    if (u := j + floor) == top or reach[u] >> top & 1
+                }
                 todo = [u for u in ups if u not in best]
                 if todo:  # come back to i once everything above it is done
                     stack.append(i)

@@ -83,7 +83,7 @@ def _edge(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root, x: int):
             raise GraphInvariantError(
                 f"Bruhat target {W.element(x)} left W^J at ({W.element(w)}, {alpha})"
             )
-        return QbgEdge(w, x, alpha, BRUHAT, (0,) * W.rank)
+        return QbgEdge(w, x, alpha, BRUHAT, W.rs.zero)
     if quantum:
         return QbgEdge(w, floor, alpha, QUANTUM, W.rs.coroot(alpha))
     return None
@@ -104,12 +104,9 @@ class QbgGraph:
         self.vertex_pos = {v: i for i, v in enumerate(self.vertices)}
         self.edges = tuple(edges)
         out: dict[int, list[QbgEdge]] = {v: [] for v in self.vertices}
-        by_key: dict[tuple[int, Root], QbgEdge] = {}
         for e in self.edges:
             out[e.source].append(e)
-            by_key[(e.source, e.label)] = e
         self.out = {v: tuple(sorted(es, key=lambda e: (e.label, e.kind))) for v, es in out.items()}
-        self._by_key = by_key
         self._dist: dict[int, dict[int, int]] | None = None
         self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per (j, x)
@@ -124,7 +121,11 @@ class QbgGraph:
     # -- lookups -----------------------------------------------------------
 
     def edge(self, source: int, label: Root) -> QbgEdge | None:
-        return self._by_key.get((source, label))
+        """The edge out of source with this label: a vertex has at most one."""
+        for e in self.out.get(source, ()):
+            if e.label == label:
+                return e
+        return None
 
     def empty_path(self, v: int) -> QbgPath:
         return QbgPath(v, ())
@@ -300,43 +301,29 @@ def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     Vertices are listed by id, which is (length, shortlex word) order.  Each
     vertex's reflection row gives the target of every label at once.
     """
-    order = W.min_coset_ids(J)
     labels = [(b, a) for b, a in enumerate(W.rs.positive_roots) if not J.in_phi_J[b]]
+    return _graph(W, J, J, W.min_coset_ids(J), labels)
+
+
+def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
+    """The quantum Bruhat graph of the parabolic subsystem W_J itself: the
+    elements of W_J, labels over Phi_J^+ and ``_edge``'s rule for the empty
+    parabolic, whose shift <alpha^vee, 2rho> is <alpha^vee, 2rho_J> on Phi_J
+    (2rho - 2rho_J is W_J-invariant)."""
+    labels = list(zip(J.phi_plus_pos, J.phi_plus))
+    return _graph(W, J, W.rs.parabolic(()), W.subgroup_elements(J.nodes), labels)
+
+
+def _graph(W: WeylGroup, J: ParabolicIndex, rule: ParabolicIndex, order, labels) -> QbgGraph:
+    """The graph on the ids in order whose edges are ``_edge``'s decisions,
+    for the parabolic rule, over the labels given with their row positions."""
     edges = []
     for w in order:
         row = W.reflection_row(w)
         for b, a in labels:
-            e = _edge(W, J, w, a, row[b])
+            e = _edge(W, rule, w, a, row[b])
             if e is not None:
                 edges.append(e)
-    return QbgGraph(W, J, order, edges)
-
-
-def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
-    """The quantum Bruhat graph of the parabolic subsystem W_J itself.
-
-    Vertices are the elements of W_J; labels run over Phi_J^+ and the
-    quantum length condition uses the subsystem's positive-root sum.
-    """
-    rs = W.rs
-    length = W._length
-    order = W.subgroup_elements(J.nodes)
-    # per label: its row position, <alpha^vee, 2rho_J> and whether a quantum
-    # edge may carry it
-    labels = [
-        (b, a, rs.pairing(rs.coroot(a), J.two_rho_J), rs.is_quantum_root(a))
-        for b, a in zip(J.phi_plus_pos, J.phi_plus)
-    ]
-    edges = []
-    for w in order:
-        up = length[w] + 1
-        row = W.reflection_row(w)
-        for b, a, pair, quantum in labels:
-            x = row[b]
-            if length[x] == up:
-                edges.append(QbgEdge(w, x, a, BRUHAT, (0,) * rs.rank))
-            elif length[x] == up - pair and quantum:
-                edges.append(QbgEdge(w, x, a, QUANTUM, rs.coroot(a)))
     return QbgGraph(W, J, order, edges)
 
 

@@ -34,13 +34,14 @@ def json_chunks(doc) -> Iterator[str]:
 
     The one JSON emitter.  The stdlib encoder runs in pure Python whenever
     ``indent`` is set; this one emits by exact type, escapes strings with
-    the stdlib's ASCII escaper, and renders each flat list of ints once per
-    (values, depth).  Documents hold dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else, floats included, raises
-    ``TypeError``.  A dict value may also be an iterator, a lazy row
-    sequence: it is written as a list, one row at a time, and the text is
-    handed on every ``CHUNK`` pieces, so its rows never sit in memory
-    together.  Rows and lists hold no iterators.
+    the stdlib's ASCII escaper, plans each dict's keys once per (key tuple,
+    depth) and renders each flat list of ints once per (values, depth).
+    Documents hold dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else, floats included, raises ``TypeError``.  A dict
+    value may also be an iterator, a lazy row sequence: it is written as a
+    list, one row at a time, and the text is handed on every ``CHUNK``
+    pieces, so its rows never sit in memory together.  Rows and lists hold
+    no iterators.
     """
     out: list[str] = []
     yield from _stream_json(doc, 0, out, {})
@@ -54,66 +55,48 @@ def dump_json(doc) -> str:
     return "".join(json_chunks(doc))
 
 
-def _stream_json(o, depth: int, out: list, int_lists: dict) -> Iterator[str]:
+def _stream_json(o, depth: int, out: list, memo: dict) -> Iterator[str]:
     """Append the text of o to out, yielding full chunks of it as rows of
     its iterators are written; dicts are walked here, all else is plain."""
     if isinstance(o, Iterator):
         inner = "\n" + " " * (depth + 1)
         sep = "[" + inner
-        # per key tuple of a dict row: its sorted keys with the text before
-        # each value, and the closing text
-        plans: dict[tuple, tuple[list[tuple[str, str]], str]] = {}
         for row in o:
             out.append(sep)
             sep = "," + inner
-            if type(row) is not dict or not row:
-                _emit_json(row, depth + 1, out, int_lists)
-            else:
-                shape = tuple(row)
-                plan = plans.get(shape)
-                if plan is None:
-                    plan = plans[shape] = _row_plan(shape, depth + 1)
-                items, close = plan
-                for key, prefix in items:
-                    value = row[key]
-                    scalar = _SCALARS.get(type(value))
-                    if scalar is not None:
-                        out.append(prefix + scalar(value))
-                    else:
-                        out.append(prefix)
-                        _emit_json(value, depth + 2, out, int_lists)
-                out.append(close)
+            _emit_json(row, depth + 1, out, memo)
             if len(out) >= CHUNK:
                 yield "".join(out)
                 out.clear()
         out.append("[]" if sep[0] == "[" else inner[:-1] + "]")
     elif type(o) is dict and o:
-        inner = "\n" + " " * (depth + 1)
-        sep = "{" + inner
-        for key in sorted(o):
+        items, close = _plan(o, depth, memo)
+        for key, prefix in items:
+            out.append(prefix)
+            yield from _stream_json(o[key], depth + 1, out, memo)
+        out.append(close)
+    else:
+        _emit_json(o, depth, out, memo)
+
+
+def _plan(o: dict, depth: int, memo: dict) -> tuple[list[tuple[str, str]], str]:
+    """The sorted keys of a non-empty dict at the given depth, each with the
+    text written before its value, and the closing text: made once per key
+    tuple and depth, kept in memo under (depth, keys), unlike int lists."""
+    shape = tuple(o)
+    plan = memo.get((depth, shape))
+    if plan is None:
+        for key in shape:
             if type(key) is not str:
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            yield from _stream_json(o[key], depth + 1, out, int_lists)
+        inner = "\n" + " " * (depth + 1)
+        items = []
+        sep = "{" + inner
+        for key in sorted(shape):
+            items.append((key, sep + encode_basestring_ascii(key) + ": "))
             sep = "," + inner
-        out.append(inner[:-1] + "}")
-    else:
-        _emit_json(o, depth, out, int_lists)
-
-
-def _row_plan(shape: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
-    """The sorted keys of a non-empty dict at the given depth, each with the
-    text written before its value, and the text that closes the dict."""
-    for key in shape:
-        if type(key) is not str:
-            raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-    inner = "\n" + " " * (depth + 1)
-    items = []
-    sep = "{" + inner
-    for key in sorted(shape):
-        items.append((key, sep + encode_basestring_ascii(key) + ": "))
-        sep = "," + inner
-    return items, inner[:-1] + "}"
+        plan = memo[(depth, shape)] = (items, inner[:-1] + "}")
+    return plan
 
 
 #: the text of each scalar type a document may hold, by exact type
@@ -126,36 +109,34 @@ _SCALARS = {
 _INT_ONLY = {int}
 
 
-def _emit_json(o, depth: int, out: list, int_lists: dict) -> None:
-    """Append the text of o, a value at the given nesting depth."""
+def _emit_json(o, depth: int, out: list, memo: dict) -> None:
+    """Append the text of o, a value at the given nesting depth; memo holds
+    the dict plans and the text of each flat int list per (values, depth)."""
     t = type(o)
-    inner = "\n" + " " * (depth + 1)
     if t is dict:
         if not o:
             out.append("{}")
             return
-        sep = "{" + inner
-        for key in sorted(o):
-            if type(key) is not str:
-                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+        items, close = _plan(o, depth, memo)
+        for key, prefix in items:
             value = o[key]
             scalar = _SCALARS.get(type(value))
             if scalar is not None:
-                out.append(sep + encode_basestring_ascii(key) + ": " + scalar(value))
+                out.append(prefix + scalar(value))
             else:
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                _emit_json(value, depth + 1, out, int_lists)
-            sep = "," + inner
-        out.append(inner[:-1] + "}")
+                out.append(prefix)
+                _emit_json(value, depth + 1, out, memo)
+        out.append(close)
     elif t is list or t is tuple:
         if not o:
             out.append("[]")
             return
+        inner = "\n" + " " * (depth + 1)
         if {*map(type, o)} == _INT_ONLY:
             key = (tuple(o), depth)
-            text = int_lists.get(key)
+            text = memo.get(key)
             if text is None:
-                text = int_lists[key] = (
+                text = memo[key] = (
                     "[" + inner + ("," + inner).join(map(int.__repr__, o)) + inner[:-1] + "]"
                 )
             out.append(text)
@@ -167,7 +148,7 @@ def _emit_json(o, depth: int, out: list, int_lists: dict) -> None:
                 out.append(sep + scalar(value))
             else:
                 out.append(sep)
-                _emit_json(value, depth + 1, out, int_lists)
+                _emit_json(value, depth + 1, out, memo)
             sep = "," + inner
         out.append(inner[:-1] + "]")
     else:

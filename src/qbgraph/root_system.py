@@ -194,6 +194,8 @@ class RootSystem:
         self._coroot = {a: self._coroot_of(a) for a in self.positive_roots}
         self.theta = self._highest_root()
         self._tilde_roots = (neg_vec(self.theta),) + self.simple_roots()
+        #: the zero coroot, one tuple shared by every Bruhat edge's weight
+        self.zero = (0,) * rank
         self.two_rho = tuple(
             sum(col) for col in zip(*self.positive_roots)
         )
@@ -295,6 +297,8 @@ class RootSystem:
     def tilde_root(self, j: int) -> Root:
         """The finite part of the affine simple root alpha_j, for j in
         0..rank: alpha_j for j >= 1 and minus theta for j = 0."""
+        if not 0 <= j <= self.rank:
+            raise ValueError(f"affine node index {j} out of range")
         return self._tilde_roots[j]
 
     def is_root(self, v: tuple[int, ...]) -> bool:

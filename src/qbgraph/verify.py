@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from . import render
 from .affine import (
     AffineElement,
-    AffineRoot,
     AffineWeyl,
     DIAMOND_CASES,
     THETA_BRUHAT,
@@ -674,7 +673,7 @@ def diamond(_rs, W, _aw, J):
        "graph-derived covers with labels; raising by admissible simple "
        "roots is a cover; the diamond and duality laws hold",
        own_cases(LEVEL_ZERO_CASES, lambda t, r, lam: f"{t}{r} lambda={lam}"))
-def level_zero(rs, W, _aw, lam):
+def level_zero(rs, W, aw, lam):
     P = LevelZeroPoset(W, lam)
     window = 3 + P.margin()
     hasse = P.hasse_covers(window)
@@ -716,7 +715,7 @@ def level_zero(rs, W, _aw, lam):
                 if c.label == alpha:
                     continue
                 top1 = P.reflect(c.upper, alpha)
-                top2 = P.reflect(nu_a, _reflect_affine(P, alpha, c.label))
+                top2 = P.reflect(nu_a, aw.act(aw.reflection(alpha), c.label))
                 if top1 != top2:
                     raise AssertionError("diamond tops disagree")
                 if not P.certified(top1, window):
@@ -757,15 +756,6 @@ def level_zero(rs, W, _aw, lam):
             if not N.leq(b, a, window):
                 raise AssertionError("duality order reversal failed")
     return f"{checked} certified elements, {littel} contractions"
-
-
-def _reflect_affine(P: LevelZeroPoset, alpha: AffineRoot, beta: AffineRoot) -> AffineRoot:
-    """r_alpha(beta) for affine roots, alpha of the simple or theta form."""
-    rs = P.rs
-    pair = rs.pairing(rs.coroot(alpha.alpha), beta.alpha)
-    new_alpha = sub_vec(beta.alpha, scale_vec(pair, alpha.alpha))
-    new_k = beta.k - pair * alpha.k
-    return AffineRoot(new_alpha, new_k)
 
 
 def _descendants(P, hasse, mu):

@@ -5,9 +5,9 @@ weight w^{-1}(rho) over the fundamental weights: rho is regular, so the name
 is unique, and right multiplication by a simple reflection is one reflection
 of the name.  The id, word, length, right and inverse tables are built once
 and then only read.  Two kinds of per-element table are built the first time
-they are used, along the prefixes of the element's word: its matrices on the
-simple roots and coroots, and its reflection row, the ids of w r_beta over
-the positive roots beta, so that w r_beta is one list lookup.
+they are used, along the prefixes of the element's word: its matrix on the
+simple roots, and its reflection row, the ids of w r_beta over the positive
+roots beta, so that w r_beta is one list lookup.
 
 The group operations take and return ids; ``WeylElement`` is the public view
 of an id, and its methods call them.
@@ -155,8 +155,8 @@ class WeylGroup:
     Each element is interned by its key w^{-1}(rho) over the fundamental
     weights: w r_k has key v - v_k alpha_k for w's key v, and v_k < 0
     exactly when r_k is a right descent of w, which the search has already
-    linked back.  ``matrix``/``comatrix`` (and ``act``/``act_coroot``) fill
-    an element's matrices on first use along its word's prefixes.
+    linked back.  ``matrix`` (and ``act``) fills an element's matrix on first
+    use along its word's prefixes; ``comatrix`` takes the rows' coroots.
 
     ``reflection_row`` fills the same way: the row of w holds the ids of
     w r_beta for beta over ``rs.positive_roots``.  Row 0 holds the
@@ -224,13 +224,11 @@ class WeylGroup:
         inverse = [0] * len(keys)
         for w in range(1, len(keys)):
             inverse[w] = right[inverse[tail[w]]][word[w][0] - 1]
-        # r_k(alpha_j) = alpha_j - a_kj alpha_k and
-        # r_k(alpha_j^vee) = alpha_j^vee - a_jk alpha_k^vee
+        # r_k(alpha_j) = alpha_j - a_kj alpha_k
         self._root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
-        self._coroot_coeffs = columns
         ident = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         self._mat: list = [ident] + [None] * (len(keys) - 1)
-        self._comat: list = list(self._mat)
+        self._comat: list = [None] * len(keys)
         self._key = keys
         self._length = length
         self._word = word
@@ -300,12 +298,11 @@ class WeylGroup:
         return got
 
     def comatrix(self, w: int) -> tuple[Coroot, ...]:
-        """The rows w(alpha_j^vee) over the simple coroots; w is an element
-        id.  Built the first time it is asked for."""
+        """The rows w(alpha_j^vee) = (w alpha_j)^vee over the simple coroots;
+        w is an element id.  Built from ``matrix(w)`` on first use."""
         got = self._comat[w]
         if got is None:
-            coeffs = self._coroot_coeffs
-            got = self._fill(self._comat, w, lambda m, k: _times_simple(m, k, coeffs[k]))
+            got = self._comat[w] = tuple(map(self.rs.coroot, self.matrix(w)))
         return got
 
     def reflection_row(self, w: int) -> list[int]:

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-``WeylElement`` stays at the public boundary of the engine modules.
+"""Every name a module of the package imports is used in that module, every
+module-level private name is referenced by some module, and ``WeylElement``
+stays at the public boundary of the engine modules.
 
 A stdlib ``ast`` scan; ``__init__.py`` re-exports its imports and is exempt.
 """
@@ -56,6 +57,58 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_private`` functions, classes and constants of the
+    given modules (file name -> source) that no module reads as a name, an
+    attribute, an import or inside a string annotation."""
+    defined = {}
+    used = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}: {name} (line {node.lineno})"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.arg):
+                used |= _annotation_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used |= _annotation_names(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                used |= _annotation_names(node.annotation)
+    return sorted(where for name, where in defined.items() if name not in used)
+
+
+def test_the_scan_sees_an_orphaned_private():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n_table: dict = {}\n\nclass _Box:\n    pass\n\n"
+            "def _used(x):\n    return x\n\ndef _orphan():\n    return _used(1)\n\n"
+            "def public() -> '_Box':\n    _table[0] = 1\n    return _LIMIT\n"
+        ),
+        "b.py": "from .a import _used\n\n_GONE = 1\n_GONE = 2\n__all__ = []\n",
+    }
+    assert orphaned_privates(sources) == ["a.py: _orphan (line 10)", "b.py: _GONE (line 4)"]
+
+
+def test_no_orphaned_privates():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_privates(sources) == []
 
 
 def annotation_owners(source: str, name: str) -> set[str]:

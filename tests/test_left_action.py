@@ -7,14 +7,16 @@ import pytest
 
 from qbgraph.affine import (
     DIAMOND_CASES,
+    affine_simple_root,
     complete_bottom,
     complete_top,
     iter_bottom_configurations,
     iter_top_configurations,
 )
+from qbgraph.level_zero import LevelZeroPoset, LevelZeroWeight
 from qbgraph.qbg import BRUHAT, QUANTUM, build_qbg
 from qbgraph.root_system import build_root_system, neg_vec
-from qbgraph.tilted import quantum_length
+from qbgraph.tilted import quantum_length, transform_path
 from qbgraph.verify import all_parabolics
 from qbgraph.weyl import WeylGroup
 
@@ -30,6 +32,29 @@ def test_tilde_roots():
     rs = build_root_system("B", 3)
     assert rs.tilde_root(0) == neg_vec(rs.theta)
     assert [rs.tilde_root(j) for j in range(1, 4)] == list(rs.simple_roots())
+
+
+@pytest.mark.parametrize("j", [-1, -4, 4, 7])
+def test_affine_node_indices_out_of_range_raise(j):
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    g = build_qbg(W, rs.parabolic((2,)))
+    P = LevelZeroPoset(W, (1, 0, 2))
+    x = g.vertices[3]
+    match = f"{j} out of range"
+    with pytest.raises(ValueError, match=match):
+        rs.tilde_root(j)
+    with pytest.raises(ValueError, match=match):
+        g.left_step(j, x)
+    assert not any(key[0] == j for key in g._steps)
+    with pytest.raises(ValueError, match=match):
+        affine_simple_root(rs, j)
+    with pytest.raises(ValueError, match=match):
+        transform_path(g, g.shortest_path(x, g.vertices[0]), j, 2)
+    with pytest.raises(ValueError, match=match):
+        P.affine_simple_pairing(j, LevelZeroWeight(x, 0))
+    # the valid indices 0..rank still work
+    assert [P.affine_simple_pairing(i, LevelZeroWeight(0, 0)) for i in range(4)] == [-3, 1, 0, 2]
 
 
 @pytest.mark.parametrize("cartan", [("A", 3), ("B", 3), ("G", 2)], ids=["A3", "B3", "G2"])

@@ -477,3 +477,55 @@ def test_graph_edges_match_the_matrix_definition(groups, cartan_type, rank, para
     for nodes in parabolics or all_parabolics(rank):
         J = rs.parabolic(nodes)
         assert list(build_qbg(W, J).edges) == matrix_edges(rs, W, J), nodes
+
+
+def subsystem_reference_edges(rs, W, J):
+    """QB(W_J) edge by edge, per (w, alpha) over W_J and Phi_J^+, from
+    lengths alone: w -> w r_alpha is Bruhat when the length goes up by one
+    and quantum when it drops to l(w) + 1 - <alpha^vee, 2rho_J>."""
+    two_rho_j = tuple(map(sum, zip(*J.phi_plus))) if J.phi_plus else (0,) * rs.rank
+    edges = []
+    for w in sorted(W.subgroup_elements(J.nodes)):
+        el = W.element(w)
+        for a in J.phi_plus:
+            x = el * W.reflection(a)
+            if x.length == el.length + 1:
+                edges.append(QbgEdge(w, x.index, a, BRUHAT, (0,) * rs.rank))
+            elif x.length == el.length + 1 - rs.pairing(rs.coroot(a), two_rho_j):
+                edges.append(QbgEdge(w, x.index, a, QUANTUM, rs.coroot(a)))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank", SMALL_TYPES + [("B", 3), ("C", 3), ("D", 4), ("F", 4)]
+)
+def test_subsystem_edges_match_a_length_reference(groups, cartan_type, rank):
+    rs, W = groups(cartan_type, rank)
+    for nodes in all_parabolics(rank):
+        J = rs.parabolic(nodes)
+        assert list(build_subsystem_qbg(W, J).edges) == subsystem_reference_edges(rs, W, J), nodes
+
+
+def test_edge_lookup_matches_the_edge_list(groups):
+    rs, W = groups("B", 3)
+    quotient = build_qbg(W, rs.parabolic((2,)))
+    full = build_qbg(W, rs.parabolic(()))
+    z = W.from_word([3, 2]).index
+    graphs = [quotient, quotient.step_graph(), induced_coset_subgraph(full, z, rs.parabolic((1, 2)))]
+    labels = rs.positive_roots + tuple(tuple(-c for c in a) for a in rs.positive_roots)
+    for g in graphs:
+        assert g.edges
+        by_key = {(e.source, e.label): e for e in g.edges}
+        assert len(by_key) == len(g.edges)
+        for source in range(len(W)):
+            for label in labels:
+                assert g.edge(source, label) is by_key.get((source, label)), (source, label)
+
+
+def test_bruhat_edges_share_one_zero_weight(groups):
+    rs, W = groups("A", 4)
+    graphs = [build_qbg(W, rs.parabolic(())), build_qbg(W, rs.parabolic((2, 3))),
+              build_subsystem_qbg(W, rs.parabolic((1, 2, 4)))]
+    weights = {id(e.weight) for g in graphs for e in g.edges if e.kind == BRUHAT}
+    assert len(weights) == 1
+    assert graphs[0].edges[0].weight == (0,) * rs.rank
