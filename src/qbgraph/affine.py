@@ -128,10 +128,9 @@ class AffineWeyl:
         """
         mu, w = x.mu, x.w
         length = self.W._length
-        right = self.W._right[w]
-        for i, row in enumerate(self.rs.simple_rows):
+        for col, row in zip(self.W._right, self.rs.simple_rows):
             pair = sum(map(mul, mu, row))
-            if pair > 0 or (pair == 0 and length[right[i]] < length[w]):
+            if pair > 0 or (pair == 0 and length[col[w]] < length[w]):
                 return False
         return True
 

@@ -172,10 +172,12 @@ class LevelZeroPoset:
         n_lo = -(window // self.d) * self.d
         return len(range(n_lo, window + 1, self.d)), n_lo
 
-    def _id(self, mu: LevelZeroWeight, window: int) -> int:
-        """Dense id of an on-grid mu inside the window's slice."""
+    def _ids(self, window: int, *weights: LevelZeroWeight) -> list[int]:
+        """Dense ids of on-grid weights inside the window's slice, from one
+        layout."""
         levels, n_lo = self._layout(window)
-        return self.graph.vertex_pos[mu.w] * levels + (mu.n - n_lo) // self.d
+        pos, d = self.graph.vertex_pos, self.d
+        return [pos[mu.w] * levels + (mu.n - n_lo) // d for mu in weights]
 
     def _require_on_grid(self, *weights: LevelZeroWeight) -> None:
         """Raise ValueError naming the first weight off the orbit's grid.
@@ -246,7 +248,7 @@ class LevelZeroPoset:
             raise InconclusiveWindow(
                 f"window {window} too small (margin {self._margin})"
             )
-        i, j = self._id(mu, window), self._id(nu, window)
+        i, j = self._ids(window, mu, nu)
         return self._closure(window)[i] >> j & 1 == 1
 
     def hasse_covers(self, window: int) -> dict[LevelZeroWeight, list[PosetCover]]:
@@ -370,8 +372,7 @@ class LevelZeroPoset:
         """
         if not self.leq(mu, nu, window):
             raise ValueError("dist requires mu <= nu")
-        start = self._id(mu, window)
-        top = self._id(nu, window)
+        start, top = self._ids(window, mu, nu)
         best = self._dist_cache.get((window, top))
         if best is None:
             best = self._dist_cache[(window, top)] = {top: 0}

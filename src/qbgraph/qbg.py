@@ -23,18 +23,38 @@ class GraphInvariantError(AssertionError):
     """A structural guarantee of the graph failed; signals a bug."""
 
 
-@dataclass(frozen=True)
 class QbgEdge:
     """Directed edge source -> target labeled by a positive root.
 
     ``weight`` is the label's coroot on quantum edges and zero otherwise.
+    A slotted record, equal and hashed field by field; it is a dict key
+    (``QbgGraph._pushed_edges``), so it is never changed once made.
     """
 
-    source: int
-    target: int
-    label: Root
-    kind: str
-    weight: Coroot
+    __slots__ = ("source", "target", "label", "kind", "weight")
+
+    def __init__(self, source: int, target: int, label: Root, kind: str, weight: Coroot):
+        self.source = source
+        self.target = target
+        self.label = label
+        self.kind = kind
+        self.weight = weight
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QbgEdge:
+            return NotImplemented
+        return (self.source, self.target, self.label, self.kind, self.weight) == (
+            other.source, other.target, other.label, other.kind, other.weight
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.label, self.kind, self.weight))
+
+    def __repr__(self) -> str:
+        return (
+            f"QbgEdge(source={self.source!r}, target={self.target!r}, label={self.label!r}, "
+            f"kind={self.kind!r}, weight={self.weight!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -383,7 +403,7 @@ def _word_roots(W: WeylGroup, word) -> tuple[Root, ...]:
     prefix = 0
     for k in word:
         roots.append(W.matrix(prefix)[k - 1])
-        prefix = W._right[prefix][k - 1]
+        prefix = W._right[k - 1][prefix]
     return tuple(roots)
 
 

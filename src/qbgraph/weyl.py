@@ -4,10 +4,13 @@ Elements are interned with stable integer ids.  An element w is named by the
 weight w^{-1}(rho) over the fundamental weights: rho is regular, so the name
 is unique, and right multiplication by a simple reflection is one reflection
 of the name.  The id, word, length, right and inverse tables are built once
-and then only read.  Two kinds of per-element table are built the first time
-they are used, along the prefixes of the element's word: its matrix on the
-simple roots, and its reflection row, the ids of w r_beta over the positive
-roots beta, so that w r_beta is one list lookup.
+and then only read, and they are held compactly: each name packed into one
+int, each word in one ``bytes`` object, and the right table as one list of
+ids per simple reflection, all sharing one int object per id.  Two kinds of
+per-element table are built the first time they are used, along the
+prefixes of the element's word, and kept in dicts that hold only the filled
+entries: its matrix on the simple roots, and its reflection row, the ids of
+w r_beta over the positive roots beta, so that w r_beta is one list lookup.
 
 The group operations take and return ids; ``WeylElement`` is the public view
 of an id, and its methods call them.
@@ -15,6 +18,7 @@ of an id, and its methods call them.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from operator import add, mul
@@ -76,7 +80,7 @@ class WeylElement:
     @property
     def word(self) -> tuple[int, ...]:
         """Shortlex-minimal reduced word (1-based generator indices)."""
-        return self.group._word[self.index]
+        return tuple(self.group._word[self.index])
 
     def inverse(self) -> "WeylElement":
         return self.group.element(self.group._inverse[self.index])
@@ -155,8 +159,19 @@ class WeylGroup:
     Each element is interned by its key w^{-1}(rho) over the fundamental
     weights: w r_k has key v - v_k alpha_k for w's key v, and v_k < 0
     exactly when r_k is a right descent of w, which the search has already
-    linked back.  ``matrix`` (and ``act``) fills an element's matrix on first
-    use along its word's prefixes; ``comatrix`` takes the rows' coroots.
+    linked back.  Coordinate j of a key is the height of the coroot
+    w(alpha_j^vee), so it lies in [-h, h] for the largest coroot height h,
+    and the key is packed into one int with coordinate j + h as its digit
+    j in base 2h + 1.  Then v_k is one digit and w r_k's key is w's minus
+    v_k times the packed alpha_k, so a search step makes no tuple.  The
+    packed keys are kept in an ``array``; the key-to-id dict lives only
+    while the group is built.
+
+    ``_word[w]`` is w's shortlex word as ``bytes`` of 1-based node indices
+    (``WeylElement.word`` gives it as a tuple), and ``_right[k][w]`` is the
+    id of w r_{k+1}: one column per node.  ``matrix`` (and ``act``) fills an
+    element's matrix on first use along its word's prefixes; ``comatrix``
+    takes the rows' coroots.  ``inversion_flags`` unpacks the key.
 
     ``reflection_row`` fills the same way: the row of w holds the ids of
     w r_beta for beta over ``rs.positive_roots``.  Row 0 holds the
@@ -169,74 +184,93 @@ class WeylGroup:
         _check_order(rs.cartan_type, rs.rank)
         self.rs = rs
         self.rank = rs.rank
-        self._build()
+        index = self._build()
         self._coroots = tuple(map(rs.coroot, rs.positive_roots))
-        self._flags: list = [None] * len(self)
-        self._build_reflection_rows()
+        self._flags: dict[int, bytes] = {}
+        self._build_reflection_rows(index)
         self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- enumeration -------------------------------------------------------
 
-    def _build(self) -> None:
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The weight over the fundamental weights that a packed key names."""
+        base, off = self._base, self._offset
+        out = []
+        for _ in range(self.rank):
+            key, d = divmod(key, base)
+            out.append(d - off)
+        return tuple(out)
+
+    def _pack(self, v) -> int:
+        """The packed key of a weight over the fundamental weights."""
+        base, off = self._base, self._offset
+        key = 0
+        for c in reversed(v):
+            key = key * base + c + off
+        return key
+
+    def _build(self) -> dict[int, int]:
         rs = self.rs
         n = self.rank
         a = rs.cartan
+        # coordinate j of a key w^{-1}(rho) is the height of the coroot
+        # w(alpha_j^vee), so it is at most the largest coroot height in size
+        self._offset = off = max(sum(rs.coroot(beta)) for beta in rs.positive_roots)
+        self._base = base = 2 * off + 1
         # r_k(v) = v - v_k alpha_k for a weight v over the fundamental
-        # weights; alpha_k has coordinates a_jk (column k of the Cartan matrix)
-        columns = [[(j, a[j][k]) for j in range(n) if a[j][k]] for k in range(n)]
+        # weights; alpha_k has coordinates a_jk (column k of the Cartan
+        # matrix), which packs to shift[k]
+        shift = [sum(a[j][k] * base**j for j in range(n)) for k in range(n)]
+        letters = [bytes((k + 1,)) for k in range(n)]
 
-        rho = (1,) * n
-        keys = [rho]
+        keys = array("q", [self._pack((1,) * n)])
         length = [0]
-        word: list[tuple[int, ...]] = [()]
-        index = {rho: 0}
-        right = [[-1] * n]
+        word = [b""]
+        index = {keys[0]: 0}
+        order = weyl_order(rs.cartan_type, n)
+        right = [[-1] * order for _ in range(n)]
         # tail[w]: the id of r_i w for the first letter r_i of w's word, whose
         # word is the rest of w's (a suffix of a shortlex word is shortlex)
         tail = [0]
-        head = 0
-        while head < len(keys):
-            cur = head
-            head += 1
+        # ids holds one int object per id, which every table then shares;
+        # the loop reads it in order while the search appends to it
+        ids = [0]
+        for cur in ids:
             v = keys[cur]
-            row = right[cur]
+            rest = v
             for k in range(n):
-                vk = v[k]
-                if vk < 0:
+                rest, d = divmod(rest, base)
+                if d < off:
                     continue  # a descent: w r_k was found first and linked back
-                out = list(v)
-                for j, c in columns[k]:
-                    out[j] -= vk * c
-                key = tuple(out)
+                key = v - (d - off) * shift[k]
                 found = index.get(key)
                 if found is None:
-                    found = len(keys)
-                    index[key] = found
+                    found = index[key] = len(ids)
+                    ids.append(found)
                     keys.append(key)
                     length.append(length[cur] + 1)
-                    word.append(word[cur] + (k + 1,))
-                    right.append([-1] * n)
-                    tail.append(right[tail[cur]][k] if cur else 0)
-                row[k] = found
-                right[found][k] = cur
+                    word.append(word[cur] + letters[k])
+                    tail.append(right[k][tail[cur]] if cur else 0)
+                right[k][cur] = found
+                right[k][found] = cur
         # w = r_i x with x = tail[w] gives w^{-1} = x^{-1} r_i; x comes first
-        inverse = [0] * len(keys)
-        for w in range(1, len(keys)):
-            inverse[w] = right[inverse[tail[w]]][word[w][0] - 1]
+        inverse = [0] * len(ids)
+        for w in range(1, len(ids)):
+            inverse[w] = right[word[w][0] - 1][inverse[tail[w]]]
         # r_k(alpha_j) = alpha_j - a_kj alpha_k
         self._root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
         ident = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        self._mat: list = [ident] + [None] * (len(keys) - 1)
-        self._comat: list = [None] * len(keys)
+        self._mat: dict[int, tuple[Root, ...]] = {0: ident}
+        self._comat: dict[int, tuple[Coroot, ...]] = {}
         self._key = keys
         self._length = length
         self._word = word
-        self._index = index
         self._right = right
         self._inverse = inverse
+        return index
 
-    def _build_reflection_rows(self) -> None:
+    def _build_reflection_rows(self, index: dict[int, int]) -> None:
         rs = self.rs
         roots = rs.positive_roots
         # the position of each root +-beta in ``rs.positive_roots``:
@@ -256,19 +290,17 @@ class WeylGroup:
                 perm.append(pos[tuple(img)])
             perms.append(tuple(perm))
         # r_beta is keyed by r_beta(rho) = rho - <beta^vee, rho> C beta
-        index = self._index
         reflections = [
-            index[tuple(1 - sum(rs.coroot(beta)) * c for c in row)]
+            index[self._pack([1 - sum(rs.coroot(beta)) * c for c in row])]
             for beta, row in zip(roots, rs.positive_rows)
         ]
         self._root_pos = pos
         self._root_perms = perms
-        self._refl_rows: list = [None] * len(self)
-        self._refl_rows[0] = reflections
+        self._refl_rows: dict[int, list[int]] = {0: reflections}
 
     # -- element access ------------------------------------------------------
 
-    def _fill(self, table: list, w: int, step):
+    def _fill(self, table: dict, w: int, step):
         """table[w], computing it and every missing entry along its word.
 
         The entry of w = u r_k, with r_k the last letter of w's shortlex
@@ -279,11 +311,11 @@ class WeylGroup:
         right, word = self._right, self._word
         chain = []
         cur = w
-        got = table[cur]
+        got = table.get(cur)
         while got is None:
             chain.append(cur)
-            cur = right[cur][word[cur][-1] - 1]
-            got = table[cur]
+            cur = right[word[cur][-1] - 1][cur]
+            got = table.get(cur)
         for cur in reversed(chain):
             got = table[cur] = step(got, word[cur][-1] - 1)
         return got
@@ -291,7 +323,7 @@ class WeylGroup:
     def matrix(self, w: int) -> tuple[Root, ...]:
         """The rows w(alpha_j) over the simple roots; w is an element id.
         Built the first time it is asked for."""
-        got = self._mat[w]
+        got = self._mat.get(w)
         if got is None:
             coeffs = self._root_coeffs
             got = self._fill(self._mat, w, lambda m, k: _times_simple(m, k, coeffs[k]))
@@ -300,7 +332,7 @@ class WeylGroup:
     def comatrix(self, w: int) -> tuple[Coroot, ...]:
         """The rows w(alpha_j^vee) = (w alpha_j)^vee over the simple coroots;
         w is an element id.  Built from ``matrix(w)`` on first use."""
-        got = self._comat[w]
+        got = self._comat.get(w)
         if got is None:
             got = self._comat[w] = tuple(map(self.rs.coroot, self.matrix(w)))
         return got
@@ -308,12 +340,15 @@ class WeylGroup:
     def reflection_row(self, w: int) -> list[int]:
         """The ids of w r_beta for beta over ``rs.positive_roots``; w is an
         element id.  Built the first time it is asked for."""
-        got = self._refl_rows[w]
+        got = self._refl_rows.get(w)
         if got is None:
             right, perms = self._right, self._root_perms
-            got = self._fill(
-                self._refl_rows, w, lambda row, k: [right[row[b]][k] for b in perms[k]]
-            )
+
+            def step(row, k):
+                col = right[k]
+                return [col[row[b]] for b in perms[k]]
+
+            got = self._fill(self._refl_rows, w, step)
         return got
 
     def __len__(self) -> int:
@@ -330,7 +365,7 @@ class WeylGroup:
         """r_i for a 1-based node index."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"generator index {i} out of range")
-        return self.element(self._right[0][i - 1])
+        return self.element(self._right[i - 1][0])
 
     def from_word(self, word) -> WeylElement:
         """Product of simple reflections; indices are 1-based."""
@@ -338,7 +373,7 @@ class WeylGroup:
         for i in word:
             if not 1 <= i <= self.rank:
                 raise ValueError(f"generator index {i} out of range")
-            cur = self._right[cur][i - 1]
+            cur = self._right[i - 1][cur]
         return self.element(cur)
 
     def mul(self, w: int, u: int) -> int:
@@ -348,11 +383,11 @@ class WeylGroup:
         right, inv = self._right, self._inverse
         if self._length[u] <= self._length[w]:
             for k in self._word[u]:
-                w = right[w][k - 1]
+                w = right[k - 1][w]
             return w
         cur = inv[u]
         for k in self._word[inv[w]]:
-            cur = right[cur][k - 1]
+            cur = right[k - 1][cur]
         return inv[cur]
 
     def act(self, w: int, v: Root) -> Root:
@@ -368,7 +403,7 @@ class WeylGroup:
         if not 1 <= i <= self.rank:
             raise ValueError(f"generator index {i} out of range")
         inv = self._inverse[w.index]
-        return self.element(self._inverse[self._right[inv][i - 1]])
+        return self.element(self._inverse[self._right[i - 1][inv]])
 
     def reflection(self, alpha: tuple[int, ...]) -> WeylElement:
         """The reflection r_alpha as a group element: an entry of row 0."""
@@ -414,9 +449,9 @@ class WeylGroup:
         Read from w's key: w(beta) < 0 exactly when
         <beta^vee, w^{-1}(rho)> < 0.  Kept per id once computed.
         """
-        got = self._flags[w]
+        got = self._flags.get(w)
         if got is None:
-            key = self._key[w]
+            key = self._unpack(self._key[w])
             got = self._flags[w] = bytes(sum(map(mul, c, key)) < 0 for c in self._coroots)
         return got
 
@@ -425,7 +460,7 @@ class WeylGroup:
         if not 1 <= i <= self.rank:
             raise ValueError(f"generator index {i} out of range")
         length = self._length
-        return length[self._right[w.index][i - 1]] < length[w.index]
+        return length[self._right[i - 1][w.index]] < length[w.index]
 
     def bruhat_covers(self, w: WeylElement) -> tuple[WeylElement, ...]:
         """All u = w r_alpha with l(u) = l(w) + 1, sorted by id."""
@@ -436,22 +471,19 @@ class WeylGroup:
 
     def bruhat_leq(self, v: WeylElement, w: WeylElement) -> bool:
         vi, wi = v.index, w.index
+        length, inverse = self._length, self._inverse
         while True:
             if vi == wi:
                 return True
-            if self._length[vi] >= self._length[wi]:
+            if length[vi] >= length[wi]:
                 return False
             # first left descent of w
-            winv = self._inverse[wi]
-            i = next(
-                k
-                for k in range(self.rank)
-                if self._length[self._right[winv][k]] < self._length[winv]
-            )
-            vinv = self._inverse[vi]
-            if self._length[self._right[vinv][i]] < self._length[vi]:
-                vi = self._inverse[self._right[vinv][i]]
-            wi = self._inverse[self._right[winv][i]]
+            winv = inverse[wi]
+            col = next(col for col in self._right if length[col[winv]] < length[winv])
+            vinv = inverse[vi]
+            if length[col[vinv]] < length[vi]:
+                vi = inverse[col[vinv]]
+            wi = inverse[col[winv]]
 
     # -- parabolic machinery -----------------------------------------------
 
@@ -468,7 +500,7 @@ class WeylGroup:
         while changed:
             changed = False
             for j in J.nodes:
-                nxt = right[cur][j - 1]
+                nxt = right[j - 1][cur]
                 if length[nxt] < length[cur]:
                     cur = nxt
                     changed = True
@@ -502,7 +534,7 @@ class WeylGroup:
             fresh = []
             for cur in frontier:
                 for j in key:
-                    nxt = self._right[cur][j - 1]
+                    nxt = self._right[j - 1][cur]
                     if nxt not in seen:
                         seen.add(nxt)
                         fresh.append(nxt)
@@ -514,9 +546,9 @@ class WeylGroup:
     def min_coset_ids(self, J: ParabolicIndex) -> tuple[int, ...]:
         """The ids of W^J, in order: the elements with no right descent in J."""
         length = self._length
-        cols = [j - 1 for j in J.nodes]
+        cols = [self._right[j - 1] for j in J.nodes]
         return tuple(
-            i for i, row in enumerate(self._right) if all(length[row[c]] > length[i] for c in cols)
+            i for i, up in enumerate(length) if all(length[col[i]] > up for col in cols)
         )
 
     def min_coset_reps(self, J: ParabolicIndex) -> tuple[WeylElement, ...]:

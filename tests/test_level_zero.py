@@ -270,3 +270,20 @@ def test_covers_are_the_per_coset_covers_shifted_by_n(cartan_type, rank, lam):
     P = LevelZeroPoset(WeylGroup(build_root_system(cartan_type, rank)), lam)
     for mu in P.slice_elements(2 * P.d):
         assert P.covers(mu) == reference_covers(P, mu)
+
+
+def test_leq_computes_one_layout_per_query(monkeypatch):
+    """A batch of leq queries against a built closure reads the window's
+    layout once per query, for both of its ids, with the same answers."""
+    W = WeylGroup(build_root_system("A", 2))
+    P = LevelZeroPoset(W, (2, 1))
+    window = P.margin() + 2
+    elems = [m for m in P.slice_elements(window) if P.certified(m, window)]
+    pairs = [(a, b) for a in elems for b in elems if a != b]
+    want = [P.leq(a, b, window) for a, b in pairs]
+    calls = []
+    layout = P._layout
+    monkeypatch.setattr(P, "_layout", lambda win: calls.append(win) or layout(win))
+    assert [P.leq(a, b, window) for a, b in pairs] == want
+    assert any(want) and not all(want)
+    assert len(calls) == len(pairs)

@@ -529,3 +529,28 @@ def test_bruhat_edges_share_one_zero_weight(groups):
     weights = {id(e.weight) for g in graphs for e in g.edges if e.kind == BRUHAT}
     assert len(weights) == 1
     assert graphs[0].edges[0].weight == (0,) * rs.rank
+
+
+def test_edges_are_records_equal_and_hashed_field_by_field(a2_graph):
+    g = a2_graph
+    assert repr(QbgEdge(0, 3, (0, 1), QUANTUM, (0, 1))) == (
+        "QbgEdge(source=0, target=3, label=(0, 1), kind='quantum', weight=(0, 1))"
+    )
+    for e in g.edges:
+        twin = QbgEdge(e.source, e.target, e.label, e.kind, e.weight)
+        assert twin is not e and twin == e and hash(twin) == hash(e)
+        assert repr(twin) == repr(e)
+        assert not hasattr(twin, "__dict__")
+    assert len(set(g.edges)) == len(g.edges)
+    e = g.edges[0]
+    fields = (e.source, e.target, e.label, e.kind, e.weight)
+    assert e != fields and fields != e
+    for i, other in enumerate((e.source + 1, e.target + 1, (5, 5), "other", (7, 7))):
+        changed = list(fields)
+        changed[i] = other
+        assert QbgEdge(*changed) != e
+    # an equal edge finds the pushed edge kept under the original
+    moved = g.push_edge(1, e)
+    twin = QbgEdge(*fields)
+    assert g._pushed_edges[(1, twin)] is moved
+    assert g.push_edge(1, twin) is moved

@@ -18,7 +18,6 @@ SUITES = ("reference-graphs", "example-chain", "reference-slice")
 SCRIPT = """
 import json
 import sys
-from dataclasses import replace
 
 import qbgraph.level_zero as level_zero
 import qbgraph.qbg as qbg
@@ -31,7 +30,7 @@ def sabotaged(W, J):
     g = real(W, J)
     edges = list(g.edges)
     if sys.argv[1] == "reversed":
-        edges = [replace(e, source=e.target, target=e.source) for e in edges]
+        edges = [qbg.QbgEdge(e.target, e.source, e.label, e.kind, e.weight) for e in edges]
     else:
         edges.remove(next(e for e in edges if e.kind == qbg.BRUHAT))
     return qbg.QbgGraph(W, J, g.vertices, edges)

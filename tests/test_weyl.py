@@ -257,7 +257,7 @@ def test_multiply_equals_the_right_walk(cartan_type, rank):
         for u in W.elements():
             cur = w.index
             for k in u.word:
-                cur = W._right[cur][k - 1]
+                cur = W._right[k - 1][cur]
             assert W.mul(w.index, u.index) == cur
 
 

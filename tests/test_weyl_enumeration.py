@@ -8,9 +8,11 @@ reflection rows, and must build matrices and rows only when they are asked
 for.
 """
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 from operator import sub
 
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from qbgraph.qbg import build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.verify import ROOT_TYPES
-from qbgraph.weyl import WeylGroup
+from qbgraph.weyl import WeylGroup, build_weyl_group
 
 EXTRA_TYPES = [("D", 5), ("A", 6), ("E", 6)]
 
@@ -108,10 +110,12 @@ def test_enumeration_matches_the_matrix_keyed_reference(cartan_type, rank):
     mats, comats, length, word, right, inverse, _ = reference(cartan_type, rank)
     W = WeylGroup(build_root_system(cartan_type, rank))
     assert len(W) == len(mats)
-    assert W._word == word
-    assert W._length == length
-    assert W._right == right
-    assert W._inverse == inverse
+    # the tables are compared through tuple views of their compact layout:
+    # byte words, and the right table held as one column per node
+    assert [tuple(wrd) for wrd in W._word] == word
+    assert list(W._length) == length
+    assert [list(row) for row in zip(*W._right)] == right
+    assert list(W._inverse) == inverse
     assert [W.matrix(i) for i in range(len(W))] == mats
     assert [W.comatrix(i) for i in range(len(W))] == comats
     assert [w.index for w in W.elements()] == list(range(len(mats)))
@@ -206,14 +210,13 @@ def test_graph_build_builds_few_matrices():
     W = WeylGroup(rs)
     graph = build_qbg(W, rs.parabolic((2, 3, 4, 5, 6)))
     assert len(graph.vertices) == 27
-    built = sum(m is not None for m in W._mat)
-    cobuilt = sum(m is not None for m in W._comat)
-    assert built < len(W) // 100 and cobuilt < len(W) // 100
-    assert sum(row is not None for row in W._refl_rows) < len(W) // 100
+    built = len(W._mat)
+    assert built < len(W) // 100 and len(W._comat) < len(W) // 100
+    assert len(W._refl_rows) < len(W) // 100
     # asking for one matrix builds it and the prefixes of its word only
     w0 = W.longest_element().index
     W.matrix(w0)
-    assert sum(m is not None for m in W._mat) <= built + W._length[w0]
+    assert len(W._mat) <= built + W._length[w0]
 
 
 def fill_order(ids, length, order):
@@ -254,3 +257,28 @@ def test_right_reflect_rejects_non_roots(cartan_type, rank):
             W.right_reflect(len(W) - 1, bad)
         with pytest.raises(ValueError):
             W.left_reflect(0, bad)
+
+
+@pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES)
+def test_words_are_tuples_at_the_boundary(cartan_type, rank):
+    _, _, _, word, *_ = reference(cartan_type, rank)
+    W = WeylGroup(build_root_system(cartan_type, rank))
+    for w in W.elements():
+        assert type(w.word) is tuple
+        assert w.word == word[w.index]
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 6), ("D", 5)])
+def test_enumeration_stays_under_300_bytes_per_element(cartan_type, rank):
+    """The peak of the memory traced while the group is built, over its
+    order: the packed keys, byte words and right columns keep it low."""
+    build_weyl_group(cartan_type, rank)  # module-level caches fill first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        W = build_weyl_group(cartan_type, rank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / len(W) <= 300
