@@ -356,29 +356,74 @@ class AffineWeyl:
         J = graph.J
         if depth is None:
             depth = self.lift_depth(graph)
+        self._require_lift_mu(mu, z, J, depth)
+        x = AffineElement(self.W.mul(edge.source, z), mu)
+        y, gamma = self._lift_below(x, self.length(x), edge, self.W._inverse[z])
+        self._require_lifted(x, J)
+        self._require_lifted(y, J)
+        return x, y, gamma
+
+    def lift_table(self, graph: QbgGraph, z: int, mu: Coroot):
+        """Lift every edge of the graph with one mu, as ``lift_edge`` does.
+
+        Yields (x, lifts) per vertex with out-edges, in the order of
+        ``graph.vertices``: x = (source z, mu) and one (edge, y, gamma) per
+        edge out of the source, in the order of ``graph.out``.  mu's facts
+        are checked here, before any lift: J-adjusted, superantidominant to
+        the lift depth and Weyl factor z.  x is checked once per source;
+        every y keeps all of ``lift_edge``'s checks.
+        """
+        self._require_lift_mu(mu, z, graph.J, self.lift_depth(graph))
+        return self._lift_rows(graph, z, mu)
+
+    def _lift_rows(self, graph: QbgGraph, z: int, mu: Coroot):
+        J, W = graph.J, self.W
+        zinv = W._inverse[z]
+        for v in graph.vertices:
+            out = graph.out[v]
+            if not out:
+                continue
+            x = AffineElement(W.mul(v, z), mu)
+            self._require_lifted(x, J)
+            lx = self.length(x)
+            lifts = []
+            for edge in out:
+                y, gamma = self._lift_below(x, lx, edge, zinv)
+                self._require_lifted(y, J)
+                lifts.append((edge, y, gamma))
+            yield x, lifts
+
+    def _require_lift_mu(self, mu: Coroot, z: int, J: ParabolicIndex, depth: int) -> None:
+        """Raise ValueError unless mu is J-adjusted, superantidominant to
+        depth and of Weyl factor z."""
         if not self.is_adjusted(mu, J):
             raise ValueError("mu is not J-adjusted")
         if not self.is_superantidominant(mu, J, depth):
             raise ValueError(f"mu is not superantidominant to depth {depth}")
         if self.z_mu(mu, J) != z:
             raise ValueError("z does not match the Weyl factor of mu")
-        rs = self.rs
-        W = self.W
+
+    def _lift_below(self, x: AffineElement, lx: int, edge: QbgEdge,
+                    zinv: int) -> tuple[AffineElement, AffineRoot]:
+        """(y, gamma) with y = x r_gamma the lift of the edge below x, of
+        length lx; gamma must be negative and y one shorter than x."""
+        zinv_alpha = self.W.act(zinv, edge.label)
         chi = 1 if edge.kind == QUANTUM else 0
-        zinv_alpha = W.act(W._inverse[z], edge.label)
-        gamma = AffineRoot(zinv_alpha, chi + rs.pairing(mu, zinv_alpha))
-        x = AffineElement(W.mul(edge.source, z), mu)
+        gamma = AffineRoot(zinv_alpha, chi + self.rs.pairing(x.mu, zinv_alpha))
         y = self.mul(x, self.reflection(gamma))
         if gamma.is_positive():
             raise GraphInvariantError("lift label should be a negative affine root")
-        if self.length(x) - self.length(y) != 1:
+        if lx - self.length(y) != 1:
             raise GraphInvariantError("lift is not a length-one cover")
-        for el in (x, y):
-            if not self.in_wj_af(el, J) or not self.in_waf_minus(el):
-                raise GraphInvariantError("lift left the distinguished cosets")
-            if not self.in_omega(el, J, depth=1):
-                raise GraphInvariantError("lift left the target set")
-        return x, y, gamma
+        return y, gamma
+
+    def _require_lifted(self, el: AffineElement, J: ParabolicIndex) -> None:
+        """Raise GraphInvariantError unless el lies in (W^J)_af, in W_af^-
+        and in the lift target."""
+        if not self.in_wj_af(el, J) or not self.in_waf_minus(el):
+            raise GraphInvariantError("lift left the distinguished cosets")
+        if not self.in_omega(el, J, depth=1):
+            raise GraphInvariantError("lift left the target set")
 
     def project_cover(
         self, x: AffineElement, y: AffineElement, J: ParabolicIndex

@@ -156,18 +156,14 @@ def _lift(args) -> int:
             _emit(args, [render.chain_to_text(aw, chain)])
         return 0
 
-    z = aw.z_mu(mu, J)
+    table = aw.lift_table(graph, aw.z_mu(mu, J), mu)
 
-    def rows():  # made as they are written
-        for v in graph.vertices:
-            for e in graph.out[v]:
-                x, y, gamma = aw.lift_edge(graph, e, z, mu)
-                yield {
-                    "upper": render.affine_element_text(W, x),
-                    "lower": render.affine_element_text(W, y),
-                    "label": render.affine_root_text(gamma),
-                    "kind": e.kind,
-                }
+    def rows():  # made as they are written, x's text once per source
+        for x, lifts in table:
+            upper = render.affine_element_text(W, x)
+            for e, y, gamma in lifts:
+                yield (e.kind, render.affine_root_text(gamma),
+                       render.affine_element_text(W, y), upper)
 
     if args.format == "json":
         _emit(args, render.lifts_json_chunks(mu, rows()))

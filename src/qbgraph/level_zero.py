@@ -18,8 +18,9 @@ coset id and kept:
   (target, n - k*p) for k = first k, first k + 1, ..., so ``raising_steps``
   only expands n;
 - ``_cover_cache[w]``: the graph-derived covers out of w(lambda) + 0*delta
-  (target coset, delta drop, label, kind), in output order; ``covers``
-  shifts them by n.
+  (target coset, delta drop, label, kind), in output order, as
+  ``coset_covers`` returns them; ``covers`` shifts them by n, and
+  ``window_covers`` by level, onto dense ids.
 
 An n-window numbers its slice elements densely: the element (w, n) gets id
 ``c * levels + (n - n_lo) // d``, where c is the position of w in
@@ -167,10 +168,15 @@ class LevelZeroPoset:
         """Window margin reserved for intermediate chain elements."""
         return self._margin
 
+    def slice_levels(self, window: int) -> range:
+        """The delta parts n of the window's slice, lowest first: the
+        multiples of d with |n| <= window."""
+        return range(-(window // self.d) * self.d, window + 1, self.d)
+
     def _layout(self, window: int) -> tuple[int, int]:
         """(levels, n_lo): delta layers per coset and the lowest delta part."""
-        n_lo = -(window // self.d) * self.d
-        return len(range(n_lo, window + 1, self.d)), n_lo
+        ns = self.slice_levels(window)
+        return len(ns), ns.start
 
     def _ids(self, window: int, *weights: LevelZeroWeight) -> list[int]:
         """Dense ids of on-grid weights inside the window's slice, from one
@@ -194,12 +200,8 @@ class LevelZeroPoset:
 
     def slice_elements(self, window: int) -> tuple[LevelZeroWeight, ...]:
         """All orbit elements with |n| <= window, in display order."""
-        _, n_lo = self._layout(window)
-        return tuple(
-            LevelZeroWeight(w, n)
-            for w in self.graph.vertices
-            for n in range(n_lo, window + 1, self.d)
-        )
+        ns = self.slice_levels(window)
+        return tuple(LevelZeroWeight(w, n) for w in self.graph.vertices for n in ns)
 
     def _step_ids(self, w: int, lev: int, levels: int):
         """(target id, root, k) for every raising step out of (w, level lev)."""
@@ -311,18 +313,36 @@ class LevelZeroPoset:
         same delta part; a quantum edge gives the cover by w(gamma) + delta
         with the delta part dropped by <gamma^vee, lambda>.
         """
-        if not self.dominant:
-            raise ValueError("covers through the graph need a dominant weight")
         n = mu.n
         return [
             PosetCover(mu, LevelZeroWeight(target, n - drop), label, kind)
-            for target, drop, label, kind in self._cover_data(mu.w)
+            for target, drop, label, kind in self.coset_covers(mu.w)
         ]
 
-    def _cover_data(self, w: int) -> tuple[CosetCover, ...]:
+    def window_covers(self, window: int):
+        """The graph-derived covers inside the window's slice, by dense id:
+        (lower id, upper id, label, kind) per cover, lower elements in the
+        order of ``slice_elements`` and each one's covers in the order of
+        ``covers``.  The cover (target, drop) of the element at level lev
+        lands at level lev - drop/d of target's ids, and is kept when that
+        level is not below the window."""
+        levels, _ = self._layout(window)
+        pos, d = self.graph.vertex_pos, self.d
+        for c, w in enumerate(self.graph.vertices):
+            ups = [(pos[target] * levels, drop // d, label, kind)
+                   for target, drop, label, kind in self.coset_covers(w)]
+            src = c * levels
+            for lev in range(levels):
+                for base, q, label, kind in ups:
+                    if q <= lev:
+                        yield src + lev, base + lev - q, label, kind
+
+    def coset_covers(self, w: int) -> tuple[CosetCover, ...]:
         """(target, delta drop, label, kind) per edge out of coset w, in the
         order of ``covers``: by (target, n - drop, label k), which a shift of
         n keeps."""
+        if not self.dominant:
+            raise ValueError("covers through the graph need a dominant weight")
         got = self._cover_cache.get(w)
         if got is not None:
             return got

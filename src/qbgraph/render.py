@@ -7,9 +7,10 @@ order and nothing depends on hashing or timestamps.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .affine import AffineElement, AffineRoot, AffineWeyl, cover_label
 from .level_zero import LevelZeroPoset, LevelZeroWeight
@@ -25,8 +26,26 @@ SCHEMA_VERIFY = "qbgraph/verify/1"
 
 # -- JSON ------------------------------------------------------------------------
 
-#: text pieces gathered before they are handed on as one chunk
-CHUNK = 2048
+#: text pieces (JSON rows or text lines) gathered before they are handed on
+#: as one chunk; 256 rows of the A5 graph JSON are about 60 kB
+CHUNK = 256
+
+
+class Rows(NamedTuple):
+    """A lazy row sequence: a list of dicts that all share one key tuple.
+
+    ``columns`` names each key with its kind, in sorted key order:
+    - ``int``: an int, written by the row template's %d;
+    - ``str``: a string, escaped as every JSON string is;
+    - ``tuple``: a flat int sequence that is hashable (a tuple or
+      ``bytes``), its text made once per (values, depth);
+    - a function from the value to the nested document it stands for, its
+      text made once per distinct value.
+    ``values`` yields one tuple per row, in column order, and is read once.
+    """
+
+    columns: tuple[tuple[str, object], ...]
+    values: Iterable[tuple]
 
 
 def json_chunks(doc) -> Iterator[str]:
@@ -38,10 +57,10 @@ def json_chunks(doc) -> Iterator[str]:
     depth) and renders each flat list of ints once per (values, depth).
     Documents hold dicts with str keys, lists, tuples, str, int, bool and
     None; anything else, floats included, raises ``TypeError``.  A dict
-    value may also be an iterator, a lazy row sequence: it is written as a
-    list, one row at a time, and the text is handed on every ``CHUNK``
-    pieces, so its rows never sit in memory together.  Rows and lists hold
-    no iterators.
+    value may also be ``Rows``: it is written as a list, one row at a time
+    through one %-template made from the rows' plan, and the text is handed
+    on every ``CHUNK`` rows, so the rows never sit in memory together.
+    Rows and lists hold no ``Rows``.
     """
     out: list[str] = []
     yield from _stream_json(doc, 0, out, {})
@@ -56,21 +75,27 @@ def dump_json(doc) -> str:
 
 
 def _stream_json(o, depth: int, out: list, memo: dict) -> Iterator[str]:
-    """Append the text of o to out, yielding full chunks of it as rows of
-    its iterators are written; dicts are walked here, all else is plain."""
-    if isinstance(o, Iterator):
+    """Append the text of o to out, yielding full chunks of it as its rows
+    are written; dicts are walked here, all else is plain."""
+    if type(o) is Rows:
+        row_text, convert = _row_template(o.columns, depth + 1, memo)
         inner = "\n" + " " * (depth + 1)
-        sep = "[" + inner
-        for row in o:
-            out.append(sep)
-            sep = "," + inner
-            _emit_json(row, depth + 1, out, memo)
+        first, rest = "[" + inner + row_text, "," + inner + row_text
+        template = first
+        for row in o.values:
+            if convert:
+                row = list(row)
+                for i, text in convert:
+                    row[i] = text(row[i])
+                row = tuple(row)
+            out.append(template % row)
+            template = rest
             if len(out) >= CHUNK:
                 yield "".join(out)
                 out.clear()
-        out.append("[]" if sep[0] == "[" else inner[:-1] + "]")
+        out.append("[]" if template is first else inner[:-1] + "]")
     elif type(o) is dict and o:
-        items, close = _plan(o, depth, memo)
+        items, close = _plan(tuple(o), depth, memo)
         for key, prefix in items:
             out.append(prefix)
             yield from _stream_json(o[key], depth + 1, out, memo)
@@ -79,11 +104,10 @@ def _stream_json(o, depth: int, out: list, memo: dict) -> Iterator[str]:
         _emit_json(o, depth, out, memo)
 
 
-def _plan(o: dict, depth: int, memo: dict) -> tuple[list[tuple[str, str]], str]:
+def _plan(shape: tuple, depth: int, memo: dict) -> tuple[list[tuple[str, str]], str]:
     """The sorted keys of a non-empty dict at the given depth, each with the
     text written before its value, and the closing text: made once per key
-    tuple and depth, kept in memo under (depth, keys), unlike int lists."""
-    shape = tuple(o)
+    tuple and depth, kept in memo under (depth, keys)."""
     plan = memo.get((depth, shape))
     if plan is None:
         for key in shape:
@@ -99,6 +123,69 @@ def _plan(o: dict, depth: int, memo: dict) -> tuple[list[tuple[str, str]], str]:
     return plan
 
 
+def _row_template(columns, depth: int, memo: dict):
+    """(template, converters) of rows at the given depth: the row's text is
+    template % values once each (index, converter) has turned its column's
+    value into text; int columns are written by the template's %d."""
+    keys = tuple(key for key, _ in columns)
+    if not keys:
+        return "{}", ()
+    items, close = _plan(keys, depth, memo)
+    if tuple(key for key, _ in items) != keys or len(set(keys)) < len(keys):
+        raise ValueError(f"row columns must be distinct and in sorted key order, not {keys}")
+    parts, convert = [], []
+    for i, ((_, prefix), (_, kind)) in enumerate(zip(items, columns)):
+        parts.append(prefix.replace("%", "%%"))
+        if kind is int:
+            parts.append("%d")
+            continue
+        parts.append("%s")
+        if kind is str:
+            convert.append((i, _SCALARS[str]))
+        elif kind is tuple:
+            convert.append((i, _int_lists(depth + 1, memo).__getitem__))
+        else:
+            nested = functools.partial(_nested_text, kind, depth + 1, memo)
+            convert.append((i, _Memo(nested).__getitem__))
+    return "".join(parts) + close, tuple(convert)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _int_list_text(depth: int, values) -> str:
+    """The text of a flat int sequence at the given depth."""
+    if not values:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + inner[:-1] + "]"
+
+
+def _int_lists(depth: int, memo: dict) -> _Memo:
+    """The int-list texts at one depth by values, kept in memo under the
+    depth."""
+    lists = memo.get(depth)
+    if lists is None:
+        lists = memo[depth] = _Memo(functools.partial(_int_list_text, depth))
+    return lists
+
+
+def _nested_text(document, depth: int, memo: dict, value) -> str:
+    """The text of document(value) at the given depth."""
+    out: list[str] = []
+    _emit_json(document(value), depth, out, memo)
+    return "".join(out)
+
+
 #: the text of each scalar type a document may hold, by exact type
 _SCALARS = {
     str: encode_basestring_ascii,
@@ -111,13 +198,13 @@ _INT_ONLY = {int}
 
 def _emit_json(o, depth: int, out: list, memo: dict) -> None:
     """Append the text of o, a value at the given nesting depth; memo holds
-    the dict plans and the text of each flat int list per (values, depth)."""
+    the dict plans under (depth, keys) and the int-list texts per depth."""
     t = type(o)
     if t is dict:
         if not o:
             out.append("{}")
             return
-        items, close = _plan(o, depth, memo)
+        items, close = _plan(tuple(o), depth, memo)
         for key, prefix in items:
             value = o[key]
             scalar = _SCALARS.get(type(value))
@@ -131,16 +218,10 @@ def _emit_json(o, depth: int, out: list, memo: dict) -> None:
         if not o:
             out.append("[]")
             return
-        inner = "\n" + " " * (depth + 1)
         if {*map(type, o)} == _INT_ONLY:
-            key = (tuple(o), depth)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = (
-                    "[" + inner + ("," + inner).join(map(int.__repr__, o)) + inner[:-1] + "]"
-                )
-            out.append(text)
+            out.append(_int_lists(depth, memo)[tuple(o)])
             return
+        inner = "\n" + " " * (depth + 1)
         sep = "[" + inner
         for value in o:
             scalar = _SCALARS.get(type(value))
@@ -226,37 +307,40 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
     """The ``qbgraph/graph/1`` document; vertex and edge rows are made as
     they are written."""
     W = graph.W
-    type_a = graph.rs.cartan_type == "A"
 
-    def vertex_rows():
-        for pos, v in enumerate(graph.vertices):
-            el = W.element(v)
-            if type_a:
-                # the one-line form is both the text and the permutation
+    if graph.rs.cartan_type == "A":
+        # the one-line form is both the text and the permutation
+        vertex_columns = (("id", int), ("permutation", str), ("text", str), ("word", tuple))
+
+        def vertex_rows():
+            for pos, v in enumerate(graph.vertices):
+                el = W.element(v)
                 text = "".join(map(str, W.one_line(el)))
-                yield {"id": pos, "word": list(el.word), "text": text, "permutation": text}
-            else:
-                yield {"id": pos, "word": list(el.word), "text": W.describe(el)}
+                yield pos, text, text, el.word
+    else:
+        vertex_columns = (("id", int), ("text", str), ("word", tuple))
 
-    pos_of = graph.vertex_pos
-    edge_rows = (
-        {
-            "src": pos_of[e.source],
-            "dst": pos_of[e.target],
-            "label": list(e.label),
-            "kind": e.kind,
-            "weight": list(e.weight),
-        }
-        for v in graph.vertices
-        for e in graph.out[v]
-    )
+        def vertex_rows():
+            for pos, v in enumerate(graph.vertices):
+                el = W.element(v)
+                yield pos, W.describe(el), el.word
+
+    def edge_rows():
+        pos_of = graph.vertex_pos
+        for src, v in enumerate(graph.vertices):
+            for e in graph.out[v]:
+                yield pos_of[e.target], e.kind, e.label, src, e.weight
+
     doc = {
         "schema": SCHEMA_GRAPH,
         "cartan_type": graph.rs.cartan_type,
         "rank": graph.rs.rank,
         "parabolic": list(graph.J.nodes),
-        "vertices": vertex_rows(),
-        "edges": edge_rows,
+        "vertices": Rows(vertex_columns, vertex_rows()),
+        "edges": Rows(
+            (("dst", int), ("kind", str), ("label", tuple), ("src", int), ("weight", tuple)),
+            edge_rows(),
+        ),
     }
     yield from json_chunks(doc)
     yield "\n"
@@ -337,46 +421,57 @@ def chain_to_json(aw: AffineWeyl, chain) -> str:
 def weight_text(poset: LevelZeroPoset, mu: LevelZeroWeight) -> str:
     """Type A: affine-fundamental-weight style '2L0+L1-3L2+2d'; otherwise
     the (coset word, n) form."""
+    return _coset_text(poset, mu.w) + _delta_text(poset, mu.n)
+
+
+def _coset_text(poset: LevelZeroPoset, w: int) -> str:
+    """The part of ``weight_text`` that depends on the coset alone."""
     W = poset.W
-    if poset.rs.cartan_type == "A":
-        coords = poset.weight_coordinates(mu)
-        c0 = -sum(coords)
-        parts = []
-        for i, c in enumerate((c0,) + coords):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            parts.append(f"{sign}{'' if mag == 1 else mag}L{i}")
-        body = "".join(parts) if parts else "0"
-        if mu.n:
-            sign = "-" if mu.n < 0 else "+"
-            mag = abs(mu.n)
-            body += f"{sign}{'' if mag == 1 else mag}d"
-        return body
-    return f"({W.describe(W.element(mu.w))}, {mu.n})"
+    if poset.rs.cartan_type != "A":
+        return f"({W.describe(W.element(w))}, "
+    coords = poset.weight_coordinates(LevelZeroWeight(w, 0))
+    parts = []
+    for i, c in enumerate((-sum(coords),) + coords):
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        parts.append(f"{sign}{'' if mag == 1 else mag}L{i}")
+    return "".join(parts) if parts else "0"
+
+
+def _delta_text(poset: LevelZeroPoset, n: int) -> str:
+    """The part of ``weight_text`` that depends on the delta part n alone."""
+    if poset.rs.cartan_type != "A":
+        return f"{n})"
+    if not n:
+        return ""
+    mag = abs(n)
+    return f"{'-' if n < 0 else '+'}{'' if mag == 1 else mag}d"
+
+
+def _slice_texts(poset: LevelZeroPoset) -> tuple[dict[int, str], _Memo]:
+    """(coset texts by coset id, delta texts by n made on first use): the
+    text of w(lambda) + n*delta is their concatenation."""
+    heads = {w: _coset_text(poset, w) for w in poset.graph.vertices}
+    return heads, _Memo(functools.partial(_delta_text, poset))
 
 
 @_lines_in_chunks
 def slice_dot_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     """Hasse slice with the n = 0 layer (and its internal covers) in red."""
-    elems = poset.slice_elements(window)
+    heads, tails = _slice_texts(poset)
+    ns = poset.slice_levels(window)
+    names = [heads[w] + tails[n] for w in poset.graph.vertices for n in ns]
+    levels, zero = len(ns), ns.index(0)  # ids are c * levels + level; n = 0 at level zero
     yield "digraph slice {\n"
-    for mu in elems:
-        attrs = ' [color=red, fontcolor=red]' if mu.n == 0 else ""
-        yield f'  "{weight_text(poset, mu)}"{attrs};\n'
-    in_slice = set(elems)
-    for mu in elems:
-        for cov in poset.covers(mu):
-            if cov.upper not in in_slice:
-                continue
-            attrs = [f'label="{affine_root_text(cov.label)}"']
-            if mu.n == 0 and cov.upper.n == 0:
-                attrs.append("color=red")
-            yield (
-                f'  "{weight_text(poset, mu)}" -> "{weight_text(poset, cov.upper)}"'
-                f' [{", ".join(attrs)}];\n'
-            )
+    for i, name in enumerate(names):
+        attrs = ' [color=red, fontcolor=red]' if i % levels == zero else ""
+        yield f'  "{name}"{attrs};\n'
+    labels = _Memo(affine_root_text)
+    for lower, upper, label, _kind in poset.window_covers(window):
+        red = ", color=red" if lower % levels == zero == upper % levels else ""
+        yield f'  "{names[lower]}" -> "{names[upper]}" [label="{labels[label]}"{red}];\n'
     yield "}\n"
 
 
@@ -386,47 +481,48 @@ def slice_text_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     with its graph-derived covers."""
     rs = poset.rs
     yield f"# slice {rs.cartan_type}{rs.rank} lambda={list(poset.lam)} window={window}\n"
-    for mu in poset.slice_elements(window):
-        covers = ", ".join(
-            f"{weight_text(poset, c.upper)} [{affine_root_text(c.label)}]"
-            for c in poset.covers(mu)
-        )
-        yield f"{weight_text(poset, mu)} < {covers}\n"
+    heads, tails = _slice_texts(poset)
+    ns = poset.slice_levels(window)
+    labels = _Memo(lambda label: f" [{affine_root_text(label)}]")
+    for w in poset.graph.vertices:
+        ups = [(heads[target], drop, labels[label])
+               for target, drop, label, _kind in poset.coset_covers(w)]
+        for n in ns:
+            covers = ", ".join(head + tails[n - drop] + label for head, drop, label in ups)
+            yield f"{heads[w]}{tails[n]} < {covers}\n"
+
+
+def _label_document(label: AffineRoot) -> dict:
+    return {"alpha": list(label.alpha), "delta": label.k}
 
 
 def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     """The ``qbgraph/slice/1`` document; vertex and cover rows are made as
     they are written."""
-    elems = poset.slice_elements(window)
-    pos_of = {mu: i for i, mu in enumerate(elems)}
-    vertex_rows = (
-        {
-            "id": i,
-            "coset_word": list(poset.W.element(mu.w).word),
-            "n": mu.n,
-            "text": weight_text(poset, mu),
-        }
-        for i, mu in enumerate(elems)
-    )
-    cover_rows = (
-        {
-            "src": pos_of[mu],
-            "dst": pos_of[cov.upper],
-            "label": {"alpha": list(cov.label.alpha), "delta": cov.label.k},
-            "kind": cov.kind,
-        }
-        for mu in elems
-        for cov in poset.covers(mu)
-        if cov.upper in pos_of
-    )
+    heads, tails = _slice_texts(poset)
+    ns = poset.slice_levels(window)
+
+    def vertex_rows():
+        i = 0
+        for w in poset.graph.vertices:
+            word = poset.W.element(w).word
+            for n in ns:
+                yield word, i, n, heads[w] + tails[n]
+                i += 1
+
     doc = {
         "schema": SCHEMA_SLICE,
         "cartan_type": poset.rs.cartan_type,
         "rank": poset.rs.rank,
         "lambda": list(poset.lam),
         "window": window,
-        "vertices": vertex_rows,
-        "covers": cover_rows,
+        "vertices": Rows(
+            (("coset_word", tuple), ("id", int), ("n", int), ("text", str)), vertex_rows()
+        ),
+        "covers": Rows(
+            (("dst", int), ("kind", str), ("label", _label_document), ("src", int)),
+            ((dst, kind, label, src) for src, dst, label, kind in poset.window_covers(window)),
+        ),
     }
     yield from json_chunks(doc)
     yield "\n"
@@ -446,29 +542,30 @@ def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
 
 # -- lift tables and verify reports ---------------------------------------------------
 
-# A lift table is an iterable of rows {"upper", "lower", "label", "kind"}, one
-# per lifted edge, consumed once.
+# A lift table is an iterable of rows (kind, label, lower, upper), one per
+# lifted edge, consumed once; the values are text, in the JSON key order.
 
 
 @_lines_in_chunks
 def lifts_text_chunks(rows) -> Iterator[str]:
     """One 'upper > [label] lower' line per lifted edge."""
-    for row in rows:
-        yield f"{row['upper']} > [{row['label']}] {row['lower']}\n"
+    for _kind, label, lower, upper in rows:
+        yield f"{upper} > [{label}] {lower}\n"
 
 
 @_lines_in_chunks
 def lifts_dot_chunks(rows) -> Iterator[str]:
     """Graphviz text: one labelled arrow per lifted edge."""
     yield "digraph lifts {\n"
-    for row in rows:
-        yield f'  "{row["upper"]}" -> "{row["lower"]}" [label="{row["label"]}"];\n'
+    for _kind, label, lower, upper in rows:
+        yield f'  "{upper}" -> "{lower}" [label="{label}"];\n'
     yield "}\n"
 
 
 def lifts_json_chunks(mu, rows) -> Iterator[str]:
     """The ``qbgraph/lifts/1`` document: one row per lifted edge."""
-    yield from json_chunks({"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": iter(rows)})
+    covers = Rows((("kind", str), ("label", str), ("lower", str), ("upper", str)), rows)
+    yield from json_chunks({"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": covers})
     yield "\n"
 
 

@@ -21,10 +21,10 @@ from qbgraph.affine import (
     iter_bottom_configurations,
     iter_top_configurations,
 )
-from qbgraph.qbg import BRUHAT, QUANTUM, QbgPath, build_qbg
+from qbgraph.qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgPath, build_qbg
 from qbgraph.root_system import RootSystem, build_root_system, is_positive_vec, neg_vec
-from qbgraph.verify import all_parabolics
-from qbgraph.weyl import WeylGroup
+from qbgraph.verify import SMALL_TYPES, all_parabolics
+from qbgraph.weyl import WeylGroup, build_weyl_group
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +398,88 @@ def test_project_cover_validation(a2):
         for n in range(-window, window + 1):
             y = aw.mul(x, aw.reflection(AffineRoot(beta, n)))
             assert aw.length(y) != aw.length(x) - 1
+
+
+LIFT_TABLE_CASES = (
+    [(t, r, J) for t, r in SMALL_TYPES for J in all_parabolics(r, proper=True)]
+    + [("B", 3, J) for J in all_parabolics(3, proper=True)]
+    + [("A", 5, (3,))]
+)
+
+
+def lift_table_context(cartan_type, rank, nodes):
+    W = build_weyl_group(cartan_type, rank)
+    J = W.rs.parabolic(nodes)
+    g = build_qbg(W, J)
+    aw = AffineWeyl(W)
+    return W, J, g, aw, aw.lift_depth(g)
+
+
+def edge_by_edge(aw, g, z, mu):
+    return [aw.lift_edge(g, e, z, mu) for v in g.vertices for e in g.out[v]]
+
+
+def row_by_row(aw, g, z, mu):
+    rows = []
+    for x, lifts in aw.lift_table(g, z, mu):
+        for e, y, gamma in lifts:
+            assert aw.W.mul(e.source, z) == x.w
+            rows.append((x, y, gamma))
+    return rows
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", LIFT_TABLE_CASES,
+                         ids=lambda c: str(c).replace(" ", ""))
+def test_lift_table_equals_lift_edge_row_for_row(cartan_type, rank, nodes):
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    zs = [0] if rank == 5 else sorted(aw.sigma_J(J))
+    for z in zs:
+        mu = aw.superantidominant_mu(W.element(z), J, depth)
+        want = edge_by_edge(aw, g, z, mu)
+        assert len(want) == len(g.edges) > 0
+        assert row_by_row(aw, g, z, mu) == want
+
+
+def raised(fn):
+    """(type, message) of the lift error fn raises, or None."""
+    try:
+        fn()
+    except (ValueError, GraphInvariantError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", [("A", 2, (1,)), ("B", 3, (2,)),
+                                                    ("A", 5, (3,))])
+def test_lift_table_raises_as_lift_edge_does(monkeypatch, cartan_type, rank, nodes):
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    mu = aw.superantidominant_mu(W.identity, J, depth)
+    z = aw.z_mu(mu, J)
+    j = J.nodes[0]
+    shallow = aw.superantidominant_mu(W.identity, J, 1)
+    assert not aw.is_superantidominant(shallow, J, depth)
+    bad_inputs = {
+        "not adjusted": (z, tuple(c + 2 * (i == j - 1) for i, c in enumerate(mu))),
+        "too shallow": (aw.z_mu(shallow, J), shallow),
+        "wrong z": (1 if z != 1 else 2, mu),
+    }
+    for name, (zz, mm) in bad_inputs.items():
+        got = raised(lambda: list(aw.lift_table(g, zz, mm)))
+        assert got is not None and got[0] is ValueError, name
+        assert got == raised(lambda: edge_by_edge(aw, g, zz, mm)), name
+        with pytest.raises(ValueError):
+            aw.lift_table(g, zz, mm)  # mu's facts are checked before any lift
+    # an x that leaves the target set: the identity's x = (z, mu), which no
+    # edge's y equals (no Bruhat edge ends at e, and a quantum edge moves mu)
+    monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: el != AffineElement(z, mu))
+    got = raised(lambda: list(aw.lift_table(g, z, mu)))
+    assert got == (GraphInvariantError, "lift left the target set")
+    assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
+    # a y that leaves the target set: every quantum edge's y moves mu
+    monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: el.mu == mu)
+    got = raised(lambda: list(aw.lift_table(g, z, mu)))
+    assert got == (GraphInvariantError, "lift left the target set")
+    assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
 
 
 def test_roundtrip_all_edges(a2):

@@ -72,12 +72,8 @@ def test_lift_table_exports_stream_the_string_functions(tmp_path, capsys, fmt):
     for v in graph.vertices:
         for e in graph.out[v]:
             x, y, gamma = aw.lift_edge(graph, e, z, mu)
-            rows.append({
-                "upper": render.affine_element_text(W, x),
-                "lower": render.affine_element_text(W, y),
-                "label": render.affine_root_text(gamma),
-                "kind": e.kind,
-            })
+            rows.append((e.kind, render.affine_root_text(gamma),
+                         render.affine_element_text(W, y), render.affine_element_text(W, x)))
     assert rows
     want = {
         "dot": lambda: render.lifts_to_dot(rows),

@@ -287,3 +287,18 @@ def test_leq_computes_one_layout_per_query(monkeypatch):
     assert [P.leq(a, b, window) for a, b in pairs] == want
     assert any(want) and not all(want)
     assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,lam,window,d",
+    [("A", (2, 2), 3, 2), ("G", (2, 0), 5, 2), ("C", (0, 2, 2), 7, 2), ("B", (0, 1), 2, 1)],
+)
+def test_window_covers_are_the_covers_inside_the_window(cartan_type, lam, window, d):
+    poset = LevelZeroPoset(WeylGroup(build_root_system(cartan_type, len(lam))), lam)
+    assert poset.d == d
+    elems = poset.slice_elements(window)
+    pos = {mu: i for i, mu in enumerate(elems)}
+    every = [(mu, c) for mu in elems for c in poset.covers(mu)]
+    want = [(pos[mu], pos[c.upper], c.label, c.kind) for mu, c in every if c.upper in pos]
+    assert 0 < len(want) < len(every)  # some covers fall below the window
+    assert list(poset.window_covers(window)) == want

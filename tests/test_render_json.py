@@ -1,10 +1,9 @@
 """``render.json_chunks`` and its joined form ``render.dump_json`` write
 exactly what ``json.dumps(doc, indent=1, sort_keys=True)`` writes, on every
-document the CLI emits, on edge cases, and on lazy row sequences."""
+document the CLI emits, on edge cases, and on ``Rows`` (lazy row sequences
+written through one template per row shape)."""
 
 import json
-from collections.abc import Iterator
-
 import pytest
 
 from qbgraph import render
@@ -32,25 +31,46 @@ CLI_RUNS = [
 ]
 
 
-def materialised(doc):
-    """doc with every lazy row sequence read into a list."""
-    if isinstance(doc, Iterator):
-        return list(doc)
+def replayable(doc):
+    """doc with the values of every ``Rows`` read into a list, so that it
+    can be written more than once."""
+    if type(doc) is render.Rows:
+        return render.Rows(doc.columns, list(doc.values))
     if type(doc) is dict:
-        return {key: materialised(value) for key, value in doc.items()}
+        return {key: replayable(value) for key, value in doc.items()}
+    return doc
+
+
+def plain(kind, value):
+    """A row value as the document it stands for."""
+    if kind in (int, str):
+        return value
+    if kind is tuple:
+        return list(value)
+    return kind(value)
+
+
+def as_stdlib(doc):
+    """doc with every ``Rows`` as the list of dicts it writes."""
+    if type(doc) is render.Rows:
+        return [{key: plain(kind, value) for (key, kind), value in zip(doc.columns, row)}
+                for row in doc.values]
+    if type(doc) is dict:
+        return {key: as_stdlib(value) for key, value in doc.items()}
     return doc
 
 
 @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv[:5]))
 def test_cli_documents_match_the_stdlib(monkeypatch, capsys, argv):
-    # every JSON export, streamed or not, goes through json_chunks once
+    # every JSON export, streamed or not, goes through json_chunks once; its
+    # rows are written through their templates and compared in full
     seen = []
     real = render.json_chunks
 
     def recording(doc):
-        doc = materialised(doc)
+        doc = replayable(doc)
         text = "".join(real(doc))
-        seen.append((doc, text))
+        seen.append((as_stdlib(doc), text))
         yield text
 
     monkeypatch.setattr(render, "json_chunks", recording)
@@ -110,60 +130,116 @@ def test_unsupported_types_raise_type_error(doc):
         render.dump_json(doc)
 
 
-LAZY_DOCS = [
-    lambda: {"rows": iter([])},
-    lambda: {"rows": iter([{"a": 1, "b": [1, 2]}, [1, 2], "x", None, 7, [], {}])},
-    lambda: {"z": 0, "a": {"b": (row for row in ([1], [2, [3]], {"c": (4, 5)}))}},
-    lambda: {"x": iter([1, 2]), "y": iter([[1, 2]]), "empty": {}},
-    lambda: iter([{"k": [1, 2]}, 3, True]),
-    lambda: iter([]),
-    # rows of differing key sets, in differing insertion orders, so that
-    # each shape gets its own plan
-    lambda: {"rows": iter([{"b": 1, "a": [2]}, {"a": [2], "b": 1}, {"c": None, "a": {"d": 3}},
-                           {"b": 1, "a": [2]}, {"z": "s", "é": [1, [2]]}, {"a": 1}])},
-    lambda: {"rows": iter([{}, {}, {"a": {}}, {}, {"a": []}, {}])},
-    lambda: {"rows": iter([{"k": (1, 2), "v": (x, {"w": [x]})} for x in range(5)])},
+def label_document(label):
+    return {"alpha": list(label[0]), "delta": label[1], "note": [label[1], None]}
+
+
+ALL_KINDS = (("id", int), ("label", label_document), ("text", str), ("word", tuple))
+ALL_KIND_ROWS = [
+    (0, ((1, 0), 0), "e", ()),
+    (-3, ((0, -1), 1), 'quote " back \\ slash / é 😀 \x00\x1f', b"\x01\x02"),
+    (10**30, ((1, 0), 0), "", (2, 1, 2)),
+    (7, ((1, 1), 2), "%s %d %%", b""),
+]
+
+def rows_of(kinds: dict, rows: list[dict]) -> render.Rows:
+    """``Rows`` of the given dicts, columns in sorted key order."""
+    keys = sorted(kinds)
+    return render.Rows(tuple((key, kinds[key]) for key in keys),
+                       iter([tuple(row[key] for key in keys) for row in rows]))
+
+
+ROW_DOCS = [
+    lambda: {"rows": render.Rows((("a", int),), iter([]))},
+    lambda: {"rows": render.Rows(ALL_KINDS, iter(ALL_KIND_ROWS))},
+    lambda: render.Rows(ALL_KINDS, iter(ALL_KIND_ROWS)),
+    lambda: render.Rows((("a", int),), iter([])),
+    # keys the template must escape: %, quotes, backslashes, non-ASCII and
+    # control characters
+    lambda: {"%": rows_of(
+        {"%": int, "%d": str, '"q"': tuple, "\\": int, "\x01\n": str, "a%%b": tuple,
+         "é": int, "😀": str},
+        [{"%": 1, "%d": "x", '"q"': (1,), "\\": 2, "\x01\n": "%", "a%%b": (), "é": 3,
+          "😀": "y"},
+         {"%": -1, "%d": "%(a)s", '"q"': (), "\\": 0, "\x01\n": "", "a%%b": (5, 5), "é": 9,
+          "😀": ""}],
+    ), "z%s": 1},
+    # Rows beside plain values, at several depths, with nested labels
+    lambda: {"z": 0, "a": {"b": render.Rows((("k", tuple), ("v", label_document)),
+                                            iter([((1, 2), ((3,), 4)), ((), ((), 0))]))},
+             "empty": {}, "list": [1, [2]]},
+    lambda: {"x": render.Rows((("n", int),), iter([(1,), (2,)])),
+             "y": render.Rows((), iter([(), ()])), "e": render.Rows((), iter([]))},
+    # more rows than a chunk, with repeated int lists and labels
+    lambda: {"rows": render.Rows(
+        (("dst", int), ("kind", str), ("label", tuple), ("src", int), ("weight", tuple)),
+        ((i, ("bruhat", "quantum")[i % 2], (i % 3, 1), i // 2, (0, i % 2)) for i in range(700)),
+    ), "schema": "s"},
 ]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 2048, 4096])
-@pytest.mark.parametrize("make", LAZY_DOCS, ids=lambda make: repr(materialised(make()))[:40])
-def test_lazy_rows_write_as_their_lists(monkeypatch, chunk, make):
+@pytest.mark.parametrize("chunk", [1, 3, 256, 4096])
+@pytest.mark.parametrize("make", ROW_DOCS, ids=lambda make: repr(as_stdlib(make()))[:40])
+def test_rows_write_as_their_lists(monkeypatch, chunk, make):
     monkeypatch.setattr(render, "CHUNK", chunk)
-    assert "".join(render.json_chunks(make())) == stdlib(materialised(make()))
-    assert render.dump_json(make()) == stdlib(materialised(make()))
+    want = stdlib(as_stdlib(make()))
+    assert "".join(render.json_chunks(make())) == want
+    assert render.dump_json(make()) == want
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 2048])
+def test_rows_straddling_a_chunk_are_handed_on_whole(monkeypatch):
+    # each chunk of a row sequence ends at a row boundary, after CHUNK rows
+    monkeypatch.setattr(render, "CHUNK", 3)
+    rows = render.Rows((("i", int), ("s", str)), ((i, "x" * i) for i in range(10)))
+    chunks = list(render.json_chunks({"rows": rows}))
+    assert "".join(chunks) == stdlib({"rows": [{"i": i, "s": "x" * i} for i in range(10)]})
+    assert len(chunks) == 4
+    assert all(chunk.endswith("}") for chunk in chunks[:-1])
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
 @pytest.mark.parametrize(
-    "rows",
+    "columns,rows",
     [
-        [{"a": 1}, {"a": 2}, {"a": 3, 4: "x"}],
-        [{"a": 1}, {"b": 1}, {"b": 2, None: 0}],
-        [{"a": 1}, {"a": 1.5}],
-        [{"a": [1]}, {"a": [2, {3}]}],
-        [{"a": 1}, {"a": object()}],
+        ((("a", int),), [(1,), ("x",)]),
+        ((("a", int),), [(1,), (None,)]),
+        ((("a", str),), [("x",), (1,)]),
+        ((("a", tuple),), [((1,),), ((1, 1.5),)]),
+        ((("a", tuple),), [((1,),), ([1],)]),
+        ((("a", tuple),), [((1,),), ((1, None),)]),
+        ((("a", lambda v: {"v": v}),), [(1,), (2.5,)]),
+        ((("a", int), ("b", int)), [(1, 2), (1,)]),
+        ((("a", int),), [(1,), (1, 2)]),
+        ((("a", int), (4, int)), [(1, 2)]),
     ],
-    ids=["int key", "None key", "float value", "set value", "object value"],
+    ids=["str in int", "None in int", "int in str", "float in tuple", "list in tuple",
+         "None in tuple", "float in nested", "short row", "long row", "int key"],
 )
-def test_lazy_rows_raise_type_error_on_a_late_bad_row(monkeypatch, chunk, rows):
-    # the bad key or value sits in a row after good rows, and a bad key
-    # comes in a shape seen only there
+def test_rows_raise_type_error_on_a_late_bad_row(monkeypatch, chunk, columns, rows):
+    # the bad value sits in a row after good rows
     monkeypatch.setattr(render, "CHUNK", chunk)
     with pytest.raises(TypeError):
-        "".join(render.json_chunks({"rows": iter(rows)}))
+        "".join(render.json_chunks({"rows": render.Rows(columns, iter(rows))}))
 
 
-def test_lazy_rows_are_written_before_they_are_all_read(monkeypatch):
+@pytest.mark.parametrize("columns", [(("b", int), ("a", int)), (("a", int), ("a", str))],
+                         ids=["unsorted", "repeated"])
+def test_row_columns_must_be_distinct_and_sorted(columns):
+    with pytest.raises(ValueError):
+        render.dump_json({"rows": render.Rows(columns, iter([]))})
+
+
+def test_rows_are_written_before_they_are_all_read(monkeypatch):
     monkeypatch.setattr(render, "CHUNK", 8)
     read = []
 
     def rows():
         for i in range(100):
             read.append(i)
-            yield {"i": i, "label": [i, 0]}
+            yield i, (i, 0)
 
-    chunks = render.json_chunks({"rows": rows(), "schema": "s"})
+    chunks = render.json_chunks({"rows": render.Rows((("i", int), ("label", tuple)), rows()),
+                                 "schema": "s"})
     first = next(chunks)
     assert first.startswith('{\n "rows": [')
     assert len(read) < 10
@@ -173,8 +249,11 @@ def test_lazy_rows_are_written_before_they_are_all_read(monkeypatch):
                                    "schema": "s"})
 
 
-@pytest.mark.parametrize("doc", [[iter([1])], {"a": [iter([])]}, ({"b": iter([])},)],
-                         ids=["list", "list in dict", "dict in tuple"])
-def test_iterators_outside_dict_values_raise_type_error(doc):
+EMPTY = render.Rows((("a", int),), ())
+
+
+@pytest.mark.parametrize("doc", [[EMPTY], {"a": [EMPTY]}, ({"b": EMPTY},), {"a": iter([])}],
+                         ids=["list", "list in dict", "dict in tuple", "iterator"])
+def test_rows_outside_dict_values_raise_type_error(doc):
     with pytest.raises(TypeError):
         render.dump_json(doc)
