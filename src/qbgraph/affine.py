@@ -370,8 +370,10 @@ class AffineWeyl:
         ``graph.vertices``: x = (source z, mu) and one (edge, y, gamma) per
         edge out of the source, in the order of ``graph.out``.  mu's facts
         are checked here, before any lift: J-adjusted, superantidominant to
-        the lift depth and Weyl factor z.  x is checked once per source;
-        every y keeps all of ``lift_edge``'s checks.
+        the lift depth and Weyl factor z.  x is checked once per source,
+        after its first edge's lift, where ``lift_edge`` checks it; every
+        edge keeps all of ``lift_edge``'s other checks, in its order, so a
+        broken invariant raises the error ``lift_edge`` raises.
         """
         self._require_lift_mu(mu, z, graph.J, self.lift_depth(graph))
         return self._lift_rows(graph, z, mu)
@@ -384,11 +386,12 @@ class AffineWeyl:
             if not out:
                 continue
             x = AffineElement(W.mul(v, z), mu)
-            self._require_lifted(x, J)
             lx = self.length(x)
             lifts = []
             for edge in out:
                 y, gamma = self._lift_below(x, lx, edge, zinv)
+                if not lifts:
+                    self._require_lifted(x, J)
                 self._require_lifted(y, J)
                 lifts.append((edge, y, gamma))
             yield x, lifts

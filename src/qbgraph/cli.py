@@ -157,20 +157,12 @@ def _lift(args) -> int:
         return 0
 
     table = aw.lift_table(graph, aw.z_mu(mu, J), mu)
-
-    def rows():  # made as they are written, x's text once per source
-        for x, lifts in table:
-            upper = render.affine_element_text(W, x)
-            for e, y, gamma in lifts:
-                yield (e.kind, render.affine_root_text(gamma),
-                       render.affine_element_text(W, y), upper)
-
     if args.format == "json":
-        _emit(args, render.lifts_json_chunks(mu, rows()))
+        _emit(args, render.lifts_json_chunks(W, mu, table))
     elif args.format == "dot":
-        _emit(args, render.lifts_dot_chunks(rows()))
+        _emit(args, render.lifts_dot_chunks(W, table))
     else:
-        _emit(args, render.lifts_text_chunks(rows()))
+        _emit(args, render.lifts_text_chunks(W, table))
     return 0
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -35,13 +35,15 @@ class Rows(NamedTuple):
     """A lazy row sequence: a list of dicts that all share one key tuple.
 
     ``columns`` names each key with its kind, in sorted key order:
-    - ``int``: an int, written by the row template's %d;
+    - ``int``: an int;
     - ``str``: a string, escaped as every JSON string is;
-    - ``tuple``: a flat int sequence that is hashable (a tuple or
-      ``bytes``), its text made once per (values, depth);
-    - a function from the value to the nested document it stands for, its
-      text made once per distinct value.
+    - ``tuple``: a flat int sequence, a tuple of ints or ``bytes``, its
+      text made once per (values, depth);
+    - a tuple of columns: a nested dict, its value a tuple in the order of
+      those columns.
     ``values`` yields one tuple per row, in column order, and is read once.
+    Every value must be of its column's type exactly (a bool is not an
+    int), or the rows raise ``TypeError``.
     """
 
     columns: tuple[tuple[str, object], ...]
@@ -57,9 +59,10 @@ def json_chunks(doc) -> Iterator[str]:
     depth) and renders each flat list of ints once per (values, depth).
     Documents hold dicts with str keys, lists, tuples, str, int, bool and
     None; anything else, floats included, raises ``TypeError``.  A dict
-    value may also be ``Rows``: it is written as a list, one row at a time
-    through one %-template made from the rows' plan, and the text is handed
-    on every ``CHUNK`` rows, so the rows never sit in memory together.
+    value may also be ``Rows``: it is written as a list, ``CHUNK`` rows at
+    a time through one %-template made from the rows' plan, and the text is
+    handed on after every ``CHUNK`` rows, so the rows never sit in memory
+    together.
     Rows and lists hold no ``Rows``.
     """
     out: list[str] = []
@@ -78,22 +81,19 @@ def _stream_json(o, depth: int, out: list, memo: dict) -> Iterator[str]:
     """Append the text of o to out, yielding full chunks of it as its rows
     are written; dicts are walked here, all else is plain."""
     if type(o) is Rows:
-        row_text, convert = _row_template(o.columns, depth + 1, memo)
         inner = "\n" + " " * (depth + 1)
-        first, rest = "[" + inner + row_text, "," + inner + row_text
-        template = first
-        for row in o.values:
-            if convert:
-                row = list(row)
-                for i, text in convert:
-                    row[i] = text(row[i])
-                row = tuple(row)
-            out.append(template % row)
-            template = rest
-            if len(out) >= CHUNK:
+        sep = "," + inner
+        fmt = _row_format(o.columns, depth + 1, memo)
+        values = iter(o.values)
+        first = True
+        while batch := list(islice(values, CHUNK)):
+            out.append(("[" if first else ",") + inner)
+            out.append(sep.join(_row_texts(fmt, batch, depth + 1, memo)))
+            first = False
+            if len(batch) == CHUNK:
                 yield "".join(out)
                 out.clear()
-        out.append("[]" if template is first else inner[:-1] + "]")
+        out.append("[]" if first else inner[:-1] + "]")
     elif type(o) is dict and o:
         items, close = _plan(tuple(o), depth, memo)
         for key, prefix in items:
@@ -123,31 +123,60 @@ def _plan(shape: tuple, depth: int, memo: dict) -> tuple[list[tuple[str, str]], 
     return plan
 
 
-def _row_template(columns, depth: int, memo: dict):
-    """(template, converters) of rows at the given depth: the row's text is
-    template % values once each (index, converter) has turned its column's
-    value into text; int columns are written by the template's %d."""
+def _row_format(columns, depth: int, memo: dict):
+    """(template, kinds) of rows of dicts at the given depth: the row's
+    %-template, made from its plan with a %d per int column and a %s per
+    other column, and each column's kind, a nested dict's as its own
+    (template, kinds)."""
     keys = tuple(key for key, _ in columns)
     if not keys:
         return "{}", ()
     items, close = _plan(keys, depth, memo)
     if tuple(key for key, _ in items) != keys or len(set(keys)) < len(keys):
         raise ValueError(f"row columns must be distinct and in sorted key order, not {keys}")
-    parts, convert = [], []
-    for i, ((_, prefix), (_, kind)) in enumerate(zip(items, columns)):
-        parts.append(prefix.replace("%", "%%"))
-        if kind is int:
-            parts.append("%d")
-            continue
-        parts.append("%s")
-        if kind is str:
-            convert.append((i, _SCALARS[str]))
+    kinds = []
+    for _, kind in columns:
+        if type(kind) is tuple:
+            kind = _row_format(kind, depth + 1, memo)
+        elif kind not in (int, str, tuple):
+            raise ValueError(f"a row column is of int, str, tuple or a tuple of columns, "
+                             f"not {kind!r}")
+        kinds.append(kind)
+    template = "".join(prefix.replace("%", "%%") + ("%d" if kind is int else "%s")
+                       for (_, prefix), kind in zip(items, kinds)) + close
+    return template, tuple(kinds)
+
+
+def _row_texts(fmt, rows, depth: int, memo: dict):
+    """The texts of rows of dicts at the given depth, written through fmt
+    from ``_row_format``; their values are checked and converted a column
+    at a time, and any value not of its column's type raises ``TypeError``
+    before a text is made."""
+    template, kinds = fmt
+    if {*map(type, rows)} - _TUPLE or {*map(len, rows)} - {len(kinds)}:
+        raise TypeError(f"rows must be tuples of {len(kinds)} values")
+    if not kinds:
+        return [template] * len(rows)
+    texts = []
+    for kind, values in zip(kinds, zip(*rows)):
+        if kind is int or kind is str:
+            if {*map(type, values)} - {kind}:
+                raise TypeError(f"a {kind.__name__} column holds {_type_names(values)}")
+            texts.append(values if kind is int else map(encode_basestring_ascii, values))
         elif kind is tuple:
-            convert.append((i, _int_lists(depth + 1, memo).__getitem__))
+            # the elements of each distinct object: rows often share them
+            objects = dict(zip(map(id, values), values)).values()
+            if ({*map(type, objects)} - _INT_SEQUENCES
+                    or {*map(type, chain.from_iterable(objects))} - _INT_ONLY):
+                raise TypeError(f"an int tuple column holds {_type_names(values)}")
+            texts.append(map(_int_lists(depth + 1, memo).__getitem__, values))
         else:
-            nested = functools.partial(_nested_text, kind, depth + 1, memo)
-            convert.append((i, _Memo(nested).__getitem__))
-    return "".join(parts) + close, tuple(convert)
+            texts.append(_row_texts(kind, values, depth + 1, memo))
+    return map(template.__mod__, zip(*texts))
+
+
+def _type_names(values) -> str:
+    return ", ".join(sorted({type(v).__name__ for v in values}))
 
 
 class _Memo(dict):
@@ -179,13 +208,6 @@ def _int_lists(depth: int, memo: dict) -> _Memo:
     return lists
 
 
-def _nested_text(document, depth: int, memo: dict, value) -> str:
-    """The text of document(value) at the given depth."""
-    out: list[str] = []
-    _emit_json(document(value), depth, out, memo)
-    return "".join(out)
-
-
 #: the text of each scalar type a document may hold, by exact type
 _SCALARS = {
     str: encode_basestring_ascii,
@@ -194,6 +216,8 @@ _SCALARS = {
     type(None): lambda _: "null",
 }
 _INT_ONLY = {int}
+_INT_SEQUENCES = {tuple, bytes}
+_TUPLE = {tuple}
 
 
 def _emit_json(o, depth: int, out: list, memo: dict) -> None:
@@ -492,10 +516,6 @@ def slice_text_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
             yield f"{heads[w]}{tails[n]} < {covers}\n"
 
 
-def _label_document(label: AffineRoot) -> dict:
-    return {"alpha": list(label.alpha), "delta": label.k}
-
-
 def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     """The ``qbgraph/slice/1`` document; vertex and cover rows are made as
     they are written."""
@@ -520,8 +540,10 @@ def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
             (("coset_word", tuple), ("id", int), ("n", int), ("text", str)), vertex_rows()
         ),
         "covers": Rows(
-            (("dst", int), ("kind", str), ("label", _label_document), ("src", int)),
-            ((dst, kind, label, src) for src, dst, label, kind in poset.window_covers(window)),
+            (("dst", int), ("kind", str), ("label", (("alpha", tuple), ("delta", int))),
+             ("src", int)),
+            ((dst, kind, (label.alpha, label.k), src)
+             for src, dst, label, kind in poset.window_covers(window)),
         ),
     }
     yield from json_chunks(doc)
@@ -542,43 +564,52 @@ def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
 
 # -- lift tables and verify reports ---------------------------------------------------
 
-# A lift table is an iterable of rows (kind, label, lower, upper), one per
-# lifted edge, consumed once; the values are text, in the JSON key order.
+# A lift table is what ``AffineWeyl.lift_table`` yields: (x, [(edge, y,
+# gamma), ...]) per source, read once; x's text is made once per source.
+
+
+def _lift_rows(W: WeylGroup, table) -> Iterator[tuple[str, str, str, str]]:
+    """(kind, label, lower, upper) texts per lifted edge, in JSON key order."""
+    for x, lifts in table:
+        upper = affine_element_text(W, x)
+        for edge, y, gamma in lifts:
+            yield edge.kind, affine_root_text(gamma), affine_element_text(W, y), upper
 
 
 @_lines_in_chunks
-def lifts_text_chunks(rows) -> Iterator[str]:
+def lifts_text_chunks(W: WeylGroup, table) -> Iterator[str]:
     """One 'upper > [label] lower' line per lifted edge."""
-    for _kind, label, lower, upper in rows:
+    for _kind, label, lower, upper in _lift_rows(W, table):
         yield f"{upper} > [{label}] {lower}\n"
 
 
 @_lines_in_chunks
-def lifts_dot_chunks(rows) -> Iterator[str]:
+def lifts_dot_chunks(W: WeylGroup, table) -> Iterator[str]:
     """Graphviz text: one labelled arrow per lifted edge."""
     yield "digraph lifts {\n"
-    for _kind, label, lower, upper in rows:
+    for _kind, label, lower, upper in _lift_rows(W, table):
         yield f'  "{upper}" -> "{lower}" [label="{label}"];\n'
     yield "}\n"
 
 
-def lifts_json_chunks(mu, rows) -> Iterator[str]:
+def lifts_json_chunks(W: WeylGroup, mu, table) -> Iterator[str]:
     """The ``qbgraph/lifts/1`` document: one row per lifted edge."""
-    covers = Rows((("kind", str), ("label", str), ("lower", str), ("upper", str)), rows)
+    covers = Rows((("kind", str), ("label", str), ("lower", str), ("upper", str)),
+                  _lift_rows(W, table))
     yield from json_chunks({"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": covers})
     yield "\n"
 
 
-def lifts_to_text(rows) -> str:
-    return "".join(lifts_text_chunks(rows))
+def lifts_to_text(W: WeylGroup, table) -> str:
+    return "".join(lifts_text_chunks(W, table))
 
 
-def lifts_to_dot(rows) -> str:
-    return "".join(lifts_dot_chunks(rows))
+def lifts_to_dot(W: WeylGroup, table) -> str:
+    return "".join(lifts_dot_chunks(W, table))
 
 
-def lifts_to_json(mu, rows) -> str:
-    return "".join(lifts_json_chunks(mu, rows))
+def lifts_to_json(W: WeylGroup, mu, table) -> str:
+    return "".join(lifts_json_chunks(W, mu, table))
 
 
 def report_to_text(results) -> str:

@@ -482,6 +482,24 @@ def test_lift_table_raises_as_lift_edge_does(monkeypatch, cartan_type, rank, nod
     assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
 
 
+@pytest.mark.parametrize("broken", ["gamma positive", "length drop"])
+def test_lift_table_checks_in_the_order_of_lift_edge(monkeypatch, broken):
+    # every x leaves the target set and every edge's lift is broken as well:
+    # lift_edge checks the lift before x, and so must lift_table
+    W, J, g, aw, depth = lift_table_context("B", 3, (2,))
+    mu = aw.superantidominant_mu(W.identity, J, depth)
+    z = aw.z_mu(mu, J)
+    monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: False)
+    if broken == "gamma positive":
+        monkeypatch.setattr(AffineRoot, "is_positive", lambda self: True)
+        want = (GraphInvariantError, "lift label should be a negative affine root")
+    else:
+        monkeypatch.setattr(aw, "length", lambda el: 7)
+        want = (GraphInvariantError, "lift is not a length-one cover")
+    assert raised(lambda: edge_by_edge(aw, g, z, mu)) == want
+    assert raised(lambda: list(aw.lift_table(g, z, mu))) == want
+
+
 def test_roundtrip_all_edges(a2):
     rs, W, aw = a2
     for nodes in [(), (1,), (2,)]:

@@ -68,17 +68,19 @@ def test_lift_table_exports_stream_the_string_functions(tmp_path, capsys, fmt):
     aw = AffineWeyl(W)
     mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(graph))
     z = aw.z_mu(mu, J)
-    rows = []
+    table = []
     for v in graph.vertices:
+        lifts = []
         for e in graph.out[v]:
             x, y, gamma = aw.lift_edge(graph, e, z, mu)
-            rows.append((e.kind, render.affine_root_text(gamma),
-                         render.affine_element_text(W, y), render.affine_element_text(W, x)))
-    assert rows
+            lifts.append((e, y, gamma))
+        if lifts:
+            table.append((x, lifts))
+    assert table
     want = {
-        "dot": lambda: render.lifts_to_dot(rows),
-        "json": lambda: render.lifts_to_json(mu, rows),
-        "text": lambda: render.lifts_to_text(rows),
+        "dot": lambda: render.lifts_to_dot(W, table),
+        "json": lambda: render.lifts_to_json(W, mu, table),
+        "text": lambda: render.lifts_to_text(W, table),
     }[fmt]().encode()
     argv = ["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--format", fmt]
     assert cli_outputs(argv, tmp_path, capsys) == (want, want)

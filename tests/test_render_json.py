@@ -47,7 +47,7 @@ def plain(kind, value):
         return value
     if kind is tuple:
         return list(value)
-    return kind(value)
+    return {key: plain(k, v) for (key, k), v in zip(kind, value)}
 
 
 def as_stdlib(doc):
@@ -130,16 +130,15 @@ def test_unsupported_types_raise_type_error(doc):
         render.dump_json(doc)
 
 
-def label_document(label):
-    return {"alpha": list(label[0]), "delta": label[1], "note": [label[1], None]}
+LABEL = (("alpha", tuple), ("delta", int))
+NESTED = (("%d", str), ("alpha", tuple), ("delta", int), ("note", (("k", int),)), ("é", ()))
 
-
-ALL_KINDS = (("id", int), ("label", label_document), ("text", str), ("word", tuple))
+ALL_KINDS = (("id", int), ("label", NESTED), ("text", str), ("word", tuple))
 ALL_KIND_ROWS = [
-    (0, ((1, 0), 0), "e", ()),
-    (-3, ((0, -1), 1), 'quote " back \\ slash / é 😀 \x00\x1f', b"\x01\x02"),
-    (10**30, ((1, 0), 0), "", (2, 1, 2)),
-    (7, ((1, 1), 2), "%s %d %%", b""),
+    (0, ("a", (1, 0), 0, (0,), ()), "e", ()),
+    (-3, ("%s", (0, -1), 1, (-1,), ()), 'quote " back \\ slash / é 😀 \x00\x1f', b"\x01\x02"),
+    (10**30, ("a", (1, 0), 0, (0,), ()), "", (2, 1, 2)),
+    (7, ("", (), 2, (10**30,), ()), "%s %d %%", b""),
 ]
 
 def rows_of(kinds: dict, rows: list[dict]) -> render.Rows:
@@ -165,7 +164,7 @@ ROW_DOCS = [
           "😀": ""}],
     ), "z%s": 1},
     # Rows beside plain values, at several depths, with nested labels
-    lambda: {"z": 0, "a": {"b": render.Rows((("k", tuple), ("v", label_document)),
+    lambda: {"z": 0, "a": {"b": render.Rows((("k", tuple), ("v", LABEL)),
                                             iter([((1, 2), ((3,), 4)), ((), ((), 0))]))},
              "empty": {}, "list": [1, [2]]},
     lambda: {"x": render.Rows((("n", int),), iter([(1,), (2,)])),
@@ -203,30 +202,52 @@ def test_rows_straddling_a_chunk_are_handed_on_whole(monkeypatch):
     [
         ((("a", int),), [(1,), ("x",)]),
         ((("a", int),), [(1,), (None,)]),
+        ((("a", int),), [(1,), (1.5,)]),
+        ((("a", int),), [(1,), (1.0,)]),
+        ((("a", int),), [(1,), (True,)]),
         ((("a", str),), [("x",), (1,)]),
         ((("a", tuple),), [((1,),), ((1, 1.5),)]),
+        ((("a", tuple),), [((1, 2),), ((1.0, 2),)]),
+        ((("a", tuple),), [((1, 2),), ((True, 2),)]),
         ((("a", tuple),), [((1,),), ([1],)]),
         ((("a", tuple),), [((1,),), ((1, None),)]),
-        ((("a", lambda v: {"v": v}),), [(1,), (2.5,)]),
+        ((("a", LABEL),), [(((1,), 2),), (((1,), 2.5),)]),
+        ((("a", LABEL),), [(((1,), 1),), (((1,), True),)]),
+        ((("a", LABEL),), [(((1,), 1),), (((1.0,), 1),)]),
+        ((("a", LABEL),), [(((1,), 1),), ([(1,), 1],)]),
+        ((("a", LABEL),), [(((1,), 1),), (((1,),),)]),
         ((("a", int), ("b", int)), [(1, 2), (1,)]),
         ((("a", int),), [(1,), (1, 2)]),
+        ((("a", int),), [(1,), [1]]),
         ((("a", int), (4, int)), [(1, 2)]),
     ],
-    ids=["str in int", "None in int", "int in str", "float in tuple", "list in tuple",
-         "None in tuple", "float in nested", "short row", "long row", "int key"],
+    ids=["str in int", "None in int", "float in int", "equal float in int", "bool in int",
+         "int in str", "float in tuple", "equal float in tuple", "bool in tuple",
+         "list in tuple", "None in tuple", "float in nested", "bool in nested",
+         "equal float in nested tuple", "list as nested", "short nested", "short row",
+         "long row", "list row", "int key"],
 )
 def test_rows_raise_type_error_on_a_late_bad_row(monkeypatch, chunk, columns, rows):
-    # the bad value sits in a row after good rows
+    # the bad value sits in a row after good rows, whose texts are already
+    # made: a value equal to one of theirs (1.0 or True for 1) still raises
     monkeypatch.setattr(render, "CHUNK", chunk)
     with pytest.raises(TypeError):
         "".join(render.json_chunks({"rows": render.Rows(columns, iter(rows))}))
 
 
-@pytest.mark.parametrize("columns", [(("b", int), ("a", int)), (("a", int), ("a", str))],
-                         ids=["unsorted", "repeated"])
+@pytest.mark.parametrize("columns", [(("b", int), ("a", int)), (("a", int), ("a", str)),
+                                     (("a", (("c", int), ("b", int))),)],
+                         ids=["unsorted", "repeated", "unsorted nested"])
 def test_row_columns_must_be_distinct_and_sorted(columns):
     with pytest.raises(ValueError):
         render.dump_json({"rows": render.Rows(columns, iter([]))})
+
+
+@pytest.mark.parametrize("kind", [float, bool, list, dict, lambda v: {"v": v}, (("a", float),)],
+                         ids=["float", "bool", "list", "dict", "function", "nested float"])
+def test_row_column_kinds_are_int_str_tuple_or_columns(kind):
+    with pytest.raises(ValueError):
+        render.dump_json({"rows": render.Rows((("a", kind),), iter([]))})
 
 
 def test_rows_are_written_before_they_are_all_read(monkeypatch):
