@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,7 +127,11 @@ class QbgGraph:
         for e in self.edges:
             out[e.source].append(e)
         self.out = {v: tuple(sorted(es, key=lambda e: (e.label, e.kind))) for v, es in out.items()}
-        self._dist: dict[int, dict[int, int]] | None = None
+        # per vertex position the positions of its out-edge targets, in
+        # ``out`` order, and per source id its BFS row by vertex position;
+        # both filled on first use
+        self._succ: list[tuple[int, ...]] | None = None
+        self._dist: dict[int, array] = {}
         self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per (j, x)
         # the step out of x, per (j, edge) the edge pushed across s_j, and
@@ -208,51 +212,76 @@ class QbgGraph:
 
     # -- distances -----------------------------------------------------------
 
-    def distances_from(self, u: int) -> dict[int, int]:
-        if self._dist is None:
-            self._dist = {}
-        cached = self._dist.get(u)
-        if cached is not None:
-            return cached
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            cur = queue.popleft()
-            for e in self.out[cur]:
-                if e.target not in dist:
-                    dist[e.target] = dist[cur] + 1
-                    queue.append(e.target)
-        if len(dist) != len(self.vertices):
+    def _position(self, v: int) -> int:
+        pos = self.vertex_pos.get(v)
+        if pos is None:
+            raise ValueError(f"{v} is not a vertex of this graph")
+        return pos
+
+    def _successors(self) -> list[tuple[int, ...]]:
+        succ = self._succ
+        if succ is None:
+            pos = self.vertex_pos
+            succ = self._succ = [tuple(pos[e.target] for e in self.out[v])
+                                 for v in self.vertices]
+        return succ
+
+    def distances_from(self, u: int) -> array:
+        """The BFS distance from u to every vertex, indexed by vertex position
+        (``vertex_pos``); kept per source."""
+        row = self._dist.get(u)
+        if row is not None:
+            return row
+        start = self._position(u)
+        succ = self._successors()
+        dist = [-1] * len(succ)
+        dist[start] = 0
+        frontier = [start]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for p in frontier:
+                for q in succ[p]:
+                    if dist[q] < 0:
+                        dist[q] = d
+                        nxt.append(q)
+            frontier = nxt
+        if -1 in dist:
             raise GraphInvariantError("graph is not strongly connected")
-        self._dist[u] = dist
-        return dist
+        row = self._dist[u] = array("H", dist)
+        return row
 
     def distance(self, u: int, v: int) -> int:
-        return self.distances_from(u)[v]
+        return self.distances_from(u)[self._position(v)]
 
     def shortest_path(self, u: int, v: int) -> QbgPath:
-        """A BFS witness path, deterministic via sorted adjacency."""
-        parent: dict[int, QbgEdge] = {}
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            cur = queue.popleft()
-            if cur == v:
+        """A BFS witness path, deterministic via sorted adjacency: each vertex
+        is reached by the first edge, in ``out`` order, of the first vertex
+        in BFS order that has an edge to it."""
+        start, goal = self._position(u), self._position(v)
+        succ = self._successors()
+        parent = [-1] * len(succ)
+        parent[start] = start
+        queue = [start]
+        for p in queue:  # the list grows as it is read: a FIFO queue
+            if parent[goal] >= 0:
                 break
-            for e in self.out[cur]:
-                if e.target not in dist:
-                    dist[e.target] = dist[cur] + 1
-                    parent[e.target] = e
-                    queue.append(e.target)
-        if v not in dist:
+            for q in succ[p]:
+                if parent[q] < 0:
+                    parent[q] = p
+                    queue.append(q)
+        if parent[goal] < 0:
             raise GraphInvariantError("graph is not strongly connected")
         edges = []
-        cur = v
-        while cur != u:
-            e = parent[cur]
-            edges.append(e)
-            cur = e.source
-        return QbgPath(u, tuple(reversed(edges)))
+        out, vertices = self.out, self.vertices
+        q = goal
+        while q != start:
+            p = parent[q]
+            edges.append(out[vertices[p]][succ[p].index(q)])
+            q = p
+        edges.reverse()
+        return QbgPath(u, tuple(edges))
 
     def diameter(self) -> int:
         """The exact diameter, by bit-parallel reachability.

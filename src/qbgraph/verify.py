@@ -883,6 +883,7 @@ def path_weights(rs, W, _aw, J_nodes):
     J = rs.parabolic(J_nodes)
     g = build_qbg(W, J)
     cap = g.diameter() + 3
+    pos = g.vertex_pos
     walks = 0
     for u in g.vertices:
         dist_u = g.distances_from(u)
@@ -899,7 +900,7 @@ def path_weights(rs, W, _aw, J_nodes):
                 diff = sub_vec(cls, base_cls[cur])
                 if any(c < 0 for c in diff):
                     raise AssertionError(f"negative weight class at {cur}")
-                if depth == dist_u[cur] and any(diff):
+                if depth == dist_u[pos[cur]] and any(diff):
                     raise AssertionError("shortest paths not congruent")
                 walks += 1
             if depth < cap:

@@ -1,4 +1,5 @@
 import sys
+from collections import deque
 
 import pytest
 
@@ -119,9 +120,97 @@ def test_distances(a2, a2_graph):
     assert len(p) == 2 and p.start == W.from_word([1, 2]).index
 
 
+def test_a_vertex_outside_the_graph_raises_value_error(a2):
+    rs, W = a2
+    g = build_qbg(W, rs.parabolic((1,)))
+    bad = W.simple_reflection(1).index  # r1 is not in W^J for J = {1}
+    assert bad not in g.vertex_pos
+    with pytest.raises(ValueError, match=f"^{bad} is not a vertex"):
+        g.shortest_path(g.vertices[0], bad)
+    with pytest.raises(ValueError, match=f"^{bad} is not a vertex"):
+        g.shortest_path(bad, g.vertices[0])
+    with pytest.raises(ValueError, match=f"^{bad} is not a vertex"):
+        g.distance(g.vertices[0], bad)
+    with pytest.raises(ValueError, match=f"^{bad} is not a vertex"):
+        g.distance(bad, g.vertices[0])
+    with pytest.raises(ValueError, match=f"^{bad} is not a vertex"):
+        g.distances_from(bad)
+    assert bad not in g._dist
+
+
+def reference_bfs(g, u):
+    """Distances from u and the BFS tree's entering edge of each vertex: a
+    FIFO queue over ``g.out``, each vertex entered by the first edge that
+    reaches it.  Shares no code with the engine's BFS."""
+    dist = {u: 0}
+    entering = {}
+    queue = deque([u])
+    while queue:
+        cur = queue.popleft()
+        for e in g.out[cur]:
+            if e.target not in dist:
+                dist[e.target] = dist[cur] + 1
+                entering[e.target] = e
+                queue.append(e.target)
+    return dist, entering
+
+
+def reference_path(entering, u, v):
+    edges = []
+    while v != u:
+        edges.append(entering[v])
+        v = edges[-1].source
+    return tuple(reversed(edges))
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_distances_and_paths_match_a_reference_bfs(groups, cartan_type, rank):
+    rs, W = groups(cartan_type, rank)
+    for J in all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        for u in g.vertices:
+            dist, entering = reference_bfs(g, u)
+            assert list(g.distances_from(u)) == [dist[v] for v in g.vertices], (J, u)
+            for v in g.vertices:
+                assert g.distance(u, v) == dist[v]
+                p = g.shortest_path(u, v)
+                assert p.start == u and p.end == v
+                assert p.edges == reference_path(entering, u, v), (J, u, v)
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", [("A", 2, ()), ("A", 2, (1,)),
+                                                 ("A", 3, (1, 3)), ("G", 2, (1,))])
+def test_distances_and_paths_reject_graphs_that_are_not_strongly_connected(
+        groups, cartan_type, rank, J):
+    # drop each edge in turn: the engine agrees with the reference BFS where
+    # it reaches, and raises where it does not
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(J))
+    raised = 0
+    for k in range(len(g.edges)):
+        h = QbgGraph(W, g.J, g.vertices, g.edges[:k] + g.edges[k + 1:])
+        for u in h.vertices:
+            dist, entering = reference_bfs(h, u)
+            if len(dist) == len(h.vertices):
+                assert list(h.distances_from(u)) == [dist[v] for v in h.vertices]
+            else:
+                with pytest.raises(GraphInvariantError, match="not strongly connected"):
+                    h.distances_from(u)
+                assert u not in h._dist
+                raised += 1
+            for v in h.vertices:
+                if v in dist:
+                    assert h.shortest_path(u, v).edges == reference_path(entering, u, v)
+                else:
+                    with pytest.raises(GraphInvariantError, match="not strongly connected"):
+                        h.shortest_path(u, v)
+    # QB(A2) stays strongly connected without any one edge; the others do not
+    assert (raised == 0) == (J == ())
+
+
 def bfs_diameter(g):
     """Reference diameter: the largest BFS eccentricity over all vertices."""
-    return max(max(g.distances_from(u).values()) for u in g.vertices)
+    return max(max(g.distances_from(u)) for u in g.vertices)
 
 
 @pytest.mark.parametrize(

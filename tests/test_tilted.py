@@ -3,6 +3,7 @@ import pytest
 from qbgraph.qbg import GraphInvariantError, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import (
+    TieError,
     TiltedOrder,
     compare_path_weights,
     expected_weight_shift,
@@ -75,6 +76,48 @@ def test_coset_min_examples(a2, graph):
     for u in graph.vertices:
         for z in W.elements():
             assert T.coset_min(u, z, J0) == z
+
+
+def _sabotaged_cosets():
+    """Per (u, coset) of A3 J = {1, 2} with its minimizer x0 and another member
+    x: the order over a fresh graph, u's cached row, and both positions."""
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    J = rs.parabolic((1, 2))
+    T = TiltedOrder(build_qbg(W, rs.parabolic(())))
+    pos = T.graph.vertex_pos
+    for u in T.graph.vertices:
+        for z in W.min_coset_ids(J):
+            x0 = T.coset_min(u, W.element(z), J).index
+            row = T.graph.distances_from(u)
+            for x in W.coset_ids(z, J):
+                if x != x0:
+                    yield T, u, W.element(z), J, row, pos[x0], pos[x]
+
+
+def test_coset_min_raises_tie_error_on_two_minimizers():
+    tried = 0
+    for T, u, z, J, row, p0, p in _sabotaged_cosets():
+        kept = row[p]
+        row[p] = row[p0]
+        with pytest.raises(TieError, match="has 2 minimizers"):
+            T.coset_min(u, z, J)
+        row[p] = kept
+        tried += 1
+    assert tried == 24 * 4 * 5
+
+
+def test_coset_min_raises_when_the_minimizer_is_not_below_a_member():
+    tried = 0
+    for T, u, z, J, row, p0, p in _sabotaged_cosets():
+        if row[p0] == 0:
+            continue  # x0 = u is below everything whatever u's row says
+        row[p] += 1  # still farther than x0, but off every path through x0
+        with pytest.raises(GraphInvariantError, match="not below a coset member"):
+            T.coset_min(u, z, J)
+        row[p] -= 1
+        tried += 1
+    assert tried == 24 * 3 * 5
 
 
 def test_quantum_length_values(a2, graph):
