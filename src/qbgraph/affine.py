@@ -51,6 +51,9 @@ class AffineWeyl:
         self.rs = W.rs
         self._sigma_cache: dict[tuple[int, ...], dict[int, Coroot]] = {}
         self._component_cache: dict[tuple[int, ...], tuple] = {}
+        # the facts of each mu that ``in_omega`` reads, per (mu, J, depth),
+        # while a lift table is written; None otherwise
+        self._lift_memo: dict[tuple, tuple] | None = None
 
     # -- group structure ---------------------------------------------------
 
@@ -96,19 +99,29 @@ class AffineWeyl:
     def length_by_inversions(self, x: AffineElement) -> int:
         """Independent oracle: count positive affine roots sent negative.
 
-        The delta coefficient is scanned over a window wide enough to cover
-        every possible inversion of x; the image of alpha + k delta is
-        w(alpha) + (k - <mu, alpha>) delta, so each root's classical image
-        is computed once and the scan compares delta parts.  The pairings
-        come from the Cartan matrix and the images from w's matrix, not from
-        the tables behind ``length``.
+        The delta coefficient is scanned, per root alpha, over a window
+        wide enough to cover every inversion among alpha's translates: the
+        image of alpha + k delta is w(alpha) + (k - <mu, alpha>) delta, so a
+        translate of +-alpha is sent negative only for k <= |<mu, alpha>|.
+        Each root's classical image is computed once and the scan compares
+        delta parts.  The pairings come from the Cartan matrix and the
+        images from w's matrix, not from the tables behind ``length``: C mu
+        and the matrix's columns are formed once, and <mu, alpha> is
+        (C mu) . alpha and w(alpha)_i is (column i) . alpha.
         """
-        rs = self.rs
-        pairs = [_pairing_by_definition(rs.cartan, x.mu, a) for a in rs.positive_roots]
-        bound = 1 + max((abs(p) for p in pairs), default=0)
+        rs, mu = self.rs, x.mu
+        cartan = rs.cartan
+        if len(mu) != len(cartan):
+            raise ValueError("rank mismatch")
+        # entry j of C mu is sum_i mu_i a_ij = <mu, alpha_j>
+        c_mu = [sum(map(mul, mu, col)) for col in zip(*cartan)]
+        # row j of the matrix is w(alpha_j), so column i holds coordinate i
+        cols = tuple(zip(*self.W.matrix(x.w)))
         count = 0
-        for alpha, p in zip(rs.positive_roots, pairs):
-            wpos = is_positive_vec(self.W.act(x.w, alpha))
+        for alpha in rs.positive_roots:
+            p = sum(map(mul, c_mu, alpha))
+            bound = 1 + abs(p)
+            wpos = is_positive_vec([sum(map(mul, alpha, col)) for col in cols])
             for k in range(0, bound + 1):  # alpha + k delta
                 if k - p < 0 or (k - p == 0 and not wpos):
                     count += 1
@@ -324,11 +337,26 @@ class AffineWeyl:
         """Membership in the lift target: floor part in W^J, mu adjusted with
         matching Weyl factor, and mu at least `depth` antidominant off Phi_J."""
         rest = self.W.parabolic_decompose(x.w, J)[1]
-        return (
-            self.is_adjusted(x.mu, J)
-            and self.z_mu(x.mu, J) == rest
-            and self.is_superantidominant(x.mu, J, depth)
-        )
+        adjusted, z, deep = self._mu_facts(x.mu, J, depth)
+        return adjusted and z == rest and deep
+
+    def _mu_facts(self, mu: Coroot, J: ParabolicIndex, depth: int):
+        """(J-adjusted, z_mu or None when not adjusted, superantidominant to
+        depth) of mu.  While a lift table is written they are kept in its
+        memo, so each mu a lifted y carries is decomposed once per table."""
+        memo = self._lift_memo
+        key = (mu, J.nodes, depth)
+        got = None if memo is None else memo.get(key)
+        if got is None:
+            adjusted = self.is_adjusted(mu, J)
+            got = (
+                adjusted,
+                self.z_mu(mu, J) if adjusted else None,
+                adjusted and self.is_superantidominant(mu, J, depth),
+            )
+            if memo is not None:
+                memo[key] = got
+        return got
 
     # -- lifting edges and projecting covers ------------------------------------
 
@@ -373,7 +401,9 @@ class AffineWeyl:
         the lift depth and Weyl factor z.  x is checked once per source,
         after its first edge's lift, where ``lift_edge`` checks it; every
         edge keeps all of ``lift_edge``'s other checks, in its order, so a
-        broken invariant raises the error ``lift_edge`` raises.
+        broken invariant raises the error ``lift_edge`` raises.  y's mu is
+        mu on a Bruhat edge and mu shifted by a coroot on a quantum one, so
+        the table keeps the facts ``in_omega`` reads of each such mu in a memo.
         """
         self._require_lift_mu(mu, z, graph.J, self.lift_depth(graph))
         return self._lift_rows(graph, z, mu)
@@ -381,20 +411,24 @@ class AffineWeyl:
     def _lift_rows(self, graph: QbgGraph, z: int, mu: Coroot):
         J, W = graph.J, self.W
         zinv = W._inverse[z]
-        for v in graph.vertices:
-            out = graph.out[v]
-            if not out:
-                continue
-            x = AffineElement(W.mul(v, z), mu)
-            lx = self.length(x)
-            lifts = []
-            for edge in out:
-                y, gamma = self._lift_below(x, lx, edge, zinv)
-                if not lifts:
-                    self._require_lifted(x, J)
-                self._require_lifted(y, J)
-                lifts.append((edge, y, gamma))
-            yield x, lifts
+        outer, self._lift_memo = self._lift_memo, {}
+        try:
+            for v in graph.vertices:
+                out = graph.out[v]
+                if not out:
+                    continue
+                x = AffineElement(W.mul(v, z), mu)
+                lx = self.length(x)
+                lifts = []
+                for edge in out:
+                    y, gamma = self._lift_below(x, lx, edge, zinv)
+                    if not lifts:
+                        self._require_lifted(x, J)
+                    self._require_lifted(y, J)
+                    lifts.append((edge, y, gamma))
+                yield x, lifts
+        finally:
+            self._lift_memo = outer
 
     def _require_lift_mu(self, mu: Coroot, z: int, J: ParabolicIndex, depth: int) -> None:
         """Raise ValueError unless mu is J-adjusted, superantidominant to
@@ -485,22 +519,29 @@ class AffineWeyl:
         outside Phi_J (the covers the projection applies to).  With
         r_{beta + n delta} = r_beta t_{n beta^vee}, y is w r_beta t_nu for
         nu = r_beta(mu) + n beta^vee, so w r_beta and r_beta(mu) are found
-        once per beta.
+        once per beta.  So are two rows over alpha in Phi+: a_alpha, the
+        inversion flag of w r_beta plus <r_beta(mu), alpha>, and b_alpha =
+        <beta^vee, alpha>.  l(y) is then sum_alpha |a_alpha + n b_alpha|
+        (``length``'s sum), and y is built and checked only for the n where
+        that is l(x) - 1.
         """
         rs = self.rs
         lx = self.length(x)
-        window = 2 + max(
-            (abs(rs.pairing(x.mu, a)) for a in rs.positive_roots), default=0
-        )
+        mu, rows = x.mu, rs.positive_rows
+        pairs = [sum(map(mul, mu, row)) for row in rows]
+        window = 2 + max(map(abs, pairs), default=0)
         out = []
-        for beta in rs.positive_roots:
+        for beta, p in zip(rs.positive_roots, pairs):
             wr = self.W.right_reflect(x.w, beta)
             cor = rs.coroot(beta)
-            base = sub_vec(x.mu, scale_vec(rs.pairing(x.mu, beta), cor))
+            base = sub_vec(mu, scale_vec(p, cor))
+            b = [sum(map(mul, cor, row)) for row in rows]
+            # <r_beta(mu), alpha> = <mu, alpha> - <mu, beta> b_alpha
+            a = [chi + pa - p * q for chi, pa, q in zip(self.W.inversion_flags(wr), pairs, b)]
             for n in range(-window, window + 1):
-                y = AffineElement(wr, add_vec(base, scale_vec(n, cor)))
-                if self.length(y) != lx - 1:
+                if sum([abs(s + n * q) for s, q in zip(a, b)]) != lx - 1:
                     continue
+                y = AffineElement(wr, add_vec(base, scale_vec(n, cor)))
                 if not self.in_wj_af(y, J) or not self.in_waf_minus(y):
                     continue
                 if not self.in_omega(y, J, depth):
@@ -541,15 +582,6 @@ def affine_simple_root(rs, i: int) -> AffineRoot:
     """The affine simple root alpha_i for i in 0..rank: tilde alpha_i, plus
     delta for i = 0 (alpha_0 = delta - theta)."""
     return AffineRoot(rs.tilde_root(i), int(i == 0))
-
-
-def _pairing_by_definition(cartan, c: Coroot, v: Root) -> int:
-    """<c, v> = sum_ij c_i a_ij v_j, straight from the Cartan matrix."""
-    if len(c) != len(cartan) or len(v) != len(cartan):
-        raise ValueError("rank mismatch")
-    return sum(
-        ci * aij * vj for ci, row in zip(c, cartan) for aij, vj in zip(row, v)
-    )
 
 
 def cover_label(gamma: AffineRoot) -> AffineRoot:

@@ -35,7 +35,9 @@ nu of mu is a cover exactly when nu's bit is absent from the OR of
 ``reach[rho]`` over the rho above mu; that OR equals the OR over the raising
 steps of mu alone.  ``dist`` finds longest chains over the raising steps
 that stay at or above nu's level, testing "reaches nu" with one bit
-operation, and keeps one table of chain lengths per (window, nu).
+operation, and keeps one table of chain lengths per (window, nu).  It
+reads each element's raising steps from one list per (window, element),
+walked on first use; a step list shifted by nu's level serves every nu.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class LevelZeroPoset:
         self._hasse_cache: dict[int, dict[LevelZeroWeight, list[PosetCover]]] = {}
         # longest chain from each id up to nu, per (window, id of nu)
         self._dist_cache: dict[tuple[int, int], dict[int, int]] = {}
+        # the distinct raising-step targets of each id, per (window, id)
+        self._step_lists: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- pairings ------------------------------------------------------------
 
@@ -408,12 +412,18 @@ class LevelZeroPoset:
                 continue
             ups = uppers.get(i)
             if ups is None:
-                c, lev = divmod(i, levels)
-                # ids shift with the level, so the steps from level lev - floor,
-                # shifted by floor, are the steps that stay at or above nu's level
+                # ids shift with the level, so the steps of the id floor levels
+                # below i, shifted by floor, are the steps that stay at or
+                # above nu's level; each id's steps are walked once per window
+                below = i - floor
+                steps = self._step_lists.get((window, below))
+                if steps is None:
+                    c, lev = divmod(below, levels)
+                    steps = self._step_lists[(window, below)] = tuple(
+                        {j for j, _root, _k in self._step_ids(verts[c], lev, levels)}
+                    )
                 ups = uppers[i] = {
-                    u for j, _root, _k in self._step_ids(verts[c], lev - floor, levels)
-                    if (u := j + floor) == top or reach[u] >> top & 1
+                    u for j in steps if (u := j + floor) == top or reach[u] >> top & 1
                 }
                 todo = [u for u in ups if u not in best]
                 if todo:  # come back to i once everything above it is done

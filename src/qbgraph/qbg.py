@@ -57,12 +57,28 @@ class QbgEdge:
         )
 
 
-@dataclass(frozen=True)
 class QbgPath:
-    """A directed path: a start vertex id plus consecutive edges."""
+    """A directed path: a start vertex id plus consecutive edges.
 
-    start: int
-    edges: tuple[QbgEdge, ...]
+    A slotted record like ``QbgEdge``, equal and hashed field by field.
+    """
+
+    __slots__ = ("start", "edges")
+
+    def __init__(self, start: int, edges: tuple[QbgEdge, ...]):
+        self.start = start
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QbgPath:
+            return NotImplemented
+        return self.start == other.start and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.edges))
+
+    def __repr__(self) -> str:
+        return f"QbgPath(start={self.start!r}, edges={self.edges!r})"
 
     @property
     def end(self) -> int:
@@ -139,8 +155,10 @@ class QbgGraph:
         self._steps: dict[tuple[int, int], tuple[int, QbgEdge | None]] = {}
         self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
         self._step_graph: QbgGraph | None = None
-        # per j the surgery sign of every vertex, filled by ``tilted``
+        # per j the surgery sign of every vertex, and per vertex x the image
+        # x^{-1}(tilde alpha_0^vee), filled by ``tilted``
         self._surgery_signs: dict[int, dict[int, int]] = {}
+        self._theta_coroot_images: dict[int, Coroot] | None = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -494,15 +512,15 @@ def lambda_ordering(W: WeylGroup, lam: tuple[int, ...], J: ParabolicIndex,
     return ordering
 
 
-def increasing_path(graph: QbgGraph, u: int, v: int, ordering: ReflectionOrdering) -> QbgPath:
-    """The unique path u -> v whose labels strictly increase.
+def _increasing_walk(graph: QbgGraph, u: int,
+                     ordering: ReflectionOrdering) -> dict[int, list[tuple[QbgEdge, ...]]]:
+    """Every path out of u whose labels strictly increase, by its end.
 
-    Exhaustive search with monotone pruning; raises if the count is not
-    exactly one, which would mean the ordering is not a reflection ordering
-    or the graph is corrupt.
+    Exhaustive search with monotone pruning: one walk from u finds the
+    increasing paths to every end at once.
     """
     pos = ordering._pos
-    hits: list[tuple[QbgEdge, ...]] = [()] if u == v else []
+    hits: dict[int, list[tuple[QbgEdge, ...]]] = {u: [()]}
     edges: list[QbgEdge] = []
     # one (edge iterator, position of the label that entered it) per step
     frames = [(iter(graph.out[u]), -1)]
@@ -517,17 +535,38 @@ def increasing_path(graph: QbgGraph, u: int, v: int, ordering: ReflectionOrderin
         p = pos[e.label]
         if p > floor_pos:
             edges.append(e)
-            if e.target == v:
-                hits.append(tuple(edges))
+            hits.setdefault(e.target, []).append(tuple(edges))
             frames.append((iter(graph.out[e.target]), p))
-    if len(hits) != 1:
+    return hits
+
+
+def _unique_increasing(graph: QbgGraph, u: int, v: int, found) -> QbgPath:
+    """The one increasing path u -> v among those found; raises if the count
+    is not exactly one, which would mean the ordering is not a reflection
+    ordering or the graph is corrupt, or if it is not a shortest path."""
+    if len(found) != 1:
         raise GraphInvariantError(
-            f"expected exactly one increasing path, found {len(hits)}"
+            f"expected exactly one increasing path, found {len(found)}"
         )
-    path = QbgPath(u, hits[0])
+    path = QbgPath(u, found[0])
     if len(path) != graph.distance(u, v):
         raise GraphInvariantError("increasing path is not a shortest path")
     return path
+
+
+def increasing_paths(graph: QbgGraph, u: int, ordering: ReflectionOrdering) -> dict[int, QbgPath]:
+    """The unique path u -> v whose labels strictly increase, for every
+    vertex v in the order of ``graph.vertices``, from one search out of u.
+    Raises unless every vertex is the end of exactly one increasing path
+    and that path is a shortest path."""
+    hits = _increasing_walk(graph, u, ordering)
+    return {v: _unique_increasing(graph, u, v, hits.get(v, ())) for v in graph.vertices}
+
+
+def increasing_path(graph: QbgGraph, u: int, v: int, ordering: ReflectionOrdering) -> QbgPath:
+    """The unique path u -> v whose labels strictly increase: the search of
+    ``increasing_paths``, checked at v alone."""
+    return _unique_increasing(graph, u, v, _increasing_walk(graph, u, ordering).get(v, ()))
 
 
 def lexicographically_minimal_shortest(graph: QbgGraph, u: int, v: int,

@@ -37,21 +37,26 @@ class TiltedOrder:
         """The unique distance-minimizer of the coset z W_J seen from u.
 
         Also checks that the minimizer sits below every coset member in the
-        tilted order; a tie raises, since uniqueness is guaranteed.
+        tilted order; a tie raises, since uniqueness is guaranteed.  Reads
+        two BFS rows, u's and the minimizer's.
         """
+        graph = self.graph
+        row = graph.distances_from(u)
         coset = self.W.coset_ids(z.index, J)
-        dists = [(self.graph.distance(u, x), x) for x in coset]
-        best = min(d for d, _ in dists)
-        winners = [x for d, x in dists if d == best]
+        at = [graph._position(x) for x in coset]
+        dists = [row[p] for p in at]
+        best = min(dists)
+        winners = [x for d, x in zip(dists, coset) if d == best]
         if len(winners) != 1:
             raise TieError(
                 f"coset {self.W.describe(z)} W_J has {len(winners)} minimizers from "
                 f"{self.W.describe(self.W.element(u))}"
             )
         x0 = winners[0]
-        for _, x in dists:
-            if not self.leq(u, x0, x):
-                raise GraphInvariantError("coset minimum is not below a coset member")
+        below = graph.distances_from(x0)
+        # leq(u, x0, x): d(u, x) = d(u, x0) + d(x0, x)
+        if any(d != best + below[p] for d, p in zip(dists, at)):
+            raise GraphInvariantError("coset minimum is not below a coset member")
         return self.W.element(x0)
 
 
@@ -157,11 +162,13 @@ def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
     return got
 
 
-def _vertices(graph: QbgGraph, path: QbgPath) -> list[int]:
-    out = [path.start]
-    for e in path.edges:
-        out.append(e.target)
-    return out
+#: the sign hypothesis of each surgery case, named when it fails
+_CASE_NEEDS = {
+    1: "case 1 needs a nonnegative vertex and negative end",
+    2: "case 2 needs negative signs at both endpoints",
+    3: "case 3 needs a positive start and a nonpositive vertex",
+    4: "case 4 needs positive signs at both endpoints",
+}
 
 
 def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
@@ -171,12 +178,21 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
     at the endpoints: 1 and 3 shorten the path by one (ending at
     floor(s_j end), resp. starting at floor(s_j start)); 2 and 4 keep the
     length and move both endpoints.  Raises ValueError when the sign
-    hypotheses of the requested case fail.
+    hypotheses of the requested case fail; the endpoint signs are read
+    first, and decide most such requests before any vertex list is built.
     """
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
-    verts = _vertices(graph, path)
     table = surgery_signs(graph, j)
+    first, last = table[path.start], table[path.end]
+    if (
+        (case == 1 and last >= 0)
+        or (case == 2 and not (first < 0 and last < 0))
+        or (case == 3 and first <= 0)
+        or (case == 4 and not (first > 0 and last > 0))
+    ):
+        raise ValueError(_CASE_NEEDS[case])
+    verts = [path.start] + [e.target for e in path.edges]
     signs = [table[x] for x in verts]
 
     def floor(x: int) -> int:
@@ -186,16 +202,14 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         return tuple(graph.push_edge(j, e) for e in edges)
 
     if case == 1:
-        if not (signs[-1] < 0 and any(s >= 0 for s in signs)):
-            raise ValueError("case 1 needs a nonnegative vertex and negative end")
+        if not any(s >= 0 for s in signs):
+            raise ValueError(_CASE_NEEDS[1])
         k = max(i for i, s in enumerate(signs) if s >= 0)
         if floor(verts[k + 1]) != verts[k]:
             raise GraphInvariantError("transition vertex does not fold back")
         return QbgPath(path.start, path.edges[:k] + push(path.edges[k + 1 :]))
 
     if case == 2:
-        if not (signs[0] < 0 and signs[-1] < 0):
-            raise ValueError("case 2 needs negative signs at both endpoints")
         start = floor(path.start)
         if all(s < 0 for s in signs):
             return QbgPath(start, push(path.edges))
@@ -206,15 +220,13 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         return QbgPath(start, (down,) + shorter.edges)
 
     if case == 3:
-        if not (signs[0] > 0 and any(s <= 0 for s in signs)):
-            raise ValueError("case 3 needs a positive start and a nonpositive vertex")
+        if not any(s <= 0 for s in signs):
+            raise ValueError(_CASE_NEEDS[3])
         k = min(i for i, s in enumerate(signs) if s <= 0)
         if floor(verts[k - 1]) != verts[k]:
             raise GraphInvariantError("transition vertex does not fold forward")
         return QbgPath(floor(path.start), push(path.edges[: k - 1]) + path.edges[k:])
 
-    if not (signs[0] > 0 and signs[-1] > 0):
-        raise ValueError("case 4 needs positive signs at both endpoints")
     if all(s > 0 for s in signs):
         return QbgPath(floor(path.start), push(path.edges))
     shorter = transform_path(graph, path, j, 3)
@@ -224,19 +236,29 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
     return QbgPath(shorter.start, shorter.edges + (up,))
 
 
+def theta_coroot_images(graph: QbgGraph) -> dict[int, Coroot]:
+    """x^{-1}(tilde alpha_0^vee) for every vertex id x; built once per
+    graph and kept on it, as ``surgery_signs`` is."""
+    got = graph._theta_coroot_images
+    if got is None:
+        W, inv = graph.W, graph.W._inverse
+        cor = tilde_coroot(graph.rs, 0)
+        got = graph._theta_coroot_images = {
+            x: W.act_coroot(inv[x], cor) for x in graph.vertices
+        }
+    return got
+
+
 def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> Coroot:
     """The weight correction the surgery should apply, modulo Q_J^vee."""
-    rs = graph.rs
-    zero = (0,) * rs.rank
+    shift = graph.rs.zero
     if j != 0:
-        return zero
-    W, inv = graph.W, graph.W._inverse
-    cor = tilde_coroot(rs, 0)
-    shift = zero
+        return shift
+    images = theta_coroot_images(graph)
     if case in (1, 2, 4):
-        shift = add_vec(shift, W.act_coroot(inv[path.end], cor))
+        shift = add_vec(shift, images[path.end])
     if case in (2, 3, 4):
-        shift = sub_vec(shift, W.act_coroot(inv[path.start], cor))
+        shift = sub_vec(shift, images[path.start])
     return shift
 
 

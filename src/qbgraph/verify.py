@@ -34,7 +34,7 @@ from .qbg import (
     build_qbg,
     build_subsystem_qbg,
     dual_involution,
-    increasing_path,
+    increasing_paths,
     induced_coset_subgraph,
     lambda_ordering,
     reflection_ordering_from_word,
@@ -733,10 +733,11 @@ def level_zero(rs, W, aw, lam):
     # contraction: a sign split across a comparable pair raises the bottom
     littel = 0
     elems = [mu for mu in P.slice_elements(window) if P.certified(mu, window)]
+    nodes = range(0, rs.rank + 1)
     for mu in elems:
+        pms = [P.affine_simple_pairing(i, mu) for i in nodes]
         for nu in _descendants(P, hasse, mu):
-            for i in range(0, rs.rank + 1):
-                pm = P.affine_simple_pairing(i, mu)
+            for i, pm in zip(nodes, pms):
                 pn = P.affine_simple_pairing(i, nu)
                 if pm >= 0 > pn:
                     down = P.reflect(nu, affine_simple_root(rs, i))
@@ -830,9 +831,9 @@ def reflection_orderings(rs, W, _aw):
     word = W.longest_element().word
     order0 = reflection_ordering_from_word(W, word)
     for u in g.vertices:
-        for v in g.vertices:
-            p = increasing_path(g, u, v, order0)
-            if len(p) != g.distance(u, v):
+        row = g.distances_from(u)
+        for v, p in increasing_paths(g, u, order0).items():
+            if len(p) != row[g.vertex_pos[v]]:
                 raise AssertionError("increasing path is not shortest")
     checked = 0
     for J_nodes in all_parabolics(rs.rank, proper=True):
@@ -849,9 +850,10 @@ def reflection_orderings(rs, W, _aw):
         ]
         for ordering in orderings:
             for u in g.vertices:
+                paths = increasing_paths(g, u, ordering)
                 for z in list(W.elements())[:: max(1, len(W) // 8)]:
                     x0 = T.coset_min(u, z, J)
-                    p = increasing_path(g, u, x0.index, ordering)
+                    p = paths[x0.index]
                     if any(J.supports(e.label) for e in p.edges):
                         raise AssertionError("minimizer path used a Phi_J label")
                     checked += 1
@@ -912,11 +914,13 @@ def path_weights(rs, W, _aw, J_nodes):
     # surgery on every shortest path, every applicable case
     moved = 0
     for u in g.vertices:
+        dist_u = g.distances_from(u)
         for v in g.vertices:
-            d = g.distance(u, v)
+            d = dist_u[pos[v]]
             for p in g.iter_paths(u, v, d):
                 if len(p) != d:
                     continue
+                weight = p.weight(rs.rank)
                 for j in range(0, rs.rank + 1):
                     for case in (1, 2, 3, 4):
                         try:
@@ -928,7 +932,7 @@ def path_weights(rs, W, _aw, J_nodes):
                             raise AssertionError("surgery length wrong")
                         shift = expected_weight_shift(g, p, j, case)
                         if J.weight_class(p2.weight(rs.rank)) != J.weight_class(
-                            add_vec(p.weight(rs.rank), shift)
+                            add_vec(weight, shift)
                         ):
                             raise AssertionError("surgery weight wrong")
                         if len(p2) != g.distance(p2.start, p2.end):

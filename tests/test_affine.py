@@ -482,6 +482,28 @@ def test_lift_table_raises_as_lift_edge_does(monkeypatch, cartan_type, rank, nod
     assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
 
 
+@pytest.mark.parametrize("cartan_type,rank,nodes", [("B", 3, (2,)), ("A", 5, (3,))])
+def test_lift_table_decomposes_each_mu_once(monkeypatch, cartan_type, rank, nodes):
+    # in_omega reads z_mu of every lifted y, whose mu is one of a few per
+    # table: the table's memo decomposes each once, and only while it runs
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    mu = aw.superantidominant_mu(W.identity, J, depth)
+    z = aw.z_mu(mu, J)
+    want = row_by_row(aw, g, z, mu)
+    calls = []
+    z_mu = aw.z_mu
+    monkeypatch.setattr(aw, "z_mu", lambda m, JJ: calls.append(m) or z_mu(m, JJ))
+    assert row_by_row(aw, g, z, mu) == want
+    mus = {mu} | {y.mu for _x, y, _gamma in want}
+    assert 1 < len(mus) < len(want)
+    # one call for mu's facts before any lift, then one per distinct mu
+    assert len(calls) == 1 + len(mus) and set(calls) == mus
+    calls.clear()
+    aw.in_omega(want[0][1], J)
+    aw.in_omega(want[0][1], J)
+    assert len(calls) == 2  # no memo outside a table
+
+
 @pytest.mark.parametrize("broken", ["gamma positive", "length drop"])
 def test_lift_table_checks_in_the_order_of_lift_edge(monkeypatch, broken):
     # every x leaves the target set and every edge's lift is broken as well:
@@ -551,7 +573,7 @@ def _reference_cocovers(aw, x, J, depth):
     return out
 
 
-@pytest.mark.parametrize("cartan", [("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("cartan", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("C", 2)])
 def test_cocovers_match_the_group_law(cartan):
     rs = build_root_system(*cartan)
     W = WeylGroup(rs)

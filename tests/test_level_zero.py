@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from qbgraph.affine import AffineRoot, affine_simple_root
 from qbgraph.level_zero import InconclusiveWindow, LevelZeroPoset, LevelZeroWeight, PosetCover
 from qbgraph.qbg import BRUHAT, QUANTUM
 from qbgraph.root_system import build_root_system, neg_vec
+from qbgraph.verify import run_suite
 from qbgraph.weyl import WeylGroup
 
 
@@ -246,6 +248,37 @@ def test_dist_reuses_its_table_without_changing_answers(cartan_type, rank, lam):
             assert P.dist(mu, nu, window) == fresh.dist(mu, nu, window), (mu, nu, window)
             checked += 1
     assert checked > 100
+
+
+def test_dist_walks_each_step_list_once(monkeypatch):
+    """Over the level-zero suite, dist walks each element's raising steps at
+    most once per (poset, window, element, level): a new nu prunes the kept
+    list instead of walking it again."""
+    step_ids, dist = LevelZeroPoset._step_ids, LevelZeroPoset.dist
+    inside = []
+    walks, yields = Counter(), Counter()
+
+    def counted_step_ids(self, w, lev, levels):
+        key = (self, w, lev, levels)  # holds self, so no id is reused
+        if inside:
+            walks[key] += 1
+        for got in step_ids(self, w, lev, levels):
+            if inside:
+                yields[key] += 1
+            yield got
+
+    def flagged_dist(self, mu, nu, window):
+        inside.append(True)
+        try:
+            return dist(self, mu, nu, window)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LevelZeroPoset, "_step_ids", counted_step_ids)
+    monkeypatch.setattr(LevelZeroPoset, "dist", flagged_dist)
+    assert run_suite("level-zero").passed
+    assert len(walks) > 100 and sum(yields.values()) > 1000
+    assert max(walks.values()) == 1
 
 
 def reference_covers(P, mu):

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import deque
 
@@ -16,6 +17,7 @@ from qbgraph.qbg import (
     dual_involution,
     edge_between,
     increasing_path,
+    increasing_paths,
     induced_coset_subgraph,
     lambda_ordering,
     lexicographically_minimal_shortest,
@@ -479,6 +481,72 @@ def test_walks_match_the_recursive_order_on_a3():
                 assert got == list(recursive_paths(g, u, v, max_len)), (u, v)
             (hit,) = recursive_increasing_paths(g, u, v, ordering)
             assert increasing_path(g, u, v, ordering).edges == hit
+
+
+def single_target_increasing_path(graph, u, v, ordering):
+    """The one-target search that ``increasing_paths`` replaced: a walk of
+    the whole increasing tree out of u that keeps the paths ending at v."""
+    pos = ordering._pos
+    hits = [()] if u == v else []
+    edges = []
+    frames = [(iter(graph.out[u]), -1)]
+    while frames:
+        it, floor_pos = frames[-1]
+        e = next(it, None)
+        if e is None:
+            frames.pop()
+            if edges:
+                edges.pop()
+            continue
+        p = pos[e.label]
+        if p > floor_pos:
+            edges.append(e)
+            if e.target == v:
+                hits.append(tuple(edges))
+            frames.append((iter(graph.out[e.target]), p))
+    if len(hits) != 1:
+        raise GraphInvariantError(f"expected exactly one increasing path, found {len(hits)}")
+    path = QbgPath(u, hits[0])
+    if len(path) != graph.distance(u, v):
+        raise GraphInvariantError("increasing path is not a shortest path")
+    return path
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_increasing_paths_match_the_single_target_search(groups, cartan_type, rank):
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(()))
+    word = W.longest_element().word
+    # w0 is an involution, so its reversed word is reduced for it too
+    for o in (reflection_ordering_from_word(W, word),
+              reflection_ordering_from_word(W, tuple(reversed(word)))):
+        for u in g.vertices:
+            paths = increasing_paths(g, u, o)
+            assert list(paths) == list(g.vertices)
+            for v in g.vertices:
+                assert paths[v] == single_target_increasing_path(g, u, v, o), (u, v)
+                assert increasing_path(g, u, v, o) == paths[v]
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_increasing_paths_reject_a_non_reflection_ordering(groups, cartan_type, rank):
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(()))
+    bad = ReflectionOrdering(tuple(sorted(rs.positive_roots)))
+    with pytest.raises(GraphInvariantError, match="betweenness"):
+        bad.validate()
+    raised = 0
+    for u in g.vertices:
+        try:
+            want = [single_target_increasing_path(g, u, v, bad) for v in g.vertices]
+        except GraphInvariantError as exc:
+            # the first vertex, in vertex order, that the old search rejects
+            with pytest.raises(GraphInvariantError, match=re.escape(str(exc))):
+                increasing_paths(g, u, bad)
+            raised += 1
+            continue
+        assert list(increasing_paths(g, u, bad).values()) == want
+    assert raised > 0
 
 
 def test_walks_run_deeper_than_the_recursion_limit(a2):
