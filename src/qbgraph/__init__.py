@@ -1,27 +1,39 @@
 """Exact engine for quantum Bruhat graphs, their affine lifts, the
-level-zero weight poset, and tilted order queries."""
+level-zero weight poset, and tilted order queries.
 
-from .affine import AffineElement, AffineRoot, AffineWeyl
-from .level_zero import LevelZeroPoset, LevelZeroWeight
-from .qbg import BRUHAT, QUANTUM, QbgEdge, QbgGraph, QbgPath, build_qbg
-from .root_system import ConfigurationError, RootSystem, build_root_system
-from .weyl import WeylElement, WeylGroup
+The public names are resolved on first access (PEP 562), so importing the
+package, or one layer of it, loads only the modules that are used.
+"""
 
-__all__ = [
-    "AffineElement",
-    "AffineRoot",
-    "AffineWeyl",
-    "BRUHAT",
-    "ConfigurationError",
-    "LevelZeroPoset",
-    "LevelZeroWeight",
-    "QUANTUM",
-    "QbgEdge",
-    "QbgGraph",
-    "QbgPath",
-    "RootSystem",
-    "WeylElement",
-    "WeylGroup",
-    "build_qbg",
-    "build_root_system",
-]
+import importlib
+
+#: each public name and the module that defines it
+_HOMES = {
+    "AffineElement": "affine",
+    "AffineRoot": "affine",
+    "AffineWeyl": "affine",
+    "BRUHAT": "qbg",
+    "ConfigurationError": "root_system",
+    "LevelZeroPoset": "level_zero",
+    "LevelZeroWeight": "level_zero",
+    "QUANTUM": "qbg",
+    "QbgEdge": "qbg",
+    "QbgGraph": "qbg",
+    "QbgPath": "qbg",
+    "RootSystem": "root_system",
+    "WeylElement": "weyl",
+    "WeylGroup": "weyl",
+    "build_qbg": "qbg",
+    "build_root_system": "root_system",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value

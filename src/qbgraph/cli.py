@@ -1,6 +1,8 @@
 """Command line front end: build and export graphs, run queries, verify.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad arguments.
+Each command imports the layers it runs: ``qbg`` loads no affine,
+level-zero, tilted or verify code.
 """
 
 from __future__ import annotations
@@ -11,12 +13,8 @@ import os
 import sys
 
 from . import render
-from .affine import AffineWeyl
-from .level_zero import LevelZeroPoset
 from .qbg import QbgPath, build_qbg
 from .root_system import ConfigurationError, cartan_matrix
-from .tilted import TiltedOrder, quantum_length
-from .verify import SUITES, run_suites
 from .weyl import WeylGroup, build_weyl_group
 
 
@@ -119,6 +117,8 @@ def cmd_lift(args) -> int:
 
 
 def _lift(args) -> int:
+    from .affine import AffineWeyl
+
     rs, W, J = _context(args)
     if len(J.nodes) == rs.rank:
         raise UsageError("the parabolic set must be proper for lifting")
@@ -167,6 +167,8 @@ def _lift(args) -> int:
 
 
 def cmd_poset(args) -> int:
+    from .level_zero import LevelZeroPoset
+
     rs, W, J = _context(args)
     lam = _parse_ints(args.lam)
     if len(lam) != rs.rank:
@@ -193,6 +195,8 @@ def cmd_poset(args) -> int:
 
 
 def cmd_tilted(args) -> int:
+    from .tilted import TiltedOrder
+
     rs, W, J = _context(args)
     graph = build_qbg(W, rs.parabolic(()))
     order = TiltedOrder(graph)
@@ -210,6 +214,8 @@ def cmd_tilted(args) -> int:
 
 
 def cmd_qlen(args) -> int:
+    from .tilted import quantum_length
+
     rs, W, J = _context(args)
     graph = build_qbg(W, J)
     u = W.min_coset_rep(_element(W, args.u), J)
@@ -219,6 +225,8 @@ def cmd_qlen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES, run_suites
+
     if args.suite == "all":
         names = list(SUITES)
     else:

@@ -97,32 +97,57 @@ def edge_between(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
     """The edge out of w in the label alpha's direction, or None.
 
     alpha must lie in Phi^+ minus Phi_J^+.  At most one of the two edge
-    kinds can fire for a given (w, alpha).
+    kinds can fire for a given (w, alpha).  The decision is ``build_qbg``'s,
+    made for this one label.
     """
     if not W.rs.is_positive_root(alpha) or alpha in J.phi_plus:
         raise ValueError(f"label {alpha} not in Phi+ minus Phi_J+")
-    return _edge(W, J, w, alpha, W.right_reflect(w, alpha))
+    edges = _out_edges(W, J, w, _plan(W, J, [(W._root_pos[alpha], alpha)]))
+    return edges[0] if edges else None
 
 
-def _edge(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root, x: int):
-    """``edge_between`` for a label already checked, given x = w r_alpha:
-    the one edge decision, which ``build_qbg`` also makes."""
+def _plan(W: WeylGroup, rule: ParabolicIndex, labels):
+    """Per label (row position, root), in order: the position, the label,
+    its quantum shift under the parabolic rule and its coroot."""
+    shift, coroot = rule.quantum_shift, W.rs.coroot
+    return [(b, a, shift[a], coroot(a)) for b, a in labels]
+
+
+def _out_edges(W: WeylGroup, rule: ParabolicIndex, w: int, plan) -> list[QbgEdge]:
+    """The edges out of w over the planned labels, in plan order: the one
+    edge decision, which ``build_qbg`` and ``edge_between`` both make.
+
+    x = w r_alpha is read from w's reflection row.  It is a Bruhat target
+    when l(x) = l(w) + 1, and then must lie in W^J; floor(x) is a quantum
+    target when l(floor(x)) = l(w) + 1 - <alpha^vee, 2rho - 2rho_J>.  Both
+    holding at once is a broken invariant.  floor(x) is x shortened by at
+    most |Phi_J^+|, so it is only computed where that length can match.
+    """
     length = W._length
+    cols = [W._right[j - 1] for j in rule.nodes]
+    depth = len(rule.phi_plus)
+    zero = W.rs.zero
+    row = W.reflection_row(w)
     up = length[w] + 1
-    bruhat = length[x] == up
-    floor = W.coset_floor(x, J)
-    quantum = length[floor] == up - J.quantum_shift[alpha]
-    if bruhat and quantum:
-        raise GraphInvariantError(f"edge kinds collide at ({W.element(w)}, {alpha})")
-    if bruhat:
-        if floor != x:
-            raise GraphInvariantError(
-                f"Bruhat target {W.element(x)} left W^J at ({W.element(w)}, {alpha})"
-            )
-        return QbgEdge(w, x, alpha, BRUHAT, W.rs.zero)
-    if quantum:
-        return QbgEdge(w, floor, alpha, QUANTUM, W.rs.coroot(alpha))
-    return None
+    edges = []
+    for b, alpha, shift, coroot in plan:
+        x = row[b]
+        lx = length[x]
+        low = up - shift
+        if lx == up:
+            floor = x if all(length[col[x]] > lx for col in cols) else W.coset_floor(x, rule)
+            if length[floor] == low:
+                raise GraphInvariantError(f"edge kinds collide at ({W.element(w)}, {alpha})")
+            if floor != x:
+                raise GraphInvariantError(
+                    f"Bruhat target {W.element(x)} left W^J at ({W.element(w)}, {alpha})"
+                )
+            edges.append(QbgEdge(w, x, alpha, BRUHAT, zero))
+        elif low <= lx <= low + depth:
+            floor = W.coset_floor(x, rule) if cols else x
+            if length[floor] == low:
+                edges.append(QbgEdge(w, floor, alpha, QUANTUM, coroot))
+    return edges
 
 
 class QbgGraph:
@@ -374,23 +399,21 @@ def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
 
 def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     """The quantum Bruhat graph of the parabolic subsystem W_J itself: the
-    elements of W_J, labels over Phi_J^+ and ``_edge``'s rule for the empty
-    parabolic, whose shift <alpha^vee, 2rho> is <alpha^vee, 2rho_J> on Phi_J
-    (2rho - 2rho_J is W_J-invariant)."""
+    elements of W_J, labels over Phi_J^+ and ``_out_edges``'s rule for the
+    empty parabolic, whose shift <alpha^vee, 2rho> is <alpha^vee, 2rho_J> on
+    Phi_J (2rho - 2rho_J is W_J-invariant)."""
     labels = list(zip(J.phi_plus_pos, J.phi_plus))
     return _graph(W, J, W.rs.parabolic(()), W.subgroup_elements(J.nodes), labels)
 
 
 def _graph(W: WeylGroup, J: ParabolicIndex, rule: ParabolicIndex, order, labels) -> QbgGraph:
-    """The graph on the ids in order whose edges are ``_edge``'s decisions,
-    for the parabolic rule, over the labels given with their row positions."""
+    """The graph on the ids in order whose edges are ``_out_edges``'s
+    decisions, for the parabolic rule, over the labels given with their row
+    positions: one pass over each vertex's reflection row."""
+    plan = _plan(W, rule, labels)
     edges = []
     for w in order:
-        row = W.reflection_row(w)
-        for b, a in labels:
-            e = _edge(W, rule, w, a, row[b])
-            if e is not None:
-                edges.append(e)
+        edges += _out_edges(W, rule, w, plan)
     return QbgGraph(W, J, order, edges)
 
 

@@ -10,12 +10,14 @@ import functools
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .affine import AffineElement, AffineRoot, AffineWeyl, cover_label
-from .level_zero import LevelZeroPoset, LevelZeroWeight
 from .qbg import QUANTUM, QbgGraph
 from .weyl import WeylGroup
+
+if TYPE_CHECKING:  # annotations only: a graph export loads no affine or poset code
+    from .affine import AffineElement, AffineRoot, AffineWeyl
+    from .level_zero import LevelZeroPoset, LevelZeroWeight
 
 SCHEMA_GRAPH = "qbgraph/graph/1"
 SCHEMA_CHAIN = "qbgraph/chain/1"
@@ -277,6 +279,8 @@ def root_text(alpha: tuple[int, ...]) -> str:
 
 def affine_root_text(beta: AffineRoot) -> str:
     """Positive-representative display, e.g. '6d-a2' or 'a1+a2'."""
+    from .affine import cover_label
+
     pos = cover_label(beta)
     if pos.k == 0:
         return root_text(pos.alpha)
@@ -424,6 +428,8 @@ def chain_to_dot(aw: AffineWeyl, chain) -> str:
 
 
 def chain_to_json(aw: AffineWeyl, chain) -> str:
+    from .affine import cover_label
+
     rows = []
     for x, gamma in chain:
         row = {
@@ -453,6 +459,8 @@ def _coset_text(poset: LevelZeroPoset, w: int) -> str:
     W = poset.W
     if poset.rs.cartan_type != "A":
         return f"({W.describe(W.element(w))}, "
+    from .level_zero import LevelZeroWeight
+
     coords = poset.weight_coordinates(LevelZeroWeight(w, 0))
     parts = []
     for i, c in enumerate((-sum(coords),) + coords):

@@ -171,6 +171,32 @@ _CASE_NEEDS = {
 }
 
 
+def surgery_cases(graph: QbgGraph, path: QbgPath, j: int) -> tuple[int, ...]:
+    """The surgery cases whose sign hypotheses hold for path and j, in order:
+    exactly the cases ``transform_path`` accepts.
+
+    With s_x = <tilde alpha_j^vee, x(lambda)> along the path's vertices:
+    case 1 needs s < 0 at the end and s >= 0 at some vertex, case 2 s < 0
+    at both endpoints, case 3 s > 0 at the start and s <= 0 at some vertex,
+    case 4 s > 0 at both endpoints.  The endpoint signs are read first, and
+    the inner vertices only where they decide a case.
+    """
+    table = surgery_signs(graph, j)
+    first, last = table[path.start], table[path.end]
+    cases = []
+    if last < 0:
+        if first >= 0 or any(table[e.target] >= 0 for e in path.edges):
+            cases.append(1)
+        if first < 0:
+            cases.append(2)
+    if first > 0:
+        if last <= 0 or any(table[e.target] <= 0 for e in path.edges):
+            cases.append(3)
+        if last > 0:
+            cases.append(4)
+    return tuple(cases)
+
+
 def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
     """Move a directed path across left multiplication by s_j.
 
@@ -178,20 +204,13 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
     at the endpoints: 1 and 3 shorten the path by one (ending at
     floor(s_j end), resp. starting at floor(s_j start)); 2 and 4 keep the
     length and move both endpoints.  Raises ValueError when the sign
-    hypotheses of the requested case fail; the endpoint signs are read
-    first, and decide most such requests before any vertex list is built.
+    hypotheses of the requested case fail, as ``surgery_cases`` decides.
     """
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
-    table = surgery_signs(graph, j)
-    first, last = table[path.start], table[path.end]
-    if (
-        (case == 1 and last >= 0)
-        or (case == 2 and not (first < 0 and last < 0))
-        or (case == 3 and first <= 0)
-        or (case == 4 and not (first > 0 and last > 0))
-    ):
+    if case not in surgery_cases(graph, path, j):
         raise ValueError(_CASE_NEEDS[case])
+    table = surgery_signs(graph, j)
     verts = [path.start] + [e.target for e in path.edges]
     signs = [table[x] for x in verts]
 
@@ -202,8 +221,6 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         return tuple(graph.push_edge(j, e) for e in edges)
 
     if case == 1:
-        if not any(s >= 0 for s in signs):
-            raise ValueError(_CASE_NEEDS[1])
         k = max(i for i, s in enumerate(signs) if s >= 0)
         if floor(verts[k + 1]) != verts[k]:
             raise GraphInvariantError("transition vertex does not fold back")
@@ -220,8 +237,6 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         return QbgPath(start, (down,) + shorter.edges)
 
     if case == 3:
-        if not any(s <= 0 for s in signs):
-            raise ValueError(_CASE_NEEDS[3])
         k = min(i for i, s in enumerate(signs) if s <= 0)
         if floor(verts[k - 1]) != verts[k]:
             raise GraphInvariantError("transition vertex does not fold forward")

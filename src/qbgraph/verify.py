@@ -54,6 +54,7 @@ from .tilted import (
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
+    surgery_cases,
     transform_path,
 )
 from .weyl import Trichotomy, build_weyl_group
@@ -922,11 +923,8 @@ def path_weights(rs, W, _aw, J_nodes):
                     continue
                 weight = p.weight(rs.rank)
                 for j in range(0, rs.rank + 1):
-                    for case in (1, 2, 3, 4):
-                        try:
-                            p2 = transform_path(g, p, j, case)
-                        except ValueError:
-                            continue
+                    for case in surgery_cases(g, p, j):
+                        p2 = transform_path(g, p, j, case)
                         want_len = d - 1 if case in (1, 3) else d
                         if len(p2) != want_len:
                             raise AssertionError("surgery length wrong")

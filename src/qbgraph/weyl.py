@@ -544,12 +544,29 @@ class WeylGroup:
         return out
 
     def min_coset_ids(self, J: ParabolicIndex) -> tuple[int, ...]:
-        """The ids of W^J, in order: the elements with no right descent in J."""
-        length = self._length
-        cols = [self._right[j - 1] for j in J.nodes]
-        return tuple(
-            i for i, up in enumerate(length) if all(length[col[i]] > up for col in cols)
-        )
+        """The ids of W^J, in order: the elements with no right descent in J.
+
+        W^J is closed under suffixes (if w = r_k u is reduced and lies in
+        W^J, so does u), so a search from e by left multiplication that
+        keeps only the elements with no right descent in J reaches all of
+        it without scanning W.
+        """
+        if not J.nodes:
+            return tuple(range(len(self)))
+        length, inverse, right = self._length, self._inverse, self._right
+        cols = [right[j - 1] for j in J.nodes]
+        seen = {0}
+        found = [0]
+        for w in found:  # the list grows as it is read
+            up = length[w] + 1
+            w_inv = inverse[w]
+            for col in right:
+                v = inverse[col[w_inv]]  # r_k w
+                if length[v] == up and v not in seen and all(length[c[v]] > up for c in cols):
+                    seen.add(v)
+                    found.append(v)
+        found.sort()
+        return tuple(found)
 
     def min_coset_reps(self, J: ParabolicIndex) -> tuple[WeylElement, ...]:
         """W^J in id order."""

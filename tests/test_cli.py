@@ -284,7 +284,7 @@ def test_verify_all_with_types_runs_every_suite(monkeypatch, capsys):
         seen.update(names=list(names), types=types)
         return []
 
-    monkeypatch.setattr("qbgraph.cli.run_suites", fake_run_suites)
+    monkeypatch.setattr("qbgraph.verify.run_suites", fake_run_suites)
     assert main(["verify", "--suite", "all", "--types", "A2,G2"]) == 0
     assert seen["names"] == list(SUITES)
     assert seen["types"] == [("A", 2), ("G", 2)]

@@ -1,6 +1,7 @@
 import re
 import sys
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -78,6 +79,35 @@ def test_edge_between_full_graph(a2, a2_graph):
     e = edge_between(W, J0, W.longest_element().index, rs.theta)
     assert e.kind == QUANTUM and e.target == W.identity.index
     assert edge_between(W, J0, W.longest_element().index, (1, 0)).kind == QUANTUM
+
+
+def test_a_zero_quantum_shift_trips_the_kind_collision():
+    # with <alpha_2^vee, 2rho - 2rho_J> forced to 0, the Bruhat edge
+    # e -> r_2 of A2, J = {1}, also passes the quantum test
+    rs = build_root_system("A", 2)
+    W = WeylGroup(rs)
+    J = rs.parabolic((1,))
+    broken = replace(J, quantum_shift={**J.quantum_shift, (0, 1): 0})
+    with pytest.raises(GraphInvariantError, match=r"edge kinds collide at \(W\[123\], \(0, 1\)\)"):
+        build_qbg(W, broken)
+    with pytest.raises(GraphInvariantError, match="edge kinds collide"):
+        edge_between(W, broken, W.identity.index, (0, 1))
+    assert edge_between(W, J, W.identity.index, (0, 1)).kind == BRUHAT
+
+
+def test_a_bruhat_target_outside_w_j_trips_its_check():
+    # e r_{alpha_2} is read as r_1 from a sabotaged reflection row: one
+    # longer than e, but with the right descent 1 in J = {1}
+    rs = build_root_system("A", 2)
+    W = WeylGroup(rs)
+    J = rs.parabolic((1,))
+    r1 = W.simple_reflection(1).index
+    W.reflection_row(0)[W._root_pos[(0, 1)]] = r1
+    with pytest.raises(GraphInvariantError,
+                       match=r"Bruhat target W\[213\] left W\^J at \(W\[123\], \(0, 1\)\)"):
+        build_qbg(W, J)
+    with pytest.raises(GraphInvariantError, match="left W\\^J"):
+        edge_between(W, J, W.identity.index, (0, 1))
 
 
 def test_a2_graph_structure(a2, a2_graph):
@@ -431,6 +461,23 @@ def test_min_coset_reps_match_the_matrix_action(groups, cartan_type, rank, parab
         ]
         assert list(W.min_coset_reps(J)) == expect, nodes
         assert all(W.in_min_coset_reps(w, J) for w in expect)
+
+
+@pytest.mark.parametrize(
+    "cartan_type,rank,parabolics",
+    [("A", 2, None), ("A", 3, None), ("A", 4, None), ("A", 5, None), ("B", 3, None),
+     ("C", 3, None), ("D", 4, None), ("F", 4, None), ("G", 2, None),
+     ("E", 6, [tuple(j for j in range(1, 7) if j != i) for i in range(1, 7)])],
+)
+def test_min_coset_ids_match_the_descent_definition(groups, cartan_type, rank, parabolics):
+    # the search from e by left multiplication against a scan of all of W
+    # for the ids with no right descent in J, contents and order
+    rs, W = groups(cartan_type, rank)
+    length, right = W._length, W._right
+    for nodes in parabolics or all_parabolics(rank):
+        expect = tuple(w for w in range(len(W))
+                       if all(length[right[j - 1][w]] > length[w] for j in nodes))
+        assert W.min_coset_ids(rs.parabolic(nodes)) == expect, nodes
 
 
 def recursive_paths(g, u, v, max_len):

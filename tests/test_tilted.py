@@ -11,6 +11,7 @@ from qbgraph.tilted import (
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
+    surgery_cases,
     surgery_signs,
     tilde_coroot,
     transform_path,
@@ -296,6 +297,48 @@ def _all_surgeries(g):
                             transform_path(g, p, j, case)
                         except ValueError:
                             pass
+
+
+def reference_cases(pair, cor, path):
+    """The cases whose sign hypotheses hold, from the pairings of every
+    vertex along the path; shares no code with ``surgery_cases``."""
+    signs = [pair(cor, x) for x in [path.start] + [e.target for e in path.edges]]
+    first, last = signs[0], signs[-1]
+    return tuple(case for case, holds in (
+        (1, last < 0 and any(s >= 0 for s in signs)),
+        (2, first < 0 and last < 0),
+        (3, first > 0 and any(s <= 0 for s in signs)),
+        (4, first > 0 and last > 0),
+    ) if holds)
+
+
+@pytest.mark.parametrize("cartan,J_nodes", [(("A", 3), (1,)), (("B", 2), ()), (("G", 2), ())])
+def test_surgery_cases_are_the_cases_transform_path_accepts(cartan, J_nodes):
+    rs = build_root_system(*cartan)
+    W = WeylGroup(rs)
+    g = build_qbg(W, rs.parabolic(J_nodes))
+    pair = W.weight_pairings(tuple(0 if i + 1 in J_nodes else 1 for i in range(rs.rank))).pair
+    seen = {case: 0 for case in (1, 2, 3, 4)}
+    for u in g.vertices:
+        for v in g.vertices:
+            d = g.distance(u, v)
+            for p in g.iter_paths(u, v, d):
+                if len(p) != d:
+                    continue
+                for j in range(0, rs.rank + 1):
+                    accepted = []
+                    for case in (1, 2, 3, 4):
+                        try:
+                            transform_path(g, p, j, case)
+                        except ValueError:
+                            continue
+                        accepted.append(case)
+                    got = surgery_cases(g, p, j)
+                    assert got == tuple(accepted), (p, j)
+                    assert got == reference_cases(pair, tilde_coroot(rs, j), p), (p, j)
+                    for case in got:
+                        seen[case] += 1
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("cartan,J_nodes", [(("A", 3), (1,)), (("B", 2), ())])
