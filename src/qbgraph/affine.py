@@ -443,11 +443,18 @@ class AffineWeyl:
     def _lift_below(self, x: AffineElement, lx: int, edge: QbgEdge,
                     zinv: int) -> tuple[AffineElement, AffineRoot]:
         """(y, gamma) with y = x r_gamma the lift of the edge below x, of
-        length lx; gamma must be negative and y one shorter than x."""
-        zinv_alpha = self.W.act(zinv, edge.label)
+        length lx; gamma must be negative and y one shorter than x.
+
+        With beta = z^{-1}(alpha), gamma = beta + (chi + <mu, beta>) delta
+        and r_gamma = r_beta t_{(chi + <mu, beta>) beta^vee}, so y is
+        w r_beta t_{mu + chi beta^vee}: w r_beta is an entry of w's
+        reflection row, and no comatrix product is needed.
+        """
+        beta = self.W.act(zinv, edge.label)
         chi = 1 if edge.kind == QUANTUM else 0
-        gamma = AffineRoot(zinv_alpha, chi + self.rs.pairing(x.mu, zinv_alpha))
-        y = self.mul(x, self.reflection(gamma))
+        gamma = AffineRoot(beta, chi + self.rs.pairing(x.mu, beta))
+        mu = add_vec(x.mu, self.rs.coroot(beta)) if chi else x.mu
+        y = AffineElement(self.W.right_reflect(x.w, beta), mu)
         if gamma.is_positive():
             raise GraphInvariantError("lift label should be a negative affine root")
         if lx - self.length(y) != 1:
@@ -559,22 +566,42 @@ class AffineWeyl:
         starting mu must be superantidominant to the lift depth; a step may
         make the next mu shallower, and each step checks that its result is
         a length-one cover that stays in the lift target.
+
+        The path is lifted as one walk: each step gives the y, and raises
+        the error, of ``lift_edge`` at depth 1.  mu's facts are checked
+        once, at the start, and x once, after the first step's lift; each
+        later x is the previous y, whose ``in_omega`` check implies the
+        facts ``lift_edge`` re-checks of its mu.  l(x) is computed once
+        and carried.  Every step checks that the path starts where the
+        chain is, every y gets all of ``lift_edge``'s checks, and the facts
+        of each mu are kept in the memo for the walk.
         """
-        J = graph.J
+        J, W = graph.J, self.W
         if not self.is_adjusted(mu, J):
             raise ValueError("starting mu must be J-adjusted")
         depth = self.lift_depth(graph)
         if not self.is_superantidominant(mu, J, depth):
             raise ValueError(f"starting mu is not superantidominant to depth {depth}")
-        x = AffineElement(self.W.mul(path.start, self.z_mu(mu, J)), mu)
+        z = self.z_mu(mu, J)
+        x = AffineElement(W.mul(path.start, z), mu)
         chain: list[tuple[AffineElement, AffineRoot | None]] = [(x, None)]
-        for edge in path.edges:
-            w, z = self.W.parabolic_decompose(x.w, J)
-            if w != edge.source:
-                raise ValueError("path does not start where the chain is")
-            x, y, gamma = self.lift_edge(graph, edge, z, x.mu, depth=1)
-            chain.append((y, gamma))
-            x = y
+        lx = self.length(x)
+        outer, self._lift_memo = self._lift_memo, {}
+        try:
+            for k, edge in enumerate(path.edges):
+                w, rest = W.parabolic_decompose(x.w, J)
+                if w != edge.source:
+                    raise ValueError("path does not start where the chain is")
+                if k == 0 and rest != z:
+                    raise ValueError("z does not match the Weyl factor of mu")
+                y, gamma = self._lift_below(x, lx, edge, W._inverse[rest])
+                if k == 0:
+                    self._require_lifted(x, J)
+                self._require_lifted(y, J)
+                chain.append((y, gamma))
+                x, lx = y, lx - 1
+        finally:
+            self._lift_memo = outer
         return chain
 
 

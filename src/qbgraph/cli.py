@@ -144,7 +144,9 @@ def _lift(args) -> int:
             label = _parse_ints(part)
             edge = graph.edge(cur, label)
             if edge is None:
-                raise UsageError(f"no edge with label {label} out of vertex {cur}")
+                raise UsageError(
+                    f"no edge with label {label} out of vertex {W.describe(W.element(cur))}"
+                )
             edges.append(edge)
             cur = edge.target
         chain = aw.lift_path(graph, QbgPath(start.index, tuple(edges)), mu)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 from .root_system import (
     Coroot,
@@ -150,6 +151,16 @@ def _out_edges(W: WeylGroup, rule: ParabolicIndex, w: int, plan) -> list[QbgEdge
     return edges
 
 
+def _label_order(edges: list[QbgEdge]) -> tuple[QbgEdge, ...]:
+    """The edges sorted by (label, kind).  ``build_qbg`` hands each vertex's
+    edges over with strictly increasing labels, so they are sorted only
+    when they are out of that order."""
+    labels = [e.label for e in edges]
+    if all(map(lt, labels, labels[1:])):
+        return tuple(edges)
+    return tuple(sorted(edges, key=lambda e: (e.label, e.kind)))
+
+
 class QbgGraph:
     """Directed graph over W^J with Bruhat and quantum edges.
 
@@ -167,7 +178,7 @@ class QbgGraph:
         out: dict[int, list[QbgEdge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             out[e.source].append(e)
-        self.out = {v: tuple(sorted(es, key=lambda e: (e.label, e.kind))) for v, es in out.items()}
+        self.out = {v: _label_order(es) for v, es in out.items()}
         # per vertex position the positions of its out-edge targets, in
         # ``out`` order, and per source id its BFS row by vertex position;
         # both filled on first use

@@ -504,22 +504,156 @@ def test_lift_table_decomposes_each_mu_once(monkeypatch, cartan_type, rank, node
     assert len(calls) == 2  # no memo outside a table
 
 
-@pytest.mark.parametrize("broken", ["gamma positive", "length drop"])
-def test_lift_table_checks_in_the_order_of_lift_edge(monkeypatch, broken):
-    # every x leaves the target set and every edge's lift is broken as well:
-    # lift_edge checks the lift before x, and so must lift_table
-    W, J, g, aw, depth = lift_table_context("B", 3, (2,))
+WALK_CASES = [("A", 3, (1,)), ("B", 3, (2,)), ("C", 3, (1,)), ("G", 2, (1,))]
+
+
+def walk_by_lift_edge(aw, g, path, mu):
+    """``lift_path`` as a walk of ``lift_edge`` calls: the start checks,
+    then per step the source check and one lift at depth 1."""
+    J = g.J
+    if not aw.is_adjusted(mu, J):
+        raise ValueError("starting mu must be J-adjusted")
+    depth = aw.lift_depth(g)
+    if not aw.is_superantidominant(mu, J, depth):
+        raise ValueError(f"starting mu is not superantidominant to depth {depth}")
+    x = AffineElement(aw.W.mul(path.start, aw.z_mu(mu, J)), mu)
+    chain = [(x, None)]
+    for edge in path.edges:
+        w, z = aw.W.parabolic_decompose(x.w, J)
+        if w != edge.source:
+            raise ValueError("path does not start where the chain is")
+        x, y, gamma = aw.lift_edge(g, edge, z, x.mu, depth=1)
+        chain.append((y, gamma))
+        x = y
+    return chain
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", WALK_CASES,
+                         ids=lambda c: str(c).replace(" ", ""))
+def test_lift_path_equals_the_walk_of_lift_edge(cartan_type, rank, nodes):
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    kinds = set()
+    for z in sorted(aw.sigma_J(J)):
+        mu = aw.superantidominant_mu(W.element(z), J, depth)
+        for u in g.vertices:
+            for v in g.vertices:
+                path = g.shortest_path(u, v)
+                chain = aw.lift_path(g, path, mu)
+                assert chain == walk_by_lift_edge(aw, g, path, mu)
+                kinds.update(e.kind for e in path.edges)
+    assert kinds == {BRUHAT, QUANTUM}
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", WALK_CASES,
+                         ids=lambda c: str(c).replace(" ", ""))
+def test_lift_below_follows_the_group_law(cartan_type, rank, nodes):
+    # y = (w r_beta, mu + chi beta^vee) is x r_gamma
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    for z in sorted(aw.sigma_J(J)):
+        mu = aw.superantidominant_mu(W.element(z), J, depth)
+        for e in g.edges:
+            x = AffineElement(W.mul(e.source, z), mu)
+            y, gamma = aw._lift_below(x, aw.length(x), e, W._inverse[z])
+            assert y == aw.mul(x, aw.reflection(gamma))
+            assert (y.mu == mu) == (e.kind == BRUHAT)
+
+
+def walk_context(cartan_type, rank, nodes):
+    """A lift context and a shortest path, with a quantum edge, from the
+    last vertex to the first, lifted from the CLI's mu."""
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
     mu = aw.superantidominant_mu(W.identity, J, depth)
+    path = g.shortest_path(g.vertices[-1], g.vertices[0])
+    assert len(path) >= 2 and QUANTUM in {e.kind for e in path.edges}
+    return W, J, g, aw, mu, path
+
+
+@pytest.mark.parametrize("check,where,want", [
+    ("in_omega", 0, "lift left the target set"),
+    ("in_omega", -1, "lift left the target set"),
+    ("in_waf_minus", 0, "lift left the distinguished cosets"),
+    ("in_waf_minus", -1, "lift left the distinguished cosets"),
+    ("in_wj_af", 0, "lift left the distinguished cosets"),
+    ("in_wj_af", -1, "lift left the distinguished cosets"),
+])
+def test_lift_path_checks_x_once_and_every_y(monkeypatch, check, where, want):
+    # one chain element fails one membership check: the starting x, checked
+    # after the first step's lift, or the last step's y
+    W, J, g, aw, mu, path = walk_context("B", 3, (2,))
+    bad = aw.lift_path(g, path, mu)[where][0]
+    real = getattr(aw, check)
+    monkeypatch.setattr(aw, check, lambda el, *a, **k: el != bad and real(el, *a, **k))
+    assert raised(lambda: aw.lift_path(g, path, mu)) == (GraphInvariantError, want)
+    assert raised(lambda: walk_by_lift_edge(aw, g, path, mu)) == (GraphInvariantError, want)
+
+
+def test_lift_path_checks_where_each_step_starts():
+    W, J, g, aw, mu, path = walk_context("B", 3, (2,))
+    first = path.edges[0]
+    elsewhere = next(e for e in g.edges if e.source not in (first.source, first.target))
+    s2 = W.from_word([2]).index  # 2 is in J: start s2 lies in the coset of start
+    bad_paths = {
+        "path does not start where the chain is": [
+            QbgPath(path.start, (elsewhere,) + path.edges[1:]),
+            QbgPath(path.start, (first, elsewhere) + path.edges[2:]),
+        ],
+        "z does not match the Weyl factor of mu": [
+            QbgPath(W.mul(path.start, s2), path.edges),
+        ],
+    }
+    for message, paths in bad_paths.items():
+        for bad in paths:
+            assert raised(lambda: aw.lift_path(g, bad, mu)) == (ValueError, message)
+            assert raised(lambda: walk_by_lift_edge(aw, g, bad, mu)) == (ValueError, message)
+
+
+def test_lift_path_walks_without_lift_edge_or_the_group_law(monkeypatch):
+    W, J, g, aw, mu, path = walk_context("B", 3, (2,))
+    want = walk_by_lift_edge(aw, g, path, mu)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lift_path must not call this")
+
+    monkeypatch.setattr(aw, "lift_edge", forbidden)
+    monkeypatch.setattr(aw, "mul", forbidden)
+    assert aw.lift_path(g, path, mu) == want
+
+
+def test_lift_path_decomposes_each_mu_once(monkeypatch):
+    # the walk keeps mu's facts for its whole length, and only while it runs
+    W, J, g, aw, mu, path = walk_context("B", 3, (2,))
+    want = aw.lift_path(g, path, mu)
+    calls = []
+    z_mu = aw.z_mu
+    monkeypatch.setattr(aw, "z_mu", lambda m, JJ: calls.append(m) or z_mu(m, JJ))
+    assert aw.lift_path(g, path, mu) == want
+    mus = {x.mu for x, _gamma in want}
+    assert 1 < len(mus) < len(want)
+    # one call for the starting mu's Weyl factor, then one per distinct mu
+    assert len(calls) == 1 + len(mus) and set(calls) == mus
+    assert aw._lift_memo is None
+
+
+@pytest.mark.parametrize("broken", ["gamma positive", "length drop", "in_omega False"])
+def test_lift_table_checks_in_the_order_of_lift_edge(monkeypatch, broken):
+    # every x leaves the target set and, unless only that is broken, every
+    # edge's lift is broken as well: lift_edge checks the lift before x,
+    # and so must lift_table and lift_path
+    W, J, g, aw, mu, path = walk_context("B", 3, (2,))
     z = aw.z_mu(mu, J)
     monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: False)
     if broken == "gamma positive":
         monkeypatch.setattr(AffineRoot, "is_positive", lambda self: True)
         want = (GraphInvariantError, "lift label should be a negative affine root")
-    else:
+    elif broken == "length drop":
         monkeypatch.setattr(aw, "length", lambda el: 7)
         want = (GraphInvariantError, "lift is not a length-one cover")
+    else:
+        want = (GraphInvariantError, "lift left the target set")
     assert raised(lambda: edge_by_edge(aw, g, z, mu)) == want
     assert raised(lambda: list(aw.lift_table(g, z, mu))) == want
+    assert raised(lambda: walk_by_lift_edge(aw, g, path, mu)) == want
+    assert raised(lambda: aw.lift_path(g, path, mu)) == want
 
 
 def test_roundtrip_all_edges(a2):

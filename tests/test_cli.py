@@ -79,6 +79,21 @@ def test_lift_bad_start_exits_two(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize("argv,vertex", [
+    (["--type", "A", "--rank", "3", "--parabolic", "1", "--walk", "0,0,1;1,0,0"], "1243"),
+    (["--type", "G", "--rank", "2", "--parabolic", "1", "--walk", "0,1;1,0"], "r2"),
+])
+def test_lift_walk_off_the_graph_names_the_vertex(capsys, argv, vertex):
+    # the second label is in Phi_J, so no edge carries it out of the
+    # first step's target, which the error names as W.describe does
+    code = main(["lift", *argv, "--start", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith(f"out of vertex {vertex}")
+
 #: sha256 of `lift --type A --rank 2 --parabolic 1` per format
 LIFT_TABLE_SHA256 = {
     "text": "0cc3783ef66c93980097d57afdf55ab90d146e4e6f3ba42c9caf99e33a249505",

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 from collections import deque
@@ -758,3 +759,34 @@ def test_edges_are_records_equal_and_hashed_field_by_field(a2_graph):
     twin = QbgEdge(*fields)
     assert g._pushed_edges[(1, twin)] is moved
     assert g.push_edge(1, twin) is moved
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", [("A", 3, ()), ("B", 3, (2,)), ("G", 2, (1,)),
+                                                ("C", 3, (1, 3))])
+def test_adjacency_is_the_same_for_edges_in_any_order(groups, cartan_type, rank, J):
+    # build_qbg hands each vertex's edges over in label order; edges in
+    # shuffled or reversed order are sorted into the same adjacency
+    from qbgraph.render import graph_to_dot, graph_to_json, graph_to_text
+
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(J))
+    for v in g.vertices:
+        keys = [(e.label, e.kind) for e in g.out[v]]
+        assert keys == sorted(keys) and len({e.label for e in g.out[v]}) == len(keys)
+    shuffled = list(g.edges)
+    random.Random(11).shuffle(shuffled)
+    for edges in (shuffled, g.edges[::-1]):
+        h = QbgGraph(W, g.J, g.vertices, edges)
+        assert any(tuple(e for e in edges if e.source == v) != g.out[v] for v in g.vertices)
+        assert h.out == g.out
+        for export in (graph_to_json, graph_to_text, graph_to_dot):
+            assert export(h) == export(g)
+
+
+def test_adjacency_orders_one_label_by_kind(a2):
+    rs, W = a2
+    label = (1, 0)
+    quantum = QbgEdge(0, 1, label, QUANTUM, (1, 0))
+    bruhat = QbgEdge(0, 2, label, BRUHAT, (0, 0))
+    g = QbgGraph(W, rs.parabolic(()), range(3), [quantum, bruhat])
+    assert g.out == {0: (bruhat, quantum), 1: (), 2: ()}
