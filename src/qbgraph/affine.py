@@ -20,6 +20,10 @@ from .root_system import (
 )
 from .weyl import WeylElement, WeylGroup
 
+#: entries kept in each ``AffineWeyl``'s table of per-(mu, J) facts; past
+#: this many the oldest is dropped
+FACT_TABLE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class AffineRoot:
@@ -51,9 +55,13 @@ class AffineWeyl:
         self.rs = W.rs
         self._sigma_cache: dict[tuple[int, ...], dict[int, Coroot]] = {}
         self._component_cache: dict[tuple[int, ...], tuple] = {}
-        # the facts of each mu that ``in_omega`` reads, per (mu, J, depth),
-        # while a lift table is written; None otherwise
-        self._lift_memo: dict[tuple, tuple] | None = None
+        # per (mu, J.nodes) its (z_mu, phi_J(mu)), and per (mu, J.nodes,
+        # depth) the facts ``in_omega`` reads; at most FACT_TABLE_SIZE
+        # entries, oldest dropped first
+        self._facts: dict[tuple, tuple] = {}
+        # per element id the sign of w(alpha) over Phi+, read only by the
+        # oracle ``length_by_inversions``
+        self._oracle_signs: dict[int, tuple[bool, ...]] = {}
 
     # -- group structure ---------------------------------------------------
 
@@ -103,11 +111,11 @@ class AffineWeyl:
         wide enough to cover every inversion among alpha's translates: the
         image of alpha + k delta is w(alpha) + (k - <mu, alpha>) delta, so a
         translate of +-alpha is sent negative only for k <= |<mu, alpha>|.
-        Each root's classical image is computed once and the scan compares
-        delta parts.  The pairings come from the Cartan matrix and the
-        images from w's matrix, not from the tables behind ``length``: C mu
-        and the matrix's columns are formed once, and <mu, alpha> is
-        (C mu) . alpha and w(alpha)_i is (column i) . alpha.
+        The scan compares delta parts against the sign of w(alpha).  The
+        pairings come from the Cartan matrix and the signs from w's matrix,
+        not from the tables behind ``length``: <mu, alpha> is (C mu) . alpha,
+        with C mu formed per call, and w's signs are formed once per w, in a
+        table only this oracle reads.
         """
         rs, mu = self.rs, x.mu
         cartan = rs.cartan
@@ -115,13 +123,10 @@ class AffineWeyl:
             raise ValueError("rank mismatch")
         # entry j of C mu is sum_i mu_i a_ij = <mu, alpha_j>
         c_mu = [sum(map(mul, mu, col)) for col in zip(*cartan)]
-        # row j of the matrix is w(alpha_j), so column i holds coordinate i
-        cols = tuple(zip(*self.W.matrix(x.w)))
         count = 0
-        for alpha in rs.positive_roots:
+        for alpha, wpos in zip(rs.positive_roots, self._root_signs(x.w)):
             p = sum(map(mul, c_mu, alpha))
             bound = 1 + abs(p)
-            wpos = is_positive_vec([sum(map(mul, alpha, col)) for col in cols])
             for k in range(0, bound + 1):  # alpha + k delta
                 if k - p < 0 or (k - p == 0 and not wpos):
                     count += 1
@@ -129,6 +134,18 @@ class AffineWeyl:
                 if k + p < 0 or (k + p == 0 and wpos):
                     count += 1
         return count
+
+    def _root_signs(self, w: int) -> tuple[bool, ...]:
+        """Whether w(alpha) > 0, per alpha in Phi+, from w's matrix: row j
+        of the matrix is w(alpha_j), so w(alpha)_i is (column i) . alpha."""
+        got = self._oracle_signs.get(w)
+        if got is None:
+            cols = tuple(zip(*self.W.matrix(w)))
+            got = self._oracle_signs[w] = tuple(
+                is_positive_vec([sum(map(mul, alpha, col)) for col in cols])
+                for alpha in self.rs.positive_roots
+            )
+        return got
 
     # -- distinguished coset representatives -----------------------------------
 
@@ -235,13 +252,27 @@ class AffineWeyl:
 
     def _factor_and_correction(self, mu: Coroot, J: ParabolicIndex) -> tuple[int, Coroot]:
         """(z_mu, phi_J(mu)) from one component decomposition: z_mu is the
-        product of one special element per component of J."""
-        z, phi = 0, [0] * self.rs.rank
-        for comp, jm, corr in self._component_decomposition(mu, J):
-            z = self.W.mul(z, self._component_data(comp)[3][jm])
-            for node, c in zip(comp, corr):
-                phi[node - 1] = c
-        return z, tuple(phi)
+        product of one special element per component of J.  Kept in the
+        fact table; a decomposition that raises keeps nothing."""
+        key = (mu, J.nodes)
+        got = self._facts.get(key)
+        if got is None:
+            z, phi = 0, [0] * self.rs.rank
+            for comp, jm, corr in self._component_decomposition(mu, J):
+                z = self.W.mul(z, self._component_data(comp)[3][jm])
+                for node, c in zip(comp, corr):
+                    phi[node - 1] = c
+            got = self._remember(key, (z, tuple(phi)))
+        return got
+
+    def _remember(self, key: tuple, value: tuple) -> tuple:
+        """Keep value in the fact table under key, dropping the oldest entry
+        past FACT_TABLE_SIZE."""
+        facts = self._facts
+        facts[key] = value
+        if len(facts) > FACT_TABLE_SIZE:
+            del facts[next(iter(facts))]
+        return value
 
     def phi_correction(self, mu: Coroot, J: ParabolicIndex) -> Coroot:
         """The Q_J^vee correction phi_J(mu) in the canonical decomposition."""
@@ -342,20 +373,17 @@ class AffineWeyl:
 
     def _mu_facts(self, mu: Coroot, J: ParabolicIndex, depth: int):
         """(J-adjusted, z_mu or None when not adjusted, superantidominant to
-        depth) of mu.  While a lift table is written they are kept in its
-        memo, so each mu a lifted y carries is decomposed once per table."""
-        memo = self._lift_memo
+        depth) of mu, kept in the fact table: each mu a lifted y carries is
+        decomposed once per ``AffineWeyl``, across tables and walks."""
         key = (mu, J.nodes, depth)
-        got = None if memo is None else memo.get(key)
+        got = self._facts.get(key)
         if got is None:
             adjusted = self.is_adjusted(mu, J)
-            got = (
+            got = self._remember(key, (
                 adjusted,
                 self.z_mu(mu, J) if adjusted else None,
                 adjusted and self.is_superantidominant(mu, J, depth),
-            )
-            if memo is not None:
-                memo[key] = got
+            ))
         return got
 
     # -- lifting edges and projecting covers ------------------------------------
@@ -403,7 +431,7 @@ class AffineWeyl:
         edge keeps all of ``lift_edge``'s other checks, in its order, so a
         broken invariant raises the error ``lift_edge`` raises.  y's mu is
         mu on a Bruhat edge and mu shifted by a coroot on a quantum one, so
-        the table keeps the facts ``in_omega`` reads of each such mu in a memo.
+        the facts ``in_omega`` reads of each such mu come from the fact table.
         """
         self._require_lift_mu(mu, z, graph.J, self.lift_depth(graph))
         return self._lift_rows(graph, z, mu)
@@ -411,24 +439,20 @@ class AffineWeyl:
     def _lift_rows(self, graph: QbgGraph, z: int, mu: Coroot):
         J, W = graph.J, self.W
         zinv = W._inverse[z]
-        outer, self._lift_memo = self._lift_memo, {}
-        try:
-            for v in graph.vertices:
-                out = graph.out[v]
-                if not out:
-                    continue
-                x = AffineElement(W.mul(v, z), mu)
-                lx = self.length(x)
-                lifts = []
-                for edge in out:
-                    y, gamma = self._lift_below(x, lx, edge, zinv)
-                    if not lifts:
-                        self._require_lifted(x, J)
-                    self._require_lifted(y, J)
-                    lifts.append((edge, y, gamma))
-                yield x, lifts
-        finally:
-            self._lift_memo = outer
+        for v in graph.vertices:
+            out = graph.out[v]
+            if not out:
+                continue
+            x = AffineElement(W.mul(v, z), mu)
+            lx = self.length(x)
+            lifts = []
+            for edge in out:
+                y, gamma = self._lift_below(x, lx, edge, zinv)
+                if not lifts:
+                    self._require_lifted(x, J)
+                self._require_lifted(y, J)
+                lifts.append((edge, y, gamma))
+            yield x, lifts
 
     def _require_lift_mu(self, mu: Coroot, z: int, J: ParabolicIndex, depth: int) -> None:
         """Raise ValueError unless mu is J-adjusted, superantidominant to
@@ -574,7 +598,7 @@ class AffineWeyl:
         facts ``lift_edge`` re-checks of its mu.  l(x) is computed once
         and carried.  Every step checks that the path starts where the
         chain is, every y gets all of ``lift_edge``'s checks, and the facts
-        of each mu are kept in the memo for the walk.
+        of each mu come from the fact table.
         """
         J, W = graph.J, self.W
         if not self.is_adjusted(mu, J):
@@ -586,22 +610,18 @@ class AffineWeyl:
         x = AffineElement(W.mul(path.start, z), mu)
         chain: list[tuple[AffineElement, AffineRoot | None]] = [(x, None)]
         lx = self.length(x)
-        outer, self._lift_memo = self._lift_memo, {}
-        try:
-            for k, edge in enumerate(path.edges):
-                w, rest = W.parabolic_decompose(x.w, J)
-                if w != edge.source:
-                    raise ValueError("path does not start where the chain is")
-                if k == 0 and rest != z:
-                    raise ValueError("z does not match the Weyl factor of mu")
-                y, gamma = self._lift_below(x, lx, edge, W._inverse[rest])
-                if k == 0:
-                    self._require_lifted(x, J)
-                self._require_lifted(y, J)
-                chain.append((y, gamma))
-                x, lx = y, lx - 1
-        finally:
-            self._lift_memo = outer
+        for k, edge in enumerate(path.edges):
+            w, rest = W.parabolic_decompose(x.w, J)
+            if w != edge.source:
+                raise ValueError("path does not start where the chain is")
+            if k == 0 and rest != z:
+                raise ValueError("z does not match the Weyl factor of mu")
+            y, gamma = self._lift_below(x, lx, edge, W._inverse[rest])
+            if k == 0:
+                self._require_lifted(x, J)
+            self._require_lifted(y, J)
+            chain.append((y, gamma))
+            x, lx = y, lx - 1
         return chain
 
 

@@ -394,6 +394,44 @@ class QbgGraph:
             else:
                 edges.pop()
 
+    def shortest_paths_from(self, u: int):
+        """Yield (path, weight) for every shortest path out of u, u's empty
+        path first.
+
+        One depth-first walk over u's BFS layers in ``out`` order: an edge
+        is taken only when its target lies one layer further from u than
+        its source, so each walk is a shortest path to where it ends and
+        each shortest path is one walk.  A path comes before its extensions
+        and its weight is carried along the walk; per end v the paths come
+        in the order of ``iter_paths(u, v, distance(u, v))``.
+        """
+        dist = self.distances_from(u)
+        succ = self._successors()
+        # per vertex position its edges one layer further from u, each with
+        # its target's position
+        forward = [
+            [(e, q) for e, q in zip(self.out[v], succ[p]) if dist[q] == dist[p] + 1]
+            for p, v in enumerate(self.vertices)
+        ]
+        zero = self.rs.zero
+        yield QbgPath(u, ()), zero
+        edges: list[QbgEdge] = []
+        weights = [zero]
+        frames = [iter(forward[self.vertex_pos[u]])]
+        while frames:
+            step = next(frames[-1], None)
+            if step is None:
+                frames.pop()
+                if edges:
+                    edges.pop()
+                    weights.pop()
+                continue
+            e, q = step
+            edges.append(e)
+            weights.append(add_vec(weights[-1], e.weight))
+            yield QbgPath(u, tuple(edges)), weights[-1]
+            frames.append(iter(forward[q]))
+
     def quantum_edges(self) -> tuple[QbgEdge, ...]:
         return tuple(e for e in self.edges if e.kind == QUANTUM)
 

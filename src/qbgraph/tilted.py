@@ -210,6 +210,14 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         raise ValueError("case must be 1..4")
     if case not in surgery_cases(graph, path, j):
         raise ValueError(_CASE_NEEDS[case])
+    return _transform(graph, path, j, case)
+
+
+def _transform(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
+    """``transform_path`` once the case's sign hypotheses hold.  Case 2
+    falls back on case 1 and case 4 on case 3 without a second check: a
+    path whose endpoint signs are both negative (positive) and that is not
+    negative (positive) throughout has a vertex of the other sign."""
     table = surgery_signs(graph, j)
     verts = [path.start] + [e.target for e in path.edges]
     signs = [table[x] for x in verts]
@@ -230,7 +238,7 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
         start = floor(path.start)
         if all(s < 0 for s in signs):
             return QbgPath(start, push(path.edges))
-        shorter = transform_path(graph, path, j, 1)
+        shorter = _transform(graph, path, j, 1)
         down = graph.left_step(j, start)[1]
         if down is None or down.target != path.start:
             raise GraphInvariantError("descent edge into the start is missing")
@@ -244,7 +252,7 @@ def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath
 
     if all(s > 0 for s in signs):
         return QbgPath(floor(path.start), push(path.edges))
-    shorter = transform_path(graph, path, j, 3)
+    shorter = _transform(graph, path, j, 3)
     up = graph.left_step(j, verts[-1])[1]
     if up is None:
         raise GraphInvariantError("ascent edge out of the end is missing")

@@ -915,27 +915,22 @@ def path_weights(rs, W, _aw, J_nodes):
     # surgery on every shortest path, every applicable case
     moved = 0
     for u in g.vertices:
-        dist_u = g.distances_from(u)
-        for v in g.vertices:
-            d = dist_u[pos[v]]
-            for p in g.iter_paths(u, v, d):
-                if len(p) != d:
-                    continue
-                weight = p.weight(rs.rank)
-                for j in range(0, rs.rank + 1):
-                    for case in surgery_cases(g, p, j):
-                        p2 = transform_path(g, p, j, case)
-                        want_len = d - 1 if case in (1, 3) else d
-                        if len(p2) != want_len:
-                            raise AssertionError("surgery length wrong")
-                        shift = expected_weight_shift(g, p, j, case)
-                        if J.weight_class(p2.weight(rs.rank)) != J.weight_class(
-                            add_vec(weight, shift)
-                        ):
-                            raise AssertionError("surgery weight wrong")
-                        if len(p2) != g.distance(p2.start, p2.end):
-                            raise AssertionError("surgery lost shortestness")
-                        moved += 1
+        for p, weight in g.shortest_paths_from(u):
+            d = len(p)
+            cls = J.weight_class(weight)
+            for j in range(0, rs.rank + 1):
+                for case in surgery_cases(g, p, j):
+                    p2 = transform_path(g, p, j, case)
+                    want_len = d - 1 if case in (1, 3) else d
+                    if len(p2) != want_len:
+                        raise AssertionError("surgery length wrong")
+                    shift = expected_weight_shift(g, p, j, case)
+                    want = J.weight_class(add_vec(weight, shift)) if any(shift) else cls
+                    if J.weight_class(p2.weight(rs.rank)) != want:
+                        raise AssertionError("surgery weight wrong")
+                    if len(p2) != g.distance(p2.start, p2.end):
+                        raise AssertionError("surgery lost shortestness")
+                    moved += 1
     return f"{walks} weight states, {moved} surgeries"
 
 

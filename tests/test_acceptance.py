@@ -14,6 +14,7 @@ import time
 import pytest
 
 from qbgraph import render
+from qbgraph.affine import AffineWeyl
 from qbgraph.qbg import build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import quantum_length
@@ -41,15 +42,25 @@ def _run(name, types):
 
 
 @pytest.fixture(scope="module")
-def default_run():
+def counted_run():
     """Every suite over its default cases, in report order: name -> (result,
-    seconds), each suite timed on its own."""
-    runs = {}
-    for name in SUITES:
-        start = time.monotonic()
-        res = run_suite(name)
-        runs[name] = (res, time.monotonic() - start)
-    return runs
+    seconds), each suite timed on its own; and the (AffineWeyl, mu,
+    J.nodes) of every component decomposition the run made."""
+    runs, calls = {}, []
+    real = AffineWeyl._component_decomposition
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AffineWeyl, "_component_decomposition",
+                   lambda aw, mu, J: calls.append((aw, mu, J.nodes)) or real(aw, mu, J))
+        for name in SUITES:
+            start = time.monotonic()
+            res = run_suite(name)
+            runs[name] = (res, time.monotonic() - start)
+    return runs, calls
+
+
+@pytest.fixture(scope="module")
+def default_run(counted_run):
+    return counted_run[0]
 
 
 @pytest.fixture
@@ -61,6 +72,13 @@ def suite_run(default_run):
         return _passed(res), elapsed
 
     return get
+
+
+def test_suites_decompose_each_mu_once_per_affine_weyl(counted_run):
+    # each AffineWeyl keeps (z_mu, phi_J(mu)) per (mu, J) in its fact table
+    calls = counted_run[1]
+    assert 0 < len(calls) <= 2000
+    assert len(calls) == len(set(calls))
 
 
 def test_verify_report_is_pinned(default_run):

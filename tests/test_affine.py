@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qbgraph import affine
 from qbgraph.affine import (
     AffineElement,
     AffineRoot,
@@ -482,26 +483,40 @@ def test_lift_table_raises_as_lift_edge_does(monkeypatch, cartan_type, rank, nod
     assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
 
 
+def count_decompositions(monkeypatch, aw):
+    """The (mu, J.nodes) of every component decomposition aw runs from now on."""
+    calls = []
+    decompose = aw._component_decomposition
+    monkeypatch.setattr(aw, "_component_decomposition",
+                        lambda m, JJ: calls.append((m, JJ.nodes)) or decompose(m, JJ))
+    return calls
+
+
 @pytest.mark.parametrize("cartan_type,rank,nodes", [("B", 3, (2,)), ("A", 5, (3,))])
 def test_lift_table_decomposes_each_mu_once(monkeypatch, cartan_type, rank, nodes):
     # in_omega reads z_mu of every lifted y, whose mu is one of a few per
-    # table: the table's memo decomposes each once, and only while it runs
+    # table: the fact table decomposes each (mu, J) once per AffineWeyl,
+    # across tables and walks
     W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    calls = count_decompositions(monkeypatch, aw)
     mu = aw.superantidominant_mu(W.identity, J, depth)
     z = aw.z_mu(mu, J)
     want = row_by_row(aw, g, z, mu)
-    calls = []
-    z_mu = aw.z_mu
-    monkeypatch.setattr(aw, "z_mu", lambda m, JJ: calls.append(m) or z_mu(m, JJ))
-    assert row_by_row(aw, g, z, mu) == want
     mus = {mu} | {y.mu for _x, y, _gamma in want}
     assert 1 < len(mus) < len(want)
-    # one call for mu's facts before any lift, then one per distinct mu
-    assert len(calls) == 1 + len(mus) and set(calls) == mus
-    calls.clear()
-    aw.in_omega(want[0][1], J)
-    aw.in_omega(want[0][1], J)
-    assert len(calls) == 2  # no memo outside a table
+    assert len(calls) == len(set(calls)) and {(m, J.nodes) for m in mus} <= set(calls)
+    seen = list(calls)
+    assert row_by_row(aw, g, z, mu) == want
+    assert [aw.in_omega(y, J) for _x, y, _gamma in want[:2]] == [True, True]
+    assert calls == seen
+    # a walk decomposes only the mus no table has met
+    chain = aw.lift_path(g, g.shortest_path(g.vertices[-1], g.vertices[0]), mu)
+    assert len(calls) == len(set(calls))
+    assert {(x.mu, J.nodes) for x, _gamma in chain} <= set(calls)
+    # the table belongs to its AffineWeyl: another one decomposes afresh
+    other = AffineWeyl(W)
+    fresh = count_decompositions(monkeypatch, other)
+    assert other.z_mu(mu, J) == z and fresh == [(mu, J.nodes)]
 
 
 WALK_CASES = [("A", 3, (1,)), ("B", 3, (2,)), ("C", 3, (1,)), ("G", 2, (1,))]
@@ -620,18 +635,82 @@ def test_lift_path_walks_without_lift_edge_or_the_group_law(monkeypatch):
 
 
 def test_lift_path_decomposes_each_mu_once(monkeypatch):
-    # the walk keeps mu's facts for its whole length, and only while it runs
+    # the fact table keeps mu's facts across walks and tables
     W, J, g, aw, mu, path = walk_context("B", 3, (2,))
+    aw._facts.clear()
+    calls = count_decompositions(monkeypatch, aw)
     want = aw.lift_path(g, path, mu)
-    calls = []
-    z_mu = aw.z_mu
-    monkeypatch.setattr(aw, "z_mu", lambda m, JJ: calls.append(m) or z_mu(m, JJ))
-    assert aw.lift_path(g, path, mu) == want
     mus = {x.mu for x, _gamma in want}
     assert 1 < len(mus) < len(want)
-    # one call for the starting mu's Weyl factor, then one per distinct mu
-    assert len(calls) == 1 + len(mus) and set(calls) == mus
-    assert aw._lift_memo is None
+    # one decomposition per distinct mu, the starting one included
+    assert sorted(calls) == sorted((m, J.nodes) for m in mus)
+    assert aw.lift_path(g, path, mu) == want
+    list(aw.lift_table(g, aw.z_mu(mu, J), mu))
+    assert len(calls) == len(set(calls))
+
+
+BOX_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G", 2)]
+
+
+@pytest.mark.parametrize("cartan_type,rank", BOX_TYPES)
+def test_fact_table_matches_a_fresh_affine_weyl(cartan_type, rank):
+    # one AffineWeyl answers every J from its table; each J's reference
+    # decomposes every mu afresh
+    W = build_weyl_group(cartan_type, rank)
+    rs, aw = W.rs, AffineWeyl(W)
+    box = list(itertools.product(range(-3, 4), repeat=rank))
+    for nodes in all_parabolics(rank):
+        J = rs.parabolic(nodes)
+        fresh = AffineWeyl(W)
+        for mu in box:
+            want = fresh._factor_and_correction(mu, J)
+            facts = {depth: fresh._mu_facts(mu, J, depth) for depth in (1, 2)}
+            for _ in range(2):  # computed, then read back from the table
+                assert (aw.z_mu(mu, J), aw.phi_correction(mu, J)) == want, (nodes, mu)
+                assert aw._facts[(mu, J.nodes)] == want
+                for depth, got in facts.items():
+                    assert aw._mu_facts(mu, J, depth) == got, (nodes, mu, depth)
+                    assert aw._facts[(mu, J.nodes, depth)] == got
+            assert aw.project(AffineElement(0, mu), J) == fresh.project(AffineElement(0, mu), J)
+
+
+def test_a_decomposition_that_raises_is_not_kept(monkeypatch):
+    W = build_weyl_group("B", 3)
+    rs, aw = W.rs, AffineWeyl(W)
+    J = rs.parabolic((2, 3))
+    mu = AffineWeyl(W).superantidominant_mu(W.identity, J, 1)
+    # no candidate lift: every decomposition raises, and keeps nothing
+    real = aw._component_data
+    monkeypatch.setattr(aw, "_component_data", lambda comp: real(comp)[:2] + ((),) + real(comp)[3:])
+    for _ in range(2):
+        with pytest.raises(GraphInvariantError, match="no integral lift"):
+            aw.z_mu(mu, J)
+        with pytest.raises(GraphInvariantError, match="no integral lift"):
+            aw.in_omega(AffineElement(0, mu), J)
+        assert aw._facts == {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            aw.phi_correction((1, 2), J)
+        assert aw._facts == {}
+    monkeypatch.undo()
+    assert aw._factor_and_correction(mu, J) == AffineWeyl(W)._factor_and_correction(mu, J)
+    assert list(aw._facts) == [(mu, J.nodes)]
+
+
+def test_fact_table_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(affine, "FACT_TABLE_SIZE", 8)
+    W = build_weyl_group("A", 2)
+    rs, aw = W.rs, AffineWeyl(W)
+    J = rs.parabolic((1,))
+    mus = [(a, b) for a in range(-3, 3) for b in range(-2, 2)]
+    want = {mu: AffineWeyl(W).z_mu(mu, J) for mu in mus}
+    for k, mu in enumerate(mus, 1):
+        assert aw.z_mu(mu, J) == want[mu]
+        assert len(aw._facts) == min(k, 8)
+    # the oldest are dropped first; a dropped mu is decomposed again
+    assert list(aw._facts) == [(mu, J.nodes) for mu in mus[-8:]]
+    assert aw.z_mu(mus[0], J) == want[mus[0]]
+    assert list(aw._facts)[-1] == (mus[0], J.nodes) and len(aw._facts) == 8
 
 
 @pytest.mark.parametrize("broken", ["gamma positive", "length drop", "in_omega False"])

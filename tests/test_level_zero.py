@@ -5,7 +5,7 @@ import pytest
 
 from qbgraph.affine import AffineRoot, affine_simple_root
 from qbgraph.level_zero import InconclusiveWindow, LevelZeroPoset, LevelZeroWeight, PosetCover
-from qbgraph.qbg import BRUHAT, QUANTUM
+from qbgraph.qbg import BRUHAT, QUANTUM, GraphInvariantError
 from qbgraph.root_system import build_root_system, neg_vec
 from qbgraph.verify import run_suite
 from qbgraph.weyl import WeylGroup
@@ -335,3 +335,21 @@ def test_window_covers_are_the_covers_inside_the_window(cartan_type, lam, window
     want = [(pos[mu], pos[c.upper], c.label, c.kind) for mu, c in every if c.upper in pos]
     assert 0 < len(want) < len(every)  # some covers fall below the window
     assert list(poset.window_covers(window)) == want
+
+
+@pytest.mark.parametrize("cartan_type,rank,lam", [("A", 2, (2, 1)), ("B", 2, (0, 1)),
+                                                  ("G", 2, (1, 0))])
+def test_a_raising_step_that_keeps_its_height_trips_its_check(cartan_type, rank, lam):
+    # with the height pairing sabotaged to zero, every step at k = 0 keeps
+    # the height, so the first coset with such a step raises, named
+    rs = build_root_system(cartan_type, rank)
+    P = LevelZeroPoset(WeylGroup(rs), lam)
+    # a coset other than e's with a raising step at k = 0
+    intact = LevelZeroPoset(P.W, lam)
+    w = next(v for v in P.graph.vertices[1:] if any(k == 0 for *_, k in intact._steps(v)))
+    P._two_rho_vee = rs.zero
+    for _ in range(2):
+        with pytest.raises(GraphInvariantError,
+                           match=rf"^raising step from coset {w} keeps its height$"):
+            P.raising_steps(LevelZeroWeight(w, 0), -3)
+    assert w not in P._steps_cache

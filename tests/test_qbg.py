@@ -26,7 +26,7 @@ from qbgraph.qbg import (
     reflection_ordering_from_word,
 )
 from qbgraph.root_system import build_root_system, is_positive_vec
-from qbgraph.verify import SMALL_TYPES, _dual_label, all_parabolics
+from qbgraph.verify import PATH_WEIGHT_CASES, SMALL_TYPES, _dual_label, all_parabolics
 from qbgraph.weyl import WeylGroup
 
 
@@ -790,3 +790,21 @@ def test_adjacency_orders_one_label_by_kind(a2):
     bruhat = QbgEdge(0, 2, label, BRUHAT, (0, 0))
     g = QbgGraph(W, rs.parabolic(()), range(3), [quantum, bruhat])
     assert g.out == {0: (bruhat, quantum), 1: (), 2: ()}
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", PATH_WEIGHT_CASES + [("A", 3, (2,))])
+def test_shortest_paths_from_are_the_shortest_paths_of_iter_paths(groups, cartan_type, rank, J):
+    # one walk per source yields, per end v, the paths of
+    # iter_paths(u, v, d(u, v)) in their order, each with its weight
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(J))
+    total = 0
+    for u in g.vertices:
+        by_end = {v: [] for v in g.vertices}
+        for path, weight in g.shortest_paths_from(u):
+            assert path.start == u and weight == path.weight(rank)
+            by_end[path.end].append(path)
+        for v, paths in by_end.items():
+            assert paths == list(g.iter_paths(u, v, g.distance(u, v))), (u, v)
+            total += len(paths)
+    assert total >= len(g.vertices) ** 2

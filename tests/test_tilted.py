@@ -1,5 +1,6 @@
 import pytest
 
+import qbgraph.tilted as tilted
 from qbgraph.qbg import GraphInvariantError, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import (
@@ -405,3 +406,39 @@ def test_surgery_pairs_each_vertex_once_per_j(monkeypatch):
     g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
     _all_surgeries(g)
     assert 0 < calls <= len(g.vertices) * (rs.rank + 1)
+
+
+def test_transform_path_checks_its_case_once(monkeypatch):
+    """One ``surgery_cases`` call per ``transform_path`` call, also when case
+    2 falls back on case 1 or case 4 on case 3."""
+    rs = build_root_system("A", 3)
+    g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
+    calls = 0
+    real = tilted.surgery_cases
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(tilted, "surgery_cases", counting)
+    made = 0
+    fallbacks = {2: 0, 4: 0}
+    for u in g.vertices:
+        for p, _weight in g.shortest_paths_from(u):
+            for j in range(0, rs.rank + 1):
+                signs = [surgery_signs(g, j)[x] for x in [p.start] + [e.target for e in p.edges]]
+                # the cases that fall back: one sign of the other kind
+                falls = {2: not all(s < 0 for s in signs), 4: not all(s > 0 for s in signs)}
+                for case in (1, 2, 3, 4):
+                    try:
+                        transform_path(g, p, j, case)
+                    except ValueError:
+                        accepted = False
+                    else:
+                        accepted = True
+                    made += 1
+                    assert calls == made
+                    if accepted and falls.get(case):
+                        fallbacks[case] += 1
+    assert all(fallbacks.values()), fallbacks
