@@ -59,6 +59,9 @@ class AffineWeyl:
         # depth) the facts ``in_omega`` reads; at most FACT_TABLE_SIZE
         # entries, oldest dropped first
         self._facts: dict[tuple, tuple] = {}
+        # (w, J.nodes, W.parabolic_decompose(w, J)) of the last element
+        # ``_decompose`` was asked about
+        self._last_decomposed: tuple = (None, None, None)
         # per element id the sign of w(alpha) over Phi+, read only by the
         # oracle ``length_by_inversions``
         self._oracle_signs: dict[int, tuple[bool, ...]] = {}
@@ -367,9 +370,18 @@ class AffineWeyl:
     def in_omega(self, x: AffineElement, J: ParabolicIndex, depth: int = 1) -> bool:
         """Membership in the lift target: floor part in W^J, mu adjusted with
         matching Weyl factor, and mu at least `depth` antidominant off Phi_J."""
-        rest = self.W.parabolic_decompose(x.w, J)[1]
+        rest = self._decompose(x.w, J)[1]
         adjusted, z, deep = self._mu_facts(x.mu, J, depth)
         return adjusted and z == rest and deep
+
+    def _decompose(self, w: int, J: ParabolicIndex) -> tuple[int, int]:
+        """``W.parabolic_decompose(w, J)``, keeping the last answer: a walk
+        asks for each chain element's twice, in its ``in_omega`` check and
+        at the next step."""
+        last = self._last_decomposed
+        if last[0] != w or last[1] != J.nodes:
+            last = self._last_decomposed = (w, J.nodes, self.W.parabolic_decompose(w, J))
+        return last[2]
 
     def _mu_facts(self, mu: Coroot, J: ParabolicIndex, depth: int):
         """(J-adjusted, z_mu or None when not adjusted, superantidominant to
@@ -596,9 +608,11 @@ class AffineWeyl:
         once, at the start, and x once, after the first step's lift; each
         later x is the previous y, whose ``in_omega`` check implies the
         facts ``lift_edge`` re-checks of its mu.  l(x) is computed once
-        and carried.  Every step checks that the path starts where the
-        chain is, every y gets all of ``lift_edge``'s checks, and the facts
-        of each mu come from the fact table.
+        and carried, and each chain element's finite part is decomposed
+        once (``_decompose``), for its ``in_omega`` check and the next
+        step alike.  Every step checks that the path starts where the chain
+        is, every y gets all of ``lift_edge``'s checks, and the facts of
+        each mu come from the fact table.
         """
         J, W = graph.J, self.W
         if not self.is_adjusted(mu, J):
@@ -611,7 +625,7 @@ class AffineWeyl:
         chain: list[tuple[AffineElement, AffineRoot | None]] = [(x, None)]
         lx = self.length(x)
         for k, edge in enumerate(path.edges):
-            w, rest = W.parabolic_decompose(x.w, J)
+            w, rest = self._decompose(x.w, J)
             if w != edge.source:
                 raise ValueError("path does not start where the chain is")
             if k == 0 and rest != z:

@@ -19,6 +19,11 @@ from .weyl import WeylGroup
 BRUHAT = "bruhat"
 QUANTUM = "quantum"
 
+#: the entry of a BFS row grown part way for a vertex not yet settled, and
+#: (in ``settled_row``'s working row only) for a target not yet settled
+UNSETTLED = 0xFFFF
+WANTED = 0xFFFE
+
 
 class GraphInvariantError(AssertionError):
     """A structural guarantee of the graph failed; signals a bug."""
@@ -180,10 +185,12 @@ class QbgGraph:
             out[e.source].append(e)
         self.out = {v: _label_order(es) for v, es in out.items()}
         # per vertex position the positions of its out-edge targets, in
-        # ``out`` order, and per source id its BFS row by vertex position;
-        # both filled on first use
+        # ``out`` order; per source id its complete BFS row by vertex
+        # position, or its row grown part way with the row's frontier
+        # (``settled_row``); all filled on first use
         self._succ: list[tuple[int, ...]] | None = None
         self._dist: dict[int, array] = {}
+        self._partial: dict[int, tuple[array, array]] = {}
         self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per (j, x)
         # the step out of x, per (j, edge) the edge pushed across s_j, and
@@ -191,10 +198,12 @@ class QbgGraph:
         self._steps: dict[tuple[int, int], tuple[int, QbgEdge | None]] = {}
         self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
         self._step_graph: QbgGraph | None = None
-        # per j the surgery sign of every vertex, and per vertex x the image
-        # x^{-1}(tilde alpha_0^vee), filled by ``tilted``
+        # per j the surgery sign of every vertex, per vertex x the image
+        # x^{-1}(tilde alpha_0^vee), and the AffineWeyl of the theta steps'
+        # checks, filled by ``tilted``
         self._surgery_signs: dict[int, dict[int, int]] = {}
         self._theta_coroot_images: dict[int, Coroot] | None = None
+        self._affine_weyl = None
 
     # -- lookups -----------------------------------------------------------
 
@@ -280,34 +289,83 @@ class QbgGraph:
                                  for v in self.vertices]
         return succ
 
-    def distances_from(self, u: int) -> array:
-        """The BFS distance from u to every vertex, indexed by vertex position
-        (``vertex_pos``); kept per source."""
+    def settled_row(self, u: int, targets=None) -> array:
+        """u's BFS row by vertex position (``vertex_pos``), grown until every
+        position in targets is settled; with no targets, the complete row.
+
+        The BFS expands one vertex at a time from a FIFO queue, each
+        vertex's successors in ``out`` order, and stops after the vertex
+        whose expansion settles the last target.  A complete row is kept in
+        ``_dist``.  A row stopped early is kept in ``_partial`` with its
+        frontier, the settled positions not yet expanded in queue order, and
+        the next call for u resumes it; its entries read UNSETTLED where no
+        distance is known yet.  When the queue runs out with a target
+        unsettled, or with any vertex unsettled and no targets, it raises
+        GraphInvariantError and keeps nothing of u's row.
+        """
         row = self._dist.get(u)
         if row is not None:
             return row
-        start = self._position(u)
-        succ = self._successors()
-        dist = [-1] * len(succ)
-        dist[start] = 0
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for p in frontier:
+        state = self._partial.get(u)
+        if state is None:
+            start = self._position(u)
+            dist = [UNSETTLED] * len(self.vertices)
+            dist[start] = 0
+            queue = [start]
+        else:
+            row, frontier = state
+            if targets is not None and all(row[t] != UNSETTLED for t in targets):
+                return row
+            dist, queue = row.tolist(), frontier.tolist()
+        # the targets still unsettled read WANTED in the working row, so a
+        # settle tells whether it was one; with no targets, left never
+        # reaches zero and the queue runs out
+        left = -1
+        if targets is not None:
+            left = 0
+            for t in targets:
+                if dist[t] == UNSETTLED:
+                    dist[t] = WANTED
+                    left += 1
+        succ, wanted = self._successors(), WANTED
+        frontier = queue
+        if left:
+            for p in queue:  # the queue grows as it is read
+                d = dist[p] + 1
                 for q in succ[p]:
-                    if dist[q] < 0:
+                    if dist[q] >= wanted:
+                        if dist[q] == wanted:
+                            left -= 1
                         dist[q] = d
-                        nxt.append(q)
-            frontier = nxt
-        if -1 in dist:
+                        queue.append(q)
+                if not left:
+                    frontier = queue[queue.index(p) + 1:]
+                    break
+            else:
+                frontier = []
+        complete = not frontier and UNSETTLED not in dist
+        if left > 0 or (left < 0 and not complete):
+            self._partial.pop(u, None)
             raise GraphInvariantError("graph is not strongly connected")
-        row = self._dist[u] = array("H", dist)
+        row = array("H", dist)
+        if complete:
+            self._partial.pop(u, None)
+            self._dist[u] = row
+        else:
+            self._partial[u] = (row, array("I", frontier))
         return row
 
+    def distances_from(self, u: int) -> array:
+        """The BFS distance from u to every vertex, indexed by vertex position
+        (``vertex_pos``); kept per source.  Raises GraphInvariantError when
+        some vertex is unreachable from u."""
+        return self.settled_row(u)
+
     def distance(self, u: int, v: int) -> int:
-        return self.distances_from(u)[self._position(v)]
+        """The BFS distance from u to v, from u's row grown only until v is
+        settled; raises GraphInvariantError when v is unreachable from u."""
+        p = self._position(v)
+        return self.settled_row(u, (p,))[p]
 
     def shortest_path(self, u: int, v: int) -> QbgPath:
         """A BFS witness path, deterministic via sorted adjacency: each vertex

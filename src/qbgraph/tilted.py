@@ -38,12 +38,13 @@ class TiltedOrder:
 
         Also checks that the minimizer sits below every coset member in the
         tilted order; a tie raises, since uniqueness is guaranteed.  Reads
-        two BFS rows, u's and the minimizer's.
+        two BFS rows, u's and the minimizer's, each grown only until every
+        coset member is settled.
         """
         graph = self.graph
-        row = graph.distances_from(u)
         coset = self.W.coset_ids(z.index, J)
         at = [graph._position(x) for x in coset]
+        row = graph.settled_row(u, at)
         dists = [row[p] for p in at]
         best = min(dists)
         winners = [x for d, x in zip(dists, coset) if d == best]
@@ -53,7 +54,7 @@ class TiltedOrder:
                 f"{self.W.describe(self.W.element(u))}"
             )
         x0 = winners[0]
-        below = graph.distances_from(x0)
+        below = graph.settled_row(x0, at)
         # leq(u, x0, x): d(u, x) = d(u, x0) + d(x0, x)
         if any(d != best + below[p] for d, p in zip(dists, at)):
             raise GraphInvariantError("coset minimum is not below a coset member")
@@ -87,6 +88,15 @@ class LeftStep:
     twist: int | None
 
 
+def _affine(graph: QbgGraph) -> AffineWeyl:
+    """The graph's one ``AffineWeyl``, made on first use and kept on it, so
+    its component data and fact table last as long as the graph."""
+    aw = graph._affine_weyl
+    if aw is None:
+        aw = graph._affine_weyl = AffineWeyl(graph.W)
+    return aw
+
+
 def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
     """Classify w^{-1}(tilde alpha_j) and return the induced edge.
 
@@ -105,13 +115,13 @@ def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
     if is_positive_vec(img):
         # crossing root w^{-1}theta is negative here; with w already a
         # coset representative the adjusted element is minus its coroot
-        if j == 0 and not AffineWeyl(W).is_adjusted(rs.coroot(img), J):
+        if j == 0 and not _affine(graph).is_adjusted(rs.coroot(img), J):
             raise GraphInvariantError("crossing coroot is not adjusted")
         return LeftStep(Trichotomy.UP, edge, None)
     label = neg_vec(img)
     twist = None
     if j == 0:
-        aw = AffineWeyl(W)
+        aw = _affine(graph)
         twist = W.theta_twist(w, J)
         gamma = label  # w^{-1}theta, positive off Phi_J
         if W.mul(W.right_reflect(0, rs.theta), w) != W.mul(target, twist):
@@ -129,7 +139,7 @@ def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
 
 def quantum_length(graph: QbgGraph, u: int) -> int:
     """Fewest left steps by simple or theta reflections from u to the identity."""
-    return len(graph.step_graph().shortest_path(u, 0))
+    return graph.step_graph().distance(u, 0)
 
 
 def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:

@@ -622,6 +622,31 @@ def test_lift_path_checks_where_each_step_starts():
             assert raised(lambda: walk_by_lift_edge(aw, g, bad, mu)) == (ValueError, message)
 
 
+@pytest.mark.parametrize("cartan_type,rank,nodes", WALK_CASES,
+                         ids=lambda c: str(c).replace(" ", ""))
+def test_lift_path_decomposes_each_chain_element_once(monkeypatch, cartan_type, rank, nodes):
+    # each step's x is the previous y, decomposed for its in_omega check:
+    # one W.parabolic_decompose per step, plus the start's
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    mu = aw.superantidominant_mu(W.identity, J, depth)
+    calls = []
+    decompose = W.parabolic_decompose
+    monkeypatch.setattr(W, "parabolic_decompose",
+                        lambda w, JJ: calls.append(w) or decompose(w, JJ))
+    steps = 0
+    for u in g.vertices:
+        for v in g.vertices:
+            path = g.shortest_path(u, v)
+            if not path.edges:
+                continue
+            walker = AffineWeyl(W)  # nothing remembered from another walk
+            calls.clear()
+            chain = walker.lift_path(g, path, mu)
+            assert calls == [x.w for x, _gamma in chain]
+            steps += len(path)
+    assert steps > 0
+
+
 def test_lift_path_walks_without_lift_edge_or_the_group_law(monkeypatch):
     W, J, g, aw, mu, path = walk_context("B", 3, (2,))
     want = walk_by_lift_edge(aw, g, path, mu)

@@ -9,6 +9,7 @@ import pytest
 from qbgraph.qbg import (
     BRUHAT,
     QUANTUM,
+    UNSETTLED,
     GraphInvariantError,
     QbgEdge,
     QbgGraph,
@@ -239,6 +240,85 @@ def test_distances_and_paths_reject_graphs_that_are_not_strongly_connected(
                         h.shortest_path(u, v)
     # QB(A2) stays strongly connected without any one edge; the others do not
     assert (raised == 0) == (J == ())
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_bounded_distances_match_a_reference_bfs(groups, cartan_type, rank):
+    # distance grows u's row only until v is settled; asked in shuffled
+    # order, every answer is the reference's, and the row grown that way
+    # then completes to the reference row
+    rs, W = groups(cartan_type, rank)
+    rng = random.Random(f"{cartan_type}{rank}")
+    stopped = 0
+    for J in all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        for u in g.vertices:
+            dist, _ = reference_bfs(g, u)
+            targets = list(g.vertices)
+            rng.shuffle(targets)
+            for v in targets:
+                assert g.distance(u, v) == dist[v], (J, u, v)
+                if u in g._partial:
+                    stopped += 1
+                    row = g._partial[u][0]
+                    assert all(d in (UNSETTLED, dist[x]) for d, x in zip(row, g.vertices))
+            assert list(g.distances_from(u)) == [dist[v] for v in g.vertices], (J, u)
+            assert u in g._dist and u not in g._partial
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_a_resumed_row_equals_a_fresh_full_row(groups, cartan_type, rank):
+    # a row stopped at a target and resumed, once for a farther target and
+    # once to the end, is the row of a fresh graph's BFS
+    rs, W = groups(cartan_type, rank)
+    resumed = 0
+    for J in all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        fresh = build_qbg(W, rs.parabolic(J))
+        pos = g.vertex_pos
+        for u in g.vertices:
+            dist, _ = reference_bfs(g, u)
+            by_distance = sorted(g.vertices, key=dist.get)
+            near, far = by_distance[len(by_distance) // 3], by_distance[-1]
+            row = g.settled_row(u, [pos[near]])
+            assert row[pos[near]] == dist[near]
+            if UNSETTLED in row:
+                assert u in g._partial and u not in g._dist
+                resumed += 1
+            row = g.settled_row(u, [pos[far]])
+            assert row[pos[far]] == dist[far]
+            assert g.distances_from(u) == fresh.distances_from(u)
+            assert u not in g._partial
+    assert resumed > 0
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", [("A", 2, (1,)), ("A", 3, (1, 3)),
+                                                 ("G", 2, (1,))])
+def test_bounded_distances_on_graphs_that_are_not_strongly_connected(
+        groups, cartan_type, rank, J):
+    # drop each edge in turn: a reachable v gets its distance from a row
+    # grown part way, an unreachable v raises, and a raise keeps no row
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(J))
+    rng = random.Random(f"{cartan_type}{rank}{J}")
+    raised = answered = 0
+    for k in range(len(g.edges)):
+        h = QbgGraph(W, g.J, g.vertices, g.edges[:k] + g.edges[k + 1:])
+        for u in h.vertices:
+            dist, _ = reference_bfs(h, u)
+            targets = list(h.vertices)
+            rng.shuffle(targets)
+            for v in targets:
+                if v in dist:
+                    assert h.distance(u, v) == dist[v]
+                    answered += len(dist) < len(h.vertices)
+                else:
+                    with pytest.raises(GraphInvariantError, match="not strongly connected"):
+                        h.distance(u, v)
+                    assert u not in h._dist and u not in h._partial
+                    raised += 1
+    assert raised > 0 and answered > 0
 
 
 def bfs_diameter(g):

@@ -122,6 +122,67 @@ def test_coset_min_raises_when_the_minimizer_is_not_below_a_member():
     assert tried == 24 * 3 * 5
 
 
+def _partial_rows():
+    """Per (u, coset) of A3 J = {1, 2} whose minimizer x0 is not u, over a
+    fresh graph each: the order after one ``coset_min``, the rows it grew of
+    u and x0 when both stopped short of the whole graph, and the positions
+    of x0 and of each other member x."""
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    J = rs.parabolic((1, 2))
+    for u in W.min_coset_ids(rs.parabolic(())):
+        for z in W.min_coset_ids(J):
+            T = TiltedOrder(build_qbg(W, rs.parabolic(())))
+            graph = T.graph
+            x0 = T.coset_min(u, W.element(z), J).index
+            if x0 == u or u not in graph._partial or x0 not in graph._partial:
+                continue
+            assert u not in graph._dist and x0 not in graph._dist
+            row, below = graph._partial[u][0], graph._partial[x0][0]
+            pos = graph.vertex_pos
+            for x in W.coset_ids(z, J):
+                if x != x0:
+                    yield T, u, W.element(z), J, row, below, pos[x0], pos[x]
+
+
+def test_coset_min_checks_rows_grown_part_way():
+    # the two checks of coset_min read rows that stopped once the coset was
+    # settled: a tie in u's row, or a member off every path through x0 in
+    # x0's row, raises as it does on complete rows
+    ties = offs = 0
+    for T, u, z, J, row, below, p0, p in _partial_rows():
+        kept = row[p]
+        row[p] = row[p0]
+        with pytest.raises(TieError, match="has 2 minimizers"):
+            T.coset_min(u, z, J)
+        row[p] = kept
+        ties += 1
+        below[p] += 1
+        with pytest.raises(GraphInvariantError, match="not below a coset member"):
+            T.coset_min(u, z, J)
+        below[p] -= 1
+        offs += 1
+        assert T.coset_min(u, z, J).index == T.graph.vertices[p0]
+    assert ties == offs > 0
+
+
+def test_left_steps_make_one_affine_weyl_per_graph(monkeypatch):
+    # the theta steps' checks share their graph's AffineWeyl: over the
+    # connectivity suite, one per case, each case building one graph
+    from qbgraph.verify import run_suite
+
+    made = []
+
+    class Counted(tilted.AffineWeyl):
+        def __init__(self, W):
+            made.append(W)
+            super().__init__(W)
+
+    monkeypatch.setattr(tilted, "AffineWeyl", Counted)
+    result = run_suite("connectivity")
+    assert result.passed and len(made) == len(result.cases) > 0
+
+
 def test_quantum_length_values(a2, graph):
     rs, W = a2
     assert quantum_length(graph, W.identity.index) == 0
