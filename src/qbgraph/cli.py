@@ -137,19 +137,18 @@ def _lift(args) -> int:
         mu = aw.superantidominant_mu(W.identity, J, depth)
 
     if args.walk:
-        start = W.min_coset_rep(W.from_word(_parse_word(args.start)), J)
-        cur = start.index
+        start = cur = W.coset_floor(W.from_word(_parse_word(args.start)).index, J)
         edges = []
         for part in args.walk.split(";"):
             label = _parse_ints(part)
             edge = graph.edge(cur, label)
             if edge is None:
                 raise UsageError(
-                    f"no edge with label {label} out of vertex {W.describe(W.element(cur))}"
+                    f"no edge with label {label} out of vertex {W.describe(cur)}"
                 )
             edges.append(edge)
             cur = edge.target
-        chain = aw.lift_path(graph, QbgPath(start.index, tuple(edges)), mu)
+        chain = aw.lift_path(graph, QbgPath(start, tuple(edges)), mu)
         if args.format == "dot":
             _emit(args, [render.chain_to_dot(aw, chain)])
         elif args.format == "json":
@@ -202,14 +201,14 @@ def cmd_tilted(args) -> int:
     rs, W, J = _context(args)
     graph = build_qbg(W, rs.parabolic(()))
     order = TiltedOrder(graph)
-    u = _element(W, args.u)
+    u = _element(W, args.u).index
     z = _element(W, args.z)
-    x = order.coset_min(u.index, z, J)
+    x = order.coset_min(u, z, J).index
     lines = [
         f"base    : {W.describe(u)}",
-        f"coset   : {W.describe(z)} W_J, J={list(J.nodes)}",
+        f"coset   : {W.describe(z.index)} W_J, J={list(J.nodes)}",
         f"minimum : {W.describe(x)}",
-        f"distance: {graph.distance(u.index, x.index)}",
+        f"distance: {graph.distance(u, x)}",
     ]
     _emit(args, ["\n".join(lines) + "\n"])
     return 0
@@ -220,8 +219,8 @@ def cmd_qlen(args) -> int:
 
     rs, W, J = _context(args)
     graph = build_qbg(W, J)
-    u = W.min_coset_rep(_element(W, args.u), J)
-    value = quantum_length(graph, u.index)
+    u = W.coset_floor(_element(W, args.u).index, J)
+    value = quantum_length(graph, u)
     _emit(args, [f"{value}\n"])
     return 0
 
@@ -288,13 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, parabolic=True):
+    def common(p):
         p.add_argument("--type", dest="cartan_type", required=True,
                        choices=list("ABCDEFG"))
         p.add_argument("--rank", type=int, required=True)
-        if parabolic:
-            p.add_argument("--parabolic", default="",
-                           help="comma separated Dynkin nodes (Bourbaki numbering)")
+        p.add_argument("--parabolic", default="",
+                       help="comma separated Dynkin nodes (Bourbaki numbering)")
         p.add_argument("--format", choices=("dot", "json", "text"), default="text")
         p.add_argument("--out", default="", help="output file (default stdout)")
 

@@ -143,10 +143,10 @@ def _out_edges(W: WeylGroup, rule: ParabolicIndex, w: int, plan) -> list[QbgEdge
         if lx == up:
             floor = x if all(length[col[x]] > lx for col in cols) else W.coset_floor(x, rule)
             if length[floor] == low:
-                raise GraphInvariantError(f"edge kinds collide at ({W.element(w)}, {alpha})")
+                raise GraphInvariantError(f"edge kinds collide at (W[{W.describe(w)}], {alpha})")
             if floor != x:
                 raise GraphInvariantError(
-                    f"Bruhat target {W.element(x)} left W^J at ({W.element(w)}, {alpha})"
+                    f"Bruhat target W[{W.describe(x)}] left W^J at (W[{W.describe(w)}], {alpha})"
                 )
             edges.append(QbgEdge(w, x, alpha, BRUHAT, zero))
         elif low <= lx <= low + depth:
@@ -214,9 +214,6 @@ class QbgGraph:
                 return e
         return None
 
-    def empty_path(self, v: int) -> QbgPath:
-        return QbgPath(v, ())
-
     # -- the left action of s_0, ..., s_r ---------------------------------------
 
     def left_step(self, j: int, x: int) -> tuple[int, QbgEdge | None]:
@@ -240,7 +237,7 @@ class QbgGraph:
                 edge = self.edge(x, label)
                 if edge is None or edge.target != target:
                     raise GraphInvariantError(
-                        f"left step by {j} at {W.element(x)} is not a graph edge"
+                        f"left step by {j} at W[{W.describe(x)}] is not a graph edge"
                     )
             got = self._steps[(j, x)] = (target, edge)
         return got
@@ -574,24 +571,26 @@ class ReflectionOrdering:
                         )
 
 
-def _word_roots(W: WeylGroup, word) -> tuple[Root, ...]:
-    """The roots r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) along a word."""
+def _word_roots(W: WeylGroup, word) -> tuple[tuple[Root, ...], int]:
+    """The roots r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) along a word of 1-based
+    generator indices, and the id of the word's product."""
     roots = []
     prefix = 0
     for k in word:
+        if not 1 <= k <= W.rank:
+            raise ValueError(f"generator index {k} out of range")
         roots.append(W.matrix(prefix)[k - 1])
         prefix = W._right[k - 1][prefix]
-    return tuple(roots)
+    return tuple(roots), prefix
 
 
 def reflection_ordering_from_word(W: WeylGroup, word) -> ReflectionOrdering:
     """The ordering beta_k = r_{i_1} ... r_{i_{k-1}}(alpha_{i_k}) from a
     reduced word for the longest element."""
-    word = tuple(word)
-    w0 = W.longest_element()
-    if W.from_word(word) != w0 or len(word) != w0.length:
+    seq, w = _word_roots(W, word)
+    w0 = W.longest()
+    if w != w0 or len(seq) != W._length[w0]:
         raise ValueError("word is not a reduced word for the longest element")
-    seq = _word_roots(W, word)
     if sorted(seq) != sorted(W.rs.positive_roots):
         raise GraphInvariantError("word ordering does not enumerate Phi+")
     ordering = ReflectionOrdering(seq)
@@ -601,7 +600,7 @@ def reflection_ordering_from_word(W: WeylGroup, word) -> ReflectionOrdering:
 
 def subsystem_word_ordering(W: WeylGroup, J: ParabolicIndex) -> tuple[Root, ...]:
     """Ordering of Phi_J^+ derived from the shortlex word of w_0^J."""
-    seq = _word_roots(W, W.longest_element(J.nodes).word)
+    seq, _ = _word_roots(W, W._word[W.longest(J.nodes)])
     if sorted(seq) != sorted(J.phi_plus):
         raise GraphInvariantError("subsystem word ordering does not enumerate Phi_J+")
     return seq

@@ -293,7 +293,7 @@ def affine_root_text(beta: AffineRoot) -> str:
 
 def affine_element_text(W: WeylGroup, x: AffineElement) -> str:
     """Rendering 'w t(mu)' with mu in simple-coroot coordinates."""
-    w = W.describe(W.element(x.w))
+    w = W.describe(x.w)
     mu = ",".join(str(c) for c in x.mu)
     return f"{w} t({mu})"
 
@@ -311,7 +311,7 @@ def _lines_in_chunks(lines_fn):
 
 
 def _vertex_names(graph: QbgGraph) -> dict[int, str]:
-    return {v: graph.W.describe(graph.W.element(v)) for v in graph.vertices}
+    return {v: graph.W.describe(v) for v in graph.vertices}
 
 
 @_lines_in_chunks
@@ -342,16 +342,14 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
 
         def vertex_rows():
             for pos, v in enumerate(graph.vertices):
-                el = W.element(v)
-                text = "".join(map(str, W.one_line(el)))
-                yield pos, text, text, el.word
+                text = "".join(map(str, W.one_line(v)))
+                yield pos, text, text, W._word[v]
     else:
         vertex_columns = (("id", int), ("text", str), ("word", tuple))
 
         def vertex_rows():
             for pos, v in enumerate(graph.vertices):
-                el = W.element(v)
-                yield pos, W.describe(el), el.word
+                yield pos, W.describe(v), W._word[v]
 
     def edge_rows():
         pos_of = graph.vertex_pos
@@ -433,7 +431,7 @@ def chain_to_json(aw: AffineWeyl, chain) -> str:
     rows = []
     for x, gamma in chain:
         row = {
-            "w_word": list(aw.W.element(x.w).word),
+            "w_word": list(aw.W._word[x.w]),
             "mu": list(x.mu),
             "text": affine_element_text(aw.W, x),
         }
@@ -458,7 +456,7 @@ def _coset_text(poset: LevelZeroPoset, w: int) -> str:
     """The part of ``weight_text`` that depends on the coset alone."""
     W = poset.W
     if poset.rs.cartan_type != "A":
-        return f"({W.describe(W.element(w))}, "
+        return f"({W.describe(w)}, "
     from .level_zero import LevelZeroWeight
 
     coords = poset.weight_coordinates(LevelZeroWeight(w, 0))
@@ -533,7 +531,7 @@ def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     def vertex_rows():
         i = 0
         for w in poset.graph.vertices:
-            word = poset.W.element(w).word
+            word = poset.W._word[w]
             for n in ns:
                 yield word, i, n, heads[w] + tails[n]
                 i += 1
@@ -560,10 +558,6 @@ def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
 
 def slice_to_dot(poset: LevelZeroPoset, window: int) -> str:
     return "".join(slice_dot_chunks(poset, window))
-
-
-def slice_to_text(poset: LevelZeroPoset, window: int) -> str:
-    return "".join(slice_text_chunks(poset, window))
 
 
 def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
@@ -606,18 +600,6 @@ def lifts_json_chunks(W: WeylGroup, mu, table) -> Iterator[str]:
                   _lift_rows(W, table))
     yield from json_chunks({"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": covers})
     yield "\n"
-
-
-def lifts_to_text(W: WeylGroup, table) -> str:
-    return "".join(lifts_text_chunks(W, table))
-
-
-def lifts_to_dot(W: WeylGroup, table) -> str:
-    return "".join(lifts_dot_chunks(W, table))
-
-
-def lifts_to_json(W: WeylGroup, mu, table) -> str:
-    return "".join(lifts_json_chunks(W, mu, table))
 
 
 def report_to_text(results) -> str:

@@ -301,9 +301,6 @@ class RootSystem:
             raise ValueError(f"affine node index {j} out of range")
         return self._tilde_roots[j]
 
-    def is_root(self, v: tuple[int, ...]) -> bool:
-        return v in self._root_set or neg_vec(v) in self._root_set
-
     def is_positive_root(self, v: tuple[int, ...]) -> bool:
         return v in self._root_set
 

@@ -50,8 +50,8 @@ class TiltedOrder:
         winners = [x for d, x in zip(dists, coset) if d == best]
         if len(winners) != 1:
             raise TieError(
-                f"coset {self.W.describe(z)} W_J has {len(winners)} minimizers from "
-                f"{self.W.describe(self.W.element(u))}"
+                f"coset {self.W.describe(z.index)} W_J has {len(winners)} minimizers from "
+                f"{self.W.describe(u)}"
             )
         x0 = winners[0]
         below = graph.settled_row(x0, at)

@@ -251,14 +251,15 @@ def quantum_roots(rs):
        "length <omega_i^vee, 2rho>",
        per_type, ROOT_TYPES)
 def special_lengths(rs, W, _aw):
+    length = W._length
     checked = []
     for i in rs.special_nodes():
-        v = W.special_v(i)
+        v = length[W.special_v(i)]
         expect = rs.two_rho[i - 1]
-        if v.length != expect:
-            raise AssertionError(f"node {i}: len {v.length} != {expect}")
+        if v != expect:
+            raise AssertionError(f"node {i}: len {v} != {expect}")
         rest = tuple(j for j in range(1, rs.rank + 1) if j != i)
-        if v.length + W.longest_element(rest).length != W.longest_element().length:
+        if v + length[W.longest(rest)] != length[W.longest()]:
             raise AssertionError(f"node {i}: factorization not length-additive")
         checked.append(i)
     return f"special nodes {checked}" if checked else "no special nodes"
@@ -269,31 +270,31 @@ def special_lengths(rs, W, _aw):
        "is exhaustive, and conjugation by the longest element preserves length",
        per_type, SMALL_TYPES)
 def weyl_basics(rs, W, _aw):
-    w0 = W.longest_element()
-    for w in W.elements():
-        conj = w0 * w * w0
-        if conj.length != w.length:
+    length, mul = W._length, W.mul
+    w0 = W.longest()
+    for w in range(len(W)):
+        if length[mul(mul(w0, w), w0)] != length[w]:
             raise AssertionError("conjugation by w0 changed a length")
     for J_nodes in all_parabolics(rs.rank):
         J = rs.parabolic(J_nodes)
         wjset = set(W.subgroup_elements(J.nodes))
-        for w in W.elements():
-            u, v = map(W.element, W.parabolic_decompose(w.index, J))
-            if (u * v).index != w.index or v.index not in wjset:
+        for w in range(len(W)):
+            u, v = W.parabolic_decompose(w, J)
+            if mul(u, v) != w or v not in wjset:
                 raise AssertionError("decomposition broke")
-            if u.length + v.length != w.length:
+            if length[u] + length[v] != length[w]:
                 raise AssertionError("decomposition not length-additive")
-        for v in W.min_coset_reps(J):
+        for v in W.min_coset_ids(J):
             for i in range(1, rs.rank + 1):
-                rv = W.left_mul(i, v)
-                down = rv.length < v.length
-                inside = (v.inverse() * rv).index in wjset
+                rv = mul(W._right[i - 1][0], v)  # r_i v
+                down = length[rv] < length[v]
+                inside = mul(W._inverse[v], rv) in wjset
                 if down:
-                    ok = W.in_min_coset_reps(rv, J) and not inside
+                    ok = W.coset_floor(rv, J) == rv and not inside
                 elif inside:
-                    ok = W.min_coset_rep(rv, J).index == v.index
+                    ok = W.coset_floor(rv, J) == v
                 else:
-                    ok = W.in_min_coset_reps(rv, J)
+                    ok = W.coset_floor(rv, J) == rv
                 if not ok:
                     raise AssertionError("coset trichotomy failed")
                 alpha = tuple(
@@ -314,12 +315,12 @@ def _a2_full_graph():
     rs, W, _ = context("A", 2)
     g = build_qbg(W, rs.parabolic(()))
     _require(len(g.edges) == 15 and len(g.quantum_edges()) == 7)
-    w0 = W.longest_element()
-    theta_edge = g.edge(w0.index, rs.theta)
+    w0 = W.longest()
+    theta_edge = g.edge(w0, rs.theta)
     _require(theta_edge is not None and theta_edge.kind == QUANTUM)
-    _require(theta_edge.target == W.identity.index)
+    _require(theta_edge.target == 0)
     _require(all(
-        e.source == w0.index for e in g.edges if e.label == rs.theta and e.kind == QUANTUM
+        e.source == w0 for e in g.edges if e.label == rs.theta and e.kind == QUANTUM
     ))
     return "15 edges, 7 quantum, theta edge from the top"
 
@@ -327,7 +328,7 @@ def _a2_full_graph():
 def _a3_parabolic_graph():
     rs, W, _ = context("A", 3)
     g = build_qbg(W, rs.parabolic((1, 3)))
-    by_line = {W.describe(W.element(v)): v for v in g.vertices}
+    by_line = {W.describe(v): v for v in g.vertices}
     _require(sorted(by_line) == ["1234", "1324", "1423", "2314", "2413", "3412"])
     expect = {
         ("1234", "1324", (0, 1, 0), BRUHAT),
@@ -340,12 +341,7 @@ def _a3_parabolic_graph():
         ("3412", "1324", (0, 1, 0), QUANTUM),
     }
     have = {
-        (
-            W.describe(W.element(e.source)),
-            W.describe(W.element(e.target)),
-            e.label,
-            e.kind,
-        )
+        (W.describe(e.source), W.describe(e.target), e.label, e.kind)
         for e in g.edges
     }
     _require(have == expect, have ^ expect)
@@ -360,9 +356,8 @@ def _a2_cycle():
     for v in g.vertices:
         _require(len(g.out[v]) == 1)
     _require(g.distance(g.vertices[0], g.vertices[0]) == 0)
-    r2 = W.simple_reflection(2)
-    r1r2 = W.from_word((1, 2))
-    _require(g.distance(r1r2.index, r2.index) == 2)
+    r1, r2 = (col[0] for col in W._right)
+    _require(g.distance(W.mul(r1, r2), r2) == 2)
     return "3-cycle with one quantum edge"
 
 
@@ -378,17 +373,18 @@ def reference_graphs(graph_check):
 
 def _independent_edge_oracle(rs, W, aw, J, w, alpha):
     """Edge classification from raw lengths and the affine membership test."""
-    x = w * W.reflection(alpha)
-    if x.length == w.length + 1:
-        if not W.in_min_coset_reps(x, J):
+    length = W._length
+    x = W.mul(w, W.right_reflect(0, alpha))
+    if length[x] == length[w] + 1:
+        if W.coset_floor(x, J) != x:
             raise AssertionError("Bruhat target left W^J")
-        return (BRUHAT, x.index)
+        return (BRUHAT, x)
     quantum_in_w = (
-        x.length == w.length - rs.reflection_length(alpha)
+        length[x] == length[w] - rs.reflection_length(alpha)
         and rs.is_quantum_root(alpha)
     )
-    if quantum_in_w and aw.in_wj_af(AffineElement(x.index, rs.coroot(alpha)), J):
-        return (QUANTUM, W.min_coset_rep(x, J).index)
+    if quantum_in_w and aw.in_wj_af(AffineElement(x, rs.coroot(alpha)), J):
+        return (QUANTUM, W.coset_floor(x, J))
     return None
 
 
@@ -396,8 +392,8 @@ def _dual_label(W, w0J, e):
     """(label of the dual of edge e, u) with u = target^-1 source r_label."""
     # floored quantum targets twist the label rule by the
     # W_J remainder of the unfloored product
-    u = W.element(e.target).inverse() * W.element(e.source) * W.reflection(e.label)
-    lab = w0J.act(u.act(e.label))
+    u = W.mul(W.mul(W._inverse[e.target], e.source), W.right_reflect(0, e.label))
+    lab = W.act(w0J, W.act(u, e.label))
     _require(is_positive_vec(lab), f"dual label {lab} of {e} is not positive")
     return lab, u
 
@@ -414,9 +410,8 @@ def qbg_structure(rs, W, aw, J):
     labels = [a for a in rs.positive_roots if not J.supports(a)]
     want = {}
     for v in g.vertices:
-        w = W.element(v)
         for a in labels:
-            got = _independent_edge_oracle(rs, W, aw, J, w, a)
+            got = _independent_edge_oracle(rs, W, aw, J, v, a)
             if got is not None:
                 want[(v, a)] = got
     have = {(e.source, e.label): (e.kind, e.target) for e in g.edges}
@@ -429,10 +424,10 @@ def qbg_structure(rs, W, aw, J):
         vv = dual_involution(g, v)
         if dual_involution(g, vv) != v:
             raise AssertionError("duality is not an involution")
-        expect = len(rs.positive_roots) - len(J.phi_plus) - W.element(v).length
-        if W.element(vv).length != expect:
+        expect = len(rs.positive_roots) - len(J.phi_plus) - W._length[v]
+        if W._length[vv] != expect:
             raise AssertionError("duality length formula failed")
-    w0J = W.longest_element(J.nodes)
+    w0J = W.longest(J.nodes)
     for e in g.edges:
         src = dual_involution(g, e.target)
         dst = dual_involution(g, e.source)
@@ -440,7 +435,7 @@ def qbg_structure(rs, W, aw, J):
         mirror = g.edge(src, lab)
         if mirror is None or mirror.target != dst or mirror.kind != e.kind:
             raise AssertionError(f"dual edge missing for {e}")
-        if u.index == 0 and lab != w0J.act(e.label):
+        if u == 0 and lab != W.act(w0J, e.label):
             raise AssertionError("plain dual label rule failed")
         lab2, _ = _dual_label(W, w0J, mirror)
         if g.edge(dual_involution(g, mirror.target), lab2) != e:
@@ -448,14 +443,12 @@ def qbg_structure(rs, W, aw, J):
     # embedded copies w -> wz inside the full graph; a quantum
     # edge lands in the copy twisted by the label's Weyl factor,
     # so its image target is the unfloored product
-    for zid in aw.sigma_J(J):
-        z = W.element(zid)
-        zinv = z.inverse()
+    for z in aw.sigma_J(J):
+        zinv = W._inverse[z]
         for e in g.edges:
-            src = (W.element(e.source) * z).index
-            img = g0.edge(src, zinv.act(e.label))
-            want = (W.element(e.source) * W.reflection(e.label) * z).index
-            if e.kind == BRUHAT and want != (W.element(e.target) * z).index:
+            img = g0.edge(W.mul(e.source, z), W.act(zinv, e.label))
+            want = W.mul(W.mul(e.source, W.right_reflect(0, e.label)), z)
+            if e.kind == BRUHAT and want != W.mul(e.target, z):
                 raise AssertionError("Bruhat image left the coset copy")
             if img is None or img.kind != e.kind or img.target != want:
                 raise AssertionError("coset embedding broke an edge")
@@ -484,10 +477,9 @@ def affine_core(rs, W, aw):
         for wid in sample_w:
             x = AffineElement(wid, mu)
             t_mu = aw.translation(mu)
-            w_el = W.element(wid)
-            conj = aw.mul(aw.mul(aw.from_finite(w_el), t_mu),
-                          aw.inv(aw.from_finite(w_el)))
-            if conj != aw.translation(w_el.act_coroot(mu)):
+            w = AffineElement(wid, rs.zero)
+            conj = aw.mul(aw.mul(w, t_mu), aw.inv(w))
+            if conj != aw.translation(W.act_coroot(wid, mu)):
                 raise AssertionError("translation conjugation failed")
             if aw.mul(x, aw.inv(x)) != AffineElement(0, (0,) * rs.rank):
                 raise AssertionError("inverse failed")
@@ -500,7 +492,7 @@ def affine_core(rs, W, aw):
                 raise AssertionError("adjusted test disagrees with phi")
             if adj:
                 z = aw.z_mu(mu, J)
-                if W.element(z).length != -rs.pairing(mu, J.two_rho_J):
+                if W._length[z] != -rs.pairing(mu, J.two_rho_J):
                     raise AssertionError("adjusted z-length formula failed")
                 invariant = all(
                     rs.pairing(mu, rs.simple_roots()[j - 1]) == 0
@@ -510,8 +502,7 @@ def affine_core(rs, W, aw):
                     raise AssertionError("invariance criterion failed")
             # membership criterion over a couple of finite parts
             for wid in sample_w:
-                w_el = W.element(wid)
-                if not W.in_min_coset_reps(w_el, J):
+                if W.coset_floor(wid, J) != wid:
                     continue
                 for zid in (0, next(iter(wj_ids - {0}), 0)):
                     x = AffineElement(W.mul(wid, zid), mu)
@@ -548,7 +539,7 @@ def affine_core(rs, W, aw):
                 if lhs != rhs:
                     raise AssertionError("projection product rule failed")
                 for vid in list(wj_ids)[:3]:
-                    v = aw.from_finite(W.element(vid))
+                    v = AffineElement(vid, rs.zero)
                     if aw.project(aw.mul(x, v), J) != px:
                         raise AssertionError("projection moved under (W_J)_af")
         # minimum coset representatives survive the projection
@@ -561,8 +552,7 @@ def affine_core(rs, W, aw):
         # strict antidominant length formula
         h = aw.invariant_depth_vector(J)
         for wid in sample_w:
-            w_el = W.element(wid)
-            if not W.in_min_coset_reps(w_el, J):
+            if W.coset_floor(wid, J) != wid:
                 continue
             for mu0 in small[:: max(1, len(small) // 6)]:
                 if not aw.is_adjusted(mu0, J):
@@ -571,7 +561,7 @@ def affine_core(rs, W, aw):
                 if not aw.is_superantidominant(mu, J, 1):
                     continue
                 x = AffineElement(W.mul(wid, aw.z_mu(mu, J)), mu)
-                expect = -rs.pairing(mu, sub_vec(rs.two_rho, J.two_rho_J)) - w_el.length
+                expect = -rs.pairing(mu, sub_vec(rs.two_rho, J.two_rho_J)) - W._length[wid]
                 if aw.length(x) != expect:
                     raise AssertionError("antidominant length formula failed")
                 if not aw.in_waf_minus(x):
@@ -625,14 +615,14 @@ def example_chain():
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
     mu = (-2, -4)
-    e1 = g.edge(W.identity.index, (0, 1))
+    e1 = g.edge(0, (0, 1))
     e2 = g.edge(e1.target, (1, 1))
     e3 = g.edge(e2.target, (0, 1))
     _require((e1.kind, e2.kind, e3.kind) == (BRUHAT, BRUHAT, QUANTUM))
-    chain = aw.lift_path(g, QbgPath(W.identity.index, (e1, e2, e3)), mu)
+    chain = aw.lift_path(g, QbgPath(0, (e1, e2, e3)), mu)
     labels = [render.affine_root_text(gam) for _, gam in chain[1:]]
     _require(labels == ["6d-a2", "6d-a1-a2", "5d-a2"], labels)
-    words = [W.element(x.w).word for x, _ in chain]
+    words = [tuple(W._word[x.w]) for x, _ in chain]
     _require(words == [(), (2,), (1, 2), (1,)], words)
     mus = [x.mu for x, _ in chain]
     _require(mus == [(-2, -4)] * 3 + [(-2, -3)], mus)
@@ -811,11 +801,10 @@ def tilted(rs, W, _aw):
     for J_nodes in all_parabolics(rs.rank):
         J = rs.parabolic(J_nodes)
         for u in g.vertices:
-            for z in W.elements():
-                x0 = T.coset_min(u, z, J)
-                if u == W.identity.index:
-                    if x0.index != W.min_coset_rep(z, J).index:
-                        raise AssertionError("identity base disagrees")
+            for z in range(len(W)):
+                x0 = T.coset_min(u, W.element(z), J).index
+                if u == 0 and x0 != W.coset_floor(z, J):
+                    raise AssertionError("identity base disagrees")
                 triples += 1
     return f"{triples} (u, z, J) triples"
 
@@ -829,8 +818,7 @@ def reflection_orderings(rs, W, _aw):
     g = build_qbg(W, rs.parabolic(()))
     T = TiltedOrder(g)
     # unique increasing path between every ordered pair, word ordering
-    word = W.longest_element().word
-    order0 = reflection_ordering_from_word(W, word)
+    order0 = reflection_ordering_from_word(W, W._word[W.longest()])
     for u in g.vertices:
         row = g.distances_from(u)
         for v, p in increasing_paths(g, u, order0).items():
@@ -852,23 +840,18 @@ def reflection_orderings(rs, W, _aw):
         for ordering in orderings:
             for u in g.vertices:
                 paths = increasing_paths(g, u, ordering)
-                for z in list(W.elements())[:: max(1, len(W) // 8)]:
-                    x0 = T.coset_min(u, z, J)
-                    p = paths[x0.index]
+                for z in range(0, len(W), max(1, len(W) // 8)):
+                    x0 = T.coset_min(u, W.element(z), J).index
+                    p = paths[x0]
                     if any(J.supports(e.label) for e in p.edges):
                         raise AssertionError("minimizer path used a Phi_J label")
                     checked += 1
         ref = build_subsystem_qbg(W, J)
-        for z in list(W.elements())[:: max(1, len(W) // 6)]:
-            z0 = W.min_coset_rep(z, J)
-            sub = induced_coset_subgraph(g, z.index, J)
+        for z in range(0, len(W), max(1, len(W) // 6)):
+            z0 = W.coset_floor(z, J)
+            sub = induced_coset_subgraph(g, z, J)
             mapped = {
-                (
-                    (z0 * W.element(e.source)).index,
-                    (z0 * W.element(e.target)).index,
-                    e.label,
-                    e.kind,
-                )
+                (W.mul(z0, e.source), W.mul(z0, e.target), e.label, e.kind)
                 for e in ref.edges
             }
             got = {(e.source, e.target, e.label, e.kind) for e in sub.edges}

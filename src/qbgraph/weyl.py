@@ -12,8 +12,9 @@ prefixes of the element's word, and kept in dicts that hold only the filled
 entries: its matrix on the simple roots, and its reflection row, the ids of
 w r_beta over the positive roots beta, so that w r_beta is one list lookup.
 
-The group operations take and return ids; ``WeylElement`` is the public view
-of an id, and its methods call them.
+The group operations take and return ids.  ``WeylElement`` is a plain
+value naming an id at the API boundary (its word, length and name); the
+few methods that take or return one wrap the id method beside them.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ class Trichotomy(Enum):
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """A Weyl group element, identified by its interning index: the public
-    view of an id, whose operations call the group's id kernel."""
+    """A Weyl group element, identified by its interning index: a value
+    that names an id at the API boundary; the group operations take ids."""
 
     group: "WeylGroup"
     index: int
@@ -70,9 +71,6 @@ class WeylElement:
     def __hash__(self) -> int:
         return hash((id(self.group), self.index))
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.element(self.group.mul(self.index, other.index))
-
     @property
     def length(self) -> int:
         return self.group._length[self.index]
@@ -82,19 +80,8 @@ class WeylElement:
         """Shortlex-minimal reduced word (1-based generator indices)."""
         return tuple(self.group._word[self.index])
 
-    def inverse(self) -> "WeylElement":
-        return self.group.element(self.group._inverse[self.index])
-
-    def act(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        """Image of a root-lattice vector."""
-        return self.group.act(self.index, v)
-
-    def act_coroot(self, c: Coroot) -> Coroot:
-        """Image of a coroot-lattice vector."""
-        return self.group.act_coroot(self.index, c)
-
     def __repr__(self) -> str:
-        return f"W[{self.group.describe(self)}]"
+        return f"W[{self.group.describe(self.index)}]"
 
 
 def _apply(mat: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -361,12 +348,6 @@ class WeylGroup:
     def identity(self) -> WeylElement:
         return WeylElement(self, 0)
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        """r_i for a 1-based node index."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        return self.element(self._right[i - 1][0])
-
     def from_word(self, word) -> WeylElement:
         """Product of simple reflections; indices are 1-based."""
         cur = 0
@@ -398,13 +379,6 @@ class WeylGroup:
         """w(c) for an element id w and a coroot-lattice vector c."""
         return _apply(self.comatrix(w), c)
 
-    def left_mul(self, i: int, w: WeylElement) -> WeylElement:
-        """r_i * w for a 1-based node index."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        inv = self._inverse[w.index]
-        return self.element(self._inverse[self._right[i - 1][inv]])
-
     def reflection(self, alpha: tuple[int, ...]) -> WeylElement:
         """The reflection r_alpha as a group element: an entry of row 0."""
         return self.element(self.right_reflect(0, alpha))
@@ -432,15 +406,7 @@ class WeylGroup:
             got = self._pairings_cache[key] = WeightPairings(self, key)
         return got
 
-    def elements(self):
-        return (self.element(i) for i in range(len(self._word)))
-
-    # -- length, descents, Bruhat order ---------------------------------------
-
-    def inversions(self, w: WeylElement) -> tuple[Root, ...]:
-        return tuple(
-            a for a in self.rs.positive_roots if not is_positive_vec(w.act(a))
-        )
+    # -- inversions, Bruhat order ------------------------------------------
 
     def inversion_flags(self, w: int) -> bytes:
         """Per positive root beta, in ``rs.positive_roots`` order, 1 when
@@ -454,13 +420,6 @@ class WeylGroup:
             key = self._unpack(self._key[w])
             got = self._flags[w] = bytes(sum(map(mul, c, key)) < 0 for c in self._coroots)
         return got
-
-    def has_right_descent(self, w: WeylElement, i: int) -> bool:
-        """Whether l(w r_i) < l(w), i.e. w(alpha_i) < 0.  1-based index."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"generator index {i} out of range")
-        length = self._length
-        return length[self._right[i - 1][w.index]] < length[w.index]
 
     def bruhat_covers(self, w: WeylElement) -> tuple[WeylElement, ...]:
         """All u = w r_alpha with l(u) = l(w) + 1, sorted by id."""
@@ -515,9 +474,6 @@ class WeylGroup:
         """The id of the z in W_J with r_theta floor(w) = floor(r_theta w) z."""
         lhs = self.left_reflect(self.coset_floor(w, J), self.rs.theta)
         return self.mul(self._inverse[self.coset_floor(lhs, J)], lhs)
-
-    def in_min_coset_reps(self, w: WeylElement, J: ParabolicIndex) -> bool:
-        return all(not self.has_right_descent(w, j) for j in J.nodes)
 
     def subgroup_elements(self, nodes) -> tuple[int, ...]:
         """Ids of the standard parabolic subgroup generated by the given nodes."""
@@ -591,40 +547,44 @@ class WeylGroup:
             return len(self) - 1
         return self.subgroup_elements(nodes)[-1]
 
-    def special_v(self, i: int) -> WeylElement:
-        """The factor v_i with w_0 = v_i w_0^(I minus i), for a special node i."""
+    def special_v(self, i: int) -> int:
+        """The id of the factor v_i with w_0 = v_i w_0^(I minus i), for a
+        special node i."""
         if i not in self.rs.special_nodes():
             raise ValueError(f"node {i} is not special (theta coefficient != 1)")
         rest = tuple(j for j in range(1, self.rank + 1) if j != i)
-        return self.element(self.mul(self.longest(), self.longest(rest)))
+        return self.mul(self.longest(), self.longest(rest))
 
-    def trichotomy(self, v: WeylElement, alpha: Root, J: ParabolicIndex) -> Trichotomy:
-        """Classify v^{-1} alpha against Phi_J for a positive root alpha."""
+    def trichotomy(self, v: int, alpha: Root, J: ParabolicIndex) -> Trichotomy:
+        """Classify v^{-1} alpha against Phi_J for an element id v and a
+        positive root alpha."""
         if not self.rs.is_positive_root(alpha):
             raise ValueError(f"{alpha} is not a positive root")
-        img = self.act(self._inverse[v.index], alpha)
+        img = self.act(self._inverse[v], alpha)
         if J.supports(img):
             return Trichotomy.FIXED
         return Trichotomy.UP if is_positive_vec(img) else Trichotomy.DOWN
 
     # -- rendering ------------------------------------------------------------
 
-    def one_line(self, w: WeylElement) -> tuple[int, ...]:
-        """One-line permutation form; only in type A (acting on 1..rank+1)."""
+    def one_line(self, w: int) -> tuple[int, ...]:
+        """One-line permutation form of an element id; only in type A
+        (acting on 1..rank+1)."""
         if self.rs.cartan_type != "A":
             raise ValueError("one-line form only defined in type A")
         perm = list(range(1, self.rank + 2))
-        for i in w.word:
+        for i in self._word[w]:
             perm[i - 1], perm[i] = perm[i], perm[i - 1]
         return tuple(perm)
 
-    def describe(self, w: WeylElement) -> str:
-        """Readable element name: one-line form in type A, word otherwise."""
+    def describe(self, w: int) -> str:
+        """Readable name of an element id: one-line form in type A, word
+        otherwise."""
         if self.rs.cartan_type == "A":
             return "".join(str(x) for x in self.one_line(w))
-        if w.index == 0:
+        if w == 0:
             return "e"
-        return "".join(f"r{i}" for i in w.word)
+        return "".join(f"r{i}" for i in self._word[w])
 
 
 def build_weyl_group(cartan_type: str, rank: int) -> WeylGroup:

@@ -119,7 +119,7 @@ def test_criterion_03_parabolic_rank3_graph():
     g = build_qbg(W, rs.parabolic((1, 3)))
     assert len(g.edges) == 8
     quantum = {
-        (W.describe(W.element(e.source)), W.describe(W.element(e.target)), e.label)
+        (W.describe(e.source), W.describe(e.target), e.label)
         for e in g.quantum_edges()
     }
     assert quantum == {("3412", "1324", (0, 1, 0)), ("2413", "1234", (0, 1, 0))}

@@ -53,7 +53,7 @@ def test_slice_exports_stream_the_string_functions(tmp_path, capsys, fmt, cartan
                                                    lam, window):
     poset = LevelZeroPoset(build_weyl_group(cartan_type, 2), lam)
     to_text = {"dot": render.slice_to_dot, "json": render.slice_to_json,
-               "text": render.slice_to_text}[fmt]
+               "text": lambda *a: "".join(render.slice_text_chunks(*a))}[fmt]
     want = to_text(poset, window).encode()
     argv = ["poset", "--type", cartan_type, "--rank", "2",
             "--lambda", ",".join(map(str, lam)), "--window", str(window), "--format", fmt]
@@ -77,11 +77,12 @@ def test_lift_table_exports_stream_the_string_functions(tmp_path, capsys, fmt):
         if lifts:
             table.append((x, lifts))
     assert table
-    want = {
-        "dot": lambda: render.lifts_to_dot(W, table),
-        "json": lambda: render.lifts_to_json(W, mu, table),
-        "text": lambda: render.lifts_to_text(W, table),
-    }[fmt]().encode()
+    chunks = {
+        "dot": lambda: render.lifts_dot_chunks(W, table),
+        "json": lambda: render.lifts_json_chunks(W, mu, table),
+        "text": lambda: render.lifts_text_chunks(W, table),
+    }[fmt]()
+    want = "".join(chunks).encode()
     argv = ["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--format", fmt]
     assert cli_outputs(argv, tmp_path, capsys) == (want, want)
 

@@ -66,8 +66,8 @@ def test_left_step_is_the_floored_reflection(cartan):
                 tilde = rs.tilde_root(j)
                 target, edge = g.left_step(j, x)
                 assert g.left_step(j, target)[0] == x
-                assert target == W.min_coset_rep(W.reflection(tilde) * W.element(x), J).index
-                img = W.element(x).inverse().act(tilde)
+                assert target == W.coset_floor(W.mul(W.reflection(tilde).index, x), J)
+                img = W.act(W._inverse[x], tilde)
                 usable = rs.is_positive_root(img) and img not in J.phi_plus
                 assert (edge is not None) == usable
                 if edge is not None:
@@ -78,7 +78,7 @@ def test_left_step_is_the_floored_reflection(cartan):
                     down = g.left_step(j, target)[1]
                     label = neg_vec(img)
                     if j == 0:
-                        label = W.element(W.theta_twist(x, J)).act(label)
+                        label = W.act(W.theta_twist(x, J), label)
                     assert (down.target, down.label) == (x, label)
 
 
@@ -114,14 +114,13 @@ def _plain_quantum_length(rs, W, J, u):
         x = queue.popleft()
         if x == W.identity.index:
             return dist[x]
-        xe = W.element(x)
         for beta, sign in steps:
-            img = xe.inverse().act(beta)
+            img = W.act(W._inverse[x], beta)
             if sign < 0:
                 img = neg_vec(img)
             if not rs.is_positive_root(img) or img in J.phi_plus:
                 continue
-            y = W.min_coset_rep(W.reflection(beta) * xe, J).index
+            y = W.coset_floor(W.mul(W.reflection(beta).index, x), J)
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)

@@ -51,7 +51,7 @@ def test_defining_relation(a2, poset):
     win = window(poset)
     # lambda regular: lambda < r_{alpha_1} lambda at the same delta layer
     up = poset.reflect(lam, AffineRoot((1, 0), 0))
-    assert up.n == 0 and up.w == W.simple_reflection(1).index
+    assert up.n == 0 and up.w == W.from_word([1]).index
     assert poset.leq(lam, up, win)
     assert poset.leq(lam, lam, win)
     assert not poset.leq(up, lam, win)
@@ -77,7 +77,7 @@ def test_covers_project_to_graph(a2, poset):
         for c in covers:
             assert (c.kind == BRUHAT) == (c.label.k == 0)
             # the classical part of the label moves back to the edge label
-            gamma = W.element(mu.w).inverse().act(c.label.alpha)
+            gamma = W.act(W._inverse[mu.w], c.label.alpha)
             edge = poset.graph.edge(mu.w, gamma)
             assert edge is not None
             assert edge.target == c.upper.w and edge.kind == c.kind
@@ -134,7 +134,7 @@ def test_dist(a2, poset):
     win = window(poset)
     e = LevelZeroWeight(W.identity.index, 0)
     assert poset.dist(e, e, win) == 0
-    r1 = LevelZeroWeight(W.simple_reflection(1).index, 0)
+    r1 = LevelZeroWeight(W.from_word([1]).index, 0)
     assert poset.dist(e, r1, win) == 1
     # distance two realized by two stacked simple covers, cross-checked
     # against explicit chain enumeration
@@ -220,7 +220,7 @@ def test_off_grid_elements_raise_in_either_position(lower_is_bad, bad):
     W = WeylGroup(rs)
     P = LevelZeroPoset(W, (0, 2))
     w, n = bad
-    bad = LevelZeroWeight(W.simple_reflection(1).index if w == "r1" else w, n)
+    bad = LevelZeroWeight(W.from_word([1]).index if w == "r1" else w, n)
     good = LevelZeroWeight(W.identity.index, 0)
     args = (bad, good) if lower_is_bad else (good, bad)
     win = 2 + P.margin()
@@ -285,7 +285,7 @@ def reference_covers(P, mu):
     """The graph-derived covers of mu computed from its edges, per call."""
     out = []
     for edge in P.graph.out[mu.w]:
-        wgamma = P.W.element(mu.w).act(edge.label)
+        wgamma = P.W.act(mu.w, edge.label)
         if edge.kind == BRUHAT:
             upper, label = LevelZeroWeight(edge.target, mu.n), AffineRoot(wgamma, 0)
         else:

@@ -33,7 +33,8 @@ class Reference:
         self._longest: dict[LevelZeroWeight, dict] = {}
 
     def pair(self, coroot, w):
-        moved = self.P.W.element(w).inverse().act_coroot(coroot)
+        W = self.P.W
+        moved = W.act_coroot(W._inverse[w], coroot)
         return sum(c * v for c, v in zip(moved, self.P.lam))
 
     def steps(self, mu):
@@ -47,10 +48,10 @@ class Reference:
                     p = self.pair(rs.coroot(root), mu.w)
                     if p <= 0:
                         continue
-                    target = W.min_coset_rep(W.reflection(root) * W.element(mu.w), P.J)
+                    target = W.coset_floor(W.mul(W.reflection(root).index, mu.w), P.J)
                     k = 0 if is_positive_vec(root) else 1
                     while mu.n - k * p >= -self.window:
-                        got.append((LevelZeroWeight(target.index, mu.n - k * p),
+                        got.append((LevelZeroWeight(target, mu.n - k * p),
                                     AffineRoot(root, k)))
                         k += 1
             self._steps[mu] = got

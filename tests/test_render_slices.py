@@ -71,7 +71,7 @@ def json_by_element(poset, window):
 
 def test_slice_text_matches_the_per_element_text(orbit):
     poset, window = orbit
-    assert render.slice_to_text(poset, window) == text_by_element(poset, window)
+    assert "".join(render.slice_text_chunks(poset, window)) == text_by_element(poset, window)
 
 
 def test_slice_dot_matches_the_per_element_dot(orbit):

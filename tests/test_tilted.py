@@ -43,8 +43,9 @@ def test_identity_base_is_bruhat_order(a2, graph):
     rs, W = a2
     T = TiltedOrder(graph)
     e = W.identity.index
-    for v in W.elements():
-        for w in W.elements():
+    elements = [W.element(i) for i in range(len(W))]
+    for v in elements:
+        for w in elements:
             assert T.leq(e, v.index, w.index) == W.bruhat_leq(v, w)
 
 
@@ -53,7 +54,7 @@ def test_tilted_from_top(a2, graph):
     T = TiltedOrder(graph)
     w0 = W.longest_element().index
     e = W.identity.index
-    r1 = W.simple_reflection(1).index
+    r1 = W.from_word([1]).index
     assert T.leq(w0, w0, e)
     assert graph.distance(w0, e) == 1
     assert graph.distance(w0, r1) == 2
@@ -71,12 +72,13 @@ def test_coset_min_examples(a2, graph):
     assert m == W.identity
     assert graph.distance(w0.index, m.index) == 1
     # from the identity the minimum is the coset floor
-    for z in W.elements():
+    elements = [W.element(i) for i in range(len(W))]
+    for z in elements:
         assert T.coset_min(W.identity.index, z, J) == W.min_coset_rep(z, J)
     # the empty parabolic gives back the element itself
     J0 = rs.parabolic(())
     for u in graph.vertices:
-        for z in W.elements():
+        for z in elements:
             assert T.coset_min(u, z, J0) == z
 
 
@@ -107,6 +109,21 @@ def test_coset_min_raises_tie_error_on_two_minimizers():
         row[p] = kept
         tried += 1
     assert tried == 24 * 4 * 5
+
+
+def test_a_tie_names_the_coset_and_the_base():
+    # z and u are named as the CLI names them: one-line forms in type A
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    J = rs.parabolic((1, 2))
+    T = TiltedOrder(build_qbg(W, rs.parabolic(())))
+    u, z = W.from_word([1]).index, W.from_word([3])
+    x0 = T.coset_min(u, z, J).index
+    row, pos = T.graph.distances_from(u), T.graph.vertex_pos
+    x = next(x for x in W.coset_ids(z.index, J) if x != x0)
+    row[pos[x]] = row[pos[x0]]
+    with pytest.raises(TieError, match=r"^coset 1243 W_J has 2 minimizers from 2134$"):
+        T.coset_min(u, z, J)
 
 
 def test_coset_min_raises_when_the_minimizer_is_not_below_a_member():
@@ -188,15 +205,15 @@ def test_quantum_length_values(a2, graph):
     assert quantum_length(graph, W.identity.index) == 0
     assert quantum_length(graph, W.longest_element().index) == 1
     # simple reflections need the long way around: up, across the top, down
-    assert quantum_length(graph, W.simple_reflection(1).index) == 3
-    assert quantum_length(graph, W.simple_reflection(2).index) == 3
+    assert quantum_length(graph, W.from_word([1]).index) == 3
+    assert quantum_length(graph, W.from_word([2]).index) == 3
 
 
 def test_quantum_length_rank_one():
     rs = build_root_system("A", 1)
     W = WeylGroup(rs)
     g = build_qbg(W, rs.parabolic(()))
-    assert quantum_length(g, W.simple_reflection(1).index) == 1
+    assert quantum_length(g, W.from_word([1]).index) == 1
 
 
 def test_left_multiplication_step_cases(a2):
@@ -207,7 +224,7 @@ def test_left_multiplication_step_cases(a2):
     assert up.classification is Trichotomy.UP
     assert up.edge.kind == "bruhat"
     assert up.edge.source == W.identity.index
-    assert up.edge.target == W.simple_reflection(2).index
+    assert up.edge.target == W.from_word([2]).index
 
     fixed = left_multiplication_step(g, W.identity.index, 1)
     assert fixed.classification is Trichotomy.FIXED
@@ -225,7 +242,7 @@ def test_left_multiplication_step_cases(a2):
     down = left_multiplication_step(g, W.identity.index, 0)
     assert down.classification is Trichotomy.DOWN
     assert down.edge.target == W.identity.index
-    assert down.twist == W.simple_reflection(1).index
+    assert down.twist == W.from_word([1]).index
     assert down.edge.label == (0, 1)
 
 
@@ -249,7 +266,7 @@ def test_transform_case1_worked_example(a2):
     p2 = transform_path(g, p, 1, 1)
     assert len(p2) == 1
     assert p2.start == W.identity.index
-    assert p2.end == W.simple_reflection(2).index
+    assert p2.end == W.from_word([2]).index
     assert p2.weight(2) == (0, 0)  # no correction away from the theta step
 
 
@@ -257,17 +274,17 @@ def test_transform_case4_empty_path(a2):
     rs, W = a2
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
-    p = g.empty_path(W.identity.index)
+    p = QbgPath(W.identity.index, ())
     p2 = transform_path(g, p, 2, 4)  # pairing of alpha_2 against lambda is 1 > 0
     assert len(p2) == 0
-    assert p2.start == W.simple_reflection(2).index
+    assert p2.start == W.from_word([2]).index
 
 
 def test_transform_rejects_bad_cases(a2):
     rs, W = a2
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
-    p = g.empty_path(W.identity.index)
+    p = QbgPath(W.identity.index, ())
     with pytest.raises(ValueError):
         transform_path(g, p, 2, 1)
     with pytest.raises(ValueError):
@@ -317,7 +334,7 @@ def test_compare_path_weights(a2):
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
     e = W.identity.index
-    empty = g.empty_path(e)
+    empty = QbgPath(e, ())
     assert compare_path_weights(g, empty, empty) == (0, 0)
     # the full cycle back to the identity carries the quantum coroot
     e1 = g.edge(e, (0, 1))
@@ -335,7 +352,7 @@ def test_two_shortest_paths_same_weight():
     g = build_qbg(W, rs.parabolic(()))
     u = W.identity.index
     v = W.from_word([1, 2]).index  # one-line 2314
-    assert W.describe(W.element(v)) == "2314"
+    assert W.describe(v) == "2314"
     d = g.distance(u, v)
     paths = [p for p in g.iter_paths(u, v, d) if len(p) == d]
     assert len(paths) == 2

@@ -48,24 +48,30 @@ def test_from_word(a2):
         W.from_word([3])
 
 
+def _inversions(W, w):
+    """Reference: the positive roots that the element id w sends negative."""
+    return tuple(a for a in W.rs.positive_roots if not is_positive_vec(W.act(w, a)))
+
+
 def test_length_is_inversion_count(a3):
     rs, W = a3
-    for w in W.elements():
-        assert w.length == len(W.inversions(w))
+    for w in range(len(W)):
+        assert W._length[w] == len(_inversions(W, w))
 
 
 def test_inverse_and_products(a3):
     rs, W = a3
-    for w in list(W.elements())[::5]:
-        assert (w * w.inverse()) == W.identity
-        assert w.inverse().inverse() == w
+    inverse = W._inverse
+    for w in range(0, len(W), 5):
+        assert W.mul(w, inverse[w]) == 0
+        assert inverse[inverse[w]] == w
 
 
 def test_action_permutes_roots(a2):
     rs, W = a2
     allroots = set(rs.positive_roots) | {tuple(-c for c in a) for a in rs.positive_roots}
-    for w in W.elements():
-        assert {w.act(a) for a in allroots} == allroots
+    for w in range(len(W)):
+        assert {W.act(w, a) for a in allroots} == allroots
 
 
 def test_min_coset_rep_examples(a2):
@@ -74,7 +80,7 @@ def test_min_coset_rep_examples(a2):
     w0 = W.longest_element()
     assert W.min_coset_rep(w0, J1) == W.from_word([1, 2])
     J2 = rs.parabolic((2,))
-    assert W.min_coset_rep(W.from_word([1, 2]), J2) == W.simple_reflection(1)
+    assert W.min_coset_rep(W.from_word([1, 2]), J2) == W.from_word([1])
     # elements of W_J decompose as (identity, themselves)
     for wid in W.subgroup_elements((1,)):
         u, v = W.parabolic_decompose(wid, J1)
@@ -85,19 +91,19 @@ def test_parabolic_decompose_length_additive(a3):
     rs, W = a3
     for nodes in [(), (1,), (2,), (1, 3), (1, 2), (1, 2, 3)]:
         J = rs.parabolic(nodes)
-        for w in W.elements():
-            u, v = map(W.element, W.parabolic_decompose(w.index, J))
-            assert (u * v) == w
-            assert u.length + v.length == w.length
-            assert W.in_min_coset_reps(u, J)
+        for w in range(len(W)):
+            u, v = W.parabolic_decompose(w, J)
+            assert W.mul(u, v) == w
+            assert W._length[u] + W._length[v] == W._length[w]
+            assert W.coset_floor(u, J) == u
 
 
 def test_longest_elements(a2, a3):
     rs, W = a2
     assert W.longest_element().length == 3
     assert W.longest_element(()).length == 0
-    w0 = W.longest_element()
-    assert w0 * w0 == W.identity
+    w0 = W.longest()
+    assert W.mul(w0, w0) == 0
     rs3, W3 = a3
     w0J = W3.longest_element((1, 3))
     assert w0J.length == 2
@@ -106,12 +112,14 @@ def test_longest_elements(a2, a3):
 
 def _climb_to_longest(W, nodes):
     """Reference: go up by the given simple reflections until none lengthens."""
-    cur = W.identity
+    length = W._length
+    cur = 0
     while True:
-        up = [s for s in (W.simple_reflection(j) for j in nodes) if (cur * s).length > cur.length]
+        up = [s for s in (W.from_word((j,)).index for j in nodes)
+              if length[W.mul(cur, s)] > length[cur]]
         if not up:
             return cur
-        cur = cur * up[0]
+        cur = W.mul(cur, up[0])
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
@@ -120,8 +128,8 @@ def test_longest_is_the_last_id_of_its_subgroup(cartan_type, rank):
     assert W.longest() == len(W) - 1
     for nodes in all_parabolics(rank):
         want = _climb_to_longest(W, nodes)
-        assert W.longest_element(nodes) == want
-        assert want.length == max(W.element(i).length for i in W.subgroup_elements(nodes))
+        assert W.longest_element(nodes).index == W.longest(nodes) == want
+        assert W._length[want] == max(W._length[i] for i in W.subgroup_elements(nodes))
 
 
 @pytest.mark.parametrize("node", [0, -1, 4, 7])
@@ -133,32 +141,14 @@ def test_subgroup_elements_rejects_nodes_out_of_range(a3, node):
         W.longest_element((node,))
 
 
-@pytest.mark.parametrize("node", [0, -1, 4, 7])
-def test_left_mul_rejects_nodes_out_of_range(a3, node):
-    rs, W = a3
-    v = W.from_word([1, 2])
-    assert W.left_mul(3, v) == W.simple_reflection(3) * v
-    with pytest.raises(ValueError, match=f"generator index {node} out of range"):
-        W.left_mul(node, v)
-
-
-@pytest.mark.parametrize("node", [0, -1, 4, 7])
-def test_has_right_descent_rejects_nodes_out_of_range(a3, node):
-    rs, W = a3
-    w = W.from_word([3])
-    assert W.has_right_descent(w, 3) and not W.has_right_descent(w, 1)
-    with pytest.raises(ValueError, match=f"generator index {node} out of range"):
-        W.has_right_descent(w, node)
-
-
 def test_special_v(a2):
     rs, W = a2
     v1 = W.special_v(1)
-    assert v1.length == 2 == rs.two_rho[0]
+    assert W._length[v1] == 2 == rs.two_rho[0]
     rs1 = build_root_system("A", 1)
     W1 = WeylGroup(rs1)
-    assert W1.special_v(1) == W1.longest_element()
-    assert W1.special_v(1).length == 1
+    assert W1.special_v(1) == W1.longest()
+    assert W1._length[W1.special_v(1)] == 1
 
 
 def test_special_v_c2():
@@ -166,7 +156,7 @@ def test_special_v_c2():
     W = WeylGroup(rs)
     assert rs.special_nodes() == (2,)
     v = W.special_v(2)
-    assert v.length == rs.two_rho[1] == 3
+    assert W._length[v] == rs.two_rho[1] == 3
     with pytest.raises(ValueError):
         W.special_v(1)
 
@@ -174,10 +164,10 @@ def test_special_v_c2():
 def test_trichotomy(a2):
     rs, W = a2
     J = rs.parabolic((1,))
-    e = W.identity
+    e = 0
     assert W.trichotomy(e, (0, 1), J) is Trichotomy.UP
     assert W.trichotomy(e, (1, 0), J) is Trichotomy.FIXED
-    w0 = W.longest_element()
+    w0 = W.longest()
     J0 = rs.parabolic(())
     for a in rs.positive_roots:
         assert W.trichotomy(w0, a, J0) is Trichotomy.DOWN
@@ -188,10 +178,10 @@ def test_trichotomy(a2):
 def test_bruhat_covers(a2):
     rs, W = a2
     assert set(W.bruhat_covers(W.identity)) == {
-        W.simple_reflection(1),
-        W.simple_reflection(2),
+        W.from_word([1]),
+        W.from_word([2]),
     }
-    assert set(W.bruhat_covers(W.simple_reflection(1))) == {
+    assert set(W.bruhat_covers(W.from_word([1]))) == {
         W.from_word([1, 2]),
         W.from_word([2, 1]),
     }
@@ -200,39 +190,42 @@ def test_bruhat_covers(a2):
 def test_bruhat_leq_against_cover_closure(a2):
     rs, W = a2
     # independent oracle: transitive closure of the cover relation
-    reach = {w.index: {w.index} for w in W.elements()}
+    elements = [W.element(i) for i in range(len(W))]
+    reach = {w.index: {w.index} for w in elements}
     changed = True
     while changed:
         changed = False
-        for w in W.elements():
+        for w in elements:
             for c in W.bruhat_covers(w):
                 for t in reach[c.index]:
                     if t not in reach[w.index]:
                         reach[w.index].add(t)
                         changed = True
-    for v in W.elements():
-        for w in W.elements():
+    for v in elements:
+        for w in elements:
             assert W.bruhat_leq(v, w) == (w.index in reach[v.index])
-    assert all(W.bruhat_leq(W.identity, w) for w in W.elements())
+    assert all(W.bruhat_leq(W.identity, w) for w in elements)
 
 
 def test_one_line_rendering(a3):
     rs, W = a3
-    assert W.one_line(W.identity) == (1, 2, 3, 4)
-    assert W.describe(W.from_word([1, 2])) == "2314"
+    assert W.one_line(0) == (1, 2, 3, 4)
+    assert W.describe(W.from_word([1, 2]).index) == "2314"
+    assert repr(W.from_word([1, 2])) == "W[2314]"
     rsb = build_root_system("B", 2)
     Wb = WeylGroup(rsb)
-    assert Wb.describe(Wb.identity) == "e"
-    assert Wb.describe(Wb.from_word([1, 2])) == "r1r2"
+    assert Wb.describe(0) == "e"
+    assert Wb.describe(Wb.from_word([1, 2]).index) == "r1r2"
+    assert repr(Wb.identity) == "W[e]"
     with pytest.raises(ValueError):
-        Wb.one_line(Wb.identity)
+        Wb.one_line(0)
 
 
 def test_conjugation_by_longest_preserves_length(a3):
     rs, W = a3
-    w0 = W.longest_element()
-    for w in W.elements():
-        assert (w0 * w * w0).length == w.length
+    w0 = W.longest()
+    for w in range(len(W)):
+        assert W._length[W.mul(W.mul(w0, w), w0)] == W._length[w]
 
 
 @pytest.mark.parametrize("cartan_type,rank", ROOT_TYPES)
@@ -240,25 +233,26 @@ def test_descents_and_inversion_flags_match_the_matrix_action(cartan_type, rank)
     rs = build_root_system(cartan_type, rank)
     W = WeylGroup(rs)
     simples = rs.simple_roots()
-    for wid in reversed(range(len(W))):
-        w = W.element(wid)
+    length = W._length
+    for w in reversed(range(len(W))):
         for i in range(1, rank + 1):
-            assert W.has_right_descent(w, i) == (not is_positive_vec(w.act(simples[i - 1])))
-        flags = W.inversion_flags(wid)
+            descent = length[W._right[i - 1][w]] < length[w]
+            assert descent == (not is_positive_vec(W.act(w, simples[i - 1])))
+        flags = W.inversion_flags(w)
         assert len(flags) == len(rs.positive_roots)
-        assert tuple(a for a, f in zip(rs.positive_roots, flags) if f) == W.inversions(w)
-        assert sum(flags) == w.length
+        assert tuple(a for a, f in zip(rs.positive_roots, flags) if f) == _inversions(W, w)
+        assert sum(flags) == length[w]
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_multiply_equals_the_right_walk(cartan_type, rank):
     W = build_weyl_group(cartan_type, rank)
-    for w in W.elements():
-        for u in W.elements():
-            cur = w.index
-            for k in u.word:
+    for w in range(len(W)):
+        for u in range(len(W)):
+            cur = w
+            for k in W._word[u]:
                 cur = W._right[k - 1][cur]
-            assert W.mul(w.index, u.index) == cur
+            assert W.mul(w, u) == cur
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -269,11 +263,11 @@ def test_parabolic_decompose_matches_concatenated_words(cartan_type, rank):
     for nodes in all_parabolics(rank):
         J = W.rs.parabolic(nodes)
         wj = set(W.subgroup_elements(J.nodes))
-        for w in W.elements():
-            u, v = map(W.element, W.parabolic_decompose(w.index, J))
-            assert W.in_min_coset_reps(u, J) and v.index in wj
-            assert W.from_word(u.word + v.word) == w
-            assert u.length + v.length == w.length
+        for w in range(len(W)):
+            u, v = map(W.element, W.parabolic_decompose(w, J))
+            assert W.coset_floor(u.index, J) == u.index and v.index in wj
+            assert W.from_word(u.word + v.word).index == w
+            assert u.length + v.length == W._length[w]
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -283,7 +277,7 @@ def test_theta_twist_is_the_parabolic_factor_of_r_theta_floor(cartan_type, rank)
     for nodes in all_parabolics(rank):
         J = W.rs.parabolic(nodes)
         wj = set(W.subgroup_elements(J.nodes))
-        for w in W.elements():
+        for w in map(W.element, range(len(W))):
             lhs = W.from_word(r_theta + W.min_coset_rep(w, J).word)
             z = W.element(W.theta_twist(w.index, J))
             # the factorization lhs = floor(lhs) z with z in W_J is unique
