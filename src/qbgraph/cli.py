@@ -122,6 +122,8 @@ def _lift(args) -> int:
     rs, W, J = _context(args)
     if len(J.nodes) == rs.rank:
         raise UsageError("the parabolic set must be proper for lifting")
+    if args.start and not args.walk:
+        raise UsageError("--start is read only with --walk")
     graph = build_qbg(W, J)
     aw = AffineWeyl(W)
     depth = aw.lift_depth(graph)
@@ -137,7 +139,7 @@ def _lift(args) -> int:
         mu = aw.superantidominant_mu(W.identity, J, depth)
 
     if args.walk:
-        start = cur = W.coset_floor(W.from_word(_parse_word(args.start)).index, J)
+        start = cur = W.coset_floor(_element(W, args.start).index, J)
         edges = []
         for part in args.walk.split(";"):
             label = _parse_ints(part)

@@ -10,6 +10,12 @@ generator; one runner calls the check on every case the generator yields.
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import select
+import signal
+import struct
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -154,6 +160,8 @@ PATH_WEIGHT_CASES = [
 #: name -> (run(types) -> SuiteResult, default types or None), filled by
 #: ``@suite`` in report order; None marks a suite with its own case list
 SUITES: dict[str, tuple] = {}
+#: name -> the claim its report states
+CLAIMS: dict[str, str] = {}
 
 
 def suite(name: str, claim: str, cases, types=None):
@@ -177,6 +185,7 @@ def suite(name: str, claim: str, cases, types=None):
             return res
 
         SUITES[name] = (run, types)
+        CLAIMS[name] = claim
         return check
 
     return register
@@ -961,6 +970,165 @@ def run_suite(name: str, types=None) -> SuiteResult:
     return SUITES[name][0](types)
 
 
+#: the suites that take longest over their default cases, pulled first so
+#: that none of them starts last and leaves the other workers idle
+HEAVIEST = ("path-weights", "affine-core", "level-zero")
+
+_POSITION = struct.Struct("<H")  # one queue entry: a position in the names
+_FRAME = struct.Struct("<I")  # the byte length of the pickle that follows
+
+
+def _queue(names) -> list[int]:
+    """Positions in NAMES in the order workers take them: the HEAVIEST
+    suites first, then the rest in report order."""
+    rank = {name: i for i, name in enumerate(HEAVIEST)}
+    return sorted(range(len(names)), key=lambda i: (rank.get(names[i], len(HEAVIEST)), i))
+
+
+def _workers(count: int) -> int:
+    """How many processes run COUNT suites: one per usable CPU, at most one
+    per suite.  One, the caller alone, for a single suite; when fork is
+    missing; when another thread is alive, since a child would inherit any
+    lock that thread holds, such as ``_context_lock``; or when the queue
+    would not fit in one atomic pipe write, so that filling it can never
+    block."""
+    if (count < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or count * _POSITION.size > select.PIPE_BUF):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, count)
+
+
+def _attempt(name: str, types):
+    """(True, the suite's result), or (False, the exception it raised
+    outside any case)."""
+    try:
+        return True, run_suite(name, types)
+    except Exception as exc:  # noqa: BLE001 - re-raised by run_suites in report order
+        return False, exc
+
+
+def _taken(queue_fd: int):
+    """The positions this process takes from the queue pipe, until it is
+    empty.  Every write end is closed before any worker reads, and a pipe
+    read is atomic, so each position goes to exactly one worker."""
+    while entry := os.read(queue_fd, _POSITION.size):
+        yield _POSITION.unpack(entry)[0]
+
+
+def _helper(names, types, queue_fd: int, out_fd: int, inherited) -> None:
+    """A forked worker: close the INHERITED pipe ends, run suites from the
+    queue, send each outcome back as one length-prefixed pickle, and leave
+    by ``os._exit`` so that no exit handler or stdio buffer of the parent
+    runs twice."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(out_fd, "wb") as out:
+            for pos in _taken(queue_fd):
+                blob = pickle.dumps((pos, _attempt(names[pos], types)))
+                out.write(_FRAME.pack(len(blob)) + blob)
+                out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _unpack(data: bytes, outcomes: dict) -> None:
+    """Add the outcomes in DATA, up to its first short or unreadable frame."""
+    at = 0
+    while at + _FRAME.size <= len(data):
+        (size,) = _FRAME.unpack_from(data, at)
+        at += _FRAME.size
+        if at + size > len(data):
+            return
+        try:
+            pos, outcome = pickle.loads(data[at:at + size])
+        except Exception:  # noqa: BLE001 - a damaged frame ends what this helper sent
+            return
+        outcomes[pos] = outcome
+        at += size
+
+
+def _wait_status(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"wait status {status}, killed by signal {os.WTERMSIG(status)}"
+    return f"wait status {status}, exit code {os.WEXITSTATUS(status)}"
+
+
+def _run_parallel(names, types, workers: int) -> dict:
+    """Outcomes by position: the caller runs its share and WORKERS - 1
+    forked helpers run theirs.  Helpers are reaped on every path; if the
+    caller's own share raises, the ones still running are killed first."""
+    queue_r, queue_w = os.pipe()
+    try:
+        os.write(queue_w, b"".join(_POSITION.pack(i) for i in _queue(names)))
+    finally:
+        os.close(queue_w)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    outcomes: dict[int, tuple] = {}
+    helpers: dict[int, int] = {}  # pid -> read end of its outcome pipe
+    statuses = []
+    try:
+        for _ in range(workers - 1):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers so far share the queue
+                os.close(out_r)
+                os.close(out_w)
+                break
+            if pid == 0:
+                _helper(names, types, queue_r, out_w, (out_r, *helpers.values()))
+            os.close(out_w)
+            helpers[pid] = out_r
+        for pos in _taken(queue_r):
+            outcomes[pos] = _attempt(names[pos], types)
+        for pid, out_r in list(helpers.items()):
+            with open(out_r, "rb", closefd=False) as sent:
+                _unpack(sent.read(), outcomes)
+            os.close(helpers.pop(pid))
+            statuses.append(_wait_status(os.waitpid(pid, 0)[1]))
+    finally:
+        os.close(queue_r)
+        for pid, out_r in helpers.items():
+            os.close(out_r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    lost = f"no result arrived; worker processes ended with {'; '.join(statuses)}"
+    for pos, name in enumerate(names):
+        if pos not in outcomes:
+            res = SuiteResult(name, CLAIMS[name], [CaseResult("all cases", False, lost)])
+            outcomes[pos] = (True, res)
+    return outcomes
+
+
 def run_suites(names, types=None) -> list[SuiteResult]:
-    """Run suites in the order given."""
-    return [run_suite(name, types) for name in names]
+    """Run suites and return their results in the order given.
+
+    Whole suites run in one process per usable CPU (see ``_workers``): the
+    caller forks the helpers before any suite runs, and every worker takes
+    positions from one queue filled beforehand, HEAVIEST first.  Fork, not
+    spawn, so that helpers share the caller's state, patched code included.
+    Results do not depend on the worker count or the queue order: each
+    suite's cases are the same run alone as in any mix.  A suite that
+    raises outside its cases raises here, the first such in the order
+    given, after every suite has run.  A suite whose helper died without
+    reporting it fails with one case that names the helpers' wait statuses.
+    """
+    names = list(names)
+    workers = _workers(len(names))
+    if workers == 1:
+        outcomes = {pos: _attempt(names[pos], types) for pos in _queue(names)}
+    else:
+        outcomes = _run_parallel(names, types, workers)
+    for pos in range(len(names)):
+        ok, value = outcomes[pos]
+        if not ok:
+            raise value
+    return [outcomes[pos][1] for pos in range(len(names))]

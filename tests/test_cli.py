@@ -79,6 +79,16 @@ def test_lift_bad_start_exits_two(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_lift_start_reports_a_bad_word_as_tilted_does(capsys):
+    lift = main(["lift", "--type", "A", "--rank", "2", "--parabolic", "1",
+                 "--start", "0", "--walk", "0,1"])
+    lift_err = capsys.readouterr().err
+    tilted = main(["tilted", "--type", "A", "--rank", "2", "--u", "0"])
+    assert lift == tilted == 2
+    assert lift_err == capsys.readouterr().err
+    assert lift_err == "error: bad word '0': generator index 0 out of range\n"
+
+
 
 @pytest.mark.parametrize("argv,vertex", [
     (["--type", "A", "--rank", "3", "--parabolic", "1", "--walk", "0,0,1;1,0,0"], "1243"),
@@ -109,6 +119,11 @@ def test_lift_table_output_is_pinned(capsys, fmt):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LIFT_TABLE_SHA256[fmt]
+
+
+def test_lift_empty_start_without_walk_prints_the_table(capsys):
+    argv = ("lift", "--type", "A", "--rank", "2", "--parabolic", "1")
+    assert run(capsys, *argv, "--start=") == run(capsys, *argv)
 
 
 def test_lift_table(capsys):
@@ -235,6 +250,8 @@ def test_poset_parabolic_consistency(capsys):
         ["verify", "--suite", "path-weights", "--types", "A2"],
         ["verify", "--suite", "quantum-roots,determinism", "--types", "A2"],
         ["verify", "--suite", "reference-graphs", "--types", "A2"],
+        ["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--start", "3"],
+        ["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--start", "1"],
         ["tilted", "--type", "A", "--rank", "2", "--u", "1,9"],
         ["qlen", "--type", "A", "--rank", "2", "--u", "3"],
         ["qbg", "--type", "A", "--rank", "2", "--out", "{missing}/x.json"],
