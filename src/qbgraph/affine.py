@@ -408,53 +408,52 @@ class AffineWeyl:
         """
         return graph.diameter() + 2
 
-    def lift_edge(
-        self,
-        graph: QbgGraph,
-        edge: QbgEdge,
-        z: int,
-        mu: Coroot,
-        depth: int | None = None,
-    ) -> tuple[AffineElement, AffineElement, AffineRoot]:
-        """Lift a graph edge to a length-one downward cover x > x r_gamma.
+    def _lift_factor(self, mu: Coroot, J: ParabolicIndex, depth: int) -> int:
+        """z_mu of a mu that meets the lift hypothesis: of the rank,
+        J-adjusted and superantidominant to depth.  Raises ValueError at
+        the first that fails; the facts come from the fact table."""
+        if len(mu) != self.rs.rank:
+            raise ValueError("mu has the wrong rank")
+        adjusted, z, deep = self._mu_facts(mu, J, depth)
+        if not adjusted:
+            raise ValueError("mu is not J-adjusted")
+        if not deep:
+            raise ValueError(f"mu is not superantidominant to depth {depth}")
+        return z
 
-        Requires mu J-adjusted and superantidominant to ``depth`` (default:
-        the diameter-based lift depth) with Weyl factor exactly z.
+    def lift_edge(
+        self, graph: QbgGraph, edge: QbgEdge, mu: Coroot, depth: int | None = None
+    ) -> tuple[AffineElement, AffineElement, AffineRoot]:
+        """Lift a graph edge to a length-one downward cover x > x r_gamma,
+        x = (source z_mu, mu): ``lift_table``'s row for the one edge.  mu
+        must meet the lift hypothesis to ``depth`` (default: the lift depth).
         """
-        J = graph.J
         if depth is None:
             depth = self.lift_depth(graph)
-        self._require_lift_mu(mu, z, J, depth)
-        x = AffineElement(self.W.mul(edge.source, z), mu)
-        y, gamma = self._lift_below(x, self.length(x), edge, self.W._inverse[z])
-        self._require_lifted(x, J)
-        self._require_lifted(y, J)
+        z = self._lift_factor(mu, graph.J, depth)
+        [(x, [(_edge, y, gamma)])] = self._lift_rows(graph.J, z, mu, [(edge.source, (edge,))])
         return x, y, gamma
 
-    def lift_table(self, graph: QbgGraph, z: int, mu: Coroot):
+    def lift_table(self, graph: QbgGraph, mu: Coroot):
         """Lift every edge of the graph with one mu, as ``lift_edge`` does.
 
         Yields (x, lifts) per vertex with out-edges, in the order of
-        ``graph.vertices``: x = (source z, mu) and one (edge, y, gamma) per
-        edge out of the source, in the order of ``graph.out``.  mu's facts
-        are checked here, before any lift: J-adjusted, superantidominant to
-        the lift depth and Weyl factor z.  x is checked once per source,
-        after its first edge's lift, where ``lift_edge`` checks it; every
-        edge keeps all of ``lift_edge``'s other checks, in its order, so a
-        broken invariant raises the error ``lift_edge`` raises.  y's mu is
-        mu on a Bruhat edge and mu shifted by a coroot on a quantum one, so
-        the facts ``in_omega`` reads of each such mu come from the fact table.
+        ``graph.vertices``: x = (source z_mu, mu) and one (edge, y, gamma)
+        per edge out of the source, in the order of ``graph.out``.  mu's
+        lift hypothesis is checked here, before any lift.
         """
-        self._require_lift_mu(mu, z, graph.J, self.lift_depth(graph))
-        return self._lift_rows(graph, z, mu)
+        z = self._lift_factor(mu, graph.J, self.lift_depth(graph))
+        out = graph.out
+        return self._lift_rows(graph.J, z, mu, ((v, out[v]) for v in graph.vertices if out[v]))
 
-    def _lift_rows(self, graph: QbgGraph, z: int, mu: Coroot):
-        J, W = graph.J, self.W
+    def _lift_rows(self, J: ParabolicIndex, z: int, mu: Coroot, rows):
+        """(x, [(edge, y, gamma), ...]) per (source, edges) of rows.  x is
+        checked once, after its first edge's lift, and every y after its
+        own; y's mu is mu or mu shifted by a coroot, so the facts
+        ``in_omega`` reads of it come from the fact table."""
+        W = self.W
         zinv = W._inverse[z]
-        for v in graph.vertices:
-            out = graph.out[v]
-            if not out:
-                continue
+        for v, out in rows:
             x = AffineElement(W.mul(v, z), mu)
             lx = self.length(x)
             lifts = []
@@ -465,16 +464,6 @@ class AffineWeyl:
                 self._require_lifted(y, J)
                 lifts.append((edge, y, gamma))
             yield x, lifts
-
-    def _require_lift_mu(self, mu: Coroot, z: int, J: ParabolicIndex, depth: int) -> None:
-        """Raise ValueError unless mu is J-adjusted, superantidominant to
-        depth and of Weyl factor z."""
-        if not self.is_adjusted(mu, J):
-            raise ValueError("mu is not J-adjusted")
-        if not self.is_superantidominant(mu, J, depth):
-            raise ValueError(f"mu is not superantidominant to depth {depth}")
-        if self.z_mu(mu, J) != z:
-            raise ValueError("z does not match the Weyl factor of mu")
 
     def _lift_below(self, x: AffineElement, lx: int, edge: QbgEdge,
                     zinv: int) -> tuple[AffineElement, AffineRoot]:
@@ -599,28 +588,21 @@ class AffineWeyl:
 
         Returns the chain elements paired with the connecting root used to
         step down into each (None for the starting element).  Only the
-        starting mu must be superantidominant to the lift depth; a step may
-        make the next mu shallower, and each step checks that its result is
-        a length-one cover that stays in the lift target.
+        starting mu must meet the lift hypothesis to the lift depth; a step
+        may make the next mu shallower, and each step checks that its result
+        is a length-one cover that stays in the lift target.
 
         The path is lifted as one walk: each step gives the y, and raises
-        the error, of ``lift_edge`` at depth 1.  mu's facts are checked
-        once, at the start, and x once, after the first step's lift; each
-        later x is the previous y, whose ``in_omega`` check implies the
-        facts ``lift_edge`` re-checks of its mu.  l(x) is computed once
-        and carried, and each chain element's finite part is decomposed
-        once (``_decompose``), for its ``in_omega`` check and the next
-        step alike.  Every step checks that the path starts where the chain
-        is, every y gets all of ``lift_edge``'s checks, and the facts of
-        each mu come from the fact table.
+        the error, of ``lift_edge`` at depth 1.  x is checked once, after
+        the first step's lift; each later x is the previous y, whose
+        ``in_omega`` check implies the lift hypothesis of its mu at depth 1.
+        l(x) is computed once and carried, and each chain element's finite
+        part is decomposed once (``_decompose``), for its ``in_omega`` check
+        and the next step alike.  Every step checks that the path starts
+        where the chain is, and the start that it lies in W^J.
         """
         J, W = graph.J, self.W
-        if not self.is_adjusted(mu, J):
-            raise ValueError("starting mu must be J-adjusted")
-        depth = self.lift_depth(graph)
-        if not self.is_superantidominant(mu, J, depth):
-            raise ValueError(f"starting mu is not superantidominant to depth {depth}")
-        z = self.z_mu(mu, J)
+        z = self._lift_factor(mu, J, self.lift_depth(graph))
         x = AffineElement(W.mul(path.start, z), mu)
         chain: list[tuple[AffineElement, AffineRoot | None]] = [(x, None)]
         lx = self.length(x)

@@ -126,17 +126,10 @@ def _lift(args) -> int:
         raise UsageError("--start is read only with --walk")
     graph = build_qbg(W, J)
     aw = AffineWeyl(W)
-    depth = aw.lift_depth(graph)
     if args.mu:
         mu = _parse_ints(args.mu)
-        if len(mu) != rs.rank:
-            raise UsageError("mu has the wrong rank")
-        if not aw.is_adjusted(mu, J):
-            raise UsageError("mu is not J-adjusted")
-        if not aw.is_superantidominant(mu, J, depth):
-            raise UsageError(f"mu is not superantidominant to depth {depth}")
     else:
-        mu = aw.superantidominant_mu(W.identity, J, depth)
+        mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(graph))
 
     if args.walk:
         start = cur = W.coset_floor(_element(W, args.start).index, J)
@@ -159,7 +152,7 @@ def _lift(args) -> int:
             _emit(args, [render.chain_to_text(aw, chain)])
         return 0
 
-    table = aw.lift_table(graph, aw.z_mu(mu, J), mu)
+    table = aw.lift_table(graph, mu)
     if args.format == "json":
         _emit(args, render.lifts_json_chunks(W, mu, table))
     elif args.format == "dot":
@@ -289,13 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=True):
         p.add_argument("--type", dest="cartan_type", required=True,
                        choices=list("ABCDEFG"))
         p.add_argument("--rank", type=int, required=True)
         p.add_argument("--parabolic", default="",
                        help="comma separated Dynkin nodes (Bourbaki numbering)")
-        p.add_argument("--format", choices=("dot", "json", "text"), default="text")
+        if formats:  # the commands with a writer per format
+            p.add_argument("--format", choices=("dot", "json", "text"), default="text")
         p.add_argument("--out", default="", help="output file (default stdout)")
 
     p = sub.add_parser("qbg", help="export the (parabolic) quantum Bruhat graph")
@@ -322,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_poset)
 
     p = sub.add_parser("tilted", help="coset minimum in the tilted order")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--u", default="", help="base point as a reduced word")
     p.add_argument("--z", default="", help="coset representative as a reduced word")
     p.set_defaults(fn=cmd_tilted)
 
     p = sub.add_parser("qlen", help="quantum length of a coset representative")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--u", default="", help="element as a reduced word")
     p.set_defaults(fn=cmd_qlen)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import lt
 
 from .root_system import (
@@ -29,62 +30,28 @@ class GraphInvariantError(AssertionError):
     """A structural guarantee of the graph failed; signals a bug."""
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class QbgEdge:
     """Directed edge source -> target labeled by a positive root.
 
     ``weight`` is the label's coroot on quantum edges and zero otherwise.
-    A slotted record, equal and hashed field by field; it is a dict key
-    (``QbgGraph._pushed_edges``), so it is never changed once made.
+    It is a dict key (``QbgGraph._pushed_edges``), so it is never changed
+    once made.
     """
 
-    __slots__ = ("source", "target", "label", "kind", "weight")
-
-    def __init__(self, source: int, target: int, label: Root, kind: str, weight: Coroot):
-        self.source = source
-        self.target = target
-        self.label = label
-        self.kind = kind
-        self.weight = weight
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not QbgEdge:
-            return NotImplemented
-        return (self.source, self.target, self.label, self.kind, self.weight) == (
-            other.source, other.target, other.label, other.kind, other.weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.label, self.kind, self.weight))
-
-    def __repr__(self) -> str:
-        return (
-            f"QbgEdge(source={self.source!r}, target={self.target!r}, label={self.label!r}, "
-            f"kind={self.kind!r}, weight={self.weight!r})"
-        )
+    source: int
+    target: int
+    label: Root
+    kind: str
+    weight: Coroot
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class QbgPath:
-    """A directed path: a start vertex id plus consecutive edges.
+    """A directed path: a start vertex id plus consecutive edges."""
 
-    A slotted record like ``QbgEdge``, equal and hashed field by field.
-    """
-
-    __slots__ = ("start", "edges")
-
-    def __init__(self, start: int, edges: tuple[QbgEdge, ...]):
-        self.start = start
-        self.edges = edges
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not QbgPath:
-            return NotImplemented
-        return self.start == other.start and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.edges))
-
-    def __repr__(self) -> str:
-        return f"QbgPath(start={self.start!r}, edges={self.edges!r})"
+    start: int
+    edges: tuple[QbgEdge, ...]
 
     @property
     def end(self) -> int:
@@ -550,13 +517,9 @@ class ReflectionOrdering:
     def position(self, alpha: Root) -> int:
         return self._pos[alpha]
 
-    @property
+    @cached_property
     def _pos(self) -> dict[Root, int]:
-        pos = self.__dict__.get("_pos_cache")
-        if pos is None:
-            pos = {a: i for i, a in enumerate(self.sequence)}
-            self.__dict__["_pos_cache"] = pos
-        return pos
+        return {a: i for i, a in enumerate(self.sequence)}
 
     def validate(self) -> None:
         pos = self._pos
@@ -709,5 +672,6 @@ def lexicographically_minimal_shortest(graph: QbgGraph, u: int, v: int,
         key = tuple(ordering.position(e.label) for e in path.edges)
         if best is None or key < best[0]:
             best = [key, tuple(e.label for e in path.edges)]
-    assert best is not None
+    if best is None:
+        raise GraphInvariantError("iter_paths found no path of the BFS length")
     return best[1]

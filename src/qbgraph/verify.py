@@ -590,7 +590,7 @@ def lift_roundtrip(_rs, W, aw, J):
     for zid in sorted(sigma):
         mu = aw.superantidominant_mu(W.element(zid), J, depth)
         for e in g.edges:
-            x, y, gamma = aw.lift_edge(g, e, zid, mu)
+            x, y, gamma = aw.lift_edge(g, e, mu)
             e2, z2, chi, gamma2 = aw.project_cover(x, y, J)
             if e2 != e or z2 != zid or gamma2 != gamma:
                 raise AssertionError(f"roundtrip failed at {e}")
@@ -605,10 +605,10 @@ def lift_roundtrip(_rs, W, aw, J):
             for y, gamma, outer in aw.cocovers(x, J, depth=2):
                 if not outer:
                     continue
-                edge, z2, chi, gamma2 = aw.project_cover(x, y, J)
+                edge, _z, _chi, gamma2 = aw.project_cover(x, y, J)
                 if g.edge(edge.source, edge.label) != edge:
                     raise AssertionError("cocover projected off the graph")
-                x2, y2, gamma3 = aw.lift_edge(g, edge, z2, x.mu)
+                x2, y2, gamma3 = aw.lift_edge(g, edge, x.mu)
                 if (x2, y2) != (x, y) or gamma3 != gamma2:
                     raise AssertionError("cover did not round-trip")
                 covered += 1

@@ -53,23 +53,13 @@ class Trichotomy(Enum):
     UP = "up"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element, identified by its interning index: a value
     that names an id at the API boundary; the group operations take ids."""
 
     group: "WeylGroup"
     index: int
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.group is other.group
-            and self.index == other.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.index))
 
     @property
     def length(self) -> int:

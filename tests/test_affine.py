@@ -328,7 +328,7 @@ def test_lift_trivial_bruhat(a2):
     g = build_qbg(W, J)
     mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
     e = g.edge(W.identity.index, (1, 0))
-    x, y, gamma = aw.lift_edge(g, e, W.identity.index, mu)
+    x, y, gamma = aw.lift_edge(g, e, mu)
     assert x == aw.translation(mu)
     assert y == AffineElement(W.from_word([1]).index, mu)
     assert gamma.k == rs.pairing(mu, (1, 0))
@@ -339,13 +339,12 @@ def test_lift_validation_errors(a2):
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
     e = g.edge(W.identity.index, (0, 1))
-    with pytest.raises(ValueError):
-        aw.lift_edge(g, e, W.identity.index, (-1, 0))  # not adjusted
-    with pytest.raises(ValueError):
-        aw.lift_edge(g, e, W.identity.index, (0, -1))  # not deep enough
-    mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
-    with pytest.raises(ValueError):
-        aw.lift_edge(g, e, W.from_word([1]).index, mu)  # z mismatch
+    with pytest.raises(ValueError, match="^mu has the wrong rank$"):
+        aw.lift_edge(g, e, (-1, 0, 0))
+    with pytest.raises(ValueError, match="^mu is not J-adjusted$"):
+        aw.lift_edge(g, e, (-1, 0))
+    with pytest.raises(ValueError, match="^mu is not superantidominant to depth 4$"):
+        aw.lift_edge(g, e, (0, 0))
 
 
 def test_lift_every_shortest_path_a3():
@@ -374,10 +373,11 @@ def test_lift_path_checks_the_starting_mu(a2):
     J = rs.parabolic((1,))
     g = build_qbg(W, J)
     e = g.edge(W.identity.index, (0, 1))
-    with pytest.raises(ValueError):
-        aw.lift_path(g, QbgPath(W.identity.index, (e,)), (-1, 0))  # not adjusted
-    with pytest.raises(ValueError):
-        aw.lift_path(g, QbgPath(W.identity.index, (e,)), (0, -1))  # not deep enough
+    path = QbgPath(W.identity.index, (e,))
+    for mu, message in [((-1, 0, 0), "mu has the wrong rank"), ((-1, 0), "mu is not J-adjusted"),
+                        ((0, 0), "mu is not superantidominant to depth 4")]:
+        assert raised(lambda: aw.lift_path(g, path, mu)) == (ValueError, message)
+        assert raised(lambda: aw.lift_path(g, QbgPath(path.start, ()), mu)) == (ValueError, message)
 
 
 def test_project_cover_validation(a2):
@@ -417,13 +417,14 @@ def lift_table_context(cartan_type, rank, nodes):
     return W, J, g, aw, aw.lift_depth(g)
 
 
-def edge_by_edge(aw, g, z, mu):
-    return [aw.lift_edge(g, e, z, mu) for v in g.vertices for e in g.out[v]]
+def edge_by_edge(aw, g, mu):
+    return [aw.lift_edge(g, e, mu) for v in g.vertices for e in g.out[v]]
 
 
-def row_by_row(aw, g, z, mu):
+def row_by_row(aw, g, mu):
+    z = aw.z_mu(mu, g.J)
     rows = []
-    for x, lifts in aw.lift_table(g, z, mu):
+    for x, lifts in aw.lift_table(g, mu):
         for e, y, gamma in lifts:
             assert aw.W.mul(e.source, z) == x.w
             rows.append((x, y, gamma))
@@ -437,9 +438,9 @@ def test_lift_table_equals_lift_edge_row_for_row(cartan_type, rank, nodes):
     zs = [0] if rank == 5 else sorted(aw.sigma_J(J))
     for z in zs:
         mu = aw.superantidominant_mu(W.element(z), J, depth)
-        want = edge_by_edge(aw, g, z, mu)
+        want = edge_by_edge(aw, g, mu)
         assert len(want) == len(g.edges) > 0
-        assert row_by_row(aw, g, z, mu) == want
+        assert row_by_row(aw, g, mu) == want
 
 
 def raised(fn):
@@ -461,27 +462,27 @@ def test_lift_table_raises_as_lift_edge_does(monkeypatch, cartan_type, rank, nod
     shallow = aw.superantidominant_mu(W.identity, J, 1)
     assert not aw.is_superantidominant(shallow, J, depth)
     bad_inputs = {
-        "not adjusted": (z, tuple(c + 2 * (i == j - 1) for i, c in enumerate(mu))),
-        "too shallow": (aw.z_mu(shallow, J), shallow),
-        "wrong z": (1 if z != 1 else 2, mu),
+        "wrong rank": mu + (0,),
+        "not adjusted": tuple(c + 2 * (i == j - 1) for i, c in enumerate(mu)),
+        "too shallow": shallow,
     }
-    for name, (zz, mm) in bad_inputs.items():
-        got = raised(lambda: list(aw.lift_table(g, zz, mm)))
+    for name, mm in bad_inputs.items():
+        got = raised(lambda: list(aw.lift_table(g, mm)))
         assert got is not None and got[0] is ValueError, name
-        assert got == raised(lambda: edge_by_edge(aw, g, zz, mm)), name
+        assert got == raised(lambda: edge_by_edge(aw, g, mm)), name
         with pytest.raises(ValueError):
-            aw.lift_table(g, zz, mm)  # mu's facts are checked before any lift
+            aw.lift_table(g, mm)  # mu's lift hypothesis is checked before any lift
     # an x that leaves the target set: the identity's x = (z, mu), which no
     # edge's y equals (no Bruhat edge ends at e, and a quantum edge moves mu)
     monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: el != AffineElement(z, mu))
-    got = raised(lambda: list(aw.lift_table(g, z, mu)))
+    got = raised(lambda: list(aw.lift_table(g, mu)))
     assert got == (GraphInvariantError, "lift left the target set")
-    assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
+    assert got == raised(lambda: edge_by_edge(aw, g, mu))
     # a y that leaves the target set: every quantum edge's y moves mu
     monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: el.mu == mu)
-    got = raised(lambda: list(aw.lift_table(g, z, mu)))
+    got = raised(lambda: list(aw.lift_table(g, mu)))
     assert got == (GraphInvariantError, "lift left the target set")
-    assert got == raised(lambda: edge_by_edge(aw, g, z, mu))
+    assert got == raised(lambda: edge_by_edge(aw, g, mu))
 
 
 def count_decompositions(monkeypatch, aw):
@@ -502,12 +503,12 @@ def test_lift_table_decomposes_each_mu_once(monkeypatch, cartan_type, rank, node
     calls = count_decompositions(monkeypatch, aw)
     mu = aw.superantidominant_mu(W.identity, J, depth)
     z = aw.z_mu(mu, J)
-    want = row_by_row(aw, g, z, mu)
+    want = row_by_row(aw, g, mu)
     mus = {mu} | {y.mu for _x, y, _gamma in want}
     assert 1 < len(mus) < len(want)
     assert len(calls) == len(set(calls)) and {(m, J.nodes) for m in mus} <= set(calls)
     seen = list(calls)
-    assert row_by_row(aw, g, z, mu) == want
+    assert row_by_row(aw, g, mu) == want
     assert [aw.in_omega(y, J) for _x, y, _gamma in want[:2]] == [True, True]
     assert calls == seen
     # a walk decomposes only the mus no table has met
@@ -524,21 +525,21 @@ WALK_CASES = [("A", 3, (1,)), ("B", 3, (2,)), ("C", 3, (1,)), ("G", 2, (1,))]
 
 
 def walk_by_lift_edge(aw, g, path, mu):
-    """``lift_path`` as a walk of ``lift_edge`` calls: the start checks,
-    then per step the source check and one lift at depth 1."""
+    """``lift_path`` as a walk of ``lift_edge`` calls: mu's lift hypothesis
+    at the lift depth, then per step the source and coset checks and one
+    lift at depth 1."""
     J = g.J
-    if not aw.is_adjusted(mu, J):
-        raise ValueError("starting mu must be J-adjusted")
-    depth = aw.lift_depth(g)
-    if not aw.is_superantidominant(mu, J, depth):
-        raise ValueError(f"starting mu is not superantidominant to depth {depth}")
-    x = AffineElement(aw.W.mul(path.start, aw.z_mu(mu, J)), mu)
+    z = aw._lift_factor(mu, J, aw.lift_depth(g))
+    x = AffineElement(aw.W.mul(path.start, z), mu)
     chain = [(x, None)]
     for edge in path.edges:
-        w, z = aw.W.parabolic_decompose(x.w, J)
+        w, rest = aw.W.parabolic_decompose(x.w, J)
         if w != edge.source:
             raise ValueError("path does not start where the chain is")
-        x, y, gamma = aw.lift_edge(g, edge, z, x.mu, depth=1)
+        if rest != aw.z_mu(x.mu, J):
+            raise ValueError("z does not match the Weyl factor of mu")
+        x2, y, gamma = aw.lift_edge(g, edge, x.mu, depth=1)
+        assert x2 == x
         chain.append((y, gamma))
         x = y
     return chain
@@ -671,7 +672,7 @@ def test_lift_path_decomposes_each_mu_once(monkeypatch):
     # one decomposition per distinct mu, the starting one included
     assert sorted(calls) == sorted((m, J.nodes) for m in mus)
     assert aw.lift_path(g, path, mu) == want
-    list(aw.lift_table(g, aw.z_mu(mu, J), mu))
+    list(aw.lift_table(g, mu))
     assert len(calls) == len(set(calls))
 
 
@@ -745,7 +746,6 @@ def test_lift_table_checks_in_the_order_of_lift_edge(monkeypatch, broken):
     # edge's lift is broken as well: lift_edge checks the lift before x,
     # and so must lift_table and lift_path
     W, J, g, aw, mu, path = walk_context("B", 3, (2,))
-    z = aw.z_mu(mu, J)
     monkeypatch.setattr(aw, "in_omega", lambda el, J, depth=1: False)
     if broken == "gamma positive":
         monkeypatch.setattr(AffineRoot, "is_positive", lambda self: True)
@@ -755,8 +755,8 @@ def test_lift_table_checks_in_the_order_of_lift_edge(monkeypatch, broken):
         want = (GraphInvariantError, "lift is not a length-one cover")
     else:
         want = (GraphInvariantError, "lift left the target set")
-    assert raised(lambda: edge_by_edge(aw, g, z, mu)) == want
-    assert raised(lambda: list(aw.lift_table(g, z, mu))) == want
+    assert raised(lambda: edge_by_edge(aw, g, mu)) == want
+    assert raised(lambda: list(aw.lift_table(g, mu))) == want
     assert raised(lambda: walk_by_lift_edge(aw, g, path, mu)) == want
     assert raised(lambda: aw.lift_path(g, path, mu)) == want
 
@@ -771,7 +771,7 @@ def test_roundtrip_all_edges(a2):
             z = W.element(zid)
             mu = aw.superantidominant_mu(z, J, depth)
             for e in g.edges:
-                x, y, gamma = aw.lift_edge(g, e, zid, mu)
+                x, y, gamma = aw.lift_edge(g, e, mu)
                 assert not gamma.is_positive()
                 edge, z2, chi, gamma2 = aw.project_cover(x, y, J)
                 assert edge == e and W.element(z2) == z and gamma2 == gamma

@@ -104,6 +104,29 @@ def test_lift_walk_off_the_graph_names_the_vertex(capsys, argv, vertex):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert lines[0].endswith(f"out of vertex {vertex}")
 
+
+@pytest.mark.parametrize("walk", [(), ("--start=", "--walk=0,1")], ids=["table", "walk"])
+@pytest.mark.parametrize("mu,message", [
+    ("-1,0,0", "mu has the wrong rank"),
+    ("-1,0", "mu is not J-adjusted"),
+    ("0,0", "mu is not superantidominant to depth 4"),
+])
+def test_lift_bad_mu_exits_two_with_one_line(capsys, walk, mu, message):
+    code = main(["lift", "--type", "A", "--rank", "2", "--parabolic", "1",
+                 f"--mu={mu}", *walk])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_lift_reads_the_walk_before_checking_mu(capsys):
+    code = main(["lift", "--type", "A", "--rank", "2", "--parabolic", "1",
+                 "--mu=-1,0,0", "--walk=9,9"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no edge with label (9, 9) out of vertex 123\n"
+
+
 #: sha256 of `lift --type A --rank 2 --parabolic 1` per format
 LIFT_TABLE_SHA256 = {
     "text": "0cc3783ef66c93980097d57afdf55ab90d146e4e6f3ba42c9caf99e33a249505",
@@ -198,6 +221,20 @@ def test_tilted_and_qlen(capsys):
     code, out = run(capsys, "qlen", "--type", "A", "--rank", "2", "--u", "1,2,1")
     assert code == 0
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["qlen", "--type", "A", "--rank", "3", "--u", "1,2"],
+    ["tilted", "--type", "A", "--rank", "3", "--u", "1,2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["dot", "json", "text"])
+def test_tilted_and_qlen_take_no_format(capsys, argv, fmt):
+    # they print text alone, so --format is no option of theirs
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --format" in captured.err
 
 
 def test_verify_single_suite(capsys):

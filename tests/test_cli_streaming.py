@@ -67,12 +67,11 @@ def test_lift_table_exports_stream_the_string_functions(tmp_path, capsys, fmt):
     graph = build_qbg(W, J)
     aw = AffineWeyl(W)
     mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(graph))
-    z = aw.z_mu(mu, J)
     table = []
     for v in graph.vertices:
         lifts = []
         for e in graph.out[v]:
-            x, y, gamma = aw.lift_edge(graph, e, z, mu)
+            x, y, gamma = aw.lift_edge(graph, e, mu)
             lifts.append((e, y, gamma))
         if lifts:
             table.append((x, lifts))

@@ -497,6 +497,15 @@ def test_increasing_path_unique_everywhere(a2, a2_graph):
     assert len(increasing_path(g, g.vertices[0], g.vertices[0], o)) == 0
 
 
+def test_lexicographically_minimal_shortest_raises_without_a_path(monkeypatch, a2, a2_graph):
+    # a raise, not an assert, so python -O keeps it
+    rs, W = a2
+    o = reflection_ordering_from_word(W, (1, 2, 1))
+    monkeypatch.setattr(a2_graph, "iter_paths", lambda *args: iter(()))
+    with pytest.raises(GraphInvariantError, match="no path of the BFS length"):
+        lexicographically_minimal_shortest(a2_graph, a2_graph.vertices[0], a2_graph.vertices[-1], o)
+
+
 def test_subsystem_graph_matches_coset_subgraph(a2, a2_graph):
     rs, W = a2
     J = rs.parabolic((1,))
