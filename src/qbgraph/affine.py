@@ -611,7 +611,7 @@ class AffineWeyl:
             if w != edge.source:
                 raise ValueError("path does not start where the chain is")
             if k == 0 and rest != z:
-                raise ValueError("z does not match the Weyl factor of mu")
+                raise ValueError("path does not start in W^J")
             y, gamma = self._lift_below(x, lx, edge, W._inverse[rest])
             if k == 0:
                 self._require_lifted(x, J)

@@ -7,6 +7,7 @@ roots (resp. simple coroots); everything is exact, no floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -167,6 +168,17 @@ class ParabolicIndex:
     def weight_class(self, vec: Coroot) -> Coroot:
         """Representative of vec modulo Q_J^vee: zero out the J coordinates."""
         return tuple(0 if (i + 1) in self.nodes else c for i, c in enumerate(vec))
+
+    def subgroup_order(self) -> int:
+        """|W_J| in closed form, with no enumeration: the product of the
+        degrees of Phi_J, so of its components' orders.  By Kostant, as
+        many exponents of Phi_J are at least k as Phi_J^+ has roots of
+        height k, so exactly n_k - n_{k+1} degrees equal k + 1."""
+        heights = Counter(map(sum, self.phi_plus))
+        order = 1
+        for k, n in heights.items():
+            order *= (k + 1) ** (n - heights[k + 1])
+        return order
 
 
 class RootSystem:

@@ -15,6 +15,12 @@ w r_beta over the positive roots beta, so that w r_beta is one list lookup.
 The group operations take and return ids.  ``WeylElement`` is a plain
 value naming an id at the API boundary (its word, length and name); the
 few methods that take or return one wrap the id method beside them.
+
+``WeightOrbit`` lists a proper quotient W^J without W: its elements are
+the points of the orbit W.lambda_J, found by a search by left
+multiplication, with the same ids, words and names as in ``WeylGroup``.
+Its size |W| / |W_J| is known in closed form, so the enumeration cap
+counts W^J there, not W.
 """
 
 from __future__ import annotations
@@ -127,7 +133,35 @@ class WeightPairings:
         return sum(map(mul, coroot, self.weight(w)))
 
 
-class WeylGroup:
+class _Named:
+    """The names of element ids, read from their shortlex words alone:
+    ``WeylGroup`` and ``WeightOrbit`` share them, and each keeps ``rs`` and
+    ``_word``."""
+
+    rs: RootSystem
+    _word: list[bytes]
+
+    def one_line(self, w: int) -> tuple[int, ...]:
+        """One-line permutation form of an element id; only in type A
+        (acting on 1..rank+1)."""
+        if self.rs.cartan_type != "A":
+            raise ValueError("one-line form only defined in type A")
+        perm = list(range(1, self.rs.rank + 2))
+        for i in self._word[w]:
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        return tuple(perm)
+
+    def describe(self, w: int) -> str:
+        """Readable name of an element id: one-line form in type A, word
+        otherwise."""
+        if self.rs.cartan_type == "A":
+            return "".join(str(x) for x in self.one_line(w))
+        if not self._word[w]:
+            return "e"
+        return "".join(f"r{i}" for i in self._word[w])
+
+
+class WeylGroup(_Named):
     """Fully enumerated Weyl group over a root system.
 
     Enumeration is a breadth-first search from the identity over right
@@ -555,26 +589,79 @@ class WeylGroup:
             return Trichotomy.FIXED
         return Trichotomy.UP if is_positive_vec(img) else Trichotomy.DOWN
 
-    # -- rendering ------------------------------------------------------------
 
-    def one_line(self, w: int) -> tuple[int, ...]:
-        """One-line permutation form of an element id; only in type A
-        (acting on 1..rank+1)."""
-        if self.rs.cartan_type != "A":
-            raise ValueError("one-line form only defined in type A")
-        perm = list(range(1, self.rank + 2))
-        for i in self._word[w]:
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        return tuple(perm)
+class WeightOrbit(_Named):
+    """W^J, for J nonempty, as the orbit W.lambda_J of lambda_J, the sum
+    of the fundamental weights off J, with no element outside W^J.
 
-    def describe(self, w: int) -> str:
-        """Readable name of an element id: one-line form in type A, word
-        otherwise."""
-        if self.rs.cartan_type == "A":
-            return "".join(str(x) for x in self.one_line(w))
-        if w == 0:
-            return "e"
-        return "".join(f"r{i}" for i in self._word[w])
+    Each w in W^J is named by w(lambda_J) over the fundamental weights,
+    which is unique, since lambda_J has stabilizer W_J.  For w in W^J with
+    name v, r_k w lies in W^J one step up when v_k > 0, and r_k is a left
+    descent of w when v_k < 0.  So a breadth-first search by left
+    multiplication from lambda_J lists W^J layer by layer, the layer being
+    the length, and w's shortlex word is its least left descent k followed
+    by the word of r_k w.  Ids follow (length, word) order, which is the
+    order of ``WeylGroup.min_coset_ids(J)``, and ``_word``, ``describe``
+    and ``one_line`` read as ``WeylGroup``'s do.
+
+    Per id the search carries ``_weight`` (the name), ``_length`` and
+    ``_perm``, w's signed root permutation: ``_perm[w][b]`` is the position
+    of w(beta) in ``signed_rows`` for beta at position b of
+    ``rs.positive_roots``.  ``signed_rows`` holds the pairings C beta of
+    the positive roots and then those of their negatives, so w(beta) over
+    the fundamental weights is one lookup.  ``_id`` maps each name to its
+    id.  |W^J| = |W| / |W_J| is checked against ``ENUMERATION_CAP`` from
+    closed forms before the search.
+    """
+
+    def __init__(self, rs: RootSystem, J: ParabolicIndex):
+        size = weyl_order(rs.cartan_type, rs.rank) // J.subgroup_order()
+        if size > ENUMERATION_CAP:
+            raise ConfigurationError(
+                f"|W^J| = {size} exceeds the enumeration cap {ENUMERATION_CAP}"
+            )
+        self.rs, self.J = rs, J
+        n, roots, rows = rs.rank, rs.positive_roots, rs.positive_rows
+        m = len(roots)
+        self.signed_rows = rows + tuple(map(neg_vec, rows))
+        pos = {}
+        for b, beta in enumerate(roots):
+            pos[beta], pos[neg_vec(beta)] = b, m + b
+        # steps[k][i]: the position of r_k(gamma) for gamma at position i,
+        # where r_k(beta) = beta - <alpha_k^vee, beta> alpha_k
+        steps = []
+        for k in range(n):
+            img = [pos[beta[:k] + (beta[k] - row[k],) + beta[k + 1:]]
+                   for beta, row in zip(roots, rows)]
+            steps.append(img + [(i + m) % (2 * m) for i in img])
+        # alpha_k over the fundamental weights: column k of the Cartan matrix
+        cols = [tuple(row[k] for row in rs.cartan) for k in range(n)]
+        self.lam = lam = tuple(int(i + 1 not in J.nodes) for i in range(n))
+        weight, length, perm = [lam], [0], [tuple(range(m))]
+        found = {lam: 0}
+        for cur, v in enumerate(weight):  # the list grows as it is read
+            for k, c in enumerate(v):
+                if c > 0:
+                    u = tuple([x - c * a for x, a in zip(v, cols[k])])
+                    if u not in found:
+                        found[u] = len(weight)
+                        weight.append(u)
+                        length.append(length[cur] + 1)
+                        perm.append(tuple(map(steps[k].__getitem__, perm[cur])))
+        word = [b""]
+        for v in weight[1:]:
+            k = next(k for k, c in enumerate(v) if c < 0)
+            u = tuple([x - v[k] * a for x, a in zip(v, cols[k])])
+            word.append(bytes((k + 1,)) + word[found[u]])
+        order = sorted(range(len(weight)), key=lambda w: (length[w], word[w]))
+        self._weight = [weight[w] for w in order]
+        self._length = [length[w] for w in order]
+        self._word = [word[w] for w in order]
+        self._perm = [perm[w] for w in order]
+        self._id = {v: i for i, v in enumerate(self._weight)}
+
+    def __len__(self) -> int:
+        return len(self._word)
 
 
 def build_weyl_group(cartan_type: str, rank: int) -> WeylGroup:

@@ -537,7 +537,7 @@ def walk_by_lift_edge(aw, g, path, mu):
         if w != edge.source:
             raise ValueError("path does not start where the chain is")
         if rest != aw.z_mu(x.mu, J):
-            raise ValueError("z does not match the Weyl factor of mu")
+            raise ValueError("path does not start in W^J")
         x2, y, gamma = aw.lift_edge(g, edge, x.mu, depth=1)
         assert x2 == x
         chain.append((y, gamma))
@@ -614,7 +614,7 @@ def test_lift_path_checks_where_each_step_starts():
             QbgPath(path.start, (elsewhere,) + path.edges[1:]),
             QbgPath(path.start, (first, elsewhere) + path.edges[2:]),
         ],
-        "z does not match the Weyl factor of mu": [
+        "path does not start in W^J": [
             QbgPath(W.mul(path.start, s2), path.edges),
         ],
     }
