@@ -13,9 +13,9 @@ import os
 import sys
 
 from . import render
-from .qbg import QbgPath, build_orbit_qbg, build_qbg
-from .root_system import ConfigurationError, build_root_system, cartan_matrix
-from .weyl import WeightOrbit, WeylGroup, build_weyl_group
+from .qbg import QbgPath, build_qbg
+from .root_system import ConfigurationError, cartan_matrix
+from .weyl import WeylGroup, build_weyl_group
 
 
 class UsageError(Exception):
@@ -52,18 +52,16 @@ def _element(W: WeylGroup, text: str):
         raise UsageError(f"bad word {text!r}: {exc}") from exc
 
 
-def _parabolic(rs, nodes: tuple[int, ...]):
-    if any(not 1 <= j <= rs.rank for j in nodes):
-        raise UsageError(f"parabolic nodes {nodes} out of range")
-    return rs.parabolic(nodes)
-
-
 def _context(args):
     try:
         W = build_weyl_group(args.cartan_type, args.rank)
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from exc
-    return W.rs, W, _parabolic(W.rs, _parse_nodes(args.parabolic))
+    rs = W.rs
+    nodes = _parse_nodes(args.parabolic)
+    if any(not 1 <= j <= rs.rank for j in nodes):
+        raise UsageError(f"parabolic nodes {nodes} out of range")
+    return rs, W, rs.parabolic(nodes)
 
 
 def _emit(args, chunks) -> None:
@@ -100,19 +98,15 @@ def _emit(args, chunks) -> None:
 
 
 def cmd_qbg(args) -> int:
-    """A proper quotient (J nonempty) is built from the orbit W.lambda_J
-    and never enumerates W; J empty builds QB(W) over the enumerated W,
-    whose reflection rows give its edges."""
+    """QB(W^J) is built from the orbit W.lambda_J: it needs no group
+    operations, so W is never enumerated."""
+    from .orbit import build_orbit_qbg, build_weight_orbit
+
     nodes = _parse_nodes(args.parabolic)
-    if nodes:
-        try:
-            rs = build_root_system(args.cartan_type, args.rank)
-            graph = build_orbit_qbg(WeightOrbit(rs, _parabolic(rs, nodes)))
-        except ConfigurationError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        rs, W, J = _context(args)
-        graph = build_qbg(W, J)
+    try:
+        graph = build_orbit_qbg(build_weight_orbit(args.cartan_type, args.rank, nodes))
+    except ConfigurationError as exc:
+        raise UsageError(str(exc)) from exc
     if args.format == "dot":
         _emit(args, render.graph_dot_chunks(graph))
     elif args.format == "json":

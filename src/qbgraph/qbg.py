@@ -3,9 +3,9 @@
 Two builders make the same graph.  ``build_qbg(W, J)`` reads the reflection
 rows and coset floors of the enumerated group W; every caller that goes on
 to use group operations (lifts, posets, tilted queries, verify) takes it.
-``build_orbit_qbg(orbit)`` reads only the orbit W.lambda_J of a proper
-quotient (``weyl.WeightOrbit``) and never enumerates W; the ``qbg``
-command takes it whenever J is nonempty.  Each is the other's test oracle.
+``orbit.build_orbit_qbg(orbit)`` reads only the orbit W.lambda_J (for J
+empty, the orbit of rho) and never enumerates W; the ``qbg`` command,
+which only renders the graph, takes it.  Each is the other's test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import lt, mul
+from operator import lt
+from typing import TYPE_CHECKING
 
 from .root_system import (
     Coroot,
@@ -23,7 +24,10 @@ from .root_system import (
     add_vec,
     is_positive_vec,
 )
-from .weyl import WeightOrbit, WeylGroup
+from .weyl import WeylGroup
+
+if TYPE_CHECKING:
+    from .orbit import WeightOrbit
 
 BRUHAT = "bruhat"
 QUANTUM = "quantum"
@@ -146,9 +150,9 @@ class QbgGraph:
 
     Immutable once built; adjacency lists are sorted by (label, kind) so
     exports and searches are deterministic.  W is the ``WeylGroup`` whose
-    ids the vertices are, or, for ``build_orbit_qbg``, the ``WeightOrbit``:
-    an orbit graph is rendered and searched, but the left action and
-    duality need the group.
+    ids the vertices are, or, for ``orbit.build_orbit_qbg``, the
+    ``WeightOrbit``: an orbit graph is rendered and searched, but the left
+    action and duality need the group.
     """
 
     def __init__(self, W: WeylGroup | WeightOrbit, J: ParabolicIndex, vertices, edges):
@@ -477,35 +481,6 @@ def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
     """
     labels = [(b, a) for b, a in enumerate(W.rs.positive_roots) if not J.in_phi_J[b]]
     return _graph(W, J, J, W.min_coset_ids(J), labels)
-
-
-def build_orbit_qbg(orbit: WeightOrbit) -> QbgGraph:
-    """QB(W^J) over the ids of the orbit W.lambda_J, for J nonempty, with
-    no W: the vertex order, words and edges of ``build_qbg``.
-
-    The target floor(w r_alpha) is the orbit point w r_alpha(lambda_J) =
-    v - <alpha^vee, lambda_J> w(alpha) for w's name v, with w(alpha) read
-    from w's signed root permutation.  The edge is Bruhat when the target's
-    length is l(w) + 1, and quantum when it is l(w) + 1 - <alpha^vee, 2rho
-    - 2rho_J>; that shift is at least 2 off Phi_J, so the kinds never
-    collide.
-    """
-    rs, J, lam = orbit.rs, orbit.J, orbit.lam
-    plan = [(b, a, J.quantum_shift[a], rs.coroot(a), sum(map(mul, rs.coroot(a), lam)))
-            for b, a in enumerate(rs.positive_roots) if not J.in_phi_J[b]]
-    length, found, signed = orbit._length, orbit._id, orbit.signed_rows
-    zero = rs.zero
-    edges = []
-    for w, (v, perm) in enumerate(zip(orbit._weight, orbit._perm)):
-        up = length[w] + 1
-        for b, alpha, shift, coroot, c in plan:
-            x = found[tuple([y - c * r for y, r in zip(v, signed[perm[b]])])]
-            lx = length[x]
-            if lx == up:
-                edges.append(QbgEdge(w, x, alpha, BRUHAT, zero))
-            elif lx == up - shift:
-                edges.append(QbgEdge(w, x, alpha, QUANTUM, coroot))
-    return QbgGraph(orbit, J, range(len(orbit)), edges)
 
 
 def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:

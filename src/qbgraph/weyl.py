@@ -16,11 +16,8 @@ The group operations take and return ids.  ``WeylElement`` is a plain
 value naming an id at the API boundary (its word, length and name); the
 few methods that take or return one wrap the id method beside them.
 
-``WeightOrbit`` lists a proper quotient W^J without W: its elements are
-the points of the orbit W.lambda_J, found by a search by left
-multiplication, with the same ids, words and names as in ``WeylGroup``.
-Its size |W| / |W_J| is known in closed form, so the enumeration cap
-counts W^J there, not W.
+``orbit.WeightOrbit`` lists W^J without W, with the same ids, words and
+names; it shares the names of ids and the packing of weights (``_Named``).
 """
 
 from __future__ import annotations
@@ -134,12 +131,43 @@ class WeightPairings:
 
 
 class _Named:
-    """The names of element ids, read from their shortlex words alone:
-    ``WeylGroup`` and ``WeightOrbit`` share them, and each keeps ``rs`` and
-    ``_word``."""
+    """The names of element ids, read from their shortlex words alone, and
+    the packing of weights over the fundamental weights into ints:
+    ``WeylGroup`` and ``WeightOrbit`` share them, and each keeps ``rs``,
+    ``rank`` and ``_word``."""
 
     rs: RootSystem
+    rank: int
     _word: list[bytes]
+
+    def _packing(self) -> list[int]:
+        """Set up the packing of weights whose coordinates are pairings
+        with coroots, so lie in [-h, h] for the largest coroot height h:
+        coordinate j + h is digit j in base 2h + 1.  Returns each alpha_k
+        packed with no offset (its coordinates a_jk are column k of the
+        Cartan matrix), so a weight minus c alpha_k packs to its key minus
+        c times that."""
+        rs, n = self.rs, self.rank
+        self._offset = off = max(sum(rs.coroot(beta)) for beta in rs.positive_roots)
+        self._base = base = 2 * off + 1
+        return [sum(rs.cartan[j][k] * base**j for j in range(n)) for k in range(n)]
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The weight over the fundamental weights that a packed key names."""
+        base, off = self._base, self._offset
+        out = []
+        for _ in range(self.rank):
+            key, d = divmod(key, base)
+            out.append(d - off)
+        return tuple(out)
+
+    def _pack(self, v) -> int:
+        """The packed key of a weight over the fundamental weights."""
+        base, off = self._base, self._offset
+        key = 0
+        for c in reversed(v):
+            key = key * base + c + off
+        return key
 
     def one_line(self, w: int) -> tuple[int, ...]:
         """One-line permutation form of an element id; only in type A
@@ -204,35 +232,15 @@ class WeylGroup(_Named):
 
     # -- enumeration -------------------------------------------------------
 
-    def _unpack(self, key: int) -> tuple[int, ...]:
-        """The weight over the fundamental weights that a packed key names."""
-        base, off = self._base, self._offset
-        out = []
-        for _ in range(self.rank):
-            key, d = divmod(key, base)
-            out.append(d - off)
-        return tuple(out)
-
-    def _pack(self, v) -> int:
-        """The packed key of a weight over the fundamental weights."""
-        base, off = self._base, self._offset
-        key = 0
-        for c in reversed(v):
-            key = key * base + c + off
-        return key
-
     def _build(self) -> dict[int, int]:
         rs = self.rs
         n = self.rank
         a = rs.cartan
         # coordinate j of a key w^{-1}(rho) is the height of the coroot
-        # w(alpha_j^vee), so it is at most the largest coroot height in size
-        self._offset = off = max(sum(rs.coroot(beta)) for beta in rs.positive_roots)
-        self._base = base = 2 * off + 1
-        # r_k(v) = v - v_k alpha_k for a weight v over the fundamental
-        # weights; alpha_k has coordinates a_jk (column k of the Cartan
-        # matrix), which packs to shift[k]
-        shift = [sum(a[j][k] * base**j for j in range(n)) for k in range(n)]
+        # w(alpha_j^vee); r_k(v) = v - v_k alpha_k, and alpha_k packs to
+        # shift[k]
+        shift = self._packing()
+        base, off = self._base, self._offset
         letters = [bytes((k + 1,)) for k in range(n)]
 
         keys = array("q", [self._pack((1,) * n)])
@@ -588,80 +596,6 @@ class WeylGroup(_Named):
         if J.supports(img):
             return Trichotomy.FIXED
         return Trichotomy.UP if is_positive_vec(img) else Trichotomy.DOWN
-
-
-class WeightOrbit(_Named):
-    """W^J, for J nonempty, as the orbit W.lambda_J of lambda_J, the sum
-    of the fundamental weights off J, with no element outside W^J.
-
-    Each w in W^J is named by w(lambda_J) over the fundamental weights,
-    which is unique, since lambda_J has stabilizer W_J.  For w in W^J with
-    name v, r_k w lies in W^J one step up when v_k > 0, and r_k is a left
-    descent of w when v_k < 0.  So a breadth-first search by left
-    multiplication from lambda_J lists W^J layer by layer, the layer being
-    the length, and w's shortlex word is its least left descent k followed
-    by the word of r_k w.  Ids follow (length, word) order, which is the
-    order of ``WeylGroup.min_coset_ids(J)``, and ``_word``, ``describe``
-    and ``one_line`` read as ``WeylGroup``'s do.
-
-    Per id the search carries ``_weight`` (the name), ``_length`` and
-    ``_perm``, w's signed root permutation: ``_perm[w][b]`` is the position
-    of w(beta) in ``signed_rows`` for beta at position b of
-    ``rs.positive_roots``.  ``signed_rows`` holds the pairings C beta of
-    the positive roots and then those of their negatives, so w(beta) over
-    the fundamental weights is one lookup.  ``_id`` maps each name to its
-    id.  |W^J| = |W| / |W_J| is checked against ``ENUMERATION_CAP`` from
-    closed forms before the search.
-    """
-
-    def __init__(self, rs: RootSystem, J: ParabolicIndex):
-        size = weyl_order(rs.cartan_type, rs.rank) // J.subgroup_order()
-        if size > ENUMERATION_CAP:
-            raise ConfigurationError(
-                f"|W^J| = {size} exceeds the enumeration cap {ENUMERATION_CAP}"
-            )
-        self.rs, self.J = rs, J
-        n, roots, rows = rs.rank, rs.positive_roots, rs.positive_rows
-        m = len(roots)
-        self.signed_rows = rows + tuple(map(neg_vec, rows))
-        pos = {}
-        for b, beta in enumerate(roots):
-            pos[beta], pos[neg_vec(beta)] = b, m + b
-        # steps[k][i]: the position of r_k(gamma) for gamma at position i,
-        # where r_k(beta) = beta - <alpha_k^vee, beta> alpha_k
-        steps = []
-        for k in range(n):
-            img = [pos[beta[:k] + (beta[k] - row[k],) + beta[k + 1:]]
-                   for beta, row in zip(roots, rows)]
-            steps.append(img + [(i + m) % (2 * m) for i in img])
-        # alpha_k over the fundamental weights: column k of the Cartan matrix
-        cols = [tuple(row[k] for row in rs.cartan) for k in range(n)]
-        self.lam = lam = tuple(int(i + 1 not in J.nodes) for i in range(n))
-        weight, length, perm = [lam], [0], [tuple(range(m))]
-        found = {lam: 0}
-        for cur, v in enumerate(weight):  # the list grows as it is read
-            for k, c in enumerate(v):
-                if c > 0:
-                    u = tuple([x - c * a for x, a in zip(v, cols[k])])
-                    if u not in found:
-                        found[u] = len(weight)
-                        weight.append(u)
-                        length.append(length[cur] + 1)
-                        perm.append(tuple(map(steps[k].__getitem__, perm[cur])))
-        word = [b""]
-        for v in weight[1:]:
-            k = next(k for k, c in enumerate(v) if c < 0)
-            u = tuple([x - v[k] * a for x, a in zip(v, cols[k])])
-            word.append(bytes((k + 1,)) + word[found[u]])
-        order = sorted(range(len(weight)), key=lambda w: (length[w], word[w]))
-        self._weight = [weight[w] for w in order]
-        self._length = [length[w] for w in order]
-        self._word = [word[w] for w in order]
-        self._perm = [perm[w] for w in order]
-        self._id = {v: i for i, v in enumerate(self._weight)}
-
-    def __len__(self) -> int:
-        return len(self._word)
 
 
 def build_weyl_group(cartan_type: str, rank: int) -> WeylGroup:

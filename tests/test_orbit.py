@@ -1,4 +1,4 @@
-"""Proper quotients built from the weight orbit W.lambda_J, with no W.
+"""QB(W^J) built from the weight orbit W.lambda_J, with no W, for every J.
 
 ``build_orbit_qbg`` reads only the root system and the orbit's own search;
 ``build_qbg`` reads the enumerated group's reflection rows and coset floors.
@@ -6,31 +6,33 @@ The two share no W tables, so each checks the other.
 """
 
 import hashlib
-import time
+from array import array
 from itertools import combinations
 
 import pytest
 
 from qbgraph import render
 from qbgraph.cli import main
-from qbgraph.qbg import build_orbit_qbg, build_qbg
+from qbgraph.orbit import CANDIDATE_EDGE_CAP, WeightOrbit, build_orbit_qbg
+from qbgraph.qbg import build_qbg
 from qbgraph.root_system import ConfigurationError, build_root_system, weyl_order
 from qbgraph.verify import all_parabolics, context
-from qbgraph.weyl import ENUMERATION_CAP, WeightOrbit, WeylGroup
+from qbgraph.weyl import WeylGroup
 
 QUOTIENT_TYPES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
                   ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)]
 
 E6_QUOTIENT_SHA256 = "746d121d924e5cfbc847cfd6b57a69c38a662fb98c72a44a430b01b0707b0f7c"
 A8_QUOTIENT_SHA256 = "3db6a656e67b4d689787c16d89ccffbaefc4ef227a63d05386120fbb06d198a0"
+A6_GRAPH_SHA256 = "65f5f7ced07673f476f5e0d872d2ae5ca78d02465a43f33d18db3eaed6e9ff7d"
 
 
 def _quotients():
-    """Every parabolic J != {} of QUOTIENT_TYPES, and E6's six maximal ones."""
+    """Every parabolic J of QUOTIENT_TYPES, J = {} too, and E6's six
+    maximal ones."""
     for t, r in QUOTIENT_TYPES:
         for nodes in all_parabolics(r):
-            if nodes:
-                yield t, r, nodes
+            yield t, r, nodes
     for nodes in combinations(range(1, 7), 5):
         yield "E", 6, nodes
 
@@ -75,15 +77,47 @@ def test_orbit_names_and_lengths():
     pairings = W.weight_pairings(orbit.lam)
     coroots = [rs.coroot(a) for a in rs.positive_roots]
     for i, w in enumerate(W.min_coset_ids(J)):
-        v = orbit._weight[i]
+        v = orbit.weight(i)
         assert v == pairings.weight(w)
-        assert orbit._id[v] == i
+        assert orbit._id[orbit._key[i]] == i
         assert orbit._length[i] == sum(sum(map(int.__mul__, c, v)) < 0 for c in coroots)
         # w(beta) over the fundamental weights, for every positive root beta
         for b, beta in enumerate(rs.positive_roots):
             img = W.act(w, beta)
             assert orbit.signed_rows[orbit._perm[i][b]] == tuple(
                 rs.pairing(rs.simple_coroot(k + 1), img) for k in range(rs.rank))
+
+
+def _act(rs, word, beta):
+    """w(beta) over the simple roots, for w given by a word."""
+    beta = list(beta)
+    for k in reversed(word):
+        beta[k - 1] -= rs.pairing(rs.simple_coroot(k), tuple(beta))
+    return tuple(beta)
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes,kind", [
+    ("B", 3, (2,), bytes),
+    ("A", 16, range(2, 17), array),  # 2|Phi+| = 272 positions pass a byte
+])
+def test_root_images_follow_the_words(cartan_type, rank, nodes, kind):
+    rs = build_root_system(cartan_type, rank)
+    orbit = WeightOrbit(rs, rs.parabolic(nodes))
+    for i, word in enumerate(orbit._word):
+        assert type(orbit._perm[i]) is kind
+        for b, beta in enumerate(rs.positive_roots):
+            img = _act(rs, word, beta)
+            assert orbit.signed_rows[orbit._perm[i][b]] == tuple(
+                rs.pairing(rs.simple_coroot(k), img) for k in range(1, rank + 1))
+
+
+def test_the_a16_orbit_of_the_first_fundamental_weight_is_a_cycle():
+    # W^J is a Bruhat chain of 17 points, and theta's quantum edge closes it
+    rs = build_root_system("A", 16)
+    graph = build_orbit_qbg(WeightOrbit(rs, rs.parabolic(range(2, 17))))
+    assert [(e.source, e.target, e.kind) for e in graph.edges] == sorted(
+        [(i, i + 1, "bruhat") for i in range(16)] + [(16, 0, "quantum")])
+    assert graph.diameter() == 16
 
 
 @pytest.mark.parametrize("cartan_type,rank", QUOTIENT_TYPES + [("D", 5), ("E", 6)])
@@ -103,12 +137,42 @@ def test_subgroup_order_of_all_nodes_is_the_group_order(cartan_type, rank):
     assert rs.parabolic(range(1, rank + 1)).subgroup_order() == weyl_order(cartan_type, rank)
 
 
-def test_orbit_past_the_cap_raises_before_the_search():
+class Searched(Exception):
+    pass
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    # the search packs its names first, after the cap is checked
+    def refuse(*_args):
+        raise Searched
+
+    monkeypatch.setattr(WeightOrbit, "_packing", refuse)
+
+
+@pytest.mark.parametrize("nodes,size,labels", [
+    ((1, 2), 174182400, 118),
+    ((3, 4, 5, 6, 7), 967680, 105),
+])
+def test_orbit_past_the_cap_raises_before_the_search(no_search, nodes, size, labels):
     rs = build_root_system("E", 8)
-    J = rs.parabolic((1, 2))
-    assert weyl_order("E", 8) // J.subgroup_order() > ENUMERATION_CAP
-    with pytest.raises(ConfigurationError, match=r"\|W\^J\| = 174182400 exceeds"):
+    J = rs.parabolic(nodes)
+    assert weyl_order("E", 8) // J.subgroup_order() == size
+    assert size * labels > CANDIDATE_EDGE_CAP
+    with pytest.raises(ConfigurationError, match=rf"= {size} \* {labels} exceeds"):
         WeightOrbit(rs, J)
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", [
+    ("B", 7, ()), ("C", 7, ()), ("A", 8, ()), ("E", 8, (1, 2, 3, 4, 6, 7, 8)),
+])
+def test_the_cap_admits_every_graph_the_group_cap_did(no_search, cartan_type, rank, nodes):
+    # B7 and C7's full graphs, 645,120 * 49 candidate edges, are the most
+    # that |W| <= ENUMERATION_CAP let build_qbg check; E8 over A4 x A3 has
+    # 241,920 * 104
+    rs = build_root_system(cartan_type, rank)
+    with pytest.raises(Searched):
+        WeightOrbit(rs, rs.parabolic(nodes))
 
 
 def _qbg(capsys, *argv):
@@ -138,13 +202,10 @@ def test_a8_quotient_keeps_its_output_without_w(capsys, no_weyl_group):
     assert hashlib.sha256(out.encode()).hexdigest() == A8_QUOTIENT_SHA256
 
 
-def test_the_full_graph_is_built_over_w(capsys, monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("the orbit path was taken for J = {}")
-
-    monkeypatch.setattr(WeightOrbit, "__init__", refuse)
-    code, out, _ = _qbg(capsys, "--type", "A", "--rank", "2")
-    assert code == 0 and out.startswith("# QB(W^J) A2 J=[]\n# vertices=6 edges=15")
+def test_the_full_a6_graph_export_never_builds_w(capsys, no_weyl_group):
+    code, out, err = _qbg(capsys, "--type", "A", "--rank", "6", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == A6_GRAPH_SHA256
 
 
 @pytest.mark.parametrize("rank,nodes,vertices,edges,quantum", [
@@ -164,9 +225,8 @@ def test_e7_and_e8_quotients_build(capsys, rank, nodes, vertices, edges, quantum
     assert graph.diameter() == len(rs.positive_roots) - len(J.phi_plus)
 
 
-def test_e8_quotient_past_the_cap_exits_two_at_once(capsys):
-    start = time.perf_counter()
+def test_e8_quotient_past_the_cap_exits_two_before_the_search(capsys, no_search):
     code, out, err = _qbg(capsys, "--type", "E", "--rank", "8", "--parabolic", "1,2")
-    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == "error: |W^J| = 174182400 exceeds the enumeration cap 1000000\n"
+    assert err == ("error: |W^J| * |Phi+ - Phi_J+| = 174182400 * 118 exceeds the "
+                   "candidate-edge cap 32000000\n")
