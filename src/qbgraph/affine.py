@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import mul
 
-from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath, edge_between
+from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
 from .root_system import (
     Coroot,
     ParabolicIndex,
@@ -495,15 +495,15 @@ class AffineWeyl:
             raise GraphInvariantError("lift left the target set")
 
     def project_cover(
-        self, x: AffineElement, y: AffineElement, J: ParabolicIndex
+        self, graph: QbgGraph, x: AffineElement, y: AffineElement
     ) -> tuple[QbgEdge, int, int, AffineRoot]:
-        """Project a cover y < x back to a graph edge (with its z and chi).
+        """Project a cover y < x back to an edge of graph (with its z and
+        chi), read with ``graph.edge``.
 
-        x must factor as w z t_mu with w in W^J, z = z_mu; the connecting
-        root's classical part must avoid Phi_J.
+        x must factor as w z t_mu with w in W^J for the graph's J, z = z_mu;
+        the connecting root's classical part must avoid Phi_J.
         """
-        rs = self.rs
-        W = self.W
+        rs, W, J = self.rs, self.W, graph.J
         w, z = W.parabolic_decompose(x.w, J)
         mu = x.mu
         if not self.is_adjusted(mu, J) or self.z_mu(mu, J) != z:
@@ -533,7 +533,7 @@ class AffineWeyl:
             raise GraphInvariantError("cover discriminant chi outside {0, 1}")
         if gamma.is_positive():
             raise GraphInvariantError("cover label should be a negative affine root")
-        edge = edge_between(W, J, w, alpha)
+        edge = graph.edge(w, alpha)
         if edge is None:
             raise GraphInvariantError("projected cover is not a graph edge")
         want = QUANTUM if chi == 1 else BRUHAT

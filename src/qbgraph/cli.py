@@ -15,7 +15,7 @@ import sys
 from . import render
 from .qbg import QbgPath, build_qbg
 from .root_system import ConfigurationError, cartan_matrix
-from .weyl import WeylGroup, build_weyl_group
+from .weyl import WeylGroup, build_weight_orbit, build_weyl_group
 
 
 class UsageError(Exception):
@@ -70,10 +70,17 @@ def _emit(args, chunks) -> None:
     --out is written through a sibling temporary file that replaces it only
     once the last chunk is written: a failure part way leaves no file, and
     a file already there untouched.  A device or pipe is written in place.
+    A stdout its reader has closed ends the writing quietly: it is pointed
+    at the null device, so the flush at exit has somewhere to go.
     """
     if not args.out:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return
     target = os.path.realpath(args.out)
     in_place = os.path.exists(target) and not os.path.isfile(target)
@@ -98,15 +105,14 @@ def _emit(args, chunks) -> None:
 
 
 def cmd_qbg(args) -> int:
-    """QB(W^J) is built from the orbit W.lambda_J: it needs no group
-    operations, so W is never enumerated."""
-    from .orbit import build_orbit_qbg, build_weight_orbit
-
+    """QB(W^J) is built over the ids of the orbit W.lambda_J: it needs no
+    group operations, so W is never enumerated."""
     nodes = _parse_nodes(args.parabolic)
     try:
-        graph = build_orbit_qbg(build_weight_orbit(args.cartan_type, args.rank, nodes))
+        orbit = build_weight_orbit(args.cartan_type, args.rank, nodes)
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from exc
+    graph = build_qbg(orbit, orbit.J)
     if args.format == "dot":
         _emit(args, render.graph_dot_chunks(graph))
     elif args.format == "json":

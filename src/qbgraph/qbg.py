@@ -1,11 +1,10 @@
 """The quantum Bruhat graph on W^J: construction, paths, duality, orderings.
 
-Two builders make the same graph.  ``build_qbg(W, J)`` reads the reflection
-rows and coset floors of the enumerated group W; every caller that goes on
-to use group operations (lifts, posets, tilted queries, verify) takes it.
-``orbit.build_orbit_qbg(orbit)`` reads only the orbit W.lambda_J (for J
-empty, the orbit of rho) and never enumerates W; the ``qbg`` command,
-which only renders the graph, takes it.  Each is the other's test oracle.
+``build_qbg`` decides every edge of QB(W^J) on the orbit W.lambda_J (for J
+empty, the orbit of rho), ``weyl.WeightOrbit``.  Its vertices are the ids of
+the enumerated group W for every caller that goes on to use group
+operations (lifts, posets, tilted queries, verify), or the orbit's own ids
+for the ``qbg`` command, which only renders the graph and never enumerates W.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import lt
-from typing import TYPE_CHECKING
+from operator import lt, mul
 
 from .root_system import (
     Coroot,
@@ -24,10 +22,7 @@ from .root_system import (
     add_vec,
     is_positive_vec,
 )
-from .weyl import WeylGroup
-
-if TYPE_CHECKING:
-    from .orbit import WeightOrbit
+from .weyl import WeightOrbit, WeylGroup
 
 BRUHAT = "bruhat"
 QUANTUM = "quantum"
@@ -78,63 +73,6 @@ class QbgPath:
         return tuple(map(sum, zip(*(e.weight for e in self.edges))))
 
 
-def edge_between(W: WeylGroup, J: ParabolicIndex, w: int, alpha: Root):
-    """The edge out of w in the label alpha's direction, or None.
-
-    alpha must lie in Phi^+ minus Phi_J^+.  At most one of the two edge
-    kinds can fire for a given (w, alpha).  The decision is ``build_qbg``'s,
-    made for this one label.
-    """
-    if not W.rs.is_positive_root(alpha) or alpha in J.phi_plus:
-        raise ValueError(f"label {alpha} not in Phi+ minus Phi_J+")
-    edges = _out_edges(W, J, w, _plan(W, J, [(W._root_pos[alpha], alpha)]))
-    return edges[0] if edges else None
-
-
-def _plan(W: WeylGroup, rule: ParabolicIndex, labels):
-    """Per label (row position, root), in order: the position, the label,
-    its quantum shift under the parabolic rule and its coroot."""
-    shift, coroot = rule.quantum_shift, W.rs.coroot
-    return [(b, a, shift[a], coroot(a)) for b, a in labels]
-
-
-def _out_edges(W: WeylGroup, rule: ParabolicIndex, w: int, plan) -> list[QbgEdge]:
-    """The edges out of w over the planned labels, in plan order: the one
-    edge decision, which ``build_qbg`` and ``edge_between`` both make.
-
-    x = w r_alpha is read from w's reflection row.  It is a Bruhat target
-    when l(x) = l(w) + 1, and then must lie in W^J; floor(x) is a quantum
-    target when l(floor(x)) = l(w) + 1 - <alpha^vee, 2rho - 2rho_J>.  Both
-    holding at once is a broken invariant.  floor(x) is x shortened by at
-    most |Phi_J^+|, so it is only computed where that length can match.
-    """
-    length = W._length
-    cols = [W._right[j - 1] for j in rule.nodes]
-    depth = len(rule.phi_plus)
-    zero = W.rs.zero
-    row = W.reflection_row(w)
-    up = length[w] + 1
-    edges = []
-    for b, alpha, shift, coroot in plan:
-        x = row[b]
-        lx = length[x]
-        low = up - shift
-        if lx == up:
-            floor = x if all(length[col[x]] > lx for col in cols) else W.coset_floor(x, rule)
-            if length[floor] == low:
-                raise GraphInvariantError(f"edge kinds collide at (W[{W.describe(w)}], {alpha})")
-            if floor != x:
-                raise GraphInvariantError(
-                    f"Bruhat target W[{W.describe(x)}] left W^J at (W[{W.describe(w)}], {alpha})"
-                )
-            edges.append(QbgEdge(w, x, alpha, BRUHAT, zero))
-        elif low <= lx <= low + depth:
-            floor = W.coset_floor(x, rule) if cols else x
-            if length[floor] == low:
-                edges.append(QbgEdge(w, floor, alpha, QUANTUM, coroot))
-    return edges
-
-
 def _label_order(edges: list[QbgEdge]) -> tuple[QbgEdge, ...]:
     """The edges sorted by (label, kind).  ``build_qbg`` hands each vertex's
     edges over with strictly increasing labels, so they are sorted only
@@ -150,9 +88,9 @@ class QbgGraph:
 
     Immutable once built; adjacency lists are sorted by (label, kind) so
     exports and searches are deterministic.  W is the ``WeylGroup`` whose
-    ids the vertices are, or, for ``orbit.build_orbit_qbg``, the
-    ``WeightOrbit``: an orbit graph is rendered and searched, but the left
-    action and duality need the group.
+    ids the vertices are, or the ``WeightOrbit`` whose ids they are: an
+    orbit graph is rendered and searched, but the left action and duality
+    need the group.
     """
 
     def __init__(self, W: WeylGroup | WeightOrbit, J: ParabolicIndex, vertices, edges):
@@ -473,33 +411,80 @@ class QbgGraph:
         return tuple(e for e in self.edges if e.kind == QUANTUM)
 
 
-def build_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
-    """The quantum Bruhat graph on the minimum-length coset representatives.
+def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
+    """The quantum Bruhat graph on the minimum-length coset representatives,
+    decided on the orbit W.lambda_J.
 
-    Vertices are listed by id, which is (length, shortlex word) order.  Each
-    vertex's reflection row gives the target of every label at once.
+    W is the enumerated group, whose ids become the vertices, or the orbit
+    ``WeightOrbit(rs, J)`` itself, whose own ids do.  Both list W^J in
+    (length, shortlex) order, so orbit id i names ``W.min_coset_ids(J)[i]``,
+    and the vertices are listed in that order.
+
+    The target floor(w r_alpha) is the orbit point w r_alpha(lambda_J) =
+    v - <alpha^vee, lambda_J> w(alpha) for w's name v, with w(alpha) read
+    from w's signed root permutation; names are packed, so the target's key
+    is w's key minus one precomputed int.  The edge is Bruhat when the
+    target's length is l(w) + 1, and quantum when it is l(w) + 1 -
+    <alpha^vee, 2rho - 2rho_J>.  That shift is checked to be at least 2 per
+    label, so the kinds never collide; a target that is not an orbit point
+    raises ``GraphInvariantError``.
     """
-    labels = [(b, a) for b, a in enumerate(W.rs.positive_roots) if not J.in_phi_J[b]]
-    return _graph(W, J, J, W.min_coset_ids(J), labels)
+    orbit = W if isinstance(W, WeightOrbit) else WeightOrbit(W.rs, J)
+    if J != orbit.J:
+        raise ValueError(f"the orbit is of J = {orbit.J.nodes}, not {J.nodes}")
+    # the vertices, and every edge's ends, share the int objects of ids
+    ids = tuple(range(len(W))) if orbit is W else W.min_coset_ids(J)
+    found = dict(zip(orbit._key, ids))
+    rs = orbit.rs
+    # per signed root position, the packed w(alpha) with no offset
+    origin = orbit._pack(rs.zero)
+    images = [orbit._pack(row) - origin for row in orbit.signed_rows]
+    plan = []
+    for b, alpha in enumerate(rs.positive_roots):
+        if not J.in_phi_J[b]:
+            shift = J.quantum_shift[alpha]
+            if shift < 2:
+                raise GraphInvariantError(f"quantum shift {shift} of {alpha} is below 2")
+            coroot = rs.coroot(alpha)
+            c = sum(map(mul, coroot, orbit.lam))
+            plan.append((b, alpha, shift, coroot, [c * x for x in images]))
+    length, zero = W._length, rs.zero
+    edges = []
+    for w, key, perm in zip(ids, orbit._key, orbit._perm):
+        up = length[w] + 1
+        for b, alpha, shift, coroot, moved in plan:
+            try:
+                x = found[key - moved[perm[b]]]
+            except KeyError:
+                raise GraphInvariantError(
+                    f"the target of {alpha} out of W[{W.describe(w)}] is not in W^J"
+                ) from None
+            lx = length[x]
+            if lx == up:
+                edges.append(QbgEdge(w, x, alpha, BRUHAT, zero))
+            elif lx == up - shift:
+                edges.append(QbgEdge(w, x, alpha, QUANTUM, coroot))
+    return QbgGraph(W, J, ids, edges)
 
 
 def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:
-    """The quantum Bruhat graph of the parabolic subsystem W_J itself: the
-    elements of W_J, labels over Phi_J^+ and ``_out_edges``'s rule for the
-    empty parabolic, whose shift <alpha^vee, 2rho> is <alpha^vee, 2rho_J> on
-    Phi_J (2rho - 2rho_J is W_J-invariant)."""
-    labels = list(zip(J.phi_plus_pos, J.phi_plus))
-    return _graph(W, J, W.rs.parabolic(()), W.subgroup_elements(J.nodes), labels)
-
-
-def _graph(W: WeylGroup, J: ParabolicIndex, rule: ParabolicIndex, order, labels) -> QbgGraph:
-    """The graph on the ids in order whose edges are ``_out_edges``'s
-    decisions, for the parabolic rule, over the labels given with their row
-    positions: one pass over each vertex's reflection row."""
-    plan = _plan(W, rule, labels)
+    """The quantum Bruhat graph of the parabolic subsystem W_J itself, a
+    different graph from QB(W^J): over the elements of W_J and the labels
+    Phi_J^+, w -> w r_alpha is Bruhat when the length goes up by one, and
+    quantum when it is l(w) + 1 - <alpha^vee, 2rho_J>, which is
+    <alpha^vee, 2rho> on Phi_J (2rho - 2rho_J is W_J-invariant)."""
+    rs, length = W.rs, W._length
+    shift = rs.parabolic(()).quantum_shift
+    order = W.subgroup_elements(J.nodes)
     edges = []
     for w in order:
-        edges += _out_edges(W, rule, w, plan)
+        row, up = W.reflection_row(w), length[w] + 1
+        for b, alpha in zip(J.phi_plus_pos, J.phi_plus):
+            x = row[b]
+            if length[x] == up:
+                edges.append(QbgEdge(w, x, alpha, BRUHAT, rs.zero))
+            elif length[x] == up - shift[alpha]:
+                edges.append(QbgEdge(w, x, alpha, QUANTUM, rs.coroot(alpha)))
     return QbgGraph(W, J, order, edges)
 
 

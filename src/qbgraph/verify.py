@@ -591,7 +591,7 @@ def lift_roundtrip(_rs, W, aw, J):
         mu = aw.superantidominant_mu(W.element(zid), J, depth)
         for e in g.edges:
             x, y, gamma = aw.lift_edge(g, e, mu)
-            e2, z2, chi, gamma2 = aw.project_cover(x, y, J)
+            e2, z2, chi, gamma2 = aw.project_cover(g, x, y)
             if e2 != e or z2 != zid or gamma2 != gamma:
                 raise AssertionError(f"roundtrip failed at {e}")
             if chi != (1 if e.kind == QUANTUM else 0):
@@ -605,7 +605,7 @@ def lift_roundtrip(_rs, W, aw, J):
             for y, gamma, outer in aw.cocovers(x, J, depth=2):
                 if not outer:
                     continue
-                edge, _z, _chi, gamma2 = aw.project_cover(x, y, J)
+                edge, _z, _chi, gamma2 = aw.project_cover(g, x, y)
                 if g.edge(edge.source, edge.label) != edge:
                     raise AssertionError("cocover projected off the graph")
                 x2, y2, gamma3 = aw.lift_edge(g, edge, x.mu)

@@ -16,8 +16,10 @@ The group operations take and return ids.  ``WeylElement`` is a plain
 value naming an id at the API boundary (its word, length and name); the
 few methods that take or return one wrap the id method beside them.
 
-``orbit.WeightOrbit`` lists W^J without W, with the same ids, words and
-names; it shares the names of ids and the packing of weights (``_Named``).
+``WeightOrbit`` lists W^J alone, as the orbit W.lambda_J, with the ids,
+words and names ``WeylGroup`` gives W^J; the two share the names of ids and
+the packing of weights (``_Named``).  ``qbg.build_qbg`` decides the edges of
+QB(W^J) on it, whether or not W is enumerated.
 """
 
 from __future__ import annotations
@@ -134,11 +136,12 @@ class _Named:
     """The names of element ids, read from their shortlex words alone, and
     the packing of weights over the fundamental weights into ints:
     ``WeylGroup`` and ``WeightOrbit`` share them, and each keeps ``rs``,
-    ``rank`` and ``_word``."""
+    ``rank``, ``_word`` and ``_length`` by id."""
 
     rs: RootSystem
     rank: int
     _word: list[bytes]
+    _length: list[int]
 
     def _packing(self) -> list[int]:
         """Set up the packing of weights whose coordinates are pairings
@@ -187,6 +190,9 @@ class _Named:
         if not self._word[w]:
             return "e"
         return "".join(f"r{i}" for i in self._word[w])
+
+    def __len__(self) -> int:
+        return len(self._word)
 
 
 class WeylGroup(_Named):
@@ -369,9 +375,6 @@ class WeylGroup(_Named):
 
             got = self._fill(self._refl_rows, w, step)
         return got
-
-    def __len__(self) -> int:
-        return len(self._word)
 
     def element(self, index: int) -> WeylElement:
         return WeylElement(self, index)
@@ -607,3 +610,114 @@ def build_weyl_group(cartan_type: str, rank: int) -> WeylGroup:
     """
     _check_order(cartan_type, rank)
     return WeylGroup(build_root_system(cartan_type, rank))
+
+
+#: largest |W^J| * |Phi+ minus Phi_J+|, a candidate edge per vertex and
+#: label, for an orbit: it admits the full graphs of B7 and C7, 645,120 * 49
+#: = 31,610,880, the largest that ``ENUMERATION_CAP`` admits.
+CANDIDATE_EDGE_CAP = 32 * 10**6
+
+
+class WeightOrbit(_Named):
+    """W^J as the orbit W.lambda_J of lambda_J, the sum of the fundamental
+    weights off J, with no element outside W^J.  For J empty, lambda_J is
+    rho and the orbit is W itself.
+
+    Each w in W^J is named by w(lambda_J) over the fundamental weights,
+    which is unique, since lambda_J has stabilizer W_J, and the name is
+    packed into one int as ``WeylGroup`` packs its keys.  For w in W^J with
+    name v, r_k w lies in W^J one step up when v_k > 0, and r_k is a left
+    descent of w when v_k < 0.  So the search goes layer by layer, the
+    layer being the length: u = r_k v for v one layer down with v_k > 0 is
+    kept when k is u's least left descent.  That makes each element once,
+    with shortlex word k followed by v's word, and, running k in order
+    over the layer below in order, in (length, word) order: ids, words and
+    lengths are those of ``WeylGroup.min_coset_ids(J)``, and
+    ``describe`` and ``one_line`` read as ``WeylGroup``'s do.
+
+    Per id the search carries ``_key`` (the packed name), ``_length`` and
+    ``_perm``, w's signed root permutation: ``_perm[w][b]`` is the position
+    of w(beta) in ``signed_rows`` for beta at position b of
+    ``rs.positive_roots``.  ``signed_rows`` holds the pairings C beta of
+    the positive roots and then those of their negatives, so w(beta) over
+    the fundamental weights is one lookup.  A permutation is one ``bytes``
+    object when its 2|Phi+| positions fit in a byte, and ``bytes.translate``
+    applies r_k to it; otherwise an ``array``.  Before the search, |W^J| =
+    |W| / |W_J| times the labels of an edge out of each vertex is checked
+    against ``CANDIDATE_EDGE_CAP``, from closed forms.
+    """
+
+    def __init__(self, rs: RootSystem, J: ParabolicIndex):
+        size = weyl_order(rs.cartan_type, rs.rank) // J.subgroup_order()
+        labels = len(rs.positive_roots) - len(J.phi_plus)
+        if size * labels > CANDIDATE_EDGE_CAP:
+            raise ConfigurationError(
+                f"|W^J| * |Phi+ - Phi_J+| = {size} * {labels} exceeds the "
+                f"candidate-edge cap {CANDIDATE_EDGE_CAP}"
+            )
+        self.rs, self.J, self.rank = rs, J, rs.rank
+        n, roots, rows = rs.rank, rs.positive_roots, rs.positive_rows
+        m = len(roots)
+        self.signed_rows = rows + tuple(map(neg_vec, rows))
+        pos = {}
+        for b, beta in enumerate(roots):
+            pos[beta], pos[neg_vec(beta)] = b, m + b
+        # steps[k][i]: the position of r_k(gamma) for gamma at position i,
+        # where r_k(beta) = beta - <alpha_k^vee, beta> alpha_k
+        steps = []
+        for k in range(n):
+            img = [pos[beta[:k] + (beta[k] - row[k],) + beta[k + 1:]]
+                   for beta, row in zip(roots, rows)]
+            steps.append(img + [(i + m) % (2 * m) for i in img])
+        if 2 * m <= 256:
+            tables = [bytes(step + list(range(2 * m, 256))) for step in steps]
+            perm = [bytes(range(m))]
+
+            def move(p, k):
+                return p.translate(tables[k])
+        else:
+            perm = [array("H", range(m))]
+
+            def move(p, k):
+                return array("H", map(steps[k].__getitem__, p))
+        # coordinate j of w(lambda_J) is <w^{-1}(alpha_j^vee), lambda_J>
+        shift = self._packing()
+        base, off = self._base, self._offset
+        self.lam = lam = tuple(int(i + 1 not in J.nodes) for i in range(n))
+        keys, length, word = [self._pack(lam)], [0], [b""]
+        start, end = 0, 1
+        while start < end:
+            up = length[start] + 1
+            for k in range(n):
+                digit, letter = base**k, bytes((k + 1,))
+                for cur in range(start, end):
+                    key = keys[cur]
+                    c = key // digit % base - off
+                    if c <= 0:
+                        continue
+                    u = key - c * shift[k]
+                    # keep u when no coordinate below k is negative
+                    low = u % digit
+                    for _ in range(k):
+                        low, d = divmod(low, base)
+                        if d < off:
+                            break
+                    else:
+                        keys.append(u)
+                        length.append(up)
+                        word.append(letter + word[cur])
+                        perm.append(move(perm[cur], k))
+            start, end = end, len(keys)
+        self._key, self._length, self._word, self._perm = keys, length, word, perm
+
+
+def build_weight_orbit(cartan_type: str, rank: int, nodes) -> WeightOrbit:
+    """The orbit W.lambda_J of the parabolic nodes J.  For J empty the
+    orbit is W itself, so |W| is checked as ``build_weyl_group`` checks it,
+    before the root system is built: a type past that cap may have too
+    many roots to build, and the cap admits exactly the types whose full
+    graph is within ``CANDIDATE_EDGE_CAP``."""
+    if not nodes:
+        _check_order(cartan_type, rank)
+    rs = build_root_system(cartan_type, rank)
+    return WeightOrbit(rs, rs.parabolic(nodes))

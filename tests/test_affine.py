@@ -383,16 +383,17 @@ def test_lift_path_checks_the_starting_mu(a2):
 def test_project_cover_validation(a2):
     rs, W, aw = a2
     J = rs.parabolic((1,))
+    g = build_qbg(W, J)
     mu = aw.superantidominant_mu(W.identity, J, 8)
     x = aw.project(aw.translation(mu), J)
     # not a length-one cover
     y = aw.mul(x, aw.reflection(AffineRoot((1, 0), 0)))
     with pytest.raises(ValueError):
-        aw.project_cover(x, y, J)
+        aw.project_cover(g, x, y)
     # x outside the distinguished set
     bad = AffineElement(W.from_word([1]).index, (0, 0))
     with pytest.raises(ValueError):
-        aw.project_cover(bad, aw.mul(bad, aw.reflection(AffineRoot((1, 0), 0))), J)
+        aw.project_cover(g, bad, aw.mul(bad, aw.reflection(AffineRoot((1, 0), 0))))
     # from a well-formed x, every length-one cover in the window already has
     # its classical part off Phi_J (the inner directions only move up)
     window = 2 + max(abs(rs.pairing(x.mu, a)) for a in rs.positive_roots)
@@ -773,7 +774,7 @@ def test_roundtrip_all_edges(a2):
             for e in g.edges:
                 x, y, gamma = aw.lift_edge(g, e, mu)
                 assert not gamma.is_positive()
-                edge, z2, chi, gamma2 = aw.project_cover(x, y, J)
+                edge, z2, chi, gamma2 = aw.project_cover(g, x, y)
                 assert edge == e and W.element(z2) == z and gamma2 == gamma
                 assert chi == (1 if e.kind == QUANTUM else 0)
 
@@ -789,7 +790,7 @@ def test_cocovers_project(a2):
     outer = [c for c in covers if c[2]]
     assert len(outer) == len(g.out[W.identity.index])
     for y, gamma, _flag in outer:
-        edge, _z, _chi, _g = aw.project_cover(x, y, J)
+        edge, _z, _chi, _g = aw.project_cover(g, x, y)
         assert edge.source == W.identity.index
 
 

@@ -1,14 +1,18 @@
 """The CLI streams graph, slice and lift-table exports chunk by chunk.
 
 Streamed output equals the string functions of ``render`` byte for byte, a
-failed ``--out`` export leaves no file behind, and streaming a document to a
-file needs less memory than the document itself.
+failed ``--out`` export leaves no file behind, streaming a document to a
+file needs less memory than the document itself, and a reader that closes
+the pipe early ends the export quietly.
 """
 
 import errno
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -181,3 +185,21 @@ def test_streaming_the_a5_graph_json_peaks_below_the_document_size(tmp_path):
     size = target.stat().st_size
     assert size > 1_000_000
     assert peak < size
+
+
+def test_a_closed_stdout_ends_an_export_quietly():
+    # the reader takes 300 bytes of the 1.1 MB A5 graph JSON, more than a
+    # pipe buffers, and closes the pipe: no traceback, and the export's code
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys; from qbgraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "qbg", "--type", "A", "--rank", "5", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert len(head) == 300 and head.startswith(b"{")

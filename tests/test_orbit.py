@@ -1,8 +1,9 @@
-"""QB(W^J) built from the weight orbit W.lambda_J, with no W, for every J.
+"""QB(W^J) decided on the weight orbit W.lambda_J, for every J.
 
-``build_orbit_qbg`` reads only the root system and the orbit's own search;
-``build_qbg`` reads the enumerated group's reflection rows and coset floors.
-The two share no W tables, so each checks the other.
+``build_qbg`` reads only the root system and the orbit's own search, over
+the orbit's ids or over W's.  ``quotient_reference_edges`` reads only the
+enumerated group's reflections, coset floors and lengths.  The two share no
+tables, so each checks the other.
 """
 
 import hashlib
@@ -13,11 +14,10 @@ import pytest
 
 from qbgraph import render
 from qbgraph.cli import main
-from qbgraph.orbit import CANDIDATE_EDGE_CAP, WeightOrbit, build_orbit_qbg
-from qbgraph.qbg import build_qbg
+from qbgraph.qbg import BRUHAT, QUANTUM, build_qbg
 from qbgraph.root_system import ConfigurationError, build_root_system, weyl_order
 from qbgraph.verify import all_parabolics, context
-from qbgraph.weyl import WeylGroup
+from qbgraph.weyl import CANDIDATE_EDGE_CAP, WeightOrbit, WeylGroup
 
 QUOTIENT_TYPES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
                   ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)]
@@ -37,32 +37,52 @@ def _quotients():
         yield "E", 6, nodes
 
 
-def _edge_rows(graph):
-    """Every edge as (source, target, label, kind, weight), ends by vertex
-    position, in adjacency order."""
-    pos = graph.vertex_pos
-    return [(pos[e.source], pos[e.target], e.label, e.kind, e.weight)
-            for v in graph.vertices for e in graph.out[v]]
+def quotient_reference_edges(rs, W, J):
+    """QB(W^J) edge by edge as (source, target, label, kind, weight) over W
+    ids, per w in W^J and alpha in Phi+ minus Phi_J+: the target
+    floor(w r_alpha) is Bruhat when its length is l(w) + 1, and quantum when
+    it is l(w) + 1 - <alpha^vee, 2rho - 2rho_J>, where 2rho - 2rho_J is the
+    sum of the labels."""
+    labels = [a for a in rs.positive_roots if a not in J.phi_plus]
+    two_rho = tuple(map(sum, zip(*labels)))
+    length = W._length
+    edges = []
+    for w in W.min_coset_ids(J):
+        for a in labels:
+            x = W.coset_floor(W.right_reflect(w, a), J)
+            if length[x] == length[w] + 1:
+                edges.append((w, x, a, BRUHAT, rs.zero))
+            elif length[x] == length[w] + 1 - rs.pairing(rs.coroot(a), two_rho):
+                edges.append((w, x, a, QUANTUM, rs.coroot(a)))
+    return edges
 
 
 def test_orbit_graph_equals_build_qbg_on_every_quotient():
+    # over the orbit's ids and over W's, the graph is the reference's, and
+    # renders to the same text
     rendered = {("A", 3, (1, 3)), ("B", 4, (2,)), ("G", 2, (1,)), ("F", 4, (1,)),
                 ("E", 6, (2, 3, 4, 5, 6))}
     seen = 0
     for t, r, nodes in _quotients():
         rs, W, _ = context(t, r)
         J = rs.parabolic(nodes)
-        ref = build_qbg(W, J)
+        ids = W.min_coset_ids(J)
         orbit = WeightOrbit(rs, J)
-        graph = build_orbit_qbg(orbit)
         case = f"{t}{r} J={nodes}"
-        assert [W._word[v] for v in ref.vertices] == orbit._word, case
-        assert [W._length[v] for v in ref.vertices] == orbit._length, case
-        assert _edge_rows(graph) == _edge_rows(ref), case
+        assert [W._word[v] for v in ids] == orbit._word, case
+        assert [W._length[v] for v in ids] == orbit._length, case
+        ref = quotient_reference_edges(rs, W, J)
+        graph = build_qbg(W, J)
+        assert graph.vertices == ids, case
+        assert [(e.source, e.target, e.label, e.kind, e.weight) for e in graph.edges] == ref, case
+        on_orbit = build_qbg(orbit, J)
+        assert on_orbit.vertices == tuple(range(len(ids))), case
+        assert [(ids[e.source], ids[e.target], e.label, e.kind, e.weight)
+                for e in on_orbit.edges] == ref, case
         if (t, r, nodes) in rendered:
             for chunks in (render.graph_json_chunks, render.graph_text_chunks,
                            render.graph_dot_chunks):
-                assert "".join(chunks(graph)) == "".join(chunks(ref)), case
+                assert "".join(chunks(on_orbit)) == "".join(chunks(graph)), case
             seen += 1
     assert seen == len(rendered)
 
@@ -77,15 +97,15 @@ def test_orbit_names_and_lengths():
     pairings = W.weight_pairings(orbit.lam)
     coroots = [rs.coroot(a) for a in rs.positive_roots]
     for i, w in enumerate(W.min_coset_ids(J)):
-        v = orbit.weight(i)
+        v = orbit._unpack(orbit._key[i])
         assert v == pairings.weight(w)
-        assert orbit._id[orbit._key[i]] == i
         assert orbit._length[i] == sum(sum(map(int.__mul__, c, v)) < 0 for c in coroots)
         # w(beta) over the fundamental weights, for every positive root beta
         for b, beta in enumerate(rs.positive_roots):
             img = W.act(w, beta)
             assert orbit.signed_rows[orbit._perm[i][b]] == tuple(
                 rs.pairing(rs.simple_coroot(k + 1), img) for k in range(rs.rank))
+    assert len(set(orbit._key)) == len(orbit)
 
 
 def _act(rs, word, beta):
@@ -114,7 +134,8 @@ def test_root_images_follow_the_words(cartan_type, rank, nodes, kind):
 def test_the_a16_orbit_of_the_first_fundamental_weight_is_a_cycle():
     # W^J is a Bruhat chain of 17 points, and theta's quantum edge closes it
     rs = build_root_system("A", 16)
-    graph = build_orbit_qbg(WeightOrbit(rs, rs.parabolic(range(2, 17))))
+    J = rs.parabolic(range(2, 17))
+    graph = build_qbg(WeightOrbit(rs, J), J)
     assert [(e.source, e.target, e.kind) for e in graph.edges] == sorted(
         [(i, i + 1, "bruhat") for i in range(16)] + [(16, 0, "quantum")])
     assert graph.diameter() == 16
@@ -221,7 +242,7 @@ def test_e7_and_e8_quotients_build(capsys, rank, nodes, vertices, edges, quantum
     # the diameter is |Phi+ minus Phi_J+| here too, as on every graph checked
     rs = build_root_system("E", rank)
     J = rs.parabolic(range(1, rank))
-    graph = build_orbit_qbg(WeightOrbit(rs, J))
+    graph = build_qbg(WeightOrbit(rs, J), J)
     assert graph.diameter() == len(rs.positive_roots) - len(J.phi_plus)
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from qbgraph import qbg
 from qbgraph.qbg import (
     BRUHAT,
     QUANTUM,
@@ -18,7 +19,6 @@ from qbgraph.qbg import (
     build_qbg,
     build_subsystem_qbg,
     dual_involution,
-    edge_between,
     increasing_path,
     increasing_paths,
     induced_coset_subgraph,
@@ -28,7 +28,7 @@ from qbgraph.qbg import (
 )
 from qbgraph.root_system import build_root_system, is_positive_vec
 from qbgraph.verify import PATH_WEIGHT_CASES, SMALL_TYPES, _dual_label, all_parabolics
-from qbgraph.weyl import WeylGroup
+from qbgraph.weyl import WeightOrbit, WeylGroup
 
 
 @pytest.fixture(scope="module")
@@ -60,57 +60,73 @@ def a2_graph(a2):
 
 
 def test_edge_between_examples(a2):
+    # the edge out of a vertex with a given label, read with graph.edge
     rs, W = a2
     J1 = rs.parabolic((1,))
-    e = edge_between(W, J1, W.identity.index, (0, 1))
+    g = build_qbg(W, J1)
+    e = g.edge(W.identity.index, (0, 1))
     assert e.kind == BRUHAT and e.target == W.from_word([2]).index
-    e = edge_between(W, J1, W.from_word([2]).index, (1, 1))
+    e = g.edge(W.from_word([2]).index, (1, 1))
     assert e.kind == BRUHAT and e.target == W.from_word([1, 2]).index
-    e = edge_between(W, J1, W.from_word([1, 2]).index, (0, 1))
+    e = g.edge(W.from_word([1, 2]).index, (0, 1))
     assert e.kind == QUANTUM and e.target == W.identity.index
-    # labels inside Phi_J are rejected
-    with pytest.raises(ValueError):
-        edge_between(W, J1, W.identity.index, (1, 0))
+    # a label inside Phi_J makes no edge
+    assert g.edge(W.identity.index, (1, 0)) is None
 
 
 def test_edge_between_full_graph(a2, a2_graph):
     rs, W = a2
-    J0 = rs.parabolic(())
-    e = edge_between(W, J0, W.from_word([1, 2]).index, (1, 0))
+    g = a2_graph
+    e = g.edge(W.from_word([1, 2]).index, (1, 0))
     assert e.kind == BRUHAT and e.target == W.longest_element().index
-    e = edge_between(W, J0, W.longest_element().index, rs.theta)
+    e = g.edge(W.longest_element().index, rs.theta)
     assert e.kind == QUANTUM and e.target == W.identity.index
-    assert edge_between(W, J0, W.longest_element().index, (1, 0)).kind == QUANTUM
+    assert g.edge(W.longest_element().index, (1, 0)).kind == QUANTUM
 
 
 def test_a_zero_quantum_shift_trips_the_kind_collision():
     # with <alpha_2^vee, 2rho - 2rho_J> forced to 0, the Bruhat edge
-    # e -> r_2 of A2, J = {1}, also passes the quantum test
+    # e -> r_2 of A2, J = {1}, would also pass the quantum test; the shift
+    # is checked per label before any edge is decided
     rs = build_root_system("A", 2)
     W = WeylGroup(rs)
     J = rs.parabolic((1,))
     broken = replace(J, quantum_shift={**J.quantum_shift, (0, 1): 0})
-    with pytest.raises(GraphInvariantError, match=r"edge kinds collide at \(W\[123\], \(0, 1\)\)"):
-        build_qbg(W, broken)
-    with pytest.raises(GraphInvariantError, match="edge kinds collide"):
-        edge_between(W, broken, W.identity.index, (0, 1))
-    assert edge_between(W, J, W.identity.index, (0, 1)).kind == BRUHAT
+    for group in (W, WeightOrbit(rs, J)):
+        with pytest.raises(GraphInvariantError, match=r"^quantum shift 0 of \(0, 1\) is below 2$"):
+            build_qbg(group, broken)
+    assert build_qbg(W, J).edge(W.identity.index, (0, 1)).kind == BRUHAT
 
 
-def test_a_bruhat_target_outside_w_j_trips_its_check():
-    # e r_{alpha_2} is read as r_1 from a sabotaged reflection row: one
-    # longer than e, but with the right descent 1 in J = {1}
+class OffTheOrbit(WeightOrbit):
+    """The orbit with e's root permutation sabotaged: alpha_2 is sent to
+    -alpha_2, so the target of alpha_2 out of e is the weight
+    omega_2 + C alpha_2 = (-1, 3), which is no orbit point."""
+
+    def __init__(self, rs, J):
+        super().__init__(rs, J)
+        b = rs.positive_roots.index((0, 1))
+        perm = bytearray(self._perm[0])
+        perm[b] += len(rs.positive_roots)
+        self._perm[0] = bytes(perm)
+
+
+def test_a_target_outside_the_orbit_trips_its_check(monkeypatch):
     rs = build_root_system("A", 2)
-    W = WeylGroup(rs)
     J = rs.parabolic((1,))
-    r1 = W.from_word([1]).index
-    W.reflection_row(0)[W._root_pos[(0, 1)]] = r1
-    with pytest.raises(GraphInvariantError,
-                       match=r"Bruhat target W\[213\] left W\^J at \(W\[123\], \(0, 1\)\)"):
-        build_qbg(W, J)
-    with pytest.raises(GraphInvariantError,
-                       match=r"Bruhat target W\[213\] left W\^J at \(W\[123\], \(0, 1\)\)"):
-        edge_between(W, J, W.identity.index, (0, 1))
+    message = r"^the target of \(0, 1\) out of W\[123\] is not in W\^J$"
+    with pytest.raises(GraphInvariantError, match=message):
+        build_qbg(OffTheOrbit(rs, J), J)
+    # the group's graph is decided on the same orbit
+    monkeypatch.setattr(qbg, "WeightOrbit", OffTheOrbit)
+    with pytest.raises(GraphInvariantError, match=message):
+        build_qbg(WeylGroup(rs), J)
+
+
+def test_an_orbit_of_another_parabolic_is_refused():
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError, match=r"^the orbit is of J = \(1,\), not \(2,\)$"):
+        build_qbg(WeightOrbit(rs, rs.parabolic((1,))), rs.parabolic((2,)))
 
 
 @pytest.mark.parametrize("cartan_type,name", [("A", "132"), ("B", "r2")])
