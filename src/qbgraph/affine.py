@@ -4,7 +4,7 @@ onto (W^J)_af, adjusted coweights, edge lifting, and diamond completions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import mul
+from operator import add, mul
 
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
 from .root_system import (
@@ -20,8 +20,10 @@ from .root_system import (
 )
 from .weyl import WeylElement, WeylGroup
 
-#: entries kept in each ``AffineWeyl``'s table of per-(mu, J) facts; past
-#: this many the oldest is dropped
+#: entries kept in each ``AffineWeyl``'s fact table, whose keys take three
+#: shapes: (mu,) for mu's pairing row, (mu, J.nodes) for (z_mu, phi_J(mu))
+#: and (mu, J.nodes, depth) for the facts ``in_omega`` reads; past this
+#: many the oldest entry is dropped, whatever its shape
 FACT_TABLE_SIZE = 4096
 
 
@@ -55,9 +57,11 @@ class AffineWeyl:
         self.rs = W.rs
         self._sigma_cache: dict[tuple[int, ...], dict[int, Coroot]] = {}
         self._component_cache: dict[tuple[int, ...], tuple] = {}
-        # per (mu, J.nodes) its (z_mu, phi_J(mu)), and per (mu, J.nodes,
-        # depth) the facts ``in_omega`` reads; at most FACT_TABLE_SIZE
-        # entries, oldest dropped first
+        # the fact table, under three key shapes: per (mu,) its pairing row
+        # (<mu, alpha> over rs.positive_roots), per (mu, J.nodes) its
+        # (z_mu, phi_J(mu)), and per (mu, J.nodes, depth) the facts
+        # ``in_omega`` reads; at most FACT_TABLE_SIZE entries, oldest
+        # dropped first
         self._facts: dict[tuple, tuple] = {}
         # (w, J.nodes, W.parabolic_decompose(w, J)) of the last element
         # ``_decompose`` was asked about
@@ -65,6 +69,8 @@ class AffineWeyl:
         # per element id the sign of w(alpha) over Phi+, read only by the
         # oracle ``length_by_inversions``
         self._oracle_signs: dict[int, tuple[bool, ...]] = {}
+        # the positions of the simple roots in rs.positive_roots
+        self._simple_pos = tuple(map(W._root_pos.__getitem__, self.rs.simple_roots()))
 
     # -- group structure ---------------------------------------------------
 
@@ -96,16 +102,25 @@ class AffineWeyl:
     def length(self, x: AffineElement) -> int:
         """Sum over alpha in Phi+ of |chi(w alpha < 0) + <mu, alpha>|.
 
-        chi is w's inversion flag at alpha and <mu, alpha> one dot product
-        with alpha's pairing row.
+        chi is w's inversion flag at alpha and <mu, alpha> the entry of mu's
+        pairing row at alpha: the row is kept in the fact table under
+        (mu,), beside the (mu, J.nodes) and (mu, J.nodes, depth) facts, so
+        a length makes no dot product once mu's row is there.
         """
-        mu = x.mu
-        if len(mu) != self.rs.rank:
-            raise ValueError("rank mismatch")
-        return sum(
-            abs(chi + sum(map(mul, mu, row)))
-            for chi, row in zip(self.W.inversion_flags(x.w), self.rs.positive_rows)
-        )
+        return sum(map(abs, map(add, self.W.inversion_flags(x.w), self._pairing_row(x.mu))))
+
+    def _pairing_row(self, mu: Coroot) -> tuple[int, ...]:
+        """<mu, alpha> over alpha in ``rs.positive_roots``, in that order:
+        every such pairing that ``length``, the membership tests and the
+        lifts read comes from this row.  Kept in the fact table under
+        (mu,); a mu of the wrong rank raises ValueError."""
+        key = (mu,)
+        got = self._facts.get(key)
+        if got is None:
+            if len(mu) != self.rs.rank:
+                raise ValueError("rank mismatch")
+            got = self._remember(key, tuple(sum(map(mul, mu, row)) for row in self.rs.positive_rows))
+        return got
 
     def length_by_inversions(self, x: AffineElement) -> int:
         """Independent oracle: count positive affine roots sent negative.
@@ -159,10 +174,10 @@ class AffineWeyl:
         positive unless the pairing is positive, or zero with w(alpha_i) < 0,
         i.e. with a right descent of w at i.
         """
-        mu, w = x.mu, x.w
+        w, pairs = x.w, self._pairing_row(x.mu)
         length = self.W._length
-        for col, row in zip(self.W._right, self.rs.simple_rows):
-            pair = sum(map(mul, mu, row))
+        for col, b in zip(self.W._right, self._simple_pos):
+            pair = pairs[b]
             if pair > 0 or (pair == 0 and length[col[w]] < length[w]):
                 return False
         return True
@@ -170,10 +185,9 @@ class AffineWeyl:
     def in_wj_af(self, x: AffineElement, J: ParabolicIndex) -> bool:
         """Membership in (W^J)_af: for alpha in Phi_J^+, w alpha > 0 forces
         <mu, alpha> = 0 and w alpha < 0 forces <mu, alpha> = -1."""
-        mu = x.mu
+        pairs = self._pairing_row(x.mu)
         flags = self.W.inversion_flags(x.w)
-        rows = self.rs.positive_rows
-        return all(sum(map(mul, mu, rows[b])) == -flags[b] for b in J.phi_plus_pos)
+        return all(pairs[b] == -flags[b] for b in J.phi_plus_pos)
 
     def in_wjaf_parabolic_factor(self, x: AffineElement, J: ParabolicIndex) -> bool:
         """Membership in (W_J)_af = W_J x Q_J^vee."""
@@ -185,10 +199,8 @@ class AffineWeyl:
 
     def is_adjusted(self, mu: Coroot, J: ParabolicIndex) -> bool:
         """<mu, alpha> in {0, -1} for every alpha in Phi_J^+."""
-        if len(mu) != self.rs.rank:
-            raise ValueError("rank mismatch")
-        rows = self.rs.positive_rows
-        return all(sum(map(mul, mu, rows[b])) in (0, -1) for b in J.phi_plus_pos)
+        pairs = self._pairing_row(mu)
+        return all(pairs[b] in (0, -1) for b in J.phi_plus_pos)
 
     def _component_decomposition(self, mu: Coroot, J: ParabolicIndex):
         """Per component: the special node j_m (or None) and the integral
@@ -326,12 +338,12 @@ class AffineWeyl:
         for a in rs.positive_roots:
             if not J.supports(a):
                 h = add_vec(h, rs.coroot(a))
+        pairs = self._pairing_row(h)
         for j in J.nodes:
-            if rs.pairing(h, rs.simple_roots()[j - 1]) != 0:
+            if pairs[self._simple_pos[j - 1]] != 0:
                 raise GraphInvariantError("depth vector is not W_J-invariant")
-        for a in rs.positive_roots:
-            if not J.supports(a) and rs.pairing(h, a) <= 0:
-                raise GraphInvariantError("depth vector is not J-dominant")
+        if any(p <= 0 for inside, p in zip(J.in_phi_J, pairs) if not inside):
+            raise GraphInvariantError("depth vector is not J-dominant")
         return h
 
     def superantidominant_mu(self, z: WeylElement, J: ParabolicIndex, depth: int) -> Coroot:
@@ -344,12 +356,8 @@ class AffineWeyl:
         nu = reps[z.index]
         mu = add_vec(nu, self.phi_correction(nu, J))
         h = self.invariant_depth_vector(J)
-        worst = max(
-            self.rs.pairing(mu, a) for a in self.rs.positive_roots if not J.supports(a)
-        )
-        step = min(
-            self.rs.pairing(h, a) for a in self.rs.positive_roots if not J.supports(a)
-        )
+        worst = max(p for inside, p in zip(J.in_phi_J, self._pairing_row(mu)) if not inside)
+        step = min(p for inside, p in zip(J.in_phi_J, self._pairing_row(h)) if not inside)
         m = max(0, -(-(worst + depth) // step))  # ceil((worst+depth)/step)
         mu = sub_vec(mu, scale_vec(m, h))
         if not self.is_superantidominant(mu, J, depth) or not self.is_adjusted(mu, J):
@@ -360,11 +368,9 @@ class AffineWeyl:
 
     def is_superantidominant(self, mu: Coroot, J: ParabolicIndex, depth: int) -> bool:
         """<mu, alpha> <= 0 on Phi_J^+ and <= -depth on Phi^+ minus Phi_J^+."""
-        if len(mu) != self.rs.rank:
-            raise ValueError("rank mismatch")
         return all(
-            sum(map(mul, mu, row)) <= (0 if inside else -depth)
-            for inside, row in zip(J.in_phi_J, self.rs.positive_rows)
+            pair <= (0 if inside else -depth)
+            for inside, pair in zip(J.in_phi_J, self._pairing_row(mu))
         )
 
     def in_omega(self, x: AffineElement, J: ParabolicIndex, depth: int = 1) -> bool:
@@ -473,13 +479,17 @@ class AffineWeyl:
         With beta = z^{-1}(alpha), gamma = beta + (chi + <mu, beta>) delta
         and r_gamma = r_beta t_{(chi + <mu, beta>) beta^vee}, so y is
         w r_beta t_{mu + chi beta^vee}: w r_beta is an entry of w's
-        reflection row, and no comatrix product is needed.
+        reflection row, and no comatrix product is needed.  <mu, beta> is
+        +-the entry of mu's pairing row at the position of +-beta.
         """
-        beta = self.W.act(zinv, edge.label)
+        W = self.W
+        beta = W.act(zinv, edge.label)
+        b = W._root_pos[beta]
+        pair = self._pairing_row(x.mu)[b]
         chi = 1 if edge.kind == QUANTUM else 0
-        gamma = AffineRoot(beta, chi + self.rs.pairing(x.mu, beta))
+        gamma = AffineRoot(beta, chi + (pair if is_positive_vec(beta) else -pair))
         mu = add_vec(x.mu, self.rs.coroot(beta)) if chi else x.mu
-        y = AffineElement(self.W.right_reflect(x.w, beta), mu)
+        y = AffineElement(W.reflection_row(x.w)[b], mu)
         if gamma.is_positive():
             raise GraphInvariantError("lift label should be a negative affine root")
         if lx - self.length(y) != 1:
@@ -514,7 +524,8 @@ class AffineWeyl:
         reflections = W.reflection_row(0)  # r_beta over the positive roots beta
         if u.w not in reflections:
             raise ValueError("finite part is not a reflection")
-        beta = rs.positive_roots[reflections.index(u.w)]
+        b = reflections.index(u.w)
+        beta, p = rs.positive_roots[b], self._pairing_row(mu)[b]
         cor = rs.coroot(beta)
         # u = r_beta t_{n beta^vee}: n from any nonzero coordinate of beta^vee
         i = next(i for i, d in enumerate(cor) if d)
@@ -524,11 +535,11 @@ class AffineWeyl:
         alpha = W.act(z, beta)
         if not is_positive_vec(alpha):
             alpha = neg_vec(alpha)
-            beta, n = neg_vec(beta), -n
+            beta, n, p = neg_vec(beta), -n, -p
         if J.supports(alpha):
             raise ValueError("connecting root has classical part in Phi_J")
         gamma = AffineRoot(beta, n)
-        chi = n - rs.pairing(mu, beta)
+        chi = n - p
         if chi not in (0, 1):
             raise GraphInvariantError("cover discriminant chi outside {0, 1}")
         if gamma.is_positive():
@@ -559,15 +570,15 @@ class AffineWeyl:
         """
         rs = self.rs
         lx = self.length(x)
-        mu, rows = x.mu, rs.positive_rows
-        pairs = [sum(map(mul, mu, row)) for row in rows]
+        mu = x.mu
+        pairs = self._pairing_row(mu)
         window = 2 + max(map(abs, pairs), default=0)
         out = []
         for beta, p in zip(rs.positive_roots, pairs):
             wr = self.W.right_reflect(x.w, beta)
             cor = rs.coroot(beta)
             base = sub_vec(mu, scale_vec(p, cor))
-            b = [sum(map(mul, cor, row)) for row in rows]
+            b = self._pairing_row(cor)
             # <r_beta(mu), alpha> = <mu, alpha> - <mu, beta> b_alpha
             a = [chi + pa - p * q for chi, pa, q in zip(self.W.inversion_flags(wr), pairs, b)]
             for n in range(-window, window + 1):

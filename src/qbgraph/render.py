@@ -293,9 +293,7 @@ def affine_root_text(beta: AffineRoot) -> str:
 
 def affine_element_text(W: WeylGroup, x: AffineElement) -> str:
     """Rendering 'w t(mu)' with mu in simple-coroot coordinates."""
-    w = W.describe(x.w)
-    mu = ",".join(str(c) for c in x.mu)
-    return f"{w} t({mu})"
+    return f"{W.describe(x.w)} t({','.join(map(str, x.mu))})"
 
 
 def _lines_in_chunks(lines_fn):
@@ -425,22 +423,49 @@ def chain_to_dot(aw: AffineWeyl, chain) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: the columns of a chain element's row in the ``qbgraph/chain/1``
+#: document, and of a step's, which also carries its positive label
+_CHAIN_START = (("mu", tuple), ("text", str), ("w_word", tuple))
+_CHAIN_STEP = (("label", (("alpha", tuple), ("delta", int))),) + _CHAIN_START
+
+
+@functools.cache
+def _chain_format() -> tuple[str, str, str, str, str]:
+    """(head, start template, step template, label template, tail) of the
+    ``qbgraph/chain/1`` document, planned once per process: the rows are
+    dicts at depth 2, in the list under "chain", and the head and tail are
+    the text around that list."""
+    memo: dict = {}
+    [(_, head), (_, middle)], close = _plan(("chain", "schema"), 0, memo)
+    start, _ = _row_format(_CHAIN_START, 2, memo)
+    step, ((label, _), *_) = _row_format(_CHAIN_STEP, 2, memo)
+    tail = middle + encode_basestring_ascii(SCHEMA_CHAIN) + close + "\n"
+    return head, start, step, label, tail
+
+
 def chain_to_json(aw: AffineWeyl, chain) -> str:
+    """The ``qbgraph/chain/1`` document of a chain from ``lift_path``: one
+    row per element, its label (the positive representative of the root
+    stepped down by) on every row but the first.  The text is
+    ``json.dumps(doc, indent=1, sort_keys=True)``'s, each row written
+    through its planned template."""
     from .affine import cover_label
 
+    head, start, step, label, tail = _chain_format()
+    W = aw.W
     rows = []
+    # the rows sit at depth 2, so their int lists at depth 3 and a label's
+    # alpha at depth 4
     for x, gamma in chain:
-        row = {
-            "w_word": list(aw.W._word[x.w]),
-            "mu": list(x.mu),
-            "text": affine_element_text(aw.W, x),
-        }
-        if gamma is not None:
+        cells = (_int_list_text(3, x.mu), encode_basestring_ascii(affine_element_text(W, x)),
+                 _int_list_text(3, W._word[x.w]))
+        if gamma is None:
+            rows.append(start % cells)
+        else:
             pos = cover_label(gamma)
-            row["label"] = {"alpha": list(pos.alpha), "delta": pos.k}
-        rows.append(row)
-    doc = {"schema": SCHEMA_CHAIN, "chain": rows}
-    return dump_json(doc) + "\n"
+            rows.append(step % ((label % (_int_list_text(4, pos.alpha), pos.k),) + cells))
+    body = "[\n  " + ",\n  ".join(rows) + "\n ]" if rows else "[]"
+    return head + body + tail
 
 
 # -- level-zero slices ---------------------------------------------------------------
@@ -571,11 +596,13 @@ def slice_to_json(poset: LevelZeroPoset, window: int) -> str:
 
 
 def _lift_rows(W: WeylGroup, table) -> Iterator[tuple[str, str, str, str]]:
-    """(kind, label, lower, upper) texts per lifted edge, in JSON key order."""
+    """(kind, label, lower, upper) texts per lifted edge, in JSON key order;
+    each label's text is made once per table, as one mu gives few labels."""
+    labels = _Memo(affine_root_text)
     for x, lifts in table:
         upper = affine_element_text(W, x)
         for edge, y, gamma in lifts:
-            yield edge.kind, affine_root_text(gamma), affine_element_text(W, y), upper
+            yield edge.kind, labels[gamma], affine_element_text(W, y), upper
 
 
 @_lines_in_chunks

@@ -186,10 +186,10 @@ class _Named:
         """Readable name of an element id: one-line form in type A, word
         otherwise."""
         if self.rs.cartan_type == "A":
-            return "".join(str(x) for x in self.one_line(w))
+            return "".join(map(str, self.one_line(w)))
         if not self._word[w]:
             return "e"
-        return "".join(f"r{i}" for i in self._word[w])
+        return "r" + "r".join(map(str, self._word[w]))
 
     def __len__(self) -> int:
         return len(self._word)

@@ -78,6 +78,75 @@ def test_length_oracle_does_not_use_the_fast_tables(monkeypatch):
     assert [aw.length_by_inversions(x) for x in xs] == expect
 
 
+ORACLE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("cartan_type,rank", ORACLE_TYPES)
+def test_length_equals_its_oracle_while_rows_are_dropped(monkeypatch, cartan_type, rank):
+    # length reads mu's pairing row from the fact table; with 8 entries the
+    # rows of 12 coweights are dropped and rebuilt mid-run, and every length
+    # still equals the oracle's, which keeps nothing in the table
+    monkeypatch.setattr(affine, "FACT_TABLE_SIZE", 8)
+    W = build_weyl_group(cartan_type, rank)
+    aw = AffineWeyl(W)
+    rnd = random.Random(29)
+    mus = [tuple(rnd.randint(-4, 4) for _ in range(rank)) for _ in range(12)]
+    seen, rebuilt = set(), 0
+    for _ in range(400):
+        x = AffineElement(rnd.randrange(len(W)), rnd.choice(mus))
+        rebuilt += x.mu in seen and (x.mu,) not in aw._facts
+        seen.add(x.mu)
+        assert aw.length(x) == aw.length_by_inversions(x), x
+        assert len(aw._facts) <= 8
+    assert rebuilt > 0 and all(len(key) == 1 for key in aw._facts)
+
+
+@pytest.mark.parametrize("cartan_type,rank", ORACLE_TYPES)
+def test_a_corrupt_pairing_row_fails_the_oracle_comparison(cartan_type, rank):
+    # |a + 1| - |a| is +-1 for any int a: one entry of mu's row off by one
+    # moves every length read from the row by one, and the oracle, which
+    # reads no row, sees it
+    W = build_weyl_group(cartan_type, rank)
+    rs = W.rs
+    mu = tuple(range(-rank, 0))
+    xs = [AffineElement(w, mu) for w in range(0, len(W), 7)]
+    for b in range(len(rs.positive_roots)):
+        aw = AffineWeyl(W)
+        assert [aw.length(x) for x in xs] == [aw.length_by_inversions(x) for x in xs]
+        row = list(aw._facts[(mu,)])
+        row[b] += 1
+        aw._facts[(mu,)] = tuple(row)
+        assert all(aw.length(x) != aw.length_by_inversions(x) for x in xs), b
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", [("A", 3, (1,)), ("B", 3, (2,)), ("G", 2, (1,))])
+def test_mu_predicates_read_only_the_pairing_rows(monkeypatch, cartan_type, rank, nodes):
+    # once mu's row is in the fact table, length, the membership tests and
+    # the lift form no pairing of their own: every other source of
+    # <mu, alpha> trips
+    W, J, g, aw, depth = lift_table_context(cartan_type, rank, nodes)
+    mu = aw.superantidominant_mu(W.identity, J, depth)
+    z = aw.z_mu(mu, J)
+    xs = [AffineElement(w, mu) for w in range(len(W))]
+
+    def answers():
+        lifts = []
+        for e in g.edges:
+            x = AffineElement(W.mul(e.source, z), mu)
+            lifts.append(aw._lift_below(x, aw.length(x), e, W._inverse[z]))
+        return ([aw.length(x) for x in xs], [aw.in_waf_minus(x) for x in xs],
+                [aw.in_wj_af(x, J) for x in xs], aw.is_adjusted(mu, J),
+                aw.is_superantidominant(mu, J, depth), lifts)
+
+    want = answers()
+    monkeypatch.setattr(RootSystem, "pairing", _Tripwire._trip)
+    for table in ("_rows", "positive_rows", "simple_rows", "cartan"):
+        monkeypatch.setattr(W.rs, table, _Tripwire())
+    with pytest.raises(AssertionError, match="fast table"):
+        aw.length(AffineElement(0, tuple(c - 1 for c in mu)))  # a row not yet kept
+    assert answers() == want
+
+
 def cartan_pairing(rs, c, v):
     n = rs.rank
     return sum(c[i] * rs.cartan[i][j] * v[j] for i in range(n) for j in range(n))
@@ -707,7 +776,9 @@ def test_a_decomposition_that_raises_is_not_kept(monkeypatch):
     rs, aw = W.rs, AffineWeyl(W)
     J = rs.parabolic((2, 3))
     mu = AffineWeyl(W).superantidominant_mu(W.identity, J, 1)
-    # no candidate lift: every decomposition raises, and keeps nothing
+    # no candidate lift: every decomposition raises, and keeps nothing; only
+    # mu's pairing row, read by in_omega's adjusted check before the
+    # decomposition, stays in the table
     real = aw._component_data
     monkeypatch.setattr(aw, "_component_data", lambda comp: real(comp)[:2] + ((),) + real(comp)[3:])
     for _ in range(2):
@@ -715,14 +786,14 @@ def test_a_decomposition_that_raises_is_not_kept(monkeypatch):
             aw.z_mu(mu, J)
         with pytest.raises(GraphInvariantError, match="no integral lift"):
             aw.in_omega(AffineElement(0, mu), J)
-        assert aw._facts == {}
+        assert list(aw._facts) == [(mu,)]
     for _ in range(2):
         with pytest.raises(ValueError, match="rank mismatch"):
             aw.phi_correction((1, 2), J)
-        assert aw._facts == {}
+        assert list(aw._facts) == [(mu,)]
     monkeypatch.undo()
     assert aw._factor_and_correction(mu, J) == AffineWeyl(W)._factor_and_correction(mu, J)
-    assert list(aw._facts) == [(mu, J.nodes)]
+    assert list(aw._facts) == [(mu,), (mu, J.nodes)]
 
 
 def test_fact_table_stays_within_its_cap(monkeypatch):

@@ -1,13 +1,17 @@
 """``render.json_chunks`` and its joined form ``render.dump_json`` write
 exactly what ``json.dumps(doc, indent=1, sort_keys=True)`` writes, on every
 document the CLI emits, on edge cases, and on ``Rows`` (lazy row sequences
-written through one template per row shape)."""
+written through one template per row shape); so does ``chain_to_json``,
+which writes a lifted chain through its own planned row templates."""
 
 import json
 import pytest
 
 from qbgraph import render
+from qbgraph.affine import AffineWeyl, cover_label
 from qbgraph.cli import main
+from qbgraph.qbg import QbgPath, build_qbg
+from qbgraph.weyl import build_weyl_group
 
 
 def stdlib(doc) -> str:
@@ -50,6 +54,21 @@ def plain(kind, value):
     return {key: plain(k, v) for (key, k), v in zip(kind, value)}
 
 
+def chain_doc(W, chain) -> dict:
+    """The documented ``qbgraph/chain/1`` document of a lifted chain: per
+    element its w's word, its mu and its text, and on every step the
+    positive representative of its label."""
+    rows = []
+    for x, gamma in chain:
+        row = {"w_word": list(W.element(x.w).word), "mu": list(x.mu),
+               "text": render.affine_element_text(W, x)}
+        if gamma is not None:
+            label = cover_label(gamma)
+            row["label"] = {"alpha": list(label.alpha), "delta": label.k}
+        rows.append(row)
+    return {"schema": "qbgraph/chain/1", "chain": rows}
+
+
 def as_stdlib(doc):
     """doc with every ``Rows`` as the list of dicts it writes."""
     if type(doc) is render.Rows:
@@ -62,10 +81,12 @@ def as_stdlib(doc):
 
 @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: " ".join(argv[:5]))
 def test_cli_documents_match_the_stdlib(monkeypatch, capsys, argv):
-    # every JSON export, streamed or not, goes through json_chunks once; its
-    # rows are written through their templates and compared in full
+    # every JSON export, streamed or not, goes through json_chunks once, or
+    # is a chain, written by chain_to_json; rows are written through their
+    # templates and compared in full, a chain's with the document built
+    # here from it
     seen = []
-    real = render.json_chunks
+    real, real_chain = render.json_chunks, render.chain_to_json
 
     def recording(doc):
         doc = replayable(doc)
@@ -73,7 +94,13 @@ def test_cli_documents_match_the_stdlib(monkeypatch, capsys, argv):
         seen.append((as_stdlib(doc), text))
         yield text
 
+    def recording_chain(aw, chain):
+        text = real_chain(aw, chain)
+        seen.append((chain_doc(aw.W, chain), text.removesuffix("\n")))
+        return text
+
     monkeypatch.setattr(render, "json_chunks", recording)
+    monkeypatch.setattr(render, "chain_to_json", recording_chain)
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert len(seen) == 1
@@ -278,3 +305,35 @@ EMPTY = render.Rows((("a", int),), ())
 def test_rows_outside_dict_values_raise_type_error(doc):
     with pytest.raises(TypeError):
         render.dump_json(doc)
+
+
+CHAIN_CASES = [("A", 2, (1,)), ("B", 3, (2,)), ("C", 3, (1,)), ("D", 4, (2,)), ("G", 2, (1,))]
+
+
+@pytest.mark.parametrize("cartan_type,rank,nodes", CHAIN_CASES,
+                         ids=lambda c: str(c).replace(" ", ""))
+def test_chain_json_matches_the_stdlib(cartan_type, rank, nodes):
+    # lift_path chains along the shortest paths out of the last vertex, the
+    # empty path to itself (one element, no label) among them; labels go
+    # deep, so some step's delta is at least 2
+    W = build_weyl_group(cartan_type, rank)
+    J = W.rs.parabolic(nodes)
+    g = build_qbg(W, J)
+    aw = AffineWeyl(W)
+    mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
+    start = g.vertices[-1]
+    paths = [QbgPath(start, ())] + [g.shortest_path(start, v) for v in g.vertices[:40]]
+    deltas = set()
+    for path in paths:
+        chain = aw.lift_path(g, path, mu)
+        doc = chain_doc(W, chain)
+        assert render.chain_to_json(aw, chain) == stdlib(doc) + "\n"
+        deltas.update(row["label"]["delta"] for row in doc["chain"][1:])
+        assert "label" not in doc["chain"][0]
+    assert len(aw.lift_path(g, paths[0], mu)) == 1
+    assert max(deltas) >= 2
+
+
+def test_an_empty_chain_matches_the_stdlib():
+    aw = AffineWeyl(build_weyl_group("A", 2))
+    assert render.chain_to_json(aw, []) == stdlib({"schema": "qbgraph/chain/1", "chain": []}) + "\n"
