@@ -478,8 +478,9 @@ class AffineWeyl:
 
         With beta = z^{-1}(alpha), gamma = beta + (chi + <mu, beta>) delta
         and r_gamma = r_beta t_{(chi + <mu, beta>) beta^vee}, so y is
-        w r_beta t_{mu + chi beta^vee}: w r_beta is an entry of w's
-        reflection row, and no comatrix product is needed.  <mu, beta> is
+        w r_beta t_{mu + chi beta^vee}: beta is an entry of z^{-1}'s signed
+        root permutation (``WeylGroup.act``), w r_beta an entry of w's
+        reflection row, and no matrix product is needed.  <mu, beta> is
         +-the entry of mu's pairing row at the position of +-beta.
         """
         W = self.W

@@ -113,11 +113,14 @@ class QbgGraph:
         self._partial: dict[int, tuple[array, array]] = {}
         self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per (j, x)
-        # the step out of x, per (j, edge) the edge pushed across s_j, and
-        # the subgraph of step edges
+        # the step out of x and its label x^{-1}(tilde alpha_j), per
+        # (j, edge) the edge pushed across s_j, the subgraph of step edges,
+        # and the fewest steps from each vertex to e
         self._steps: dict[tuple[int, int], tuple[int, QbgEdge | None]] = {}
+        self._step_labels: dict[tuple[int, int], Root] = {}
         self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
         self._step_graph: QbgGraph | None = None
+        self._step_lengths: array | None = None
         # per j the surgery sign of every vertex, per vertex x the image
         # x^{-1}(tilde alpha_0^vee), and the AffineWeyl of the theta steps'
         # checks, filled by ``tilted``
@@ -144,23 +147,38 @@ class QbgGraph:
         exactly when that root lies in Phi+ minus Phi_J+; it is Bruhat for
         j >= 1 and quantum for j = 0.  floor(s_j .) is an involution of W^J,
         so the edge along which s_j descends into x is the step out of
-        floor(s_j x).  Kept per (j, x) once its check passes.
+        floor(s_j x).  All is read from tables: s_j x from the right table
+        (s_0 x from a reflection row) and the label from the signed root
+        permutation of x^{-1} (``WeylGroup.act``).  Kept per (j, x), with
+        the label (``step_label``), once its check passes.
         """
-        got = self._steps.get((j, x))
+        key = (j, x)
+        got = self._steps.get(key)
         if got is None:
             W, J = self.W, self.J
             tilde = self.rs.tilde_root(j)
-            target = W.coset_floor(W.left_reflect(x, tilde), J)
-            label = W.act(W._inverse[x], tilde)
+            xinv = W._inverse[x]
+            if j:
+                moved = W._inverse[W._right[j - 1][xinv]]
+            else:
+                moved = W.left_reflect(x, tilde)
+            target = W.coset_floor(moved, J)
+            label = W.act(xinv, tilde)
             edge = None
-            if is_positive_vec(label) and not J.supports(label):
+            if is_positive_vec(label) and label not in J.phi_plus:
                 edge = self.edge(x, label)
                 if edge is None or edge.target != target:
                     raise GraphInvariantError(
                         f"left step by {j} at W[{W.describe(x)}] is not a graph edge"
                     )
-            got = self._steps[(j, x)] = (target, edge)
+            self._step_labels[key] = label
+            got = self._steps[key] = (target, edge)
         return got
+
+    def step_label(self, j: int, x: int) -> Root:
+        """x^{-1}(tilde alpha_j), the label ``left_step(j, x)`` formed."""
+        self.left_step(j, x)
+        return self._step_labels[(j, x)]
 
     def push_edge(self, j: int, edge: QbgEdge) -> QbgEdge:
         """The edge floor(s_j a) -> floor(s_j b) parallel to the edge a -> b.
@@ -189,6 +207,36 @@ class QbgGraph:
             self._step_graph = QbgGraph(self.W, self.J, self.vertices,
                                         [e for e in steps if e is not None])
         return self._step_graph
+
+    def step_lengths(self) -> array:
+        """Per vertex position the fewest step edges x -> floor(s_j x) from
+        the vertex to e, or UNSETTLED where e is out of reach.
+
+        Every left step runs once, with its check, as ``step_graph`` runs
+        them; then one BFS from e over the step edges reversed.  Built on
+        first use and kept.
+        """
+        row = self._step_lengths
+        if row is None:
+            pos = self.vertex_pos
+            preds: list[list[int]] = [[] for _ in self.vertices]
+            for x in self.vertices:
+                for j in range(self.rs.rank + 1):
+                    edge = self.left_step(j, x)[1]
+                    if edge is not None:
+                        preds[pos[edge.target]].append(pos[x])
+            dist = [UNSETTLED] * len(self.vertices)
+            start = self._position(0)
+            dist[start] = 0
+            queue = [start]
+            for p in queue:  # the queue grows as it is read
+                d = dist[p] + 1
+                for q in preds[p]:
+                    if dist[q] == UNSETTLED:
+                        dist[q] = d
+                        queue.append(q)
+            row = self._step_lengths = array("H", dist)
+        return row
 
     # -- distances -----------------------------------------------------------
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffineWeyl
-from .qbg import GraphInvariantError, QbgEdge, QbgGraph, QbgPath
+from .qbg import UNSETTLED, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
 from .root_system import (
     Coroot,
     ParabolicIndex,
@@ -106,8 +106,8 @@ def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
     -w^{-1} alpha_j, or z(w^{-1} theta) for the theta twist z of w.
     """
     rs, W, J = graph.rs, graph.W, graph.J
-    img = W.act(W._inverse[w], rs.tilde_root(j))
     target, edge = graph.left_step(j, w)
+    img = graph.step_label(j, w)
     if J.supports(img):
         if target != w:
             raise GraphInvariantError("fixed case moved the coset")
@@ -138,8 +138,18 @@ def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
 
 
 def quantum_length(graph: QbgGraph, u: int) -> int:
-    """Fewest left steps by simple or theta reflections from u to the identity."""
-    return graph.step_graph().distance(u, 0)
+    """Fewest left steps by simple or theta reflections from u to the identity.
+
+    Read from the graph's one row of step lengths (``QbgGraph.step_lengths``),
+    built on the first query and kept for every later one.  Raises
+    ValueError when u is not a vertex and GraphInvariantError when e is out
+    of u's reach.
+    """
+    row = graph.step_lengths()
+    got = row[graph._position(u)]
+    if got == UNSETTLED:
+        raise GraphInvariantError("graph is not strongly connected")
+    return got
 
 
 def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:

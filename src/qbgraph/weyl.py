@@ -6,11 +6,13 @@ is unique, and right multiplication by a simple reflection is one reflection
 of the name.  The id, word, length, right and inverse tables are built once
 and then only read, and they are held compactly: each name packed into one
 int, each word in one ``bytes`` object, and the right table as one list of
-ids per simple reflection, all sharing one int object per id.  Two kinds of
-per-element table are built the first time they are used, along the
+ids per simple reflection, all sharing one int object per id.  Three kinds
+of per-element table are built the first time they are used, along the
 prefixes of the element's word, and kept in dicts that hold only the filled
-entries: its matrix on the simple roots, and its reflection row, the ids of
-w r_beta over the positive roots beta, so that w r_beta is one list lookup.
+entries: its signed root permutation, so that w(beta) is one lookup, its
+reflection row, the ids of w r_beta over the positive roots beta, so that
+w r_beta is one list lookup, and its matrix on the simple roots, for the
+coroot action.
 
 The group operations take and return ids.  ``WeylElement`` is a plain
 value naming an id at the API boundary (its word, length and name); the
@@ -88,6 +90,24 @@ def _apply(mat: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, .
             for i in range(n):
                 out[i] += vj * row[i]
     return tuple(out)
+
+
+def _signed_roots(rs: RootSystem):
+    """The roots with sign: the positive roots in ``rs.positive_roots``
+    order, then their negatives.  Returns them, the position of each, and
+    per simple node k the position of r_k(gamma) for gamma at each
+    position, where r_k(beta) = beta - <alpha_k^vee, beta> alpha_k and
+    C beta (``rs.positive_rows``) holds the pairings."""
+    roots, rows = rs.positive_roots, rs.positive_rows
+    m = len(roots)
+    signed = roots + tuple(map(neg_vec, roots))
+    pos = {gamma: i for i, gamma in enumerate(signed)}
+    steps = []
+    for k in range(rs.rank):
+        img = [pos[beta[:k] + (beta[k] - row[k],) + beta[k + 1:]]
+               for beta, row in zip(roots, rows)]
+        steps.append(img + [(i + m) % (2 * m) for i in img])
+    return signed, pos, steps
 
 
 def _times_simple(mat, k: int, coeffs):
@@ -214,9 +234,13 @@ class WeylGroup(_Named):
 
     ``_word[w]`` is w's shortlex word as ``bytes`` of 1-based node indices
     (``WeylElement.word`` gives it as a tuple), and ``_right[k][w]`` is the
-    id of w r_{k+1}: one column per node.  ``matrix`` (and ``act``) fills an
-    element's matrix on first use along its word's prefixes; ``comatrix``
-    takes the rows' coroots.  ``inversion_flags`` unpacks the key.
+    id of w r_{k+1}: one column per node.  ``act`` fills an element's signed
+    root permutation on first use along its word's prefixes: byte i of w's
+    is the position of w(gamma) for gamma at position i of ``_signed``, the
+    positive roots and then their negatives (2|Phi+| is at most 98, in B7
+    and C7, for every group within ``ENUMERATION_CAP``).  ``matrix`` fills
+    the same way, for ``comatrix``, whose rows are the coroots.
+    ``inversion_flags`` unpacks the key.
 
     ``reflection_row`` fills the same way: the row of w holds the ids of
     w r_beta for beta over ``rs.positive_roots``.  Row 0 holds the
@@ -232,7 +256,7 @@ class WeylGroup(_Named):
         index = self._build()
         self._coroots = tuple(map(rs.coroot, rs.positive_roots))
         self._flags: dict[int, bytes] = {}
-        self._build_reflection_rows(index)
+        self._build_root_tables(index)
         self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -295,32 +319,24 @@ class WeylGroup(_Named):
         self._inverse = inverse
         return index
 
-    def _build_reflection_rows(self, index: dict[int, int]) -> None:
+    def _build_root_tables(self, index: dict[int, int]) -> None:
         rs = self.rs
         roots = rs.positive_roots
+        m = len(roots)
+        signed, signed_pos, steps = _signed_roots(rs)
+        # the pad makes a permutation a ``bytes.translate`` table
+        self._signed, self._signed_pos, self._pad = signed, signed_pos, bytes(256 - 2 * m)
+        self._signed_steps = list(map(bytes, steps))
+        self._perms: dict[int, bytes] = {0: bytes(range(2 * m))}
         # the position of each root +-beta in ``rs.positive_roots``:
-        # r_{-beta} = r_beta
-        pos: dict[Root, int] = {}
-        for b, beta in enumerate(roots):
-            pos[beta] = pos[neg_vec(beta)] = b
-        # per simple node k, the position of r_k(beta) for each beta, where
-        # r_k(beta) = beta - <alpha_k^vee, beta> alpha_k and C beta holds
-        # the pairings
-        perms = []
-        for k in range(self.rank):
-            perm = []
-            for beta, row in zip(roots, rs.positive_rows):
-                img = list(beta)
-                img[k] -= row[k]
-                perm.append(pos[tuple(img)])
-            perms.append(tuple(perm))
+        # r_{-beta} = r_beta; and per simple node k, that of r_k(beta)
+        self._root_pos = {gamma: i % m for gamma, i in signed_pos.items()}
+        self._root_perms = [[i % m for i in step[:m]] for step in steps]
         # r_beta is keyed by r_beta(rho) = rho - <beta^vee, rho> C beta
         reflections = [
             index[self._pack([1 - sum(rs.coroot(beta)) * c for c in row])]
             for beta, row in zip(roots, rs.positive_rows)
         ]
-        self._root_pos = pos
-        self._root_perms = perms
         self._refl_rows: dict[int, list[int]] = {0: reflections}
 
     # -- element access ------------------------------------------------------
@@ -407,8 +423,19 @@ class WeylGroup(_Named):
         return inv[cur]
 
     def act(self, w: int, v: Root) -> Root:
-        """w(v) for an element id w and a root-lattice vector v."""
-        return _apply(self.matrix(w), v)
+        """w(v) for an element id w and a root v (either sign): one entry of
+        w's signed root permutation, which is built the first time it is
+        asked for, along the prefixes of w's word, with one
+        ``bytes.translate`` per letter.  Raises ValueError when v is not a
+        root."""
+        i = self._signed_pos.get(v)
+        if i is None:
+            raise ValueError(f"{v} is not a root")
+        perm = self._perms.get(w)
+        if perm is None:
+            steps, pad = self._signed_steps, self._pad
+            perm = self._fill(self._perms, w, lambda p, k: steps[k].translate(p + pad))
+        return self._signed[perm[i]]
 
     def act_coroot(self, w: int, c: Coroot) -> Coroot:
         """w(c) for an element id w and a coroot-lattice vector c."""
@@ -656,19 +683,11 @@ class WeightOrbit(_Named):
                 f"candidate-edge cap {CANDIDATE_EDGE_CAP}"
             )
         self.rs, self.J, self.rank = rs, J, rs.rank
-        n, roots, rows = rs.rank, rs.positive_roots, rs.positive_rows
-        m = len(roots)
+        n, rows = rs.rank, rs.positive_rows
+        m = len(rows)
         self.signed_rows = rows + tuple(map(neg_vec, rows))
-        pos = {}
-        for b, beta in enumerate(roots):
-            pos[beta], pos[neg_vec(beta)] = b, m + b
-        # steps[k][i]: the position of r_k(gamma) for gamma at position i,
-        # where r_k(beta) = beta - <alpha_k^vee, beta> alpha_k
-        steps = []
-        for k in range(n):
-            img = [pos[beta[:k] + (beta[k] - row[k],) + beta[k + 1:]]
-                   for beta, row in zip(roots, rows)]
-            steps.append(img + [(i + m) % (2 * m) for i in img])
+        # steps[k][i]: the position of r_k(gamma) for gamma at position i
+        steps = _signed_roots(rs)[2]
         if 2 * m <= 256:
             tables = [bytes(step + list(range(2 * m, 256))) for step in steps]
             perm = [bytes(range(m))]
