@@ -130,8 +130,8 @@ class AffineWeyl:
         image of alpha + k delta is w(alpha) + (k - <mu, alpha>) delta, so a
         translate of +-alpha is sent negative only for k <= |<mu, alpha>|.
         The scan compares delta parts against the sign of w(alpha).  The
-        pairings come from the Cartan matrix and the signs from w's matrix,
-        not from the tables behind ``length``: <mu, alpha> is (C mu) . alpha,
+        pairings and the signs come from the Cartan matrix and w's word,
+        not from any table of the group's: <mu, alpha> is (C mu) . alpha,
         with C mu formed per call, and w's signs are formed once per w, in a
         table only this oracle reads.
         """
@@ -154,15 +154,19 @@ class AffineWeyl:
         return count
 
     def _root_signs(self, w: int) -> tuple[bool, ...]:
-        """Whether w(alpha) > 0, per alpha in Phi+, from w's matrix: row j
-        of the matrix is w(alpha_j), so w(alpha)_i is (column i) . alpha."""
+        """Whether w(alpha) > 0, per alpha in Phi+, from w's word and the
+        Cartan matrix: the word's letters act from the last, and r_k
+        changes only coordinate k of v, by -<alpha_k^vee, v> = -(C v)_k."""
         got = self._oracle_signs.get(w)
         if got is None:
-            cols = tuple(zip(*self.W.matrix(w)))
-            got = self._oracle_signs[w] = tuple(
-                is_positive_vec([sum(map(mul, alpha, col)) for col in cols])
-                for alpha in self.rs.positive_roots
-            )
+            cartan, word = self.rs.cartan, self.W._word[w][::-1]
+            signs = []
+            for alpha in self.rs.positive_roots:
+                v = list(alpha)
+                for k in word:
+                    v[k - 1] -= sum(map(mul, cartan[k - 1], v))
+                signs.append(is_positive_vec(v))
+            got = self._oracle_signs[w] = tuple(signs)
         return got
 
     # -- distinguished coset representatives -----------------------------------

@@ -8,14 +8,13 @@ inside an n-window is exact for pairs inside it.
 Layout.  Everything that depends on the coset alone is computed once per
 coset id and kept:
 
-- ``_pairings``: the orbit's ``WeightPairings`` table from
-  ``W.weight_pairings``.  It keeps w(lambda) over the fundamental weights,
-  so every pairing <beta^vee, w(lambda)> is one dot product; ``tilted``
-  pairs through the same kind of table;
+- ``_weights[w]``: w(lambda) over the fundamental weights, entry i being
+  <(w^{-1} alpha_i)^vee, lambda>, read through ``W.act``; every pairing
+  <beta^vee, w(lambda)> is then one dot product;
 - ``_steps_cache[w]``: the raising-step data (root, pairing p > 0, target
   coset, first k) of every root pairing positively, alpha before -alpha in
   the order of the positive roots.  The steps out of (w, n) are the elements
-  (target, n - k*p) for k = first k, first k + 1, ..., so ``raising_steps``
+  (target, n - k*p) for k = first k, first k + 1, ..., so ``_step_ids``
   only expands n;
 - ``_cover_cache[w]``: the graph-derived covers out of w(lambda) + 0*delta
   (target coset, delta drop, label, kind), in output order, as
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .affine import AffineRoot
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgGraph, build_qbg
@@ -103,7 +103,7 @@ class LevelZeroPoset:
         for a in rs.positive_roots:
             two_rho_vee = add_vec(two_rho_vee, rs.coroot(a))
         self._two_rho_vee = two_rho_vee
-        self._pairings = W.weight_pairings(self.lam)
+        self._weights: dict[int, tuple[int, ...]] = {}
         self._steps_cache: dict[int, tuple[Step, ...]] = {}
         self._cover_cache: dict[int, tuple[CosetCover, ...]] = {}
         self._margin = len(rs.positive_roots) * max(
@@ -118,13 +118,25 @@ class LevelZeroPoset:
 
     # -- pairings ------------------------------------------------------------
 
+    def _weight(self, w: int) -> tuple[int, ...]:
+        """w(lambda) over the fundamental weights, kept per coset id: entry i
+        is <alpha_i^vee, w(lambda)> = <(w^{-1} alpha_i)^vee, lambda>."""
+        got = self._weights.get(w)
+        if got is None:
+            W, coroot = self.W, self.rs.coroot
+            winv = W._inverse[w]
+            got = self._weights[w] = tuple(
+                sum(map(mul, coroot(W.act(winv, a)), self.lam)) for a in self.rs.simple_roots()
+            )
+        return got
+
     def pair(self, coroot: Coroot, w: int) -> int:
         """<coroot, w(lambda)>."""
-        return self._pairings.pair(coroot, w)
+        return sum(map(mul, coroot, self._weight(w)))
 
     def weight_coordinates(self, mu: LevelZeroWeight) -> tuple[int, ...]:
         """Coefficients of cl(mu) over the fundamental weights."""
-        return self._pairings.weight(mu.w)
+        return self._weight(mu.w)
 
     # -- generating steps -----------------------------------------------------
 
@@ -151,20 +163,6 @@ class LevelZeroPoset:
             steps.append((root, abs(p), target, k))
         got = self._steps_cache[w] = tuple(steps)
         return got
-
-    def raising_steps(self, mu: LevelZeroWeight, n_min: int):
-        """All r_beta(mu) > mu with the new delta part at least n_min.
-
-        beta runs over the positive affine roots with positive pairing
-        against mu; ascending steps have n' <= n so the bound is exhaustive.
-        """
-        out = []
-        n = mu.n
-        for root, p, target, k in self._steps(mu.w):
-            while n - k * p >= n_min:
-                out.append((LevelZeroWeight(target, n - k * p), AffineRoot(root, k)))
-                k += 1
-        return out
 
     # -- reachability inside a window ------------------------------------------
 
@@ -379,7 +377,7 @@ class LevelZeroPoset:
             raise ValueError(f"affine node index {i} out of range")
         if i == 0:
             return -self.pair(self.rs.coroot(self.rs.theta), mu.w)
-        return self._pairings.weight(mu.w)[i - 1]
+        return self._weight(mu.w)[i - 1]
 
     # -- distance ----------------------------------------------------------------
 

@@ -587,10 +587,11 @@ def _word_roots(W: WeylGroup, word) -> tuple[tuple[Root, ...], int]:
     generator indices, and the id of the word's product."""
     roots = []
     prefix = 0
+    simples = W.rs.simple_roots()
     for k in word:
         if not 1 <= k <= W.rank:
             raise ValueError(f"generator index {k} out of range")
-        roots.append(W.matrix(prefix)[k - 1])
+        roots.append(W.act(prefix, simples[k - 1]))
         prefix = W._right[k - 1][prefix]
     return tuple(roots), prefix
 

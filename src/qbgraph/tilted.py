@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .affine import AffineWeyl
 from .qbg import UNSETTLED, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
@@ -64,11 +65,6 @@ class TiltedOrder:
 # -- left multiplication steps ---------------------------------------------------
 
 
-def tilde_coroot(rs, i: int) -> Coroot:
-    """The coroot of tilde alpha_i (``RootSystem.tilde_root``)."""
-    return rs.coroot(rs.tilde_root(i))
-
-
 def left_step_edge(graph: QbgGraph, i: int, x: int) -> QbgEdge | None:
     """The edge x -> floor(s_i x) when x^{-1}(tilde alpha_i) is a usable label."""
     return graph.left_step(i, x)[1]
@@ -128,9 +124,9 @@ def left_multiplication_step(graph: QbgGraph, w: int, j: int) -> LeftStep:
             raise GraphInvariantError("twist does not factor the theta product")
         if twist != W._inverse[aw.z_mu(rs.coroot(gamma), J)]:
             raise GraphInvariantError("twist is not the inverse crossing factor")
-        if not aw.is_adjusted(W.act_coroot(twist, rs.coroot(gamma)), J):
-            raise GraphInvariantError("twisted crossing coroot is not adjusted")
         label = W.act(twist, gamma)
+        if not aw.is_adjusted(rs.coroot(label), J):
+            raise GraphInvariantError("twisted crossing coroot is not adjusted")
     edge = graph.left_step(j, target)[1]
     if edge is None or edge.target != w or edge.label != label:
         raise GraphInvariantError("descending left step is not a graph edge")
@@ -173,12 +169,15 @@ def _canonical_lambda(graph: QbgGraph) -> tuple[int, ...]:
 
 def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
     """<tilde alpha_j^vee, x(lambda)> for every vertex id x, for the
-    canonical lambda of J; built once per (graph, j) and kept on the graph."""
+    canonical lambda of J: it is <(x^{-1} tilde alpha_j)^vee, lambda>, read
+    from the label ``QbgGraph.step_label`` forms.  Built once per (graph, j)
+    and kept on the graph."""
     got = graph._surgery_signs.get(j)
     if got is None:
-        pair = graph.W.weight_pairings(_canonical_lambda(graph)).pair
-        cor = tilde_coroot(graph.rs, j)
-        got = graph._surgery_signs[j] = {x: pair(cor, x) for x in graph.vertices}
+        coroot, label, lam = graph.rs.coroot, graph.step_label, _canonical_lambda(graph)
+        got = graph._surgery_signs[j] = {
+            x: sum(map(mul, coroot(label(j, x)), lam)) for x in graph.vertices
+        }
     return got
 
 
@@ -280,15 +279,13 @@ def _transform(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
 
 
 def theta_coroot_images(graph: QbgGraph) -> dict[int, Coroot]:
-    """x^{-1}(tilde alpha_0^vee) for every vertex id x; built once per
-    graph and kept on it, as ``surgery_signs`` is."""
+    """x^{-1}(tilde alpha_0^vee) for every vertex id x: the coroot of the
+    label x^{-1}(tilde alpha_0) that ``QbgGraph.step_label`` forms.  Built
+    once per graph and kept on it, as ``surgery_signs`` is."""
     got = graph._theta_coroot_images
     if got is None:
-        W, inv = graph.W, graph.W._inverse
-        cor = tilde_coroot(graph.rs, 0)
-        got = graph._theta_coroot_images = {
-            x: W.act_coroot(inv[x], cor) for x in graph.vertices
-        }
+        coroot, label = graph.rs.coroot, graph.step_label
+        got = graph._theta_coroot_images = {x: coroot(label(0, x)) for x in graph.vertices}
     return got
 
 

@@ -6,13 +6,13 @@ is unique, and right multiplication by a simple reflection is one reflection
 of the name.  The id, word, length, right and inverse tables are built once
 and then only read, and they are held compactly: each name packed into one
 int, each word in one ``bytes`` object, and the right table as one list of
-ids per simple reflection, all sharing one int object per id.  Three kinds
+ids per simple reflection, all sharing one int object per id.  Two kinds
 of per-element table are built the first time they are used, along the
 prefixes of the element's word, and kept in dicts that hold only the filled
-entries: its signed root permutation, so that w(beta) is one lookup, its
-reflection row, the ids of w r_beta over the positive roots beta, so that
-w r_beta is one list lookup, and its matrix on the simple roots, for the
-coroot action.
+entries: its signed root permutation, so that w(beta) is one lookup, and
+its reflection row, the ids of w r_beta over the positive roots beta, so
+that w r_beta is one list lookup.  The permutation is the only form of w's
+action: w's inversion flags and its action on coroots are read from it.
 
 The group operations take and return ids.  ``WeylElement`` is a plain
 value naming an id at the API boundary (its word, length and name); the
@@ -29,7 +29,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, mul
 
 from .root_system import (
     ConfigurationError,
@@ -110,48 +109,6 @@ def _signed_roots(rs: RootSystem):
     return signed, pos, steps
 
 
-def _times_simple(mat, k: int, coeffs):
-    """The matrix of mat composed with the simple reflection r_k.
-
-    Rows are images of basis vectors; r_k sends basis vector j to
-    e_j - c e_k for each (j, c) in coeffs and fixes the others, so only
-    those rows change.
-    """
-    mk = mat[k]
-    out = list(mat)
-    for j, c in coeffs:
-        out[j] = tuple(map(add, mat[j], map((-c).__mul__, mk)))
-    return tuple(out)
-
-
-class WeightPairings:
-    """The pairings <beta^vee, w(lam)> of one weight's orbit.
-
-    ``lam`` is given over the fundamental weights.  Each w(lam) is computed
-    once per element id, over the fundamental weights: entry i is
-    <alpha_i^vee, w(lam)> = <w^{-1}(alpha_i^vee), lam>.  A pairing with any
-    coroot is then one dot product with it.
-    """
-
-    def __init__(self, W: WeylGroup, lam: tuple[int, ...]):
-        self.W = W
-        self.lam = tuple(lam)
-        self._weights: dict[int, tuple[int, ...]] = {}
-
-    def weight(self, w: int) -> tuple[int, ...]:
-        """w(lam) over the fundamental weights."""
-        got = self._weights.get(w)
-        if got is None:
-            comat = self.W.comatrix(self.W._inverse[w])
-            got = tuple(sum(map(mul, row, self.lam)) for row in comat)
-            self._weights[w] = got
-        return got
-
-    def pair(self, coroot: Coroot, w: int) -> int:
-        """<coroot, w(lam)>."""
-        return sum(map(mul, coroot, self.weight(w)))
-
-
 class _Named:
     """The names of element ids, read from their shortlex words alone, and
     the packing of weights over the fundamental weights into ints:
@@ -174,15 +131,6 @@ class _Named:
         self._offset = off = max(sum(rs.coroot(beta)) for beta in rs.positive_roots)
         self._base = base = 2 * off + 1
         return [sum(rs.cartan[j][k] * base**j for j in range(n)) for k in range(n)]
-
-    def _unpack(self, key: int) -> tuple[int, ...]:
-        """The weight over the fundamental weights that a packed key names."""
-        base, off = self._base, self._offset
-        out = []
-        for _ in range(self.rank):
-            key, d = divmod(key, base)
-            out.append(d - off)
-        return tuple(out)
 
     def _pack(self, v) -> int:
         """The packed key of a weight over the fundamental weights."""
@@ -229,8 +177,7 @@ class WeylGroup(_Named):
     and the key is packed into one int with coordinate j + h as its digit
     j in base 2h + 1.  Then v_k is one digit and w r_k's key is w's minus
     v_k times the packed alpha_k, so a search step makes no tuple.  The
-    packed keys are kept in an ``array``; the key-to-id dict lives only
-    while the group is built.
+    packed keys and the key-to-id dict live only while the group is built.
 
     ``_word[w]`` is w's shortlex word as ``bytes`` of 1-based node indices
     (``WeylElement.word`` gives it as a tuple), and ``_right[k][w]`` is the
@@ -238,9 +185,10 @@ class WeylGroup(_Named):
     root permutation on first use along its word's prefixes: byte i of w's
     is the position of w(gamma) for gamma at position i of ``_signed``, the
     positive roots and then their negatives (2|Phi+| is at most 98, in B7
-    and C7, for every group within ``ENUMERATION_CAP``).  ``matrix`` fills
-    the same way, for ``comatrix``, whose rows are the coroots.
-    ``inversion_flags`` unpacks the key.
+    and C7, for every group within ``ENUMERATION_CAP``).  It is the only
+    form of w's action: ``inversion_flags`` is one ``bytes.translate`` of
+    it, and ``comatrix``, for ``act_coroot``, the coroots of the w(alpha_j)
+    read from it; both are kept per id.
 
     ``reflection_row`` fills the same way: the row of w holds the ids of
     w r_beta for beta over ``rs.positive_roots``.  Row 0 holds the
@@ -254,10 +202,7 @@ class WeylGroup(_Named):
         self.rs = rs
         self.rank = rs.rank
         index = self._build()
-        self._coroots = tuple(map(rs.coroot, rs.positive_roots))
-        self._flags: dict[int, bytes] = {}
         self._build_root_tables(index)
-        self._pairings_cache: dict[tuple[int, ...], WeightPairings] = {}
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- enumeration -------------------------------------------------------
@@ -265,7 +210,6 @@ class WeylGroup(_Named):
     def _build(self) -> dict[int, int]:
         rs = self.rs
         n = self.rank
-        a = rs.cartan
         # coordinate j of a key w^{-1}(rho) is the height of the coroot
         # w(alpha_j^vee); r_k(v) = v - v_k alpha_k, and alpha_k packs to
         # shift[k]
@@ -307,12 +251,6 @@ class WeylGroup(_Named):
         inverse = [0] * len(ids)
         for w in range(1, len(ids)):
             inverse[w] = right[word[w][0] - 1][inverse[tail[w]]]
-        # r_k(alpha_j) = alpha_j - a_kj alpha_k
-        self._root_coeffs = [[(j, a[k][j]) for j in range(n) if a[k][j]] for k in range(n)]
-        ident = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        self._mat: dict[int, tuple[Root, ...]] = {0: ident}
-        self._comat: dict[int, tuple[Coroot, ...]] = {}
-        self._key = keys
         self._length = length
         self._word = word
         self._right = right
@@ -328,6 +266,14 @@ class WeylGroup(_Named):
         self._signed, self._signed_pos, self._pad = signed, signed_pos, bytes(256 - 2 * m)
         self._signed_steps = list(map(bytes, steps))
         self._perms: dict[int, bytes] = {0: bytes(range(2 * m))}
+        # the coroot at each position, the positions of the simple roots,
+        # and the table that sends a position to 1 when its root is negative;
+        # then the inversion flags and comatrices read from permutations
+        self._signed_coroots = tuple(map(rs.coroot, signed))
+        self._simple_signed = tuple(map(signed_pos.__getitem__, rs.simple_roots()))
+        self._negative = bytes(i >= m for i in range(256))
+        self._flags: dict[int, bytes] = {}
+        self._comat: dict[int, tuple[Coroot, ...]] = {}
         # the position of each root +-beta in ``rs.positive_roots``:
         # r_{-beta} = r_beta; and per simple node k, that of r_k(beta)
         self._root_pos = {gamma: i % m for gamma, i in signed_pos.items()}
@@ -361,21 +307,25 @@ class WeylGroup(_Named):
             got = table[cur] = step(got, word[cur][-1] - 1)
         return got
 
-    def matrix(self, w: int) -> tuple[Root, ...]:
-        """The rows w(alpha_j) over the simple roots; w is an element id.
-        Built the first time it is asked for."""
-        got = self._mat.get(w)
-        if got is None:
-            coeffs = self._root_coeffs
-            got = self._fill(self._mat, w, lambda m, k: _times_simple(m, k, coeffs[k]))
-        return got
+    def _signed_perm(self, w: int) -> bytes:
+        """w's signed root permutation: byte i is the position of w(gamma)
+        for gamma at position i of ``_signed``.  Built the first time it is
+        asked for, along the prefixes of w's word, with one
+        ``bytes.translate`` per letter."""
+        perm = self._perms.get(w)
+        if perm is None:
+            steps, pad = self._signed_steps, self._pad
+            perm = self._fill(self._perms, w, lambda p, k: steps[k].translate(p + pad))
+        return perm
 
     def comatrix(self, w: int) -> tuple[Coroot, ...]:
         """The rows w(alpha_j^vee) = (w alpha_j)^vee over the simple coroots;
-        w is an element id.  Built from ``matrix(w)`` on first use."""
+        w is an element id.  Read from w's permutation on first use and
+        kept."""
         got = self._comat.get(w)
         if got is None:
-            got = self._comat[w] = tuple(map(self.rs.coroot, self.matrix(w)))
+            perm, cor = self._signed_perm(w), self._signed_coroots
+            got = self._comat[w] = tuple(cor[perm[i]] for i in self._simple_signed)
         return got
 
     def reflection_row(self, w: int) -> list[int]:
@@ -424,17 +374,13 @@ class WeylGroup(_Named):
 
     def act(self, w: int, v: Root) -> Root:
         """w(v) for an element id w and a root v (either sign): one entry of
-        w's signed root permutation, which is built the first time it is
-        asked for, along the prefixes of w's word, with one
-        ``bytes.translate`` per letter.  Raises ValueError when v is not a
+        w's signed root permutation.  Raises ValueError when v is not a
         root."""
         i = self._signed_pos.get(v)
         if i is None:
             raise ValueError(f"{v} is not a root")
-        perm = self._perms.get(w)
-        if perm is None:
-            steps, pad = self._signed_steps, self._pad
-            perm = self._fill(self._perms, w, lambda p, k: steps[k].translate(p + pad))
+        # the inline get spares a filled permutation a call: act is hot
+        perm = self._perms.get(w) or self._signed_perm(w)
         return self._signed[perm[i]]
 
     def act_coroot(self, w: int, c: Coroot) -> Coroot:
@@ -459,28 +405,19 @@ class WeylGroup(_Named):
         inverse = self._inverse
         return inverse[self.right_reflect(inverse[w], alpha)]
 
-    def weight_pairings(self, lam: tuple[int, ...]) -> WeightPairings:
-        """The shared pairing table of the orbit of lam (fundamental-weight
-        coordinates)."""
-        key = tuple(lam)
-        got = self._pairings_cache.get(key)
-        if got is None:
-            got = self._pairings_cache[key] = WeightPairings(self, key)
-        return got
-
     # -- inversions, Bruhat order ------------------------------------------
 
     def inversion_flags(self, w: int) -> bytes:
         """Per positive root beta, in ``rs.positive_roots`` order, 1 when
         w(beta) < 0 and 0 otherwise; w is an element id.
 
-        Read from w's key: w(beta) < 0 exactly when
-        <beta^vee, w^{-1}(rho)> < 0.  Kept per id once computed.
+        One ``bytes.translate`` of w's permutation, kept per id: position i
+        of ``_signed`` holds a negative root exactly when i >= |Phi+|.
         """
         got = self._flags.get(w)
         if got is None:
-            key = self._unpack(self._key[w])
-            got = self._flags[w] = bytes(sum(map(mul, c, key)) < 0 for c in self._coroots)
+            perm = self._signed_perm(w)
+            got = self._flags[w] = perm[:len(self.rs.positive_roots)].translate(self._negative)
         return got
 
     def bruhat_covers(self, w: WeylElement) -> tuple[WeylElement, ...]:

@@ -70,9 +70,12 @@ def test_length_oracle_does_not_use_the_fast_tables(monkeypatch):
     ]
     expect = [aw.length(x) for x in xs]
     monkeypatch.setattr(RootSystem, "pairing", _Tripwire._trip)
-    monkeypatch.setattr(WeylGroup, "inversion_flags", _Tripwire._trip)
+    for method in ("inversion_flags", "act", "comatrix"):
+        monkeypatch.setattr(WeylGroup, method, _Tripwire._trip)
     for table in ("_rows", "positive_rows", "simple_rows"):
         monkeypatch.setattr(rs, table, _Tripwire())
+    # the signed root permutations, filled or not
+    monkeypatch.setattr(W, "_perms", _Tripwire())
     with pytest.raises(AssertionError, match="fast table"):
         aw.length(xs[0])
     assert [aw.length_by_inversions(x) for x in xs] == expect

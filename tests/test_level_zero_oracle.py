@@ -1,10 +1,10 @@
 """The level-zero poset against a plain reference closure.
 
 The reference recomputes every raising step from the definition (pairings
-through w^{-1} acting on coroots, targets by minimal coset representatives)
-and closes them with one breadth-first search per element, into Python sets.
-It shares no table with the poset: only the slice enumeration and the
-certification rule.
+through w^{-1} acting on coroots, by the matrix-keyed reference's comatrix
+of w^{-1}, targets by minimal coset representatives) and closes them with
+one breadth-first search per element, into Python sets.  It shares no table
+with the poset: only the slice enumeration and the certification rule.
 """
 
 import sys
@@ -17,6 +17,7 @@ from qbgraph.level_zero import LevelZeroPoset, LevelZeroWeight
 from qbgraph.qbg import BRUHAT, QUANTUM
 from qbgraph.root_system import build_root_system, is_positive_vec, neg_vec
 from qbgraph.weyl import WeylGroup
+from test_weyl_enumeration import apply, reference
 
 CASES = [("A", 2, (2, 1)), ("B", 2, (1, 1)), ("G", 2, (1, 0))]
 EXTRA = (3, 5)  # the two windows are margin + 3 and margin + 5
@@ -26,6 +27,7 @@ class Reference:
     def __init__(self, P: LevelZeroPoset, window: int):
         self.P = P
         self.window = window
+        _, self._comats, *_, self._inverse, _ = reference(P.rs.cartan_type, P.rs.rank)
         self.elems = P.slice_elements(window)
         self._steps: dict[LevelZeroWeight, list] = {}
         self.up = {mu: self._bfs(mu) for mu in self.elems}
@@ -33,8 +35,7 @@ class Reference:
         self._longest: dict[LevelZeroWeight, dict] = {}
 
     def pair(self, coroot, w):
-        W = self.P.W
-        moved = W.act_coroot(W._inverse[w], coroot)
+        moved = apply(self._comats[self._inverse[w]], coroot)
         return sum(c * v for c, v in zip(moved, self.P.lam))
 
     def steps(self, mu):
@@ -107,9 +108,15 @@ def pair(request):
 
 
 def test_raising_steps_match(pair):
+    # the steps the closure, covers and dist read: (target id, root, k) per
+    # step out of an element's dense id, expanded from its coset's steps
     P, ref, window = pair
+    levels = len(P.slice_levels(window))
     for mu in ref.elems:
-        assert P.raising_steps(mu, -window) == ref.steps(mu)
+        (i,) = P._ids(window, mu)
+        got = [(ref.elems[j], AffineRoot(root, k))
+               for j, root, k in P._step_ids(mu.w, i % levels, levels)]
+        assert got == ref.steps(mu)
 
 
 def test_leq_on_all_certified_pairs(pair):

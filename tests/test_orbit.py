@@ -18,6 +18,7 @@ from qbgraph.qbg import BRUHAT, QUANTUM, build_qbg
 from qbgraph.root_system import ConfigurationError, build_root_system, weyl_order
 from qbgraph.verify import all_parabolics, context
 from qbgraph.weyl import CANDIDATE_EDGE_CAP, WeightOrbit, WeylGroup
+from test_weyl_enumeration import apply, reference
 
 QUOTIENT_TYPES = [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
                   ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)]
@@ -87,22 +88,32 @@ def test_orbit_graph_equals_build_qbg_on_every_quotient():
     assert seen == len(rendered)
 
 
+def _unpack(orbit, key):
+    """The weight over the fundamental weights that a packed name is."""
+    out = []
+    for _ in range(orbit.rank):
+        key, d = divmod(key, orbit._base)
+        out.append(d - orbit._offset)
+    return tuple(out)
+
+
 def test_orbit_names_and_lengths():
-    # each name is w(lambda_J); the length is the number of positive
-    # coroots that pair negatively with it
+    # each name is w(lambda_J), entry j being <w^{-1}(alpha_j^vee), lambda_J>
+    # from the matrix-keyed reference's comatrix of w^{-1}; the length is the
+    # number of positive coroots that pair negatively with it
     rs, W, _ = context("B", 3)
     J = rs.parabolic((2,))
     orbit = WeightOrbit(rs, J)
     assert orbit.lam == (1, 0, 1)
-    pairings = W.weight_pairings(orbit.lam)
+    mats, comats, *_, inverse, _ = reference("B", 3)
     coroots = [rs.coroot(a) for a in rs.positive_roots]
     for i, w in enumerate(W.min_coset_ids(J)):
-        v = orbit._unpack(orbit._key[i])
-        assert v == pairings.weight(w)
+        v = _unpack(orbit, orbit._key[i])
+        assert v == tuple(sum(map(int.__mul__, row, orbit.lam)) for row in comats[inverse[w]])
         assert orbit._length[i] == sum(sum(map(int.__mul__, c, v)) < 0 for c in coroots)
         # w(beta) over the fundamental weights, for every positive root beta
         for b, beta in enumerate(rs.positive_roots):
-            img = W.act(w, beta)
+            img = apply(mats[w], beta)
             assert orbit.signed_rows[orbit._perm[i][b]] == tuple(
                 rs.pairing(rs.simple_coroot(k + 1), img) for k in range(rs.rank))
     assert len(set(orbit._key)) == len(orbit)

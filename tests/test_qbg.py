@@ -29,6 +29,7 @@ from qbgraph.qbg import (
 from qbgraph.root_system import build_root_system, is_positive_vec
 from qbgraph.verify import PATH_WEIGHT_CASES, SMALL_TYPES, _dual_label, all_parabolics
 from qbgraph.weyl import WeightOrbit, WeylGroup
+from test_weyl_enumeration import reference
 
 
 @pytest.fixture(scope="module")
@@ -732,7 +733,9 @@ def test_walks_run_deeper_than_the_recursion_limit(a2):
 def matrix_edges(rs, W, J):
     """QB(W^J) edge by edge, per (w, alpha) from matrices on the simple
     roots: w -> floor(w r_alpha) is Bruhat when the floor has length
-    l(w) + 1, and quantum when it has length l(w) + 1 - <alpha^vee, 2rho - 2rho_J>."""
+    l(w) + 1, and quantum when it has length l(w) + 1 - <alpha^vee, 2rho - 2rho_J>.
+    The matrix of w is the matrix-keyed reference's, whose ids are W's."""
+    mats = reference(rs.cartan_type, rs.rank)[0]
     simples = rs.simple_roots()
     # <beta^vee, alpha_j> for every root beta and node j
     pairings = {b: tuple(rs.pairing(rs.coroot(b), s) for s in simples) for b in rs.positive_roots}
@@ -773,7 +776,7 @@ def matrix_edges(rs, W, J):
     labels = [(a, rs.pairing(rs.coroot(a), two_rho_j)) for a in rs.positive_roots if a not in inside]
     edges = []
     for w in range(len(W)):
-        mat = W.matrix(w)
+        mat = mats[w]
         if any(not is_positive_vec(mat[j - 1]) for j in J.nodes):
             continue  # not in W^J
         length = name(mat)[1]

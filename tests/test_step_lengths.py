@@ -1,18 +1,19 @@
 """Quantum length read from the graph's one row of step lengths, checked
 against the step graph's own BFS distances, and the permutation form of
-``WeylGroup.act`` checked against the matrix action."""
+``WeylGroup.act`` checked against the matrix action of the matrix-keyed
+reference in ``test_weyl_enumeration``."""
 
 import random
 import re
 
 import pytest
 
-import qbgraph.weyl as weyl
 from qbgraph.qbg import GraphInvariantError, QbgGraph, build_qbg
 from qbgraph.root_system import build_root_system, neg_vec
 from qbgraph.tilted import left_multiplication_step, quantum_length
 from qbgraph.verify import all_parabolics
 from qbgraph.weyl import WeylGroup
+from test_weyl_enumeration import apply, reference, word_matrix
 
 ORACLE_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 
@@ -142,10 +143,10 @@ def _signed(rs):
 def test_act_is_the_matrix_action(cartan_type, rank):
     W = _group(cartan_type, rank)
     roots = _signed(W.rs)
+    mats = reference(cartan_type, rank)[0]
     for w in range(len(W)):
-        mat = W.matrix(w)
         for beta in roots:
-            assert W.act(w, beta) == weyl._apply(mat, beta), (W.describe(w), beta)
+            assert W.act(w, beta) == apply(mats[w], beta), (W.describe(w), beta)
 
 
 @pytest.mark.parametrize("cartan_type,rank,seed", [("F", 4, 5), ("E", 6, 6)])
@@ -155,8 +156,8 @@ def test_act_filled_in_random_order_is_the_matrix_action(cartan_type, rank, seed
     rng = random.Random(seed)
     for w in rng.sample(range(len(W)), 200):
         got = [W.act(w, beta) for beta in roots]
-        mat = W.matrix(w)
-        assert got == [weyl._apply(mat, beta) for beta in roots], W.describe(w)
+        mat = word_matrix(W.rs, W._word[w])
+        assert got == [apply(mat, beta) for beta in roots], W.describe(w)
 
 
 def test_act_rejects_a_non_root():

@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 
 import qbgraph.tilted as tilted
@@ -14,10 +16,12 @@ from qbgraph.tilted import (
     quantum_length,
     surgery_cases,
     surgery_signs,
-    tilde_coroot,
+    theta_coroot_images,
     transform_path,
 )
-from qbgraph.weyl import Trichotomy, WeightPairings, WeylGroup
+from qbgraph.verify import all_parabolics
+from qbgraph.weyl import Trichotomy, WeylGroup
+from test_weyl_enumeration import apply, reference
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +382,23 @@ def _all_surgeries(g):
                             pass
 
 
+def tilde_coroot(rs, j):
+    """The coroot of tilde alpha_j, the finite part of the affine simple
+    root alpha_j."""
+    return rs.coroot(rs.tilde_root(j))
+
+
+def reference_pair(cartan_type, rank, lam):
+    """<c, x(lam)> = <x^{-1}(c), lam> for a coroot c and a vertex id x, with
+    x^{-1}(c) through the matrix-keyed reference's comatrix of x^{-1}."""
+    _, comats, *_, inverse, _ = reference(cartan_type, rank)
+
+    def pair(cor, x):
+        return sum(map(mul, apply(comats[inverse[x]], cor), lam))
+
+    return pair
+
+
 def reference_cases(pair, cor, path):
     """The cases whose sign hypotheses hold, from the pairings of every
     vertex along the path; shares no code with ``surgery_cases``."""
@@ -396,7 +417,7 @@ def test_surgery_cases_are_the_cases_transform_path_accepts(cartan, J_nodes):
     rs = build_root_system(*cartan)
     W = WeylGroup(rs)
     g = build_qbg(W, rs.parabolic(J_nodes))
-    pair = W.weight_pairings(tuple(0 if i + 1 in J_nodes else 1 for i in range(rs.rank))).pair
+    pair = reference_pair(*cartan, tuple(0 if i + 1 in J_nodes else 1 for i in range(rs.rank)))
     seen = {case: 0 for case in (1, 2, 3, 4)}
     for u in g.vertices:
         for v in g.vertices:
@@ -426,12 +447,41 @@ def test_surgery_signs_are_the_pairings(cartan, J_nodes):
     W = WeylGroup(rs)
     g = build_qbg(W, rs.parabolic(J_nodes))
     lam = tuple(0 if i + 1 in J_nodes else 1 for i in range(rs.rank))
-    pair = W.weight_pairings(lam).pair
+    pair = reference_pair(*cartan, lam)
     for j in range(0, rs.rank + 1):
         table = surgery_signs(g, j)
         assert set(table) == set(g.vertices)
         for x, sign in table.items():
             assert sign == pair(tilde_coroot(rs, j), x)
+
+
+def test_surgery_signs_and_theta_images_match_the_reference_matrices():
+    """On every proper parabolic of A3, B3, C3, G2, D4 and F4, each sign is
+    <tilde alpha_j^vee, x(lambda_J)> and each theta image x^{-1}(tilde
+    alpha_0^vee), with x(lambda_J) and x^{-1} from the matrix-keyed
+    reference's comatrices: 37,638 (graph, j, x) in all."""
+    checked = 0
+    for cartan_type, rank in [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)]:
+        rs = build_root_system(cartan_type, rank)
+        W = WeylGroup(rs)
+        _, comats, *_, inverse, _ = reference(cartan_type, rank)
+        tilde = [tilde_coroot(rs, j) for j in range(rank + 1)]
+        for nodes in all_parabolics(rank, proper=True):
+            g = build_qbg(W, rs.parabolic(nodes))
+            lam = tuple(0 if i + 1 in nodes else 1 for i in range(rank))
+            tables = [surgery_signs(g, j) for j in range(rank + 1)]
+            images = theta_coroot_images(g)
+            assert all(set(t) == set(g.vertices) for t in tables + [images])
+            for x in g.vertices:
+                comat = comats[inverse[x]]
+                # x(lambda_J) over the fundamental weights: entry i is
+                # <x^{-1}(alpha_i^vee), lambda_J>
+                weight = tuple(sum(map(mul, row, lam)) for row in comat)
+                for j, table in enumerate(tables):
+                    assert table[x] == sum(map(mul, tilde[j], weight)), (nodes, j, x)
+                assert images[x] == apply(comat, tilde[0]), (nodes, x)
+                checked += rank + 2
+    assert checked == 37638
 
 
 def test_surgery_tables_belong_to_their_graph():
@@ -442,7 +492,7 @@ def test_surgery_tables_belong_to_their_graph():
     _all_surgeries(g1)
     _all_surgeries(g0)
     for g, lam in ((g0, (1, 1, 1)), (g1, (0, 1, 1))):
-        pair = W.weight_pairings(lam).pair
+        pair = reference_pair("A", 3, lam)
         for j in range(0, rs.rank + 1):
             table = surgery_signs(g, j)
             assert set(table) == set(g.vertices)
@@ -470,16 +520,18 @@ def test_a_failed_push_is_not_kept():
 
 
 def test_surgery_pairs_each_vertex_once_per_j(monkeypatch):
-    """At most |V| (rank + 1) pairings over every surgery of A3 J={1}."""
+    """At most |V| (rank + 1) step labels read over every surgery of A3
+    J={1}: the sign table reads the label x^{-1}(tilde alpha_j) once per
+    (x, j)."""
     calls = 0
-    real = WeightPairings.pair
+    real = QbgGraph.step_label
 
-    def counting(self, coroot, w):
+    def counting(self, j, x):
         nonlocal calls
         calls += 1
-        return real(self, coroot, w)
+        return real(self, j, x)
 
-    monkeypatch.setattr(WeightPairings, "pair", counting)
+    monkeypatch.setattr(QbgGraph, "step_label", counting)
     rs = build_root_system("A", 3)
     g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
     _all_surgeries(g)

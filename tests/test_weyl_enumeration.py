@@ -3,9 +3,13 @@
 The reference is a breadth-first search that interns each element by its
 matrix action on the simple roots, composing with a simple reflection by
 rewriting the rows it moves; it never looks at weights.  The engine must
-give the same ids, words, lengths, right table, inverses, matrices and
-reflection rows, and must build matrices and rows only when they are asked
-for.
+give the same ids, words, lengths, right table, inverses and reflection
+rows; its action, read from each element's signed root permutation, must
+send the simple roots and coroots where the reference matrices do; and it
+must build permutations, comatrices and rows only when they are asked for.
+
+Other test modules import ``reference``, ``word_matrix`` and ``apply``
+from here as their matrix references of the group's action.
 """
 
 import gc
@@ -67,6 +71,29 @@ def reference_enumeration(rs):
     return mats, comats, length, word, right, inverse, index
 
 
+def word_matrix(rs, word):
+    """The rows w(alpha_j) over the simple roots, for w the product of a
+    word of 1-based node indices, from the word and the Cartan matrix
+    alone."""
+    n, a = rs.rank, rs.cartan
+    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for k in word:
+        k -= 1
+        mat = _times_simple(mat, k, [(j, a[k][j]) for j in range(n) if a[k][j]])
+    return mat
+
+
+def apply(mat, v):
+    """The image of v under the matrix whose rows are the images of the
+    basis vectors."""
+    return tuple(map(sum, zip(*([c * x for x in row] for c, row in zip(v, mat)))))
+
+
+def simple_images(W, w):
+    """The rows w(alpha_j), read from the engine's action."""
+    return tuple(W.act(w, s) for s in W.rs.simple_roots())
+
+
 _REFERENCES: dict = {}
 
 
@@ -116,7 +143,7 @@ def test_enumeration_matches_the_matrix_keyed_reference(cartan_type, rank):
     assert list(W._length) == length
     assert [list(row) for row in zip(*W._right)] == right
     assert list(W._inverse) == inverse
-    assert [W.matrix(i) for i in range(len(W))] == mats
+    assert [simple_images(W, i) for i in range(len(W))] == mats
     assert [W.comatrix(i) for i in range(len(W))] == comats
     assert [W.from_word(wrd).index for wrd in word] == list(range(len(mats)))
     # ids run in (length, shortlex word) order, which vertex lists rely on
@@ -136,7 +163,7 @@ def test_lazy_matrices_do_not_depend_on_query_order(cartan_type, rank, order):
     else:
         random.Random(7).shuffle(ids)
     for i in ids:
-        assert W.matrix(i) == mats[i]
+        assert simple_images(W, i) == mats[i]
         assert W.act_coroot(i, (1,) * rank) == tuple(map(sum, zip(*comats[i])))
     for i in ids:
         assert W.comatrix(i) == comats[i]
@@ -144,7 +171,7 @@ def test_lazy_matrices_do_not_depend_on_query_order(cartan_type, rank, order):
 
 def test_lazy_matrices_under_threads():
     # threads reading one group: fills racing down shared word prefixes
-    # must still leave every matrix and reflection row right
+    # must still leave every permutation, comatrix and reflection row right
     rs = build_root_system("F", 4)
     mats, comats, *_ = reference("F", 4)
     rows = [reference_row(rs, w) for w in range(len(mats))]
@@ -156,7 +183,7 @@ def test_lazy_matrices_under_threads():
             ids = list(range(len(W)))
             random.Random(seed).shuffle(ids)
             for i in ids:
-                if (W.matrix(i) != mats[i] or W.comatrix(i) != comats[i]
+                if (simple_images(W, i) != mats[i] or W.comatrix(i) != comats[i]
                         or W.reflection_row(i) != rows[i]):
                     errors.append(i)
         except Exception as exc:  # noqa: BLE001 - reported by the assert below
@@ -185,7 +212,7 @@ def test_reflection_is_the_element_whose_matrix_is_r_alpha(cartan_type, rank):
         want = tuple(rs.reflect(alpha, s) for s in rs.simple_roots())
         r = W.reflection(alpha)
         assert r.index == index[want]
-        assert W.matrix(r.index) == want
+        assert simple_images(W, r.index) == want
         assert W.reflection(tuple(-c for c in alpha)) == r
     with pytest.raises(ValueError):
         W.reflection((2,) * rank)
@@ -210,13 +237,15 @@ def test_graph_build_builds_few_matrices():
     W = WeylGroup(rs)
     graph = build_qbg(W, rs.parabolic((2, 3, 4, 5, 6)))
     assert len(graph.vertices) == 27
-    built = len(W._mat)
+    built = len(W._perms)
     assert built < len(W) // 100 and len(W._comat) < len(W) // 100
     assert len(W._refl_rows) < len(W) // 100
-    # asking for one matrix builds it and the prefixes of its word only
+    # asking for one comatrix builds its permutation and those of the
+    # prefixes of its word only
     w0 = W.longest_element().index
-    W.matrix(w0)
-    assert len(W._mat) <= built + W._length[w0]
+    W.comatrix(w0)
+    assert len(W._perms) <= built + W._length[w0]
+    assert len(W._comat) < len(W) // 100
 
 
 def fill_order(ids, length, order):
