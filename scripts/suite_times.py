@@ -6,8 +6,10 @@
 Each suite runs alone in a fresh interpreter, N times (default 3).  The
 output is one JSON object with, per suite in report order, the median of
 its in-process run times (`median_s`: building the suite's contexts
-included, interpreter start and imports not) and the sha256 of its cases as
-the `qbgraph/verify/1` report lists them (`cases_sha256`).
+included, interpreter start and imports not), their first and third
+quartiles (`quartiles_s`, the spread to read a change in the median
+against; both equal the one time when N is 1) and the sha256 of its cases
+as the `qbgraph/verify/1` report lists them (`cases_sha256`).
 
 `--check` also runs `verify --suite all` once in a fresh interpreter, and
 exits 1 when some suite's cases there differ from its cases run alone: the
@@ -75,7 +77,11 @@ def main() -> int:
         if len(digests) != 1:
             print(f"suite {name}: cases differ between fresh runs", file=sys.stderr)
             return 1
-        report[name] = {"median_s": round(statistics.median(t for t, _h in runs), 4),
+        times = [t for t, _h in runs]
+        q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                          if len(times) > 1 else times * 3)
+        report[name] = {"median_s": round(median, 4),
+                        "quartiles_s": [round(q1, 4), round(q3, 4)],
                         "cases_sha256": digests.pop()}
     print(json.dumps({"repeat": args.repeat, "suites": report}, indent=2))
     if args.check:

@@ -104,6 +104,13 @@ def _emit(args, chunks) -> None:
         raise
 
 
+def _writer(pattern: str, args):
+    """The ``render`` writer that pattern names for --format, looked up on
+    the module at call time, so that a writer replaced there is the one
+    called."""
+    return getattr(render, pattern % args.format)
+
+
 def cmd_qbg(args) -> int:
     """QB(W^J) is built over the ids of the orbit W.lambda_J: it needs no
     group operations, so W is never enumerated."""
@@ -113,12 +120,7 @@ def cmd_qbg(args) -> int:
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from exc
     graph = build_qbg(orbit, orbit.J)
-    if args.format == "dot":
-        _emit(args, render.graph_dot_chunks(graph))
-    elif args.format == "json":
-        _emit(args, render.graph_json_chunks(graph))
-    else:
-        _emit(args, render.graph_text_chunks(graph))
+    _emit(args, _writer("graph_%s_chunks", args)(graph))
     return 0
 
 
@@ -157,21 +159,12 @@ def _lift(args) -> int:
             edges.append(edge)
             cur = edge.target
         chain = aw.lift_path(graph, QbgPath(start, tuple(edges)), mu)
-        if args.format == "dot":
-            _emit(args, [render.chain_to_dot(aw, chain)])
-        elif args.format == "json":
-            _emit(args, [render.chain_to_json(aw, chain)])
-        else:
-            _emit(args, [render.chain_to_text(aw, chain)])
+        _emit(args, [_writer("chain_to_%s", args)(aw, chain)])
         return 0
 
     table = aw.lift_table(graph, mu)
-    if args.format == "json":
-        _emit(args, render.lifts_json_chunks(W, mu, table))
-    elif args.format == "dot":
-        _emit(args, render.lifts_dot_chunks(W, table))
-    else:
-        _emit(args, render.lifts_text_chunks(W, table))
+    head = (W, mu) if args.format == "json" else (W,)
+    _emit(args, _writer("lifts_%s_chunks", args)(*head, table))
     return 0
 
 
@@ -194,12 +187,7 @@ def cmd_poset(args) -> int:
         raise UsageError(
             f"window {args.window} is smaller than the orbit delta step {poset.d}"
         )
-    if args.format == "dot":
-        _emit(args, render.slice_dot_chunks(poset, args.window))
-    elif args.format == "json":
-        _emit(args, render.slice_json_chunks(poset, args.window))
-    else:
-        _emit(args, render.slice_text_chunks(poset, args.window))
+    _emit(args, _writer("slice_%s_chunks", args)(poset, args.window))
     return 0
 
 
@@ -212,13 +200,7 @@ def cmd_tilted(args) -> int:
     u = _element(W, args.u).index
     z = _element(W, args.z)
     x = order.coset_min(u, z, J).index
-    lines = [
-        f"base    : {W.describe(u)}",
-        f"coset   : {W.describe(z.index)} W_J, J={list(J.nodes)}",
-        f"minimum : {W.describe(x)}",
-        f"distance: {graph.distance(u, x)}",
-    ]
-    _emit(args, ["\n".join(lines) + "\n"])
+    _emit(args, [render.tilted_to_text(W, J, u, z.index, x, graph.distance(u, x))])
     return 0
 
 
@@ -254,10 +236,7 @@ def cmd_verify(args) -> int:
         results = run_suites(names, types=types)
     except ConfigurationError as exc:  # e.g. a type past the enumeration cap
         raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        _emit(args, [render.report_to_json(results)])
-    else:
-        _emit(args, [render.report_to_text(results)])
+    _emit(args, [_writer("report_to_%s", args)(results)])
     return 0 if all(res.passed for res in results) else 1
 
 

@@ -464,9 +464,10 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
     decided on the orbit W.lambda_J.
 
     W is the enumerated group, whose ids become the vertices, or the orbit
-    ``WeightOrbit(rs, J)`` itself, whose own ids do.  Both list W^J in
-    (length, shortlex) order, so orbit id i names ``W.min_coset_ids(J)[i]``,
-    and the vertices are listed in that order.
+    ``WeightOrbit(rs, J)`` itself, whose own ids do.  The searched orbit
+    lists W^J in (length, shortlex) order, and W names each point by the id
+    its word spells (``WeylGroup.min_coset_ids``); the vertices are listed
+    in that order.
 
     The target floor(w r_alpha) is the orbit point w r_alpha(lambda_J) =
     v - <alpha^vee, lambda_J> w(alpha) for w's name v, with w(alpha) read
@@ -481,7 +482,7 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
     if J != orbit.J:
         raise ValueError(f"the orbit is of J = {orbit.J.nodes}, not {J.nodes}")
     # the vertices, and every edge's ends, share the int objects of ids
-    ids = tuple(range(len(W))) if orbit is W else W.min_coset_ids(J)
+    ids = tuple(range(len(W))) if orbit is W else W.min_coset_ids(J, orbit)
     found = dict(zip(orbit._key, ids))
     rs = orbit.rs
     # per signed root position, the packed w(alpha) with no offset
@@ -494,7 +495,7 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
             if shift < 2:
                 raise GraphInvariantError(f"quantum shift {shift} of {alpha} is below 2")
             coroot = rs.coroot(alpha)
-            c = sum(map(mul, coroot, orbit.lam))
+            c = sum(map(mul, coroot, J.lambda_J))
             plan.append((b, alpha, shift, coroot, [c * x for x in images]))
     length, zero = W._length, rs.zero
     edges = []

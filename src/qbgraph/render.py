@@ -13,6 +13,7 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from .qbg import QUANTUM, QbgGraph
+from .root_system import ParabolicIndex
 from .weyl import WeylGroup
 
 if TYPE_CHECKING:  # annotations only: a graph export loads no affine or poset code
@@ -45,7 +46,9 @@ class Rows(NamedTuple):
       those columns.
     ``values`` yields one tuple per row, in column order, and is read once.
     Every value must be of its column's type exactly (a bool is not an
-    int), or the rows raise ``TypeError``.
+    int), or the rows raise ``TypeError``.  Rows stand as a document or a
+    dict value outside every list: below a list or tuple they raise
+    ``TypeError`` (``_stream_json``).
     """
 
     columns: tuple[tuple[str, object], ...]
@@ -64,8 +67,7 @@ def json_chunks(doc) -> Iterator[str]:
     value may also be ``Rows``: it is written as a list, ``CHUNK`` rows at
     a time through one %-template made from the rows' plan, and the text is
     handed on after every ``CHUNK`` rows, so the rows never sit in memory
-    together.
-    Rows and lists hold no ``Rows``.
+    together.  Rows and lists hold no ``Rows``.
     """
     out: list[str] = []
     yield from _stream_json(doc, 0, out, {})
@@ -79,10 +81,33 @@ def dump_json(doc) -> str:
     return "".join(json_chunks(doc))
 
 
-def _stream_json(o, depth: int, out: list, memo: dict) -> Iterator[str]:
-    """Append the text of o to out, yielding full chunks of it as its rows
-    are written; dicts are walked here, all else is plain."""
-    if type(o) is Rows:
+def _stream_json(o, depth: int, out: list, memo: dict, rows_ok: bool = True) -> Iterator[str]:
+    """Append the text of o, a value at the given nesting depth, to out,
+    yielding full chunks of it as the rows of a ``Rows`` are written; memo
+    holds the dict plans under (depth, keys) and the int-list texts per
+    depth.  The one JSON walker: a ``Rows`` below a list or tuple
+    (``rows_ok`` false) raises ``TypeError``, as any other type does."""
+    t = type(o)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        out.append(scalar(o))
+    elif t is dict:
+        items, close = _plan(tuple(o), depth, memo) if o else ((), "{}")
+        for key, prefix in items:
+            out.append(prefix)
+            yield from _stream_json(o[key], depth + 1, out, memo, rows_ok)
+        out.append(close)
+    elif (t is list or t is tuple) and {*map(type, o)} == _INT_ONLY:
+        out.append(_int_lists(depth, memo)[tuple(o)])
+    elif t is list or t is tuple:
+        inner = "\n" + " " * (depth + 1)
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            yield from _stream_json(value, depth + 1, out, memo, False)
+            sep = "," + inner
+        out.append(inner[:-1] + "]" if o else "[]")
+    elif t is Rows and rows_ok:
         inner = "\n" + " " * (depth + 1)
         sep = "," + inner
         fmt = _row_format(o.columns, depth + 1, memo)
@@ -96,14 +121,8 @@ def _stream_json(o, depth: int, out: list, memo: dict) -> Iterator[str]:
                 yield "".join(out)
                 out.clear()
         out.append("[]" if first else inner[:-1] + "]")
-    elif type(o) is dict and o:
-        items, close = _plan(tuple(o), depth, memo)
-        for key, prefix in items:
-            out.append(prefix)
-            yield from _stream_json(o[key], depth + 1, out, memo)
-        out.append(close)
     else:
-        _emit_json(o, depth, out, memo)
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _plan(shape: tuple, depth: int, memo: dict) -> tuple[list[tuple[str, str]], str]:
@@ -220,49 +239,6 @@ _SCALARS = {
 _INT_ONLY = {int}
 _INT_SEQUENCES = {tuple, bytes}
 _TUPLE = {tuple}
-
-
-def _emit_json(o, depth: int, out: list, memo: dict) -> None:
-    """Append the text of o, a value at the given nesting depth; memo holds
-    the dict plans under (depth, keys) and the int-list texts per depth."""
-    t = type(o)
-    if t is dict:
-        if not o:
-            out.append("{}")
-            return
-        items, close = _plan(tuple(o), depth, memo)
-        for key, prefix in items:
-            value = o[key]
-            scalar = _SCALARS.get(type(value))
-            if scalar is not None:
-                out.append(prefix + scalar(value))
-            else:
-                out.append(prefix)
-                _emit_json(value, depth + 1, out, memo)
-        out.append(close)
-    elif t is list or t is tuple:
-        if not o:
-            out.append("[]")
-            return
-        if {*map(type, o)} == _INT_ONLY:
-            out.append(_int_lists(depth, memo)[tuple(o)])
-            return
-        inner = "\n" + " " * (depth + 1)
-        sep = "[" + inner
-        for value in o:
-            scalar = _SCALARS.get(type(value))
-            if scalar is not None:
-                out.append(sep + scalar(value))
-            else:
-                out.append(sep)
-                _emit_json(value, depth + 1, out, memo)
-            sep = "," + inner
-        out.append(inner[:-1] + "]")
-    else:
-        scalar = _SCALARS.get(t)
-        if scalar is None:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-        out.append(scalar(o))
 
 
 def root_text(alpha: tuple[int, ...]) -> str:
@@ -627,6 +603,16 @@ def lifts_json_chunks(W: WeylGroup, mu, table) -> Iterator[str]:
                   _lift_rows(W, table))
     yield from json_chunks({"schema": SCHEMA_LIFTS, "mu": list(mu), "covers": covers})
     yield "\n"
+
+
+def tilted_to_text(W: WeylGroup, J: ParabolicIndex, u: int, z: int, x: int, distance: int) -> str:
+    """The ``tilted`` answer: the base u, the coset z W_J, its minimum x in
+    the tilted order at u, and the distance from u to x; u, z and x are
+    element ids."""
+    return (f"base    : {W.describe(u)}\n"
+            f"coset   : {W.describe(z)} W_J, J={list(J.nodes)}\n"
+            f"minimum : {W.describe(x)}\n"
+            f"distance: {distance}\n")
 
 
 def report_to_text(results) -> str:

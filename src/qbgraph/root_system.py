@@ -157,6 +157,9 @@ class ParabolicIndex:
     in_phi_J: tuple[bool, ...] = field(default=(), compare=False, repr=False)
     #: the positions of ``phi_plus`` in ``RootSystem.positive_roots``
     phi_plus_pos: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    #: lambda_J, the sum of the fundamental weights off J, over the
+    #: fundamental weights: its stabilizer is W_J
+    lambda_J: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes
@@ -401,6 +404,7 @@ class RootSystem:
         par = ParabolicIndex(
             key, phi_plus, two_rho_J, comps, shift, in_J,
             tuple(b for b, inside in enumerate(in_J) if inside),
+            tuple(int(i not in node_set) for i in range(1, self.rank + 1)),
         )
         self._parabolic_cache[key] = par
         return par

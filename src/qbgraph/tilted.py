@@ -161,20 +161,14 @@ def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
 # -- path surgery ------------------------------------------------------------------
 
 
-def _canonical_lambda(graph: QbgGraph) -> tuple[int, ...]:
-    return tuple(
-        0 if (i + 1) in graph.J.nodes else 1 for i in range(graph.rs.rank)
-    )
-
-
 def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
-    """<tilde alpha_j^vee, x(lambda)> for every vertex id x, for the
-    canonical lambda of J: it is <(x^{-1} tilde alpha_j)^vee, lambda>, read
-    from the label ``QbgGraph.step_label`` forms.  Built once per (graph, j)
-    and kept on the graph."""
+    """<tilde alpha_j^vee, x(lambda_J)> for every vertex id x, with
+    ``J.lambda_J``: it is <(x^{-1} tilde alpha_j)^vee, lambda_J>, read from
+    the label ``QbgGraph.step_label`` forms.  Built once per (graph, j) and
+    kept on the graph."""
     got = graph._surgery_signs.get(j)
     if got is None:
-        coroot, label, lam = graph.rs.coroot, graph.step_label, _canonical_lambda(graph)
+        coroot, label, lam = graph.rs.coroot, graph.step_label, graph.J.lambda_J
         got = graph._surgery_signs[j] = {
             x: sum(map(mul, coroot(label(j, x)), lam)) for x in graph.vertices
         }

@@ -838,7 +838,7 @@ def reflection_orderings(rs, W, _aw):
         if not J_nodes:
             continue
         J = rs.parabolic(J_nodes)
-        lam1 = tuple(0 if (i + 1) in J.nodes else 1 for i in range(rs.rank))
+        lam1 = J.lambda_J
         lam2 = tuple(0 if (i + 1) in J.nodes else 2 + i for i in range(rs.rank))
         sub2 = tuple(reversed(subsystem_word_ordering(W, J)))
         orderings = [

@@ -18,10 +18,11 @@ The group operations take and return ids.  ``WeylElement`` is a plain
 value naming an id at the API boundary (its word, length and name); the
 few methods that take or return one wrap the id method beside them.
 
-``WeightOrbit`` lists W^J alone, as the orbit W.lambda_J, with the ids,
-words and names ``WeylGroup`` gives W^J; the two share the names of ids and
-the packing of weights (``_Named``).  ``qbg.build_qbg`` decides the edges of
-QB(W^J) on it, whether or not W is enumerated.
+``WeightOrbit`` lists W^J alone, as the orbit W.lambda_J, with the words
+and names ``WeylGroup`` gives W^J; the two share the names of ids and the
+packing of weights (``_Named``).  ``WeylGroup.min_coset_ids`` reads W^J
+from it, and ``qbg.build_qbg`` decides the edges of QB(W^J) on it, whether
+or not W is enumerated.
 """
 
 from __future__ import annotations
@@ -498,30 +499,21 @@ class WeylGroup(_Named):
         self._subgroup_cache[key] = out
         return out
 
-    def min_coset_ids(self, J: ParabolicIndex) -> tuple[int, ...]:
-        """The ids of W^J, in order: the elements with no right descent in J.
-
-        W^J is closed under suffixes (if w = r_k u is reduced and lies in
-        W^J, so does u), so a search from e by left multiplication that
-        keeps only the elements with no right descent in J reaches all of
-        it without scanning W.
-        """
+    def min_coset_ids(self, J: ParabolicIndex, orbit=None) -> tuple[int, ...]:
+        """The ids of W^J, in order: every id for J empty, otherwise the
+        element each point of the orbit W.lambda_J spells with its shortlex
+        word, the orbit being given or searched here (``WeightOrbit``).  The
+        orbit lists W^J in (length, shortlex) order, which is id order."""
         if not J.nodes:
             return tuple(range(len(self)))
-        length, inverse, right = self._length, self._inverse, self._right
-        cols = [right[j - 1] for j in J.nodes]
-        seen = {0}
-        found = [0]
-        for w in found:  # the list grows as it is read
-            up = length[w] + 1
-            w_inv = inverse[w]
-            for col in right:
-                v = inverse[col[w_inv]]  # r_k w
-                if length[v] == up and v not in seen and all(length[c[v]] > up for c in cols):
-                    seen.add(v)
-                    found.append(v)
-        found.sort()
-        return tuple(found)
+        right = self._right
+        ids = []
+        for word in (orbit or WeightOrbit(self.rs, J))._word:
+            cur = 0
+            for k in word:
+                cur = right[k - 1][cur]
+            ids.append(cur)
+        return tuple(ids)
 
     def min_coset_reps(self, J: ParabolicIndex) -> tuple[WeylElement, ...]:
         """W^J in id order."""
@@ -583,8 +575,8 @@ CANDIDATE_EDGE_CAP = 32 * 10**6
 
 
 class WeightOrbit(_Named):
-    """W^J as the orbit W.lambda_J of lambda_J, the sum of the fundamental
-    weights off J, with no element outside W^J.  For J empty, lambda_J is
+    """W^J as the orbit W.lambda_J of lambda_J (``J.lambda_J``), the sum of
+    the fundamental weights off J, with no element outside W^J.  For J empty, lambda_J is
     rho and the orbit is W itself.
 
     Each w in W^J is named by w(lambda_J) over the fundamental weights,
@@ -595,9 +587,9 @@ class WeightOrbit(_Named):
     layer being the length: u = r_k v for v one layer down with v_k > 0 is
     kept when k is u's least left descent.  That makes each element once,
     with shortlex word k followed by v's word, and, running k in order
-    over the layer below in order, in (length, word) order: ids, words and
-    lengths are those of ``WeylGroup.min_coset_ids(J)``, and
-    ``describe`` and ``one_line`` read as ``WeylGroup``'s do.
+    over the layer below in order, in (length, word) order, which is the
+    order of W's ids: ``WeylGroup.min_coset_ids(J)`` is the ids the words
+    spell, and ``describe`` and ``one_line`` read as ``WeylGroup``'s do.
 
     Per id the search carries ``_key`` (the packed name), ``_length`` and
     ``_perm``, w's signed root permutation: ``_perm[w][b]`` is the position
@@ -639,8 +631,7 @@ class WeightOrbit(_Named):
         # coordinate j of w(lambda_J) is <w^{-1}(alpha_j^vee), lambda_J>
         shift = self._packing()
         base, off = self._base, self._offset
-        self.lam = lam = tuple(int(i + 1 not in J.nodes) for i in range(n))
-        keys, length, word = [self._pack(lam)], [0], [b""]
+        keys, length, word = [self._pack(J.lambda_J)], [0], [b""]
         start, end = 0, 1
         while start < end:
             up = length[start] + 1

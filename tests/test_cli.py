@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qbgraph import render
 from qbgraph.cli import main
 from qbgraph.root_system import RootSystem
 from qbgraph.verify import SUITES
@@ -357,3 +358,51 @@ def test_verify_all_with_types_runs_every_suite(monkeypatch, capsys):
     assert main(["verify", "--suite", "all", "--types", "A2,G2"]) == 0
     assert seen["names"] == list(SUITES)
     assert seen["types"] == [("A", 2), ("G", 2)]
+
+
+FORMATS = ("dot", "json", "text")
+
+#: every writer the CLI calls, by the pattern of its name over the formats
+WRITERS = ["graph_%s_chunks", "slice_%s_chunks", "lifts_%s_chunks", "chain_to_%s"]
+WRITER_NAMES = ([w % f for w in WRITERS for f in FORMATS]
+                + ["report_to_text", "report_to_json", "tilted_to_text"])
+
+WRITER_RUNS = (
+    [(argv + ["--format", f], writer % f)
+     for argv, writer in [
+         (["qbg", "--type", "A", "--rank", "2"], "graph_%s_chunks"),
+         (["pqbg", "--type", "B", "--rank", "2", "--parabolic", "1"], "graph_%s_chunks"),
+         (["lift", "--type", "A", "--rank", "2", "--parabolic", "1"], "lifts_%s_chunks"),
+         (["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--start", "",
+           "--walk", "0,1;1,1"], "chain_to_%s"),
+         (["poset", "--type", "A", "--rank", "2", "--lambda", "1,1", "--window", "1"],
+          "slice_%s_chunks"),
+     ]
+     for f in FORMATS]
+    + [(["verify", "--suite", "example-chain", "--format", f], f"report_to_{f}")
+       for f in ("text", "json")]
+    + [(["tilted", "--type", "A", "--rank", "3", "--parabolic", "1", "--u", "1,2",
+         "--z", "2"], "tilted_to_text")]
+)
+
+
+@pytest.mark.parametrize("argv,writer", WRITER_RUNS,
+                         ids=[f"{argv[0]} {writer}" for argv, writer in WRITER_RUNS])
+def test_each_command_runs_the_writer_it_finds_on_render(monkeypatch, capsys, argv, writer):
+    # every writer is replaced on ``render`` after the CLI is imported, so a
+    # CLI that picked its writers when it was imported would run none of
+    # the replacements; each command in each format runs its own writer,
+    # once, and prints what that writer returns
+    called = []
+
+    def recording(name, real):
+        def write(*args):
+            called.append(name)
+            return real(*args)
+        return write
+
+    for name in WRITER_NAMES:
+        monkeypatch.setattr(render, name, recording(name, getattr(render, name)))
+    code, out = run(capsys, *argv)
+    assert (code, called) == (0, [writer])
+    assert out

@@ -1,9 +1,11 @@
 """QB(W^J) decided on the weight orbit W.lambda_J, for every J.
 
 ``build_qbg`` reads only the root system and the orbit's own search, over
-the orbit's ids or over W's.  ``quotient_reference_edges`` reads only the
-enumerated group's reflections, coset floors and lengths.  The two share no
-tables, so each checks the other.
+the orbit's ids or over W's, which ``WeylGroup.min_coset_ids`` reads from
+the orbit's words.  ``quotient_reference_edges`` reads only the enumerated
+group's reflections, coset floors and lengths, and takes W^J from a scan of
+W by the descent definition (``descent_scan``).  The two share no tables,
+so each checks the other.
 """
 
 import hashlib
@@ -38,6 +40,14 @@ def _quotients():
         yield "E", 6, nodes
 
 
+def descent_scan(W, J):
+    """W^J by its definition, from a scan of all of W: the ids with no
+    right descent in J, in id order."""
+    length, right = W._length, W._right
+    return tuple(w for w in range(len(W))
+                 if all(length[right[j - 1][w]] > length[w] for j in J.nodes))
+
+
 def quotient_reference_edges(rs, W, J):
     """QB(W^J) edge by edge as (source, target, label, kind, weight) over W
     ids, per w in W^J and alpha in Phi+ minus Phi_J+: the target
@@ -48,7 +58,7 @@ def quotient_reference_edges(rs, W, J):
     two_rho = tuple(map(sum, zip(*labels)))
     length = W._length
     edges = []
-    for w in W.min_coset_ids(J):
+    for w in descent_scan(W, J):
         for a in labels:
             x = W.coset_floor(W.right_reflect(w, a), J)
             if length[x] == length[w] + 1:
@@ -67,7 +77,7 @@ def test_orbit_graph_equals_build_qbg_on_every_quotient():
     for t, r, nodes in _quotients():
         rs, W, _ = context(t, r)
         J = rs.parabolic(nodes)
-        ids = W.min_coset_ids(J)
+        ids = descent_scan(W, J)
         orbit = WeightOrbit(rs, J)
         case = f"{t}{r} J={nodes}"
         assert [W._word[v] for v in ids] == orbit._word, case
@@ -104,12 +114,12 @@ def test_orbit_names_and_lengths():
     rs, W, _ = context("B", 3)
     J = rs.parabolic((2,))
     orbit = WeightOrbit(rs, J)
-    assert orbit.lam == (1, 0, 1)
+    assert J.lambda_J == (1, 0, 1)
     mats, comats, *_, inverse, _ = reference("B", 3)
     coroots = [rs.coroot(a) for a in rs.positive_roots]
-    for i, w in enumerate(W.min_coset_ids(J)):
+    for i, w in enumerate(descent_scan(W, J)):
         v = _unpack(orbit, orbit._key[i])
-        assert v == tuple(sum(map(int.__mul__, row, orbit.lam)) for row in comats[inverse[w]])
+        assert v == tuple(sum(map(int.__mul__, row, J.lambda_J)) for row in comats[inverse[w]])
         assert orbit._length[i] == sum(sum(map(int.__mul__, c, v)) < 0 for c in coroots)
         # w(beta) over the fundamental weights, for every positive root beta
         for b, beta in enumerate(rs.positive_roots):

@@ -583,7 +583,8 @@ def test_min_coset_reps_match_the_matrix_action(groups, cartan_type, rank, parab
     "cartan_type,rank,parabolics",
     [("A", 2, None), ("A", 3, None), ("A", 4, None), ("A", 5, None), ("B", 3, None),
      ("C", 3, None), ("D", 4, None), ("F", 4, None), ("G", 2, None),
-     ("E", 6, [tuple(j for j in range(1, 7) if j != i) for i in range(1, 7)])],
+     ("E", 6, [tuple(j for j in range(1, 7) if j != i) for i in range(1, 7)]),
+     ("B", 4, None), ("C", 4, None), ("D", 5, None)],
 )
 def test_min_coset_ids_match_the_descent_definition(groups, cartan_type, rank, parabolics):
     # the search from e by left multiplication against a scan of all of W
