@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a verification suite failed, 2 bad arguments.
 Each command imports the layers it runs: ``qbg`` loads no affine,
-level-zero, tilted or verify code.
+level-zero, tilted or verify code.  ``render`` writes every output: each
+command looks its writer up on the module by name when it runs, so a
+writer replaced there is the one called.
 """
 
 from __future__ import annotations
@@ -104,13 +106,6 @@ def _emit(args, chunks) -> None:
         raise
 
 
-def _writer(pattern: str, args):
-    """The ``render`` writer that pattern names for --format, looked up on
-    the module at call time, so that a writer replaced there is the one
-    called."""
-    return getattr(render, pattern % args.format)
-
-
 def cmd_qbg(args) -> int:
     """QB(W^J) is built over the ids of the orbit W.lambda_J: it needs no
     group operations, so W is never enumerated."""
@@ -120,7 +115,7 @@ def cmd_qbg(args) -> int:
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from exc
     graph = build_qbg(orbit, orbit.J)
-    _emit(args, _writer("graph_%s_chunks", args)(graph))
+    _emit(args, getattr(render, f"graph_{args.format}_chunks")(graph))
     return 0
 
 
@@ -159,12 +154,12 @@ def _lift(args) -> int:
             edges.append(edge)
             cur = edge.target
         chain = aw.lift_path(graph, QbgPath(start, tuple(edges)), mu)
-        _emit(args, [_writer("chain_to_%s", args)(aw, chain)])
+        _emit(args, [getattr(render, f"chain_to_{args.format}")(aw, chain)])
         return 0
 
     table = aw.lift_table(graph, mu)
     head = (W, mu) if args.format == "json" else (W,)
-    _emit(args, _writer("lifts_%s_chunks", args)(*head, table))
+    _emit(args, getattr(render, f"lifts_{args.format}_chunks")(*head, table))
     return 0
 
 
@@ -187,7 +182,7 @@ def cmd_poset(args) -> int:
         raise UsageError(
             f"window {args.window} is smaller than the orbit delta step {poset.d}"
         )
-    _emit(args, _writer("slice_%s_chunks", args)(poset, args.window))
+    _emit(args, getattr(render, f"slice_{args.format}_chunks")(poset, args.window))
     return 0
 
 
@@ -236,7 +231,7 @@ def cmd_verify(args) -> int:
         results = run_suites(names, types=types)
     except ConfigurationError as exc:  # e.g. a type past the enumeration cap
         raise UsageError(str(exc)) from exc
-    _emit(args, [_writer("report_to_%s", args)(results)])
+    _emit(args, [getattr(render, f"report_to_{args.format}")(results)])
     return 0 if all(res.passed for res in results) else 1
 
 
