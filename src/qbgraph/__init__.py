@@ -10,7 +10,7 @@ import importlib
 #: each public name and the module that defines it
 _HOMES = {
     "AffineElement": "affine",
-    "AffineRoot": "affine",
+    "AffineRoot": "root_system",
     "AffineWeyl": "affine",
     "BRUHAT": "qbg",
     "ConfigurationError": "root_system",

@@ -3,11 +3,12 @@ onto (W^J)_af, adjusted coweights, edge lifting, and diamond completions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from operator import add, mul
+from typing import NamedTuple
 
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
 from .root_system import (
+    AffineRoot,
     Coroot,
     ParabolicIndex,
     Root,
@@ -27,22 +28,7 @@ from .weyl import WeylElement, WeylGroup
 FACT_TABLE_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class AffineRoot:
-    """A real affine root alpha + k*delta."""
-
-    alpha: Root
-    k: int
-
-    def is_positive(self) -> bool:
-        return self.k > 0 or (self.k == 0 and is_positive_vec(self.alpha))
-
-    def __neg__(self) -> "AffineRoot":
-        return AffineRoot(neg_vec(self.alpha), -self.k)
-
-
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(NamedTuple):
     """The element w * t_mu of W_af = W x Q^vee."""
 
     w: int
@@ -643,11 +629,6 @@ def affine_simple_root(rs, i: int) -> AffineRoot:
     return AffineRoot(rs.tilde_root(i), int(i == 0))
 
 
-def cover_label(gamma: AffineRoot) -> AffineRoot:
-    """Positive representative of a cover's connecting root."""
-    return gamma if gamma.is_positive() else -gamma
-
-
 def _component_special_nodes(rs, comp: tuple[int, ...]) -> tuple[int, ...]:
     roots = rs.parabolic(comp).phi_plus
     theta = max(roots, key=lambda a: (sum(a), a))
@@ -704,8 +685,7 @@ _CLASH = {
 }
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(NamedTuple):
     """A completed diamond: the four edges plus the coset twists z, z2."""
 
     case: str
@@ -835,7 +815,7 @@ def complete_top(graph: QbgGraph, case: str, w: int, gamma: Root,
         return _complete(graph, case, bottom, gamma, alpha)
     z = W.theta_twist(w, J)
     d = _complete(graph, _MIRROR[case], bottom, W.act(z, gamma), None)
-    return replace(d, case=case, z=z, z2=W.theta_twist(d.top_left.target, J))
+    return d._replace(case=case, z=z, z2=W.theta_twist(d.top_left.target, J))
 
 
 def _configurations(graph: QbgGraph, case: str, up: bool):

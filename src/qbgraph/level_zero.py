@@ -41,13 +41,12 @@ walked on first use; a step list shifted by nu's level serves every nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
-from .affine import AffineRoot
 from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgGraph, build_qbg
-from .root_system import Coroot, Root, add_vec, is_positive_vec, neg_vec
+from .root_system import AffineRoot, Coroot, Root, add_vec, is_positive_vec, neg_vec
 from .weyl import WeylGroup
 
 #: a raising step of one coset: (root, pairing p > 0, target coset id, first k)
@@ -60,16 +59,14 @@ class InconclusiveWindow(RuntimeError):
     """The requested query cannot be certified inside the given window."""
 
 
-@dataclass(frozen=True)
-class LevelZeroWeight:
+class LevelZeroWeight(NamedTuple):
     """The orbit element w(lambda) + n*delta, by coset id and delta part."""
 
     w: int
     n: int
 
 
-@dataclass(frozen=True)
-class PosetCover:
+class PosetCover(NamedTuple):
     lower: LevelZeroWeight
     upper: LevelZeroWeight
     label: AffineRoot

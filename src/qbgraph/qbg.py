@@ -9,9 +9,8 @@ for the ``qbg`` command, which only renders the graph and never enumerates W.
 
 from __future__ import annotations
 
+import math
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import lt, mul
 
@@ -37,28 +36,57 @@ class GraphInvariantError(AssertionError):
     """A structural guarantee of the graph failed; signals a bug."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class QbgEdge:
     """Directed edge source -> target labeled by a positive root.
 
     ``weight`` is the label's coroot on quantum edges and zero otherwise.
     It is a dict key (``QbgGraph._pushed_edges``), so it is never changed
-    once made.
+    once made.  Edges are equal, and hash alike, on all five fields.
     """
 
-    source: int
-    target: int
-    label: Root
-    kind: str
-    weight: Coroot
+    __slots__ = ("source", "target", "label", "kind", "weight")
+
+    def __init__(self, source: int, target: int, label: Root, kind: str, weight: Coroot):
+        self.source = source
+        self.target = target
+        self.label = label
+        self.kind = kind
+        self.weight = weight
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.label, self.kind, self.weight)
+                == (other.source, other.target, other.label, other.kind, other.weight))
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.label, self.kind, self.weight))
+
+    def __repr__(self) -> str:
+        return (f"QbgEdge(source={self.source!r}, target={self.target!r}, label={self.label!r}, "
+                f"kind={self.kind!r}, weight={self.weight!r})")
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class QbgPath:
-    """A directed path: a start vertex id plus consecutive edges."""
+    """A directed path: a start vertex id plus consecutive edges.  Two paths
+    are equal, and hash alike, when their starts and edges are."""
 
-    start: int
-    edges: tuple[QbgEdge, ...]
+    __slots__ = ("start", "edges")
+
+    def __init__(self, start: int, edges: tuple[QbgEdge, ...]):
+        self.start = start
+        self.edges = edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.edges) == (other.start, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.edges))
+
+    def __repr__(self) -> str:
+        return f"QbgPath(start={self.start!r}, edges={self.edges!r})"
 
     @property
     def end(self) -> int:
@@ -553,15 +581,26 @@ def dual_involution(graph: QbgGraph, w: int) -> int:
 # -- reflection orderings -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReflectionOrdering:
     """A total order on a set of positive roots.
 
     For any two ordered roots whose sum is also in the set, the sum sits
-    strictly between them.
+    strictly between them.  Orderings are equal, and hash alike, on their sequence.
     """
 
-    sequence: tuple[Root, ...]
+    def __init__(self, sequence: tuple[Root, ...]):
+        self.sequence = sequence
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sequence == other.sequence
+
+    def __hash__(self) -> int:
+        return hash((self.sequence,))
+
+    def __repr__(self) -> str:
+        return f"ReflectionOrdering(sequence={self.sequence!r})"
 
     def position(self, alpha: Root) -> int:
         return self._pos[alpha]
@@ -634,16 +673,11 @@ def lambda_ordering(W: WeylGroup, lam: tuple[int, ...], J: ParabolicIndex,
     if zeros != J.nodes:
         raise ValueError("stabilizer of lambda does not match J")
 
-    def lam_pair(cor: Coroot) -> int:
-        return sum(c * v for c, v in zip(cor, lam))
-
-    outer = []
-    for a in rs.positive_roots:
-        if J.supports(a):
-            continue
-        cor = rs.coroot(a)
-        denom = lam_pair(cor)
-        outer.append((tuple(Fraction(c, denom) for c in cor), a))
+    outer = [(rs.coroot(a), a) for a in rs.positive_roots if not J.supports(a)]
+    # every coroot over one common denominator, the lcm of the <alpha^vee, lambda>
+    denoms = [sum(map(mul, cor, lam)) for cor, _ in outer]
+    common = math.lcm(*denoms)
+    outer = [(tuple(c * (common // d) for c in cor), a) for (cor, a), d in zip(outer, denoms)]
     keys = [k for k, _ in outer]
     if len(set(keys)) != len(keys):
         raise GraphInvariantError("scaled coroot images are not distinct")

@@ -13,11 +13,11 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
 
 from .qbg import QUANTUM, QbgGraph
-from .root_system import ParabolicIndex
+from .root_system import AffineRoot, ParabolicIndex, cover_label
 from .weyl import WeylGroup
 
 if TYPE_CHECKING:  # annotations only: a graph export loads no affine or poset code
-    from .affine import AffineElement, AffineRoot, AffineWeyl
+    from .affine import AffineElement, AffineWeyl
     from .level_zero import LevelZeroPoset, LevelZeroWeight
 
 SCHEMA_GRAPH = "qbgraph/graph/1"
@@ -255,8 +255,6 @@ def root_text(alpha: tuple[int, ...]) -> str:
 
 def affine_root_text(beta: AffineRoot) -> str:
     """Positive-representative display, e.g. '6d-a2' or 'a1+a2'."""
-    from .affine import cover_label
-
     pos = cover_label(beta)
     if pos.k == 0:
         return root_text(pos.alpha)
@@ -425,8 +423,6 @@ def chain_to_json(aw: AffineWeyl, chain) -> str:
     stepped down by) on every row but the first.  The text is
     ``json.dumps(doc, indent=1, sort_keys=True)``'s, each row written
     through its planned template."""
-    from .affine import cover_label
-
     head, start, step, label, tail = _chain_format()
     W = aw.W
     rows = []

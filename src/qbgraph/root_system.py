@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 Root = tuple[int, ...]
 Coroot = tuple[int, ...]
@@ -137,29 +136,67 @@ def scale_vec(c: int, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c * a for a in v)
 
 
-@dataclass(frozen=True)
+class AffineRoot(NamedTuple):
+    """A real affine root alpha + k*delta."""
+
+    alpha: Root
+    k: int
+
+    def is_positive(self) -> bool:
+        return self.k > 0 or (self.k == 0 and is_positive_vec(self.alpha))
+
+    def __neg__(self) -> "AffineRoot":
+        return AffineRoot(neg_vec(self.alpha), -self.k)
+
+
+def cover_label(gamma: AffineRoot) -> AffineRoot:
+    """Positive representative of a cover's connecting root."""
+    return gamma if gamma.is_positive() else -gamma
+
+
 class ParabolicIndex:
     """A subset J of Dynkin nodes with its derived root data.
 
     Nodes are 1-based (Bourbaki); ``phi_plus`` is Phi_J^+ in lexicographic
     order and ``components`` partitions J into Dynkin-connected pieces.
+    ``quantum_shift`` holds <alpha^vee, 2rho - 2rho_J> for every alpha in
+    Phi^+ (the drop in length that a quantum edge labelled alpha makes up
+    for), ``in_phi_J`` whether each positive root, in
+    ``RootSystem.positive_roots`` order, lies in Phi_J, ``phi_plus_pos``
+    the positions of ``phi_plus`` there, and ``lambda_J`` the sum of the
+    fundamental weights off J, over the fundamental weights: its
+    stabilizer is W_J.  Equality, hash and repr read the first four
+    fields alone.
     """
 
-    nodes: tuple[int, ...]
-    phi_plus: tuple[Root, ...]
-    two_rho_J: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
-    #: <alpha^vee, 2rho - 2rho_J> for every alpha in Phi^+: the drop in
-    #: length that a quantum edge labelled alpha makes up for
-    quantum_shift: dict[Root, int] = field(default_factory=dict, compare=False, repr=False)
-    #: whether each positive root, in ``RootSystem.positive_roots`` order,
-    #: lies in Phi_J
-    in_phi_J: tuple[bool, ...] = field(default=(), compare=False, repr=False)
-    #: the positions of ``phi_plus`` in ``RootSystem.positive_roots``
-    phi_plus_pos: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    #: lambda_J, the sum of the fundamental weights off J, over the
-    #: fundamental weights: its stabilizer is W_J
-    lambda_J: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("nodes", "phi_plus", "two_rho_J", "components", "quantum_shift",
+                 "in_phi_J", "phi_plus_pos", "lambda_J")
+
+    def __init__(self, nodes: tuple[int, ...], phi_plus: tuple[Root, ...],
+                 two_rho_J: tuple[int, ...], components: tuple[tuple[int, ...], ...],
+                 quantum_shift: dict[Root, int], in_phi_J: tuple[bool, ...],
+                 phi_plus_pos: tuple[int, ...], lambda_J: tuple[int, ...]):
+        self.nodes = nodes
+        self.phi_plus = phi_plus
+        self.two_rho_J = two_rho_J
+        self.components = components
+        self.quantum_shift = quantum_shift
+        self.in_phi_J = in_phi_J
+        self.phi_plus_pos = phi_plus_pos
+        self.lambda_J = lambda_J
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.nodes, self.phi_plus, self.two_rho_J, self.components)
+                == (other.nodes, other.phi_plus, other.two_rho_J, other.components))
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.phi_plus, self.two_rho_J, self.components))
+
+    def __repr__(self) -> str:
+        return (f"ParabolicIndex(nodes={self.nodes!r}, phi_plus={self.phi_plus!r}, "
+                f"two_rho_J={self.two_rho_J!r}, components={self.components!r})")
 
     def __contains__(self, node: int) -> bool:
         return node in self.nodes
@@ -220,24 +257,21 @@ class RootSystem:
     # -- construction helpers -------------------------------------------
 
     def _compute_symmetrizer(self) -> tuple[int, ...]:
-        # minimal positive integers d with d_i a_ij = d_j a_ji
-        n = self.rank
-        d: list[Fraction | None] = [None] * n
-        for start in range(n):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(n):
-                    if i != j and self.cartan[i][j] != 0 and d[j] is None:
-                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                        stack.append(j)
-        lcm = math.lcm(*(x.denominator for x in d))
-        ints = [int(x * lcm) for x in d]
-        g = math.gcd(*ints)
-        return tuple(x // g for x in ints)
+        # minimal positive integers d with d_i a_ij = d_j a_ji, spread from node
+        # 1: d_j = d_i a_ij / a_ji, every d found so far scaled by a_ji first
+        n, a = self.rank, self.cartan
+        d = [1] + [0] * (n - 1)
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i != j and a[i][j] != 0 and not d[j]:
+                    di = d[i]
+                    d = [x * a[j][i] for x in d]
+                    d[j] = di * a[i][j]
+                    stack.append(j)
+        g = math.gcd(*d)
+        return tuple(abs(x) // g for x in d)
 
     def _form(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         # W-invariant symmetric form (alpha_i, alpha_j) = d_i a_ij
@@ -431,27 +465,26 @@ def _connected_components(nodes: tuple[int, ...], cartan: Matrix) -> tuple[tuple
     return tuple(sorted(comps))
 
 
-def _invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+def scaled_inverse(m: Matrix) -> tuple[int, Matrix]:
+    """(D, D * m^-1) for an invertible integer matrix, D the least common
+    denominator of the entries of m^-1, by integer Gauss-Jordan elimination:
+    rows cleared by cross multiplication take [m | I] to [P | R], P diagonal
+    and m^-1 = P^-1 R, so L m^-1 is integral for L the lcm of the pivots,
+    and D is L divided by its gcd with every entry of L m^-1."""
     n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        p, prow = aug[col][col], aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def scaled_inverse(m: Matrix) -> tuple[int, Matrix]:
-    """(D, D * m^-1) for an invertible integer matrix, D the least common
-    denominator of the entries of m^-1."""
-    inv = _invert(m)
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    return den, tuple(tuple(int(x * den) for x in row) for row in inv)
+            f = aug[r][col]
+            if r != col and f != 0:
+                aug[r] = [p * x - f * y for x, y in zip(aug[r], prow)]
+    lcm = math.lcm(*(aug[i][i] for i in range(n)))
+    scaled = [[x * (lcm // aug[i][i]) for x in aug[i][n:]] for i in range(n)]
+    g = math.gcd(lcm, *(x for row in scaled for x in row))
+    return lcm // g, tuple(tuple(x // g for x in row) for row in scaled)
 
 
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .affine import AffineWeyl
 from .qbg import UNSETTLED, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
@@ -70,8 +70,7 @@ def left_step_edge(graph: QbgGraph, i: int, x: int) -> QbgEdge | None:
     return graph.left_step(i, x)[1]
 
 
-@dataclass(frozen=True)
-class LeftStep:
+class LeftStep(NamedTuple):
     """Outcome of left multiplication by s_j at a coset representative.
 
     For UP the edge leaves w, for DOWN it enters w, for FIXED there is no

@@ -17,7 +17,7 @@ import signal
 import struct
 import sys
 import threading
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import render
 from .affine import (
@@ -66,18 +66,20 @@ from .tilted import (
 from .weyl import Trichotomy, build_weyl_group
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
+    """One case's outcome: its name, whether it passed, and its detail."""
+
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
+    """One suite's report; ``cases`` is the list its runner appends to."""
+
     suite: str
     claim: str
-    cases: list[CaseResult] = field(default_factory=list)
+    cases: list[CaseResult]
 
     @property
     def passed(self) -> bool:
@@ -175,7 +177,7 @@ def suite(name: str, claim: str, cases, types=None):
 
     def register(check):
         def run(override=None) -> SuiteResult:
-            res = SuiteResult(name, claim)
+            res = SuiteResult(name, claim, [])
             for case, args in cases(types if override is None else override):
                 try:
                     detail = check(*args)

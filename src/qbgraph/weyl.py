@@ -28,8 +28,8 @@ or not W is enumerated.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .root_system import (
     ConfigurationError,
@@ -60,8 +60,7 @@ class Trichotomy(Enum):
     UP = "up"
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl group element, identified by its interning index: a value
     that names an id at the API boundary; the group operations take ids."""
 

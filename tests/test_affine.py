@@ -18,12 +18,17 @@ from qbgraph.affine import (
     complete_bottom,
     complete_top,
     affine_simple_root,
-    cover_label,
     iter_bottom_configurations,
     iter_top_configurations,
 )
 from qbgraph.qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgPath, build_qbg
-from qbgraph.root_system import RootSystem, build_root_system, is_positive_vec, neg_vec
+from qbgraph.root_system import (
+    RootSystem,
+    build_root_system,
+    cover_label,
+    is_positive_vec,
+    neg_vec,
+)
 from qbgraph.verify import SMALL_TYPES, all_parabolics
 from qbgraph.weyl import WeylGroup, build_weyl_group
 

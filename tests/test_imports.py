@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-module-level private name is referenced by some module, and ``WeylElement``
-stays at the public boundary of the engine modules.
+module-level private name is referenced by some module, ``WeylElement``
+stays at the public boundary of the engine modules, and no module imports
+``fractions`` or ``dataclasses``.
 
 A stdlib ``ast`` scan; ``__init__.py`` re-exports its imports and is exempt.
 """
@@ -161,12 +162,15 @@ def test_weyl_element_only_at_the_boundary(name):
         assert "WeylElement" not in {a.asname or a.name for n in imports for a in n.names}
 
 
-def test_only_root_system_and_qbg_import_fractions():
-    # the affine coweight arithmetic is integer throughout
+def test_no_module_imports_fractions_or_dataclasses():
+    # the root data and the affine coweight arithmetic are integer, and the
+    # records are named tuples or slotted classes: neither module is needed
     users = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
-            if "fractions" in names or (isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.append(node.module)
+            if {"fractions", "dataclasses"} & {n.split(".")[0] for n in names}:
                 users.add(path.name)
-    assert users == {"qbg.py", "root_system.py"}
+    assert users == set()

@@ -1,9 +1,10 @@
-"""Each CLI path loads only the layers it runs, and the package resolves its
+"""Each CLI path loads only the layers it runs, no command loads
+``dataclasses``, ``fractions`` or ``inspect``, and the package resolves its
 public names on first access.
 
 Every load check starts a fresh interpreter, runs one command through
 ``qbgraph.cli.main`` with stdout discarded and reports which ``qbgraph``
-modules got loaded.
+modules, and which of those three stdlib modules, got loaded.
 """
 
 import importlib
@@ -35,7 +36,8 @@ if argv is not None:
 else:
     import qbgraph.cli  # noqa: F401
 print(json.dumps({"code": code,
-                  "loaded": sorted(m for m in sys.modules if m.startswith("qbgraph."))}))
+                  "loaded": sorted(m for m in sys.modules if m.startswith("qbgraph.")),
+                  "stdlib": sorted({"dataclasses", "fractions", "inspect"} & set(sys.modules))}))
 """
 
 ENGINE = {"affine", "level_zero", "tilted", "verify"}
@@ -50,7 +52,11 @@ CASES = {
     "lift-walk": (["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--start=",
                    "--walk=0,1", "--format", "json"], {"level_zero", "tilted", "verify"}),
     "poset": (["poset", "--type", "A", "--rank", "2", "--lambda", "1,1", "--window", "1",
-               "--format", "text"], {"tilted", "verify"}),
+               "--format", "text"], {"affine", "tilted", "verify"}),
+    "tilted": (["tilted", "--type", "A", "--rank", "2", "--parabolic", "1", "--u", "1,2",
+                "--z", "1"], {"level_zero", "verify"}),
+    "qlen": (["qlen", "--type", "B", "--rank", "2", "--u", "1,2,1"], {"level_zero", "verify"}),
+    "verify": (["verify", "--suite", "determinism"], set()),
 }
 
 
@@ -61,24 +67,25 @@ def loaded_modules(argv):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    return report["code"], {m.split(".", 1)[1] for m in report["loaded"]}
+    return report["code"], {m.split(".", 1)[1] for m in report["loaded"]}, set(report["stdlib"])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_command_loads_only_the_layers_it_runs(name):
     argv, absent = CASES[name]
-    code, loaded = loaded_modules(argv)
+    code, loaded, stdlib = loaded_modules(argv)
     assert code in (None, 0)
     assert {"cli", "render", "qbg", "weyl", "root_system"} <= loaded
     assert not loaded & absent, sorted(loaded & absent)
+    assert not stdlib, sorted(stdlib)
 
 
 def test_the_lift_and_poset_paths_load_their_layers():
     # the negative checks above would also pass if the command did nothing
-    _, lift = loaded_modules(CASES["lift-table"][0])
-    _, poset = loaded_modules(CASES["poset"][0])
+    _, lift, _ = loaded_modules(CASES["lift-table"][0])
+    _, poset, _ = loaded_modules(CASES["poset"][0])
     assert "affine" in lift
-    assert {"affine", "level_zero"} <= poset
+    assert "level_zero" in poset
 
 
 def test_every_public_name_resolves():

@@ -2,7 +2,6 @@ import random
 import re
 import sys
 from collections import deque
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,7 @@ from qbgraph.qbg import (
     lexicographically_minimal_shortest,
     reflection_ordering_from_word,
 )
-from qbgraph.root_system import build_root_system, is_positive_vec
+from qbgraph.root_system import ParabolicIndex, build_root_system, is_positive_vec
 from qbgraph.verify import PATH_WEIGHT_CASES, SMALL_TYPES, _dual_label, all_parabolics
 from qbgraph.weyl import WeightOrbit, WeylGroup
 from test_weyl_enumeration import reference
@@ -92,7 +91,9 @@ def test_a_zero_quantum_shift_trips_the_kind_collision():
     rs = build_root_system("A", 2)
     W = WeylGroup(rs)
     J = rs.parabolic((1,))
-    broken = replace(J, quantum_shift={**J.quantum_shift, (0, 1): 0})
+    broken = ParabolicIndex(J.nodes, J.phi_plus, J.two_rho_J, J.components,
+                            {**J.quantum_shift, (0, 1): 0}, J.in_phi_J, J.phi_plus_pos,
+                            J.lambda_J)
     for group in (W, WeightOrbit(rs, J)):
         with pytest.raises(GraphInvariantError, match=r"^quantum shift 0 of \(0, 1\) is below 2$"):
             build_qbg(group, broken)

@@ -8,9 +8,10 @@ import json
 import pytest
 
 from qbgraph import render
-from qbgraph.affine import AffineWeyl, cover_label
+from qbgraph.affine import AffineWeyl
 from qbgraph.cli import main
 from qbgraph.qbg import QbgPath, build_qbg
+from qbgraph.root_system import cover_label
 from qbgraph.weyl import build_weyl_group
 
 
