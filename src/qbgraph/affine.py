@@ -397,12 +397,19 @@ class AffineWeyl:
     # -- lifting edges and projecting covers ------------------------------------
 
     def lift_depth(self, graph: QbgGraph) -> int:
-        """Operational bound for 'very antidominant': graph diameter plus 2.
+        """Operational bound for 'very antidominant': the diameter of
+        QB(W^J) plus 2, which is |Phi+ minus Phi_J+| + 2.
 
-        The diameter is exact, from bit-parallel reachability; no all-pairs
-        distance table is built.
+        Upper bound: by the shellability of QB(W^J), for every u, v there
+        is a unique path u -> v whose labels increase in a lambda-reflection
+        ordering, and it is a shortest path (``increasing_paths`` checks
+        both, and the ``orderings`` suite runs it).  Its labels are
+        distinct roots of Phi+ minus Phi_J+, so d(u, v) <= |Phi+ minus
+        Phi_J+|.  Lower bound: an edge raises the length by at most one, so
+        d(e, floor(w_0)) >= l(floor(w_0)) = |Phi+| - |Phi_J+|.  graph must
+        be QB(W^J) itself, as ``build_qbg`` makes it; no search is run.
         """
-        return graph.diameter() + 2
+        return len(self.rs.positive_roots) - len(graph.J.phi_plus) + 2
 
     def _lift_factor(self, mu: Coroot, J: ParabolicIndex, depth: int) -> int:
         """z_mu of a mu that meets the lift hypothesis: of the rank,

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from functools import cached_property
-from operator import lt, mul
+from itertools import accumulate, chain, repeat
+from operator import mul
 
 from .root_system import (
     Coroot,
@@ -39,6 +42,7 @@ class GraphInvariantError(AssertionError):
 class QbgEdge:
     """Directed edge source -> target labeled by a positive root.
 
+    ``QbgGraph.out`` makes records from the graph's columns on demand.
     ``weight`` is the label's coroot on quantum edges and zero otherwise.
     It is a dict key (``QbgGraph._pushed_edges``), so it is never changed
     once made.  Edges are equal, and hash alike, on all five fields.
@@ -101,37 +105,159 @@ class QbgPath:
         return tuple(map(sum, zip(*(e.weight for e in self.edges))))
 
 
-def _label_order(edges: list[QbgEdge]) -> tuple[QbgEdge, ...]:
-    """The edges sorted by (label, kind).  ``build_qbg`` hands each vertex's
-    edges over with strictly increasing labels, so they are sorted only
-    when they are out of that order."""
-    labels = [e.label for e in edges]
-    if all(map(lt, labels, labels[1:])):
-        return tuple(edges)
-    return tuple(sorted(edges, key=lambda e: (e.label, e.kind)))
+class _OutEdges(Mapping):
+    """``QbgGraph.out``, read only: per vertex its edges in (label, kind)
+    order.  A vertex's records are made from the graph's columns on first
+    use and kept, as is a record ``slot`` makes alone, so each read of an
+    edge gives the same ``QbgEdge``.  It holds the columns, not the graph,
+    so a graph is freed without the cycle collector."""
+
+    __slots__ = ("vertices", "pos", "offsets", "targets", "types", "fields", "_made", "_alone")
+
+    def __init__(self, vertices, pos, offsets, targets, types, table):
+        self.vertices, self.pos = vertices, pos
+        self.offsets, self.targets, self.types = offsets, targets, types
+        # the labels, kinds and weights of the type table, each a tuple
+        self.fields = tuple(zip(*table)) or ((), (), ())
+        self._made: dict[int, tuple[QbgEdge, ...]] = {}
+        self._alone: dict[int, QbgEdge] = {}
+
+    def __getitem__(self, v: int) -> tuple[QbgEdge, ...]:
+        got = self._made.get(v)
+        if got is None:
+            p = self.pos[v]
+            lo, hi = self.offsets[p], self.offsets[p + 1]
+            types = self.types[lo:hi]
+            labels, kinds, weights = self.fields
+            got = tuple(map(
+                QbgEdge, repeat(self.vertices[p], hi - lo),
+                map(self.vertices.__getitem__, self.targets[lo:hi]),
+                map(labels.__getitem__, types), map(kinds.__getitem__, types),
+                map(weights.__getitem__, types),
+            ))
+            alone = self._alone
+            if alone:
+                got = tuple(alone.pop(k, e) for k, e in zip(range(lo, hi), got))
+            self._made[v] = got
+        return got
+
+    def slot(self, p: int, k: int) -> QbgEdge:
+        """The record of slot k, an edge out of vertex position p; made
+        alone while the vertex's tuple is not made."""
+        v = self.vertices[p]
+        made = self._made.get(v)
+        if made is not None:
+            return made[k - self.offsets[p]]
+        got = self._alone.get(k)
+        if got is None:
+            t = self.types[k]
+            labels, kinds, weights = self.fields
+            got = self._alone[k] = QbgEdge(v, self.vertices[self.targets[k]],
+                                           labels[t], kinds[t], weights[t])
+        return got
+
+    def __contains__(self, v) -> bool:
+        return v in self.pos
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+
+class _EdgeList(Sequence):
+    """``QbgGraph.edges``, read only: every edge, vertex by vertex in
+    ``out`` order.  Its length is read from the columns and its records
+    from ``out``; a slice is a tuple."""
+
+    __slots__ = ("_out",)
+
+    def __init__(self, out: _OutEdges):
+        self._out = out
+
+    def __len__(self) -> int:
+        return len(self._out.targets)
+
+    def __iter__(self):
+        out = self._out
+        return chain.from_iterable(map(out.__getitem__, out.vertices))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        out = self._out
+        k = range(len(self))[i]  # raises IndexError out of range
+        return out.slot(bisect_right(out.offsets, k) - 1, k)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _EdgeList)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class QbgGraph:
     """Directed graph over W^J with Bruhat and quantum edges.
 
-    Immutable once built; adjacency lists are sorted by (label, kind) so
-    exports and searches are deterministic.  W is the ``WeylGroup`` whose
-    ids the vertices are, or the ``WeightOrbit`` whose ids they are: an
-    orbit graph is rendered and searched, but the left action and duality
-    need the group.
+    Immutable once built.  The edges are held in flat columns, CSR form:
+    per vertex position p, its edges are the slots ``_offsets[p]`` to
+    ``_offsets[p + 1]`` of ``_targets`` (the target's vertex position) and
+    ``_types`` (an index into ``_type_table``, the graph's distinct (label,
+    kind, weight) triples, sorted by (label, kind)).  Each vertex's slots
+    are sorted by (label, kind), so exports and searches are deterministic
+    and a vertex's type indices never fall.  ``out`` and ``edges`` make
+    ``QbgEdge`` records from the columns on demand.  W is the
+    ``WeylGroup`` whose ids the vertices are, or the ``WeightOrbit`` whose
+    ids they are: an orbit graph is rendered and searched, but the left
+    action and duality need the group.
     """
 
     def __init__(self, W: WeylGroup | WeightOrbit, J: ParabolicIndex, vertices, edges):
+        """The graph of the given edges, each sorted into its source's slots
+        by (label, kind), edges that tie keeping their given order."""
+        vertices = tuple(vertices)
+        pos = {v: i for i, v in enumerate(vertices)}
+        edges = sorted(edges, key=lambda e: (pos[e.source], e.label, e.kind))
+        table = sorted(dict.fromkeys((e.label, e.kind, e.weight) for e in edges),
+                       key=lambda t: (t[0], t[1]))
+        index = {t: i for i, t in enumerate(table)}
+        degree = [0] * len(vertices)
+        for e in edges:
+            degree[pos[e.source]] += 1
+        self._setup(W, J, vertices, pos, array("I", accumulate(degree, initial=0)),
+                    array("I", [pos[e.target] for e in edges]),
+                    array("H", [index[(e.label, e.kind, e.weight)] for e in edges]),
+                    tuple(table))
+
+    @classmethod
+    def _from_columns(cls, W, J, vertices, offsets: array, targets: array, types: array,
+                      table: tuple) -> QbgGraph:
+        """The graph of columns already in CSR form and (label, kind) order."""
+        graph = cls.__new__(cls)
+        vertices = tuple(vertices)
+        graph._setup(W, J, vertices, {v: i for i, v in enumerate(vertices)},
+                     offsets, targets, types, table)
+        return graph
+
+    def _setup(self, W, J, vertices, vertex_pos, offsets, targets, types, table) -> None:
         self.W = W
         self.rs = W.rs
         self.J = J
-        self.vertices = tuple(vertices)
-        self.vertex_pos = {v: i for i, v in enumerate(self.vertices)}
-        self.edges = tuple(edges)
-        out: dict[int, list[QbgEdge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.source].append(e)
-        self.out = {v: _label_order(es) for v, es in out.items()}
+        self.vertices = vertices
+        self.vertex_pos = vertex_pos
+        self._offsets, self._targets, self._types = offsets, targets, types
+        self._type_table: tuple[tuple[Root, str, Coroot], ...] = table
+        # per label the span [first, end) of the type indices that carry it
+        self._label_types: dict[Root, tuple[int, int]] = {}
+        for t, (label, _kind, _weight) in enumerate(table):
+            self._label_types[label] = (self._label_types.get(label, (t,))[0], t + 1)
+        self.out = _OutEdges(vertices, vertex_pos, offsets, targets, types, table)
+        self.edges = _EdgeList(self.out)
         # per vertex position the positions of its out-edge targets, in
         # ``out`` order; per source id its complete BFS row by vertex
         # position, or its row grown part way with the row's frontier
@@ -158,11 +284,35 @@ class QbgGraph:
 
     # -- lookups -----------------------------------------------------------
 
+    def edge_rows(self) -> Iterator[tuple[int, int, Root, str, Coroot]]:
+        """(source position, target position, label, kind, weight) per edge,
+        in ``edges`` order, read from the columns: no ``QbgEdge`` is made."""
+        offsets, targets, types, table = self._offsets, self._targets, self._types, self._type_table
+        for p in range(len(self.vertices)):
+            lo, hi = offsets[p], offsets[p + 1]
+            for q, t in zip(targets[lo:hi], types[lo:hi]):
+                yield (p, q, *table[t])
+
+    def quantum_count(self) -> int:
+        """The number of quantum edges, read from the columns."""
+        table = self._type_table
+        return sum(table[t][1] == QUANTUM for t in self._types)
+
     def edge(self, source: int, label: Root) -> QbgEdge | None:
-        """The edge out of source with this label: a vertex has at most one."""
-        for e in self.out.get(source, ()):
-            if e.label == label:
-                return e
+        """The edge out of source with this label: a vertex has at most one.
+
+        The source's type indices rise with (label, kind), so the first
+        slot whose label is not below this one is found by bisection; no
+        record is compared.
+        """
+        p = self.vertex_pos.get(source)
+        span = self._label_types.get(label)
+        if p is None or span is None:
+            return None
+        types, lo, hi = self._types, self._offsets[p], self._offsets[p + 1]
+        k = bisect_left(types, span[0], lo, hi)
+        if k < hi and types[k] < span[1]:
+            return self.out.slot(p, k)
         return None
 
     # -- the left action of s_0, ..., s_r ---------------------------------------
@@ -277,9 +427,9 @@ class QbgGraph:
     def _successors(self) -> list[tuple[int, ...]]:
         succ = self._succ
         if succ is None:
-            pos = self.vertex_pos
-            succ = self._succ = [tuple(pos[e.target] for e in self.out[v])
-                                 for v in self.vertices]
+            offsets, targets = self._offsets, self._targets
+            succ = self._succ = [tuple(targets[offsets[p]:offsets[p + 1]])
+                                 for p in range(len(self.vertices))]
         return succ
 
     def settled_row(self, u: int, targets=None) -> array:
@@ -379,11 +529,11 @@ class QbgGraph:
         if parent[goal] < 0:
             raise GraphInvariantError("graph is not strongly connected")
         edges = []
-        out, vertices = self.out, self.vertices
+        out, offsets = self.out, self._offsets
         q = goal
         while q != start:
             p = parent[q]
-            edges.append(out[vertices[p]][succ[p].index(q)])
+            edges.append(out.slot(p, offsets[p] + succ[p].index(q)))
             q = p
         edges.reverse()
         return QbgPath(u, tuple(edges))
@@ -398,10 +548,11 @@ class QbgGraph:
         graph is not strongly connected.  No distance table is stored.
         """
         if self._diameter is None:
-            pos = self.vertex_pos
+            offsets, targets = self._offsets, self._targets
             preds: list[list[int]] = [[] for _ in self.vertices]
-            for e in self.edges:
-                preds[pos[e.target]].append(pos[e.source])
+            for p in range(len(self.vertices)):
+                for q in targets[offsets[p]:offsets[p + 1]]:
+                    preds[q].append(p)
             full = (1 << len(self.vertices)) - 1
             reach = [1 << i for i in range(len(self.vertices))]
             rounds = 0
@@ -497,7 +648,10 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
     its word spells (``WeylGroup.min_coset_ids``); the vertices are listed
     in that order.
 
-    The target floor(w r_alpha) is the orbit point w r_alpha(lambda_J) =
+    The edges are written straight into the graph's columns, one type
+    index pair (Bruhat, quantum) per label; ``positive_roots`` is sorted, so
+    each vertex's slots come out in (label, kind) order.  The target
+    floor(w r_alpha) is the orbit point w r_alpha(lambda_J) =
     v - <alpha^vee, lambda_J> w(alpha) for w's name v, with w(alpha) read
     from w's signed root permutation; names are packed, so the target's key
     is w's key minus one precomputed int.  The edge is Bruhat when the
@@ -511,12 +665,13 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
         raise ValueError(f"the orbit is of J = {orbit.J.nodes}, not {J.nodes}")
     # the vertices, and every edge's ends, share the int objects of ids
     ids = tuple(range(len(W))) if orbit is W else W.min_coset_ids(J, orbit)
-    found = dict(zip(orbit._key, ids))
+    found = {key: p for p, key in enumerate(orbit._key)}
     rs = orbit.rs
     # per signed root position, the packed w(alpha) with no offset
     origin = orbit._pack(rs.zero)
     images = [orbit._pack(row) - origin for row in orbit.signed_rows]
-    plan = []
+    length, zero = W._length, rs.zero
+    plan, table = [], []
     for b, alpha in enumerate(rs.positive_roots):
         if not J.in_phi_J[b]:
             shift = J.quantum_shift[alpha]
@@ -524,24 +679,29 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
                 raise GraphInvariantError(f"quantum shift {shift} of {alpha} is below 2")
             coroot = rs.coroot(alpha)
             c = sum(map(mul, coroot, J.lambda_J))
-            plan.append((b, alpha, shift, coroot, [c * x for x in images]))
-    length, zero = W._length, rs.zero
-    edges = []
-    for w, key, perm in zip(ids, orbit._key, orbit._perm):
-        up = length[w] + 1
-        for b, alpha, shift, coroot, moved in plan:
+            plan.append((b, alpha, shift, len(table), [c * x for x in images]))
+            table += [(alpha, BRUHAT, zero), (alpha, QUANTUM, coroot)]
+    lengths = [length[w] for w in ids]
+    offsets, targets, types = array("I", [0]), array("I"), array("H")
+    end, target, kind = offsets.append, targets.append, types.append
+    for w, key, perm, lw in zip(ids, orbit._key, orbit._perm, lengths):
+        up = lw + 1
+        for b, alpha, shift, t, moved in plan:
             try:
                 x = found[key - moved[perm[b]]]
             except KeyError:
                 raise GraphInvariantError(
                     f"the target of {alpha} out of W[{W.describe(w)}] is not in W^J"
                 ) from None
-            lx = length[x]
+            lx = lengths[x]
             if lx == up:
-                edges.append(QbgEdge(w, x, alpha, BRUHAT, zero))
+                target(x)
+                kind(t)
             elif lx == up - shift:
-                edges.append(QbgEdge(w, x, alpha, QUANTUM, coroot))
-    return QbgGraph(W, J, ids, edges)
+                target(x)
+                kind(t + 1)
+        end(len(targets))
+    return QbgGraph._from_columns(W, J, ids, offsets, targets, types, tuple(table))
 
 
 def build_subsystem_qbg(W: WeylGroup, J: ParabolicIndex) -> QbgGraph:

@@ -282,8 +282,9 @@ def _lines_in_chunks(lines_fn):
     return chunks
 
 
-def _vertex_names(graph: QbgGraph) -> dict[int, str]:
-    return {v: graph.W.describe(v) for v in graph.vertices}
+def _vertex_names(graph: QbgGraph) -> list[str]:
+    """Each vertex's text, by vertex position."""
+    return [graph.W.describe(v) for v in graph.vertices]
 
 
 @_lines_in_chunks
@@ -291,15 +292,14 @@ def graph_dot_chunks(graph: QbgGraph) -> Iterator[str]:
     """Graphviz text; quantum edges dashed and red."""
     names = _vertex_names(graph)
     yield "digraph qbg {\n"
-    for v in graph.vertices:
-        yield f'  "{names[v]}";\n'
-    for v in graph.vertices:
-        for e in graph.out[v]:
-            attrs = [f'label="{root_text(e.label)}"']
-            if e.kind == QUANTUM:
-                attrs.append("style=dashed")
-                attrs.append("color=red")
-            yield f'  "{names[e.source]}" -> "{names[e.target]}" [{", ".join(attrs)}];\n'
+    for name in names:
+        yield f'  "{name}";\n'
+    for p, q, label, kind, _weight in graph.edge_rows():
+        attrs = [f'label="{root_text(label)}"']
+        if kind == QUANTUM:
+            attrs.append("style=dashed")
+            attrs.append("color=red")
+        yield f'  "{names[p]}" -> "{names[q]}" [{", ".join(attrs)}];\n'
     yield "}\n"
 
 
@@ -323,12 +323,6 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
             for pos, v in enumerate(graph.vertices):
                 yield pos, W.describe(v), W._word[v]
 
-    def edge_rows():
-        pos_of = graph.vertex_pos
-        for src, v in enumerate(graph.vertices):
-            for e in graph.out[v]:
-                yield pos_of[e.target], e.kind, e.label, src, e.weight
-
     doc = {
         "schema": SCHEMA_GRAPH,
         "cartan_type": graph.rs.cartan_type,
@@ -337,7 +331,8 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
         "vertices": Rows(vertex_columns, vertex_rows()),
         "edges": Rows(
             (("dst", int), ("kind", str), ("label", tuple), ("src", int), ("weight", tuple)),
-            edge_rows(),
+            ((dst, kind, label, src, weight)
+             for src, dst, label, kind, weight in graph.edge_rows()),
         ),
     }
     yield from json_chunks(doc)
@@ -350,11 +345,10 @@ def graph_text_chunks(graph: QbgGraph) -> Iterator[str]:
     yield f"# QB(W^J) {graph.rs.cartan_type}{graph.rs.rank} J={list(graph.J.nodes)}\n"
     yield (
         f"# vertices={len(graph.vertices)} edges={len(graph.edges)} "
-        f"quantum={len(graph.quantum_edges())}\n"
+        f"quantum={graph.quantum_count()}\n"
     )
-    for v in graph.vertices:
-        for e in graph.out[v]:
-            yield f"{names[e.source]} -> {names[e.target]} [{root_text(e.label)}] {e.kind}\n"
+    for p, q, label, kind, _weight in graph.edge_rows():
+        yield f"{names[p]} -> {names[q]} [{root_text(label)}] {kind}\n"
 
 
 def graph_to_dot(graph: QbgGraph) -> str:

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import sys
@@ -26,7 +27,7 @@ from qbgraph.qbg import (
     reflection_ordering_from_word,
 )
 from qbgraph.root_system import ParabolicIndex, build_root_system, is_positive_vec
-from qbgraph.verify import PATH_WEIGHT_CASES, SMALL_TYPES, _dual_label, all_parabolics
+from qbgraph.verify import PATH_WEIGHT_CASES, ROOT_TYPES, SMALL_TYPES, _dual_label, all_parabolics
 from qbgraph.weyl import WeightOrbit, WeylGroup
 from test_weyl_enumeration import reference
 
@@ -395,8 +396,8 @@ def test_diameter_rejects_graphs_that_are_not_strongly_connected(a2, a2_graph):
     [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
 )
 def test_diameter_is_the_number_of_roots_outside_phi_j(groups, cartan_type, rank):
-    # an observed identity, diam QB(W^J) = |Phi+ minus Phi_J+|; the lift
-    # depth does not rely on it
+    # diam QB(W^J) = |Phi+ minus Phi_J+|, the identity the lift depth's
+    # closed form rests on (``AffineWeyl.lift_depth`` gives the proof)
     rs, W = groups(cartan_type, rank)
     if rank <= 4:
         parabolics = list(all_parabolics(rank))
@@ -908,6 +909,77 @@ def test_adjacency_orders_one_label_by_kind(a2):
     bruhat = QbgEdge(0, 2, label, BRUHAT, (0, 0))
     g = QbgGraph(W, rs.parabolic(()), range(3), [quantum, bruhat])
     assert g.out == {0: (bruhat, quantum), 1: (), 2: ()}
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_edge_finds_what_a_scan_of_out_finds(groups, cartan_type, rank):
+    # edge() bisects the source's type indices; a scan of the records is
+    # the reference, labels with no edge (Phi_J and negative roots) included.
+    # edge() runs first, so the records it makes alone must be the ones
+    # ``out`` hands over later
+    rs, W = groups(cartan_type, rank)
+    labels = rs.positive_roots + tuple(tuple(-c for c in a) for a in rs.positive_roots)
+    for J in all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        got = {(v, label): g.edge(v, label) for v in g.vertices for label in labels}
+        for (v, label), e in got.items():
+            want = next((e for e in g.out[v] if e.label == label), None)
+            assert e is want and g.edge(v, label) is want, (J, v, label)
+        assert g.edge(-1, rs.theta) is None
+
+
+def test_the_qbg_exports_make_no_edge_records():
+    # build_qbg writes the columns and the three exports read them: no
+    # QbgEdge is made
+    from qbgraph.render import graph_to_dot, graph_to_json, graph_to_text
+
+    def records():
+        gc.collect()
+        return sum(type(o) is QbgEdge for o in gc.get_objects())
+
+    rs = build_root_system("A", 5)
+    J = rs.parabolic(())
+    before = records()
+    g = build_qbg(WeightOrbit(rs, J), J)
+    for export in (graph_to_json, graph_to_text, graph_to_dot):
+        assert export(g)
+    assert len(g.edges) == 6_264 and g.quantum_count() == 2_556
+    assert records() == before
+    assert g.edges[0] == g.out[0][0] and records() == before + len(g.out[0])
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_a_graph_rebuilt_from_its_edges_equals_build_qbg(groups, cartan_type, rank):
+    # the constructor turns edge records into the same columns that
+    # build_qbg writes
+    from qbgraph.render import graph_to_dot, graph_to_json, graph_to_text
+
+    rs, W = groups(cartan_type, rank)
+    for J in all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        h = QbgGraph(W, g.J, g.vertices, g.edges)
+        assert h.out == g.out and dict(h.out) == dict(g.out), J
+        assert h.edges == g.edges and list(h.edges) == list(g.edges), J
+        assert len(h.edges) == len(g.edges) and h.edges[-1:] == g.edges[-1:], J
+        assert [h.edges[k] for k in range(-len(g.edges), 0)] == list(g.edges), J
+        for v in g.vertices:
+            for label in rs.positive_roots:
+                assert h.edge(v, label) == g.edge(v, label), (J, v, label)
+        assert h._successors() == g._successors(), J
+        for export in (graph_to_json, graph_to_text, graph_to_dot):
+            assert export(h) == export(g), J
+
+
+@pytest.mark.parametrize("cartan_type,rank,parabolics",
+                         [(t, r, None) for t, r in ROOT_TYPES] + [("E", 6, [(2, 3, 4, 5, 6)])])
+def test_lift_depth_is_the_diameter_plus_two(groups, cartan_type, rank, parabolics):
+    from qbgraph.affine import AffineWeyl
+
+    rs, W = groups(cartan_type, rank)
+    aw = AffineWeyl(W)
+    for J in parabolics or all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        assert aw.lift_depth(g) == g.diameter() + 2, J
 
 
 @pytest.mark.parametrize("cartan_type,rank,J", PATH_WEIGHT_CASES + [("A", 3, (2,))])
