@@ -406,9 +406,15 @@ class AffineWeyl:
         both, and the ``orderings`` suite runs it).  Its labels are
         distinct roots of Phi+ minus Phi_J+, so d(u, v) <= |Phi+ minus
         Phi_J+|.  Lower bound: an edge raises the length by at most one, so
-        d(e, floor(w_0)) >= l(floor(w_0)) = |Phi+| - |Phi_J+|.  graph must
-        be QB(W^J) itself, as ``build_qbg`` makes it; no search is run.
+        d(e, floor(w_0)) >= l(floor(w_0)) = |Phi+| - |Phi_J+|.
+
+        No search is run, so graph must be QB(W^J) itself, as ``build_qbg``
+        makes it.  A graph whose vertex count is not |W| / |W_J| (a coset
+        subgraph, the graph of W_J) raises ValueError; one with all of
+        W^J's vertices but edges left out is not caught.
         """
+        if len(graph.vertices) * graph.J.subgroup_order() != len(self.W):
+            raise ValueError(f"the graph is not QB(W^J) for J = {graph.J.nodes}")
         return len(self.rs.positive_roots) - len(graph.J.phi_plus) + 2
 
     def _lift_factor(self, mu: Coroot, J: ParabolicIndex, depth: int) -> int:
@@ -429,7 +435,8 @@ class AffineWeyl:
     ) -> tuple[AffineElement, AffineElement, AffineRoot]:
         """Lift a graph edge to a length-one downward cover x > x r_gamma,
         x = (source z_mu, mu): ``lift_table``'s row for the one edge.  mu
-        must meet the lift hypothesis to ``depth`` (default: the lift depth).
+        must meet the lift hypothesis to ``depth`` (default: the lift depth,
+        which needs graph to be QB(W^J) itself, see ``lift_depth``).
         """
         if depth is None:
             depth = self.lift_depth(graph)
@@ -443,7 +450,8 @@ class AffineWeyl:
         Yields (x, lifts) per vertex with out-edges, in the order of
         ``graph.vertices``: x = (source z_mu, mu) and one (edge, y, gamma)
         per edge out of the source, in the order of ``graph.out``.  mu's
-        lift hypothesis is checked here, before any lift.
+        lift hypothesis is checked here, before any lift, to the lift depth:
+        graph must be QB(W^J) itself (``lift_depth``).
         """
         z = self._lift_factor(mu, graph.J, self.lift_depth(graph))
         out = graph.out
@@ -596,8 +604,9 @@ class AffineWeyl:
         """Lift a directed path to a saturated downward chain.
 
         Returns the chain elements paired with the connecting root used to
-        step down into each (None for the starting element).  Only the
-        starting mu must meet the lift hypothesis to the lift depth; a step
+        step down into each (None for the starting element).  graph must be
+        QB(W^J) itself (``lift_depth``).  Only the starting mu must meet the
+        lift hypothesis to the lift depth; a step
         may make the next mu shallower, and each step checks that its result
         is a length-one cover that stays in the lift target.
 

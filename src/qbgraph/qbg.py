@@ -108,11 +108,11 @@ class QbgPath:
 class _OutEdges(Mapping):
     """``QbgGraph.out``, read only: per vertex its edges in (label, kind)
     order.  A vertex's records are made from the graph's columns on first
-    use and kept, as is a record ``slot`` makes alone, so each read of an
-    edge gives the same ``QbgEdge``.  It holds the columns, not the graph,
-    so a graph is freed without the cycle collector."""
+    use and kept, so each read of an edge gives the same ``QbgEdge``.  It
+    holds the columns, not the graph, so a graph is freed without the cycle
+    collector."""
 
-    __slots__ = ("vertices", "pos", "offsets", "targets", "types", "fields", "_made", "_alone")
+    __slots__ = ("vertices", "pos", "offsets", "targets", "types", "fields", "_made")
 
     def __init__(self, vertices, pos, offsets, targets, types, table):
         self.vertices, self.pos = vertices, pos
@@ -120,7 +120,6 @@ class _OutEdges(Mapping):
         # the labels, kinds and weights of the type table, each a tuple
         self.fields = tuple(zip(*table)) or ((), (), ())
         self._made: dict[int, tuple[QbgEdge, ...]] = {}
-        self._alone: dict[int, QbgEdge] = {}
 
     def __getitem__(self, v: int) -> tuple[QbgEdge, ...]:
         got = self._made.get(v)
@@ -135,25 +134,7 @@ class _OutEdges(Mapping):
                 map(labels.__getitem__, types), map(kinds.__getitem__, types),
                 map(weights.__getitem__, types),
             ))
-            alone = self._alone
-            if alone:
-                got = tuple(alone.pop(k, e) for k, e in zip(range(lo, hi), got))
             self._made[v] = got
-        return got
-
-    def slot(self, p: int, k: int) -> QbgEdge:
-        """The record of slot k, an edge out of vertex position p; made
-        alone while the vertex's tuple is not made."""
-        v = self.vertices[p]
-        made = self._made.get(v)
-        if made is not None:
-            return made[k - self.offsets[p]]
-        got = self._alone.get(k)
-        if got is None:
-            t = self.types[k]
-            labels, kinds, weights = self.fields
-            got = self._alone[k] = QbgEdge(v, self.vertices[self.targets[k]],
-                                           labels[t], kinds[t], weights[t])
         return got
 
     def __contains__(self, v) -> bool:
@@ -188,7 +169,8 @@ class _EdgeList(Sequence):
             return tuple(self)[i]
         out = self._out
         k = range(len(self))[i]  # raises IndexError out of range
-        return out.slot(bisect_right(out.offsets, k) - 1, k)
+        p = bisect_right(out.offsets, k) - 1
+        return out[out.vertices[p]][k - out.offsets[p]]
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _EdgeList)):
@@ -293,17 +275,12 @@ class QbgGraph:
             for q, t in zip(targets[lo:hi], types[lo:hi]):
                 yield (p, q, *table[t])
 
-    def quantum_count(self) -> int:
-        """The number of quantum edges, read from the columns."""
-        table = self._type_table
-        return sum(table[t][1] == QUANTUM for t in self._types)
-
     def edge(self, source: int, label: Root) -> QbgEdge | None:
         """The edge out of source with this label: a vertex has at most one.
 
         The source's type indices rise with (label, kind), so the first
         slot whose label is not below this one is found by bisection; no
-        record is compared.
+        record is compared, and the one found is read from ``out``.
         """
         p = self.vertex_pos.get(source)
         span = self._label_types.get(label)
@@ -312,7 +289,7 @@ class QbgGraph:
         types, lo, hi = self._types, self._offsets[p], self._offsets[p + 1]
         k = bisect_left(types, span[0], lo, hi)
         if k < hi and types[k] < span[1]:
-            return self.out.slot(p, k)
+            return self.out[source][k - lo]
         return None
 
     # -- the left action of s_0, ..., s_r ---------------------------------------
@@ -529,11 +506,11 @@ class QbgGraph:
         if parent[goal] < 0:
             raise GraphInvariantError("graph is not strongly connected")
         edges = []
-        out, offsets = self.out, self._offsets
+        out, vertices = self.out, self.vertices
         q = goal
         while q != start:
             p = parent[q]
-            edges.append(out.slot(p, offsets[p] + succ[p].index(q)))
+            edges.append(out[vertices[p]][succ[p].index(q)])
             q = p
         edges.reverse()
         return QbgPath(u, tuple(edges))

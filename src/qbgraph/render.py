@@ -342,10 +342,11 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
 @_lines_in_chunks
 def graph_text_chunks(graph: QbgGraph) -> Iterator[str]:
     names = _vertex_names(graph)
+    quantum = sum(kind == QUANTUM for _p, _q, _label, kind, _weight in graph.edge_rows())
     yield f"# QB(W^J) {graph.rs.cartan_type}{graph.rs.rank} J={list(graph.J.nodes)}\n"
     yield (
         f"# vertices={len(graph.vertices)} edges={len(graph.edges)} "
-        f"quantum={graph.quantum_count()}\n"
+        f"quantum={quantum}\n"
     )
     for p, q, label, kind, _weight in graph.edge_rows():
         yield f"{names[p]} -> {names[q]} [{root_text(label)}] {kind}\n"

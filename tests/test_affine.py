@@ -21,7 +21,16 @@ from qbgraph.affine import (
     iter_bottom_configurations,
     iter_top_configurations,
 )
-from qbgraph.qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgPath, build_qbg
+from qbgraph.qbg import (
+    BRUHAT,
+    QUANTUM,
+    GraphInvariantError,
+    QbgGraph,
+    QbgPath,
+    build_qbg,
+    build_subsystem_qbg,
+    induced_coset_subgraph,
+)
 from qbgraph.root_system import (
     RootSystem,
     build_root_system,
@@ -422,6 +431,32 @@ def test_lift_validation_errors(a2):
         aw.lift_edge(g, e, (-1, 0))
     with pytest.raises(ValueError, match="^mu is not superantidominant to depth 4$"):
         aw.lift_edge(g, e, (0, 0))
+
+
+def test_the_lift_api_refuses_a_graph_that_is_not_qb_wj():
+    # the lift depth is read from J, so a graph on other vertices than
+    # W^J's is refused; one with W^J's vertices and fewer edges is not
+    # caught, and gets QB(W^J)'s depth
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    aw = AffineWeyl(W)
+    J = rs.parabolic((1,))
+    g = build_qbg(W, J)
+    mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
+    e = g.edge(W.identity.index, (0, 1, 0))
+    assert e is not None
+    coset = induced_coset_subgraph(build_qbg(W, rs.parabolic(())), W.identity.index, J)
+    for h in (coset, build_subsystem_qbg(W, J), build_subsystem_qbg(W, rs.parabolic((1, 2)))):
+        with pytest.raises(ValueError, match="^the graph is not QB"):
+            aw.lift_depth(h)
+        with pytest.raises(ValueError, match="^the graph is not QB"):
+            aw.lift_edge(h, e, mu)
+        with pytest.raises(ValueError, match="^the graph is not QB"):
+            aw.lift_table(h, mu)
+        with pytest.raises(ValueError, match="^the graph is not QB"):
+            aw.lift_path(h, QbgPath(e.source, (e,)), mu)
+    fewer = QbgGraph(W, J, g.vertices, [f for f in g.edges if f != e])
+    assert aw.lift_depth(fewer) == aw.lift_depth(g) == 5 + 2
 
 
 def test_lift_every_shortest_path_a3():
