@@ -606,9 +606,9 @@ class AffineWeyl:
         Returns the chain elements paired with the connecting root used to
         step down into each (None for the starting element).  graph must be
         QB(W^J) itself (``lift_depth``).  Only the starting mu must meet the
-        lift hypothesis to the lift depth; a step
-        may make the next mu shallower, and each step checks that its result
-        is a length-one cover that stays in the lift target.
+        lift hypothesis to the lift depth; a step may make the next mu
+        shallower, and each step checks that its result is a length-one
+        cover that stays in the lift target.
 
         The path is lifted as one walk: each step gives the y, and raises
         the error, of ``lift_edge`` at depth 1.  x is checked once, after
