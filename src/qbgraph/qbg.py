@@ -645,8 +645,7 @@ def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:
     found = {key: p for p, key in enumerate(orbit._key)}
     rs = orbit.rs
     # per signed root position, the packed w(alpha) with no offset
-    origin = orbit._pack(rs.zero)
-    images = [orbit._pack(row) - origin for row in orbit.signed_rows]
+    images = orbit._moves()
     length, zero = W._length, rs.zero
     plan, table = [], []
     for b, alpha in enumerate(rs.positive_roots):

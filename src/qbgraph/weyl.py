@@ -1,12 +1,11 @@
 """Finite Weyl groups: enumeration, length, Bruhat order, parabolic quotients.
 
-Elements are interned with stable integer ids.  An element w is named by the
-weight w^{-1}(rho) over the fundamental weights: rho is regular, so the name
-is unique, and right multiplication by a simple reflection is one reflection
-of the name.  The id, word, length, right and inverse tables are built once
-and then only read, and they are held compactly: each name packed into one
-int, each word in one ``bytes`` object, and the right table as one list of
-ids per simple reflection, all sharing one int object per id.  Two kinds
+Elements have stable integer ids: W is the orbit W.rho (``WeightOrbit``
+for J empty), and w's id, shortlex word and length are those of its orbit
+point w(rho).  The right and inverse tables are read off the points' names
+once, and then only read; they are held compactly: each word in one
+``bytes`` object, and the right table as one list of ids per simple
+reflection, all sharing one int object per id.  Two kinds
 of per-element table are built the first time they are used, along the
 prefixes of the element's word, and kept in dicts that hold only the filled
 entries: its signed root permutation, so that w(beta) is one lookup, and
@@ -19,10 +18,10 @@ value naming an id at the API boundary (its word, length and name); the
 few methods that take or return one wrap the id method beside them.
 
 ``WeightOrbit`` lists W^J alone, as the orbit W.lambda_J, with the words
-and names ``WeylGroup`` gives W^J; the two share the names of ids and the
-packing of weights (``_Named``).  ``WeylGroup.min_coset_ids`` reads W^J
-from it, and ``qbg.build_qbg`` decides the edges of QB(W^J) on it, whether
-or not W is enumerated.
+and names ``WeylGroup`` gives W^J; the two share the names of ids
+(``_Named``).  ``WeylGroup.min_coset_ids`` reads W^J from it, and
+``qbg.build_qbg`` decides the edges of QB(W^J) on it, whether or not W is
+enumerated.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ def _signed_roots(rs: RootSystem):
 
 
 class _Named:
-    """The names of element ids, read from their shortlex words alone, and
-    the packing of weights over the fundamental weights into ints:
+    """The names of element ids, read from their shortlex words alone:
     ``WeylGroup`` and ``WeightOrbit`` share them, and each keeps ``rs``,
     ``rank``, ``_word`` and ``_length`` by id."""
 
@@ -119,26 +117,6 @@ class _Named:
     rank: int
     _word: list[bytes]
     _length: list[int]
-
-    def _packing(self) -> list[int]:
-        """Set up the packing of weights whose coordinates are pairings
-        with coroots, so lie in [-h, h] for the largest coroot height h:
-        coordinate j + h is digit j in base 2h + 1.  Returns each alpha_k
-        packed with no offset (its coordinates a_jk are column k of the
-        Cartan matrix), so a weight minus c alpha_k packs to its key minus
-        c times that."""
-        rs, n = self.rs, self.rank
-        self._offset = off = max(sum(rs.coroot(beta)) for beta in rs.positive_roots)
-        self._base = base = 2 * off + 1
-        return [sum(rs.cartan[j][k] * base**j for j in range(n)) for k in range(n)]
-
-    def _pack(self, v) -> int:
-        """The packed key of a weight over the fundamental weights."""
-        base, off = self._base, self._offset
-        key = 0
-        for c in reversed(v):
-            key = key * base + c + off
-        return key
 
     def one_line(self, w: int) -> tuple[int, ...]:
         """One-line permutation form of an element id; only in type A
@@ -166,18 +144,13 @@ class _Named:
 class WeylGroup(_Named):
     """Fully enumerated Weyl group over a root system.
 
-    Enumeration is a breadth-first search from the identity over right
-    multiplication by simple reflections, so ids are stable, ids follow
-    (length, word) order and words are shortlex-minimal reduced words.
-    Each element is interned by its key w^{-1}(rho) over the fundamental
-    weights: w r_k has key v - v_k alpha_k for w's key v, and v_k < 0
-    exactly when r_k is a right descent of w, which the search has already
-    linked back.  Coordinate j of a key is the height of the coroot
-    w(alpha_j^vee), so it lies in [-h, h] for the largest coroot height h,
-    and the key is packed into one int with coordinate j + h as its digit
-    j in base 2h + 1.  Then v_k is one digit and w r_k's key is w's minus
-    v_k times the packed alpha_k, so a search step makes no tuple.  The
-    packed keys and the key-to-id dict live only while the group is built.
+    W is the orbit of rho, whose search (``WeightOrbit`` for J empty) gives
+    the ids, in (length, word) order, the shortlex-minimal reduced words
+    and the lengths.  The tables are read off the orbit's packed names
+    w(rho), which live only while the group is built: w r_k is named
+    w(rho) - w(alpha_k), with w(alpha_k) read from the permutation the
+    search made for w, and r_i w, for the first letter r_i of w's word, is
+    named r_i(w(rho)), which gives w^{-1} = (r_i w)^{-1} r_i.
 
     ``_word[w]`` is w's shortlex word as ``bytes`` of 1-based node indices
     (``WeylElement.word`` gives it as a tuple), and ``_right[k][w]`` is the
@@ -192,7 +165,7 @@ class WeylGroup(_Named):
 
     ``reflection_row`` fills the same way: the row of w holds the ids of
     w r_beta for beta over ``rs.positive_roots``.  Row 0 holds the
-    reflections, found by their keys r_beta(rho); the row of u r_k follows
+    reflections, found by their names r_beta(rho); the row of u r_k follows
     from u's by (u r_k) r_beta = (u r_{r_k beta}) r_k.  ``right_reflect``,
     ``left_reflect``, ``reflection`` and ``bruhat_covers`` read the rows.
     """
@@ -200,64 +173,38 @@ class WeylGroup(_Named):
     def __init__(self, rs: RootSystem):
         _check_order(rs.cartan_type, rs.rank)
         self.rs = rs
-        self.rank = rs.rank
-        index = self._build()
-        self._build_root_tables(index)
+        self.rank = n = rs.rank
+        orbit = WeightOrbit(rs, rs.parabolic(()))
+        self._length, self._word = orbit._length, orbit._word
+        keys, perms, moves = orbit._key, orbit._perm, orbit._moves()
+        # the values are the one int object per id that every table shares
+        index = {key: w for w, key in enumerate(keys)}
+        simple = [rs.positive_roots.index(s) for s in rs.simple_roots()]
+        right = [[] for _ in range(n)]
+        # w r_k is named w(rho) - w(alpha_k); each permutation is dropped once
+        # read, so the columns grow as the permutations go
+        for key, w in index.items():
+            perm = perms[w]
+            perms[w] = None
+            for s, col in zip(simple, right):
+                col.append(index[key - moves[perm[s]]])
+        # w^{-1} = (r_i w)^{-1} r_i for the first letter r_i of w's word, and
+        # r_i w, one shorter, is named r_i(w(rho)) = w(rho) - c alpha_i
+        base, off = orbit._base, orbit._offset
+        inverse = [0] * len(keys)
+        for w in range(1, len(keys)):
+            i = self._word[w][0] - 1
+            key = keys[w]
+            c = key // base**i % base - off
+            inverse[w] = right[i][inverse[index[key - c * moves[simple[i]]]]]
+        self._right, self._inverse = right, inverse
+        self._build_root_tables(
+            # r_beta is named r_beta(rho) = rho - <beta^vee, rho> C beta
+            [index[orbit._pack([1 - sum(rs.coroot(beta)) * c for c in row])]
+             for beta, row in zip(rs.positive_roots, rs.positive_rows)])
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    # -- enumeration -------------------------------------------------------
-
-    def _build(self) -> dict[int, int]:
-        rs = self.rs
-        n = self.rank
-        # coordinate j of a key w^{-1}(rho) is the height of the coroot
-        # w(alpha_j^vee); r_k(v) = v - v_k alpha_k, and alpha_k packs to
-        # shift[k]
-        shift = self._packing()
-        base, off = self._base, self._offset
-        letters = [bytes((k + 1,)) for k in range(n)]
-
-        keys = array("q", [self._pack((1,) * n)])
-        length = [0]
-        word = [b""]
-        index = {keys[0]: 0}
-        order = weyl_order(rs.cartan_type, n)
-        right = [[-1] * order for _ in range(n)]
-        # tail[w]: the id of r_i w for the first letter r_i of w's word, whose
-        # word is the rest of w's (a suffix of a shortlex word is shortlex)
-        tail = [0]
-        # ids holds one int object per id, which every table then shares;
-        # the loop reads it in order while the search appends to it
-        ids = [0]
-        for cur in ids:
-            v = keys[cur]
-            rest = v
-            for k in range(n):
-                rest, d = divmod(rest, base)
-                if d < off:
-                    continue  # a descent: w r_k was found first and linked back
-                key = v - (d - off) * shift[k]
-                found = index.get(key)
-                if found is None:
-                    found = index[key] = len(ids)
-                    ids.append(found)
-                    keys.append(key)
-                    length.append(length[cur] + 1)
-                    word.append(word[cur] + letters[k])
-                    tail.append(right[k][tail[cur]] if cur else 0)
-                right[k][cur] = found
-                right[k][found] = cur
-        # w = r_i x with x = tail[w] gives w^{-1} = x^{-1} r_i; x comes first
-        inverse = [0] * len(ids)
-        for w in range(1, len(ids)):
-            inverse[w] = right[word[w][0] - 1][inverse[tail[w]]]
-        self._length = length
-        self._word = word
-        self._right = right
-        self._inverse = inverse
-        return index
-
-    def _build_root_tables(self, index: dict[int, int]) -> None:
+    def _build_root_tables(self, reflections: list[int]) -> None:
         rs = self.rs
         roots = rs.positive_roots
         m = len(roots)
@@ -278,11 +225,6 @@ class WeylGroup(_Named):
         # r_{-beta} = r_beta; and per simple node k, that of r_k(beta)
         self._root_pos = {gamma: i % m for gamma, i in signed_pos.items()}
         self._root_perms = [[i % m for i in step[:m]] for step in steps]
-        # r_beta is keyed by r_beta(rho) = rho - <beta^vee, rho> C beta
-        reflections = [
-            index[self._pack([1 - sum(rs.coroot(beta)) * c for c in row])]
-            for beta, row in zip(roots, rs.positive_rows)
-        ]
         self._refl_rows: dict[int, list[int]] = {0: reflections}
 
     # -- element access ------------------------------------------------------
@@ -575,20 +517,23 @@ CANDIDATE_EDGE_CAP = 32 * 10**6
 
 class WeightOrbit(_Named):
     """W^J as the orbit W.lambda_J of lambda_J (``J.lambda_J``), the sum of
-    the fundamental weights off J, with no element outside W^J.  For J empty, lambda_J is
-    rho and the orbit is W itself.
+    the fundamental weights off J, with no element outside W^J.  For J
+    empty, lambda_J is rho and the orbit is W itself, which ``WeylGroup``
+    is built from.
 
     Each w in W^J is named by w(lambda_J) over the fundamental weights,
-    which is unique, since lambda_J has stabilizer W_J, and the name is
-    packed into one int as ``WeylGroup`` packs its keys.  For w in W^J with
-    name v, r_k w lies in W^J one step up when v_k > 0, and r_k is a left
-    descent of w when v_k < 0.  So the search goes layer by layer, the
-    layer being the length: u = r_k v for v one layer down with v_k > 0 is
-    kept when k is u's least left descent.  That makes each element once,
-    with shortlex word k followed by v's word, and, running k in order
-    over the layer below in order, in (length, word) order, which is the
-    order of W's ids: ``WeylGroup.min_coset_ids(J)`` is the ids the words
-    spell, and ``describe`` and ``one_line`` read as ``WeylGroup``'s do.
+    which is unique, since lambda_J has stabilizer W_J.  Its coordinates are
+    pairings with coroots, so lie in [-h, h] for the largest coroot height
+    h, and the name is packed into one int, coordinate j + h being digit j
+    in base 2h + 1 (``_pack``).  For w in W^J with name v, r_k w lies in W^J
+    one step up when v_k > 0, and r_k is a left descent of w when v_k < 0.
+    So the search goes layer by layer, the layer being the length: u = r_k v
+    for v one layer down with v_k > 0 is kept when k is u's least left
+    descent.  That makes each element once, with shortlex word k followed
+    by v's word, and, running k in order over the layer below in order, in
+    (length, word) order, which is the order of W's ids:
+    ``WeylGroup.min_coset_ids(J)`` is the ids the words spell, and
+    ``describe`` and ``one_line`` read as ``WeylGroup``'s do.
 
     Per id the search carries ``_key`` (the packed name), ``_length`` and
     ``_perm``, w's signed root permutation: ``_perm[w][b]`` is the position
@@ -655,6 +600,30 @@ class WeightOrbit(_Named):
                         perm.append(move(perm[cur], k))
             start, end = end, len(keys)
         self._key, self._length, self._word, self._perm = keys, length, word, perm
+
+    def _packing(self) -> list[int]:
+        """Set the base 2h + 1 and offset h that ``_pack`` uses, and return
+        each alpha_k packed with no offset (its coordinates a_jk are column
+        k of the Cartan matrix), so a weight minus c alpha_k packs to its
+        key minus c times that."""
+        rs, n = self.rs, self.rank
+        self._offset = off = max(sum(rs.coroot(beta)) for beta in rs.positive_roots)
+        self._base = base = 2 * off + 1
+        return [sum(rs.cartan[j][k] * base**j for j in range(n)) for k in range(n)]
+
+    def _pack(self, v) -> int:
+        """The packed key of a weight over the fundamental weights."""
+        base, off = self._base, self._offset
+        key = 0
+        for c in reversed(v):
+            key = key * base + c + off
+        return key
+
+    def _moves(self) -> list[int]:
+        """Per position i of ``signed_rows``, that root packed with no
+        offset, so a key minus it is the key of the weight minus the root."""
+        origin = self._pack(self.rs.zero)
+        return [self._pack(row) - origin for row in self.signed_rows]
 
 
 def build_weight_orbit(cartan_type: str, rank: int, nodes) -> WeightOrbit:
