@@ -235,6 +235,17 @@ def cmd_verify(args) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
+def _type_rank(text: str) -> tuple[str, int]:
+    """Split a non-empty 'A2' into its type letter and its rank."""
+    rank = text[1:]
+    if not rank:
+        raise ValueError(f"{text!r} has no rank")
+    try:
+        return text[0], int(rank)
+    except ValueError:
+        raise ValueError(f"the rank {rank!r} is not a number") from None
+
+
 def _parse_types(text: str) -> list[tuple[str, int]]:
     """Parse 'A2,B2' or 'A1..A4,G2' into valid (type, rank) pairs."""
     out: list[tuple[str, int]] = []
@@ -243,18 +254,20 @@ def _parse_types(text: str) -> list[tuple[str, int]]:
         if not chunk:
             continue
         try:
-            if ".." in chunk:
-                lo, hi = chunk.split("..")
-                if lo[0] != hi[0]:
-                    raise ValueError("the ends name different types")
-                pairs = [(lo[0], r) for r in range(int(lo[1:]), int(hi[1:]) + 1)]
-                if not pairs:
-                    raise ValueError("the range is empty")
-            else:
-                pairs = [(chunk[0], int(chunk[1:]))]
+            ends = chunk.split("..")
+            if len(ends) > 2:
+                raise ValueError("a range has more than two ends")
+            if not all(ends):
+                raise ValueError("a range end has no type and rank")
+            (t, lo), (t_hi, hi) = _type_rank(ends[0]), _type_rank(ends[-1])
+            if t != t_hi:
+                raise ValueError("the ends name different types")
+            pairs = [(t, r) for r in range(lo, hi + 1)]
+            if not pairs:
+                raise ValueError("the range is empty")
             for t, r in pairs:
                 cartan_matrix(t, r)  # raises ConfigurationError on a bad pair
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise UsageError(f"bad type {chunk!r}: {exc}") from exc
         out.extend(pairs)
     if not out:

@@ -252,7 +252,8 @@ class RootSystem:
             sum(col) for col in zip(*self.positive_roots)
         )
         self._parabolic_cache: dict[tuple[int, ...], ParabolicIndex] = {}
-        self._refl_len = {a: self._reflection_length(a) for a in self.positive_roots}
+        #: filled by ``reflection_length`` on first use: only verify reads it
+        self._refl_len: dict[Root, int] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -392,9 +393,15 @@ class RootSystem:
         return self._norm2[a] == self._max_norm2
 
     def reflection_length(self, alpha: tuple[int, ...]) -> int:
-        """Coxeter length of the reflection r_alpha, by inversion count."""
+        """Coxeter length of the reflection r_alpha, by inversion count;
+        counted on first use and kept."""
         a = alpha if alpha in self._root_set else neg_vec(alpha)
-        return self._refl_len[a]
+        got = self._refl_len.get(a)
+        if got is None:
+            if a not in self._root_set:
+                raise ValueError(f"{alpha} is not a root")
+            got = self._refl_len[a] = self._reflection_length(a)
+        return got
 
     def is_quantum_root(self, alpha: Root) -> bool:
         """Whether r_alpha has the maximal length <alpha^vee, 2rho> - 1.

@@ -283,6 +283,9 @@ def test_poset_parabolic_consistency(capsys):
         ["verify", "--types", "A"],
         ["verify", "--types", "Z3"],
         ["verify", "--types", "A3..A1"],
+        ["verify", "--types", "A2.."],
+        ["verify", "--types", "..A2"],
+        ["verify", "--types", "A2..A3..A4"],
         ["verify", "--suite", "qbg-structure", "--types", "E7"],
         ["verify", "--suite", "level-zero", "--types", "A2"],
         ["verify", "--suite", "path-weights", "--types", "A2"],
@@ -306,6 +309,23 @@ def test_bad_input_exits_two_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("A", "'A' has no rank"),
+    ("Ax", "the rank 'x' is not a number"),
+    ("A2..", "a range end has no type and rank"),
+    ("..A2", "a range end has no type and rank"),
+    ("..", "a range end has no type and rank"),
+    ("A..A2", "'A' has no rank"),
+    ("A2..A3..A4", "a range has more than two ends"),
+])
+def test_verify_types_says_what_is_malformed(capsys, spec, message):
+    assert main(["verify", "--types", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad type {spec!r}: {message}\n"
+    for python_text in ("string index", "invalid literal", "values to unpack"):
+        assert python_text not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import pytest
 
+from qbgraph.cli import main
 from qbgraph.root_system import (
     ROOT_CAP,
     ConfigurationError,
@@ -143,6 +144,25 @@ def test_quantum_length_bound(key):
         bound = rs.pairing(rs.coroot(a), rs.two_rho) - 1
         assert rs.reflection_length(a) <= bound
         assert (rs.reflection_length(a) == bound) == rs.is_quantum_root(a)
+
+
+def test_root_systems_and_exports_count_no_reflection_length(monkeypatch, capsys):
+    # only verify reads reflection lengths, so building a root system, its
+    # group and a graph export counts none
+    def refuse(*_args):
+        raise AssertionError("a reflection length was counted")
+
+    monkeypatch.setattr(RootSystem, "_reflection_length", refuse)
+    for t, r in ROOT_TYPES:
+        build_root_system(t, r)
+    assert main(["qbg", "--type", "B", "--rank", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+
+
+def test_reflection_length_of_a_non_root_raises():
+    rs = build_root_system("A", 3)
+    with pytest.raises(ValueError, match=r"^\(5, 5, 5\) is not a root$"):
+        rs.reflection_length((5, 5, 5))
 
 
 def test_coroot_equivariance_under_generators():

@@ -1,4 +1,4 @@
-"""Weyl enumeration keyed by w^{-1}(rho) against a matrix-keyed reference.
+"""Weyl enumeration from the orbit of rho against a matrix-keyed reference.
 
 The reference is a breadth-first search that interns each element by its
 matrix action on the simple roots, composing with a simple reflection by
@@ -26,7 +26,7 @@ from qbgraph.root_system import build_root_system
 from qbgraph.verify import ROOT_TYPES
 from qbgraph.weyl import WeylGroup, build_weyl_group
 
-EXTRA_TYPES = [("D", 5), ("A", 6), ("E", 6)]
+EXTRA_TYPES = [("D", 5), ("A", 6), ("E", 6), ("B", 5), ("C", 5)]
 
 
 def _times_simple(mat, k, coeffs):
