@@ -398,8 +398,6 @@ class RootSystem:
         a = alpha if alpha in self._root_set else neg_vec(alpha)
         got = self._refl_len.get(a)
         if got is None:
-            if a not in self._root_set:
-                raise ValueError(f"{alpha} is not a root")
             got = self._refl_len[a] = self._reflection_length(a)
         return got
 

@@ -198,10 +198,9 @@ class WeylGroup(_Named):
             c = key // base**i % base - off
             inverse[w] = right[i][inverse[index[key - c * moves[simple[i]]]]]
         self._right, self._inverse = right, inverse
-        self._build_root_tables(
-            # r_beta is named r_beta(rho) = rho - <beta^vee, rho> C beta
-            [index[orbit._pack([1 - sum(rs.coroot(beta)) * c for c in row])]
-             for beta, row in zip(rs.positive_roots, rs.positive_rows)])
+        # r_beta is named r_beta(rho) = rho - <beta^vee, rho> beta
+        self._build_root_tables([index[keys[0] - sum(rs.coroot(beta)) * move]
+                                 for beta, move in zip(rs.positive_roots, moves)])
         self._subgroup_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _build_root_tables(self, reflections: list[int]) -> None:
