@@ -7,7 +7,7 @@ order and nothing depends on hashing or timestamps.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple
@@ -41,7 +41,7 @@ class Rows(NamedTuple):
     - ``int``: an int;
     - ``str``: a string, escaped as every JSON string is;
     - ``tuple``: a flat int sequence, a tuple of ints or ``bytes``, its
-      text made once per (values, depth);
+      text made once per values in each batch of ``CHUNK`` rows;
     - a tuple of columns: a nested dict, its value a tuple in the order of
       those columns.
     ``values`` yields one tuple per row, in column order, and is read once.
@@ -55,19 +55,29 @@ class Rows(NamedTuple):
     values: Iterable[tuple]
 
 
+class RowTexts(NamedTuple):
+    """Rows whose cells repeat, written from fragments made once: with
+    ``columns`` as in ``Rows``, ``write(cut)`` yields each row's text, where
+    ``cut(values)`` is one row's text split at its None values, the others
+    checked as in ``Rows``.  RowTexts stand where ``Rows`` may."""
+
+    columns: tuple[tuple[str, object], ...]
+    write: Callable[[Callable[[tuple], list[str]]], Iterable[str]]
+
+
 def json_chunks(doc) -> Iterator[str]:
     """The text of ``json.dumps(doc, indent=1, sort_keys=True)``, in chunks.
 
     The one JSON emitter.  The stdlib encoder runs in pure Python whenever
     ``indent`` is set; this one emits by exact type, escapes strings with
-    the stdlib's ASCII escaper, plans each dict's keys once per (key tuple,
-    depth) and renders each flat list of ints once per (values, depth).
-    Documents hold dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else, floats included, raises ``TypeError``.  A dict
-    value may also be ``Rows``: it is written as a list, ``CHUNK`` rows at
-    a time through one %-template made from the rows' plan, and the text is
-    handed on after every ``CHUNK`` rows, so the rows never sit in memory
-    together.  Rows and lists hold no ``Rows``.
+    the stdlib's ASCII escaper and plans each dict's keys once per (key
+    tuple, depth).  Documents hold dicts with str keys, lists, tuples, str,
+    int, bool and None; anything else, floats included, raises
+    ``TypeError``.  A dict value may also be ``Rows`` or ``RowTexts``: it
+    is written as a list, ``CHUNK`` rows at a time through one %-template
+    made from the rows' plan, and the text is handed on after every
+    ``CHUNK`` rows, so the rows never sit in memory together.  Rows and
+    lists hold no ``Rows``.
     """
     out: list[str] = []
     yield from _stream_json(doc, 0, out, {})
@@ -84,9 +94,9 @@ def dump_json(doc) -> str:
 def _stream_json(o, depth: int, out: list, memo: dict, rows_ok: bool = True) -> Iterator[str]:
     """Append the text of o, a value at the given nesting depth, to out,
     yielding full chunks of it as the rows of a ``Rows`` are written; memo
-    holds the dict plans under (depth, keys) and the int-list texts per
-    depth.  The one JSON walker: a ``Rows`` below a list or tuple
-    (``rows_ok`` false) raises ``TypeError``, as any other type does."""
+    holds the dict plans under (depth, keys).  The one JSON walker: a
+    ``Rows`` below a list or tuple (``rows_ok`` false) raises ``TypeError``,
+    as any other type does."""
     t = type(o)
     scalar = _SCALARS.get(t)
     if scalar is not None:
@@ -98,7 +108,7 @@ def _stream_json(o, depth: int, out: list, memo: dict, rows_ok: bool = True) -> 
             yield from _stream_json(o[key], depth + 1, out, memo, rows_ok)
         out.append(close)
     elif (t is list or t is tuple) and {*map(type, o)} == _INT_ONLY:
-        out.append(_int_lists(depth, memo)[tuple(o)])
+        out.append(_int_list_text(depth, o))
     elif t is list or t is tuple:
         inner = "\n" + " " * (depth + 1)
         sep = "[" + inner
@@ -107,15 +117,20 @@ def _stream_json(o, depth: int, out: list, memo: dict, rows_ok: bool = True) -> 
             yield from _stream_json(value, depth + 1, out, memo, False)
             sep = "," + inner
         out.append(inner[:-1] + "]" if o else "[]")
-    elif t is Rows and rows_ok:
+    elif (t is Rows or t is RowTexts) and rows_ok:
         inner = "\n" + " " * (depth + 1)
         sep = "," + inner
         fmt = _row_format(o.columns, depth + 1, memo)
-        values = iter(o.values)
+        if t is Rows:  # each batch of values is checked whole, then written
+            values = iter(o.values)
+            batches = iter(lambda: list(islice(values, CHUNK)), [])
+            texts = chain.from_iterable(_row_texts(fmt, b, depth + 1) for b in batches)
+        else:
+            texts = iter(o.write(functools.partial(_cut, fmt, depth + 1)))
         first = True
-        while batch := list(islice(values, CHUNK)):
+        while batch := list(islice(texts, CHUNK)):
             out.append(("[" if first else ",") + inner)
-            out.append(sep.join(_row_texts(fmt, batch, depth + 1, memo)))
+            out.append(sep.join(batch))
             first = False
             if len(batch) == CHUNK:
                 yield "".join(out)
@@ -146,9 +161,8 @@ def _plan(shape: tuple, depth: int, memo: dict) -> tuple[list[tuple[str, str]], 
 
 def _row_format(columns, depth: int, memo: dict):
     """(template, kinds) of rows of dicts at the given depth: the row's
-    %-template, made from its plan with a %d per int column and a %s per
-    other column, and each column's kind, a nested dict's as its own
-    (template, kinds)."""
+    %-template, made from its plan with a %s per column, and each column's
+    kind, a nested dict's as its own (template, kinds)."""
     keys = tuple(key for key, _ in columns)
     if not keys:
         return "{}", ()
@@ -163,16 +177,15 @@ def _row_format(columns, depth: int, memo: dict):
             raise ValueError(f"a row column is of int, str, tuple or a tuple of columns, "
                              f"not {kind!r}")
         kinds.append(kind)
-    template = "".join(prefix.replace("%", "%%") + ("%d" if kind is int else "%s")
-                       for (_, prefix), kind in zip(items, kinds)) + close
+    template = "".join(prefix.replace("%", "%%") + "%s" for _, prefix in items) + close
     return template, tuple(kinds)
 
 
-def _row_texts(fmt, rows, depth: int, memo: dict):
+def _row_texts(fmt, rows, depth: int):
     """The texts of rows of dicts at the given depth, written through fmt
     from ``_row_format``; their values are checked and converted a column
     at a time, and any value not of its column's type raises ``TypeError``
-    before a text is made."""
+    before a text is made.  An int tuple's text is made once per call."""
     template, kinds = fmt
     if {*map(type, rows)} - _TUPLE or {*map(len, rows)} - {len(kinds)}:
         raise TypeError(f"rows must be tuples of {len(kinds)} values")
@@ -190,10 +203,21 @@ def _row_texts(fmt, rows, depth: int, memo: dict):
             if ({*map(type, objects)} - _INT_SEQUENCES
                     or {*map(type, chain.from_iterable(objects))} - _INT_ONLY):
                 raise TypeError(f"an int tuple column holds {_type_names(values)}")
-            texts.append(map(_int_lists(depth + 1, memo).__getitem__, values))
+            texts.append(map(_Memo(functools.partial(_int_list_text, depth + 1)).__getitem__,
+                             values))
         else:
-            texts.append(_row_texts(kind, values, depth + 1, memo))
+            texts.append(_row_texts(kind, values, depth + 1))
     return map(template.__mod__, zip(*texts))
+
+
+def _cut(fmt, depth: int, values: tuple) -> list[str]:
+    """The text of one row at the given depth through fmt, split at its
+    None values (JSON text holds no raw NUL, so a NUL marks each cut); the
+    other values are checked and written as ``_row_texts`` does."""
+    template, kinds = fmt
+    cells = ["\0" if value is None else next(_row_texts(("%s", (kind,)), [(value,)], depth))
+             for kind, value in zip(kinds, values, strict=True)]
+    return (template % tuple(cells)).split("\0")
 
 
 def _type_names(values) -> str:
@@ -218,15 +242,6 @@ def _int_list_text(depth: int, values) -> str:
         return "[]"
     inner = "\n" + " " * (depth + 1)
     return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + inner[:-1] + "]"
-
-
-def _int_lists(depth: int, memo: dict) -> _Memo:
-    """The int-list texts at one depth by values, kept in memo under the
-    depth."""
-    lists = memo.get(depth)
-    if lists is None:
-        lists = memo[depth] = _Memo(functools.partial(_int_list_text, depth))
-    return lists
 
 
 #: the text of each scalar type a document may hold, by exact type
@@ -294,18 +309,16 @@ def graph_dot_chunks(graph: QbgGraph) -> Iterator[str]:
     yield "digraph qbg {\n"
     for name in names:
         yield f'  "{name}";\n'
+    labels = _Memo(root_text)
     for p, q, label, kind, _weight in graph.edge_rows():
-        attrs = [f'label="{root_text(label)}"']
-        if kind == QUANTUM:
-            attrs.append("style=dashed")
-            attrs.append("color=red")
-        yield f'  "{names[p]}" -> "{names[q]}" [{", ".join(attrs)}];\n'
+        style = ", style=dashed, color=red" if kind == QUANTUM else ""
+        yield f'  "{names[p]}" -> "{names[q]}" [label="{labels[label]}"{style}];\n'
     yield "}\n"
 
 
 def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
     """The ``qbgraph/graph/1`` document; vertex and edge rows are made as
-    they are written."""
+    they are written, each edge row from the columns and its type's text."""
     W = graph.W
 
     if graph.rs.cartan_type == "A":
@@ -323,16 +336,25 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
             for pos, v in enumerate(graph.vertices):
                 yield pos, W.describe(v), W._word[v]
 
+    def edge_texts(cut):  # head + dst + mid + src + tail, cut once per type entry
+        cuts = [cut((None, kind, label, None, weight))
+                for label, kind, weight in graph._type_table]
+        offsets, targets, types = graph._offsets, graph._targets, graph._types
+        for p in range(len(graph.vertices)):
+            lo, hi, src = offsets[p], offsets[p + 1], str(p)
+            for q, t in zip(targets[lo:hi], types[lo:hi]):
+                head, mid, tail = cuts[t]
+                yield f"{head}{q}{mid}{src}{tail}"
+
     doc = {
         "schema": SCHEMA_GRAPH,
         "cartan_type": graph.rs.cartan_type,
         "rank": graph.rs.rank,
         "parabolic": list(graph.J.nodes),
         "vertices": Rows(vertex_columns, vertex_rows()),
-        "edges": Rows(
+        "edges": RowTexts(
             (("dst", int), ("kind", str), ("label", tuple), ("src", int), ("weight", tuple)),
-            ((dst, kind, label, src, weight)
-             for src, dst, label, kind, weight in graph.edge_rows()),
+            edge_texts,
         ),
     }
     yield from json_chunks(doc)
@@ -348,8 +370,9 @@ def graph_text_chunks(graph: QbgGraph) -> Iterator[str]:
         f"# vertices={len(graph.vertices)} edges={len(graph.edges)} "
         f"quantum={quantum}\n"
     )
+    labels = _Memo(root_text)
     for p, q, label, kind, _weight in graph.edge_rows():
-        yield f"{names[p]} -> {names[q]} [{root_text(label)}] {kind}\n"
+        yield f"{names[p]} -> {names[q]} [{labels[label]}] {kind}\n"
 
 
 def graph_to_dot(graph: QbgGraph) -> str:
@@ -516,7 +539,7 @@ def slice_text_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
 
 def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
     """The ``qbgraph/slice/1`` document; vertex and cover rows are made as
-    they are written."""
+    they are written, each cover row from its ids and its label's text."""
     heads, tails = _slice_texts(poset)
     ns = poset.slice_levels(window)
 
@@ -528,6 +551,12 @@ def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
                 yield word, i, n, heads[w] + tails[n]
                 i += 1
 
+    def cover_texts(cut):  # head + dst + mid + src + close, cut once per (label, kind)
+        cuts = _Memo(lambda key: cut((None, key[1], (key[0].alpha, key[0].k), None)))
+        for src, dst, label, kind in poset.window_covers(window):
+            head, mid, close = cuts[label, kind]
+            yield f"{head}{dst}{mid}{src}{close}"
+
     doc = {
         "schema": SCHEMA_SLICE,
         "cartan_type": poset.rs.cartan_type,
@@ -537,11 +566,10 @@ def slice_json_chunks(poset: LevelZeroPoset, window: int) -> Iterator[str]:
         "vertices": Rows(
             (("coset_word", tuple), ("id", int), ("n", int), ("text", str)), vertex_rows()
         ),
-        "covers": Rows(
+        "covers": RowTexts(
             (("dst", int), ("kind", str), ("label", (("alpha", tuple), ("delta", int))),
              ("src", int)),
-            ((dst, kind, (label.alpha, label.k), src)
-             for src, dst, label, kind in poset.window_covers(window)),
+            cover_texts,
         ),
     }
     yield from json_chunks(doc)

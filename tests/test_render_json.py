@@ -1,10 +1,13 @@
 """``render.json_chunks`` and its joined form ``render.dump_json`` write
 exactly what ``json.dumps(doc, indent=1, sort_keys=True)`` writes, on every
 document the CLI emits, on edge cases, and on ``Rows`` (lazy row sequences
-written through one template per row shape); so does ``chain_to_json``,
-which writes a lifted chain through its own planned row templates."""
+written through one template per row shape) and ``RowTexts`` (rows written
+from fragments of that template); so does ``chain_to_json``, which writes a
+lifted chain through its own planned row templates."""
 
 import json
+from itertools import chain
+
 import pytest
 
 from qbgraph import render
@@ -37,10 +40,20 @@ CLI_RUNS = [
 
 
 def replayable(doc):
-    """doc with the values of every ``Rows`` read into a list, so that it
-    can be written more than once."""
+    """doc with the values of every ``Rows`` read into a list and the texts
+    of every ``RowTexts`` kept as first written, so that it can be written
+    more than once."""
     if type(doc) is render.Rows:
         return render.Rows(doc.columns, list(doc.values))
+    if type(doc) is render.RowTexts:
+        texts = []
+
+        def write(cut):
+            if not texts:
+                texts.extend(doc.write(cut))
+            return texts
+
+        return render.RowTexts(doc.columns, write)
     if type(doc) is dict:
         return {key: replayable(value) for key, value in doc.items()}
     return doc
@@ -71,10 +84,16 @@ def chain_doc(W, chain) -> dict:
 
 
 def as_stdlib(doc):
-    """doc with every ``Rows`` as the list of dicts it writes."""
+    """doc with every ``Rows`` as the list of dicts it writes, and every
+    replayable ``RowTexts`` already written as its row texts, each parsed
+    by the stdlib and holding exactly its columns' keys."""
     if type(doc) is render.Rows:
         return [{key: plain(kind, value) for (key, kind), value in zip(doc.columns, row)}
                 for row in doc.values]
+    if type(doc) is render.RowTexts:
+        rows = [json.loads(text) for text in doc.write(None)]
+        assert all([*row] == [key for key, _ in doc.columns] for row in rows)
+        return rows
     if type(doc) is dict:
         return {key: as_stdlib(value) for key, value in doc.items()}
     return doc
@@ -84,8 +103,8 @@ def as_stdlib(doc):
 def test_cli_documents_match_the_stdlib(monkeypatch, capsys, argv):
     # every JSON export, streamed or not, goes through json_chunks once, or
     # is a chain, written by chain_to_json; rows are written through their
-    # templates and compared in full, a chain's with the document built
-    # here from it
+    # templates and compared in full, row texts each parsed on its own, a
+    # chain's with the document built here from it
     seen = []
     real, real_chain = render.json_chunks, render.chain_to_json
 
@@ -212,6 +231,46 @@ def test_rows_write_as_their_lists(monkeypatch, chunk, make):
     want = stdlib(as_stdlib(make()))
     assert "".join(render.json_chunks(make())) == want
     assert render.dump_json(make()) == want
+
+
+def fragments(doc):
+    """doc with every ``Rows`` as ``RowTexts`` that cut each row at its int
+    columns and write those cells back in."""
+    if type(doc) is render.Rows:
+        ints = [kind is int for _, kind in doc.columns]
+
+        def write(cut):
+            for row in doc.values:
+                parts = cut(tuple(None if i else v for i, v in zip(ints, row)))
+                cells = [repr(v) for i, v in zip(ints, row) if i]
+                yield "".join(chain.from_iterable(zip(parts, cells))) + parts[-1]
+
+        return render.RowTexts(doc.columns, write)
+    if type(doc) is dict:
+        return {key: fragments(value) for key, value in doc.items()}
+    return doc
+
+
+@pytest.mark.parametrize("chunk", [1, 256])
+@pytest.mark.parametrize("make", ROW_DOCS, ids=lambda make: repr(as_stdlib(make()))[:40])
+def test_row_texts_write_as_their_lists(monkeypatch, chunk, make):
+    monkeypatch.setattr(render, "CHUNK", chunk)
+    assert render.dump_json(fragments(make())) == stdlib(as_stdlib(make()))
+
+
+@pytest.mark.parametrize(
+    "columns,row",
+    [((("a", int), ("b", str)), (None, 1)),
+     ((("a", int), ("b", tuple)), (None, (1, True))),
+     ((("a", int), ("b", tuple)), (None, (1, 2.0))),
+     ((("a", LABEL), ("b", int)), (((1,), True), None)),
+     ((("a", LABEL), ("b", int)), (((1.0,), 1), None))],
+    ids=["int in str", "bool in tuple", "float in tuple", "bool in nested",
+         "float in nested tuple"],
+)
+def test_a_bad_cut_raises_type_error(columns, row):
+    with pytest.raises(TypeError):
+        render.dump_json({"rows": render.RowTexts(columns, lambda cut: ["".join(cut(row))])})
 
 
 def test_rows_straddling_a_chunk_are_handed_on_whole(monkeypatch):
