@@ -22,7 +22,6 @@ from .root_system import (
     ParabolicIndex,
     Root,
     add_vec,
-    is_positive_vec,
 )
 from .weyl import WeightOrbit, WeylGroup
 
@@ -192,11 +191,12 @@ class QbgGraph:
     ``_types`` (an index into ``_type_table``, the graph's distinct (label,
     kind, weight) triples, sorted by (label, kind)).  Each vertex's slots
     are sorted by (label, kind), so exports and searches are deterministic
-    and a vertex's type indices never fall.  ``out`` and ``edges`` make
-    ``QbgEdge`` records from the columns on demand.  W is the
-    ``WeylGroup`` whose ids the vertices are, or the ``WeightOrbit`` whose
-    ids they are: an orbit graph is rendered and searched, but the left
-    action and duality need the group.
+    and a vertex's type indices never fall; each label's span of them is
+    kept at its position in ``rs.positive_roots``.  ``out`` and ``edges``
+    make ``QbgEdge`` records on demand, ``shortest_path`` and the left action
+    only for the edges they return.  W is the ``WeylGroup`` whose ids the
+    vertices are, or the ``WeightOrbit`` whose ids they are: an orbit graph
+    is rendered and searched, but the left action and duality need the group.
     """
 
     def __init__(self, W: WeylGroup | WeightOrbit, J: ParabolicIndex, vertices, edges):
@@ -234,10 +234,11 @@ class QbgGraph:
         self.vertex_pos = vertex_pos
         self._offsets, self._targets, self._types = offsets, targets, types
         self._type_table: tuple[tuple[Root, str, Coroot], ...] = table
-        # per label the span [first, end) of the type indices that carry it
-        self._label_types: dict[Root, tuple[int, int]] = {}
+        # per positive root position the span [first, end) of type indices it labels
+        spans = self._label_spans = [(0, 0)] * len(self.rs.positive_roots)
         for t, (label, _kind, _weight) in enumerate(table):
-            self._label_types[label] = (self._label_types.get(label, (t,))[0], t + 1)
+            if (b := self.rs._root_index.get(label)) is not None:
+                spans[b] = (spans[b][0] if spans[b][1] else t, t + 1)
         self.out = _OutEdges(vertices, vertex_pos, offsets, targets, types, table)
         self.edges = _EdgeList(self.out)
         # per vertex position the positions of its out-edge targets, in
@@ -248,12 +249,10 @@ class QbgGraph:
         self._dist: dict[int, array] = {}
         self._partial: dict[int, tuple[array, array]] = {}
         self._diameter: int | None = None
-        # the left action of s_0, ..., s_r, filled on first use: per (j, x)
-        # the step out of x and its label x^{-1}(tilde alpha_j), per
-        # (j, edge) the edge pushed across s_j, the subgraph of step edges,
-        # and the fewest steps from each vertex to e
-        self._steps: dict[tuple[int, int], tuple[int, QbgEdge | None]] = {}
-        self._step_labels: dict[tuple[int, int], Root] = {}
+        # the left action of s_0, ..., s_r, filled on first use: per j its
+        # columns (``_left_steps``), per (j, edge) the edge pushed across s_j,
+        # the subgraph of step edges, and the fewest steps from each vertex to e
+        self._step_columns: dict[int, tuple[bytes, array, array]] = {}
         self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
         self._step_graph: QbgGraph | None = None
         self._step_lengths: array | None = None
@@ -277,63 +276,67 @@ class QbgGraph:
 
     def edge(self, source: int, label: Root) -> QbgEdge | None:
         """The edge out of source with this label: a vertex has at most one.
-
-        The source's type indices rise with (label, kind), so the first
-        slot whose label is not below this one is found by bisection; no
-        record is compared, and the one found is read from ``out``.
-        """
-        p = self.vertex_pos.get(source)
-        span = self._label_types.get(label)
-        if p is None or span is None:
+        Found by ``_slot`` at the label's position and read from ``out``."""
+        p, b = self.vertex_pos.get(source), self.rs._root_index.get(label)
+        if p is None or b is None:
             return None
+        k = self._slot(p, b)
+        return None if k < 0 else self.out[source][k - self._offsets[p]]
+
+    def _record(self, p: int, k: int) -> QbgEdge:
+        """A record, made alone, of the edge in CSR slot k out of position p."""
+        return QbgEdge(self.vertices[p], self.vertices[self._targets[k]],
+                       *self._type_table[self._types[k]])
+
+    def _slot(self, p: int, b: int) -> int:
+        """The CSR slot of the edge out of position p labelled by root position b, or -1."""
+        first, end = self._label_spans[b]
         types, lo, hi = self._types, self._offsets[p], self._offsets[p + 1]
-        k = bisect_left(types, span[0], lo, hi)
-        if k < hi and types[k] < span[1]:
-            return self.out[source][k - lo]
-        return None
+        k = bisect_left(types, first, lo, hi)
+        return k if k < hi and types[k] < end else -1
 
     # -- the left action of s_0, ..., s_r ---------------------------------------
 
-    def left_step(self, j: int, x: int) -> tuple[int, QbgEdge | None]:
-        """floor(s_j x) and the edge x -> floor(s_j x), for j in 0..rank.
-
-        s_0 acts on W as the reflection in theta.  The edge carries the
-        label x^{-1}(tilde alpha_j) (``RootSystem.tilde_root``) and exists
-        exactly when that root lies in Phi+ minus Phi_J+; it is Bruhat for
-        j >= 1 and quantum for j = 0.  floor(s_j .) is an involution of W^J,
-        so the edge along which s_j descends into x is the step out of
-        floor(s_j x).  All is read from tables: s_j x from the right table
-        (s_0 x from a reflection row) and the label from the signed root
-        permutation of x^{-1} (``WeylGroup.act``).  Kept per (j, x), with
-        the label (``step_label``), once its check passes.
-        """
-        key = (j, x)
-        got = self._steps.get(key)
+    def _left_steps(self, j: int) -> tuple[bytes, array, array]:
+        """The left action of s_j (s_0 = r_theta) on every vertex x, as columns by
+        vertex position: the label x^{-1}(tilde alpha_j), a position in ``W._signed``
+        read off x^{-1}'s signed root permutation; the CSR slot (``_slot``) of the
+        step edge x -> floor(s_j x), present exactly when the label is in Phi+ minus
+        Phi_J, else -1; and floor(s_j x) from the group's tables, checked against
+        each slot's target.  Kept per j; a j out of 0..rank raises ValueError first."""
+        got = self._step_columns.get(j)
         if got is None:
-            W, J = self.W, self.J
-            tilde = self.rs.tilde_root(j)
-            xinv = W._inverse[x]
-            if j:
-                moved = W._inverse[W._right[j - 1][xinv]]
+            W, J, vertices, tilde = self.W, self.J, self.vertices, self.rs.tilde_root(j)
+            i, inverse, get, perm = W._signed_pos[tilde], W._inverse, W._perms.get, W._signed_perm
+            labels = bytes([(get(w) or perm(w))[i] for w in map(inverse.__getitem__, vertices)])
+            if j:  # s_j x = (x^{-1} r_j)^{-1}, from the right table
+                col = W._right[j - 1]
+                moved = [inverse[col[inverse[x]]] for x in vertices]
             else:
-                moved = W.left_reflect(x, tilde)
-            target = W.coset_floor(moved, J)
-            label = W.act(xinv, tilde)
-            edge = None
-            if is_positive_vec(label) and label not in J.phi_plus:
-                edge = self.edge(x, label)
-                if edge is None or edge.target != target:
-                    raise GraphInvariantError(
-                        f"left step by {j} at W[{W.describe(x)}] is not a graph edge"
-                    )
-            self._step_labels[key] = label
-            got = self._steps[key] = (target, edge)
+                moved = map(W.mul, repeat(W.right_reflect(0, tilde)), vertices)
+            floors = array("I", [W.coset_floor(w, J) for w in moved])
+            slots, in_J = array("i", [-1]) * len(vertices), J.in_phi_J
+            for p, b in enumerate(labels):
+                if b < len(in_J) and not in_J[b]:
+                    k = self._slot(p, b)
+                    if k < 0 or vertices[self._targets[k]] != floors[p]:
+                        raise GraphInvariantError(
+                            f"left step by {j} at W[{W.describe(vertices[p])}] is not a graph edge"
+                        )
+                    slots[p] = k
+            got = self._step_columns[j] = (labels, slots, floors)
         return got
 
+    def left_step(self, j: int, x: int) -> tuple[int, QbgEdge | None]:
+        """floor(s_j x) and the step edge out of x, or None, from ``_left_steps``,
+        making only that edge's record; ValueError when x is not a vertex."""
+        _labels, slots, floors = self._left_steps(j)
+        p = self._position(x)
+        return floors[p], (None if slots[p] < 0 else self._record(p, slots[p]))
+
     def step_label(self, j: int, x: int) -> Root:
-        """x^{-1}(tilde alpha_j), the label ``left_step(j, x)`` formed."""
-        self.left_step(j, x)
-        return self._step_labels[(j, x)]
+        """x^{-1}(tilde alpha_j), the label of ``left_step(j, x)``."""
+        return self.W._signed[self._left_steps(j)[0][self._position(x)]]
 
     def push_edge(self, j: int, edge: QbgEdge) -> QbgEdge:
         """The edge floor(s_j a) -> floor(s_j b) parallel to the edge a -> b.
@@ -348,8 +351,9 @@ class QbgGraph:
             label = edge.label
             if j == 0:
                 label = self.W.act(self.W.theta_twist(edge.source, self.J), label)
-            got = self.edge(self.left_step(j, edge.source)[0], label)
-            if got is None or got.target != self.left_step(j, edge.target)[0]:
+            floors = self._left_steps(j)[2]
+            got = self.edge(floors[self._position(edge.source)], label)
+            if got is None or got.target != floors[self._position(edge.target)]:
                 raise GraphInvariantError("pushed edge is missing from the graph")
             self._pushed_edges[key] = got
         return got
@@ -357,29 +361,26 @@ class QbgGraph:
     def step_graph(self) -> QbgGraph:
         """The subgraph of the step edges x -> floor(s_j x), j in 0..rank."""
         if self._step_graph is None:
-            steps = (self.left_step(j, x)[1] for x in self.vertices
-                     for j in range(self.rs.rank + 1))
-            self._step_graph = QbgGraph(self.W, self.J, self.vertices,
-                                        [e for e in steps if e is not None])
+            kept = sorted(k for j in range(self.rs.rank + 1)
+                          for k in self._left_steps(j)[1] if k >= 0)
+            self._step_graph = QbgGraph._from_columns(
+                self.W, self.J, self.vertices,
+                array("I", [bisect_left(kept, k) for k in self._offsets]),
+                array("I", map(self._targets.__getitem__, kept)),
+                array("H", map(self._types.__getitem__, kept)), self._type_table)
         return self._step_graph
 
     def step_lengths(self) -> array:
         """Per vertex position the fewest step edges x -> floor(s_j x) from
-        the vertex to e, or UNSETTLED where e is out of reach.
-
-        Every left step runs once, with its check, as ``step_graph`` runs
-        them; then one BFS from e over the step edges reversed.  Built on
-        first use and kept.
-        """
+        the vertex to e, or UNSETTLED where e is out of reach: one BFS from
+        e over the step slots reversed.  Built on first use and kept."""
         row = self._step_lengths
         if row is None:
-            pos = self.vertex_pos
             preds: list[list[int]] = [[] for _ in self.vertices]
-            for x in self.vertices:
-                for j in range(self.rs.rank + 1):
-                    edge = self.left_step(j, x)[1]
-                    if edge is not None:
-                        preds[pos[edge.target]].append(pos[x])
+            for j in range(self.rs.rank + 1):
+                for p, k in enumerate(self._left_steps(j)[1]):
+                    if k >= 0:
+                        preds[self._targets[k]].append(p)
             dist = [UNSETTLED] * len(self.vertices)
             start = self._position(0)
             dist[start] = 0
@@ -490,7 +491,7 @@ class QbgGraph:
     def shortest_path(self, u: int, v: int) -> QbgPath:
         """A BFS witness path, deterministic via sorted adjacency: each vertex
         is reached by the first edge, in ``out`` order, of the first vertex
-        in BFS order that has an edge to it."""
+        in BFS order that has an edge to it; only its records are made."""
         start, goal = self._position(u), self._position(v)
         succ = self._successors()
         parent = [-1] * len(succ)
@@ -506,11 +507,10 @@ class QbgGraph:
         if parent[goal] < 0:
             raise GraphInvariantError("graph is not strongly connected")
         edges = []
-        out, vertices = self.out, self.vertices
         q = goal
         while q != start:
             p = parent[q]
-            edges.append(out[vertices[p]][succ[p].index(q)])
+            edges.append(self._record(p, self._offsets[p] + succ[p].index(q)))
             q = p
         edges.reverse()
         return QbgPath(u, tuple(edges))

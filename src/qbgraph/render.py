@@ -7,6 +7,7 @@ order and nothing depends on hashing or timestamps.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -364,12 +365,10 @@ def graph_json_chunks(graph: QbgGraph) -> Iterator[str]:
 @_lines_in_chunks
 def graph_text_chunks(graph: QbgGraph) -> Iterator[str]:
     names = _vertex_names(graph)
-    quantum = sum(kind == QUANTUM for _p, _q, _label, kind, _weight in graph.edge_rows())
+    per_type = Counter(graph._types)  # edges per type-table entry, from one pass
+    quantum = sum(per_type[t] for t, entry in enumerate(graph._type_table) if entry[1] == QUANTUM)
     yield f"# QB(W^J) {graph.rs.cartan_type}{graph.rs.rank} J={list(graph.J.nodes)}\n"
-    yield (
-        f"# vertices={len(graph.vertices)} edges={len(graph.edges)} "
-        f"quantum={quantum}\n"
-    )
+    yield f"# vertices={len(graph.vertices)} edges={len(graph.edges)} quantum={quantum}\n"
     labels = _Memo(root_text)
     for p, q, label, kind, _weight in graph.edge_rows():
         yield f"{names[p]} -> {names[q]} [{labels[label]}] {kind}\n"

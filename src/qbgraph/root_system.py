@@ -233,7 +233,7 @@ class RootSystem:
         self.cartan = cartan_matrix(cartan_type, rank)
         self._symmetrizer = self._compute_symmetrizer()
         self.positive_roots = self._generate_positive_roots()
-        self._root_set = frozenset(self.positive_roots)
+        self._root_index = {a: b for b, a in enumerate(self.positive_roots)}
         # C beta for every root beta, so that <c, beta> = c . (C beta)
         self.positive_rows = tuple(self._cartan_image(a) for a in self.positive_roots)
         self._rows: dict[Root, tuple[int, ...]] = {}
@@ -352,7 +352,7 @@ class RootSystem:
         return self._tilde_roots[j]
 
     def is_positive_root(self, v: tuple[int, ...]) -> bool:
-        return v in self._root_set
+        return v in self._root_index
 
     def pairing(self, c: Coroot, v: tuple[int, ...]) -> int:
         """Evaluation pairing <c, v> of a coroot vector against a root vector.
@@ -389,13 +389,13 @@ class RootSystem:
 
     def is_long(self, alpha: tuple[int, ...]) -> bool:
         """Long/short classification; in simply-laced types every root is long."""
-        a = alpha if alpha in self._root_set else neg_vec(alpha)
+        a = alpha if alpha in self._root_index else neg_vec(alpha)
         return self._norm2[a] == self._max_norm2
 
     def reflection_length(self, alpha: tuple[int, ...]) -> int:
         """Coxeter length of the reflection r_alpha, by inversion count;
         counted on first use and kept."""
-        a = alpha if alpha in self._root_set else neg_vec(alpha)
+        a = alpha if alpha in self._root_index else neg_vec(alpha)
         got = self._refl_len.get(a)
         if got is None:
             got = self._refl_len[a] = self._reflection_length(a)
@@ -407,7 +407,7 @@ class RootSystem:
         Characterization: alpha is long, or alpha is short and its coroot
         has coefficient zero on every long simple coroot.
         """
-        if alpha not in self._root_set:
+        if alpha not in self._root_index:
             raise ValueError(f"{alpha} is not a positive root")
         if self.is_long(alpha):
             return True

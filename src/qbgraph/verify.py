@@ -972,17 +972,18 @@ def run_suite(name: str, types=None) -> SuiteResult:
     return SUITES[name][0](types)
 
 
-#: the suites that take longest over their default cases, pulled first so
-#: that none of them starts last and leaves the other workers idle
-HEAVIEST = ("path-weights", "affine-core", "level-zero")
+#: every suite, heaviest first by its median time alone (``scripts/suite_times.py``)
+HEAVIEST = ("path-weights", "level-zero", "affine-core", "lift-roundtrip", "orderings", "tilted",
+            "diamond", "qbg-structure", "quantum-roots", "special-lengths", "connectivity",
+            "weyl-basics", "determinism", "reference-graphs", "reference-slice", "example-chain")
 
 _POSITION = struct.Struct("<H")  # one queue entry: a position in the names
 _FRAME = struct.Struct("<I")  # the byte length of the pickle that follows
 
 
 def _queue(names) -> list[int]:
-    """Positions in NAMES in the order workers take them: the HEAVIEST
-    suites first, then the rest in report order."""
+    """Positions in NAMES in the order workers take them, HEAVIEST order so that
+    the shortest start last, then any name it lacks in report order."""
     rank = {name: i for i, name in enumerate(HEAVIEST)}
     return sorted(range(len(names)), key=lambda i: (rank.get(names[i], len(HEAVIEST)), i))
 
@@ -1115,7 +1116,7 @@ def run_suites(names, types=None) -> list[SuiteResult]:
 
     Whole suites run in one process per usable CPU (see ``_workers``): the
     caller forks the helpers before any suite runs, and every worker takes
-    positions from one queue filled beforehand, HEAVIEST first.  Fork, not
+    positions from one queue filled beforehand, in HEAVIEST order.  Fork, not
     spawn, so that helpers share the caller's state, patched code included.
     Results do not depend on the worker count or the queue order: each
     suite's cases are the same run alone as in any mix.  A suite that

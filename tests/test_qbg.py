@@ -134,15 +134,18 @@ def test_an_orbit_of_another_parabolic_is_refused():
 
 @pytest.mark.parametrize("cartan_type,name", [("A", "132"), ("B", "r2")])
 def test_a_left_step_off_the_graph_names_its_vertex(cartan_type, name):
-    # with every edge lookup sabotaged to miss, the step by s_1 out of r_2,
-    # whose label r_2(alpha_1) is positive, is no longer a graph edge
+    # with the left-step kernel's slot lookup sabotaged to miss at r_2, the
+    # step by s_1 out of r_2, whose label r_2(alpha_1) is positive, is no
+    # longer a graph edge
     rs = build_root_system(cartan_type, 2)
     W = WeylGroup(rs)
     g = build_qbg(W, rs.parabolic(()))
-    g.edge = lambda v, label: None
+    x = W.from_word([2]).index
+    real = g._slot
+    g._slot = lambda p, b: -1 if g.vertices[p] == x else real(p, b)
     with pytest.raises(GraphInvariantError,
                        match=rf"^left step by 1 at W\[{name}\] is not a graph edge$"):
-        g.left_step(1, W.from_word([2]).index)
+        g.left_step(1, x)
 
 
 def test_a2_graph_structure(a2, a2_graph):

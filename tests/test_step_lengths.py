@@ -5,6 +5,7 @@ reference in ``test_weyl_enumeration``."""
 
 import random
 import re
+from array import array
 
 import pytest
 
@@ -61,16 +62,18 @@ def test_the_row_is_built_once_per_graph(monkeypatch):
     W = _group("A", 3)
     g = build_qbg(W, W.rs.parabolic((2,)))
     calls = []
-    real = QbgGraph.left_step
+    real = QbgGraph._left_steps
 
-    def counting(self, j, x):
-        calls.append((j, x))
-        return real(self, j, x)
+    def counting(self, j):
+        calls.append(j)
+        return real(self, j)
 
-    monkeypatch.setattr(QbgGraph, "left_step", counting)
+    monkeypatch.setattr(QbgGraph, "_left_steps", counting)
     answers = [quantum_length(g, v) for v in g.vertices]
-    # every step runs once, on the first query, and no later query runs one
-    assert sorted(calls) == sorted((j, x) for x in g.vertices for j in range(4))
+    # each j's column is read once, on the first query, and no later query
+    # reads one; a column holds the step of every vertex
+    assert sorted(calls) == list(range(4))
+    assert all(len(col) == len(g.vertices) for j in range(4) for col in g._step_columns[j])
     assert answers[0] == 0 and max(answers) > 0
 
 
@@ -84,16 +87,19 @@ def test_a_non_vertex_raises_as_before():
 
 
 def _dropping(monkeypatch, dropped):
-    """Patch ``left_step`` so that the steps in dropped have no edge."""
-    real = QbgGraph.left_step
+    """Patch the left-step kernel so that the steps (j, x) in dropped have
+    no edge: their slots read -1."""
+    real = QbgGraph._left_steps
 
-    def patched(self, j, x):
-        target, edge = real(self, j, x)
-        if (j, x) in dropped:
-            return target, None
-        return target, edge
+    def patched(self, j):
+        labels, slots, floors = real(self, j)
+        slots = array("i", slots)
+        for i, x in dropped:
+            if i == j:
+                slots[self.vertex_pos[x]] = -1
+        return labels, slots, floors
 
-    monkeypatch.setattr(QbgGraph, "left_step", patched)
+    monkeypatch.setattr(QbgGraph, "_left_steps", patched)
 
 
 def test_an_unreachable_vertex_raises_as_before(monkeypatch):

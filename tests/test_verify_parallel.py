@@ -59,6 +59,17 @@ def test_heaviest_suites_are_registered():
     assert order == [*verify.HEAVIEST, *(n for n in names if n not in verify.HEAVIEST)]
 
 
+def test_the_queue_orders_every_suite_once_by_cost():
+    # every registered suite has its place in the measured order, so none
+    # falls back on report order behind the cheap ones
+    assert sorted(verify.HEAVIEST) == sorted(verify.SUITES)
+    names = list(verify.SUITES)
+    assert [names[i] for i in verify._queue(names)] == list(verify.HEAVIEST)
+    # a name given twice keeps its place in report order among its copies
+    names = ["tilted", "example-chain", "tilted"]
+    assert verify._queue(names) == [0, 2, 1]
+
+
 def test_one_worker_per_cpu_at_most_one_per_suite(monkeypatch, cpus):
     cpus(2)
     assert verify._workers(16) == 2
