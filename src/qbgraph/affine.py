@@ -6,7 +6,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import NamedTuple
 
-from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
+from .qbg import BRUHAT, QUANTUM, GraphInvariantError, QbgEdge, QbgGraph, QbgPath, quotient_diameter
 from .root_system import (
     AffineRoot,
     Coroot,
@@ -398,15 +398,8 @@ class AffineWeyl:
 
     def lift_depth(self, graph: QbgGraph) -> int:
         """Operational bound for 'very antidominant': the diameter of
-        QB(W^J) plus 2, which is |Phi+ minus Phi_J+| + 2.
-
-        Upper bound: by the shellability of QB(W^J), for every u, v there
-        is a unique path u -> v whose labels increase in a lambda-reflection
-        ordering, and it is a shortest path (``increasing_paths`` checks
-        both, and the ``orderings`` suite runs it).  Its labels are
-        distinct roots of Phi+ minus Phi_J+, so d(u, v) <= |Phi+ minus
-        Phi_J+|.  Lower bound: an edge raises the length by at most one, so
-        d(e, floor(w_0)) >= l(floor(w_0)) = |Phi+| - |Phi_J+|.
+        QB(W^J) plus 2, which is |Phi+ minus Phi_J+| + 2
+        (``quotient_diameter`` gives the closed form and its proof).
 
         No search is run, so graph must be QB(W^J) itself, as ``build_qbg``
         makes it.  A graph whose vertex count is not |W| / |W_J| (a coset
@@ -415,7 +408,7 @@ class AffineWeyl:
         """
         if len(graph.vertices) * graph.J.subgroup_order() != len(self.W):
             raise ValueError(f"the graph is not QB(W^J) for J = {graph.J.nodes}")
-        return len(self.rs.positive_roots) - len(graph.J.phi_plus) + 2
+        return quotient_diameter(graph.J) + 2
 
     def _lift_factor(self, mu: Coroot, J: ParabolicIndex, depth: int) -> int:
         """z_mu of a mu that meets the lift hypothesis: of the rank,
@@ -484,9 +477,11 @@ class AffineWeyl:
         With beta = z^{-1}(alpha), gamma = beta + (chi + <mu, beta>) delta
         and r_gamma = r_beta t_{(chi + <mu, beta>) beta^vee}, so y is
         w r_beta t_{mu + chi beta^vee}: beta is an entry of z^{-1}'s signed
-        root permutation (``WeylGroup.act``), w r_beta an entry of w's
-        reflection row, and no matrix product is needed.  <mu, beta> is
-        +-the entry of mu's pairing row at the position of +-beta.
+        root permutation (``WeylGroup.act``), r_beta an entry of row 0 of
+        the reflection rows, w r_beta one product of ids, and no matrix
+        product is needed: w's own reflection row is never filled.
+        <mu, beta> is +-the entry of mu's pairing row at the position of
+        +-beta.
         """
         W = self.W
         beta = W.act(zinv, edge.label)
@@ -495,7 +490,7 @@ class AffineWeyl:
         chi = 1 if edge.kind == QUANTUM else 0
         gamma = AffineRoot(beta, chi + (pair if is_positive_vec(beta) else -pair))
         mu = add_vec(x.mu, self.rs.coroot(beta)) if chi else x.mu
-        y = AffineElement(W.reflection_row(x.w)[b], mu)
+        y = AffineElement(W.mul(x.w, W.reflection_row(0)[b]), mu)
         if gamma.is_positive():
             raise GraphInvariantError("lift label should be a negative affine root")
         if lx - self.length(y) != 1:

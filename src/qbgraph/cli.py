@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list("ABCDEFG"))
         p.add_argument("--rank", type=int, required=True)
         p.add_argument("--parabolic", default="",
-                       help="comma separated Dynkin nodes (Bourbaki numbering)")
+                       help="comma separated Dynkin nodes (Bourbaki numbering); "
+                            "a repeated node is read once")
         if formats:  # the commands with a writer per format
             p.add_argument("--format", choices=("dot", "json", "text"), default="text")
         p.add_argument("--out", default="", help="output file (default stdout)")
@@ -303,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="lift edges or a walk into the affine order")
     common(p)
     p.add_argument("--mu", default="", help="translation part, simple-coroot coords")
-    p.add_argument("--start", default="", help="start vertex as a reduced word")
+    p.add_argument("--start", default="",
+                   help="start vertex as a comma separated word; any word is "
+                        "multiplied out and its minimal coset representative taken")
     p.add_argument("--walk", default="",
                    help="semicolon separated edge labels, each a coefficient list")
     p.set_defaults(fn=cmd_lift)
@@ -317,13 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tilted", help="coset minimum in the tilted order")
     common(p, formats=False)
-    p.add_argument("--u", default="", help="base point as a reduced word")
-    p.add_argument("--z", default="", help="coset representative as a reduced word")
+    p.add_argument("--u", default="",
+                   help="base point as a comma separated word; any word is multiplied out")
+    p.add_argument("--z", default="",
+                   help="a member of the coset z W_J as a comma separated word; "
+                        "any word is multiplied out")
     p.set_defaults(fn=cmd_tilted)
 
     p = sub.add_parser("qlen", help="quantum length of a coset representative")
     common(p, formats=False)
-    p.add_argument("--u", default="", help="element as a reduced word")
+    p.add_argument("--u", default="",
+                   help="element as a comma separated word; any word is "
+                        "multiplied out and its minimal coset representative taken")
     p.set_defaults(fn=cmd_qlen)
 
     p = sub.add_parser("verify", help="run verification suites")

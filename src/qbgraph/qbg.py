@@ -16,6 +16,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .root_system import (
     Coroot,
@@ -32,6 +33,18 @@ QUANTUM = "quantum"
 #: (in ``settled_row``'s working row only) for a target not yet settled
 UNSETTLED = 0xFFFF
 WANTED = 0xFFFE
+
+
+class PartialRow(NamedTuple):
+    """A BFS row of ``QbgGraph.settled_row`` stopped part way, kept in the
+    form it is grown in: ``dist`` by vertex position (UNSETTLED where no
+    distance is known yet), the FIFO ``queue`` of settled positions in the
+    order they were settled, and ``reader``, the iterator over that queue
+    whose next item is the first position not yet expanded."""
+
+    dist: list[int]
+    queue: list[int]
+    reader: Iterator[int]
 
 
 class GraphInvariantError(AssertionError):
@@ -243,11 +256,11 @@ class QbgGraph:
         self.edges = _EdgeList(self.out)
         # per vertex position the positions of its out-edge targets, in
         # ``out`` order; per source id its complete BFS row by vertex
-        # position, or its row grown part way with the row's frontier
+        # position, or its row grown part way in working form
         # (``settled_row``); all filled on first use
         self._succ: list[tuple[int, ...]] | None = None
         self._dist: dict[int, array] = {}
-        self._partial: dict[int, tuple[array, array]] = {}
+        self._partial: dict[int, PartialRow] = {}
         self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per j its
         # columns (``_left_steps``), per (j, edge) the edge pushed across s_j,
@@ -410,19 +423,22 @@ class QbgGraph:
                                  for p in range(len(self.vertices))]
         return succ
 
-    def settled_row(self, u: int, targets=None) -> array:
+    def settled_row(self, u: int, targets=None) -> Sequence[int]:
         """u's BFS row by vertex position (``vertex_pos``), grown until every
         position in targets is settled; with no targets, the complete row.
 
         The BFS expands one vertex at a time from a FIFO queue, each
         vertex's successors in ``out`` order, and stops after the vertex
-        whose expansion settles the last target.  A complete row is kept in
-        ``_dist``.  A row stopped early is kept in ``_partial`` with its
-        frontier, the settled positions not yet expanded in queue order, and
-        the next call for u resumes it; its entries read UNSETTLED where no
-        distance is known yet.  When the queue runs out with a target
-        unsettled, or with any vertex unsettled and no targets, it raises
-        GraphInvariantError and keeps nothing of u's row.
+        whose expansion settles the last target.  The row is complete once
+        every vertex has entered the queue, which each settled vertex does
+        once; it is then packed into an ``array("H")`` kept in ``_dist``.
+        A row stopped short of that is kept in ``_partial`` in its working
+        form (``PartialRow``: the distance list, the queue and the queue's
+        reader) and returned as that list, whose entries read UNSETTLED
+        where no distance is known yet; the next call for u resumes it in
+        place.  When the queue runs out with a target unsettled, or with
+        any vertex unsettled and no targets, it raises GraphInvariantError
+        and keeps nothing of u's row.
         """
         row = self._dist.get(u)
         if row is not None:
@@ -433,11 +449,9 @@ class QbgGraph:
             dist = [UNSETTLED] * len(self.vertices)
             dist[start] = 0
             queue = [start]
+            reader = iter(queue)
         else:
-            row, frontier = state
-            if targets is not None and all(row[t] != UNSETTLED for t in targets):
-                return row
-            dist, queue = row.tolist(), frontier.tolist()
+            dist, queue, reader = state
         # the targets still unsettled read WANTED in the working row, so a
         # settle tells whether it was one; with no targets, left never
         # reaches zero and the queue runs out
@@ -448,10 +462,11 @@ class QbgGraph:
                 if dist[t] == UNSETTLED:
                     dist[t] = WANTED
                     left += 1
-        succ, wanted = self._successors(), WANTED
-        frontier = queue
+            if not left and state is not None:
+                return dist
         if left:
-            for p in queue:  # the queue grows as it is read
+            succ, wanted = self._successors(), WANTED
+            for p in reader:  # the queue grows as it is read
                 d = dist[p] + 1
                 for q in succ[p]:
                     if dist[q] >= wanted:
@@ -460,21 +475,17 @@ class QbgGraph:
                         dist[q] = d
                         queue.append(q)
                 if not left:
-                    frontier = queue[queue.index(p) + 1:]
                     break
-            else:
-                frontier = []
-        complete = not frontier and UNSETTLED not in dist
-        if left > 0 or (left < 0 and not complete):
+        if len(queue) == len(dist):
+            self._partial.pop(u, None)
+            row = self._dist[u] = array("H", dist)
+            return row
+        if left:  # the queue ran out short of a target, or of the whole row
             self._partial.pop(u, None)
             raise GraphInvariantError("graph is not strongly connected")
-        row = array("H", dist)
-        if complete:
-            self._partial.pop(u, None)
-            self._dist[u] = row
-        else:
-            self._partial[u] = (row, array("I", frontier))
-        return row
+        if state is None:
+            self._partial[u] = PartialRow(dist, queue, reader)
+        return dist
 
     def distances_from(self, u: int) -> array:
         """The BFS distance from u to every vertex, indexed by vertex position
@@ -613,6 +624,20 @@ class QbgGraph:
 
     def quantum_edges(self) -> tuple[QbgEdge, ...]:
         return tuple(e for e in self.edges if e.kind == QUANTUM)
+
+
+def quotient_diameter(J: ParabolicIndex) -> int:
+    """The diameter of QB(W^J) in closed form: |Phi+ minus Phi_J+|.
+
+    Upper bound: by the shellability of QB(W^J), for every u, v there is a
+    unique path u -> v whose labels increase in a lambda-reflection
+    ordering, and it is a shortest path (``increasing_paths`` checks both,
+    and the ``orderings`` suite runs it).  Its labels are distinct roots of
+    Phi+ minus Phi_J+, so d(u, v) <= |Phi+ minus Phi_J+|.  Lower bound: an
+    edge raises the length by at most one, so d(e, floor(w_0)) >=
+    l(floor(w_0)) = |Phi+| - |Phi_J+|.  No graph is searched.
+    """
+    return len(J.in_phi_J) - len(J.phi_plus)
 
 
 def build_qbg(W: WeylGroup | WeightOrbit, J: ParabolicIndex) -> QbgGraph:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .qbg import QUANTUM, QbgGraph
 from .root_system import AffineRoot, ParabolicIndex, cover_label
-from .weyl import WeylGroup
+from .weyl import WeylGroup, element_name
 
 if TYPE_CHECKING:  # annotations only: a graph export loads no affine or poset code
     from .affine import AffineElement, AffineWeyl
@@ -389,13 +389,37 @@ def graph_to_text(graph: QbgGraph) -> str:
 # -- affine chains ------------------------------------------------------------------
 
 
+#: the most chain elements, translation parts and labels whose cells the
+#: chain writers keep; one query-mix pass on A5 meets about 300 elements
+_CHAIN_CELLS = 4096
+
+
+@functools.lru_cache(maxsize=_CHAIN_CELLS)
+def _element_cells(cartan_type: str, rank: int, word: bytes) -> tuple[str, str]:
+    """(name, JSON int list at depth 3) of the element with this word:
+    ``element_name`` and the ``w_word`` cell, kept by value."""
+    return element_name(cartan_type, rank, word), _int_list_text(3, word)
+
+
+@functools.lru_cache(maxsize=_CHAIN_CELLS)
+def _mu_cells(mu: tuple[int, ...]) -> tuple[str, str]:
+    """(' t(mu)', JSON int list at depth 3) of a translation part: the tail
+    of ``affine_element_text`` and the ``mu`` cell, kept by value."""
+    return f" t({','.join(map(str, mu))})", _int_list_text(3, mu)
+
+
+def _chain_name(W: WeylGroup, x: AffineElement) -> str:
+    """``affine_element_text`` of a chain element, from the kept cells."""
+    return _element_cells(W.rs.cartan_type, W.rs.rank, W._word[x.w])[0] + _mu_cells(x.mu)[0]
+
+
 def chain_to_text(aw: AffineWeyl, chain) -> str:
     lines = []
     for x, gamma in chain:
         if gamma is None:
-            lines.append(affine_element_text(aw.W, x))
+            lines.append(_chain_name(aw.W, x))
         else:
-            lines.append(f"  > [{affine_root_text(gamma)}] {affine_element_text(aw.W, x)}")
+            lines.append(f"  > [{affine_root_text(gamma)}] {_chain_name(aw.W, x)}")
     return "\n".join(lines) + "\n"
 
 
@@ -403,7 +427,7 @@ def chain_to_dot(aw: AffineWeyl, chain) -> str:
     lines = ["digraph chain {"]
     prev = None
     for x, gamma in chain:
-        name = affine_element_text(aw.W, x)
+        name = _chain_name(aw.W, x)
         lines.append(f'  "{name}";')
         if prev is not None:
             lines.append(
@@ -434,25 +458,34 @@ def _chain_format() -> tuple[str, str, str, str, str]:
     return head, start, step, label, tail
 
 
+@functools.lru_cache(maxsize=_CHAIN_CELLS)
+def _label_cell(gamma: AffineRoot) -> str:
+    """The ``label`` cell of a step down by gamma, its positive
+    representative, kept by value."""
+    pos = cover_label(gamma)
+    return _chain_format()[3] % (_int_list_text(4, pos.alpha), pos.k)
+
+
 def chain_to_json(aw: AffineWeyl, chain) -> str:
     """The ``qbgraph/chain/1`` document of a chain from ``lift_path``: one
     row per element, its label (the positive representative of the root
     stepped down by) on every row but the first.  The text is
     ``json.dumps(doc, indent=1, sort_keys=True)``'s, each row written
     through its planned template."""
-    head, start, step, label, tail = _chain_format()
+    head, start, step, _label, tail = _chain_format()
     W = aw.W
+    kind, rank, words = W.rs.cartan_type, W.rs.rank, W._word
     rows = []
     # the rows sit at depth 2, so their int lists at depth 3 and a label's
-    # alpha at depth 4
+    # alpha at depth 4; the cells are kept by value across calls
     for x, gamma in chain:
-        cells = (_int_list_text(3, x.mu), encode_basestring_ascii(affine_element_text(W, x)),
-                 _int_list_text(3, W._word[x.w]))
+        name, word = _element_cells(kind, rank, words[x.w])
+        suffix, mu = _mu_cells(x.mu)
+        cells = (mu, encode_basestring_ascii(name + suffix), word)
         if gamma is None:
             rows.append(start % cells)
         else:
-            pos = cover_label(gamma)
-            rows.append(step % ((label % (_int_list_text(4, pos.alpha), pos.k),) + cells))
+            rows.append(step % ((_label_cell(gamma),) + cells))
     body = "[\n  " + ",\n  ".join(rows) + "\n ]" if rows else "[]"
     return head + body + tail
 

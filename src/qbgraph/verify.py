@@ -43,6 +43,7 @@ from .qbg import (
     increasing_paths,
     induced_coset_subgraph,
     lambda_ordering,
+    quotient_diameter,
     reflection_ordering_from_word,
     subsystem_word_ordering,
 )
@@ -879,7 +880,7 @@ def reflection_orderings(rs, W, _aw):
 def path_weights(rs, W, _aw, J_nodes):
     J = rs.parabolic(J_nodes)
     g = build_qbg(W, J)
-    cap = g.diameter() + 3
+    cap = quotient_diameter(J) + 3
     pos = g.vertex_pos
     walks = 0
     for u in g.vertices:

@@ -108,6 +108,25 @@ def _signed_roots(rs: RootSystem):
     return signed, pos, steps
 
 
+def _one_line(rank: int, word) -> tuple[int, ...]:
+    """The one-line form, on 1..rank+1, of the type A element with this word."""
+    perm = list(range(1, rank + 2))
+    for i in word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return tuple(perm)
+
+
+def element_name(cartan_type: str, rank: int, word) -> str:
+    """The readable name of the element with this word of 1-based nodes:
+    its one-line form in type A ('2413'), the word otherwise ('r1r2', 'e'
+    for the empty word).  It reads nothing but its arguments."""
+    if cartan_type == "A":
+        return "".join(map(str, _one_line(rank, word)))
+    if not word:
+        return "e"
+    return "r" + "r".join(map(str, word))
+
+
 class _Named:
     """The names of element ids, read from their shortlex words alone:
     ``WeylGroup`` and ``WeightOrbit`` share them, and each keeps ``rs``,
@@ -123,19 +142,12 @@ class _Named:
         (acting on 1..rank+1)."""
         if self.rs.cartan_type != "A":
             raise ValueError("one-line form only defined in type A")
-        perm = list(range(1, self.rs.rank + 2))
-        for i in self._word[w]:
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        return tuple(perm)
+        return _one_line(self.rs.rank, self._word[w])
 
     def describe(self, w: int) -> str:
         """Readable name of an element id: one-line form in type A, word
-        otherwise."""
-        if self.rs.cartan_type == "A":
-            return "".join(map(str, self.one_line(w)))
-        if not self._word[w]:
-            return "e"
-        return "r" + "r".join(map(str, self._word[w]))
+        otherwise (``element_name``)."""
+        return element_name(self.rs.cartan_type, self.rs.rank, self._word[w])
 
     def __len__(self) -> int:
         return len(self._word)

@@ -224,6 +224,27 @@ def test_tilted_and_qlen(capsys):
     assert out.strip() == "1"
 
 
+@pytest.mark.parametrize("argv,flag,given,same", [
+    (["tilted", "--type", "A", "--rank", "3", "--parabolic", "1", "--z", "2"],
+     "--u", "1,1", ""),
+    (["tilted", "--type", "B", "--rank", "3", "--parabolic", "2", "--u", "3"],
+     "--z", "1,2,1,1", "1,2"),
+    (["qlen", "--type", "A", "--rank", "3"], "--u", "1,1", ""),
+    (["lift", "--type", "A", "--rank", "2", "--parabolic", "1", "--walk", "0,1"],
+     "--start", "1,1", ""),
+    (["tilted", "--type", "A", "--rank", "3", "--u", "2,1", "--z", "3"],
+     "--parabolic", "1,1", "1"),
+    (["qbg", "--type", "B", "--rank", "3", "--format", "json"],
+     "--parabolic", "2,2,3", "2,3"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_words_need_not_be_reduced_and_nodes_may_repeat(capsys, argv, flag, given, same):
+    # any word is multiplied out and a repeated node is read once, as the
+    # help says: the answer is the one of the reduced word or the node set
+    code, out = run(capsys, *argv, flag, given)
+    assert code == 0 and out
+    assert run(capsys, *argv, flag, same) == (0, out)
+
+
 @pytest.mark.parametrize("argv", [
     ["qlen", "--type", "A", "--rank", "3", "--u", "1,2"],
     ["tilted", "--type", "A", "--rank", "3", "--u", "1,2"],

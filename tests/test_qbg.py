@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import sys
+from array import array
 from collections import deque
 
 import pytest
@@ -24,6 +25,7 @@ from qbgraph.qbg import (
     induced_coset_subgraph,
     lambda_ordering,
     lexicographically_minimal_shortest,
+    quotient_diameter,
     reflection_ordering_from_word,
 )
 from qbgraph.root_system import ParabolicIndex, build_root_system, is_positive_vec
@@ -296,8 +298,9 @@ def test_bounded_distances_match_a_reference_bfs(groups, cartan_type, rank):
                 assert g.distance(u, v) == dist[v], (J, u, v)
                 if u in g._partial:
                     stopped += 1
-                    row = g._partial[u][0]
+                    row = g._partial[u].dist
                     assert all(d in (UNSETTLED, dist[x]) for d, x in zip(row, g.vertices))
+                    assert UNSETTLED in row
             assert list(g.distances_from(u)) == [dist[v] for v in g.vertices], (J, u)
             assert u in g._dist and u not in g._partial
     assert stopped > 0
@@ -321,12 +324,75 @@ def test_a_resumed_row_equals_a_fresh_full_row(groups, cartan_type, rank):
             assert row[pos[near]] == dist[near]
             if UNSETTLED in row:
                 assert u in g._partial and u not in g._dist
+                assert row is g._partial[u].dist
                 resumed += 1
+            else:
+                assert u in g._dist and u not in g._partial
             row = g.settled_row(u, [pos[far]])
             assert row[pos[far]] == dist[far]
             assert g.distances_from(u) == fresh.distances_from(u)
             assert u not in g._partial
     assert resumed > 0
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_rows_grown_through_target_sets_complete_in_compact_form(groups, cartan_type, rank):
+    # every row grows through seeded target sets, some repeated and some
+    # already settled: its working form stays in _partial, resumed in place,
+    # until its last vertex is settled; the row then sits in _dist as an
+    # array("H") equal to a fresh graph's.  A raise keeps nothing of the row
+    rs, W = groups(cartan_type, rank)
+    rng = random.Random(f"rows {cartan_type}{rank}")
+    repeated = already = raised = 0
+    for J in all_parabolics(rank):
+        g = build_qbg(W, rs.parabolic(J))
+        fresh = build_qbg(W, rs.parabolic(J))
+        n = len(g.vertices)
+        for u in g.vertices:
+            want = fresh.distances_from(u)
+            asked = []
+            while u not in g._dist:
+                if asked and rng.random() < 0.25:
+                    targets = rng.choice(asked)
+                    repeated += 1
+                else:
+                    targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+                    asked.append(targets)
+                state = g._partial.get(u)
+                settled = state is not None and all(state.dist[t] != UNSETTLED for t in targets)
+                before = None if state is None else len(state.queue)
+                row = g.settled_row(u, targets)
+                assert [row[t] for t in targets] == [want[t] for t in targets]
+                if settled:  # nothing to grow: the row is handed back as kept
+                    already += 1
+                    assert g._partial.get(u) is state and len(state.queue) == before
+                if u in g._partial:
+                    state = g._partial[u]
+                    assert row is state.dist and u not in g._dist
+                    known = [p for p, d in enumerate(row) if d != UNSETTLED]
+                    assert [row[p] for p in known] == [want[p] for p in known]
+                    # each settled vertex entered the queue once
+                    assert sorted(state.queue) == known and len(known) < n
+            row = g._dist[u]
+            assert type(row) is array and row.typecode == "H"
+            assert row == want and u not in g._partial
+            assert g.settled_row(u, asked[0]) is row
+        if n == 1:
+            continue
+        # without the edges into v, v is out of every other source's reach
+        v = g.vertices[-1]
+        h = QbgGraph(W, g.J, g.vertices, [e for e in g.edges if e.target != v])
+        for u in h.vertices[:-1]:
+            reach, _ = reference_bfs(h, u)
+            near = rng.choice(sorted(reach))
+            h.settled_row(u, [h.vertex_pos[near]])
+            for targets in ([h.vertex_pos[v]], [h.vertex_pos[near], h.vertex_pos[v]], None):
+                with pytest.raises(GraphInvariantError, match="not strongly connected"):
+                    h.settled_row(u, targets)
+                assert u not in h._dist and u not in h._partial
+                raised += 1
+            assert h.settled_row(u, [h.vertex_pos[near]])[h.vertex_pos[near]] == reach[near]
+    assert repeated > 0 and already > 0 and raised > 0
 
 
 @pytest.mark.parametrize("cartan_type,rank,J", [("A", 2, (1,)), ("A", 3, (1, 3)),
@@ -399,8 +465,8 @@ def test_diameter_rejects_graphs_that_are_not_strongly_connected(a2, a2_graph):
     ROOT_TYPES + [("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
 )
 def test_diameter_is_the_number_of_roots_outside_phi_j(groups, cartan_type, rank):
-    # diam QB(W^J) = |Phi+ minus Phi_J+|, the identity the lift depth's
-    # closed form rests on (``AffineWeyl.lift_depth`` gives the proof)
+    # diam QB(W^J) = |Phi+ minus Phi_J+|, the closed form of
+    # ``quotient_diameter`` that the lift depth and the path-weights cap read
     from qbgraph.affine import AffineWeyl
 
     rs, W = groups(cartan_type, rank)
@@ -412,7 +478,8 @@ def test_diameter_is_the_number_of_roots_outside_phi_j(groups, cartan_type, rank
     for J in parabolics:
         par = rs.parabolic(J)
         g = build_qbg(W, par)
-        assert g.diameter() == len(rs.positive_roots) - len(par.phi_plus), J
+        assert g.diameter() == quotient_diameter(par) == (
+            len(rs.positive_roots) - len(par.phi_plus)), J
         assert aw.lift_depth(g) == g.diameter() + 2, J
 
 

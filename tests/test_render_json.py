@@ -397,3 +397,46 @@ def test_chain_json_matches_the_stdlib(cartan_type, rank, nodes):
 def test_an_empty_chain_matches_the_stdlib():
     aw = AffineWeyl(build_weyl_group("A", 2))
     assert render.chain_to_json(aw, []) == stdlib({"schema": "qbgraph/chain/1", "chain": []}) + "\n"
+
+
+#: words reduced in A3, B3 and A4, with their shortlex forms alike in all three
+SHARED_WORDS = [(1,), (1, 2), (2, 1), (1, 2, 1), (2, 3), (1, 2, 3)]
+
+
+def lifted_chains(cartan_type, rank):
+    """The AffineWeyl of a group and the lifts, over its full graph, of the
+    shortest paths from e to each element of ``SHARED_WORDS``."""
+    W = build_weyl_group(cartan_type, rank)
+    J = W.rs.parabolic(())
+    g = build_qbg(W, J)
+    aw = AffineWeyl(W)
+    mu = aw.superantidominant_mu(W.identity, J, aw.lift_depth(g))
+    return aw, [aw.lift_path(g, g.shortest_path(0, W.from_word(w).index), mu)
+                for w in SHARED_WORDS]
+
+
+def clear_chain_cells():
+    render._element_cells.cache_clear()
+    render._mu_cells.cache_clear()
+    render._label_cell.cache_clear()
+
+
+def test_chain_texts_never_cross_groups():
+    # the chain writers keep element cells by value across calls: elements
+    # that share a word in A3 and B3 (one-line form against word form), and
+    # in A3 and A4 (one word, two one-line forms), keep their own texts.
+    # Written one group after another through the kept cells, every output
+    # equals the output written with the cells cleared
+    writers = (render.chain_to_json, render.chain_to_text, render.chain_to_dot)
+    clear_chain_cells()
+    groups = [lifted_chains(t, r) for t, r in (("A", 3), ("B", 3), ("A", 4))]
+    words = [{aw.W._word[x.w] for c in chains for x, _ in c} for aw, chains in groups]
+    assert len(words[0] & words[1]) >= len(SHARED_WORDS)
+    assert len(words[0] & words[2]) >= len(SHARED_WORDS)
+    kept = [[[write(aw, c) for write in writers] for c in chains] for aw, chains in groups]
+    for (aw, chains), texts in zip(groups, kept):
+        for c, got in zip(chains, texts):
+            clear_chain_cells()
+            assert got == [write(aw, c) for write in writers]
+            assert got[0] == stdlib(chain_doc(aw.W, c)) + "\n"
+            assert got[1].splitlines()[0] == render.affine_element_text(aw.W, c[0][0])

@@ -159,7 +159,7 @@ def _partial_rows():
             if x0 == u or u not in graph._partial or x0 not in graph._partial:
                 continue
             assert u not in graph._dist and x0 not in graph._dist
-            row, below = graph._partial[u][0], graph._partial[x0][0]
+            row, below = graph._partial[u].dist, graph._partial[x0].dist
             pos = graph.vertex_pos
             for x in W.coset_ids(z, J):
                 if x != x0:
