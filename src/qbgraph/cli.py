@@ -13,11 +13,12 @@ import argparse
 import contextlib
 import os
 import sys
+from math import gcd
 
 from . import render
 from .qbg import QbgPath, build_qbg
 from .root_system import ConfigurationError, cartan_matrix
-from .weyl import WeylGroup, build_weight_orbit, build_weyl_group
+from .weyl import CANDIDATE_EDGE_CAP, WeylGroup, build_weight_orbit, build_weyl_group
 
 
 class UsageError(Exception):
@@ -172,6 +173,18 @@ def cmd_poset(args) -> int:
         raise UsageError("lambda has the wrong rank")
     if any(c < 0 for c in lam):
         raise UsageError(f"lambda {list(lam)} is not dominant")
+    # the slice's covers in closed form, before the poset is built: |W^K|
+    # cosets times the delta levels of the window (``slice_levels``) times
+    # |Phi+ - Phi_K+| labels, K the zero set of lambda (the poset's J)
+    K = rs.parabolic(i + 1 for i, c in enumerate(lam) if c == 0)
+    cosets = len(W) // K.subgroup_order()
+    levels = 2 * (args.window // (gcd(*lam) or 1)) + 1
+    labels = len(rs.positive_roots) - len(K.phi_plus)
+    if cosets * levels * labels > CANDIDATE_EDGE_CAP:
+        raise UsageError(
+            f"the slice's |W^J| * levels * |Phi+ - Phi_J+| = {cosets} * {levels} * "
+            f"{labels} exceeds the candidate-edge cap {CANDIDATE_EDGE_CAP}"
+        )
     try:
         poset = LevelZeroPoset(W, lam)
     except ValueError as exc:

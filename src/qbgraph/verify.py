@@ -430,7 +430,8 @@ def qbg_structure(rs, W, aw, J):
     if want != have:
         extra = set(have) ^ set(want)
         raise AssertionError(f"edge sets differ at {sorted(extra)[:3]}")
-    g.diameter()  # also asserts strong connectivity
+    diameter, closed = g.diameter(), quotient_diameter(J)  # diameter() asserts strong connectivity
+    _require(diameter == closed, f"diameter {diameter} is not |Phi+ - Phi_J+| = {closed}")
     # duality
     for v in g.vertices:
         vv = dual_involution(g, v)

@@ -205,6 +205,30 @@ def test_poset_rejects_small_window(capsys):
     assert code == 2
 
 
+def test_poset_past_the_cover_cap_exits_two_before_building(monkeypatch, capsys):
+    # A2 with lambda = rho: 6 cosets * (2 * window + 1) levels * 3 labels
+    from qbgraph import level_zero
+
+    built = []
+
+    def tripwire(W, lam):
+        built.append(lam)
+        raise RuntimeError("the poset was built")
+
+    monkeypatch.setattr(level_zero, "LevelZeroPoset", tripwire)
+    argv = ["poset", "--type", "A", "--rank", "2", "--lambda", "1,1"]
+    code = main(argv + ["--window", "100000000"])  # 3.6 G covers
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "candidate-edge cap" in captured.err
+    assert captured.out == ""
+    assert built == []
+    with pytest.raises(RuntimeError, match="the poset was built"):
+        main(argv + ["--window", "400000"])  # 14.4 M covers, under the cap
+    assert built == [(1, 1)]
+
+
 def test_bad_flags_exit_two(capsys):
     assert main(["qbg", "--type", "Z", "--rank", "2"]) == 2
     assert main(["qbg", "--type", "A", "--rank", "0"]) == 2
