@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time each verification suite alone, and fingerprint its cases.
 
-    python3 scripts/suite_times.py [--repeat N] [--check]
+    python3 scripts/suite_times.py [--repeat N] [--check] [--src DIR]
 
 Each suite runs alone in a fresh interpreter, N times (default 3).  The
 output is one JSON object with, per suite in report order, the median of
@@ -10,6 +10,12 @@ included, interpreter start and imports not), their first and third
 quartiles (`quartiles_s`, the spread to read a change in the median
 against; both equal the one time when N is 1) and the sha256 of its cases
 as the `qbgraph/verify/1` report lists them (`cases_sha256`).
+
+`--src DIR` also times the package in another checkout's src/ directory:
+each suite's fresh runs alternate between the two sides, this checkout
+first on even runs and DIR first on odd ones, and DIR's median,
+quartiles and cases sha256 are added to the suite's entry as `src_median_s`,
+`src_quartiles_s` and `src_cases_sha256`.
 
 `--check` also runs `verify --suite all` once in a fresh interpreter, and
 exits 1 when some suite's cases there differ from its cases run alone: the
@@ -45,11 +51,11 @@ print(json.dumps(out))
 """
 
 
-def run(names: list[str]) -> list[tuple[float, str]]:
+def run(names: list[str], src: pathlib.Path = SRC) -> list[tuple[float, str]]:
     """(seconds, cases sha256) per suite of NAMES, run in that order in one
-    fresh interpreter."""
+    fresh interpreter on the package in SRC."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", CHILD, *names], env=env,
                           capture_output=True, text=True, check=True)
     return [
@@ -63,6 +69,8 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3, help="fresh runs per suite")
     ap.add_argument("--check", action="store_true",
                     help="exit 1 when a suite's cases alone differ from --suite all")
+    ap.add_argument("--src", type=pathlib.Path,
+                    help="another checkout's src/ directory, timed alternately with this one")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
@@ -70,19 +78,25 @@ def main() -> int:
     from qbgraph.verify import SUITES
 
     names = list(SUITES)
+    sides = {"": SRC} if args.src is None else {"": SRC, "src_": args.src.resolve()}
     report = {}
     for name in names:
-        runs = [run([name])[0] for _ in range(args.repeat)]
-        digests = {h for _t, h in runs}
-        if len(digests) != 1:
-            print(f"suite {name}: cases differ between fresh runs", file=sys.stderr)
-            return 1
-        times = [t for t, _h in runs]
-        q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
-                          if len(times) > 1 else times * 3)
-        report[name] = {"median_s": round(median, 4),
-                        "quartiles_s": [round(q1, 4), round(q3, 4)],
-                        "cases_sha256": digests.pop()}
+        runs = {prefix: [] for prefix in sides}
+        for i in range(args.repeat):
+            for prefix in sorted(sides, reverse=bool(i % 2)):
+                runs[prefix].append(run([name], sides[prefix])[0])
+        report[name] = {}
+        for prefix, got in runs.items():
+            digests = {h for _t, h in got}
+            if len(digests) != 1:
+                print(f"suite {name}: cases differ between fresh runs", file=sys.stderr)
+                return 1
+            times = [t for t, _h in got]
+            q1, median, q3 = (statistics.quantiles(times, n=4, method="inclusive")
+                              if len(times) > 1 else times * 3)
+            report[name].update({f"{prefix}median_s": round(median, 4),
+                                 f"{prefix}quartiles_s": [round(q1, 4), round(q3, 4)],
+                                 f"{prefix}cases_sha256": digests.pop()})
     print(json.dumps({"repeat": args.repeat, "suites": report}, indent=2))
     if args.check:
         together = dict(zip(names, (h for _t, h in run(names))))

@@ -56,8 +56,8 @@ class QbgEdge:
 
     ``QbgGraph.out`` makes records from the graph's columns on demand.
     ``weight`` is the label's coroot on quantum edges and zero otherwise.
-    It is a dict key (``QbgGraph._pushed_edges``), so it is never changed
-    once made.  Edges are equal, and hash alike, on all five fields.
+    It is never changed once made.  Edges are equal, and hash alike, on
+    all five fields.
     """
 
     __slots__ = ("source", "target", "label", "kind", "weight")
@@ -263,16 +263,16 @@ class QbgGraph:
         self._partial: dict[int, PartialRow] = {}
         self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per j its
-        # columns (``_left_steps``), per (j, edge) the edge pushed across s_j,
-        # the subgraph of step edges, and the fewest steps from each vertex to e
+        # columns (``_left_steps``) and pushed slots (``_pushed``), the
+        # subgraph of step edges, and the fewest steps from each vertex to e
         self._step_columns: dict[int, tuple[bytes, array, array]] = {}
-        self._pushed_edges: dict[tuple[int, QbgEdge], QbgEdge] = {}
+        self._pushed_slots: dict[int, array] = {}
         self._step_graph: QbgGraph | None = None
         self._step_lengths: array | None = None
-        # per j the surgery sign of every vertex, per vertex x the image
+        # per j the surgery sign of every vertex position, per vertex x the image
         # x^{-1}(tilde alpha_0^vee), and the AffineWeyl of the theta steps'
         # checks, filled by ``tilted``
-        self._surgery_signs: dict[int, dict[int, int]] = {}
+        self._surgery_signs: dict[int, list[int]] = {}
         self._theta_coroot_images: dict[int, Coroot] | None = None
         self._affine_weyl = None
 
@@ -300,6 +300,15 @@ class QbgGraph:
         """A record, made alone, of the edge in CSR slot k out of position p."""
         return QbgEdge(self.vertices[p], self.vertices[self._targets[k]],
                        *self._type_table[self._types[k]])
+
+    def _edge_slot(self, edge: QbgEdge) -> tuple[int, int]:
+        """(source position, CSR slot) of an edge record; ValueError when it
+        is not an edge of the graph."""
+        p, b = self._position(edge.source), self.rs._root_index.get(edge.label)
+        k = -1 if b is None else self._slot(p, b)
+        if k < 0 or self._record(p, k) != edge:
+            raise ValueError(f"{edge!r} is not an edge of this graph")
+        return p, k
 
     def _slot(self, p: int, b: int) -> int:
         """The CSR slot of the edge out of position p labelled by root position b, or -1."""
@@ -352,23 +361,33 @@ class QbgGraph:
         return self.W._signed[self._left_steps(j)[0][self._position(x)]]
 
     def push_edge(self, j: int, edge: QbgEdge) -> QbgEdge:
-        """The edge floor(s_j a) -> floor(s_j b) parallel to the edge a -> b.
+        """The edge floor(s_j a) -> floor(s_j b) parallel to the edge a -> b of
+        the graph (``_push_slot``), read from ``out``."""
+        return self.edges[self._push_slot(j, *self._edge_slot(edge))]
 
-        It keeps the label, twisted for j = 0 by the theta twist z of a
-        (r_theta a = floor(r_theta a) z).  Kept per (j, edge) once its check
-        passes.
-        """
-        key = (j, edge)
-        got = self._pushed_edges.get(key)
+    def _pushed(self, j: int) -> array:
+        """Per CSR slot its ``_push_slot`` across s_j, or -1 while unfilled."""
+        got = self._pushed_slots.get(j)
         if got is None:
-            label = edge.label
+            got = self._pushed_slots[j] = array("i", [-1]) * len(self._targets)
+        return got
+
+    def _push_slot(self, j: int, p: int, k: int) -> int:
+        """The slot of the edge floor(s_j a) -> floor(s_j b) parallel to the
+        edge a -> b in slot k out of position p.  It keeps the label,
+        twisted for j = 0 by the theta twist z of a (r_theta a =
+        floor(r_theta a) z).  Kept in ``_pushed(j)`` once its check passes."""
+        floors, table = self._left_steps(j)[2], self._pushed(j)  # j checked first
+        got = table[k]
+        if got < 0:
+            label = self._type_table[self._types[k]][0]
             if j == 0:
-                label = self.W.act(self.W.theta_twist(edge.source, self.J), label)
-            floors = self._left_steps(j)[2]
-            got = self.edge(floors[self._position(edge.source)], label)
-            if got is None or got.target != floors[self._position(edge.target)]:
+                label = self.W.act(self.W.theta_twist(self.vertices[p], self.J), label)
+            b = self.rs._root_index.get(label)
+            got = -1 if b is None else self._slot(self.vertex_pos[floors[p]], b)
+            if got < 0 or self.vertices[self._targets[got]] != floors[self._targets[k]]:
                 raise GraphInvariantError("pushed edge is missing from the graph")
-            self._pushed_edges[key] = got
+            table[k] = got
         return got
 
     def step_graph(self) -> QbgGraph:
@@ -526,6 +545,26 @@ class QbgGraph:
         edges.reverse()
         return QbgPath(u, tuple(edges))
 
+    def weights_from(self, u: int) -> list[Coroot]:
+        """Per vertex position v the weight of ``shortest_path(u, v)``, summed
+        down the same FIFO BFS tree; GraphInvariantError when some vertex is
+        unreachable from u."""
+        offsets, targets, types = self._offsets, self._targets, self._types
+        weights = [t[2] for t in self._type_table]
+        start = self._position(u)
+        row: list = [None] * len(self.vertices)
+        row[start] = self.rs.zero
+        queue = [start]
+        for p in queue:  # the queue grows as it is read
+            w = row[p]
+            for k in range(offsets[p], offsets[p + 1]):
+                if row[q := targets[k]] is None:
+                    row[q] = add_vec(w, weights[types[k]])
+                    queue.append(q)
+        if len(queue) < len(row):
+            raise GraphInvariantError("graph is not strongly connected")
+        return row
+
     def diameter(self) -> int:
         """The exact diameter, by bit-parallel reachability.
 
@@ -585,42 +624,35 @@ class QbgGraph:
                 edges.pop()
 
     def shortest_paths_from(self, u: int):
-        """Yield (path, weight) for every shortest path out of u, u's empty
-        path first.
+        """Yield (path, weight) for every shortest path out of u in the order
+        of ``_shortest_slot_paths``, each slot read from ``edges``."""
+        rank, edge = self.rs.rank, self.edges.__getitem__
+        for slots in self._shortest_slot_paths(self._position(u)):
+            path = QbgPath(u, tuple(map(edge, slots)))
+            yield path, path.weight(rank)
 
-        One depth-first walk over u's BFS layers in ``out`` order: an edge
-        is taken only when its target lies one layer further from u than
-        its source, so each walk is a shortest path to where it ends and
-        each shortest path is one walk.  A path comes before its extensions
-        and its weight is carried along the walk; per end v the paths come
-        in the order of ``iter_paths(u, v, distance(u, v))``.
-        """
-        dist = self.distances_from(u)
-        succ = self._successors()
-        # per vertex position its edges one layer further from u, each with
-        # its target's position
-        forward = [
-            [(e, q) for e, q in zip(self.out[v], succ[p]) if dist[q] == dist[p] + 1]
-            for p, v in enumerate(self.vertices)
-        ]
-        zero = self.rs.zero
-        yield QbgPath(u, ()), zero
-        edges: list[QbgEdge] = []
-        weights = [zero]
-        frames = [iter(forward[self.vertex_pos[u]])]
+    def _shortest_slot_paths(self, start: int) -> Iterator[tuple[int, ...]]:
+        """Every shortest path out of position start as its tuple of CSR
+        slots, by one depth-first walk over start's BFS layers in slot order:
+        a path comes before its extensions, and per end v the paths come in
+        the order of ``iter_paths(u, v, distance(u, v))``."""
+        dist = self.distances_from(self.vertices[start])
+        offsets, targets = self._offsets, self._targets
+        # per vertex position its slots one layer further from start
+        forward = [[k for k in range(offsets[p], offsets[p + 1]) if dist[targets[k]] == d + 1]
+                   for p, d in enumerate(dist)]
+        path: tuple[int, ...] = ()
+        yield path
+        frames = [iter(forward[start])]
         while frames:
-            step = next(frames[-1], None)
-            if step is None:
+            k = next(frames[-1], None)
+            if k is None:
                 frames.pop()
-                if edges:
-                    edges.pop()
-                    weights.pop()
+                path = path[:-1]
                 continue
-            e, q = step
-            edges.append(e)
-            weights.append(add_vec(weights[-1], e.weight))
-            yield QbgPath(u, tuple(edges)), weights[-1]
-            frames.append(iter(forward[q]))
+            path += (k,)
+            yield path
+            frames.append(iter(forward[targets[k]]))
 
     def quantum_edges(self) -> tuple[QbgEdge, ...]:
         return tuple(e for e in self.edges if e.kind == QUANTUM)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 Root = tuple[int, ...]
@@ -121,11 +121,11 @@ def is_positive_vec(v: tuple[int, ...]) -> bool:
 
 
 def add_vec(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def sub_vec(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def neg_vec(v: tuple[int, ...]) -> tuple[int, ...]:

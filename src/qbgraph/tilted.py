@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -160,18 +161,21 @@ def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
 # -- path surgery ------------------------------------------------------------------
 
 
-def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
-    """<tilde alpha_j^vee, x(lambda_J)> for every vertex id x, with
-    ``J.lambda_J``: it is <(x^{-1} tilde alpha_j)^vee, lambda_J>, read from
-    the label ``QbgGraph.step_label`` forms.  Built once per (graph, j) and
-    kept on the graph."""
+def _signs(graph: QbgGraph, j: int) -> list[int]:
+    """<tilde alpha_j^vee, x(lambda_J)> = <(x^{-1} tilde alpha_j)^vee,
+    lambda_J> per vertex position x, from ``QbgGraph.step_label``'s label.
+    Built once per (graph, j) and kept on the graph."""
     got = graph._surgery_signs.get(j)
     if got is None:
         coroot, label, lam = graph.rs.coroot, graph.step_label, graph.J.lambda_J
-        got = graph._surgery_signs[j] = {
-            x: sum(map(mul, coroot(label(j, x)), lam)) for x in graph.vertices
-        }
+        got = graph._surgery_signs[j] = [sum(map(mul, coroot(label(j, x)), lam))
+                                         for x in graph.vertices]
     return got
+
+
+def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
+    """The surgery sign of every vertex id (``_signs``)."""
+    return dict(zip(graph.vertices, _signs(graph, j)))
 
 
 #: the sign hypothesis of each surgery case, named when it fails
@@ -183,98 +187,96 @@ _CASE_NEEDS = {
 }
 
 
-def surgery_cases(graph: QbgGraph, path: QbgPath, j: int) -> tuple[int, ...]:
-    """The surgery cases whose sign hypotheses hold for path and j, in order:
-    exactly the cases ``transform_path`` accepts.
+def surgeries(graph: QbgGraph, j: int, start: int,
+              slots: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(case, start position, slots) of each surgery by s_j of the path from
+    vertex position start along the CSR slots, per case whose sign
+    hypotheses hold, in case order.
 
-    With s_x = <tilde alpha_j^vee, x(lambda)> along the path's vertices:
-    case 1 needs s < 0 at the end and s >= 0 at some vertex, case 2 s < 0
-    at both endpoints, case 3 s > 0 at the start and s <= 0 at some vertex,
-    case 4 s > 0 at both endpoints.  The endpoint signs are read first, and
-    the inner vertices only where they decide a case.
-    """
-    table = surgery_signs(graph, j)
-    first, last = table[path.start], table[path.end]
-    cases = []
+    With s_x = <tilde alpha_j^vee, x(lambda)> along the path: case 1 needs
+    s < 0 at the end and s >= 0 at some vertex, case 2 s < 0 at both ends,
+    case 3 s > 0 at the start and s <= 0 at some vertex, case 4 s > 0 at
+    both ends.  1 and 3 drop one step (at floor(s_j end), resp. floor(s_j
+    start)); 2 and 4 move both ends, extending case 1's (case 3's) path
+    unless every sign is negative (positive), when every slot is pushed
+    (``QbgGraph._push_slot``).  Each fold, step and push is checked."""
+    signs, targets = _signs(graph, j), graph._targets
+    first = signs[start]
+    last = signs[targets[slots[-1]]] if slots else first
+    if first <= 0 <= last:
+        return []
+    _labels, steps, floors = graph._left_steps(j)
+    vertices, at, table, push = graph.vertices, graph.vertex_pos, graph._pushed(j), graph._push_slot
+    verts = [start, *map(targets.__getitem__, slots)]
+    sv = list(map(signs.__getitem__, verts))
+    top, bottom = max(sv), min(sv)
+
+    def pushed(lo: int, hi: int) -> tuple[int, ...]:
+        kept = tuple(map(table.__getitem__, slots[lo:hi]))
+        if -1 in kept:  # some slot not pushed yet: push and check it
+            kept = tuple(map(push, repeat(j), verts[lo:hi], slots[lo:hi]))
+        return kept
+
+    got = []
     if last < 0:
-        if first >= 0 or any(table[e.target] >= 0 for e in path.edges):
-            cases.append(1)
+        if top >= 0:
+            k = max(i for i, s in enumerate(sv) if s >= 0)
+            if floors[verts[k + 1]] != vertices[verts[k]]:
+                raise GraphInvariantError("transition vertex does not fold back")
+            got.append(one := (1, start, slots[:k] + pushed(k + 1, len(slots))))
         if first < 0:
-            cases.append(2)
+            new = at[floors[start]]
+            if top < 0:
+                got.append((2, new, pushed(0, len(slots))))
+            else:
+                down = steps[new]
+                if down < 0 or targets[down] != start:
+                    raise GraphInvariantError("descent edge into the start is missing")
+                got.append((2, new, (down,) + one[2]))
     if first > 0:
-        if last <= 0 or any(table[e.target] <= 0 for e in path.edges):
-            cases.append(3)
+        new = at[floors[start]]
+        if bottom <= 0:
+            k = min(i for i, s in enumerate(sv) if s <= 0)
+            if floors[verts[k - 1]] != vertices[verts[k]]:
+                raise GraphInvariantError("transition vertex does not fold forward")
+            got.append(three := (3, new, pushed(0, k - 1) + slots[k:]))
         if last > 0:
-            cases.append(4)
-    return tuple(cases)
+            if bottom > 0:
+                got.append((4, new, pushed(0, len(slots))))
+            else:
+                up = steps[verts[-1]]
+                if up < 0:
+                    raise GraphInvariantError("ascent edge out of the end is missing")
+                got.append((4, new, three[2] + (up,)))
+    return got
+
+
+def _path_slots(graph: QbgGraph, path: QbgPath) -> tuple[int, tuple[int, ...]]:
+    """A path's start position and slots (``QbgGraph._edge_slot``)."""
+    return graph._position(path.start), tuple(graph._edge_slot(e)[1] for e in path.edges)
+
+
+def surgery_cases(graph: QbgGraph, path: QbgPath, j: int) -> tuple[int, ...]:
+    """The cases of ``surgeries`` for path and j: those ``transform_path`` accepts."""
+    return tuple(case for case, *_ in surgeries(graph, j, *_path_slots(graph, path)))
 
 
 def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
-    """Move a directed path across left multiplication by s_j.
-
-    The four cases mirror the sign pattern of <tilde alpha_j^vee, . lambda>
-    at the endpoints: 1 and 3 shorten the path by one (ending at
-    floor(s_j end), resp. starting at floor(s_j start)); 2 and 4 keep the
-    length and move both endpoints.  Raises ValueError when the sign
-    hypotheses of the requested case fail, as ``surgery_cases`` decides.
-    """
+    """Move a directed path across left multiplication by s_j: the case's
+    path of ``surgeries``, read from ``edges``.  ValueError when the case's
+    sign hypotheses fail; GraphInvariantError when any case's check does."""
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
-    if case not in surgery_cases(graph, path, j):
-        raise ValueError(_CASE_NEEDS[case])
-    return _transform(graph, path, j, case)
-
-
-def _transform(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
-    """``transform_path`` once the case's sign hypotheses hold.  Case 2
-    falls back on case 1 and case 4 on case 3 without a second check: a
-    path whose endpoint signs are both negative (positive) and that is not
-    negative (positive) throughout has a vertex of the other sign."""
-    table = surgery_signs(graph, j)
-    verts = [path.start] + [e.target for e in path.edges]
-    signs = [table[x] for x in verts]
-
-    def floor(x: int) -> int:
-        return graph.left_step(j, x)[0]
-
-    def push(edges) -> tuple[QbgEdge, ...]:
-        return tuple(graph.push_edge(j, e) for e in edges)
-
-    if case == 1:
-        k = max(i for i, s in enumerate(signs) if s >= 0)
-        if floor(verts[k + 1]) != verts[k]:
-            raise GraphInvariantError("transition vertex does not fold back")
-        return QbgPath(path.start, path.edges[:k] + push(path.edges[k + 1 :]))
-
-    if case == 2:
-        start = floor(path.start)
-        if all(s < 0 for s in signs):
-            return QbgPath(start, push(path.edges))
-        shorter = _transform(graph, path, j, 1)
-        down = graph.left_step(j, start)[1]
-        if down is None or down.target != path.start:
-            raise GraphInvariantError("descent edge into the start is missing")
-        return QbgPath(start, (down,) + shorter.edges)
-
-    if case == 3:
-        k = min(i for i, s in enumerate(signs) if s <= 0)
-        if floor(verts[k - 1]) != verts[k]:
-            raise GraphInvariantError("transition vertex does not fold forward")
-        return QbgPath(floor(path.start), push(path.edges[: k - 1]) + path.edges[k:])
-
-    if all(s > 0 for s in signs):
-        return QbgPath(floor(path.start), push(path.edges))
-    shorter = _transform(graph, path, j, 3)
-    up = graph.left_step(j, verts[-1])[1]
-    if up is None:
-        raise GraphInvariantError("ascent edge out of the end is missing")
-    return QbgPath(shorter.start, shorter.edges + (up,))
+    for found, start, slots in surgeries(graph, j, *_path_slots(graph, path)):
+        if found == case:
+            return QbgPath(graph.vertices[start], tuple(map(graph.edges.__getitem__, slots)))
+    raise ValueError(_CASE_NEEDS[case])
 
 
 def theta_coroot_images(graph: QbgGraph) -> dict[int, Coroot]:
     """x^{-1}(tilde alpha_0^vee) for every vertex id x: the coroot of the
     label x^{-1}(tilde alpha_0) that ``QbgGraph.step_label`` forms.  Built
-    once per graph and kept on it, as ``surgery_signs`` is."""
+    once per graph and kept on it, as ``_signs`` is."""
     got = graph._theta_coroot_images
     if got is None:
         coroot, label = graph.rs.coroot, graph.step_label
@@ -283,15 +285,25 @@ def theta_coroot_images(graph: QbgGraph) -> dict[int, Coroot]:
 
 
 def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> Coroot:
-    """The weight correction the surgery should apply, modulo Q_J^vee."""
+    """``weight_shift`` at the path's endpoints."""
+    return weight_shift(graph, j, case, graph._position(path.start), graph._position(path.end))
+
+
+def weight_shift(graph: QbgGraph, j: int, case: int, start: int, end: int) -> Coroot:
+    """The weight correction, modulo Q_J^vee, of surgery by s_j in the case
+    on a path from vertex position start to end: for j = 0 the end's
+    ``theta_coroot_images`` in cases 1, 2, 4 minus the start's in 2, 3, 4,
+    else zero.  ValueError for a case out of 1..4, as ``transform_path``."""
+    if case not in (1, 2, 3, 4):
+        raise ValueError("case must be 1..4")
     shift = graph.rs.zero
     if j != 0:
         return shift
-    images = theta_coroot_images(graph)
-    if case in (1, 2, 4):
-        shift = add_vec(shift, images[path.end])
-    if case in (2, 3, 4):
-        shift = sub_vec(shift, images[path.start])
+    images, vertices = theta_coroot_images(graph), graph.vertices
+    if case != 3:
+        shift = add_vec(shift, images[vertices[end]])
+    if case != 1:
+        shift = sub_vec(shift, images[vertices[start]])
     return shift
 
 

@@ -17,6 +17,7 @@ import signal
 import struct
 import sys
 import threading
+from operator import mul
 from typing import NamedTuple
 
 from . import render
@@ -56,13 +57,12 @@ from .root_system import (
 )
 from .tilted import (
     TiltedOrder,
-    expected_weight_shift,
     left_multiplication_step,
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
-    surgery_cases,
-    transform_path,
+    surgeries,
+    weight_shift,
 )
 from .weyl import Trichotomy, build_weyl_group
 
@@ -882,49 +882,55 @@ def path_weights(rs, W, _aw, J_nodes):
     J = rs.parabolic(J_nodes)
     g = build_qbg(W, J)
     cap = quotient_diameter(J) + 3
-    pos = g.vertex_pos
+    offsets, targets, types, zero = g._offsets, g._targets, g._types, rs.zero
+    # a weight's class mod Q_J^vee zeroes its J coordinates
+    mask = tuple(0 if i + 1 in J.nodes else 1 for i in range(rs.rank))
+
+    def cls(vec):
+        return tuple(map(mul, vec, mask))
+
+    weights = [t[2] for t in g._type_table]
+    classes = [cls(wt) for wt in weights]
+    # per vertex position its (target position, edge weight) in slot order
+    out = [[(targets[k], weights[types[k]]) for k in range(offsets[p], offsets[p + 1])]
+           for p in range(len(g.vertices))]
+    rows = [g.distances_from(u) for u in g.vertices]
     walks = 0
-    for u in g.vertices:
-        dist_u = g.distances_from(u)
-        base_cls = {
-            v: J.weight_class(g.shortest_path(u, v).weight(rs.rank))
-            for v in g.vertices
-        }
+    for u, dist_u in enumerate(rows):
+        base_cls = [cls(wt) for wt in g.weights_from(g.vertices[u])]
         # a path's contribution depends only on (endpoint, weight,
         # length), so iterate over distinct weight states per depth
-        frontier = {(u, (0,) * rs.rank)}
+        frontier = {(u, zero)}
         for depth in range(cap + 1):
             for cur, wt in frontier:
-                cls = J.weight_class(wt)
-                diff = sub_vec(cls, base_cls[cur])
+                diff = sub_vec(cls(wt), base_cls[cur])
                 if any(c < 0 for c in diff):
-                    raise AssertionError(f"negative weight class at {cur}")
-                if depth == dist_u[pos[cur]] and any(diff):
+                    raise AssertionError(f"negative weight class at {g.vertices[cur]}")
+                if depth == dist_u[cur] and any(diff):
                     raise AssertionError("shortest paths not congruent")
                 walks += 1
             if depth < cap:
-                frontier = {
-                    (e.target, add_vec(wt, e.weight))
-                    for cur, wt in frontier
-                    for e in g.out[cur]
-                }
+                frontier = {(q, add_vec(wt, w)) for cur, wt in frontier for q, w in out[cur]}
+
+    def slot_cls(slots):
+        return tuple(map(sum, zip(zero, *[classes[types[k]] for k in slots])))
+
     # surgery on every shortest path, every applicable case
     moved = 0
-    for u in g.vertices:
-        for p, weight in g.shortest_paths_from(u):
+    for u in range(len(g.vertices)):
+        for p in g._shortest_slot_paths(u):
             d = len(p)
-            cls = J.weight_class(weight)
+            end = targets[p[-1]] if p else u
+            p_cls = slot_cls(p)
             for j in range(0, rs.rank + 1):
-                for case in surgery_cases(g, p, j):
-                    p2 = transform_path(g, p, j, case)
-                    want_len = d - 1 if case in (1, 3) else d
-                    if len(p2) != want_len:
+                for case, start, p2 in surgeries(g, j, u, p):
+                    if len(p2) != (d - 1 if case in (1, 3) else d):
                         raise AssertionError("surgery length wrong")
-                    shift = expected_weight_shift(g, p, j, case)
-                    want = J.weight_class(add_vec(weight, shift)) if any(shift) else cls
-                    if J.weight_class(p2.weight(rs.rank)) != want:
+                    shift = weight_shift(g, j, case, u, end)
+                    want = cls(add_vec(p_cls, shift)) if any(shift) else p_cls
+                    if slot_cls(p2) != want:
                         raise AssertionError("surgery weight wrong")
-                    if len(p2) != g.distance(p2.start, p2.end):
+                    if len(p2) != rows[start][targets[p2[-1]] if p2 else start]:
                         raise AssertionError("surgery lost shortestness")
                     moved += 1
     return f"{walks} weight states, {moved} surgeries"

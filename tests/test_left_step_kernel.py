@@ -106,7 +106,7 @@ def test_an_affine_node_out_of_range_raises_before_any_table(j):
                  lambda: g.push_edge(j, edge)):
         with pytest.raises(ValueError, match=f"^affine node index {j} out of range$"):
             call()
-    assert not g._step_columns and not g._pushed_edges and len(W._perms) == perms
+    assert not g._step_columns and not g._pushed_slots and len(W._perms) == perms
 
 
 def test_a_non_vertex_raises_value_error():

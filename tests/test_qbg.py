@@ -947,10 +947,10 @@ def test_edges_are_records_equal_and_hashed_field_by_field(a2_graph):
         changed = list(fields)
         changed[i] = other
         assert QbgEdge(*changed) != e
-    # an equal edge finds the pushed edge kept under the original
+    # an equal edge finds the pushed slot kept for the original's slot
     moved = g.push_edge(1, e)
     twin = QbgEdge(*fields)
-    assert g._pushed_edges[(1, twin)] is moved
+    assert g.edges[g._pushed(1)[g._edge_slot(twin)[1]]] is moved
     assert g.push_edge(1, twin) is moved
 
 

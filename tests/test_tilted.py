@@ -497,8 +497,10 @@ def test_surgery_tables_belong_to_their_graph():
             table = surgery_signs(g, j)
             assert set(table) == set(g.vertices)
             assert all(s == pair(tilde_coroot(rs, j), x) for x, s in table.items())
-        assert g._pushed_edges
-        for (j, edge), moved in g._pushed_edges.items():
+        pushed = [(j, g.edges[k], g.edges[k2]) for j, table in g._pushed_slots.items()
+                  for k, k2 in enumerate(table) if k2 >= 0]
+        assert pushed
+        for j, edge, moved in pushed:
             assert g.edge(edge.source, edge.label) is edge
             assert g.edge(moved.source, moved.label) is moved
             assert moved.source == g.left_step(j, edge.source)[0]
@@ -516,7 +518,7 @@ def test_a_failed_push_is_not_kept():
     for _ in range(2):
         with pytest.raises(GraphInvariantError, match="pushed edge is missing"):
             broken.push_edge(1, edge)
-    assert not broken._pushed_edges
+    assert set(broken._pushed(1)) == {-1}
 
 
 def test_surgery_pairs_each_vertex_once_per_j(monkeypatch):
@@ -539,19 +541,19 @@ def test_surgery_pairs_each_vertex_once_per_j(monkeypatch):
 
 
 def test_transform_path_checks_its_case_once(monkeypatch):
-    """One ``surgery_cases`` call per ``transform_path`` call, also when case
+    """One ``surgeries`` call per ``transform_path`` call, also when case
     2 falls back on case 1 or case 4 on case 3."""
     rs = build_root_system("A", 3)
     g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
     calls = 0
-    real = tilted.surgery_cases
+    real = tilted.surgeries
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(tilted, "surgery_cases", counting)
+    monkeypatch.setattr(tilted, "surgeries", counting)
     made = 0
     fallbacks = {2: 0, 4: 0}
     for u in g.vertices:
