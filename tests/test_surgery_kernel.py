@@ -27,8 +27,9 @@ def _group(cartan_type, rank):
 class _Reference:
     """Surgery on records, as it was done before the slot kernel: each
     floor, step edge and pushed edge read per vertex or per edge record
-    (the step edges through ``edge``, so every record is ``out``'s), and
-    kept per (j, vertex) or (j, edge) so that every path can be checked."""
+    (the step edges through ``edge``, so every record is ``out``'s, which
+    lives as long as the graph), and kept per (j, vertex) or per j and
+    record so that every path can be checked."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -37,19 +38,19 @@ class _Reference:
             floors = {x: graph.left_step(j, x)[0] for x in graph.vertices}
             edges = {x: graph.edge(x, graph.step_label(j, x)) for x in graph.vertices}
             self.steps.append((floors, edges))
-        self.pushed = {}
+        self.pushed = [{} for _ in self.steps]
 
     def push(self, j, edge):
         """The edge floor(s_j a) -> floor(s_j b) parallel to a -> b, found
         by label, the label twisted for j = 0."""
-        got = self.pushed.get((j, edge))
+        got = self.pushed[j].get(id(edge))
         if got is None:
             g, label, floors = self.graph, edge.label, self.steps[j][0]
             if j == 0:
                 label = g.W.act(g.W.theta_twist(edge.source, g.J), label)
             got = g.edge(floors[edge.source], label)
             assert got is not None and got.target == floors[edge.target]
-            self.pushed[(j, edge)] = got
+            self.pushed[j][id(edge)] = got
         return got
 
     def transform(self, j, verts, signs, edges, case):
@@ -59,7 +60,7 @@ class _Reference:
         floors, steps = self.steps[j]
 
         def push(part):
-            return tuple(self.push(j, e) for e in part)
+            return tuple([self.push(j, e) for e in part])
 
         if case == 1:
             k = max(i for i, s in enumerate(signs) if s >= 0)
