@@ -383,8 +383,8 @@ class QbgGraph:
             label = self._type_table[self._types[k]][0]
             if j == 0:
                 label = self.W.act(self.W.theta_twist(self.vertices[p], self.J), label)
-            b = self.rs._root_index.get(label)
-            got = -1 if b is None else self._slot(self.vertex_pos[floors[p]], b)
+            a, b = self.vertex_pos.get(floors[p]), self.rs._root_index.get(label)
+            got = -1 if a is None or b is None else self._slot(a, b)
             if got < 0 or self.vertices[self._targets[got]] != floors[self._targets[k]]:
                 raise GraphInvariantError("pushed edge is missing from the graph")
             table[k] = got
