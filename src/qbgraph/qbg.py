@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import mul
@@ -45,6 +45,34 @@ class PartialRow(NamedTuple):
     dist: list[int]
     queue: list[int]
     reader: Iterator[int]
+
+
+def _bfs(start: int, adjacency: Sequence[Iterable[int]]) -> list[int]:
+    """Per position the fewest steps from position start, a step going from
+    p to each position of ``adjacency[p]``, or UNSETTLED where start does not
+    reach: one FIFO BFS, each position's steps in their given order."""
+    dist = [UNSETTLED] * len(adjacency)
+    dist[start] = 0
+    queue = [start]
+    for p in queue:  # the queue grows as it is read
+        d = dist[p] + 1
+        for q in adjacency[p]:
+            if dist[q] == UNSETTLED:
+                dist[q] = d
+                queue.append(q)
+    return dist
+
+
+def _reversed(n: int, columns, targets: Sequence[int]) -> list[list[int]]:
+    """Per position q of n the positions p of the edges p -> q, in the order
+    given: each column pairs sources p with CSR slots k, the edge p ->
+    ``targets[k]``, or no edge for k = -1, filled straight into the lists."""
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for sources, slots in columns:
+        for p, k in zip(sources, slots):
+            if k >= 0:
+                preds[targets[k]].append(p)
+    return preds
 
 
 class GraphInvariantError(AssertionError):
@@ -261,7 +289,6 @@ class QbgGraph:
         self._succ: list[tuple[int, ...]] | None = None
         self._dist: dict[int, array] = {}
         self._partial: dict[int, PartialRow] = {}
-        self._diameter: int | None = None
         # the left action of s_0, ..., s_r, filled on first use: per j its
         # columns (``_left_steps``) and pushed slots (``_pushed``), the
         # subgraph of step edges, and the fewest steps from each vertex to e
@@ -325,9 +352,12 @@ class QbgGraph:
         read off x^{-1}'s signed root permutation; the CSR slot (``_slot``) of the
         step edge x -> floor(s_j x), present exactly when the label is in Phi+ minus
         Phi_J, else -1; and floor(s_j x) from the group's tables, checked against
-        each slot's target.  Kept per j; a j out of 0..rank raises ValueError first."""
+        each slot's target.  Kept per j.  Before any table is read, an orbit graph
+        raises TypeError and a j out of 0..rank ValueError."""
         got = self._step_columns.get(j)
         if got is None:
+            if not isinstance(self.W, WeylGroup):
+                raise TypeError("the left action needs a graph on the enumerated WeylGroup")
             W, J, vertices, tilde = self.W, self.J, self.vertices, self.rs.tilde_root(j)
             i, inverse, get, perm = W._signed_pos[tilde], W._inverse, W._perms.get, W._signed_perm
             labels = bytes([(get(w) or perm(w))[i] for w in map(inverse.__getitem__, vertices)])
@@ -408,22 +438,10 @@ class QbgGraph:
         e over the step slots reversed.  Built on first use and kept."""
         row = self._step_lengths
         if row is None:
-            preds: list[list[int]] = [[] for _ in self.vertices]
-            for j in range(self.rs.rank + 1):
-                for p, k in enumerate(self._left_steps(j)[1]):
-                    if k >= 0:
-                        preds[self._targets[k]].append(p)
-            dist = [UNSETTLED] * len(self.vertices)
-            start = self._position(0)
-            dist[start] = 0
-            queue = [start]
-            for p in queue:  # the queue grows as it is read
-                d = dist[p] + 1
-                for q in preds[p]:
-                    if dist[q] == UNSETTLED:
-                        dist[q] = d
-                        queue.append(q)
-            row = self._step_lengths = array("H", dist)
+            n = len(self.vertices)
+            preds = _reversed(n, ((range(n), self._left_steps(j)[1])
+                                  for j in range(self.rs.rank + 1)), self._targets)
+            row = self._step_lengths = array("H", _bfs(self._position(0), preds))
         return row
 
     # -- distances -----------------------------------------------------------
@@ -565,36 +583,21 @@ class QbgGraph:
             raise GraphInvariantError("graph is not strongly connected")
         return row
 
-    def diameter(self) -> int:
-        """The exact diameter, by bit-parallel reachability.
+    def strongly_connected(self) -> bool:
+        """Whether every vertex reaches every other: one BFS from the first
+        vertex over the edges, then one over the edges reversed.  Nothing is
+        kept on the graph."""
+        n, offsets, targets = len(self.vertices), self._offsets, self._targets
+        ends = offsets[1:]
+        if UNSETTLED in _bfs(0, [targets[lo:hi] for lo, hi in zip(offsets, ends)]):
+            return False
+        preds = _reversed(n, zip(map(repeat, range(n)), map(range, offsets, ends)), targets)
+        return UNSETTLED not in _bfs(0, preds)
 
-        After r rounds, bit i of ``reach[v]`` is set exactly when vertex i
-        reaches v in at most r steps: each round ORs every predecessor's
-        bitset into v's.  The diameter is the number of rounds until every
-        bitset is full.  A round that changes nothing before then means the
-        graph is not strongly connected.  No distance table is stored.
-        """
-        if self._diameter is None:
-            offsets, targets = self._offsets, self._targets
-            preds: list[list[int]] = [[] for _ in self.vertices]
-            for p in range(len(self.vertices)):
-                for q in targets[offsets[p]:offsets[p + 1]]:
-                    preds[q].append(p)
-            full = (1 << len(self.vertices)) - 1
-            reach = [1 << i for i in range(len(self.vertices))]
-            rounds = 0
-            while any(r != full for r in reach):
-                nxt = []
-                for acc, ps in zip(reach, preds):
-                    for p in ps:
-                        acc |= reach[p]
-                    nxt.append(acc)
-                if nxt == reach:
-                    raise GraphInvariantError("graph is not strongly connected")
-                reach = nxt
-                rounds += 1
-            self._diameter = rounds
-        return self._diameter
+    def diameter(self) -> int:
+        """The exact diameter, the largest entry of the kept ``distances_from``
+        rows; GraphInvariantError when the graph is not strongly connected."""
+        return max(max(self.distances_from(u)) for u in self.vertices)
 
     def iter_paths(self, u: int, v: int, max_len: int):
         """Yield every directed path u -> v of length at most max_len.

@@ -150,12 +150,7 @@ def quantum_length(graph: QbgGraph, u: int) -> int:
 
 def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
     """Strong connectivity of the subgraph of left multiplication steps."""
-    steps = graph.step_graph()
-    try:
-        steps.diameter()
-    except GraphInvariantError:
-        return False
-    return True
+    return graph.step_graph().strongly_connected()
 
 
 # -- path surgery ------------------------------------------------------------------

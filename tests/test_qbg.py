@@ -423,40 +423,64 @@ def test_bounded_distances_on_graphs_that_are_not_strongly_connected(
     assert raised > 0 and answered > 0
 
 
-def bfs_diameter(g):
-    """Reference diameter: the largest BFS eccentricity over all vertices."""
-    return max(max(g.distances_from(u)) for u in g.vertices)
+def reference_diameter(g):
+    """The largest ``reference_bfs`` distance over all sources, or None when
+    some vertex does not reach another."""
+    rows = [reference_bfs(g, u)[0] for u in g.vertices]
+    if any(len(row) < len(g.vertices) for row in rows):
+        return None
+    return max(max(row.values()) for row in rows)
 
 
-@pytest.mark.parametrize(
-    "cartan_type,rank,parabolics",
-    [(t, r, None) for t, r in SMALL_TYPES] + [("A", 5, [(1,)]), ("F", 4, [()])],
-)
-def test_diameter_matches_bfs_eccentricities(cartan_type, rank, parabolics):
-    rs = build_root_system(cartan_type, rank)
-    W = WeylGroup(rs)
-    for J in parabolics or all_parabolics(rank):
-        g = build_qbg(W, rs.parabolic(J))
-        assert g.diameter() == bfs_diameter(g), J
+def _row_state(g):
+    """What a graph keeps of its BFS work: complete rows, partial rows (by
+    value) and the successor tuples (by identity)."""
+    return (dict(g._dist), {u: (list(r.dist), list(r.queue)) for u, r in g._partial.items()},
+            id(g._succ))
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", [("A", 2, ()), ("B", 2, (1,)), ("G", 2, ()),
+                                                 ("A", 3, (2,)), ("A", 2, (1, 2))])
+def test_strongly_connected_matches_a_bfs_reference(groups, cartan_type, rank, J):
+    # the graph (one vertex for J = I) and each copy with one edge dropped:
+    # the two engine BFS agree with a reference BFS from every vertex, and
+    # leave the kept rows as they were.  Every drop cuts B2 J = {1}; none
+    # cuts the other graphs of two or more vertices
+    rs, W = groups(cartan_type, rank)
+    g = build_qbg(W, rs.parabolic(J))
+    g.distances_from(g.vertices[-1])  # a complete row, and the successor tuples
+    g.distance(g.vertices[0], g.vertices[0])  # a row stopped at its source
+    assert g._succ is not None and (g._partial or len(g.vertices) == 1)
+    answers = []
+    for k in range(-1, len(g.edges)):
+        h = g if k < 0 else QbgGraph(W, g.J, g.vertices, g.edges[:k] + g.edges[k + 1:])
+        before = _row_state(h)
+        answers.append(h.strongly_connected())
+        assert answers[-1] is (reference_diameter(h) is not None), k
+        assert _row_state(h) == before, k
+    assert answers[0] and answers.count(False) == (len(g.edges) if J == (1,) else 0)
+    assert g.diameter() == quotient_diameter(g.J)
 
 
 def test_diameter_rejects_graphs_that_are_not_strongly_connected(a2, a2_graph):
     rs, W = a2
     cycle = build_qbg(W, rs.parabolic((1,)))  # a directed 3-cycle
     cut = QbgGraph(W, cycle.J, cycle.vertices, cycle.edges[1:])
+    assert not cut.strongly_connected()
     with pytest.raises(GraphInvariantError, match="not strongly connected"):
         cut.diameter()
-    # drop each edge of QB(A2) in turn: the diameter and the BFS reference
+    # drop each edge of QB(A2) in turn: the diameter and the reference BFS
     # agree, or both find the graph not strongly connected
     g = a2_graph
     for k in range(len(g.edges)):
         h = QbgGraph(W, g.J, g.vertices, g.edges[:k] + g.edges[k + 1:])
-        try:
-            expect = bfs_diameter(h)
-        except GraphInvariantError:
-            with pytest.raises(GraphInvariantError):
+        expect = reference_diameter(h)
+        if expect is None:
+            assert not h.strongly_connected()
+            with pytest.raises(GraphInvariantError, match="not strongly connected"):
                 h.diameter()
         else:
+            assert h.strongly_connected()
             assert h.diameter() == expect
 
 
@@ -475,9 +499,12 @@ def test_diameter_is_the_number_of_roots_outside_phi_j(groups, cartan_type, rank
         parabolics = list(all_parabolics(rank))
     else:  # two small quotients: J is every node but node 1, or node 2
         parabolics = [tuple(j for j in range(1, rank + 1) if j != k) for k in (1, 2)]
+    if (cartan_type, rank) == ("A", 5):
+        parabolics.append((1,))  # 360 vertices
     for J in parabolics:
         par = rs.parabolic(J)
         g = build_qbg(W, par)
+        assert g.strongly_connected(), J
         assert g.diameter() == quotient_diameter(par) == (
             len(rs.positive_roots) - len(par.phi_plus)), J
         assert aw.lift_depth(g) == g.diameter() + 2, J

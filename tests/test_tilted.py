@@ -20,7 +20,8 @@ from qbgraph.tilted import (
     transform_path,
 )
 from qbgraph.verify import all_parabolics
-from qbgraph.weyl import Trichotomy, WeylGroup
+from qbgraph.weyl import Trichotomy, WeylGroup, build_weight_orbit
+from test_step_lengths import _dropping
 from test_weyl_enumeration import apply, reference
 
 
@@ -258,6 +259,40 @@ def test_left_steps_are_edges(a2, graph):
             edge = left_step_edge(graph, i, v)
             if edge is not None:
                 assert graph.edge(edge.source, edge.label) == edge
+
+
+@pytest.mark.parametrize("cartan_type,rank", [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                                               ("C", 2), ("C", 3), ("D", 4), ("F", 4), ("G", 2)])
+def test_the_left_steps_connect_every_proper_parabolic(cartan_type, rank):
+    rs = build_root_system(cartan_type, rank)
+    W = WeylGroup(rs)
+    for nodes in all_parabolics(rank, proper=True):
+        assert left_step_subgraph_strongly_connected(build_qbg(W, rs.parabolic(nodes))), nodes
+
+
+def test_the_left_steps_do_not_connect_without_the_steps_out_of_w0(monkeypatch):
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    J = rs.parabolic(())
+    assert left_step_subgraph_strongly_connected(build_qbg(W, J))
+    w0 = W.longest_element().index
+    _dropping(monkeypatch, {(j, w0) for j in range(rs.rank + 1)})
+    g = build_qbg(W, J)
+    assert not left_step_subgraph_strongly_connected(g)
+    assert not g.step_graph().out[w0]
+
+
+@pytest.mark.parametrize("query", [
+    lambda g: g.left_step(1, 0),
+    lambda g: quantum_length(g, 0),
+    left_step_subgraph_strongly_connected,
+], ids=["left_step", "quantum_length", "left_step_subgraph_strongly_connected"])
+def test_the_left_action_on_an_orbit_graph_asks_for_the_group(query):
+    orbit = build_weight_orbit("A", 3, (1,))
+    g = build_qbg(orbit, orbit.rs.parabolic((1,)))
+    with pytest.raises(TypeError, match="enumerated WeylGroup"):
+        query(g)
+    assert not g._step_columns
 
 
 def test_transform_case1_worked_example(a2):
