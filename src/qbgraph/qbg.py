@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .root_system import (
@@ -207,10 +207,11 @@ class _EdgeList(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self)[i]
-        out = self._out
-        k = range(len(self))[i]  # raises IndexError out of range
-        p = bisect_right(out.offsets, k) - 1
-        return out[out.vertices[p]][k - out.offsets[p]]
+        out, n, k = self._out, len(self), index(i)
+        if not -n <= k < n:
+            raise IndexError("edge index out of range")
+        p = bisect_right(out.offsets, k % n) - 1  # a negative k counts from the end
+        return out[out.vertices[p]][k % n - out.offsets[p]]
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _EdgeList)):
@@ -595,9 +596,13 @@ class QbgGraph:
         return UNSETTLED not in _bfs(0, preds)
 
     def diameter(self) -> int:
-        """The exact diameter, the largest entry of the kept ``distances_from``
-        rows; GraphInvariantError when the graph is not strongly connected."""
-        return max(max(self.distances_from(u)) for u in self.vertices)
+        """The exact diameter, the largest entry of one ``_bfs`` per source over
+        the successors, no row kept; GraphInvariantError if not strongly connected."""
+        succ = self._successors()
+        top = max(max(_bfs(p, succ)) for p in range(len(succ)))
+        if top == UNSETTLED:
+            raise GraphInvariantError("graph is not strongly connected")
+        return top
 
     def iter_paths(self, u: int, v: int, max_len: int):
         """Yield every directed path u -> v of length at most max_len.

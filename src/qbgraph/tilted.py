@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -11,7 +10,6 @@ from .qbg import UNSETTLED, GraphInvariantError, QbgEdge, QbgGraph, QbgPath
 from .root_system import (
     Coroot,
     ParabolicIndex,
-    add_vec,
     is_positive_vec,
     neg_vec,
     sub_vec,
@@ -207,10 +205,8 @@ def surgeries(graph: QbgGraph, j: int, start: int,
     top, bottom = max(sv), min(sv)
 
     def pushed(lo: int, hi: int) -> tuple[int, ...]:
-        kept = tuple(map(table.__getitem__, slots[lo:hi]))
-        if -1 in kept:  # some slot not pushed yet: push and check it
-            kept = tuple(map(push, repeat(j), verts[lo:hi], slots[lo:hi]))
-        return kept
+        return tuple([table[k] if table[k] >= 0 else push(j, p, k)  # pushed and checked once
+                      for p, k in zip(verts[lo:hi], slots[lo:hi])])
 
     got = []
     if last < 0:
@@ -280,26 +276,18 @@ def theta_coroot_images(graph: QbgGraph) -> dict[int, Coroot]:
 
 
 def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> Coroot:
-    """``weight_shift`` at the path's endpoints."""
-    return weight_shift(graph, j, case, graph._position(path.start), graph._position(path.end))
-
-
-def weight_shift(graph: QbgGraph, j: int, case: int, start: int, end: int) -> Coroot:
     """The weight correction, modulo Q_J^vee, of surgery by s_j in the case
-    on a path from vertex position start to end: for j = 0 the end's
-    ``theta_coroot_images`` in cases 1, 2, 4 minus the start's in 2, 3, 4,
-    else zero.  ValueError for a case out of 1..4, as ``transform_path``."""
+    on the path: for j = 0 the end's ``theta_coroot_images`` in cases 1, 2, 4
+    minus the start's in 2, 3, 4, else zero.  ValueError for a path off the
+    graph, and for a case out of 1..4, as ``transform_path``."""
+    start, end = graph._position(path.start), graph._position(path.end)
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
-    shift = graph.rs.zero
     if j != 0:
-        return shift
+        return graph.rs.zero
     images, vertices = theta_coroot_images(graph), graph.vertices
-    if case != 3:
-        shift = add_vec(shift, images[vertices[end]])
-    if case != 1:
-        shift = sub_vec(shift, images[vertices[start]])
-    return shift
+    plus = graph.rs.zero if case == 3 else images[vertices[end]]
+    return plus if case == 1 else sub_vec(plus, images[vertices[start]])
 
 
 # -- path weight comparison ---------------------------------------------------------

@@ -52,17 +52,18 @@ from .root_system import (
     add_vec,
     build_root_system,
     is_positive_vec,
+    neg_vec,
     scale_vec,
     sub_vec,
 )
 from .tilted import (
     TiltedOrder,
+    _signs,
     left_multiplication_step,
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
-    surgeries,
-    weight_shift,
+    theta_coroot_images,
 )
 from .weyl import Trichotomy, build_weyl_group
 
@@ -880,60 +881,96 @@ def reflection_orderings(rs, W, _aw):
        own_cases(PATH_WEIGHT_CASES, _tag))
 def path_weights(rs, W, _aw, J_nodes):
     J = rs.parabolic(J_nodes)
-    g = build_qbg(W, J)
-    cap = quotient_diameter(J) + 3
-    offsets, targets, types, zero = g._offsets, g._targets, g._types, rs.zero
-    # a weight's class mod Q_J^vee zeroes its J coordinates
-    mask = tuple(0 if i + 1 in J.nodes else 1 for i in range(rs.rank))
+    walks, moved = path_claims(build_qbg(W, J), quotient_diameter(J) + 3)
+    return f"{walks} weight states, {moved} surgeries"
+
+
+def path_claims(g, cap=None) -> tuple[int, int]:
+    """Check the path-weights claims on G edge by edge: (weight states, surgeries).
+
+    cls is the class mod Q_J^vee, s = ``tilted._signs(g, j)``, phi(x) =
+    cls(x^{-1}(tilde alpha_0^vee)) for j = 0 and 0 else, b_u = ``weights_from(u)``.
+    Per edge a -> b of weight wt: cls(b_u(a) + wt - b_u(b)) >= 0, = 0 if it climbs
+    u's BFS layers; s(a) s(b) > 0: push floor(s_j a) -> floor(s_j b), of class
+    cls(wt) + phi(b) - phi(a); s(a) >= 0 > s(b): floor(s_j b) = a, cls(wt) = -phi(b);
+    s(a) > 0 >= s(b): floor(s_j a) = b, cls(wt) = phi(a).  Per x: the step out of x
+    has class phi(x) if s(x) > 0, the one into x -phi(x) if s(x) < 0; s(x) = 0:
+    floor(s_j x) = x.  Telescoping along a path u -> v gives cls(wt) >= cls(b_u(v)),
+    equal on shortest paths, at every length; and a surgery (``tilted.surgeries``:
+    the path's edges less one fold, the rest pushed, plus at most one step) shifts
+    the class by ``expected_weight_shift``.  Its ends and length are fixed by (u, v,
+    j, case), so one distance read checks it.  A DP over u's BFS DAG counts the N
+    paths to v, M of them signed like u throughout (strictly); a path has [s(v) < 0]
+    ([some s >= 0] + [s(u) < 0]) + [s(u) > 0]([some s <= 0] + [s(v) > 0]) surgeries.
+    With CAP, a walk over (vertex, weight) states to depth CAP checks the lemma too.
+    """
+    n, zero, theta = len(g.vertices), g.rs.zero, theta_coroot_images(g)
+    offsets, targets, types, at = g._offsets, g._targets, g._types, g.vertex_pos
+    mask = g.J.lambda_J  # 1 off J and 0 on J: a class zeroes J's coordinates
 
     def cls(vec):
         return tuple(map(mul, vec, mask))
 
     weights = [t[2] for t in g._type_table]
     classes = [cls(wt) for wt in weights]
-    # per vertex position its (target position, edge weight) in slot order
-    out = [[(targets[k], weights[types[k]]) for k in range(offsets[p], offsets[p + 1])]
-           for p in range(len(g.vertices))]
-    rows = [g.distances_from(u) for u in g.vertices]
-    walks = 0
-    for u, dist_u in enumerate(rows):
-        base_cls = [cls(wt) for wt in g.weights_from(g.vertices[u])]
-        # a path's contribution depends only on (endpoint, weight,
-        # length), so iterate over distinct weight states per depth
-        frontier = {(u, zero)}
-        for depth in range(cap + 1):
+    sides = [(_signs(g, j), [at[x] for x in g._left_steps(j)[2]]) for j in range(g.rs.rank + 1)]
+    for j, (s, fl) in enumerate(sides):
+        steps, phi = g._left_steps(j)[1], [cls(theta[x]) if j == 0 else zero for x in g.vertices]
+        for a, (sa, fa) in enumerate(zip(s, fl)):
+            for k in range(offsets[a], offsets[a + 1]):
+                b, c = targets[k], classes[types[k]]
+                if sa * s[b] > 0:
+                    q = g._push_slot(j, a, k)
+                    _require(offsets[fa] <= q < offsets[fa + 1] and targets[q] == fl[b]
+                             and classes[types[q]] == add_vec(c, sub_vec(phi[b], phi[a])),
+                             "pushed edge is wrong")
+                _require((not sa >= 0 > s[b] or fl[b] == a and c == neg_vec(phi[b]))
+                         and (not sa > 0 >= s[b] or fa == b and c == phi[a]), "fold edge is wrong")
+            x, y, want = (a, fa, phi[a]) if sa > 0 else (fa, a, neg_vec(phi[a]))
+            _require(fa == a if not sa else steps[x] >= 0 and targets[steps[x]] == y
+                     and classes[types[steps[x]]] == want, "step edge is wrong")
+    rows, walks, moved = [g.distances_from(v) for v in g.vertices], 0, 0
+    for u, dist in enumerate(rows):
+        base = [cls(wt) for wt in g.weights_from(g.vertices[u])]
+        frontier = {(u, zero)}  # the distinct (endpoint, weight) states per depth
+        for depth in range(0 if cap is None else cap + 1):
             for cur, wt in frontier:
-                diff = sub_vec(cls(wt), base_cls[cur])
-                if any(c < 0 for c in diff):
-                    raise AssertionError(f"negative weight class at {g.vertices[cur]}")
-                if depth == dist_u[cur] and any(diff):
-                    raise AssertionError("shortest paths not congruent")
-                walks += 1
+                diff = sub_vec(cls(wt), base[cur])
+                if min(diff) < 0 or depth == dist[cur] and any(diff):
+                    raise AssertionError(f"a walk to {g.vertices[cur]} breaks the lemma")
+            walks += len(frontier)
             if depth < cap:
-                frontier = {(q, add_vec(wt, w)) for cur, wt in frontier for q, w in out[cur]}
-
-    def slot_cls(slots):
-        return tuple(map(sum, zip(zero, *[classes[types[k]] for k in slots])))
-
-    # surgery on every shortest path, every applicable case
-    moved = 0
-    for u in range(len(g.vertices)):
-        for p in g._shortest_slot_paths(u):
-            d = len(p)
-            end = targets[p[-1]] if p else u
-            p_cls = slot_cls(p)
-            for j in range(0, rs.rank + 1):
-                for case, start, p2 in surgeries(g, j, u, p):
-                    if len(p2) != (d - 1 if case in (1, 3) else d):
-                        raise AssertionError("surgery length wrong")
-                    shift = weight_shift(g, j, case, u, end)
-                    want = cls(add_vec(p_cls, shift)) if any(shift) else p_cls
-                    if slot_cls(p2) != want:
-                        raise AssertionError("surgery weight wrong")
-                    if len(p2) != rows[start][targets[p2[-1]] if p2 else start]:
-                        raise AssertionError("surgery lost shortestness")
-                    moved += 1
-    return f"{walks} weight states, {moved} surgeries"
+                frontier = {(targets[k], add_vec(wt, weights[types[k]])) for cur, wt in frontier
+                            for k in range(offsets[cur], offsets[cur + 1])}
+        order, count = sorted(range(n), key=dist.__getitem__), [0] * n
+        count[u] = 1
+        for p in order:
+            for k in range(offsets[p], offsets[p + 1]):
+                q = targets[k]
+                climbs = dist[q] == dist[p] + 1
+                gap = sub_vec(add_vec(base[p], classes[types[k]]), base[q])
+                if min(gap) < 0 or climbs and any(gap):
+                    raise AssertionError(f"edge into {g.vertices[q]} breaks the potential")
+                count[q] += count[p] if climbs else 0
+        for s, fl in sides:
+            first, fu, same = s[u], fl[u], [0] * n
+            same[u] = int(first != 0)  # the paths whose every sign is first's, strictly
+            for p in order:
+                if same[p]:
+                    for q in targets[offsets[p]:offsets[p + 1]]:
+                        same[q] += same[p] if dist[q] == dist[p] + 1 and s[q] * first > 0 else 0
+            for v, (d, last, fv) in enumerate(zip(dist, s, fl)):
+                every, mixed = count[v], count[v] - same[v]
+                # cases 1 to 4: how many paths admit it, the moved path's ends x, y and length
+                cases = ((mixed * (last < 0), u, fv, d - 1),
+                         (every * (first < 0 > last), fu, fv, d),
+                         (mixed * (first > 0), fu, v, d - 1),
+                         (every * (first > 0 < last), fu, fv, d))
+                for paths, x, y, length in cases:
+                    if paths:
+                        _require(rows[x][y] == length, "surgery lost shortestness")
+                        moved += paths
+    return walks, moved
 
 
 @suite("connectivity",
@@ -981,9 +1018,9 @@ def run_suite(name: str, types=None) -> SuiteResult:
 
 
 #: every suite, heaviest first by its median time alone (``scripts/suite_times.py``)
-HEAVIEST = ("path-weights", "level-zero", "affine-core", "lift-roundtrip", "orderings", "tilted",
-            "diamond", "qbg-structure", "quantum-roots", "special-lengths", "connectivity",
-            "weyl-basics", "determinism", "reference-graphs", "reference-slice", "example-chain")
+HEAVIEST = ("level-zero", "affine-core", "lift-roundtrip", "orderings", "path-weights", "tilted",
+            "diamond", "qbg-structure", "special-lengths", "connectivity", "quantum-roots",
+            "weyl-basics", "determinism", "reference-graphs", "example-chain", "reference-slice")
 
 _POSITION = struct.Struct("<H")  # one queue entry: a position in the names
 _FRAME = struct.Struct("<I")  # the byte length of the pickle that follows

@@ -484,6 +484,15 @@ def test_diameter_rejects_graphs_that_are_not_strongly_connected(a2, a2_graph):
             assert h.diameter() == expect
 
 
+def test_diameter_keeps_no_row(groups):
+    # one BFS per source, each row dropped once its maximum is read
+    rs, W = groups("F", 4)
+    J = rs.parabolic((2, 3))
+    g = build_qbg(W, J)
+    assert g.diameter() == quotient_diameter(J)
+    assert g._dist == {} and g._partial == {}
+
+
 @pytest.mark.parametrize(
     "cartan_type,rank",
     ROOT_TYPES + [("A", 5), ("A", 6), ("B", 5), ("D", 5), ("E", 6)],
@@ -505,9 +514,10 @@ def test_diameter_is_the_number_of_roots_outside_phi_j(groups, cartan_type, rank
         par = rs.parabolic(J)
         g = build_qbg(W, par)
         assert g.strongly_connected(), J
-        assert g.diameter() == quotient_diameter(par) == (
+        diameter = g.diameter()  # one BFS per source, none kept
+        assert diameter == quotient_diameter(par) == (
             len(rs.positive_roots) - len(par.phi_plus)), J
-        assert aw.lift_depth(g) == g.diameter() + 2, J
+        assert aw.lift_depth(g) == diameter + 2, J
 
 
 def test_dual_involution(a2):
@@ -1048,6 +1058,23 @@ def test_the_qbg_exports_make_no_edge_records():
     assert len(g.edges) == 6_264 and quantum == 2_556
     assert records() == before
     assert g.edges[0] == g.out[0][0] and records() == before + len(g.out[0])
+
+
+def test_edge_indices_behave_as_a_tuples(a2_graph):
+    g = a2_graph
+    edges, n = tuple(g.edges), len(g.edges)
+    for k in (0, 1, n - 1, -1, -n, n // 2, -(n // 2)):
+        assert g.edges[k] is edges[k], k
+    for k in (n, n + 1, -n - 1, -2 * n):
+        with pytest.raises(IndexError):
+            edges[k]
+        with pytest.raises(IndexError, match="^edge index out of range$"):
+            g.edges[k]
+    for k in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            edges[k]
+        with pytest.raises(TypeError):
+            g.edges[k]
 
 
 @pytest.mark.parametrize("cartan_type,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])

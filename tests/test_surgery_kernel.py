@@ -1,8 +1,11 @@
 """The slot-level surgery kernel ``tilted.surgeries`` against a record-level
 reference, its four fold, descent and ascent checks tripped on sabotaged
-columns, and the BFS-tree weight row ``QbgGraph.weights_from`` against
-``shortest_path``."""
+columns, the BFS-tree weight row ``QbgGraph.weights_from`` against
+``shortest_path``, and the path-weights edge checks (``verify.path_claims``):
+their surgery count against the kernel's, and each check tripped on a
+sabotaged copy of a graph."""
 
+import copy
 from array import array
 from itertools import repeat
 
@@ -11,7 +14,7 @@ import pytest
 from qbgraph.qbg import GraphInvariantError, QbgEdge, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import expected_weight_shift, surgeries, surgery_signs, transform_path
-from qbgraph.verify import PATH_WEIGHT_CASES, all_parabolics
+from qbgraph.verify import PATH_WEIGHT_CASES, all_parabolics, path_claims
 from qbgraph.weyl import WeylGroup
 
 _groups = {}
@@ -236,14 +239,19 @@ def test_the_weight_row_is_the_shortest_path_weight(cartan_type, rank, J):
             assert row[p] == g.shortest_path(u, v).weight(rank), (u, v)
 
 
-def test_the_weight_row_follows_a_sabotaged_edge_weight():
-    W = _group("B", 3)
-    g = build_qbg(W, W.rs.parabolic((2,)))
+def _heavier(g):
+    """A copy of g whose first quantum edge weighs one more in every coordinate."""
     edges = list(g.edges)
     i = next(i for i, e in enumerate(edges) if e.kind == "quantum")
     e = edges[i]
     edges[i] = QbgEdge(e.source, e.target, e.label, e.kind, tuple(c + 1 for c in e.weight))
-    broken = QbgGraph(W, g.J, g.vertices, edges)
+    return QbgGraph(g.W, g.J, g.vertices, edges)
+
+
+def test_the_weight_row_follows_a_sabotaged_edge_weight():
+    W = _group("B", 3)
+    g = build_qbg(W, W.rs.parabolic((2,)))
+    broken = _heavier(g)
     moved = 0
     for u in g.vertices:
         row, kept = broken.weights_from(u), g.weights_from(u)
@@ -251,3 +259,81 @@ def test_the_weight_row_follows_a_sabotaged_edge_weight():
             assert row[p] == broken.shortest_path(u, v).weight(W.rank), (u, v)
             moved += row[p] != kept[p]
     assert moved
+
+
+COUNT_GRAPHS = (
+    [(t, r, J) for t, r in [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("G", 2)]
+     for J in all_parabolics(r)]
+    + [(t, 3, J) for t in "BC" for J in all_parabolics(3, proper=True) if J]
+)
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", COUNT_GRAPHS)
+def test_the_surgery_count_is_the_kernels_over_every_shortest_path(cartan_type, rank, J):
+    W = _group(cartan_type, rank)
+    g = build_qbg(W, W.rs.parabolic(J))
+    want = sum(len(surgeries(g, j, u, slots))
+               for u in range(len(g.vertices)) for slots in g._shortest_slot_paths(u)
+               for j in range(rank + 1))
+    assert path_claims(build_qbg(W, g.J)) == (0, want)
+
+
+def test_a_redirected_pushed_slot_fails_the_edge_checks():
+    g = _a3()
+    path_claims(g)  # fills every pushed slot
+    table = g._pushed(2)
+    k = next(k for k, q in enumerate(table) if q >= 0)
+    table[k] = next(q for q in range(len(table)) if g._targets[q] != g._targets[table[k]])
+    with pytest.raises(AssertionError, match="^pushed edge is wrong$"):
+        path_claims(g)
+
+
+def test_a_quantum_weight_plus_one_fails_the_edge_checks():
+    W = _group("B", 3)
+    g = build_qbg(W, W.rs.parabolic((2,)))
+    path_claims(g)  # the graph as built passes
+    with pytest.raises(AssertionError, match="^pushed edge is wrong$"):
+        path_claims(_heavier(g))
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_a_changed_floor_fails_the_edge_checks(j):
+    # every third floor of s_j, each on its own copy, whatever its sign
+    for p in range(0, 12, 3):
+        g = _a3()
+        _sabotage(g, j, floors={p: _other(g, g._left_steps(j)[2][p])})
+        with pytest.raises(AssertionError):
+            path_claims(g)
+
+
+def test_build_qbg_with_the_shift_of_j_empty_fails_the_edge_checks():
+    # the quantum test reads <alpha^vee, 2rho> for <alpha^vee, 2rho - 2rho_J>
+    W = _group("B", 3)
+    J = copy.copy(W.rs.parabolic((2,)))
+    J.quantum_shift = W.rs.parabolic(()).quantum_shift
+    with pytest.raises(GraphInvariantError, match="^left step by 0 at .* is not a graph edge$"):
+        path_claims(build_qbg(W, J))
+
+
+def test_a_raised_weight_row_entry_fails_the_potential_check():
+    g = _a3()
+    real, source, p = g.weights_from, g.vertices[0], 5
+
+    def weights_from(u):
+        row = real(u)
+        if u == source:
+            row[p] = tuple(c + 1 for c in row[p])
+        return row
+
+    g.weights_from = weights_from
+    with pytest.raises(AssertionError, match=r"^edge into \d+ breaks the potential$"):
+        path_claims(g)
+
+
+def test_a_raised_distance_fails_the_shortestness_check():
+    g = _a3()
+    u, row = g.vertices[0], array("H", g.distances_from(g.vertices[0]))
+    row[1] += 1
+    g._dist[u] = row
+    with pytest.raises(AssertionError, match="^surgery lost shortestness$"):
+        path_claims(g)

@@ -157,7 +157,8 @@ def test_an_error_outside_the_cases_exits_two(capfd, cpus, forks):
 
 
 def test_the_first_error_in_report_order_is_raised(monkeypatch, capfd, cpus, forks):
-    # path-weights is taken first, by the parent; tilted goes to the helper
+    # path-weights comes before tilted in HEAVIEST, so the parent takes it and
+    # the helper takes tilted; the error raised is tilted's, the first in report order
     cpus(2)
 
     def fail(name, types=None):
