@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -205,8 +206,10 @@ def surgeries(graph: QbgGraph, j: int, start: int,
     top, bottom = max(sv), min(sv)
 
     def pushed(lo: int, hi: int) -> tuple[int, ...]:
-        return tuple([table[k] if table[k] >= 0 else push(j, p, k)  # pushed and checked once
-                      for p, k in zip(verts[lo:hi], slots[lo:hi])])
+        kept = tuple(map(table.__getitem__, slots[lo:hi]))
+        if -1 in kept:  # some slot not pushed yet: push and check it
+            kept = tuple(map(push, repeat(j), verts[lo:hi], slots[lo:hi]))
+        return kept
 
     got = []
     if last < 0:

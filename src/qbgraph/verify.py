@@ -880,39 +880,49 @@ def reflection_orderings(rs, W, _aw):
        "or theta step preserves weights up to the stated correction",
        own_cases(PATH_WEIGHT_CASES, _tag))
 def path_weights(rs, W, _aw, J_nodes):
-    J = rs.parabolic(J_nodes)
-    walks, moved = path_claims(build_qbg(W, J), quotient_diameter(J) + 3)
+    g = build_qbg(W, rs.parabolic(J_nodes))
+    moved, cap, walks, mask = path_claims(g), quotient_diameter(g.J) + 3, 0, g.J.lambda_J
+    offsets, targets, types, weights = g._offsets, g._targets, g._types, g._type_table
+    for u, v in enumerate(g.vertices):  # the lemma on the distinct (vertex, weight) states
+        dist, base = g.distances_from(v), [tuple(map(mul, wt, mask)) for wt in g.weights_from(v)]
+        frontier = {(u, rs.zero)}
+        for depth in range(cap + 1):
+            for cur, wt in frontier:
+                diff = sub_vec(tuple(map(mul, wt, mask)), base[cur])
+                if min(diff) < 0 or depth == dist[cur] and any(diff):
+                    raise AssertionError(f"a walk to {g.vertices[cur]} breaks the lemma")
+            walks += len(frontier)
+            if depth < cap:
+                frontier = {(targets[k], add_vec(wt, weights[types[k]][2])) for cur, wt in frontier
+                            for k in range(offsets[cur], offsets[cur + 1])}
     return f"{walks} weight states, {moved} surgeries"
 
 
-def path_claims(g, cap=None) -> tuple[int, int]:
-    """Check the path-weights claims on G edge by edge: (weight states, surgeries).
+def path_claims(g) -> int:
+    """Check the path-weights claims on G edge by edge; the number of surgeries.
 
-    cls is the class mod Q_J^vee, s = ``tilted._signs(g, j)``, phi(x) =
-    cls(x^{-1}(tilde alpha_0^vee)) for j = 0 and 0 else, b_u = ``weights_from(u)``.
-    Per edge a -> b of weight wt: cls(b_u(a) + wt - b_u(b)) >= 0, = 0 if it climbs
-    u's BFS layers; s(a) s(b) > 0: push floor(s_j a) -> floor(s_j b), of class
-    cls(wt) + phi(b) - phi(a); s(a) >= 0 > s(b): floor(s_j b) = a, cls(wt) = -phi(b);
-    s(a) > 0 >= s(b): floor(s_j a) = b, cls(wt) = phi(a).  Per x: the step out of x
-    has class phi(x) if s(x) > 0, the one into x -phi(x) if s(x) < 0; s(x) = 0:
-    floor(s_j x) = x.  Telescoping along a path u -> v gives cls(wt) >= cls(b_u(v)),
-    equal on shortest paths, at every length; and a surgery (``tilted.surgeries``:
-    the path's edges less one fold, the rest pushed, plus at most one step) shifts
-    the class by ``expected_weight_shift``.  Its ends and length are fixed by (u, v,
-    j, case), so one distance read checks it.  A DP over u's BFS DAG counts the N
-    paths to v, M of them signed like u throughout (strictly); a path has [s(v) < 0]
-    ([some s >= 0] + [s(u) < 0]) + [s(u) > 0]([some s <= 0] + [s(v) > 0]) surgeries.
-    With CAP, a walk over (vertex, weight) states to depth CAP checks the lemma too.
+    cls is the class mod Q_J^vee, s = ``tilted._signs(g, j)``, phi(x) = cls(x^{-1}(tilde
+    alpha_0^vee)) if j = 0 else 0, b_u = ``weights_from(u)``, d_u = ``distances_from(u)``.
+    Per edge a -> b of weight wt: d_u(b) <= d_u(a) + 1 and cls(b_u(a) + wt - b_u(b)) >= 0,
+    = 0 if d_u(b) = d_u(a) + 1, which some a has for every b != u; d_u(u) = 0, so d_u is BFS's;
+    s(a) s(b) > 0: push floor(s_j a) -> floor(s_j b) of class cls(wt) + phi(b) - phi(a);
+    s(a) >= 0 > s(b): floor(s_j b) = a, cls(wt) = -phi(b); s(a) > 0 >= s(b): floor(s_j a) = b,
+    cls(wt) = phi(a).  Per x: the step out of x has class phi(x) if s(x) > 0, the one into x
+    -phi(x) if s(x) < 0; floor(s_j x) = x if s(x) = 0.  Telescoping along a path u -> v gives
+    cls(wt) >= cls(b_u(v)), equal on shortest paths, at every length; and a surgery
+    (``tilted.surgeries``: the path less one fold, the rest pushed, plus at most one step)
+    shifts the class by ``expected_weight_shift``, with ends and length fixed by (u, v, j,
+    case), so one distance read checks it.  A DP over u's BFS DAG counts the N paths to v, M
+    of them signed like u throughout (strictly); a path has [s(v) < 0]([some s >= 0] +
+    [s(u) < 0]) + [s(u) > 0]([some s <= 0] + [s(v) > 0]) surgeries.
     """
-    n, zero, theta = len(g.vertices), g.rs.zero, theta_coroot_images(g)
-    offsets, targets, types, at = g._offsets, g._targets, g._types, g.vertex_pos
-    mask = g.J.lambda_J  # 1 off J and 0 on J: a class zeroes J's coordinates
+    n, mask, theta = len(g.vertices), g.J.lambda_J, theta_coroot_images(g)
+    offsets, targets, types, at, zero = g._offsets, g._targets, g._types, g.vertex_pos, g.rs.zero
 
-    def cls(vec):
+    def cls(vec):  # mask is 1 off J and 0 on J: a class zeroes J's coordinates
         return tuple(map(mul, vec, mask))
 
-    weights = [t[2] for t in g._type_table]
-    classes = [cls(wt) for wt in weights]
+    classes = [cls(t[2]) for t in g._type_table]
     sides = [(_signs(g, j), [at[x] for x in g._left_steps(j)[2]]) for j in range(g.rs.rank + 1)]
     for j, (s, fl) in enumerate(sides):
         steps, phi = g._left_steps(j)[1], [cls(theta[x]) if j == 0 else zero for x in g.vertices]
@@ -920,57 +930,44 @@ def path_claims(g, cap=None) -> tuple[int, int]:
             for k in range(offsets[a], offsets[a + 1]):
                 b, c = targets[k], classes[types[k]]
                 if sa * s[b] > 0:
-                    q = g._push_slot(j, a, k)
+                    q, cq = g._push_slot(j, a, k), add_vec(c, sub_vec(phi[b], phi[a]))
                     _require(offsets[fa] <= q < offsets[fa + 1] and targets[q] == fl[b]
-                             and classes[types[q]] == add_vec(c, sub_vec(phi[b], phi[a])),
-                             "pushed edge is wrong")
+                             and classes[types[q]] == cq, "pushed edge is wrong")
                 _require((not sa >= 0 > s[b] or fl[b] == a and c == neg_vec(phi[b]))
                          and (not sa > 0 >= s[b] or fa == b and c == phi[a]), "fold edge is wrong")
             x, y, want = (a, fa, phi[a]) if sa > 0 else (fa, a, neg_vec(phi[a]))
             _require(fa == a if not sa else steps[x] >= 0 and targets[steps[x]] == y
                      and classes[types[steps[x]]] == want, "step edge is wrong")
-    rows, walks, moved = [g.distances_from(v) for v in g.vertices], 0, 0
+    rows, moved = [g.distances_from(v) for v in g.vertices], 0
     for u, dist in enumerate(rows):
         base = [cls(wt) for wt in g.weights_from(g.vertices[u])]
-        frontier = {(u, zero)}  # the distinct (endpoint, weight) states per depth
-        for depth in range(0 if cap is None else cap + 1):
-            for cur, wt in frontier:
-                diff = sub_vec(cls(wt), base[cur])
-                if min(diff) < 0 or depth == dist[cur] and any(diff):
-                    raise AssertionError(f"a walk to {g.vertices[cur]} breaks the lemma")
-            walks += len(frontier)
-            if depth < cap:
-                frontier = {(targets[k], add_vec(wt, weights[types[k]])) for cur, wt in frontier
-                            for k in range(offsets[cur], offsets[cur + 1])}
-        order, count = sorted(range(n), key=dist.__getitem__), [0] * n
-        count[u] = 1
+        order, count = sorted(range(n), key=dist.__getitem__), [int(p == u) for p in range(n)]
         for p in order:
             for k in range(offsets[p], offsets[p + 1]):
                 q = targets[k]
-                climbs = dist[q] == dist[p] + 1
+                _require((rise := dist[q] - dist[p]) <= 1, "distance row is wrong")
                 gap = sub_vec(add_vec(base[p], classes[types[k]]), base[q])
-                if min(gap) < 0 or climbs and any(gap):
+                if min(gap) < 0 or rise == 1 and any(gap):
                     raise AssertionError(f"edge into {g.vertices[q]} breaks the potential")
-                count[q] += count[p] if climbs else 0
+                count[q] += count[p] if rise == 1 else 0
+        _require(dist[u] == 0 and all(count), "distance row is wrong")
         for s, fl in sides:
-            first, fu, same = s[u], fl[u], [0] * n
-            same[u] = int(first != 0)  # the paths whose every sign is first's, strictly
-            for p in order:
+            first, fu, same = s[u], fl[u], [int(p == u and s[u] != 0) for p in range(n)]
+            for p in order:  # same: the paths whose every sign is first's, strictly
                 if same[p]:
                     for q in targets[offsets[p]:offsets[p + 1]]:
                         same[q] += same[p] if dist[q] == dist[p] + 1 and s[q] * first > 0 else 0
             for v, (d, last, fv) in enumerate(zip(dist, s, fl)):
                 every, mixed = count[v], count[v] - same[v]
                 # cases 1 to 4: how many paths admit it, the moved path's ends x, y and length
-                cases = ((mixed * (last < 0), u, fv, d - 1),
-                         (every * (first < 0 > last), fu, fv, d),
-                         (mixed * (first > 0), fu, v, d - 1),
-                         (every * (first > 0 < last), fu, fv, d))
-                for paths, x, y, length in cases:
+                for paths, x, y, length in ((mixed * (last < 0), u, fv, d - 1),
+                                            (every * (first < 0 > last), fu, fv, d),
+                                            (mixed * (first > 0), fu, v, d - 1),
+                                            (every * (first > 0 < last), fu, fv, d)):
                     if paths:
                         _require(rows[x][y] == length, "surgery lost shortestness")
                         moved += paths
-    return walks, moved
+    return moved
 
 
 @suite("connectivity",

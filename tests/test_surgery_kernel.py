@@ -275,7 +275,7 @@ def test_the_surgery_count_is_the_kernels_over_every_shortest_path(cartan_type, 
     want = sum(len(surgeries(g, j, u, slots))
                for u in range(len(g.vertices)) for slots in g._shortest_slot_paths(u)
                for j in range(rank + 1))
-    assert path_claims(build_qbg(W, g.J)) == (0, want)
+    assert path_claims(build_qbg(W, g.J)) == want
 
 
 def test_a_redirected_pushed_slot_fails_the_edge_checks():
@@ -331,9 +331,27 @@ def test_a_raised_weight_row_entry_fails_the_potential_check():
 
 
 def test_a_raised_distance_fails_the_shortestness_check():
-    g = _a3()
-    u, row = g.vertices[0], array("H", g.distances_from(g.vertices[0]))
-    row[1] += 1
-    g._dist[u] = row
+    # the last source's row is read by earlier sources before its own check
     with pytest.raises(AssertionError, match="^surgery lost shortestness$"):
-        path_claims(g)
+        path_claims(_shifted_distance(11, 1, 1))
+
+
+def _shifted_distance(source, p, by):
+    """A3 J = {1} with entry p of the distance row of vertex position source
+    moved by `by`."""
+    g = _a3()
+    u = g.vertices[source]
+    row = array("H", g.distances_from(u))
+    row[p] += by
+    g._dist[u] = row
+    return g
+
+
+# the first four raise an entry and the last lowers one, and none of these
+# five breaks a surgery's shortestness read; (0, 0, 1) moves the source's own
+# entry off 0
+@pytest.mark.parametrize("source,p,by", [(0, 11, 1), (5, 3, 1), (6, 8, 1), (10, 2, 1),
+                                         (0, 0, 1), (0, 11, -1)])
+def test_a_distance_row_off_the_bfs_fails_the_row_check(source, p, by):
+    with pytest.raises(AssertionError, match="^distance row is wrong$"):
+        path_claims(_shifted_distance(source, p, by))
