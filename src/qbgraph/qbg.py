@@ -297,11 +297,11 @@ class QbgGraph:
         self._pushed_slots: dict[int, array] = {}
         self._step_graph: QbgGraph | None = None
         self._step_lengths: array | None = None
-        # per j the surgery sign of every vertex position, per vertex x the image
-        # x^{-1}(tilde alpha_0^vee), and the AffineWeyl of the theta steps'
-        # checks, filled by ``tilted``
-        self._surgery_signs: dict[int, list[int]] = {}
-        self._theta_coroot_images: dict[int, Coroot] | None = None
+        # per j the surgery sign row (``sign_row``) and the theta coroot row
+        # (``theta_coroots``), both read off the label columns; the
+        # AffineWeyl of the theta steps' checks, filled by ``tilted``
+        self._sign_rows: dict[int, list[int]] = {}
+        self._theta_coroots: list[Coroot] | None = None
         self._affine_weyl = None
 
     # -- lookups -----------------------------------------------------------
@@ -334,7 +334,8 @@ class QbgGraph:
         is not an edge of the graph."""
         p, b = self._position(edge.source), self.rs._root_index.get(edge.label)
         k = -1 if b is None else self._slot(p, b)
-        if k < 0 or self._record(p, k) != edge:
+        if (k < 0 or self.vertices[self._targets[k]] != edge.target
+                or self._type_table[self._types[k]] != (edge.label, edge.kind, edge.weight)):
             raise ValueError(f"{edge!r} is not an edge of this graph")
         return p, k
 
@@ -390,6 +391,26 @@ class QbgGraph:
     def step_label(self, j: int, x: int) -> Root:
         """x^{-1}(tilde alpha_j), the label of ``left_step(j, x)``."""
         return self.W._signed[self._left_steps(j)[0][self._position(x)]]
+
+    def sign_row(self, j: int) -> list[int]:
+        """Per vertex position x the surgery sign <tilde alpha_j^vee, x(lambda_J)>
+        = <(x^{-1} tilde alpha_j)^vee, lambda_J>, one pairing per distinct label
+        of ``_left_steps(j)``.  Kept per j."""
+        got = self._sign_rows.get(j)
+        if got is None:
+            labels, signed, coroot = self._left_steps(j)[0], self.W._signed, self.rs.coroot
+            pair = {b: sum(map(mul, coroot(signed[b]), self.J.lambda_J)) for b in set(labels)}
+            got = self._sign_rows[j] = list(map(pair.__getitem__, labels))
+        return got
+
+    def theta_coroots(self) -> list[Coroot]:
+        """Per vertex position x the coroot x^{-1}(tilde alpha_0^vee) of its
+        theta step label, read off ``_left_steps(0)``.  Kept."""
+        got = self._theta_coroots
+        if got is None:
+            signed, coroot = self.W._signed, self.rs.coroot
+            got = self._theta_coroots = [coroot(signed[b]) for b in self._left_steps(0)[0]]
+        return got
 
     def push_edge(self, j: int, edge: QbgEdge) -> QbgEdge:
         """The edge floor(s_j a) -> floor(s_j b) parallel to the edge a -> b of
@@ -630,37 +651,6 @@ class QbgGraph:
                 frames.append(iter(self.out[e.target]))
             else:
                 edges.pop()
-
-    def shortest_paths_from(self, u: int):
-        """Yield (path, weight) for every shortest path out of u in the order
-        of ``_shortest_slot_paths``, each slot read from ``edges``."""
-        rank, edge = self.rs.rank, self.edges.__getitem__
-        for slots in self._shortest_slot_paths(self._position(u)):
-            path = QbgPath(u, tuple(map(edge, slots)))
-            yield path, path.weight(rank)
-
-    def _shortest_slot_paths(self, start: int) -> Iterator[tuple[int, ...]]:
-        """Every shortest path out of position start as its tuple of CSR
-        slots, by one depth-first walk over start's BFS layers in slot order:
-        a path comes before its extensions, and per end v the paths come in
-        the order of ``iter_paths(u, v, distance(u, v))``."""
-        dist = self.distances_from(self.vertices[start])
-        offsets, targets = self._offsets, self._targets
-        # per vertex position its slots one layer further from start
-        forward = [[k for k in range(offsets[p], offsets[p + 1]) if dist[targets[k]] == d + 1]
-                   for p, d in enumerate(dist)]
-        path: tuple[int, ...] = ()
-        yield path
-        frames = [iter(forward[start])]
-        while frames:
-            k = next(frames[-1], None)
-            if k is None:
-                frames.pop()
-                path = path[:-1]
-                continue
-            path += (k,)
-            yield path
-            frames.append(iter(forward[targets[k]]))
 
     def quantum_edges(self) -> tuple[QbgEdge, ...]:
         return tuple(e for e in self.edges if e.kind == QUANTUM)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import mul
 from typing import NamedTuple
 
 from .affine import AffineWeyl
@@ -155,21 +153,17 @@ def left_step_subgraph_strongly_connected(graph: QbgGraph) -> bool:
 # -- path surgery ------------------------------------------------------------------
 
 
-def _signs(graph: QbgGraph, j: int) -> list[int]:
-    """<tilde alpha_j^vee, x(lambda_J)> = <(x^{-1} tilde alpha_j)^vee,
-    lambda_J> per vertex position x, from ``QbgGraph.step_label``'s label.
-    Built once per (graph, j) and kept on the graph."""
-    got = graph._surgery_signs.get(j)
-    if got is None:
-        coroot, label, lam = graph.rs.coroot, graph.step_label, graph.J.lambda_J
-        got = graph._surgery_signs[j] = [sum(map(mul, coroot(label(j, x)), lam))
-                                         for x in graph.vertices]
-    return got
-
-
-def surgery_signs(graph: QbgGraph, j: int) -> dict[int, int]:
-    """The surgery sign of every vertex id (``_signs``)."""
-    return dict(zip(graph.vertices, _signs(graph, j)))
+def _positions(graph: QbgGraph, path: QbgPath) -> list[int]:
+    """The vertex positions along a path; ValueError unless its start is a
+    vertex and each edge is a graph edge (``QbgGraph._edge_slot``) that
+    starts where the edge before it ends."""
+    at, targets = [graph._position(path.start)], graph._targets
+    for edge in path.edges:
+        p, k = graph._edge_slot(edge)
+        if p != at[-1]:
+            raise ValueError(f"{edge!r} does not start where the path before it ends")
+        at.append(targets[k])
+    return at
 
 
 #: the sign hypothesis of each surgery case, named when it fails
@@ -181,116 +175,81 @@ _CASE_NEEDS = {
 }
 
 
-def surgeries(graph: QbgGraph, j: int, start: int,
-              slots: tuple[int, ...]) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(case, start position, slots) of each surgery by s_j of the path from
-    vertex position start along the CSR slots, per case whose sign
-    hypotheses hold, in case order.
-
-    With s_x = <tilde alpha_j^vee, x(lambda)> along the path: case 1 needs
-    s < 0 at the end and s >= 0 at some vertex, case 2 s < 0 at both ends,
-    case 3 s > 0 at the start and s <= 0 at some vertex, case 4 s > 0 at
-    both ends.  1 and 3 drop one step (at floor(s_j end), resp. floor(s_j
-    start)); 2 and 4 move both ends, extending case 1's (case 3's) path
-    unless every sign is negative (positive), when every slot is pushed
-    (``QbgGraph._push_slot``).  Each fold, step and push is checked."""
-    signs, targets = _signs(graph, j), graph._targets
-    first = signs[start]
-    last = signs[targets[slots[-1]]] if slots else first
-    if first <= 0 <= last:
-        return []
-    _labels, steps, floors = graph._left_steps(j)
-    vertices, at, table, push = graph.vertices, graph.vertex_pos, graph._pushed(j), graph._push_slot
-    verts = [start, *map(targets.__getitem__, slots)]
-    sv = list(map(signs.__getitem__, verts))
-    top, bottom = max(sv), min(sv)
-
-    def pushed(lo: int, hi: int) -> tuple[int, ...]:
-        kept = tuple(map(table.__getitem__, slots[lo:hi]))
-        if -1 in kept:  # some slot not pushed yet: push and check it
-            kept = tuple(map(push, repeat(j), verts[lo:hi], slots[lo:hi]))
-        return kept
-
-    got = []
-    if last < 0:
-        if top >= 0:
-            k = max(i for i, s in enumerate(sv) if s >= 0)
-            if floors[verts[k + 1]] != vertices[verts[k]]:
-                raise GraphInvariantError("transition vertex does not fold back")
-            got.append(one := (1, start, slots[:k] + pushed(k + 1, len(slots))))
-        if first < 0:
-            new = at[floors[start]]
-            if top < 0:
-                got.append((2, new, pushed(0, len(slots))))
-            else:
-                down = steps[new]
-                if down < 0 or targets[down] != start:
-                    raise GraphInvariantError("descent edge into the start is missing")
-                got.append((2, new, (down,) + one[2]))
-    if first > 0:
-        new = at[floors[start]]
-        if bottom <= 0:
-            k = min(i for i, s in enumerate(sv) if s <= 0)
-            if floors[verts[k - 1]] != vertices[verts[k]]:
-                raise GraphInvariantError("transition vertex does not fold forward")
-            got.append(three := (3, new, pushed(0, k - 1) + slots[k:]))
-        if last > 0:
-            if bottom > 0:
-                got.append((4, new, pushed(0, len(slots))))
-            else:
-                up = steps[verts[-1]]
-                if up < 0:
-                    raise GraphInvariantError("ascent edge out of the end is missing")
-                got.append((4, new, three[2] + (up,)))
-    return got
-
-
-def _path_slots(graph: QbgGraph, path: QbgPath) -> tuple[int, tuple[int, ...]]:
-    """A path's start position and slots (``QbgGraph._edge_slot``)."""
-    return graph._position(path.start), tuple(graph._edge_slot(e)[1] for e in path.edges)
-
-
-def surgery_cases(graph: QbgGraph, path: QbgPath, j: int) -> tuple[int, ...]:
-    """The cases of ``surgeries`` for path and j: those ``transform_path`` accepts."""
-    return tuple(case for case, *_ in surgeries(graph, j, *_path_slots(graph, path)))
-
-
 def transform_path(graph: QbgGraph, path: QbgPath, j: int, case: int) -> QbgPath:
-    """Move a directed path across left multiplication by s_j: the case's
-    path of ``surgeries``, read from ``edges``.  ValueError when the case's
-    sign hypotheses fail; GraphInvariantError when any case's check does."""
+    """Move a directed path across left multiplication by s_j.
+
+    With s_x = <tilde alpha_j^vee, x(lambda_J)> along the path
+    (``QbgGraph.sign_row``): case 1 needs s < 0 at the end and s >= 0 at
+    some vertex, case 2 s < 0 at both ends, case 3 s > 0 at the start and
+    s <= 0 at some vertex, case 4 s > 0 at both ends.  ValueError, checked
+    in this order: the case is out of 1..4, the endpoint signs fail its
+    hypothesis, the path is off the graph (``_positions``), the other signs
+    fail it.  Case 1 drops the edge out of the last vertex x with s >= 0,
+    whose end must fold back onto x, and pushes the edges after it
+    (``QbgGraph.push_edge``); case 3, from floor(s_j start), pushes the
+    edges before the first vertex x with s <= 0 but the one into x, whose
+    source must fold forward onto x.  Case 2 (4) pushes every edge when
+    every sign is negative (positive), else extends case 1's (3's) path by
+    the descent edge into the start (the ascent edge out of the end).  A
+    failed fold, descent or ascent raises GraphInvariantError."""
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
-    for found, start, slots in surgeries(graph, j, *_path_slots(graph, path)):
-        if found == case:
-            return QbgPath(graph.vertices[start], tuple(map(graph.edges.__getitem__, slots)))
-    raise ValueError(_CASE_NEEDS[case])
+    signs = graph.sign_row(j)
+    first, last = signs[graph._position(path.start)], signs[graph._position(path.end)]
+    if not (last < 0, first < 0 > last, first > 0, first > 0 < last)[case - 1]:
+        raise ValueError(_CASE_NEEDS[case])
+    at = _positions(graph, path)
+    sv = [signs[p] for p in at]
+    top, bottom = max(sv), min(sv)
+    if case == 1 and top < 0 or case == 3 and bottom > 0:
+        raise ValueError(_CASE_NEEDS[case])
+    edges, vertices = path.edges, graph.vertices
 
+    def floor(p: int) -> int:
+        return graph.left_step(j, vertices[p])[0]
 
-def theta_coroot_images(graph: QbgGraph) -> dict[int, Coroot]:
-    """x^{-1}(tilde alpha_0^vee) for every vertex id x: the coroot of the
-    label x^{-1}(tilde alpha_0) that ``QbgGraph.step_label`` forms.  Built
-    once per graph and kept on it, as ``_signs`` is."""
-    got = graph._theta_coroot_images
-    if got is None:
-        coroot, label = graph.rs.coroot, graph.step_label
-        got = graph._theta_coroot_images = {x: coroot(label(0, x)) for x in graph.vertices}
-    return got
+    def pushed(part: tuple[QbgEdge, ...]) -> tuple[QbgEdge, ...]:
+        return tuple([graph.push_edge(j, e) for e in part])
+
+    if top < 0 or bottom > 0:  # cases 2 and 4 with one sign throughout
+        return QbgPath(floor(at[0]), pushed(edges))
+    if case <= 2:
+        k = max(i for i, s in enumerate(sv) if s >= 0)
+        if floor(at[k + 1]) != vertices[at[k]]:
+            raise GraphInvariantError("transition vertex does not fold back")
+        kept = edges[:k] + pushed(edges[k + 1:])
+        if case == 1:
+            return QbgPath(path.start, kept)
+        start = floor(at[0])
+        down = graph.left_step(j, start)[1]
+        if down is None or down.target != path.start:
+            raise GraphInvariantError("descent edge into the start is missing")
+        return QbgPath(start, (down,) + kept)
+    k = min(i for i, s in enumerate(sv) if s <= 0)
+    if floor(at[k - 1]) != vertices[at[k]]:
+        raise GraphInvariantError("transition vertex does not fold forward")
+    moved = QbgPath(floor(at[0]), pushed(edges[:k - 1]) + edges[k:])
+    if case == 3:
+        return moved
+    up = graph.left_step(j, path.end)[1]
+    if up is None:
+        raise GraphInvariantError("ascent edge out of the end is missing")
+    return QbgPath(moved.start, moved.edges + (up,))
 
 
 def expected_weight_shift(graph: QbgGraph, path: QbgPath, j: int, case: int) -> Coroot:
     """The weight correction, modulo Q_J^vee, of surgery by s_j in the case
-    on the path: for j = 0 the end's ``theta_coroot_images`` in cases 1, 2, 4
-    minus the start's in 2, 3, 4, else zero.  ValueError for a path off the
-    graph, and for a case out of 1..4, as ``transform_path``."""
-    start, end = graph._position(path.start), graph._position(path.end)
+    on the path: for j = 0 the end's ``QbgGraph.theta_coroots`` entry in
+    cases 1, 2, 4 minus the start's in 2, 3, 4, else zero.  ValueError for
+    a path off the graph, and for a case out of 1..4, as ``transform_path``."""
+    at = _positions(graph, path)
     if case not in (1, 2, 3, 4):
         raise ValueError("case must be 1..4")
     if j != 0:
         return graph.rs.zero
-    images, vertices = theta_coroot_images(graph), graph.vertices
-    plus = graph.rs.zero if case == 3 else images[vertices[end]]
-    return plus if case == 1 else sub_vec(plus, images[vertices[start]])
+    images = graph.theta_coroots()
+    plus = graph.rs.zero if case == 3 else images[at[-1]]
+    return plus if case == 1 else sub_vec(plus, images[at[0]])
 
 
 # -- path weight comparison ---------------------------------------------------------
@@ -301,8 +260,10 @@ def compare_path_weights(graph: QbgGraph, shortest: QbgPath, other: QbgPath) -> 
 
     The first path must be certified shortest; the contract is that every
     coordinate of the result is nonnegative, and zero when the second path
-    is shortest too.
+    is shortest too.  ValueError for a path off the graph (``_positions``).
     """
+    for path in (shortest, other):
+        _positions(graph, path)
     if shortest.start != other.start or shortest.end != other.end:
         raise ValueError("paths must share endpoints")
     if len(shortest) != graph.distance(shortest.start, shortest.end):

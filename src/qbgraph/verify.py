@@ -58,12 +58,10 @@ from .root_system import (
 )
 from .tilted import (
     TiltedOrder,
-    _signs,
     left_multiplication_step,
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
-    theta_coroot_images,
 )
 from .weyl import Trichotomy, build_weyl_group
 
@@ -901,8 +899,8 @@ def path_weights(rs, W, _aw, J_nodes):
 def path_claims(g) -> int:
     """Check the path-weights claims on G edge by edge; the number of surgeries.
 
-    cls is the class mod Q_J^vee, s = ``tilted._signs(g, j)``, phi(x) = cls(x^{-1}(tilde
-    alpha_0^vee)) if j = 0 else 0, b_u = ``weights_from(u)``, d_u = ``distances_from(u)``.
+    cls is the class mod Q_J^vee, s = ``g.sign_row(j)``, phi(x) = cls(x^{-1}(tilde alpha_0^vee))
+    (``g.theta_coroots()``) if j = 0 else 0, b_u, d_u = ``weights_from(u)``, ``distances_from(u)``.
     Per edge a -> b of weight wt: d_u(b) <= d_u(a) + 1 and cls(b_u(a) + wt - b_u(b)) >= 0,
     = 0 if d_u(b) = d_u(a) + 1, which some a has for every b != u; d_u(u) = 0, so d_u is BFS's;
     s(a) s(b) > 0: push floor(s_j a) -> floor(s_j b) of class cls(wt) + phi(b) - phi(a);
@@ -910,22 +908,22 @@ def path_claims(g) -> int:
     cls(wt) = phi(a).  Per x: the step out of x has class phi(x) if s(x) > 0, the one into x
     -phi(x) if s(x) < 0; floor(s_j x) = x if s(x) = 0.  Telescoping along a path u -> v gives
     cls(wt) >= cls(b_u(v)), equal on shortest paths, at every length; and a surgery
-    (``tilted.surgeries``: the path less one fold, the rest pushed, plus at most one step)
+    (``tilted.transform_path``: the path less one fold, the rest pushed, plus at most one step)
     shifts the class by ``expected_weight_shift``, with ends and length fixed by (u, v, j,
     case), so one distance read checks it.  A DP over u's BFS DAG counts the N paths to v, M
     of them signed like u throughout (strictly); a path has [s(v) < 0]([some s >= 0] +
     [s(u) < 0]) + [s(u) > 0]([some s <= 0] + [s(v) > 0]) surgeries.
     """
-    n, mask, theta = len(g.vertices), g.J.lambda_J, theta_coroot_images(g)
+    n, mask, theta = len(g.vertices), g.J.lambda_J, g.theta_coroots()
     offsets, targets, types, at, zero = g._offsets, g._targets, g._types, g.vertex_pos, g.rs.zero
 
     def cls(vec):  # mask is 1 off J and 0 on J: a class zeroes J's coordinates
         return tuple(map(mul, vec, mask))
 
     classes = [cls(t[2]) for t in g._type_table]
-    sides = [(_signs(g, j), [at[x] for x in g._left_steps(j)[2]]) for j in range(g.rs.rank + 1)]
+    sides = [(g.sign_row(j), [at[x] for x in g._left_steps(j)[2]]) for j in range(g.rs.rank + 1)]
     for j, (s, fl) in enumerate(sides):
-        steps, phi = g._left_steps(j)[1], [cls(theta[x]) if j == 0 else zero for x in g.vertices]
+        steps, phi = g._left_steps(j)[1], [cls(t) if j == 0 else zero for t in theta]
         for a, (sa, fa) in enumerate(zip(s, fl)):
             for k in range(offsets[a], offsets[a + 1]):
                 b, c = targets[k], classes[types[k]]

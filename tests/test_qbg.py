@@ -31,6 +31,7 @@ from qbgraph.qbg import (
 from qbgraph.root_system import ParabolicIndex, build_root_system, is_positive_vec
 from qbgraph.verify import PATH_WEIGHT_CASES, ROOT_TYPES, SMALL_TYPES, _dual_label, all_parabolics
 from qbgraph.weyl import WeightOrbit, WeylGroup
+from test_surgery_kernel import _shortest_paths
 from test_weyl_enumeration import reference
 
 
@@ -1101,15 +1102,17 @@ def test_a_graph_rebuilt_from_its_edges_equals_build_qbg(groups, cartan_type, ra
 
 @pytest.mark.parametrize("cartan_type,rank,J", PATH_WEIGHT_CASES + [("A", 3, (2,))])
 def test_shortest_paths_from_are_the_shortest_paths_of_iter_paths(groups, cartan_type, rank, J):
-    # one walk per source yields, per end v, the paths of
-    # iter_paths(u, v, d(u, v)) in their order, each with its weight
+    # the walk over distances_from rows that the surgery tests run yields,
+    # per end v, the paths of iter_paths(u, v, d(u, v)) in their order,
+    # each with the vertex positions it passes
     rs, W = groups(cartan_type, rank)
     g = build_qbg(W, rs.parabolic(J))
     total = 0
     for u in g.vertices:
         by_end = {v: [] for v in g.vertices}
-        for path, weight in g.shortest_paths_from(u):
-            assert path.start == u and weight == path.weight(rank)
+        for path, at in _shortest_paths(g, u):
+            assert path.start == u
+            assert at == [g.vertex_pos[x] for x in [u] + [e.target for e in path.edges]]
             by_end[path.end].append(path)
         for v, paths in by_end.items():
             assert paths == list(g.iter_paths(u, v, g.distance(u, v))), (u, v)

@@ -1,19 +1,20 @@
-"""The slot-level surgery kernel ``tilted.surgeries`` against a record-level
-reference, its four fold, descent and ascent checks tripped on sabotaged
-columns, the BFS-tree weight row ``QbgGraph.weights_from`` against
-``shortest_path``, and the path-weights edge checks (``verify.path_claims``):
-their surgery count against the kernel's, and each check tripped on a
-sabotaged copy of a graph."""
+"""The record-level surgery ``tilted.transform_path`` against an
+independent record-level reference on every shortest path, its four fold,
+descent and ascent checks tripped on sabotaged columns, the BFS-tree weight
+row ``QbgGraph.weights_from`` against ``shortest_path``, and the path-weights
+edge checks (``verify.path_claims``): their surgery count against the
+surgeries ``transform_path`` makes, and each check tripped on a sabotaged
+copy of a graph."""
 
 import copy
 from array import array
-from itertools import repeat
+from functools import cache
 
 import pytest
 
 from qbgraph.qbg import GraphInvariantError, QbgEdge, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
-from qbgraph.tilted import expected_weight_shift, surgeries, surgery_signs, transform_path
+from qbgraph.tilted import _CASE_NEEDS, expected_weight_shift, transform_path
 from qbgraph.verify import PATH_WEIGHT_CASES, all_parabolics, path_claims
 from qbgraph.weyl import WeylGroup
 
@@ -27,8 +28,23 @@ def _group(cartan_type, rank):
     return _groups[key]
 
 
+def _shortest_paths(g, u):
+    """(path, vertex positions) of every shortest path out of u: a depth-first
+    walk over the ``out`` records that climb one layer of u's
+    ``distances_from`` row."""
+    dist, at, out, vertices = g.distances_from(u), g.vertex_pos, g.out, g.vertices
+    stack = [((), [at[u]])]
+    while stack:
+        edges, ps = stack.pop()
+        yield QbgPath(u, edges), ps
+        d = dist[ps[-1]] + 1
+        for e in reversed(out[vertices[ps[-1]]]):
+            if dist[q := at[e.target]] == d:
+                stack.append((edges + (e,), ps + [q]))
+
+
 class _Reference:
-    """Surgery on records, as it was done before the slot kernel: each
+    """Surgery on records, sharing no code with ``transform_path``: each
     floor, step edge and pushed edge read per vertex or per edge record
     (the step edges through ``edge``, so every record is ``out``'s, which
     lives as long as the graph), and kept per (j, vertex) or per j and
@@ -91,9 +107,9 @@ class _Reference:
 def _reference_cases(signs):
     first, last = signs[0], signs[-1]
     return [case for case, holds in (
-        (1, last < 0 and any(s >= 0 for s in signs)),
+        (1, last < 0 and max(signs) >= 0),
         (2, first < 0 and last < 0),
-        (3, first > 0 and any(s <= 0 for s in signs)),
+        (3, first > 0 and min(signs) <= 0),
         (4, first > 0 and last > 0),
     ) if holds]
 
@@ -104,40 +120,53 @@ KERNEL_GRAPHS = sorted(
 )
 
 
-@pytest.mark.parametrize("cartan_type,rank,J", KERNEL_GRAPHS)
-def test_the_kernel_is_the_record_level_surgery(cartan_type, rank, J):
+@cache
+def _checked_surgeries(cartan_type, rank, J):
+    """transform_path on every shortest path and j of the graph: each case
+    that ``_reference_cases`` accepts gives the reference's path, and one
+    case it rejects raises that case's ``_CASE_NEEDS`` message.  The number
+    of surgeries made."""
     W = _group(cartan_type, rank)
     g = build_qbg(W, W.rs.parabolic(J))
-    edge = list(g.edges).__getitem__
-    ref = _Reference(g)
-    tables = [surgery_signs(g, j) for j in range(rank + 1)]
-    checked = 0
-    for u in range(len(g.vertices)):
-        for slots in g._shortest_slot_paths(u):
-            edges = tuple(map(edge, slots))
-            verts = [g.vertices[u]] + [e.target for e in edges]
-            for j, table in enumerate(tables):
-                signs = [table[x] for x in verts]
-                got = surgeries(g, j, u, slots)
-                assert [case for case, *_ in got] == _reference_cases(signs)
-                for case, start, moved in got:
-                    want = ref.transform(j, verts, signs, edges, case)
-                    assert (g.vertices[start], tuple(map(edge, moved))) == want
-                    checked += 1
-    assert checked or len(g.vertices) == 1
+    ref, rows = _Reference(g), [g.sign_row(j) for j in range(rank + 1)]
+    made = 0
+    for u in g.vertices:
+        for path, at in _shortest_paths(g, u):
+            verts = [g.vertices[p] for p in at]
+            for j, row in enumerate(rows):
+                signs = [row[p] for p in at]
+                cases = _reference_cases(signs)
+                for case in cases:
+                    moved = transform_path(g, path, j, case)
+                    assert (moved.start, moved.edges) == ref.transform(
+                        j, verts, signs, path.edges, case)
+                made += len(cases)
+                rejected = [case for case in (1, 2, 3, 4) if case not in cases]
+                case = rejected[j % len(rejected)]
+                try:
+                    transform_path(g, path, j, case)
+                except ValueError as exc:
+                    assert str(exc) == _CASE_NEEDS[case]
+                else:
+                    raise AssertionError(f"case {case} accepted by {path!r}, j = {j}")
+    return made
+
+
+@pytest.mark.parametrize("cartan_type,rank,J", KERNEL_GRAPHS)
+def test_the_kernel_is_the_record_level_surgery(cartan_type, rank, J):
+    # only the one-vertex graph of J = every node makes no surgery
+    assert _checked_surgeries(cartan_type, rank, J) or J == tuple(range(1, rank + 1))
 
 
 def _find(g, holds):
-    """The first (j, start, slots) whose sign list satisfies holds."""
-    targets = g._targets
-    for u in range(len(g.vertices)):
-        for slots in g._shortest_slot_paths(u):
+    """The first (j, path, vertex positions, signs) of a shortest path whose
+    sign list satisfies holds."""
+    for u in g.vertices:
+        for path, at in _shortest_paths(g, u):
             for j in range(g.rs.rank + 1):
-                table = surgery_signs(g, j)
-                verts = [u, *map(targets.__getitem__, slots)]
-                signs = [table[g.vertices[p]] for p in verts]
+                signs = [g.sign_row(j)[p] for p in at]
                 if holds(signs):
-                    return j, u, slots, verts, signs
+                    return j, path, at, signs
     raise AssertionError("no path of the wanted sign pattern")
 
 
@@ -167,53 +196,59 @@ def _other(g, x):
 
 def test_a_floor_that_does_not_fold_back_raises():
     g = _a3()
-    j, u, slots, verts, signs = _find(g, lambda s: s[-1] < 0 and max(s) >= 0)
-    assert surgeries(g, j, u, slots)[0][0] == 1
+    j, path, at, signs = _find(g, lambda s: s[-1] < 0 and max(s) >= 0)
+    transform_path(g, path, j, 1)
     k = max(i for i, s in enumerate(signs) if s >= 0)
-    _sabotage(g, j, floors={verts[k + 1]: _other(g, g.vertices[verts[k]])})
+    _sabotage(g, j, floors={at[k + 1]: _other(g, g.vertices[at[k]])})
     with pytest.raises(GraphInvariantError, match="^transition vertex does not fold back$"):
-        surgeries(g, j, u, slots)
+        transform_path(g, path, j, 1)
 
 
 def test_a_floor_that_does_not_fold_forward_raises():
     g = _a3()
-    j, u, slots, verts, signs = _find(g, lambda s: s[0] > 0 and s[-1] >= 0 and min(s) <= 0)
-    assert [case for case, *_ in surgeries(g, j, u, slots)][0] == 3
+    j, path, at, signs = _find(g, lambda s: s[0] > 0 and s[-1] >= 0 and min(s) <= 0)
+    transform_path(g, path, j, 3)
     k = min(i for i, s in enumerate(signs) if s <= 0)
-    _sabotage(g, j, floors={verts[k - 1]: _other(g, g.vertices[verts[k]])})
+    _sabotage(g, j, floors={at[k - 1]: _other(g, g.vertices[at[k]])})
     with pytest.raises(GraphInvariantError, match="^transition vertex does not fold forward$"):
-        surgeries(g, j, u, slots)
+        transform_path(g, path, j, 3)
+
+
+def _descent_case():
+    """A3 J = {1}, s_j, a path signed for cases 1 and 2, and the position
+    of floor(s_j start)."""
+    g = _a3()
+    j, path, at, signs = _find(g, lambda s: s[0] < 0 and s[-1] < 0 and max(s) >= 0)
+    transform_path(g, path, j, 2)
+    return g, j, path, g.vertex_pos[g._left_steps(j)[2][at[0]]]
 
 
 def test_a_missing_descent_into_the_start_raises():
-    g = _a3()
-    j, u, slots, verts, signs = _find(g, lambda s: s[0] < 0 and s[-1] < 0 and max(s) >= 0)
-    assert [case for case, *_ in surgeries(g, j, u, slots)] == [1, 2]
-    floor = g.vertex_pos[g._left_steps(j)[2][u]]
+    g, j, path, floor = _descent_case()
     _sabotage(g, j, steps={floor: -1})
     with pytest.raises(GraphInvariantError, match="^descent edge into the start is missing$"):
-        surgeries(g, j, u, slots)
+        transform_path(g, path, j, 2)
+    transform_path(g, path, j, 1)  # case 1 takes no descent
 
 
 def test_a_descent_to_another_vertex_raises():
-    g = _a3()
-    j, u, slots, verts, signs = _find(g, lambda s: s[0] < 0 and s[-1] < 0 and max(s) >= 0)
-    floor = g.vertex_pos[g._left_steps(j)[2][u]]
+    g, j, path, floor = _descent_case()
     # a slot out of the floor that does not enter the start
     wrong = next(k for k in range(g._offsets[floor], g._offsets[floor + 1])
-                 if g._targets[k] != u)
+                 if g.vertices[g._targets[k]] != path.start)
     _sabotage(g, j, steps={floor: wrong})
     with pytest.raises(GraphInvariantError, match="^descent edge into the start is missing$"):
-        surgeries(g, j, u, slots)
+        transform_path(g, path, j, 2)
 
 
 def test_a_missing_ascent_out_of_the_end_raises():
     g = _a3()
-    j, u, slots, verts, signs = _find(g, lambda s: s[0] > 0 and s[-1] > 0 and min(s) <= 0)
-    assert [case for case, *_ in surgeries(g, j, u, slots)] == [3, 4]
-    _sabotage(g, j, steps={verts[-1]: -1})
+    j, path, at, signs = _find(g, lambda s: s[0] > 0 and s[-1] > 0 and min(s) <= 0)
+    transform_path(g, path, j, 4)
+    _sabotage(g, j, steps={at[-1]: -1})
     with pytest.raises(GraphInvariantError, match="^ascent edge out of the end is missing$"):
-        surgeries(g, j, u, slots)
+        transform_path(g, path, j, 4)
+    transform_path(g, path, j, 3)  # case 3 takes no ascent
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -271,11 +306,8 @@ COUNT_GRAPHS = (
 @pytest.mark.parametrize("cartan_type,rank,J", COUNT_GRAPHS)
 def test_the_surgery_count_is_the_kernels_over_every_shortest_path(cartan_type, rank, J):
     W = _group(cartan_type, rank)
-    g = build_qbg(W, W.rs.parabolic(J))
-    want = sum(len(surgeries(g, j, u, slots))
-               for u in range(len(g.vertices)) for slots in g._shortest_slot_paths(u)
-               for j in range(rank + 1))
-    assert path_claims(build_qbg(W, g.J)) == want
+    want = _checked_surgeries(cartan_type, rank, J)
+    assert path_claims(build_qbg(W, W.rs.parabolic(J))) == want
 
 
 def test_a_redirected_pushed_slot_fails_the_edge_checks():

@@ -3,9 +3,10 @@ from operator import mul
 import pytest
 
 import qbgraph.tilted as tilted
-from qbgraph.qbg import GraphInvariantError, QbgGraph, QbgPath, build_qbg
+from qbgraph.qbg import GraphInvariantError, QbgEdge, QbgGraph, QbgPath, build_qbg
 from qbgraph.root_system import build_root_system
 from qbgraph.tilted import (
+    _CASE_NEEDS,
     TieError,
     TiltedOrder,
     compare_path_weights,
@@ -14,9 +15,6 @@ from qbgraph.tilted import (
     left_step_edge,
     left_step_subgraph_strongly_connected,
     quantum_length,
-    surgery_cases,
-    surgery_signs,
-    theta_coroot_images,
     transform_path,
 )
 from qbgraph.verify import all_parabolics
@@ -385,6 +383,38 @@ def test_compare_path_weights(a2):
         compare_path_weights(g, cycle, empty)
 
 
+def test_the_path_entry_points_reject_a_path_that_does_not_chain():
+    """transform_path, expected_weight_shift and compare_path_weights raise
+    ValueError on every two-edge path of A3 J={1} whose second edge does not
+    leave the first one's end, on every one-edge path that does not leave
+    its start, and on an edge record that is not the graph's.  transform_path
+    may reject a case on its endpoint signs before it reads the edges."""
+    rs = build_root_system("A", 3)
+    W = WeylGroup(rs)
+    g = build_qbg(W, rs.parabolic((1,)))
+    e = W.identity.index
+    chain = "does not start where the path before it ends"
+    broken = [QbgPath(x.source, (x, y)) for x in g.edges for y in g.edges if y.source != x.target]
+    broken += [QbgPath(v, (x,)) for x in g.edges for v in g.vertices if v != x.source]
+    unchained = 0
+    for p in broken:
+        for j in range(rs.rank + 1):
+            for case in (1, 2, 3, 4):
+                with pytest.raises(ValueError) as info:
+                    transform_path(g, p, j, case)
+                assert str(info.value).endswith(chain) or str(info.value) == _CASE_NEEDS[case]
+                unchained += str(info.value).endswith(chain)
+            with pytest.raises(ValueError, match=chain):
+                expected_weight_shift(g, p, j, 1)
+    assert unchained > len(broken)
+    into_e = next(x for x in g.edges if x.target == e)
+    with pytest.raises(ValueError, match=chain):
+        compare_path_weights(g, QbgPath(e, ()), QbgPath(e, (into_e,)))
+    heavier = QbgEdge(into_e.source, e, into_e.label, into_e.kind, (1, 1, 1))
+    with pytest.raises(ValueError, match="is not an edge of this graph"):
+        compare_path_weights(g, QbgPath(e, ()), QbgPath(into_e.source, (heavier,)))
+
+
 def test_two_shortest_paths_same_weight():
     rs = build_root_system("A", 3)
     W = WeylGroup(rs)
@@ -436,7 +466,7 @@ def reference_pair(cartan_type, rank, lam):
 
 def reference_cases(pair, cor, path):
     """The cases whose sign hypotheses hold, from the pairings of every
-    vertex along the path; shares no code with ``surgery_cases``."""
+    vertex along the path; shares no code with ``transform_path``."""
     signs = [pair(cor, x) for x in [path.start] + [e.target for e in path.edges]]
     first, last = signs[0], signs[-1]
     return tuple(case for case, holds in (
@@ -468,8 +498,7 @@ def test_surgery_cases_are_the_cases_transform_path_accepts(cartan, J_nodes):
                         except ValueError:
                             continue
                         accepted.append(case)
-                    got = surgery_cases(g, p, j)
-                    assert got == tuple(accepted), (p, j)
+                    got = tuple(accepted)
                     assert got == reference_cases(pair, tilde_coroot(rs, j), p), (p, j)
                     for case in got:
                         seen[case] += 1
@@ -484,9 +513,9 @@ def test_surgery_signs_are_the_pairings(cartan, J_nodes):
     lam = tuple(0 if i + 1 in J_nodes else 1 for i in range(rs.rank))
     pair = reference_pair(*cartan, lam)
     for j in range(0, rs.rank + 1):
-        table = surgery_signs(g, j)
-        assert set(table) == set(g.vertices)
-        for x, sign in table.items():
+        row = g.sign_row(j)
+        assert len(row) == len(g.vertices)
+        for x, sign in zip(g.vertices, row):
             assert sign == pair(tilde_coroot(rs, j), x)
 
 
@@ -504,17 +533,17 @@ def test_surgery_signs_and_theta_images_match_the_reference_matrices():
         for nodes in all_parabolics(rank, proper=True):
             g = build_qbg(W, rs.parabolic(nodes))
             lam = tuple(0 if i + 1 in nodes else 1 for i in range(rank))
-            tables = [surgery_signs(g, j) for j in range(rank + 1)]
-            images = theta_coroot_images(g)
-            assert all(set(t) == set(g.vertices) for t in tables + [images])
-            for x in g.vertices:
+            tables = [g.sign_row(j) for j in range(rank + 1)]
+            images = g.theta_coroots()
+            assert all(len(t) == len(g.vertices) for t in tables + [images])
+            for p, x in enumerate(g.vertices):
                 comat = comats[inverse[x]]
                 # x(lambda_J) over the fundamental weights: entry i is
                 # <x^{-1}(alpha_i^vee), lambda_J>
                 weight = tuple(sum(map(mul, row, lam)) for row in comat)
                 for j, table in enumerate(tables):
-                    assert table[x] == sum(map(mul, tilde[j], weight)), (nodes, j, x)
-                assert images[x] == apply(comat, tilde[0]), (nodes, x)
+                    assert table[p] == sum(map(mul, tilde[j], weight)), (nodes, j, x)
+                assert images[p] == apply(comat, tilde[0]), (nodes, x)
                 checked += rank + 2
     assert checked == 37638
 
@@ -529,9 +558,9 @@ def test_surgery_tables_belong_to_their_graph():
     for g, lam in ((g0, (1, 1, 1)), (g1, (0, 1, 1))):
         pair = reference_pair("A", 3, lam)
         for j in range(0, rs.rank + 1):
-            table = surgery_signs(g, j)
-            assert set(table) == set(g.vertices)
-            assert all(s == pair(tilde_coroot(rs, j), x) for x, s in table.items())
+            row = g.sign_row(j)
+            assert len(row) == len(g.vertices)
+            assert all(s == pair(tilde_coroot(rs, j), x) for x, s in zip(g.vertices, row))
         pushed = [(j, g.edges[k], g.edges[k2]) for j, table in g._pushed_slots.items()
                   for k, k2 in enumerate(table) if k2 >= 0]
         assert pushed
@@ -557,55 +586,20 @@ def test_a_failed_push_is_not_kept():
 
 
 def test_surgery_pairs_each_vertex_once_per_j(monkeypatch):
-    """At most |V| (rank + 1) step labels read over every surgery of A3
-    J={1}: the sign table reads the label x^{-1}(tilde alpha_j) once per
-    (x, j)."""
-    calls = 0
-    real = QbgGraph.step_label
-
-    def counting(self, j, x):
-        nonlocal calls
-        calls += 1
-        return real(self, j, x)
-
-    monkeypatch.setattr(QbgGraph, "step_label", counting)
+    """At most one coroot read per (j, label) over every surgery of A3
+    J={1}: the sign rows pair each distinct label x^{-1}(tilde alpha_j) of
+    the graph's label column with lambda_J once, and are kept."""
     rs = build_root_system("A", 3)
     g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
+    calls = 0
+    real = type(rs).coroot
+
+    def counting(self, alpha):
+        nonlocal calls
+        calls += 1
+        return real(self, alpha)
+
+    monkeypatch.setattr(type(rs), "coroot", counting)
     _all_surgeries(g)
-    assert 0 < calls <= len(g.vertices) * (rs.rank + 1)
-
-
-def test_transform_path_checks_its_case_once(monkeypatch):
-    """One ``surgeries`` call per ``transform_path`` call, also when case
-    2 falls back on case 1 or case 4 on case 3."""
-    rs = build_root_system("A", 3)
-    g = build_qbg(WeylGroup(rs), rs.parabolic((1,)))
-    calls = 0
-    real = tilted.surgeries
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(tilted, "surgeries", counting)
-    made = 0
-    fallbacks = {2: 0, 4: 0}
-    for u in g.vertices:
-        for p, _weight in g.shortest_paths_from(u):
-            for j in range(0, rs.rank + 1):
-                signs = [surgery_signs(g, j)[x] for x in [p.start] + [e.target for e in p.edges]]
-                # the cases that fall back: one sign of the other kind
-                falls = {2: not all(s < 0 for s in signs), 4: not all(s > 0 for s in signs)}
-                for case in (1, 2, 3, 4):
-                    try:
-                        transform_path(g, p, j, case)
-                    except ValueError:
-                        accepted = False
-                    else:
-                        accepted = True
-                    made += 1
-                    assert calls == made
-                    if accepted and falls.get(case):
-                        fallbacks[case] += 1
-    assert all(fallbacks.values()), fallbacks
+    labels = sum(len(set(g._left_steps(j)[0])) for j in range(rs.rank + 1))
+    assert 0 < calls <= labels
